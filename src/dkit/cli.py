@@ -11,6 +11,7 @@ complex strings such as "1+2j").  Exit codes are part of the contract:
     4  unresolvable exact spectrum (retry with --mode float)
     5  input horizon too short
     6  causality oracle disagrees with the closed-form criteria
+    7  numerical breakdown in float mode (retry with --mode exact)
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 from . import causality as causality_mod
 from .errors import (
+    ChainConstructionFailure,
     DkitError,
     InconsistentInitialCondition,
     InputHorizonTooShort,
@@ -51,6 +53,7 @@ EXIT_INCONSISTENT = 3
 EXIT_UNRESOLVABLE = 4
 EXIT_HORIZON = 5
 EXIT_ORACLE_DISAGREES = 6
+EXIT_NUMERICAL = 7
 
 _REQUIRED_KEYS = ("n", "l", "m", "mode", "F", "G", "B", "C", "Y0", "k0", "inputs", "K")
 
@@ -527,6 +530,10 @@ def main(argv=None) -> int:
     except InputHorizonTooShort as exc:
         print(f"input horizon too short: {exc}", file=sys.stderr)
         return EXIT_HORIZON
+    except ChainConstructionFailure as exc:
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
+        print("hint: retry with --mode exact", file=sys.stderr)
+        return EXIT_NUMERICAL
     except DkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

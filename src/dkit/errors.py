@@ -31,7 +31,11 @@ class UnresolvableSpectrum(DkitError):
 
 class ChainConstructionFailure(DkitError):
     """Rank structure found during chain building contradicts the computed
-    multiplicities; in float mode this signals numerical breakdown."""
+    multiplicities; in float mode this signals numerical breakdown.
+
+    Float mode also raises it when a numerically rank-deficient system
+    stops the interpolation of the characteristic polynomial or the
+    least-squares residual of an inconsistent initial state."""
 
 
 class InputHorizonTooShort(DkitError):

@@ -1,16 +1,26 @@
 """Elimination-based linear algebra over both scalar modes.
 
-Exact mode runs Gauss-Jordan over rationals; the reduced row echelon form
-of a matrix is unique, so every kernel basis and every particular solution
-produced here is canonical and reproducible.  Float mode uses the same
-routines with partial pivoting and a relative rank threshold
+Exact mode never eliminates over ``Fraction``.  It scales each row by the
+lcm of its denominators, which changes neither the row space nor the rank,
+and runs fraction-free elimination on Python ints (Bareiss 1968,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination"): every update ``(pivot * a - f * b) // prev_pivot`` divides
+exactly, because each entry stays a minor of the scaled matrix.  Results
+become ``Fraction`` only on output.  The reduced row echelon form of a
+matrix is unique, so this yields the same RREF, pivots and determinant as
+Gauss-Jordan over rationals would, and every kernel basis and particular
+solution produced here is canonical and reproducible.  Float mode uses
+Gauss-Jordan with partial pivoting and a relative rank threshold
 ``tol * (largest entry magnitude)``.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from .matrices import Matrix, hstack
-from .scalars import Mode, one, zero
+from .scalars import Mode, clear_denominators, one, zero
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -22,8 +32,69 @@ def _threshold(mat: Matrix, tol: float | None) -> float:
     return tol * scale
 
 
+def _integer_rows(data: list[list[Fraction]]) -> tuple[list[list[int]], int]:
+    """Each row cleared of denominators, and the product of the row
+    scales (the factor by which the determinant grew)."""
+    cleared = [clear_denominators(row) for row in data]
+    return [row for row, _ in cleared], math.prod(s for _, s in cleared)
+
+
+def _bareiss(rows: list[list[int]], reduce: bool) -> tuple[list[int], int, int]:
+    """Fraction-free elimination of integer rows, in place.
+
+    Forward elimination only, unless ``reduce`` also clears the entries
+    above each pivot (fraction-free Gauss-Jordan).  Returns the pivot
+    columns, the last pivot d and the sign of the row permutation.  After
+    forward elimination of a square matrix d is its determinant up to that
+    sign; after reduction, pivot row i equals d times row i of the RREF and
+    the rows below the rank are zero.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots: list[int] = []
+    prev, sign, r = 1, 1, 0
+    first_free = None  # first column without a pivot
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            if first_free is None:
+                first_free = c
+            continue
+        if piv != r:
+            rows[piv], rows[r] = rows[r], rows[piv]
+            sign = -sign
+        row_r = rows[r]
+        p = row_r[c]
+        # Left of c the pivot row is zero, and so are the rows below.  Left
+        # of the first free column, rows above are zero except at their own
+        # pivot, which is left stale here and set once at the end.
+        lo = c if first_free is None else first_free
+        tail_above, tail_below = row_r[lo:], row_r[c:]
+        for i in range(0 if reduce else r + 1, nrows):
+            if i == r:
+                continue
+            row_i = rows[i]
+            f = row_i[c]
+            j, tail = (lo, tail_above) if i < r else (c, tail_below)
+            row_i[j:] = [(p * a - f * b) // prev for a, b in zip(row_i[j:], tail)]
+        pivots.append(c)
+        prev = p
+        r += 1
+    if reduce:
+        for i, c in enumerate(pivots):
+            rows[i][c] = prev
+    return pivots, prev, sign
+
+
 def _rref_data(data: list[list], mode: Mode, thr: float) -> list[int]:
     """In-place reduced row echelon form; returns pivot column indices."""
+    if mode is Mode.EXACT:
+        rows, _ = _integer_rows(data)
+        pivots, d, _ = _bareiss(rows, reduce=True)
+        data[:] = [[Fraction(x, d) for x in row] for row in rows]
+        return pivots
     nrows = len(data)
     ncols = len(data[0]) if nrows else 0
     pivots: list[int] = []
@@ -32,17 +103,11 @@ def _rref_data(data: list[list], mode: Mode, thr: float) -> list[int]:
         if r == nrows:
             break
         piv = None
-        if mode is Mode.EXACT:
-            for i in range(r, nrows):
-                if data[i][c] != 0:
-                    piv = i
-                    break
-        else:
-            best_mag = thr
-            for i in range(r, nrows):
-                m = abs(data[i][c])
-                if m > best_mag:
-                    piv, best_mag = i, m
+        best_mag = thr
+        for i in range(r, nrows):
+            m = abs(data[i][c])
+            if m > best_mag:
+                piv, best_mag = i, m
         if piv is None:
             continue
         if piv != r:
@@ -158,22 +223,20 @@ def det(mat: Matrix, tol: float | None = None):
     if n == 0:
         return one(mat.mode)
     data = mat.to_lists()
-    thr = _threshold(mat, tol) if mat.mode is Mode.FLOAT else 0.0
+    if mat.mode is Mode.EXACT:
+        rows, scale = _integer_rows(data)
+        pivots, d, sign = _bareiss(rows, reduce=False)
+        return Fraction(sign * d, scale) if len(pivots) == n else zero(mat.mode)
+    thr = _threshold(mat, tol)
     sign = 1
     result = one(mat.mode)
     for c in range(n):
         piv = None
-        if mat.mode is Mode.EXACT:
-            for i in range(c, n):
-                if data[i][c] != 0:
-                    piv = i
-                    break
-        else:
-            best_mag = thr
-            for i in range(c, n):
-                m = abs(data[i][c])
-                if m > best_mag:
-                    piv, best_mag = i, m
+        best_mag = thr
+        for i in range(c, n):
+            m = abs(data[i][c])
+            if m > best_mag:
+                piv, best_mag = i, m
         if piv is None:
             return zero(mat.mode)
         if piv != c:

@@ -8,10 +8,11 @@ all operations treat empty sums as zero.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scalars import Mode, Scalar, ensure_scalar, format_scalar, zero
+from .scalars import Mode, Scalar, clear_denominators, ensure_scalar, format_scalar, zero
 
 
 class Matrix:
@@ -132,14 +133,28 @@ class Matrix:
         return Matrix._new(self.rows, self.cols, self.mode, tuple(s * a for a in self._e))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Matrix product.
+
+        Exact mode clears denominators first: row i of ``self`` times the lcm
+        d_i of its denominators and column j of ``other`` times the lcm e_j
+        of its own become integer vectors, so each output entry is one
+        integer dot product s_ij and one ``Fraction(s_ij, d_i * e_j)``
+        instead of a gcd for every multiply and add.
+        """
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_mode(other)
         if self.cols != other.rows:
             raise ValueError(f"inner dimensions differ: {self.shape} @ {other.shape}")
         n, k, m = self.rows, self.cols, other.cols
-        z = zero(self.mode)
         a, b = self._e, other._e
+        if self.mode is Mode.EXACT:
+            left = [clear_denominators(a[i * k : (i + 1) * k]) for i in range(n)]
+            right = [clear_denominators(b[j::m]) for j in range(m)]
+            out = [Fraction(sum(map(operator.mul, arow, bcol)), d * e)
+                   for arow, d in left for bcol, e in right]
+            return Matrix._new(n, m, self.mode, tuple(out))
+        z = zero(self.mode)
         out = []
         for i in range(n):
             arow = a[i * k : (i + 1) * k]
@@ -178,8 +193,6 @@ class Matrix:
         """Largest entry magnitude (Fraction in exact mode, float otherwise)."""
         if not self._e:
             return Fraction(0) if self.mode is Mode.EXACT else 0.0
-        if self.mode is Mode.EXACT:
-            return max(abs(x) for x in self._e)
         return max(abs(x) for x in self._e)
 
     def is_zero(self, tol=None) -> bool:

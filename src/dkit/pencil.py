@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import UnresolvableSpectrum
+from .errors import ChainConstructionFailure, UnresolvableSpectrum
 from .matrices import Matrix
 from .scalars import Mode, Scalar
 
@@ -90,7 +90,12 @@ def char_poly(pencil: Pencil, zero_tol: float | None = None) -> CharPoly:
     dets = [linalg.det(pencil.eval(s)) for s in nodes]
     vand = Matrix([[s**j for j in range(n + 1)] for s in nodes], mode)
     rhs = Matrix([[d] for d in dets], mode)
-    coeffs = linalg.solve_unique(vand, rhs).column_list()
+    try:
+        coeffs = linalg.solve_unique(vand, rhs).column_list()
+    except ValueError as exc:  # float only: exact Vandermonde is nonsingular
+        raise ChainConstructionFailure(
+            f"char poly interpolation on nodes 0..{n} broke down: {exc}"
+        ) from None
     if mode is Mode.EXACT:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()

@@ -15,8 +15,9 @@ that admits a raw value into a given mode.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 Scalar = Union[Fraction, complex]
 
@@ -35,6 +36,16 @@ def zero(mode: Mode) -> Scalar:
 
 def one(mode: Mode) -> Scalar:
     return Fraction(1) if mode is Mode.EXACT else complex(1.0)
+
+
+def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Exact ``values`` times the lcm s of their denominators, and s.
+
+    Integer arithmetic on the scaled values replaces a gcd per ``Fraction``
+    operation; an empty sequence has s = 1.
+    """
+    s = math.lcm(*[x.denominator for x in values])
+    return [x.numerator * (s // x.denominator) for x in values], s
 
 
 def ensure_scalar(value, mode: Mode) -> Scalar:
@@ -110,14 +121,3 @@ def format_scalar(value: Scalar) -> str:
     if isinstance(value, int):
         return str(value)
     raise TypeError(f"not a scalar: {value!r}")
-
-
-def to_float_scalar(value: Scalar) -> complex:
-    return complex(value)
-
-
-def magnitude(value: Scalar):
-    """Absolute value; a Fraction in exact mode, a float otherwise."""
-    if isinstance(value, Fraction):
-        return abs(value)
-    return abs(value)

@@ -20,11 +20,12 @@ from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import (
+    ChainConstructionFailure,
     InconsistentInitialCondition,
     InputHorizonTooShort,
     IrregularPencil,
 )
-from .matrices import Matrix, vstack
+from .matrices import Matrix, hstack, vstack
 from .pencil import Pencil, is_regular
 from .scalars import Mode
 from .weierstrass import WeierstrassDecomposition
@@ -104,17 +105,24 @@ class InputSignal:
 
 @dataclass(frozen=True)
 class TransformedInput:
-    """P B split into its forward (p x l) and backward (q x l) rows."""
+    """P B split into its forward (p x l) and backward (q x l) rows, plus
+    the backward map [B_q | H_q B_q | ... | H_q^{q*-1} B_q] (q x l q*)."""
 
     B_p: Matrix
     B_q: Matrix
+    backward: Matrix
 
 
 def transform_input(w: WeierstrassDecomposition, B: Matrix) -> TransformedInput:
     pb = w.P @ B
+    b_q, h_q = pb.take_rows(range(w.p, w.n)), w.H_q
+    blocks: list[Matrix] = []
+    for _ in range(w.q_star):
+        blocks.append(h_q @ blocks[-1] if blocks else b_q)
     return TransformedInput(
         B_p=pb.take_rows(range(w.p)),
-        B_q=pb.take_rows(range(w.p, w.n)),
+        B_q=b_q,
+        backward=hstack(blocks) if blocks else Matrix.zeros(w.q, 0, w.mode),
     )
 
 
@@ -124,13 +132,13 @@ class Dk(NamedTuple):
     stacked: Matrix   # n x 1
 
 
-def _h_powers(w: WeierstrassDecomposition) -> list[Matrix]:
-    powers = []
-    acc = Matrix.identity(w.q, w.mode)
-    for _ in range(max(w.q_star, 0)):
-        powers.append(acc)
-        acc = acc @ w.H_q
-    return powers
+def _backward(w: WeierstrassDecomposition, tin: TransformedInput,
+              signal: InputSignal, k: int) -> Matrix:
+    """Forced backward coordinates -sum_{i < q*} H_q^i B_q V_{k+i}: one
+    product of the backward map with the stacked samples V_k .. V_{k+q*-1}."""
+    if w.q_star == 0:
+        return Matrix.zeros(w.q, 1, w.mode)
+    return -(tin.backward @ vstack([signal.sample(k + i) for i in range(w.q_star)]))
 
 
 def compute_Dk(
@@ -147,10 +155,7 @@ def compute_Dk(
     top = Matrix.zeros(w.p, 1, w.mode)
     for j in range(signal.k0, k):
         top = j_p @ top + tin.B_p @ signal.sample(j)
-    bottom = Matrix.zeros(w.q, 1, w.mode)
-    for i, h_pow in enumerate(_h_powers(w)):
-        bottom = bottom + h_pow @ (tin.B_q @ signal.sample(k + i))
-    bottom = -bottom
+    bottom = _backward(w, tin, signal, k)
     return Dk(top=top, bottom=bottom, stacked=vstack([top, bottom]))
 
 
@@ -184,7 +189,11 @@ def check_consistency(
     z = linalg.solve(q_p, rhs, rank_tol)
     if z is not None:
         return ConsistencyResult(True, z, Matrix.zeros(sys.n, 1, sys.mode))
-    z_ls = linalg.least_squares(q_p, rhs, rank_tol)
+    try:
+        z_ls = linalg.least_squares(q_p, rhs, rank_tol)
+    except ValueError as exc:  # float only: an exact Q_p has full column rank
+        raise ChainConstructionFailure(
+            f"Q_p is numerically rank deficient: {exc}") from None
     return ConsistencyResult(False, None, rhs - q_p @ z_ls)
 
 
@@ -234,19 +243,12 @@ def solve(
         )
 
     j_p = w.J_p
-    h_pows = _h_powers(w)
-    b_p, b_q = tin.B_p, tin.B_q
-
-    def backward(k: int) -> Matrix:
-        acc = Matrix.zeros(w.q, 1, w.mode)
-        for i, h_pow in enumerate(h_pows):
-            acc = acc + h_pow @ (b_q @ signal.sample(k + i))
-        return -acc
+    b_p = tin.B_p
 
     z_p_list, z_q_list, states, outputs = [], [], [], []
     zp = res.z_p0
     for k in range(k0, K + 1):
-        zq = backward(k)
+        zq = _backward(w, tin, signal, k)
         y = w.Q @ vstack([zp, zq])
         z_p_list.append(zp)
         z_q_list.append(zq)

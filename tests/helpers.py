@@ -2,8 +2,9 @@
 
 Everything here is deliberately separate from the library's computation
 paths: the brute-force characteristic polynomial expands cofactors over
-coefficient lists, and the stacked-step solvability check works on the raw
-system matrices.
+coefficient lists, the stacked-step solvability check works on the raw
+system matrices, and the exact elimination and product references run
+plain ``Fraction`` arithmetic where the library runs integer kernels.
 """
 
 from __future__ import annotations
@@ -232,3 +233,71 @@ def stacked_step_solvable(sysm: DescriptorSystem, w, tin, signal, y0: Matrix) ->
     a_stack = vstack([sysm.F, s_rows])
     b_stack = vstack([rhs_step, forced_next])
     return linalg.solve(a_stack, b_stack) is not None
+
+
+def reference_rref_data(data: list[list], mode: Mode, thr: float) -> list[int]:
+    """Gauss-Jordan over ``Fraction``: in-place RREF, returns pivot columns.
+
+    Drop-in for ``linalg._rref_data`` in exact mode (``mode`` and ``thr``
+    are accepted for that and ignored).
+    """
+    nrows = len(data)
+    ncols = len(data[0]) if nrows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if data[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            data[piv], data[r] = data[r], data[piv]
+        inv = 1 / data[r][c]
+        row_r = data[r]
+        for j in range(c, ncols):
+            row_r[j] = row_r[j] * inv
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = data[i][c]
+            if f == 0:
+                continue
+            row_i = data[i]
+            for j in range(c, ncols):
+                row_i[j] = row_i[j] - f * row_r[j]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def reference_det(mat: Matrix) -> Fraction:
+    """Determinant by Gaussian elimination over ``Fraction``."""
+    n = mat.rows
+    data = mat.to_lists()
+    sign = 1
+    result = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if data[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            data[piv], data[c] = data[c], data[piv]
+            sign = -sign
+        pv = data[c][c]
+        result = result * pv
+        for i in range(c + 1, n):
+            f = data[i][c] / pv
+            if f == 0:
+                continue
+            row_i, row_c = data[i], data[c]
+            for j in range(c, n):
+                row_i[j] = row_i[j] - f * row_c[j]
+    return result if sign > 0 else -result
+
+
+def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Product of exact matrices by ``Fraction`` multiply-and-add."""
+    out = [[sum((a[i, t] * b[t, j] for t in range(a.cols)), Fraction(0))
+            for j in range(b.cols)] for i in range(a.rows)]
+    return Matrix(out, Mode.EXACT) if a.rows and b.cols else Matrix.zeros(a.rows, b.cols, Mode.EXACT)

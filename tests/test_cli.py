@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from dkit.cli import (
     EXIT_HORIZON,
     EXIT_INCONSISTENT,
     EXIT_IRREGULAR,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_ORACLE_DISAGREES,
     EXIT_PARSE,
@@ -19,7 +21,8 @@ from dkit.cli import (
     parse_system_file,
     system_file_to_dict,
 )
-from dkit.scalars import Mode
+from dkit.scalars import Mode, format_scalar
+from helpers import planted_pencil
 
 DATA = Path(__file__).parent / "data"
 DIAG = str(DATA / "diag_system.json")
@@ -255,3 +258,22 @@ def test_float_mode_full_pipeline(capsys):
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     values = [float(r[1]) for r in rows[1:]]
     assert values == pytest.approx([5.0, 11.0, 23.0, 47.0], abs=1e-9)
+
+
+def test_float_char_poly_breakdown_is_typed(tmp_path, capsys):
+    # At n = 10 the float Vandermonde system on nodes 0..10 goes numerically
+    # rank deficient; that must end in a documented exit code, not a traceback.
+    pen, _, _ = planted_pencil(random.Random(0), 10, min_q=1)
+    doc = {
+        "n": 10, "l": 1, "m": 1, "mode": "float",
+        "F": [[format_scalar(x) for x in pen.F.row_list(i)] for i in range(10)],
+        "G": [[format_scalar(x) for x in pen.G.row_list(i)] for i in range(10)],
+        "B": [[1]] * 10, "C": [[1] * 10], "Y0": [0] * 10,
+        "k0": 0, "inputs": [[0]] * 12, "K": 2,
+    }
+    path = tmp_path / "float10.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical breakdown" in err
+    assert "Traceback" not in err

@@ -1,0 +1,165 @@
+"""The integer exact kernels against plain-``Fraction`` references.
+
+Exact-mode elimination runs fraction-free on integer rows and exact
+``Matrix.__matmul__`` on denominator-cleared integers.  Both must give
+results bit-identical to Gauss-Jordan and multiply-and-add over
+``Fraction``; the reference path runs linalg's own wrappers with
+``_rref_data`` swapped for the ``Fraction`` loop in ``helpers``.
+"""
+
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dkit import Matrix, linalg
+from dkit.scalars import Mode
+
+from helpers import reference_det, reference_matmul, reference_rref_data
+
+EX = Mode.EXACT
+
+DENOMINATORS = st.one_of(
+    st.sampled_from([1, 1, 2, 3, 6, 7, 12]),
+    st.integers(1, 10**6),
+    st.sampled_from([2**61 - 1, 10**18 + 9, 3**40]),
+)
+FRACTIONS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), DENOMINATORS),
+    st.builds(Fraction, st.integers(-10**24, 10**24), DENOMINATORS),
+)
+
+
+def build(rows, nrows, ncols):
+    return Matrix(rows, EX) if nrows and ncols else Matrix.zeros(nrows, ncols, EX)
+
+
+@st.composite
+def matrices(draw, nrows=None, ncols=None):
+    """Random shapes (n x 0 and 0 x m included); generic, rank-deficient
+    (a product through a narrower inner dimension) or with zero rows."""
+    if nrows is None:
+        nrows = draw(st.integers(0, 6))
+    if ncols is None:
+        ncols = draw(st.integers(0, 6))
+
+    def entries(r, c):
+        return draw(st.lists(st.lists(FRACTIONS, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+
+    kind = draw(st.sampled_from(["generic", "low_rank", "zero_rows"]))
+    if kind == "low_rank":
+        inner = draw(st.integers(0, max(min(nrows, ncols) - 1, 0)))
+        left, right = entries(nrows, inner), entries(inner, ncols)
+        rows = [[sum((left[i][t] * right[t][j] for t in range(inner)), Fraction(0))
+                 for j in range(ncols)] for i in range(nrows)]
+    else:
+        rows = entries(nrows, ncols)
+        if kind == "zero_rows" and nrows:
+            for i in draw(st.sets(st.integers(0, nrows - 1))):
+                rows[i] = [Fraction(0)] * ncols
+    return build(rows, nrows, ncols)
+
+
+@st.composite
+def systems(draw):
+    """A matrix ``a`` and a right-hand side with the same row count."""
+    a = draw(matrices())
+    b = draw(matrices(nrows=a.rows, ncols=draw(st.integers(0, 3))))
+    if a.cols and draw(st.booleans()):
+        # consistent by construction: b = a x
+        x = draw(matrices(nrows=a.cols, ncols=b.cols))
+        b = reference_matmul(a, x)
+    return a, b
+
+
+def reference(fn, *args):
+    with mock.patch.object(linalg, "_rref_data", reference_rref_data):
+        return fn(*args)
+
+
+def outcome(fn, *args):
+    """Result of ``fn``, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return (ValueError, str(exc))
+
+
+def assert_fractions(mat: Matrix):
+    assert all(type(x) is Fraction for row in mat.to_lists() for x in row)
+
+
+@settings(max_examples=200)
+@given(matrices())
+def test_rref_matches_fraction_gauss_jordan(a):
+    red, pivots = linalg.rref(a)
+    assert (red, pivots) == reference(linalg.rref, a)
+    assert_fractions(red)
+    assert linalg.rank(a) == len(pivots)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 6).flatmap(lambda n: matrices(nrows=n, ncols=n)))
+def test_det_matches_fraction_elimination(a):
+    d = linalg.det(a)
+    assert type(d) is Fraction
+    assert d == reference_det(a)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 6).flatmap(lambda n: matrices(nrows=n, ncols=n)))
+def test_inverse_matches_reference(a):
+    got = outcome(linalg.inverse, a)
+    assert got == reference(outcome, linalg.inverse, a)
+    if isinstance(got, Matrix):
+        assert_fractions(got)
+        assert a @ got == Matrix.identity(a.rows, EX)
+
+
+@settings(max_examples=150)
+@given(systems())
+def test_solve_matches_reference(ab):
+    a, b = ab
+    x = linalg.solve(a, b)
+    assert x == reference(linalg.solve, a, b)
+    if x is not None:
+        assert_fractions(x)
+        assert a @ x == b
+
+
+@settings(max_examples=150)
+@given(systems())
+def test_solve_unique_matches_reference_including_errors(ab):
+    a, b = ab
+    assert outcome(linalg.solve_unique, a, b) == reference(outcome, linalg.solve_unique, a, b)
+
+
+@settings(max_examples=150)
+@given(matrices())
+def test_kernel_basis_matches_reference(a):
+    k = linalg.kernel_basis(a)
+    assert k == reference(linalg.kernel_basis, a)
+    assert_fractions(k)
+    assert (a @ k).is_zero()
+
+
+@settings(max_examples=200)
+@given(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda s: st.tuples(matrices(nrows=s[0], ncols=s[1]), matrices(nrows=s[1], ncols=s[2]))))
+def test_matmul_matches_fraction_multiply_add(ab):
+    a, b = ab
+    prod = a @ b
+    assert prod == reference_matmul(a, b)
+    assert_fractions(prod)
+
+
+def test_solve_reports_inconsistency_as_none():
+    a = Matrix([[1, 2], [2, 4]], EX)
+    b = Matrix([[1], [3]], EX)
+    assert linalg.solve(a, b) is None
+    with pytest.raises(ValueError, match="inconsistent"):
+        linalg.solve_unique(a, b)

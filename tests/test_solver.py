@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -5,6 +6,7 @@ from itertools import product
 import pytest
 
 from dkit import (
+    ChainConstructionFailure,
     DescriptorSystem,
     InconsistentInitialCondition,
     InputHorizonTooShort,
@@ -55,6 +57,15 @@ def test_descriptor_system_validation():
     with pytest.raises(ValueError):
         DescriptorSystem(f, Matrix([[2, 0], [0, 1]], EX),
                          Matrix.zeros(3, 1, EX), Matrix.identity(2, EX))
+
+
+def test_consistency_with_rank_deficient_Q_p_is_typed():
+    # Float decomposition can return a Q_p that lost rank numerically; then
+    # the least-squares residual of an inconsistent y0 is undefined.
+    sysm, w, tin, sig = diag_fixture()
+    broken = dataclasses.replace(w, Q=Matrix([[0, 0], [0, 1]], EX))
+    with pytest.raises(ChainConstructionFailure, match="rank deficient"):
+        check_consistency(sysm, broken, tin, sig, Matrix.column([5, -1], EX))
 
 
 def test_transformed_input_stacks_to_pb():
