@@ -4,7 +4,7 @@ Core surface:
 
 * pencils and spectra     -- :mod:`dkit.pencil`
 * canonical form          -- :mod:`dkit.weierstrass`
-* closed-form solutions   -- :mod:`dkit.solver`
+* analysis and solutions  -- :mod:`dkit.solver`
 * causality analysis      -- :mod:`dkit.causality`
 * command-line front-end  -- :mod:`dkit.cli`
 """
@@ -30,11 +30,13 @@ from .matrices import Matrix, block_diag, hstack, vstack
 from .pencil import CharPoly, Pencil, char_poly, finite_eigenvalues, is_regular
 from .scalars import Mode, Scalar, format_scalar, parse_scalar
 from .solver import (
+    Analysis,
     ConsistencyResult,
     DescriptorSystem,
     InputSignal,
     Trajectory,
     TransformedInput,
+    analyze,
     check_consistency,
     closed_form_zp,
     compute_Dk,
@@ -56,6 +58,7 @@ from .weierstrass import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Analysis",
     "CausalityReport",
     "ChainConstructionFailure",
     "CharPoly",
@@ -78,6 +81,7 @@ __all__ = [
     "UnresolvableSpectrum",
     "VerificationReport",
     "WeierstrassDecomposition",
+    "analyze",
     "assemble_Hq",
     "assemble_Jp",
     "block_diag",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .matrices import Matrix, hstack
+from .matrices import Matrix
 from .scalars import Mode
 from .solver import (
     DescriptorSystem,
@@ -38,24 +38,20 @@ def _is_zero(mat: Matrix, tol: float | None) -> bool:
     return mat.is_zero(DEFAULT_CAUSALITY_TOL if tol is None else tol)
 
 
+def _leaks(w: WeierstrassDecomposition, tin: TransformedInput) -> list[Matrix]:
+    """H_q^i B_q for i = 1 .. q* - 1: the width-l column blocks of the
+    backward map [B_q | H_q B_q | ... | H_q^{q*-1} B_q] after the first."""
+    l = tin.B_q.cols
+    return [tin.backward.take_cols(range(i * l, (i + 1) * l)) for i in range(1, w.q_star)]
+
+
 def check_state_causality(
     w: WeierstrassDecomposition, tin: TransformedInput, tol: float | None = None
 ) -> tuple[bool, Matrix]:
     """State-input causality holds iff H_q B_q = 0; the product is the witness."""
-    witness = w.H_q @ tin.B_q
+    leaks = _leaks(w, tin)
+    witness = leaks[0] if leaks else Matrix.zeros(w.q, tin.B_q.cols, w.mode)
     return _is_zero(witness, tol), witness
-
-
-def _output_witnesses(
-    sys: DescriptorSystem, w: WeierstrassDecomposition, tin: TransformedInput
-) -> list[Matrix]:
-    out = []
-    c_qq = sys.C @ w.Q_q
-    acc = tin.B_q
-    for _ in range(1, max(w.q_star, 1)):
-        acc = w.H_q @ acc
-        out.append(c_qq @ acc)
-    return out
 
 
 def check_output_causality(
@@ -68,22 +64,17 @@ def check_output_causality(
 
     Vacuously true when q* <= 1 (no future sample reaches the output).
     """
-    witnesses = _output_witnesses(sys, w, tin)
-    return all(_is_zero(m, tol) for m in witnesses), tuple(witnesses)
+    c_qq = sys.C @ w.Q_q
+    witnesses = tuple(c_qq @ leak for leak in _leaks(w, tin))
+    return all(_is_zero(m, tol) for m in witnesses), witnesses
 
 
 def nullspace_form(
     w: WeierstrassDecomposition, tin: TransformedInput
 ) -> Matrix:
     """The stacked matrix [Q_q H_q B_q | ... | Q_q H_q^{q*-1} B_q]."""
-    cols = []
-    acc = tin.B_q
-    for _ in range(1, max(w.q_star, 1)):
-        acc = w.H_q @ acc
-        cols.append(w.Q_q @ acc)
-    if not cols:
-        return Matrix.zeros(w.n, 0, w.mode)
-    return hstack(cols)
+    l = tin.B_q.cols
+    return w.Q_q @ tin.backward.take_cols(range(l, w.q_star * l))
 
 
 def check_output_causality_nullspace(

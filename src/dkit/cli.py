@@ -5,7 +5,7 @@ decimal strings, or "num/den" rational strings (float mode also accepts
 complex strings such as "1+2j").  Exit codes are part of the contract:
 
     0  success
-    1  parse error
+    1  parse error (malformed file, or a usage error in the arguments)
     2  irregular pencil
     3  inconsistent initial condition (analysis still emitted)
     4  unresolvable exact spectrum (retry with --mode float)
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -34,17 +35,17 @@ from .errors import (
     UnresolvableSpectrum,
 )
 from .matrices import Matrix
-from .pencil import Pencil, char_poly
+from .pencil import Pencil  # noqa: F401  (read as cli.Pencil by perfbench)
 from .scalars import Mode, format_scalar, parse_scalar
 from .solver import (
+    Analysis,
     DescriptorSystem,
     InputSignal,
+    analyze,
     check_consistency,
     residual_oracle,
     solve,
-    transform_input,
 )
-from .weierstrass import decompose, verify
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -86,6 +87,16 @@ def _require_int(raw, field: str) -> int:
     return raw
 
 
+def _parse_scalars(raw: list, mode: Mode, field: str) -> list:
+    out = []
+    for j, cell in enumerate(raw):
+        try:
+            out.append(parse_scalar(cell, mode))
+        except ValueError as exc:
+            raise ParseError(f"{field}[{j}]: {exc}") from None
+    return out
+
+
 def _parse_matrix(raw, nrows: int, ncols: int, mode: Mode, field: str) -> Matrix:
     if not isinstance(raw, list) or len(raw) != nrows:
         raise ParseError(f"{field}: expected {nrows} rows")
@@ -93,28 +104,14 @@ def _parse_matrix(raw, nrows: int, ncols: int, mode: Mode, field: str) -> Matrix
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != ncols:
             raise ParseError(f"{field}[{i}]: expected {ncols} entries")
-        out = []
-        for j, cell in enumerate(row):
-            try:
-                out.append(parse_scalar(cell, mode))
-            except ValueError as exc:
-                raise ParseError(f"{field}[{i}][{j}]: {exc}") from None
-        data.append(out)
-    if not data:
-        return Matrix.zeros(nrows, ncols, mode)
-    return Matrix(data, mode)
+        data.append(_parse_scalars(row, mode, f"{field}[{i}]"))
+    return Matrix(data, mode) if data else Matrix.zeros(nrows, ncols, mode)
 
 
 def _parse_vector(raw, length: int, mode: Mode, field: str) -> Matrix:
     if not isinstance(raw, list) or len(raw) != length:
         raise ParseError(f"{field}: expected a vector of length {length}")
-    out = []
-    for j, cell in enumerate(raw):
-        try:
-            out.append(parse_scalar(cell, mode))
-        except ValueError as exc:
-            raise ParseError(f"{field}[{j}]: {exc}") from None
-    return Matrix.column(out, mode)
+    return Matrix.column(_parse_scalars(raw, mode, field), mode)
 
 
 def parse_system_file(source, mode_override: Mode | None = None) -> SystemFile:
@@ -131,7 +128,7 @@ def parse_system_file(source, mode_override: Mode | None = None) -> SystemFile:
                 text = fh.read()
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
             raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
@@ -203,40 +200,27 @@ def _fmt_matrix(mat: Matrix) -> str:
     return "[" + "; ".join(rows) + "]"
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Everything `dkit analyze` knows about one system."""
-
-    regular: bool
-    char_poly: tuple
-    p: int
-    q: int
-    q_star: int
-    jordan_blocks: tuple
-    nilpotent_blocks: tuple
-    verification: object        # weierstrass.VerificationReport
-    consistency: object         # solver.ConsistencyResult
-    causality: object           # causality.CausalityReport
+def _analysis(sf: SystemFile, args) -> Analysis:
+    return analyze(sf.system(args.tol), cluster_radius=args.cluster_tol, rank_tol=args.tol)
 
 
-def analysis_report_to_dict(report: AnalysisReport) -> dict:
+def _analysis_dict(a: Analysis, cons, causality) -> dict:
     """JSON form; exact scalars become lossless "num/den" strings."""
-    cons = report.consistency
-    rep = report.verification
+    w, rep = a.w, a.verification
     return {
-        "regular": report.regular,
-        "char_poly": [format_scalar(c) for c in report.char_poly],
-        "p": report.p,
-        "q": report.q,
-        "q_star": report.q_star,
+        "regular": True,
+        "char_poly": [format_scalar(c) for c in a.char_poly.coefficients],
+        "p": w.p,
+        "q": w.q,
+        "q_star": w.q_star,
         "jordan_blocks": [
             {"eigenvalue": format_scalar(b.eigenvalue), "size": b.size}
-            for b in report.jordan_blocks
+            for b in w.jordan_blocks
         ],
-        "nilpotent_blocks": [b.size for b in report.nilpotent_blocks],
+        "nilpotent_blocks": [b.size for b in w.nilpotent_blocks],
         "verification": {
-            "residual_F": format_scalar_like(rep.residual_F),
-            "residual_G": format_scalar_like(rep.residual_G),
+            "residual_F": format_scalar(rep.residual_F),
+            "residual_G": format_scalar(rep.residual_G),
             "P_nonsingular": rep.P_nonsingular,
             "Q_nonsingular": rep.Q_nonsingular,
         },
@@ -246,59 +230,32 @@ def analysis_report_to_dict(report: AnalysisReport) -> dict:
                      else [format_scalar(x) for x in cons.z_p0.column_list()]),
             "residual": [format_scalar(x) for x in cons.residual.column_list()],
         },
-        "causality": _causality_dict(report.causality),
+        "causality": _causality_dict(causality),
     }
 
 
-def _tolerances(args) -> dict:
-    return {
-        "zero_tol": args.tol,
-        "cluster_radius": args.cluster_tol,
-        "rank_tol": args.tol,
-    }
-
-
-def _analyze_parts(sf: SystemFile, args):
-    """Shared pipeline: pencil -> decomposition -> transformed input."""
-    pen = Pencil(sf.F, sf.G)
-    cp = char_poly(pen, args.tol)
-    if cp.is_zero:
-        raise IrregularPencil("det(sF - G) is identically zero")
-    w = decompose(pen, **_tolerances(args))
-    sysm = DescriptorSystem(sf.F, sf.G, sf.B, sf.C, zero_tol=args.tol)
-    tin = transform_input(w, sf.B)
-    return pen, cp, w, sysm, tin
-
-
-def _print_structure(report):
-    rep = report.verification
-    print(f"pencil: regular (char poly degree {report.p})")
+def _print_structure(a: Analysis):
+    w, rep = a.w, a.verification
+    print(f"pencil: regular (char poly degree {w.p})")
     print("char poly coefficients (ascending): "
-          + "[" + ", ".join(format_scalar(c) for c in report.char_poly) + "]")
-    print(f"p = {report.p}, q = {report.q}, q_star = {report.q_star}")
-    if report.jordan_blocks:
+          + "[" + ", ".join(format_scalar(c) for c in a.char_poly.coefficients) + "]")
+    print(f"p = {w.p}, q = {w.q}, q_star = {w.q_star}")
+    if w.jordan_blocks:
         blocks = ", ".join(
             f"(eigenvalue {format_scalar(b.eigenvalue)}, size {b.size})"
-            for b in report.jordan_blocks
+            for b in w.jordan_blocks
         )
         print(f"finite blocks: {blocks}")
     else:
         print("finite blocks: none")
-    if report.nilpotent_blocks:
+    if w.nilpotent_blocks:
         print("nilpotent blocks: "
-              + ", ".join(f"size {b.size}" for b in report.nilpotent_blocks))
+              + ", ".join(f"size {b.size}" for b in w.nilpotent_blocks))
     else:
         print("nilpotent blocks: none")
-    print(f"verification residuals: {format_scalar_like(rep.residual_F)}, "
-          f"{format_scalar_like(rep.residual_G)} "
+    print(f"verification residuals: {format_scalar(rep.residual_F)}, "
+          f"{format_scalar(rep.residual_G)} "
           f"(P nonsingular: {rep.P_nonsingular}, Q nonsingular: {rep.Q_nonsingular})")
-
-
-def format_scalar_like(value) -> str:
-    try:
-        return format_scalar(value)
-    except TypeError:
-        return repr(value)
 
 
 def _print_causality(report):
@@ -327,46 +284,24 @@ def _causality_dict(report) -> dict:
     }
 
 
-def build_analysis_report(sf: SystemFile, args) -> AnalysisReport:
-    pen, cp, w, sysm, tin = _analyze_parts(sf, args)
-    rep = verify(pen, w, args.tol)
-    cons = check_consistency(sysm, w, tin, sf.signal(), sf.Y0, rank_tol=args.tol)
-    causality = causality_mod.build_report(sysm, w, tin, args.causality_tol)
-    return AnalysisReport(
-        regular=True,
-        char_poly=cp.coefficients,
-        p=w.p,
-        q=w.q,
-        q_star=w.q_star,
-        jordan_blocks=w.jordan_blocks,
-        nilpotent_blocks=w.nilpotent_blocks,
-        verification=rep,
-        consistency=cons,
-        causality=causality,
-    )
-
-
-def print_analysis_report(report: AnalysisReport):
-    _print_structure(report)
-    cons = report.consistency
+def cmd_analyze(args) -> int:
+    sf = parse_system_file(args.file, _mode_override(args))
+    a = _analysis(sf, args)
+    cons = check_consistency(a.system, a.w, a.tin, sf.signal(), sf.Y0, rank_tol=args.tol)
+    causality = causality_mod.build_report(a.system, a.w, a.tin, args.causality_tol)
+    _print_structure(a)
     if cons.consistent:
         print(f"consistency: consistent, Z^p_k0 = {_fmt_matrix(cons.z_p0)}")
     else:
         print("consistency: INCONSISTENT")
         print(f"  residual Y0 - Q_p Z^p - Q D_k0 = {_fmt_matrix(cons.residual)}")
-    _print_causality(report.causality)
-
-
-def cmd_analyze(args) -> int:
-    sf = parse_system_file(args.file, _mode_override(args))
-    report = build_analysis_report(sf, args)
-    print_analysis_report(report)
+    _print_causality(causality)
     if args.out_json:
         with open(args.out_json, "w", encoding="utf-8") as fh:
-            json.dump(analysis_report_to_dict(report), fh, indent=2)
+            json.dump(_analysis_dict(a, cons, causality), fh, indent=2)
             fh.write("\n")
         print(f"report written to {args.out_json}")
-    return EXIT_OK if report.consistency.consistent else EXIT_INCONSISTENT
+    return EXIT_OK if cons.consistent else EXIT_INCONSISTENT
 
 
 def _write_trajectory_csv(fh, traj, n: int, m: int, p: int, q: int):
@@ -390,22 +325,26 @@ def _write_trajectory_csv(fh, traj, n: int, m: int, p: int, q: int):
 
 def cmd_solve(args) -> int:
     sf = parse_system_file(args.file, _mode_override(args))
-    _, _, w, sysm, tin = _analyze_parts(sf, args)
     horizon_end = args.K if args.K is not None else sf.K
+    if horizon_end <= sf.k0:
+        field = "K" if args.K is None else "--K"
+        raise ParseError(f"{field}: solve needs a horizon end after k0 = {sf.k0}, "
+                         f"got {horizon_end}")
+    a = _analysis(sf, args)
     signal = sf.signal()
-    traj = solve(sysm, w, tin, signal, sf.Y0, horizon_end, rank_tol=args.tol)
-    res = residual_oracle(sysm, signal, traj, sf.Y0)
+    traj = solve(a.system, a.w, a.tin, signal, sf.Y0, horizon_end, rank_tol=args.tol)
+    res = residual_oracle(a.system, signal, traj, sf.Y0)
 
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8", newline="") as fh:
-            _write_trajectory_csv(fh, traj, sysm.n, sysm.m, w.p, w.q)
+            _write_trajectory_csv(fh, traj, sf.n, sf.m, a.w.p, a.w.q)
         out = sys.stdout
     else:
-        _write_trajectory_csv(sys.stdout, traj, sysm.n, sysm.m, w.p, w.q)
+        _write_trajectory_csv(sys.stdout, traj, sf.n, sf.m, a.w.p, a.w.q)
         out = sys.stderr
     print(
-        f"residual: max step residual {format_scalar_like(res.step_residual)}, "
-        f"Y_k0 mismatch {format_scalar_like(res.y0_mismatch)}",
+        f"residual: max step residual {format_scalar(res.step_residual)}, "
+        f"Y_k0 mismatch {format_scalar(res.y0_mismatch)}",
         file=out,
     )
     if args.out_csv:
@@ -415,20 +354,24 @@ def cmd_solve(args) -> int:
 
 def cmd_causality(args) -> int:
     sf = parse_system_file(args.file, _mode_override(args))
-    _, cp, w, sysm, tin = _analyze_parts(sf, args)
-    report = causality_mod.build_report(sysm, w, tin, args.causality_tol)
+    a = _analysis(sf, args)
+    report = causality_mod.build_report(a.system, a.w, a.tin, args.causality_tol)
     _print_causality(report)
 
     if args.oracle_trials:
-        seed = int(os.environ.get("DKIT_SEED", "0"))
-        horizon = max(w.q_star + 5, 8)
+        raw_seed = os.environ.get("DKIT_SEED", "0")
+        try:
+            seed = int(raw_seed)
+        except ValueError:
+            raise ParseError(f"DKIT_SEED: expected an integer, got {raw_seed!r}") from None
+        horizon = max(a.w.q_star + 5, 8)
         disagreement = None
         for mode_name, expected in (
             ("state", report.state_input_causal),
             ("output", report.output_input_causal),
         ):
             outcome = causality_mod.brute_force_causality_oracle(
-                sysm, w, tin, mode_name,
+                a.system, a.w, a.tin, mode_name,
                 horizon=horizon, trials=args.oracle_trials,
                 seed=seed, tol=args.causality_tol,
             )
@@ -465,20 +408,42 @@ def _mode_override(args) -> Mode | None:
     return Mode(args.mode)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors as ParseError (exit 1) instead of exiting 2,
+    which is the code for an irregular pencil."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
+def _trial_count(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {value}")
+    return value
+
+
+def _tolerance(raw: str) -> float:
+    value = float(raw)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {raw}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("file", help="system description file (JSON)")
     parser.add_argument("--mode", choices=["exact", "float"],
                         help="override the file's scalar mode")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=_tolerance, default=None,
                         help="float-mode zero/rank tolerance (relative, default 1e-9)")
-    parser.add_argument("--cluster-tol", type=float, default=None, dest="cluster_tol",
+    parser.add_argument("--cluster-tol", type=_tolerance, default=None, dest="cluster_tol",
                         help="float-mode eigenvalue clustering radius (default 1e-7)")
-    parser.add_argument("--causality-tol", type=float, default=None, dest="causality_tol",
+    parser.add_argument("--causality-tol", type=_tolerance, default=None, dest="causality_tol",
                         help="float-mode causality zero threshold (default 1e-8)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dkit",
         description="Analyze singular linear discrete-time systems "
                     "F Y_{k+1} = G Y_k + B V_k, X_k = C Y_k.",
@@ -501,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ca = sub.add_parser("causality", help="causality verdicts and witnesses")
     _add_common(p_ca)
-    p_ca.add_argument("--oracle-trials", type=int, default=0, dest="oracle_trials",
+    p_ca.add_argument("--oracle-trials", type=_trial_count, default=0, dest="oracle_trials",
                       help="cross-check the criteria with N brute-force trials "
                            "(seeded by DKIT_SEED)")
     p_ca.set_defaults(func=cmd_causality)
@@ -509,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

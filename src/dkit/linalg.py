@@ -26,6 +26,9 @@ DEFAULT_RANK_TOL = 1e-9
 
 
 def _threshold(mat: Matrix, tol: float | None) -> float:
+    """Float pivot threshold relative to ``mat``; exact mode needs none."""
+    if mat.mode is Mode.EXACT:
+        return 0.0
     if tol is None:
         tol = DEFAULT_RANK_TOL
     scale = float(abs(mat.max_abs()))
@@ -134,8 +137,7 @@ def _rref_data(data: list[list], mode: Mode, thr: float) -> list[int]:
 
 def rref(mat: Matrix, tol: float | None = None) -> tuple[Matrix, list[int]]:
     data = mat.to_lists()
-    thr = _threshold(mat, tol) if mat.mode is Mode.FLOAT else 0.0
-    pivots = _rref_data(data, mat.mode, thr)
+    pivots = _rref_data(data, mat.mode, _threshold(mat, tol))
     out = Matrix(data, mat.mode) if data else Matrix.zeros(mat.rows, mat.cols, mat.mode)
     return out, pivots
 
@@ -161,58 +163,52 @@ def kernel_basis(mat: Matrix, tol: float | None = None) -> Matrix:
                   mat.mode)
 
 
+def _reduce_augmented(a: Matrix, b: Matrix, tol: float | None,
+                      thr_from_a: bool = False) -> tuple[list[int], list[list]]:
+    """Pivot columns of the RREF of [a | b] and the b part of each pivot
+    row.  The float threshold scales with [a | b], or with ``a`` alone."""
+    if a.rows != b.rows:
+        raise ValueError("row counts differ")
+    aug = hstack([a, b])
+    data = aug.to_lists()
+    pivots = _rref_data(data, a.mode, _threshold(a if thr_from_a else aug, tol))
+    return pivots, [row[a.cols:] for row in data[: len(pivots)]]
+
+
 def solve(a: Matrix, b: Matrix, tol: float | None = None) -> Matrix | None:
     """Particular solution of ``a x = b`` with free variables set to zero.
 
     Returns None when the system is inconsistent.  ``b`` may have several
     columns; consistency is required for all of them.
     """
-    if a.rows != b.rows:
-        raise ValueError("row counts differ")
-    aug = hstack([a, b])
-    data = aug.to_lists()
-    thr = _threshold(aug, tol) if a.mode is Mode.FLOAT else 0.0
-    pivots = _rref_data(data, a.mode, thr)
+    pivots, rows = _reduce_augmented(a, b, tol)
     if any(pc >= a.cols for pc in pivots):
         return None
     x = [[zero(a.mode)] * b.cols for _ in range(a.cols)]
-    for row_idx, pc in enumerate(pivots):
-        for j in range(b.cols):
-            x[pc][j] = data[row_idx][a.cols + j]
-    if a.cols == 0:
-        return Matrix.zeros(0, b.cols, a.mode)
-    return Matrix(x, a.mode)
+    for pc, row in zip(pivots, rows):
+        x[pc] = row
+    return Matrix(x, a.mode) if a.cols else Matrix.zeros(0, b.cols, a.mode)
 
 
 def solve_unique(a: Matrix, b: Matrix, tol: float | None = None) -> Matrix:
     """Solution of ``a x = b`` requiring full column rank and consistency."""
-    if a.rows != b.rows:
-        raise ValueError("row counts differ")
-    aug = hstack([a, b])
-    data = aug.to_lists()
-    thr = _threshold(aug, tol) if a.mode is Mode.FLOAT else 0.0
-    pivots = _rref_data(data, a.mode, thr)
+    pivots, rows = _reduce_augmented(a, b, tol)
     if any(pc >= a.cols for pc in pivots):
         raise ValueError("inconsistent system")
     if len(pivots) != a.cols:
         raise ValueError("solution is not unique (rank deficient)")
-    x = [[data[row_idx][a.cols + j] for j in range(b.cols)] for row_idx in range(a.cols)]
-    if a.cols == 0:
-        return Matrix.zeros(0, b.cols, a.mode)
-    return Matrix(x, a.mode)
+    return Matrix(rows, a.mode) if a.cols else Matrix.zeros(0, b.cols, a.mode)
 
 
 def inverse(mat: Matrix, tol: float | None = None) -> Matrix:
     if not mat.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = mat.rows
-    aug = hstack([mat, Matrix.identity(n, mat.mode)])
-    data = aug.to_lists()
-    thr = _threshold(mat, tol) if mat.mode is Mode.FLOAT else 0.0
-    pivots = _rref_data(data, mat.mode, thr)
+    pivots, rows = _reduce_augmented(mat, Matrix.identity(n, mat.mode), tol,
+                                     thr_from_a=True)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix([row[n:] for row in data], mat.mode) if n else Matrix.zeros(0, 0, mat.mode)
+    return Matrix(rows, mat.mode) if n else Matrix.zeros(0, 0, mat.mode)
 
 
 def det(mat: Matrix, tol: float | None = None):

@@ -14,6 +14,7 @@ that admits a raw value into a given mode.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from fractions import Fraction
@@ -73,7 +74,8 @@ def parse_scalar(raw, mode: Mode) -> Scalar:
 
     Accepted forms: integers; strings ``"num/den"`` (exact rational),
     decimal strings such as ``"0.25"`` (read with decimal semantics), and
-    in float mode complex strings such as ``"1+2j"`` or plain numbers.
+    in float mode complex strings such as ``"1+2j"`` or plain numbers;
+    float mode rejects values that are not finite (nan, inf, overflow).
     Exact mode rejects non-integral JSON numbers: a binary float does not
     say which decimal it stood for, so the file must spell the value as a
     string.
@@ -84,7 +86,7 @@ def parse_scalar(raw, mode: Mode) -> Scalar:
         if isinstance(raw, int):
             return Fraction(raw)
         if isinstance(raw, float):
-            if raw == int(raw):
+            if raw.is_integer():
                 return Fraction(int(raw))
             raise ValueError(
                 f"exact mode needs integers or strings, got float {raw!r} "
@@ -96,18 +98,21 @@ def parse_scalar(raw, mode: Mode) -> Scalar:
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"cannot parse {raw!r} as a rational: {exc}") from None
         raise ValueError(f"cannot parse {type(raw).__name__} as an exact scalar")
-    if isinstance(raw, (int, float)):
-        return complex(raw)
-    if isinstance(raw, str):
-        try:
-            return complex(Fraction(raw))
-        except (ValueError, ZeroDivisionError):
-            pass
-        try:
-            return complex(raw.replace(" ", ""))
-        except ValueError:
-            raise ValueError(f"cannot parse {raw!r} as a float scalar") from None
-    raise ValueError(f"cannot parse {type(raw).__name__} as a float scalar")
+    if not isinstance(raw, (int, float, str)):
+        raise ValueError(f"cannot parse {type(raw).__name__} as a float scalar")
+    try:
+        if isinstance(raw, str):
+            try:
+                value = complex(Fraction(raw))
+            except (ValueError, ZeroDivisionError):
+                value = complex(raw.replace(" ", ""))
+        else:
+            value = complex(raw)
+    except (ValueError, OverflowError):
+        raise ValueError(f"cannot parse {raw!r} as a float scalar") from None
+    if not cmath.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite float scalar")
+    return value
 
 
 def format_scalar(value: Scalar) -> str:
@@ -118,6 +123,6 @@ def format_scalar(value: Scalar) -> str:
         if value.imag == 0.0:
             return repr(value.real)
         return repr(value).strip("()")
-    if isinstance(value, int):
-        return str(value)
+    if isinstance(value, (int, float)):  # e.g. a float-mode residual norm
+        return repr(value)
     raise TypeError(f"not a scalar: {value!r}")

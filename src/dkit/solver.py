@@ -26,13 +26,14 @@ from .errors import (
     IrregularPencil,
 )
 from .matrices import Matrix, hstack, vstack
-from .pencil import Pencil, is_regular
+from .pencil import CharPoly, Pencil, char_poly
 from .scalars import Mode
-from .weierstrass import WeierstrassDecomposition
+from .weierstrass import VerificationReport, WeierstrassDecomposition, _decompose
 
 
 class DescriptorSystem:
-    """The quadruple (F, G, B, C) with a regular pencil sF - G."""
+    """The quadruple (F, G, B, C) with a regular pencil sF - G; keeps the
+    char poly det(sF - G) that proves the regularity."""
 
     def __init__(self, F: Matrix, G: Matrix, B: Matrix, C: Matrix,
                  *, zero_tol: float | None = None):
@@ -45,9 +46,11 @@ class DescriptorSystem:
         for mat in (B, C):
             if mat.mode is not F.mode:
                 raise ValueError("all system matrices must share one scalar mode")
-        if not is_regular(pencil, zero_tol):
-            raise IrregularPencil("system pencil sF - G is not regular")
+        cp = char_poly(pencil, zero_tol)
+        if cp.is_zero:
+            raise IrregularPencil("det(sF - G) is identically zero")
         self.F, self.G, self.B, self.C = F, G, B, C
+        self.pencil, self.char_poly = pencil, cp
 
     @property
     def n(self) -> int:
@@ -64,10 +67,6 @@ class DescriptorSystem:
     @property
     def mode(self) -> Mode:
         return self.F.mode
-
-    @property
-    def pencil(self) -> Pencil:
-        return Pencil(self.F, self.G)
 
     def to_float(self) -> "DescriptorSystem":
         return DescriptorSystem(self.F.to_float(), self.G.to_float(),
@@ -124,6 +123,32 @@ def transform_input(w: WeierstrassDecomposition, B: Matrix) -> TransformedInput:
         B_q=b_q,
         backward=hstack(blocks) if blocks else Matrix.zeros(w.q, 0, w.mode),
     )
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """Everything derived from one system, each computed once: the char
+    poly, the canonical form with its reconstruction report, and P B."""
+
+    system: DescriptorSystem
+    char_poly: CharPoly
+    w: WeierstrassDecomposition
+    verification: VerificationReport
+    tin: TransformedInput
+
+
+def analyze(
+    system: DescriptorSystem,
+    *,
+    cluster_radius: float | None = None,
+    rank_tol: float | None = None,
+) -> Analysis:
+    """Canonical form and transformed input of ``system``, reusing the char
+    poly its regularity check computed.  Raises as ``weierstrass.decompose`` does."""
+    w, verification = _decompose(system.pencil, system.char_poly,
+                                 cluster_radius=cluster_radius, rank_tol=rank_tol)
+    return Analysis(system, system.char_poly, w, verification,
+                    transform_input(w, system.B))
 
 
 class Dk(NamedTuple):

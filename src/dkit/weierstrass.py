@@ -38,7 +38,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import ChainConstructionFailure, IrregularPencil
 from .matrices import Matrix, block_diag, hstack
-from .pencil import Pencil, char_poly, finite_eigenvalues
+from .pencil import CharPoly, Pencil, char_poly, finite_eigenvalues
 from .scalars import Mode, Scalar
 
 
@@ -242,6 +242,18 @@ def decompose(
     (float-mode numerical trouble).
     """
     cp = char_poly(pencil, zero_tol)
+    return _decompose(pencil, cp, cluster_radius=cluster_radius, rank_tol=rank_tol)[0]
+
+
+def _decompose(
+    pencil: Pencil,
+    cp: CharPoly,
+    *,
+    cluster_radius: float | None,
+    rank_tol: float | None,
+) -> tuple[WeierstrassDecomposition, VerificationReport]:
+    """:func:`decompose` for a pencil whose char poly ``cp`` is known; also
+    returns the report of the reconstruction check that gates the result."""
     if cp.is_zero:
         raise IrregularPencil("det(sF - G) is identically zero")
     p, q = cp.p, cp.q
@@ -305,7 +317,7 @@ def decompose(
             f"reconstruction check failed: residuals "
             f"{report.residual_F}, {report.residual_G}"
         )
-    return w
+    return w, report
 
 
 def verify(

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -277,3 +278,111 @@ def test_float_char_poly_breakdown_is_typed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical breakdown" in err
     assert "Traceback" not in err
+
+
+def _count_calls(monkeypatch, *names):
+    """Count calls of dkit functions given as "module.function" by patching
+    every dkit.* module binding of each, as perfbench/spans.py does."""
+    counts = dict.fromkeys(names, 0)
+    for qual in names:
+        mod_name, attr = qual.split(".")
+        orig = getattr(sys.modules[f"dkit.{mod_name}"], attr)
+
+        def counted(*args, _orig=orig, _qual=qual, **kwargs):
+            counts[_qual] += 1
+            return _orig(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "dkit" or name.startswith("dkit."):
+                for key, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, key, counted)
+    return counts
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", NIL_C100],
+    ["solve", NIL_C100],
+    ["causality", NIL_C100],
+    ["causality", NIL_CEYE, "--oracle-trials", "3"],
+])
+def test_each_run_computes_char_poly_and_verify_once(argv, monkeypatch, capsys):
+    counts = _count_calls(monkeypatch, "pencil.char_poly", "weierstrass.verify")
+    assert main(argv) == EXIT_OK
+    assert counts == {"pencil.char_poly": 1, "weierstrass.verify": 1}
+
+
+@pytest.mark.parametrize("k", ["-1", "0"])
+def test_solve_rejects_k_flag_not_after_k0(k, capsys):
+    assert main(["solve", DIAG, "--K", k]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "--K" in err
+    assert "Traceback" not in err
+
+
+def test_solve_rejects_file_horizon_at_k0(tmp_path, capsys):
+    doc = load(DIAG)
+    doc["K"] = doc["k0"]
+    path = tmp_path / "k_at_k0.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == EXIT_PARSE
+    assert "K: solve needs a horizon end after k0" in capsys.readouterr().err
+    assert main(["analyze", str(path)]) == EXIT_OK  # analyze needs no horizon
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["analyze"],
+    ["frobnicate", DIAG],
+    ["analyze", DIAG, "--tol", "abc"],
+    ["analyze", DIAG, "--mode", "symbolic"],
+    ["solve", DIAG, "--K", "1.5"],
+    ["causality", DIAG, "--oracle-trials", "-3"],
+])
+def test_usage_errors_exit_1(argv, capsys):
+    assert main(argv) == EXIT_PARSE
+    assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--cluster-tol", "--causality-tol"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_tolerances_must_be_finite_and_non_negative(flag, value, capsys):
+    assert main(["analyze", DIAG, "--mode", "float", flag, value]) == EXIT_PARSE
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_zero_oracle_trials_runs_no_oracle(capsys):
+    assert main(["causality", DIAG, "--oracle-trials", "0"]) == EXIT_OK
+    assert "oracle" not in capsys.readouterr().out
+
+
+def test_non_integer_seed_is_a_parse_error(monkeypatch, capsys):
+    monkeypatch.setenv("DKIT_SEED", "abc")
+    assert main(["causality", DIAG, "--oracle-trials", "2"]) == EXIT_PARSE
+    assert "DKIT_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1+nanj", "1e400",
+                                  float("nan"), float("inf")])
+def test_float_mode_rejects_non_finite_scalars(cell, capsys):
+    doc = load(DIAG)
+    doc["mode"] = "float"
+    doc["F"][0][0] = cell
+    with pytest.raises(ParseError, match=r"F\[0\]\[0\]"):
+        parse_system_file(doc)
+    assert main(["analyze", json.dumps(doc)]) == EXIT_PARSE
+
+
+def test_exact_mode_rejects_non_finite_json_numbers():
+    doc = load(DIAG)
+    doc["G"][1][1] = float("inf")
+    with pytest.raises(ParseError, match=r"G\[1\]\[1\]"):
+        parse_system_file(doc)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int digit limit")
+def test_json_int_over_the_digit_limit_is_a_parse_error(capsys):
+    text = json.dumps(load(DIAG)).replace('"k0": 0', '"k0": ' + "7" * 5000)
+    assert main(["analyze", text]) == EXIT_PARSE
+    assert "not valid JSON" in capsys.readouterr().err

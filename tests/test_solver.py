@@ -15,6 +15,8 @@ from dkit import (
     Matrix,
     Pencil,
     Trajectory,
+    analyze,
+    char_poly,
     check_consistency,
     closed_form_zp,
     compute_Dk,
@@ -22,6 +24,7 @@ from dkit import (
     residual_oracle,
     solve,
     transform_input,
+    verify,
     vstack,
 )
 from dkit import linalg
@@ -347,3 +350,22 @@ def test_float_mode_worked_trajectory():
         assert abs(traj.states[idx][0, 0] - target) < 1e-9
         assert abs(traj.states[idx][1, 0] + 1.0) < 1e-9
     assert float(residual_oracle(sysm, sig, traj).step_residual) < 1e-9
+
+
+def test_analyze_matches_the_separate_library_calls():
+    rng = random.Random(17)
+    for mode in (Mode.EXACT, Mode.FLOAT):
+        for _ in range(10):
+            sysm, _, _, _, _ = random_descriptor(rng, rng.randint(1, 5), 2, 2)
+            if mode is Mode.FLOAT:
+                sysm = sysm.to_float()
+            try:
+                w = decompose(sysm.pencil)
+            except ChainConstructionFailure:
+                continue
+            a = analyze(sysm)
+            assert a.system is sysm
+            assert a.char_poly == sysm.char_poly == char_poly(sysm.pencil)
+            assert a.w == w
+            assert a.verification == verify(sysm.pencil, w)
+            assert a.tin == transform_input(w, sysm.B)
