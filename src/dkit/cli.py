@@ -5,7 +5,10 @@ decimal strings, or "num/den" rational strings (float mode also accepts
 complex strings such as "1+2j").  Exit codes are part of the contract:
 
     0  success
-    1  parse error (malformed file, or a usage error in the arguments)
+    1  parse error (malformed file, or a usage error in the arguments),
+       or an exact value with more decimal digits than Python prints
+       (``sys.get_int_max_str_digits()``): rejected when the file is read,
+       or stopping the output when a result outgrows the limit
     2  irregular pencil
     3  inconsistent initial condition (analysis still emitted)
     4  unresolvable exact spectrum (retry with --mode float)
@@ -486,7 +489,11 @@ def main(argv=None) -> int:
     except InconsistentInitialCondition as exc:
         print(f"inconsistent initial condition: {exc}", file=sys.stderr)
         if exc.residual is not None:
-            print(f"  residual: {_fmt_matrix(exc.residual)}", file=sys.stderr)
+            try:
+                print(f"  residual: {_fmt_matrix(exc.residual)}", file=sys.stderr)
+            except DkitError as fmt_exc:  # a residual too long to print
+                print(f"error: {fmt_exc}", file=sys.stderr)
+                return EXIT_PARSE
         return EXIT_INCONSISTENT
     except UnresolvableSpectrum as exc:
         print(f"unresolvable spectrum in exact mode: {exc}", file=sys.stderr)

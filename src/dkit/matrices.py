@@ -4,6 +4,12 @@ Entries are stored row-major in a flat tuple.  Zero-width shapes
 (``n x 0``, ``0 x m``) are first-class citizens: the canonical form of a
 pencil with no finite (or no infinite) eigenvalues has empty blocks, and
 all operations treat empty sums as zero.
+
+An exact matrix keeps its rows cleared of denominators once it has been
+the left operand of ``@``, so a constant map (Q, C, J_p, B_p, ...)
+applied at every step of a recursion is cleared once, not once per
+product.  The entries never change, so the cache cannot go stale;
+equality, hashing and ``repr`` read the entries only.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from .scalars import Mode, Scalar, clear_denominators, ensure_scalar, format_sca
 
 
 class Matrix:
-    __slots__ = ("rows", "cols", "mode", "_e")
+    __slots__ = ("rows", "cols", "mode", "_e", "_int_rows")
 
     def __init__(self, rows: Sequence[Sequence], mode: Mode):
         data = [list(r) for r in rows]
@@ -30,6 +36,7 @@ class Matrix:
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "_e", entries)
+        object.__setattr__(self, "_int_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -43,6 +50,7 @@ class Matrix:
         object.__setattr__(m, "cols", ncols)
         object.__setattr__(m, "mode", mode)
         object.__setattr__(m, "_e", entries)
+        object.__setattr__(m, "_int_rows", None)
         return m
 
     @classmethod
@@ -139,7 +147,10 @@ class Matrix:
         d_i of its denominators and column j of ``other`` times the lcm e_j
         of its own become integer vectors, so each output entry is one
         integer dot product s_ij and one ``Fraction(s_ij, d_i * e_j)``
-        instead of a gcd for every multiply and add.
+        instead of a gcd for every multiply and add.  The cleared rows of
+        ``self`` are kept on it for its next product; the columns of
+        ``other`` are cleared anew, as a right operand is typically a state
+        vector used once.
         """
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -149,7 +160,10 @@ class Matrix:
         n, k, m = self.rows, self.cols, other.cols
         a, b = self._e, other._e
         if self.mode is Mode.EXACT:
-            left = [clear_denominators(a[i * k : (i + 1) * k]) for i in range(n)]
+            left = self._int_rows
+            if left is None:
+                left = tuple(clear_denominators(a[i * k : (i + 1) * k]) for i in range(n))
+                object.__setattr__(self, "_int_rows", left)
             right = [clear_denominators(b[j::m]) for j in range(m)]
             out = [Fraction(sum(map(operator.mul, arow, bcol)), d * e)
                    for arow, d in left for bcol, e in right]

@@ -17,8 +17,11 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from fractions import Fraction
 from typing import Sequence, Union
+
+from .errors import DkitError
 
 Scalar = Union[Fraction, complex]
 
@@ -78,26 +81,33 @@ def parse_scalar(raw, mode: Mode) -> Scalar:
     float mode rejects values that are not finite (nan, inf, overflow).
     Exact mode rejects non-integral JSON numbers: a binary float does not
     say which decimal it stood for, so the file must spell the value as a
-    string.
+    string.  It also rejects a value that :func:`format_scalar` could not
+    print back, such as ``"1e5000"``.
     """
     if isinstance(raw, bool):
         raise ValueError(f"boolean is not a scalar: {raw!r}")
     if mode is Mode.EXACT:
         if isinstance(raw, int):
-            return Fraction(raw)
-        if isinstance(raw, float):
-            if raw.is_integer():
-                return Fraction(int(raw))
-            raise ValueError(
-                f"exact mode needs integers or strings, got float {raw!r} "
-                f'(write it as a string, e.g. "1/4" or "0.25")'
-            )
-        if isinstance(raw, str):
+            value = Fraction(raw)
+        elif isinstance(raw, float):
+            if not raw.is_integer():
+                raise ValueError(
+                    f"exact mode needs integers or strings, got float {raw!r} "
+                    f'(write it as a string, e.g. "1/4" or "0.25")'
+                )
+            value = Fraction(int(raw))
+        elif isinstance(raw, str):
             try:
-                return Fraction(raw)
+                value = Fraction(raw)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"cannot parse {raw!r} as a rational: {exc}") from None
-        raise ValueError(f"cannot parse {type(raw).__name__} as an exact scalar")
+        else:
+            raise ValueError(f"cannot parse {type(raw).__name__} as an exact scalar")
+        try:
+            format_scalar(value)
+        except DkitError as exc:
+            raise ValueError(str(exc)) from None
+        return value
     if not isinstance(raw, (int, float, str)):
         raise ValueError(f"cannot parse {type(raw).__name__} as a float scalar")
     try:
@@ -116,9 +126,20 @@ def parse_scalar(raw, mode: Mode) -> Scalar:
 
 
 def format_scalar(value: Scalar) -> str:
-    """Render a scalar so that parse_scalar round-trips it losslessly."""
+    """Render a scalar so that parse_scalar round-trips it losslessly.
+
+    Raises ``DkitError`` for an exact value whose numerator or denominator
+    has more decimal digits than Python's int-to-str limit
+    (``sys.get_int_max_str_digits()``); the limit is left as it is.
+    """
     if isinstance(value, Fraction):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:
+            raise DkitError(
+                f"an exact value has more than {sys.get_int_max_str_digits()} "
+                f"decimal digits, Python's limit for printing an integer"
+            ) from None
     if isinstance(value, complex):
         if value.imag == 0.0:
             return repr(value.real)

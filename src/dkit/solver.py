@@ -105,10 +105,12 @@ class InputSignal:
 @dataclass(frozen=True)
 class TransformedInput:
     """P B split into its forward (p x l) and backward (q x l) rows, plus
-    the backward map [B_q | H_q B_q | ... | H_q^{q*-1} B_q] (q x l q*)."""
+    the one-step forward map [J_p | B_p] (p x (p + l)) and the backward map
+    [B_q | H_q B_q | ... | H_q^{q*-1} B_q] (q x l q*)."""
 
     B_p: Matrix
     B_q: Matrix
+    forward: Matrix
     backward: Matrix
 
 
@@ -118,9 +120,11 @@ def transform_input(w: WeierstrassDecomposition, B: Matrix) -> TransformedInput:
     blocks: list[Matrix] = []
     for _ in range(w.q_star):
         blocks.append(h_q @ blocks[-1] if blocks else b_q)
+    b_p = pb.take_rows(range(w.p))
     return TransformedInput(
-        B_p=pb.take_rows(range(w.p)),
+        B_p=b_p,
         B_q=b_q,
+        forward=hstack([w.J_p, b_p]),
         backward=hstack(blocks) if blocks else Matrix.zeros(w.q, 0, w.mode),
     )
 
@@ -157,6 +161,12 @@ class Dk(NamedTuple):
     stacked: Matrix   # n x 1
 
 
+def _forward(tin: TransformedInput, z_p: Matrix, v: Matrix) -> Matrix:
+    """Z^p_{k+1} = J_p Z^p_k + B_p V_k: one product of the forward map with
+    the stacked [Z^p_k; V_k]."""
+    return tin.forward @ vstack([z_p, v])
+
+
 def _backward(w: WeierstrassDecomposition, tin: TransformedInput,
               signal: InputSignal, k: int) -> Matrix:
     """Forced backward coordinates -sum_{i < q*} H_q^i B_q V_{k+i}: one
@@ -176,10 +186,9 @@ def compute_Dk(
     backward sum over the next q* samples)."""
     if k < signal.k0:
         raise ValueError(f"k = {k} precedes the initial time {signal.k0}")
-    j_p = w.J_p
     top = Matrix.zeros(w.p, 1, w.mode)
     for j in range(signal.k0, k):
-        top = j_p @ top + tin.B_p @ signal.sample(j)
+        top = _forward(tin, top, signal.sample(j))
     bottom = _backward(w, tin, signal, k)
     return Dk(top=top, bottom=bottom, stacked=vstack([top, bottom]))
 
@@ -267,9 +276,6 @@ def solve(
             residual=res.residual,
         )
 
-    j_p = w.J_p
-    b_p = tin.B_p
-
     z_p_list, z_q_list, states, outputs = [], [], [], []
     zp = res.z_p0
     for k in range(k0, K + 1):
@@ -280,7 +286,7 @@ def solve(
         states.append(y)
         outputs.append(sys.C @ y)
         if k < K:
-            zp = j_p @ zp + b_p @ signal.sample(k)
+            zp = _forward(tin, zp, signal.sample(k))
     return Trajectory(
         k0=k0,
         states=tuple(states),
@@ -321,15 +327,17 @@ def residual_oracle(
     """Check a trajectory against the original difference equation.
 
     Works directly on (F, G, B); no canonical form involved, so it can
-    referee the solver.
+    referee the solver.  Each step is one product of [F | -G | -B] with
+    the stacked [Y_{k+1}; Y_k; V_k].
     """
     if len(traj) < 2:
         raise ValueError("trajectory must contain at least two states")
     nil = Fraction(0) if sys.mode is Mode.EXACT else 0.0
     worst = nil
+    step = hstack([sys.F, -sys.G, -sys.B])
     for idx in range(len(traj) - 1):
         k = traj.k0 + idx
-        r = sys.F @ traj.states[idx + 1] - sys.G @ traj.states[idx] - sys.B @ signal.sample(k)
+        r = step @ vstack([traj.states[idx + 1], traj.states[idx], signal.sample(k)])
         worst = max(worst, r.max_abs())
     mismatch = (traj.states[0] - y0).max_abs() if y0 is not None else nil
     return SolutionResidual(step_residual=worst, y0_mismatch=mismatch)

@@ -386,3 +386,49 @@ def test_json_int_over_the_digit_limit_is_a_parse_error(capsys):
     text = json.dumps(load(DIAG)).replace('"k0": 0', '"k0": ' + "7" * 5000)
     assert main(["analyze", text]) == EXIT_PARSE
     assert "not valid JSON" in capsys.readouterr().err
+
+
+digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                 reason="this Python has no int digit limit")
+
+
+@digit_limit
+@pytest.mark.parametrize("command", ["analyze", "solve"])
+def test_exact_value_over_the_digit_limit_is_a_parse_error(command, capsys):
+    doc = load(DIAG)
+    doc["Y0"] = ["1e5000", -1]
+    with pytest.raises(ParseError, match=r"Y0\[0\]: .*more than \d+ decimal digits"):
+        parse_system_file(doc)
+    assert main([command, json.dumps(doc)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "decimal digits" in err
+
+
+@digit_limit
+@pytest.mark.parametrize("out_csv", [False, True])
+def test_solve_whose_states_outgrow_the_digit_limit_exits_1(out_csv, tmp_path, capsys):
+    # Y_k = 1000^k * 10^4000 passes 4,300 digits at k = 101
+    doc = {"n": 1, "l": 1, "m": 1, "mode": "exact", "F": [[1]], "G": [[1000]],
+           "B": [[0]], "C": [[1]], "Y0": ["1e4000"], "k0": 0,
+           "inputs": [[0]] * 121, "K": 120}
+    assert main(["analyze", json.dumps(doc)]) == EXIT_OK
+    capsys.readouterr()
+    argv = ["solve", json.dumps(doc)]
+    if out_csv:
+        argv += ["--out-csv", str(tmp_path / "t.csv")]
+    assert main(argv) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "decimal digits" in err
+
+
+@digit_limit
+def test_inconsistent_residual_over_the_digit_limit_exits_1(capsys):
+    # Q_p spans [1; 10^10], so the least-squares residual of a 4,291-digit
+    # Y0 has more than 4,300 digits although Y0 itself parses
+    doc = {"n": 2, "l": 1, "m": 1, "mode": "exact", "F": [[1, 0], [10**10, 0]],
+           "G": [[1, 0], [0, 1]], "B": [[0], [0]], "C": [[1, 0]],
+           "Y0": ["9e4290", 0], "k0": 0, "inputs": [[0]] * 5, "K": 3}
+    for command in ("analyze", "solve"):
+        assert main([command, json.dumps(doc)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "decimal digits" in err

@@ -163,3 +163,42 @@ def test_solve_reports_inconsistency_as_none():
     assert linalg.solve(a, b) is None
     with pytest.raises(ValueError, match="inconsistent"):
         linalg.solve_unique(a, b)
+
+
+
+
+@st.composite
+def reuse_sequences(draw):
+    """A pool of matrices, one for each pair of three sizes, and a run of
+    products among them: every matrix is a left and a right operand over
+    and over, and the first one is the left operand of every other product."""
+    dims = draw(st.lists(st.integers(0, 4), min_size=3, max_size=3))
+    pool = {(i, j): draw(matrices(nrows=dims[i], ncols=dims[j]))
+            for i in range(3) for j in range(3)}
+    steps = []
+    for t in range(draw(st.integers(4, 10))):
+        i, j, k = (0 if t % 2 == 0 else draw(st.integers(0, 2)),
+                   0 if t % 2 == 0 else draw(st.integers(0, 2)),
+                   draw(st.integers(0, 2)))
+        steps.append((pool[i, j], pool[j, k]))
+    return steps
+
+
+@settings(max_examples=100)
+@given(reuse_sequences())
+def test_cached_rows_of_reused_left_operands_match_the_reference(steps):
+    for a, b in steps:
+        prod = a @ b
+        assert prod == reference_matmul(a, b)
+        assert_fractions(prod)
+
+
+def test_row_cache_is_invisible_to_equality_hash_and_assignment():
+    a = Matrix([[Fraction(1, 2), 3], [0, Fraction(-5, 7)]], EX)
+    a @ Matrix.column([1, 1], EX)          # fills a's row cache
+    fresh = Matrix(a.to_lists(), EX)
+    assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+    with pytest.raises(AttributeError):
+        a.rows = 3
+    with pytest.raises(AttributeError):
+        a._int_rows = None

@@ -34,6 +34,7 @@ from helpers import (
     consistent_y0,
     random_descriptor,
     random_signal,
+    reference_matmul,
     stacked_step_solvable,
 )
 
@@ -369,3 +370,62 @@ def test_analyze_matches_the_separate_library_calls():
             assert a.w == w
             assert a.verification == verify(sysm.pencil, w)
             assert a.tin == transform_input(w, sysm.B)
+
+
+def _reference_step_residual(sysm, sig, states):
+    """max_k |F Y_{k+1} - G Y_k - B V_k| from separate Fraction products."""
+    worst = Fraction(0)
+    for idx in range(len(states) - 1):
+        v = sig.sample(sig.k0 + idx)
+        f_y, g_y, b_v = (reference_matmul(sysm.F, states[idx + 1]),
+                         reference_matmul(sysm.G, states[idx]),
+                         reference_matmul(sysm.B, v))
+        worst = max([worst] + [abs(f_y[i, 0] - g_y[i, 0] - b_v[i, 0])
+                               for i in range(sysm.n)])
+    return worst
+
+
+def test_fused_residual_oracle_matches_separate_products():
+    rng = random.Random(36)
+    for _ in range(25):
+        sysm, w, tin, _, _ = random_descriptor(rng, rng.randint(1, 5), rng.randint(1, 2),
+                                               rng.randint(1, 2))
+        k0 = rng.randint(-2, 2)
+        K = k0 + rng.randint(1, 6)
+        sig = random_signal(rng, sysm.l, k0, K - k0 + w.q_star)
+        traj = solve(sysm, w, tin, sig, consistent_y0(rng, w, tin, sig), K)
+        states = list(traj.states)
+        for idx in rng.sample(range(len(states)), rng.randint(1, len(states))):
+            bump = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(sysm.n)]
+            states[idx] = states[idx] + Matrix.column(bump, EX)
+        corrupted = dataclasses.replace(traj, states=tuple(states))
+        got = residual_oracle(sysm, sig, corrupted).step_residual
+        assert type(got) is Fraction
+        assert got == _reference_step_residual(sysm, sig, states)
+
+
+def test_solve_makes_four_products_per_step_and_the_oracle_one(monkeypatch):
+    """Pins the fused loop: per step one backward, one Q, one C and one
+    forward product in solve, one [F | -G | -B] product in the oracle."""
+    calls = [0]
+    matmul = Matrix.__matmul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    rng = random.Random(37)
+    for _ in range(5):
+        sysm, w, tin, _, _ = random_descriptor(rng, rng.randint(2, 5), 2, 2, min_q=1)
+        sig = random_signal(rng, 2, 0, 12 + w.q_star)
+        y0 = consistent_y0(rng, w, tin, sig)
+        setups = set()
+        for K in (1, 4, 12):
+            calls[0] = 0
+            traj = solve(sysm, w, tin, sig, y0, K)
+            setups.add(calls[0] - 4 * K)
+            calls[0] = 0
+            residual_oracle(sysm, sig, traj, y0)
+            assert calls[0] == K
+        assert len(setups) == 1
