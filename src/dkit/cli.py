@@ -39,7 +39,7 @@ from .errors import (
 )
 from .matrices import Matrix
 from .pencil import Pencil  # noqa: F401  (read as cli.Pencil by perfbench)
-from .scalars import Mode, format_scalar, parse_scalar
+from .scalars import Mode, check_printable, format_scalar, parse_scalar
 from .solver import (
     Analysis,
     DescriptorSystem,
@@ -307,7 +307,7 @@ def cmd_analyze(args) -> int:
     return EXIT_OK if cons.consistent else EXIT_INCONSISTENT
 
 
-def _write_trajectory_csv(fh, traj, n: int, m: int, p: int, q: int):
+def _write_trajectory_csv(fh, k0: int, rows: list[list], n: int, m: int, p: int, q: int):
     writer = csv.writer(fh, lineterminator="\n")
     header = (
         ["k"]
@@ -317,13 +317,8 @@ def _write_trajectory_csv(fh, traj, n: int, m: int, p: int, q: int):
         + [f"Zq_{i + 1}" for i in range(q)]
     )
     writer.writerow(header)
-    for idx in range(len(traj)):
-        row = [str(traj.k0 + idx)]
-        row += [format_scalar(x) for x in traj.states[idx].column_list()]
-        row += [format_scalar(x) for x in traj.outputs[idx].column_list()]
-        row += [format_scalar(x) for x in traj.z_p[idx].column_list()]
-        row += [format_scalar(x) for x in traj.z_q[idx].column_list()]
-        writer.writerow(row)
+    for k, row in enumerate(rows, k0):
+        writer.writerow([str(k)] + [format_scalar(x) for x in row])
 
 
 def cmd_solve(args) -> int:
@@ -337,13 +332,17 @@ def cmd_solve(args) -> int:
     signal = sf.signal()
     traj = solve(a.system, a.w, a.tin, signal, sf.Y0, horizon_end, rank_tol=args.tol)
     res = residual_oracle(a.system, signal, traj, sf.Y0)
+    rows = [[x for v in step for x in v.column_list()]
+            for step in zip(traj.states, traj.outputs, traj.z_p, traj.z_q)]
+    # write nothing unless every value can be printed
+    check_printable([x for row in rows for x in row] + [res.step_residual, res.y0_mismatch])
 
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8", newline="") as fh:
-            _write_trajectory_csv(fh, traj, sf.n, sf.m, a.w.p, a.w.q)
+            _write_trajectory_csv(fh, traj.k0, rows, sf.n, sf.m, a.w.p, a.w.q)
         out = sys.stdout
     else:
-        _write_trajectory_csv(sys.stdout, traj, sf.n, sf.m, a.w.p, a.w.q)
+        _write_trajectory_csv(sys.stdout, traj.k0, rows, sf.n, sf.m, a.w.p, a.w.q)
         out = sys.stderr
     print(
         f"residual: max step residual {format_scalar(res.step_residual)}, "

@@ -5,18 +5,19 @@ determinant at the nodes s = 0, 1, ..., n and interpolating, which is
 exact over rationals and adequately conditioned at desk scale for floats.
 Its degree p counts the finite eigenvalues with multiplicity; the
 remaining q = n - p dimensions belong to the infinite eigenvalue.
+In exact mode the finite eigenvalues are its rational roots, searched and
+divided out in integer arithmetic once the denominators are cleared.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .errors import ChainConstructionFailure, UnresolvableSpectrum
 from .matrices import Matrix
-from .scalars import Mode, Scalar
+from .scalars import Mode, Scalar, clear_denominators
 
 DEFAULT_ZERO_TOL = 1e-9
 DEFAULT_CLUSTER_RADIUS = 1e-7
@@ -113,60 +114,58 @@ def is_regular(pencil: Pencil, zero_tol: float | None = None) -> bool:
 
 
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        raise ValueError("divisors of zero")
-    small, large = [], []
-    d = 1
-    while d <= math.isqrt(n):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
+    """Positive divisors of an integer n != 0 in ascending order, from its
+    factorisation by trial division, which stops once the cofactor is 1."""
+    n, divs, d = abs(n), [1], 2
+    while n > 1:
+        if d * d > n:
+            d = n  # the cofactor is prime
+        k = len(divs)  # the divisors found so far are prime to d
+        while n % d == 0:
+            n //= d
+            divs += [x * d for x in divs[-k:]]
         d += 1
-    return small + large[::-1]
+    return sorted(divs)
+
+
+def _homogeneous_eval(work: list[int], a: int, b: int) -> int:
+    """The sum of c_i a^i b^(d-i), i.e. b^d P(a/b) for P of degree d."""
+    acc, bk = 0, 1
+    for c in reversed(work):
+        acc = acc * a + c * bk
+        bk *= b
+    return acc
 
 
 def _rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fraction, int]], list[Fraction]]:
-    """All rational roots with multiplicity, plus the unfactored remainder."""
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    work = [c * lcm for c in coeffs]
+    """All rational roots with multiplicity, plus the unfactored remainder:
+    the integer quotient by each (b s - a)^m, times each b^m."""
+    work, _ = clear_denominators(coeffs)
     roots: list[tuple[Fraction, int]] = []
-    # roots at zero
-    t = 0
-    while t < len(work) - 1 and work[t] == 0:
-        t += 1
+    t = next(i for i, c in enumerate(work) if c)
     if t:
         roots.append((Fraction(0), t))
         work = work[t:]
-    if len(work) <= 1:
+    if len(work) == 1:
         return roots, []
-    num_divs = _divisors(int(work[0]))
-    den_divs = _divisors(int(work[-1]))
-    candidates = sorted(
-        {s * Fraction(pn, qd) for pn in num_divs for qd in den_divs for s in (1, -1)},
-        key=lambda f: (f.numerator, f.denominator),
-    )
-    for cand in candidates:
-        while len(work) > 1 and linalg.poly_eval(work, cand) == 0:
-            # synthetic division by (s - cand)
-            out = [Fraction(0)] * (len(work) - 1)
-            out[-1] = work[-1]
-            for j in range(len(work) - 2, 0, -1):
-                out[j - 1] = work[j] + cand * out[j]
-            work = out
-            found = False
-            for i, (r, m) in enumerate(roots):
-                if r == cand:
-                    roots[i] = (r, m + 1)
-                    found = True
-                    break
-            if not found:
-                roots.append((cand, 1))
-    remainder = work if len(work) > 1 else []
-    return roots, [Fraction(c) for c in remainder]
+    scale = 1
+    nums = [x for a in _divisors(work[0]) for x in (a, -a)]
+    # b ascending: if g = gcd(a, b) > 1, (a/g)/(b/g) came first and is
+    # divided out, so a/b does not match
+    for b in _divisors(work[-1]):
+        for a in nums:
+            m = 0
+            while len(work) > 1 and _homogeneous_eval(work, a, b) == 0:
+                r, out = 0, []
+                for c in work[:0:-1]:  # quotient by (b s - a), top down
+                    r = (c + a * r) // b
+                    out.append(r)
+                work = out[::-1]
+                m += 1
+            if m:
+                roots.append((Fraction(a, b), m))
+                scale *= b**m
+    return roots, [Fraction(c * scale) for c in work] if len(work) > 1 else []
 
 
 def _cluster_roots(values: list[complex], radius: float) -> list[tuple[complex, int]]:
@@ -191,7 +190,9 @@ def finite_eigenvalues(
 
     Exact mode factors over the rationals and raises UnresolvableSpectrum
     if an irreducible factor of degree >= 2 remains (switch to float mode
-    for irrational or complex spectra).  Float mode takes polynomial roots
+    for irrational or complex spectra).  It searches on integers: candidates
+    a/b from divisors of the end coefficients, the test sum c_i a^i b^(d-i)
+    = 0, division by (b s - a).  Float mode takes polynomial roots
     and merges any that fall within ``cluster_radius`` of each other.
     """
     if cp.is_zero:

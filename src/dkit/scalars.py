@@ -19,7 +19,7 @@ import enum
 import math
 import sys
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import DkitError
 
@@ -136,10 +136,7 @@ def format_scalar(value: Scalar) -> str:
         try:
             return str(value)
         except ValueError:
-            raise DkitError(
-                f"an exact value has more than {sys.get_int_max_str_digits()} "
-                f"decimal digits, Python's limit for printing an integer"
-            ) from None
+            raise _over_digit_limit() from None
     if isinstance(value, complex):
         if value.imag == 0.0:
             return repr(value.real)
@@ -147,3 +144,18 @@ def format_scalar(value: Scalar) -> str:
     if isinstance(value, (int, float)):  # e.g. a float-mode residual norm
         return repr(value)
     raise TypeError(f"not a scalar: {value!r}")
+
+
+def check_printable(values: Iterable[Scalar]) -> None:
+    """Raise the ``DkitError`` of :func:`format_scalar` if it could not print
+    one of ``values``; compares integers, formats nothing."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bound = 10**limit
+    if limit and any(isinstance(x, Fraction) and max(abs(x.numerator), x.denominator) >= bound
+                     for x in values):
+        raise _over_digit_limit()
+
+
+def _over_digit_limit() -> DkitError:
+    return DkitError(f"an exact value has more than {sys.get_int_max_str_digits()} "
+                     f"decimal digits, Python's limit for printing an integer")

@@ -77,12 +77,8 @@ def assemble_Jp(blocks: list[JordanBlockSpec] | tuple, mode: Mode) -> Matrix:
 
 
 def assemble_Hq(blocks: list[NilpotentBlockSpec] | tuple, mode: Mode) -> Matrix:
-    """Direct sum of nilpotent shift blocks (ones on the superdiagonal)."""
-    mats = []
-    for b in blocks:
-        rows = [[1 if j == i + 1 else 0 for j in range(b.size)] for i in range(b.size)]
-        mats.append(Matrix(rows, mode))
-    return block_diag(mats, mode)
+    """Direct sum of nilpotent shift blocks: Jordan blocks of eigenvalue 0."""
+    return assemble_Jp([JordanBlockSpec(0, b.size) for b in blocks], mode)
 
 
 @dataclass(frozen=True)
@@ -178,19 +174,14 @@ def _block_sizes(dims: list[int]) -> list[int]:
 
 
 def _pick_independent(candidates: Matrix, context: list[Matrix], tol: float | None) -> Matrix:
-    """First candidate column outside the span of the context columns."""
-    if context:
-        s = hstack(context)
-        base = linalg.rank(s, tol)
-    else:
-        s = None
-        base = 0
-    for j in range(candidates.cols):
-        v = candidates.col(j)
-        trial = hstack([s, v]) if s is not None else v
-        if linalg.rank(trial, tol) == base + 1:
-            return v
-    raise ChainConstructionFailure("no chain top vector available at this level")
+    """First candidate column outside the span of the context columns: the
+    first pivot column of the RREF of [context | candidates] past the context."""
+    width = sum(c.cols for c in context)
+    _, pivots = linalg.rref(hstack(context + [candidates]), tol)
+    j = next((c for c in pivots if c >= width), None)
+    if j is None:
+        raise ChainConstructionFailure("no chain top vector available at this level")
+    return candidates.col(j - width)
 
 
 def _build_chains(
@@ -206,12 +197,8 @@ def _build_chains(
     picked: list[Matrix] = []
     chains: list[list[Matrix]] = []
     for r in sizes:
-        candidates = bases[r - 1]
-        context = list(picked)
-        if r >= 2:
-            prev = bases[r - 2]
-            context = [prev.col(j) for j in range(prev.cols)] + context
-        top = _pick_independent(candidates, context, tol)
+        context = [bases[r - 2]] + picked if r >= 2 else picked
+        top = _pick_independent(bases[r - 1], context, tol)
         chain = [top]
         for k in range(r, 1, -1):
             b = bases[k - 2]

@@ -3,16 +3,20 @@
 Everything here is deliberately separate from the library's computation
 paths: the brute-force characteristic polynomial expands cofactors over
 coefficient lists, the stacked-step solvability check works on the raw
-system matrices, and the exact elimination and product references run
-plain ``Fraction`` arithmetic where the library runs integer kernels.
+system matrices, and the exact elimination, product and rational root
+references run plain ``Fraction`` arithmetic where the library runs
+integer kernels.  The chain-top reference makes one rank elimination per
+candidate where the library makes one for all of them.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from dkit import (
+    ChainConstructionFailure,
     DescriptorSystem,
     InputSignal,
     JordanBlockSpec,
@@ -24,6 +28,7 @@ from dkit import (
     block_diag,
     compute_Dk,
     decompose,
+    hstack,
     transform_input,
     vstack,
 )
@@ -177,7 +182,7 @@ def _poly_add(a: list, b: list) -> list:
     return out
 
 
-def _poly_mul(a: list, b: list) -> list:
+def poly_mul(a: list, b: list) -> list:
     if not a or not b:
         return []
     out = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -205,7 +210,7 @@ def brute_char_poly(F: Matrix, G: Matrix) -> tuple:
         rest = rows[1:]
         for idx, c in enumerate(cols):
             minor = det(rest, [x for x in cols if x != c])
-            term = _poly_mul(entries[r][c], minor)
+            term = poly_mul(entries[r][c], minor)
             if idx % 2:
                 term = [-t for t in term]
             acc = _poly_add(acc, term)
@@ -301,3 +306,83 @@ def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
     out = [[sum((a[i, t] * b[t, j] for t in range(a.cols)), Fraction(0))
             for j in range(b.cols)] for i in range(a.rows)]
     return Matrix(out, Mode.EXACT) if a.rows and b.cols else Matrix.zeros(a.rows, b.cols, Mode.EXACT)
+
+
+def _reference_divisors(n: int) -> list[int]:
+    n = abs(n)
+    if n == 0:
+        raise ValueError("divisors of zero")
+    small, large = [], []
+    d = 1
+    while d <= math.isqrt(n):
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def reference_rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fraction, int]], list[Fraction]]:
+    """All rational roots with multiplicity, plus the unfactored remainder.
+
+    ``Fraction`` Horner tests of every candidate from a divisor scan up to
+    the square roots of the end coefficients; reference for
+    ``pencil._rational_roots``.
+    """
+    lcm = 1
+    for c in coeffs:
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    work = [c * lcm for c in coeffs]
+    roots: list[tuple[Fraction, int]] = []
+    # roots at zero
+    t = 0
+    while t < len(work) - 1 and work[t] == 0:
+        t += 1
+    if t:
+        roots.append((Fraction(0), t))
+        work = work[t:]
+    if len(work) <= 1:
+        return roots, []
+    num_divs = _reference_divisors(int(work[0]))
+    den_divs = _reference_divisors(int(work[-1]))
+    candidates = sorted(
+        {s * Fraction(pn, qd) for pn in num_divs for qd in den_divs for s in (1, -1)},
+        key=lambda f: (f.numerator, f.denominator),
+    )
+    for cand in candidates:
+        while len(work) > 1 and linalg.poly_eval(work, cand) == 0:
+            # synthetic division by (s - cand)
+            out = [Fraction(0)] * (len(work) - 1)
+            out[-1] = work[-1]
+            for j in range(len(work) - 2, 0, -1):
+                out[j - 1] = work[j] + cand * out[j]
+            work = out
+            found = False
+            for i, (r, m) in enumerate(roots):
+                if r == cand:
+                    roots[i] = (r, m + 1)
+                    found = True
+                    break
+            if not found:
+                roots.append((cand, 1))
+    remainder = work if len(work) > 1 else []
+    return roots, [Fraction(c) for c in remainder]
+
+
+def reference_pick_independent(candidates: Matrix, context: list[Matrix], tol: float | None) -> Matrix:
+    """First candidate column outside the span of the context columns, by
+    one rank elimination per candidate; reference for
+    ``weierstrass._pick_independent``."""
+    if context:
+        s = hstack(context)
+        base = linalg.rank(s, tol)
+    else:
+        s = None
+        base = 0
+    for j in range(candidates.cols):
+        v = candidates.col(j)
+        trial = hstack([s, v]) if s is not None else v
+        if linalg.rank(trial, tol) == base + 1:
+            return v
+    raise ChainConstructionFailure("no chain top vector available at this level")

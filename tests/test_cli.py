@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dkit import ParseError
+from dkit import DkitError, ParseError
 from dkit.cli import (
     EXIT_HORIZON,
     EXIT_INCONSISTENT,
@@ -22,7 +22,7 @@ from dkit.cli import (
     parse_system_file,
     system_file_to_dict,
 )
-from dkit.scalars import Mode, format_scalar
+from dkit.scalars import Mode, check_printable, format_scalar
 from helpers import planted_pencil
 
 DATA = Path(__file__).parent / "data"
@@ -432,3 +432,34 @@ def test_inconsistent_residual_over_the_digit_limit_exits_1(capsys):
         assert main([command, json.dumps(doc)]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert "Traceback" not in err and "decimal digits" in err
+
+
+@digit_limit
+@pytest.mark.parametrize("out_csv", [False, True])
+def test_solve_over_the_digit_limit_writes_no_rows(out_csv, tmp_path, capsys):
+    # Y_k = 1000^k * 10^4000 passes 4,300 digits at k = 101; the check
+    # runs before the first row, so no part of the CSV appears
+    doc = {"n": 1, "l": 1, "m": 1, "mode": "exact", "F": [[1]], "G": [[1000]],
+           "B": [[0]], "C": [[1]], "Y0": ["1e4000"], "k0": 0,
+           "inputs": [[0]] * 121, "K": 120}
+    target = tmp_path / "t.csv"
+    argv = ["solve", json.dumps(doc)] + (["--out-csv", str(target)] if out_csv else [])
+    assert main(argv) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert not target.exists()
+    assert "Traceback" not in err and "decimal digits" in err
+
+
+@digit_limit
+def test_check_printable_agrees_with_str_at_the_limit():
+    big = 10 ** sys.get_int_max_str_digits()
+    for x in (big - 1, 1 - big, big, -big):
+        for value in (Fraction(x), Fraction(1, abs(x)), Fraction(3, abs(x))):
+            try:
+                str(value)
+            except ValueError:
+                with pytest.raises(DkitError, match="decimal digits"):
+                    check_printable([Fraction(1), value, complex(1e308)])
+            else:
+                check_printable([Fraction(1), value, complex(1e308)])

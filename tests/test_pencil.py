@@ -9,7 +9,8 @@ from dkit import CharPoly, Matrix, Pencil, UnresolvableSpectrum, char_poly, fini
 from dkit import linalg
 from dkit.scalars import Mode
 
-from helpers import brute_char_poly, planted_pencil
+from dkit.pencil import _rational_roots
+from helpers import brute_char_poly, planted_pencil, poly_mul, reference_rational_roots
 
 EX = Mode.EXACT
 
@@ -150,3 +151,47 @@ def test_pencil_validation():
         Pencil(Matrix([[1]], EX), Matrix([[1]], Mode.FLOAT))
     with pytest.raises(ValueError):
         Pencil(Matrix([], EX), Matrix([], EX))
+
+
+# irreducible over Q, ascending coefficients
+IRREDUCIBLE = [
+    (1, 0, 1),        # s^2 + 1
+    (-2, 0, 1),       # s^2 - 2
+    (1, 1, 1),        # s^2 + s + 1
+    (-3, 0, 2),       # 2 s^2 - 3
+    (-2, 0, 0, 1),    # s^3 - 2
+    (1, 1, 0, 1),     # s^3 + s + 1
+    (1, -3, 0, 1),    # s^3 - 3 s + 1
+    (5, 0, 0, 3),     # 3 s^3 + 5
+]
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@given(
+    st.lists(st.tuples(small_rationals, st.integers(1, 3)), max_size=3),
+    st.lists(st.sampled_from(IRREDUCIBLE), max_size=2),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool),
+)
+def test_rational_roots_match_the_fraction_reference(linear, irreducible, scale):
+    coeffs = [scale]
+    for root, mult in linear:
+        for _ in range(mult):
+            coeffs = poly_mul(coeffs, [-root, Fraction(1)])
+    for factor in irreducible:
+        coeffs = poly_mul(coeffs, [Fraction(c) for c in factor])
+    roots, remainder = _rational_roots(coeffs)
+    ref_roots, ref_remainder = reference_rational_roots(coeffs)
+    assert sorted(roots) == sorted(ref_roots)
+    assert remainder == ref_remainder
+    assert all(isinstance(c, Fraction) for c in remainder)
+
+
+def test_finite_eigenvalues_large_smooth_coefficients():
+    # cleared, the end coefficients are -2^40 3^50 and 49: a divisor scan
+    # up to their square roots would take about 10^18 steps
+    big, neg = Fraction(2**40), Fraction(-3**25, 7)
+    coeffs = poly_mul(poly_mul([-big, Fraction(1)], [-neg, Fraction(1)]),
+                      [-neg, Fraction(1)])
+    cp = CharPoly(tuple(coeffs), n=3)
+    assert finite_eigenvalues(cp) == [(neg, 2), (big, 1)]

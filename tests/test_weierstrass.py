@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dkit import (
+    ChainConstructionFailure,
     IrregularPencil,
     JordanBlockSpec,
     Matrix,
@@ -19,8 +22,15 @@ from dkit import (
 )
 from dkit import linalg
 from dkit.scalars import Mode
+from dkit.weierstrass import _pick_independent
 
-from helpers import jordan_multiset, nilpotent_multiset, planted_pencil, unimodular
+from helpers import (
+    jordan_multiset,
+    nilpotent_multiset,
+    planted_pencil,
+    reference_pick_independent,
+    unimodular,
+)
 
 EX = Mode.EXACT
 
@@ -221,3 +231,65 @@ def test_float_mode_fixture_residuals_within_tolerance():
         rep = verify(pen_f, w_f)
         scale = float(max(abs(pen_f.F.max_abs()), abs(pen_f.G.max_abs())))
         assert float(rep.max_residual) <= 1e-9 * scale
+
+
+@st.composite
+def pick_inputs(draw):
+    """(candidates, context): an n-row candidate block and 0..2 context
+    blocks; the leading candidates are sometimes combinations of the
+    context columns, so the pick has to skip them."""
+    n = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3)
+
+    def block(cols):
+        return [[draw(entries) for _ in range(cols)] for _ in range(n)]
+
+    context = [block(draw(st.integers(0, 3))) for _ in range(draw(st.integers(0, 2)))]
+    ctx_cols = [[row[j] for row in blk] for blk in context for j in range(len(blk[0]))]
+    candidates = []
+    for _ in range(draw(st.integers(1, 4))):
+        if ctx_cols and draw(st.booleans()):
+            weights = [draw(entries) for _ in ctx_cols]
+            candidates.append([sum(w * col[i] for w, col in zip(weights, ctx_cols))
+                               for i in range(n)])
+        else:
+            candidates.append([draw(entries) for _ in range(n)])
+    cand = Matrix([[c[i] for c in candidates] for i in range(n)], EX)
+    return cand, [Matrix(blk, EX) if blk[0] else Matrix.zeros(n, 0, EX) for blk in context]
+
+
+def _pick(fn, candidates, context):
+    try:
+        return fn(candidates, context, None)
+    except ChainConstructionFailure:
+        return None
+
+
+@given(pick_inputs())
+def test_pick_independent_matches_the_rank_per_candidate_reference(inputs):
+    candidates, context = inputs
+    got = _pick(_pick_independent, candidates, context)
+    assert got == _pick(reference_pick_independent, candidates, context)
+    fc = candidates.to_float()
+    f_ctx = [m.to_float() for m in context]
+    assert _pick(_pick_independent, fc, f_ctx) == _pick(reference_pick_independent, fc, f_ctx)
+
+
+def test_pick_independent_skips_a_dependent_first_candidate():
+    context = [Matrix([[1], [0], [0]], EX)]
+    candidates = Matrix([[2, 1, 5], [0, 1, 0], [0, 0, 0]], EX)
+    assert _pick_independent(candidates, context, None) == candidates.col(1)
+    assert _pick_independent(candidates, [], None) == candidates.col(0)
+    with pytest.raises(ChainConstructionFailure):
+        _pick_independent(candidates.take_cols([0, 2]), context, None)
+
+
+def test_assemble_hq_is_assemble_jp_at_eigenvalue_zero():
+    blocks = [NilpotentBlockSpec(3), NilpotentBlockSpec(1), NilpotentBlockSpec(2)]
+    for mode in (EX, Mode.FLOAT):
+        h = assemble_Hq(blocks, mode)
+        expected = [[1 if j == i + 1 and i not in (2, 3) else 0 for j in range(6)]
+                    for i in range(6)]
+        assert h == Matrix(expected, mode)
+        assert all(type(x) is type(h[0, 0]) for row in h.to_lists() for x in row)
+    assert assemble_Hq([], EX).shape == (0, 0)
