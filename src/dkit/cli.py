@@ -8,7 +8,7 @@ complex strings such as "1+2j").  Exit codes are part of the contract:
     1  parse error (malformed file, or a usage error in the arguments),
        or an exact value with more decimal digits than Python prints
        (``sys.get_int_max_str_digits()``): rejected when the file is read,
-       or stopping the output when a result outgrows the limit
+       or stopping the run before its report when a result outgrows it
     2  irregular pencil
     3  inconsistent initial condition (analysis still emitted)
     4  unresolvable exact spectrum (retry with --mode float)
@@ -275,6 +275,14 @@ def _print_causality(report):
         print(f"  (zero threshold {report.tolerance})")
 
 
+def _witnesses(report) -> list[Matrix]:
+    return [report.criterion_state, *report.criteria_output]
+
+
+def _entries(mats: list[Matrix]) -> list:
+    return [x for m in mats for row in m.to_lists() for x in row]
+
+
 def _causality_dict(report) -> dict:
     return {
         "state_input_causal": report.state_input_causal,
@@ -292,6 +300,12 @@ def cmd_analyze(args) -> int:
     a = _analysis(sf, args)
     cons = check_consistency(a.system, a.w, a.tin, sf.signal(), sf.Y0, rank_tol=args.tol)
     causality = causality_mod.build_report(a.system, a.w, a.tin, args.causality_tol)
+    # print nothing unless every value of the report can be printed
+    mats = [cons.residual, cons.z_p0, *_witnesses(causality),
+            causality.nullspace_form if args.out_json else None]
+    check_printable([*a.char_poly.coefficients, *(b.eigenvalue for b in a.w.jordan_blocks),
+                     a.verification.residual_F, a.verification.residual_G,
+                     *_entries([m for m in mats if m is not None])])
     _print_structure(a)
     if cons.consistent:
         print(f"consistency: consistent, Z^p_k0 = {_fmt_matrix(cons.z_p0)}")
@@ -358,6 +372,7 @@ def cmd_causality(args) -> int:
     sf = parse_system_file(args.file, _mode_override(args))
     a = _analysis(sf, args)
     report = causality_mod.build_report(a.system, a.w, a.tin, args.causality_tol)
+    check_printable(_entries(_witnesses(report)))
     _print_causality(report)
 
     if args.oracle_trials:

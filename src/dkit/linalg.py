@@ -6,12 +6,15 @@ and runs fraction-free elimination on Python ints (Bareiss 1968,
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination"): every update ``(pivot * a - f * b) // prev_pivot`` divides
 exactly, because each entry stays a minor of the scaled matrix.  Results
-become ``Fraction`` only on output.  The reduced row echelon form of a
-matrix is unique, so this yields the same RREF, pivots and determinant as
-Gauss-Jordan over rationals would, and every kernel basis and particular
-solution produced here is canonical and reproducible.  Float mode uses
-Gauss-Jordan with partial pivoting and a relative rank threshold
-``tol * (largest entry magnitude)``.
+become ``Fraction`` only on output: kernel and column-space bases are read
+straight off the integer rows (d times the RREF), one ``Fraction`` per
+entry they return, and rank and pivot columns come from forward
+elimination alone, since any echelon form has the pivot columns of the
+RREF.  The reduced row echelon form of a matrix is unique, so this yields
+the same RREF, pivots and determinant as Gauss-Jordan over rationals
+would, and every kernel basis and particular solution produced here is
+canonical and reproducible.  Float mode uses Gauss-Jordan with partial
+pivoting and a relative rank threshold ``tol * (largest entry magnitude)``.
 """
 
 from __future__ import annotations
@@ -91,6 +94,13 @@ def _bareiss(rows: list[list[int]], reduce: bool) -> tuple[list[int], int, int]:
     return pivots, prev, sign
 
 
+def integer_det(rows: list[list[int]]) -> int:
+    """Determinant of a square matrix of integer ``rows``, which it
+    overwrites; forward elimination only."""
+    pivots, d, sign = _bareiss(rows, reduce=False)
+    return sign * d if len(pivots) == len(rows) else 0
+
+
 def _rref_data(data: list[list], mode: Mode, thr: float) -> list[int]:
     """In-place reduced row echelon form; returns pivot column indices."""
     if mode is Mode.EXACT:
@@ -142,25 +152,41 @@ def rref(mat: Matrix, tol: float | None = None) -> tuple[Matrix, list[int]]:
     return out, pivots
 
 
+def _reduced(mat: Matrix, tol: float | None):
+    """Rows proportional to the RREF rows of ``mat``, the pivot columns, and
+    the map from a row entry to the RREF entry.  Exact mode keeps the
+    integer rows (d times the RREF) and makes a ``Fraction`` only of the
+    entries a caller reads."""
+    if mat.mode is Mode.EXACT:
+        rows, _ = _integer_rows(mat.to_lists())
+        pivots, d, _ = _bareiss(rows, reduce=True)
+        return rows, pivots, lambda x: Fraction(x, d)
+    red, pivots = rref(mat, tol)
+    return red.to_lists(), pivots, lambda x: x
+
+
+def pivot_columns(mat: Matrix, tol: float | None = None) -> list[int]:
+    """Pivot columns of the RREF of ``mat``.  They are those of any echelon
+    form, so exact mode stops after forward elimination."""
+    if mat.mode is Mode.EXACT:
+        return _bareiss(_integer_rows(mat.to_lists())[0], reduce=False)[0]
+    return rref(mat, tol)[1]
+
+
 def rank(mat: Matrix, tol: float | None = None) -> int:
-    return len(rref(mat, tol)[1])
+    return len(pivot_columns(mat, tol))
 
 
 def kernel_basis(mat: Matrix, tol: float | None = None) -> Matrix:
-    """Canonical null-space basis, one column per free variable of the RREF."""
-    red, pivots = rref(mat, tol)
-    free = [c for c in range(mat.cols) if c not in pivots]
-    cols = []
-    for f in free:
-        v = [zero(mat.mode)] * mat.cols
-        v[f] = one(mat.mode)
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -red[row_idx, f]
-        cols.append(v)
-    if not cols:
-        return Matrix.zeros(mat.cols, 0, mat.mode)
-    return Matrix([[cols[j][i] for j in range(len(cols))] for i in range(mat.cols)],
-                  mat.mode)
+    """Canonical null-space basis, one column per free variable f of the
+    RREF: 1 in row f, minus column f of the RREF in the pivot rows."""
+    rows, pivots, entry = _reduced(mat, tol)
+    at = dict(zip(pivots, rows))
+    free = [c for c in range(mat.cols) if c not in at]
+    o, z = one(mat.mode), zero(mat.mode)
+    entries = tuple(entry(-at[c][f]) if c in at else o if c == f else z
+                    for c in range(mat.cols) for f in free)
+    return Matrix._new(mat.cols, len(free), mat.mode, entries)
 
 
 def _reduce_augmented(a: Matrix, b: Matrix, tol: float | None,
@@ -221,8 +247,7 @@ def det(mat: Matrix, tol: float | None = None):
     data = mat.to_lists()
     if mat.mode is Mode.EXACT:
         rows, scale = _integer_rows(data)
-        pivots, d, sign = _bareiss(rows, reduce=False)
-        return Fraction(sign * d, scale) if len(pivots) == n else zero(mat.mode)
+        return Fraction(integer_det(rows), scale)
     thr = _threshold(mat, tol)
     sign = 1
     result = one(mat.mode)
@@ -269,12 +294,9 @@ def least_squares(a: Matrix, b: Matrix, tol: float | None = None) -> Matrix:
 
 def column_space_basis(mat: Matrix, tol: float | None = None) -> Matrix:
     """Canonical basis of the column space (RREF rows of the transpose)."""
-    red, pivots = rref(mat.T, tol)
-    if not pivots:
-        return Matrix.zeros(mat.rows, 0, mat.mode)
-    rows = [red.row_list(i) for i in range(len(pivots))]
-    return Matrix([[rows[j][i] for j in range(len(rows))] for i in range(mat.rows)],
-                  mat.mode)
+    rows, pivots, entry = _reduced(mat.T, tol)
+    entries = tuple(entry(rows[j][i]) for i in range(mat.rows) for j in range(len(pivots)))
+    return Matrix._new(mat.rows, len(pivots), mat.mode, entries)
 
 
 def is_nonsingular(mat: Matrix, tol: float | None = None) -> bool:

@@ -1,8 +1,12 @@
 """Matrix pencils sF - G: regularity and the finite/infinite spectrum split.
 
 The characteristic polynomial det(sF - G) is obtained by evaluating the
-determinant at the nodes s = 0, 1, ..., n and interpolating, which is
-exact over rationals and adequately conditioned at desk scale for floats.
+determinant at the nodes s = 0, 1, ..., n and interpolating.  Exact mode
+does both on integers: each row of [F | G] is cleared of denominators
+once, each determinant is a fraction-free elimination, Newton forward
+differences interpolate, and the coefficients become ``Fraction`` only at
+the end.  Float mode solves the Vandermonde system of the nodes, which is
+adequately conditioned at desk scale.
 Its degree p counts the finite eigenvalues with multiplicity; the
 remaining q = n - p dimensions belong to the infinite eigenvalue.
 In exact mode the finite eigenvalues are its rational roots, searched and
@@ -11,6 +15,7 @@ divided out in integer arithmetic once the denominators are cleared.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,30 +86,48 @@ class CharPoly:
 
 
 def char_poly(pencil: Pencil, zero_tol: float | None = None) -> CharPoly:
-    """Interpolate det(sF - G) from n + 1 determinant samples."""
+    """det(sF - G) from its values at the n + 1 nodes s = 0, 1, ..., n.
+
+    Exact mode clears each row of [F | G] of denominators once, so sF - G
+    has integer rows at every node and a fraction-free elimination gives
+    det(sF - G) times the product of the row scales.  Newton forward
+    differences interpolate these integers: the k-th difference at 0 is
+    k! times the coefficient of the falling factorial s(s - 1)...(s - k + 1),
+    and multiplying out a_0 + s(a_1 + (s - 1)(a_2 + ...)) gives the
+    monomial coefficients.  Float mode solves the Vandermonde system of
+    the nodes and trims coefficients within ``zero_tol`` (relative) of 0.
+    """
     n = pencil.n
     mode = pencil.mode
     if mode is Mode.EXACT:
-        nodes = [Fraction(i) for i in range(n + 1)]
-    else:
-        nodes = [complex(i) for i in range(n + 1)]
+        rows = [clear_denominators(pencil.F.row_list(i) + pencil.G.row_list(i))
+                for i in range(n)]
+        values = [linalg.integer_det([[s * f - g for f, g in zip(r[:n], r[n:])]
+                                      for r, _ in rows]) for s in range(n + 1)]
+        for k in range(1, n + 1):  # values[k] becomes the k-th difference at 0
+            values[k:] = [b - a for a, b in zip(values[k - 1:], values[k:])]
+        coeffs: list = []
+        for k in range(n, -1, -1):  # coeffs * (s - k) + values[k] / k!
+            coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+            coeffs[0] += values[k] // math.factorial(k)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        scale = math.prod(d for _, d in rows)
+        return CharPoly(tuple(Fraction(c, scale) for c in coeffs), n)
+    nodes = [complex(i) for i in range(n + 1)]
     dets = [linalg.det(pencil.eval(s)) for s in nodes]
     vand = Matrix([[s**j for j in range(n + 1)] for s in nodes], mode)
     rhs = Matrix([[d] for d in dets], mode)
     try:
         coeffs = linalg.solve_unique(vand, rhs).column_list()
-    except ValueError as exc:  # float only: exact Vandermonde is nonsingular
+    except ValueError as exc:
         raise ChainConstructionFailure(
             f"char poly interpolation on nodes 0..{n} broke down: {exc}"
         ) from None
-    if mode is Mode.EXACT:
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-    else:
-        tol = DEFAULT_ZERO_TOL if zero_tol is None else zero_tol
-        thr = tol * max(1.0, max(abs(c) for c in coeffs))
-        while coeffs and abs(coeffs[-1]) <= thr:
-            coeffs.pop()
+    tol = DEFAULT_ZERO_TOL if zero_tol is None else zero_tol
+    thr = tol * max(1.0, max(abs(c) for c in coeffs))
+    while coeffs and abs(coeffs[-1]) <= thr:
+        coeffs.pop()
     return CharPoly(tuple(coeffs), n)
 
 

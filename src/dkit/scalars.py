@@ -150,9 +150,11 @@ def check_printable(values: Iterable[Scalar]) -> None:
     """Raise the ``DkitError`` of :func:`format_scalar` if it could not print
     one of ``values``; compares integers, formats nothing."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    bound = 10**limit
-    if limit and any(isinstance(x, Fraction) and max(abs(x.numerator), x.denominator) >= bound
-                     for x in values):
+    # below 2^(3 limit) < 10^limit an integer needs no comparison with 10^limit,
+    # whose computation would cost more than a typical check
+    big = [m for x in values if isinstance(x, Fraction)
+           for m in (abs(x.numerator), x.denominator) if m.bit_length() > 3 * limit]
+    if limit and big and max(big) >= 10**limit:
         raise _over_digit_limit()
 
 

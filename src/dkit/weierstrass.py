@@ -175,9 +175,9 @@ def _block_sizes(dims: list[int]) -> list[int]:
 
 def _pick_independent(candidates: Matrix, context: list[Matrix], tol: float | None) -> Matrix:
     """First candidate column outside the span of the context columns: the
-    first pivot column of the RREF of [context | candidates] past the context."""
+    first pivot column of [context | candidates] past the context."""
     width = sum(c.cols for c in context)
-    _, pivots = linalg.rref(hstack(context + [candidates]), tol)
+    pivots = linalg.pivot_columns(hstack(context + [candidates]), tol)
     j = next((c for c in pivots if c >= width), None)
     if j is None:
         raise ChainConstructionFailure("no chain top vector available at this level")

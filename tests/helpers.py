@@ -5,7 +5,9 @@ paths: the brute-force characteristic polynomial expands cofactors over
 coefficient lists, the stacked-step solvability check works on the raw
 system matrices, and the exact elimination, product and rational root
 references run plain ``Fraction`` arithmetic where the library runs
-integer kernels.  The chain-top reference makes one rank elimination per
+integer kernels.  The char poly reference solves a Vandermonde system for
+``Fraction`` determinants where the library takes Newton differences of
+integer ones, and the chain-top reference makes one rank elimination per
 candidate where the library makes one for all of them.
 """
 
@@ -17,6 +19,7 @@ from fractions import Fraction
 
 from dkit import (
     ChainConstructionFailure,
+    CharPoly,
     DescriptorSystem,
     InputSignal,
     JordanBlockSpec,
@@ -86,13 +89,14 @@ def small_int_matrix(rng: random.Random, rows: int, cols: int, lo=-3, hi=3) -> M
 
 
 def planted_pencil(rng: random.Random, n: int, *, q: int | None = None,
-                   min_q: int = 0):
+                   min_q: int = 0, palette=EIGENVALUE_PALETTE):
     """Regular pencil with known canonical structure, hidden by unimodular
-    conjugation.  Returns (pencil, jordan specs, nilpotent specs)."""
+    conjugation; eigenvalues are drawn from ``palette``.  Returns
+    (pencil, jordan specs, nilpotent specs)."""
     if q is None:
         q = rng.randint(min_q, n)
     p = n - q
-    jblocks = [JordanBlockSpec(rng.choice(EIGENVALUE_PALETTE), sz)
+    jblocks = [JordanBlockSpec(rng.choice(palette), sz)
                for sz in (random_partition(rng, p) if p else [])]
     nblocks = [NilpotentBlockSpec(sz)
                for sz in (random_partition(rng, q) if q else [])]
@@ -125,16 +129,17 @@ def _causal_bq_pattern(rng: random.Random, nblocks, l: int) -> Matrix:
 
 def random_descriptor(rng: random.Random, n: int, l: int, m: int, *,
                       q: int | None = None, min_q: int = 0,
-                      plant: str = "generic"):
+                      plant: str = "generic", palette=EIGENVALUE_PALETTE):
     """Random system plus its decomposition and transformed input.
 
     plant:
       "generic"            -- B, C free random
       "state_causal"       -- B built so that H_q B_q = 0
       "output_causal_only" -- C annihilates the infinite deflating subspace
-    Returns (sys, w, tin, jordan specs, nilpotent specs).
+    Eigenvalues are drawn from ``palette``.  Returns (sys, w, tin, jordan
+    specs, nilpotent specs).
     """
-    pen, jb, nb = planted_pencil(rng, n, q=q, min_q=min_q)
+    pen, jb, nb = planted_pencil(rng, n, q=q, min_q=min_q, palette=palette)
     w = decompose(pen)
     if plant == "state_causal":
         b_p = small_int_matrix(rng, w.p, l)
@@ -368,6 +373,22 @@ def reference_rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fractio
                 roots.append((cand, 1))
     remainder = work if len(work) > 1 else []
     return roots, [Fraction(c) for c in remainder]
+
+
+def reference_char_poly(pencil: Pencil) -> CharPoly:
+    """det(sF - G) of an exact pencil from ``Fraction`` node matrices
+    sF - G at s = 0..n, ``linalg.det`` of each and an exact Vandermonde
+    solve; reference for the integer route of ``pencil.char_poly``."""
+    n = pencil.n
+    mode = pencil.mode
+    nodes = [Fraction(i) for i in range(n + 1)]
+    dets = [linalg.det(pencil.eval(s)) for s in nodes]
+    vand = Matrix([[s**j for j in range(n + 1)] for s in nodes], mode)
+    rhs = Matrix([[d] for d in dets], mode)
+    coeffs = linalg.solve_unique(vand, rhs).column_list()
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return CharPoly(tuple(coeffs), n)
 
 
 def reference_pick_independent(candidates: Matrix, context: list[Matrix], tol: float | None) -> Matrix:

@@ -463,3 +463,37 @@ def test_check_printable_agrees_with_str_at_the_limit():
                     check_printable([Fraction(1), value, complex(1e308)])
             else:
                 check_printable([Fraction(1), value, complex(1e308)])
+
+
+# the inconsistent residual of test_inconsistent_residual_over_the_digit_limit_exits_1,
+# a char poly (s - 2^7200)^2 whose constant coefficient has 4,335 digits, and
+# an output witness C Q_q H_q B_q = 10^4400 behind a printable H_q B_q = [10^2200; 0]
+_RESIDUAL_OVER_LIMIT = {"n": 2, "l": 1, "m": 1, "mode": "exact", "F": [[1, 0], [10**10, 0]],
+                        "G": [[1, 0], [0, 1]], "B": [[0], [0]], "C": [[1, 0]],
+                        "Y0": ["9e4290", 0], "k0": 0, "inputs": [[0]] * 5, "K": 3}
+_CHAR_POLY_OVER_LIMIT = {"n": 2, "l": 1, "m": 1, "mode": "exact", "F": [[1, 0], [0, 1]],
+                         "G": [[str(2**7200), 0], [0, str(2**7200)]], "B": [[0], [0]],
+                         "C": [[1, 0]], "Y0": [0, 0], "k0": 0, "inputs": [[0]] * 5, "K": 3}
+_WITNESS_OVER_LIMIT = {"n": 2, "l": 1, "m": 1, "mode": "exact", "F": [[0, 1], [0, 0]],
+                      "G": [[1, 0], [0, 1]], "B": [[0], ["1e2200"]], "C": [["1e2200", 0]],
+                      "Y0": [0, 0], "k0": 0, "inputs": [[0]] * 5, "K": 3}
+
+
+@digit_limit
+@pytest.mark.parametrize("doc", [_RESIDUAL_OVER_LIMIT, _CHAR_POLY_OVER_LIMIT, _WITNESS_OVER_LIMIT],
+                         ids=["residual", "char_poly", "witness"])
+def test_analyze_over_the_digit_limit_prints_nothing(doc, tmp_path, capsys):
+    target = tmp_path / "report.json"
+    assert main(["analyze", json.dumps(doc), "--out-json", str(target)]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert not target.exists()
+    assert "Traceback" not in err and "decimal digits" in err
+
+
+@digit_limit
+def test_causality_over_the_digit_limit_prints_nothing(capsys):
+    assert main(["causality", json.dumps(_WITNESS_OVER_LIMIT)]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err and "decimal digits" in err

@@ -4,9 +4,13 @@ Exact-mode elimination runs fraction-free on integer rows and exact
 ``Matrix.__matmul__`` on denominator-cleared integers.  Both must give
 results bit-identical to Gauss-Jordan and multiply-and-add over
 ``Fraction``; the reference path runs linalg's own wrappers with
-``_rref_data`` swapped for the ``Fraction`` loop in ``helpers``.
+``_rref_data`` swapped for the ``Fraction`` loop in ``helpers``.  Exact
+kernel and column-space bases, pivots and rank skip ``_rref_data`` (they
+read the integer rows directly), so their references are built here on
+that ``Fraction`` loop.
 """
 
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -14,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dkit import Matrix, linalg
+from dkit import Matrix, char_poly, decompose, linalg
 from dkit.scalars import Mode
 
-from helpers import reference_det, reference_matmul, reference_rref_data
+from helpers import planted_pencil, reference_det, reference_matmul, reference_rref_data
 
 EX = Mode.EXACT
 
@@ -202,3 +206,73 @@ def test_row_cache_is_invisible_to_equality_hash_and_assignment():
         a.rows = 3
     with pytest.raises(AttributeError):
         a._int_rows = None
+
+
+def reference_rref(a):
+    """Rows and pivot columns of the RREF by Gauss-Jordan over ``Fraction``."""
+    data = a.to_lists()
+    return data, reference_rref_data(data, EX, 0.0)
+
+
+def reference_kernel_basis(a):
+    red, pivots = reference_rref(a)
+    free = [c for c in range(a.cols) if c not in pivots]
+    cols = []
+    for f in free:
+        v = [Fraction(0)] * a.cols
+        v[f] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[f]
+        cols.append(v)
+    return build([[v[i] for v in cols] for i in range(a.cols)], a.cols, len(cols))
+
+
+def reference_column_space_basis(a):
+    red, pivots = reference_rref(a.T)
+    return build([[red[j][i] for j in range(len(pivots))] for i in range(a.rows)],
+                 a.rows, len(pivots))
+
+
+@settings(max_examples=200)
+@given(matrices())
+def test_kernel_basis_read_off_the_integer_rows_matches_the_fraction_rref(a):
+    k = linalg.kernel_basis(a)
+    assert k == reference_kernel_basis(a)
+    assert_fractions(k)
+
+
+@settings(max_examples=200)
+@given(matrices())
+def test_column_space_basis_read_off_the_integer_rows_matches_the_fraction_rref(a):
+    basis = linalg.column_space_basis(a)
+    assert basis == reference_column_space_basis(a)
+    assert_fractions(basis)
+
+
+@settings(max_examples=200)
+@given(matrices())
+def test_pivots_from_forward_elimination_match_the_fraction_rref(a):
+    _, pivots = reference_rref(a)
+    assert linalg.pivot_columns(a) == pivots
+    assert linalg.rank(a) == len(pivots)
+    assert linalg.is_nonsingular(a) == (a.is_square and len(pivots) == a.rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 14])
+def test_exact_char_poly_makes_n_plus_1_eliminations_and_no_fraction_solve(n):
+    pencil, _, _ = planted_pencil(random.Random(n), n)
+    with mock.patch.object(linalg, "_bareiss", wraps=linalg._bareiss) as elim, \
+            mock.patch.object(linalg, "det", wraps=linalg.det) as det, \
+            mock.patch.object(linalg, "solve_unique", wraps=linalg.solve_unique) as solve:
+        char_poly(pencil)
+    assert elim.call_count == n + 1
+    assert det.call_count == solve.call_count == 0
+
+
+def test_exact_decompose_builds_no_fraction_rref():
+    pencil, _, _ = planted_pencil(random.Random(3), 8, q=3)
+    with mock.patch.object(linalg, "rref", wraps=linalg.rref) as rref:
+        decompose(pencil)
+        assert rref.call_count == 0
+        linalg.kernel_basis(pencil.F.to_float())  # float mode keeps its rref
+        assert rref.call_count == 1

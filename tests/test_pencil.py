@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dkit import CharPoly, Matrix, Pencil, UnresolvableSpectrum, char_poly, finite_eigenvalues, is_regular
@@ -10,7 +10,13 @@ from dkit import linalg
 from dkit.scalars import Mode
 
 from dkit.pencil import _rational_roots
-from helpers import brute_char_poly, planted_pencil, poly_mul, reference_rational_roots
+from helpers import (
+    brute_char_poly,
+    planted_pencil,
+    poly_mul,
+    reference_char_poly,
+    reference_rational_roots,
+)
 
 EX = Mode.EXACT
 
@@ -195,3 +201,56 @@ def test_finite_eigenvalues_large_smooth_coefficients():
                       [-neg, Fraction(1)])
     cp = CharPoly(tuple(coeffs), n=3)
     assert finite_eigenvalues(cp) == [(neg, 2), (big, 1)]
+
+
+ENTRIES = st.builds(Fraction, st.integers(-12, 12),
+                    st.sampled_from([1, 1, 1, 2, 3, 7, 12, 10**9 + 7]))
+
+
+@st.composite
+def exact_pencils(draw):
+    """n = 1..7 with negative entries and per-row denominators; generic,
+    row-scaled by large denominators, singular F (p < n), a zero row
+    shared by F and G (identically zero) or F = 0."""
+    n = draw(st.integers(1, 7))
+
+    def rows(r, c):
+        return [draw(st.lists(ENTRIES, min_size=c, max_size=c)) for _ in range(r)]
+
+    f, g = rows(n, n), rows(n, n)
+    kind = draw(st.sampled_from(["generic", "row_scaled", "singular_f", "zero_row", "zero_f"]))
+    if kind == "row_scaled":
+        for i in range(n):
+            d = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 3**40)))
+            f[i], g[i] = [d * x for x in f[i]], [d * x for x in g[i]]
+    elif kind == "singular_f":
+        inner = draw(st.integers(0, n - 1))
+        left, right = rows(n, inner), rows(inner, n)
+        f = [[sum((left[i][t] * right[t][j] for t in range(inner)), Fraction(0))
+              for j in range(n)] for i in range(n)]
+    elif kind == "zero_row":
+        i = draw(st.integers(0, n - 1))
+        f[i] = g[i] = [Fraction(0)] * n
+    elif kind == "zero_f":
+        f = [[Fraction(0)] * n for _ in range(n)]
+    return pen(f, g)
+
+
+def assert_same_char_poly(pencil):
+    cp, ref = char_poly(pencil), reference_char_poly(pencil)
+    assert cp.coefficients == ref.coefficients  # same values, same trimmed length
+    assert all(type(c) is Fraction for c in cp.coefficients)
+    assert cp.n == ref.n
+
+
+@settings(max_examples=300)
+@given(exact_pencils())
+def test_char_poly_matches_the_vandermonde_reference(pencil):
+    assert_same_char_poly(pencil)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 20))
+def test_char_poly_matches_the_vandermonde_reference_on_planted_pencils(seed, n):
+    pencil, _, _ = planted_pencil(random.Random(seed), n)
+    assert_same_char_poly(pencil)
