@@ -20,7 +20,6 @@ complex strings such as "1+2j").  Exit codes are part of the contract:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -322,7 +321,9 @@ def cmd_analyze(args) -> int:
 
 
 def _write_trajectory_csv(fh, k0: int, rows: list[list], n: int, m: int, p: int, q: int):
-    writer = csv.writer(fh, lineterminator="\n")
+    """One line per instant, joined by commas: no field is ever quoted, as
+    none (names, integers, ``format_scalar`` output) holds a comma, a quote
+    or a line break."""
     header = (
         ["k"]
         + [f"Y_{i + 1}" for i in range(n)]
@@ -330,9 +331,9 @@ def _write_trajectory_csv(fh, k0: int, rows: list[list], n: int, m: int, p: int,
         + [f"Zp_{i + 1}" for i in range(p)]
         + [f"Zq_{i + 1}" for i in range(q)]
     )
-    writer.writerow(header)
+    fh.write(",".join(header) + "\n")
     for k, row in enumerate(rows, k0):
-        writer.writerow([str(k)] + [format_scalar(x) for x in row])
+        fh.write(",".join([str(k), *map(format_scalar, row)]) + "\n")
 
 
 def cmd_solve(args) -> int:

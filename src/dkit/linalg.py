@@ -6,14 +6,15 @@ and runs fraction-free elimination on Python ints (Bareiss 1968,
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination"): every update ``(pivot * a - f * b) // prev_pivot`` divides
 exactly, because each entry stays a minor of the scaled matrix.  Results
-become ``Fraction`` only on output: kernel and column-space bases are read
-straight off the integer rows (d times the RREF), one ``Fraction`` per
-entry they return, and rank and pivot columns come from forward
-elimination alone, since any echelon form has the pivot columns of the
-RREF.  The reduced row echelon form of a matrix is unique, so this yields
-the same RREF, pivots and determinant as Gauss-Jordan over rationals
-would, and every kernel basis and particular solution produced here is
-canonical and reproducible.  Float mode uses Gauss-Jordan with partial
+become ``Fraction`` only on output: kernel and column-space bases and the
+solutions of ``solve``, ``solve_unique`` and ``inverse`` are read straight
+off the integer rows (d times the RREF), one ``Fraction`` per entry they
+return, and rank and pivot columns come from forward elimination alone,
+since any echelon form has the pivot columns of the RREF.  The reduced
+row echelon form of a matrix is unique, so this yields the same RREF,
+pivots and determinant as Gauss-Jordan over rationals would, and every
+kernel basis and particular solution produced here is canonical and
+reproducible.  Float mode uses Gauss-Jordan with partial
 pivoting and a relative rank threshold ``tol * (largest entry magnitude)``.
 """
 
@@ -192,10 +193,14 @@ def kernel_basis(mat: Matrix, tol: float | None = None) -> Matrix:
 def _reduce_augmented(a: Matrix, b: Matrix, tol: float | None,
                       thr_from_a: bool = False) -> tuple[list[int], list[list]]:
     """Pivot columns of the RREF of [a | b] and the b part of each pivot
-    row.  The float threshold scales with [a | b], or with ``a`` alone."""
+    row, the only entries made ``Fraction`` in exact mode.  The float
+    threshold scales with [a | b], or with ``a`` alone."""
     if a.rows != b.rows:
         raise ValueError("row counts differ")
     aug = hstack([a, b])
+    if a.mode is Mode.EXACT:
+        rows, pivots, entry = _reduced(aug, tol)
+        return pivots, [[entry(x) for x in row[a.cols:]] for row in rows[: len(pivots)]]
     data = aug.to_lists()
     pivots = _rref_data(data, a.mode, _threshold(a if thr_from_a else aug, tol))
     return pivots, [row[a.cols:] for row in data[: len(pivots)]]

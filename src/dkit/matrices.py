@@ -20,6 +20,8 @@ from typing import Iterable, Sequence
 
 from .scalars import Mode, Scalar, clear_denominators, ensure_scalar, format_scalar, zero
 
+_ZERO = Fraction(0)
+
 
 class Matrix:
     __slots__ = ("rows", "cols", "mode", "_e", "_int_rows")
@@ -97,8 +99,12 @@ class Matrix:
         return Matrix._new(self.rows, len(js), self.mode, entries)
 
     def take_rows(self, iz: Sequence[int]) -> "Matrix":
-        entries = tuple(self._e[i * self.cols + j] for i in iz for j in range(self.cols))
-        return Matrix._new(len(iz), self.cols, self.mode, entries)
+        c = self.cols
+        if isinstance(iz, range) and iz.step == 1 and 0 <= iz.start and iz.stop <= self.rows:
+            entries = self._e[iz.start * c : iz.stop * c]  # a block of rows is one slice
+        else:
+            entries = tuple(self._e[i * c + j] for i in iz for j in range(c))
+        return Matrix._new(len(iz), c, self.mode, entries)
 
     def to_lists(self) -> list[list]:
         return [self.row_list(i) for i in range(self.rows)]
@@ -150,7 +156,8 @@ class Matrix:
         instead of a gcd for every multiply and add.  The cleared rows of
         ``self`` are kept on it for its next product; the columns of
         ``other`` are cleared anew, as a right operand is typically a state
-        vector used once.
+        vector used once.  A zero dot product yields one shared
+        ``Fraction(0)``, with no gcd and no normalisation.
         """
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -165,7 +172,7 @@ class Matrix:
                 left = tuple(clear_denominators(a[i * k : (i + 1) * k]) for i in range(n))
                 object.__setattr__(self, "_int_rows", left)
             right = [clear_denominators(b[j::m]) for j in range(m)]
-            out = [Fraction(sum(map(operator.mul, arow, bcol)), d * e)
+            out = [Fraction(s, d * e) if (s := sum(map(operator.mul, arow, bcol))) else _ZERO
                    for arow, d in left for bcol, e in right]
             return Matrix._new(n, m, self.mode, tuple(out))
         z = zero(self.mode)

@@ -6,6 +6,14 @@ by H_q.  The backward part is forced: it reads the next q* - 1 input
 samples, which is why every operation here is explicit about the input
 horizon it needs and refuses to zero-pad.
 
+Both parts together make one constant linear map per instant, the step map
+
+    [Y_k; X_k; Z^q_k; Z^p_{k+1}] = S [Z^p_k; V_k; ...; V_{k+w-1}],
+    w = max(q*, 1),
+
+so :func:`solve` spends one product per step; S is built once per
+transformed input, on its first solve.
+
 An initial state is admissible exactly when it lies in the affine set
 colspan(Q_p) + Q D_{k0}; the solver rejects anything else.  The residual
 oracle at the bottom re-checks a trajectory against the original
@@ -16,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from . import linalg
@@ -104,27 +113,69 @@ class InputSignal:
 
 @dataclass(frozen=True)
 class TransformedInput:
-    """P B split into its forward (p x l) and backward (q x l) rows, plus
-    the one-step forward map [J_p | B_p] (p x (p + l)) and the backward map
-    [B_q | H_q B_q | ... | H_q^{q*-1} B_q] (q x l q*)."""
+    """P B split into its forward (p x l) and backward (q x l) rows, the
+    backward map [B_q | H_q B_q | ... | H_q^{q*-1} B_q] (q x l q*), and the
+    canonical form and output map C the step map is built from."""
 
+    w: WeierstrassDecomposition
+    C: Matrix | None
     B_p: Matrix
     B_q: Matrix
-    forward: Matrix
     backward: Matrix
 
+    def step_maps(self, C: Matrix) -> tuple[Matrix, Matrix]:
+        """The step map S for output map C and its final-instant form.  For
+        the C given to :func:`transform_input` both are built on the first
+        call and kept; any other C gets them anew."""
+        if C is self.C or C == self.C:
+            return self._own_step_maps
+        return _step_maps(self, C)
 
-def transform_input(w: WeierstrassDecomposition, B: Matrix) -> TransformedInput:
+    @cached_property
+    def _own_step_maps(self) -> tuple[Matrix, Matrix]:
+        return _step_maps(self, self.C)
+
+
+def _step_maps(tin: TransformedInput, C: Matrix) -> tuple[Matrix, Matrix]:
+    """S, with w = max(q*, 1): rows Y (n), X (m), Z^q (q) and the next Z^p
+    (p); columns Z^p (p), then V_k .. V_{k+w-1} (l each).
+
+        [ Q_p    | -Q_q M    ]        M = the backward map, widened
+        [ C Q_p  | -C Q_q M  ]            to l columns when q* = 0
+        [ 0      | -M        ]
+        [ J_p    | B_p  0    ]
+
+    The final instant needs no Z^p_{k+1} rows, and no V columns when q* = 0,
+    so it reads no sample past the horizon.
+    """
+    w, l = tin.w, tin.B_p.cols
+    back = tin.backward if w.q_star else Matrix.zeros(w.q, l, w.mode)
+    state = hstack([w.Q_p, -(w.Q_q @ back)])
+    step = vstack([
+        state,
+        C @ state,
+        hstack([Matrix.zeros(w.q, w.p, w.mode), -back]),
+        hstack([w.J_p, tin.B_p, Matrix.zeros(w.p, l * (max(w.q_star, 1) - 1), w.mode)]),
+    ])
+    last = step.take_rows(range(step.rows - w.p))
+    return step, (last if w.q_star else last.take_cols(range(w.p)))
+
+
+def transform_input(w: WeierstrassDecomposition, B: Matrix,
+                    C: Matrix | None = None) -> TransformedInput:
+    """P B in the blocks the solver and the causality checks read.  The
+    step map of :func:`solve` is kept for the output map C; without C, or
+    for a system with another C, each solve builds its own."""
     pb = w.P @ B
     b_q, h_q = pb.take_rows(range(w.p, w.n)), w.H_q
     blocks: list[Matrix] = []
     for _ in range(w.q_star):
         blocks.append(h_q @ blocks[-1] if blocks else b_q)
-    b_p = pb.take_rows(range(w.p))
     return TransformedInput(
-        B_p=b_p,
+        w=w,
+        C=C,
+        B_p=pb.take_rows(range(w.p)),
         B_q=b_q,
-        forward=hstack([w.J_p, b_p]),
         backward=hstack(blocks) if blocks else Matrix.zeros(w.q, 0, w.mode),
     )
 
@@ -152,28 +203,13 @@ def analyze(
     w, verification = _decompose(system.pencil, system.char_poly,
                                  cluster_radius=cluster_radius, rank_tol=rank_tol)
     return Analysis(system, system.char_poly, w, verification,
-                    transform_input(w, system.B))
+                    transform_input(w, system.B, system.C))
 
 
 class Dk(NamedTuple):
     top: Matrix       # forward convolution, p x 1
     bottom: Matrix    # backward forced part, q x 1
     stacked: Matrix   # n x 1
-
-
-def _forward(tin: TransformedInput, z_p: Matrix, v: Matrix) -> Matrix:
-    """Z^p_{k+1} = J_p Z^p_k + B_p V_k: one product of the forward map with
-    the stacked [Z^p_k; V_k]."""
-    return tin.forward @ vstack([z_p, v])
-
-
-def _backward(w: WeierstrassDecomposition, tin: TransformedInput,
-              signal: InputSignal, k: int) -> Matrix:
-    """Forced backward coordinates -sum_{i < q*} H_q^i B_q V_{k+i}: one
-    product of the backward map with the stacked samples V_k .. V_{k+q*-1}."""
-    if w.q_star == 0:
-        return Matrix.zeros(w.q, 1, w.mode)
-    return -(tin.backward @ vstack([signal.sample(k + i) for i in range(w.q_star)]))
 
 
 def compute_Dk(
@@ -186,10 +222,13 @@ def compute_Dk(
     backward sum over the next q* samples)."""
     if k < signal.k0:
         raise ValueError(f"k = {k} precedes the initial time {signal.k0}")
-    top = Matrix.zeros(w.p, 1, w.mode)
+    top, j_p = Matrix.zeros(w.p, 1, w.mode), w.J_p
     for j in range(signal.k0, k):
-        top = _forward(tin, top, signal.sample(j))
-    bottom = _backward(w, tin, signal, k)
+        top = j_p @ top + tin.B_p @ signal.sample(j)
+    if w.q_star:
+        bottom = -(tin.backward @ vstack([signal.sample(k + i) for i in range(w.q_star)]))
+    else:
+        bottom = Matrix.zeros(w.q, 1, w.mode)
     return Dk(top=top, bottom=bottom, stacked=vstack([top, bottom]))
 
 
@@ -260,7 +299,9 @@ def solve(
     """Unique trajectory on k0..K for a consistent initial state.
 
     Needs input samples up to index K + q* - 1; raises
-    InputHorizonTooShort instead of fabricating missing samples.
+    InputHorizonTooShort instead of fabricating missing samples.  Each
+    instant is one product of the step map ``tin.step_maps(sys.C)`` with
+    [Z^p_k; V_k; ...; V_{k+w-1}].
     """
     k0 = signal.k0
     if K < k0:
@@ -276,17 +317,21 @@ def solve(
             residual=res.residual,
         )
 
+    n, m, q = sys.n, sys.m, w.q
+    width = max(w.q_star, 1)
+    step_map, last_map = tin.step_maps(sys.C)
     z_p_list, z_q_list, states, outputs = [], [], [], []
     zp = res.z_p0
     for k in range(k0, K + 1):
-        zq = _backward(w, tin, signal, k)
-        y = w.Q @ vstack([zp, zq])
+        step = step_map if k < K else last_map
+        window = [signal.sample(k + i) for i in range(width)] if k < K or w.q_star else []
+        out = step @ vstack([zp, *window])
         z_p_list.append(zp)
-        z_q_list.append(zq)
-        states.append(y)
-        outputs.append(sys.C @ y)
+        states.append(out.take_rows(range(n)))
+        outputs.append(out.take_rows(range(n, n + m)))
+        z_q_list.append(out.take_rows(range(n + m, n + m + q)))
         if k < K:
-            zp = _forward(tin, zp, signal.sample(k))
+            zp = out.take_rows(range(n + m + q, out.rows))
     return Trajectory(
         k0=k0,
         states=tuple(states),
@@ -328,7 +373,7 @@ def residual_oracle(
 
     Works directly on (F, G, B); no canonical form involved, so it can
     referee the solver.  Each step is one product of [F | -G | -B] with
-    the stacked [Y_{k+1}; Y_k; V_k].
+    the stacked [Y_{k+1}; Y_k; V_k]; a zero residual costs no norm.
     """
     if len(traj) < 2:
         raise ValueError("trajectory must contain at least two states")
@@ -338,6 +383,7 @@ def residual_oracle(
     for idx in range(len(traj) - 1):
         k = traj.k0 + idx
         r = step @ vstack([traj.states[idx + 1], traj.states[idx], signal.sample(k)])
-        worst = max(worst, r.max_abs())
+        if not r.is_zero():
+            worst = max(worst, r.max_abs())
     mismatch = (traj.states[0] - y0).max_abs() if y0 is not None else nil
     return SolutionResidual(step_residual=worst, y0_mismatch=mismatch)

@@ -152,7 +152,7 @@ def random_descriptor(rng: random.Random, n: int, l: int, m: int, *,
     else:
         c = small_int_matrix(rng, m, n)
     sysm = DescriptorSystem(pen.F, pen.G, b, c)
-    tin = transform_input(w, b)
+    tin = transform_input(w, b, c)
     return sysm, w, tin, jb, nb
 
 

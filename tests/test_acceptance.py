@@ -212,7 +212,7 @@ def test_criterion_6_equivalence_invariance():
         sys2 = DescriptorSystem(m_l @ sysm.F @ m_r, m_l @ sysm.G @ m_r,
                                 m_l @ sysm.B, sysm.C @ m_r)
         w2 = decompose(Pencil(sys2.F, sys2.G))
-        tin2 = transform_input(w2, sys2.B)
+        tin2 = transform_input(w2, sys2.B, sys2.C)
         verdicts2 = (
             check_state_causality(w2, tin2)[0],
             check_output_causality(sys2, w2, tin2)[0],
@@ -286,8 +286,8 @@ def test_criterion_8_float_mode_sanity(capsys):
             continue
         sys_e = sf_e.system()
         sys_f = sf_f.system()
-        tin_e = transform_input(w_e, sf_e.B)
-        tin_f = transform_input(w_f, sf_f.B)
+        tin_e = transform_input(w_e, sf_e.B, sf_e.C)
+        tin_f = transform_input(w_f, sf_f.B, sf_f.C)
         verdicts_e = (
             check_state_causality(w_e, tin_e)[0],
             check_output_causality(sys_e, w_e, tin_e)[0],

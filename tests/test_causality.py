@@ -28,7 +28,7 @@ def nilpotent3(c_rows):
     c = Matrix(c_rows, EX)
     sysm = DescriptorSystem(f, g, b, c)
     w = decompose(Pencil(f, g))
-    return sysm, w, transform_input(w, b)
+    return sysm, w, transform_input(w, b, c)
 
 
 def test_state_causality_trivial_when_q_zero():
@@ -45,7 +45,7 @@ def test_state_causality_diag_fixture():
     b = Matrix([[5], [-7]], EX)
     sysm = DescriptorSystem(f, g, b, Matrix.identity(2, EX))
     w = decompose(Pencil(f, g))
-    tin = transform_input(w, b)
+    tin = transform_input(w, b, sysm.C)
     ok, witness = check_state_causality(w, tin)
     assert ok                      # 1x1 nilpotent block is the zero matrix
     assert witness.is_zero()
@@ -192,7 +192,7 @@ def test_verdicts_invariant_under_equivalence_transform():
         sys2 = DescriptorSystem(m_l @ sysm.F @ m_r, m_l @ sysm.G @ m_r,
                                 m_l @ sysm.B, sysm.C @ m_r)
         w2 = decompose(Pencil(sys2.F, sys2.G))
-        tin2 = transform_input(w2, sys2.B)
+        tin2 = transform_input(w2, sys2.B, sys2.C)
         assert check_state_causality(w2, tin2)[0] == state0
         assert check_output_causality(sys2, w2, tin2)[0] == out0
         assert check_output_causality_nullspace(sys2, w2, tin2) == out0
@@ -202,7 +202,7 @@ def test_float_zero_threshold_semantics():
     sysm, w, tin = nilpotent3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     sys_f = sysm.to_float()
     w_f = decompose(Pencil(sys_f.F, sys_f.G))
-    tin_f = transform_input(w_f, sys_f.B)
+    tin_f = transform_input(w_f, sys_f.B, sys_f.C)
     ok, _ = check_state_causality(w_f, tin_f)
     assert not ok
     # an absurdly large threshold declares every witness zero

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dkit import DkitError, ParseError
 from dkit.cli import (
@@ -18,6 +20,7 @@ from dkit.cli import (
     EXIT_ORACLE_DISAGREES,
     EXIT_PARSE,
     EXIT_UNRESOLVABLE,
+    _write_trajectory_csv,
     main,
     parse_system_file,
     system_file_to_dict,
@@ -310,6 +313,57 @@ def test_each_run_computes_char_poly_and_verify_once(argv, monkeypatch, capsys):
     counts = _count_calls(monkeypatch, "pencil.char_poly", "weierstrass.verify")
     assert main(argv) == EXIT_OK
     assert counts == {"pencil.char_poly": 1, "weierstrass.verify": 1}
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["analyze", NIL_C100], 0),
+    (["causality", NIL_C100], 0),
+    (["solve", NIL_C100], 1),
+    (["causality", NIL_CEYE, "--oracle-trials", "3"], 1),
+])
+def test_each_run_builds_the_step_map_at_most_once(argv, builds, monkeypatch, capsys):
+    counts = _count_calls(monkeypatch, "solver._step_maps")
+    assert main(argv) == EXIT_OK
+    assert counts == {"solver._step_maps": builds}
+
+
+EXACT_VALUES = st.one_of(
+    st.integers(-10**6, 10**6).map(Fraction),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    st.builds(Fraction, st.integers(-10**400, 10**400), st.integers(1, 10**300)),
+)
+REALS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e-300, -1e-300, 1e300, -1e300,
+                     float("inf"), float("-inf"), float("nan")]),
+)
+FLOAT_VALUES = st.one_of(REALS.map(complex), st.builds(complex, REALS, REALS))
+
+
+@st.composite
+def trajectories(draw):
+    """Block sizes, k0 and rows of one scalar mode, as ``cmd_solve`` hands
+    them to the CSV writer."""
+    n, m, p, q = (draw(st.integers(lo, 3)) for lo in (1, 0, 0, 0))
+    values = draw(st.sampled_from([EXACT_VALUES, FLOAT_VALUES]))
+    rows = draw(st.lists(st.lists(values, min_size=n + m + p + q, max_size=n + m + p + q),
+                         max_size=4))
+    return draw(st.integers(-5, 5)), rows, n, m, p, q
+
+
+@settings(max_examples=200)
+@given(trajectories())
+def test_trajectory_csv_bytes_match_the_csv_module(traj):
+    k0, rows, n, m, p, q = traj
+    got = io.StringIO(newline="")
+    _write_trajectory_csv(got, k0, rows, n, m, p, q)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["k"] + [f"Y_{i + 1}" for i in range(n)] + [f"X_{i + 1}" for i in range(m)]
+                    + [f"Zp_{i + 1}" for i in range(p)] + [f"Zq_{i + 1}" for i in range(q)])
+    for k, row in enumerate(rows, k0):
+        writer.writerow([str(k)] + [format_scalar(x) for x in row])
+    assert got.getvalue().encode() == want.getvalue().encode()
 
 
 @pytest.mark.parametrize("k", ["-1", "0"])

@@ -5,9 +5,10 @@ Exact-mode elimination runs fraction-free on integer rows and exact
 results bit-identical to Gauss-Jordan and multiply-and-add over
 ``Fraction``; the reference path runs linalg's own wrappers with
 ``_rref_data`` swapped for the ``Fraction`` loop in ``helpers``.  Exact
-kernel and column-space bases, pivots and rank skip ``_rref_data`` (they
-read the integer rows directly), so their references are built here on
-that ``Fraction`` loop.
+kernel and column-space bases, pivots and rank, and the solutions of
+``solve``, ``solve_unique`` and ``inverse`` skip ``_rref_data`` (they read
+the integer rows directly), so their references are built here on that
+``Fraction`` loop.
 """
 
 import random
@@ -15,10 +16,10 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dkit import Matrix, char_poly, decompose, linalg
+from dkit import Matrix, char_poly, decompose, hstack, linalg
 from dkit.scalars import Mode
 
 from helpers import planted_pencil, reference_det, reference_matmul, reference_rref_data
@@ -256,6 +257,74 @@ def test_pivots_from_forward_elimination_match_the_fraction_rref(a):
     assert linalg.pivot_columns(a) == pivots
     assert linalg.rank(a) == len(pivots)
     assert linalg.is_nonsingular(a) == (a.is_square and len(pivots) == a.rows)
+
+
+def reference_reduce_augmented(a, b):
+    """Pivot columns of the ``Fraction`` RREF of [a | b] and the b part of
+    each pivot row."""
+    red, pivots = reference_rref(hstack([a, b]))
+    return pivots, [row[a.cols:] for row in red[: len(pivots)]]
+
+
+def reference_solve(a, b):
+    pivots, rows = reference_reduce_augmented(a, b)
+    if any(pc >= a.cols for pc in pivots):
+        return None
+    x = [[Fraction(0)] * b.cols for _ in range(a.cols)]
+    for pc, row in zip(pivots, rows):
+        x[pc] = row
+    return build(x, a.cols, b.cols)
+
+
+def reference_solve_unique(a, b):
+    pivots, rows = reference_reduce_augmented(a, b)
+    if any(pc >= a.cols for pc in pivots):
+        raise ValueError("inconsistent system")
+    if len(pivots) != a.cols:
+        raise ValueError("solution is not unique (rank deficient)")
+    return build(rows, a.cols, b.cols)
+
+
+def reference_inverse(a):
+    pivots, rows = reference_reduce_augmented(a, Matrix.identity(a.rows, EX))
+    if pivots != list(range(a.rows)):
+        raise ValueError("matrix is singular")
+    return build(rows, a.rows, a.rows)
+
+
+RANK_ONE = Matrix([[1, 2], [2, 4]], EX)
+
+
+@settings(max_examples=200)
+@given(systems())
+@example((RANK_ONE, Matrix.column([1, 3], EX)))                 # inconsistent
+@example((RANK_ONE, Matrix.column([1, 2], EX)))                 # rank deficient
+@example((Matrix([[Fraction(1, 3**40)]], EX), Matrix([[Fraction(2, 3**39)]], EX)))
+def test_solutions_read_off_the_integer_rows_match_the_fraction_rref(ab):
+    a, b = ab
+    x = linalg.solve(a, b)
+    assert x == reference_solve(a, b)
+    if x is not None:
+        assert_fractions(x)
+    assert outcome(linalg.solve_unique, a, b) == outcome(reference_solve_unique, a, b)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 6).flatmap(lambda n: matrices(nrows=n, ncols=n)))
+@example(RANK_ONE)                                              # singular
+def test_inverse_read_off_the_integer_rows_matches_the_fraction_rref(a):
+    got = outcome(linalg.inverse, a)
+    assert got == outcome(reference_inverse, a)
+    if isinstance(got, Matrix):
+        assert_fractions(got)
+
+
+def test_reference_solutions_cover_both_errors():
+    assert outcome(reference_solve_unique, RANK_ONE, Matrix.column([1, 3], EX)) == (
+        ValueError, "inconsistent system")
+    assert outcome(reference_solve_unique, RANK_ONE, Matrix.column([1, 2], EX)) == (
+        ValueError, "solution is not unique (rank deficient)")
+    assert outcome(reference_inverse, RANK_ONE) == (ValueError, "matrix is singular")
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9, 14])

@@ -34,7 +34,10 @@ DATA = Path(__file__).parent / "data"
 WIDE_PALETTE = [Fraction(2**20), Fraction(-3**9, 7), Fraction(5**6, 32),
                 Fraction(-1001, 16), Fraction(17**3, 9)]
 
-# name: (seed, n, q, plant kind, palette, consistent initial state)
+# entries that double or halve at every step of a long forward recursion
+GROWTH_PALETTE = [Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(-1, 2)]
+
+# name: (seed, n, q, plant kind, palette, consistent initial state[, horizon K])
 PLANTS = {
     "plant_n3": (1, 3, 1, "generic", None, True),
     "plant_n5_q0": (2, 5, 0, "generic", None, True),
@@ -46,11 +49,13 @@ PLANTS = {
     "plant_n16": (8, 16, 6, "state_causal", None, True),
     "plant_n9_wide": (9, 9, 3, "generic", WIDE_PALETTE, True),
     "plant_n12_wide": (10, 12, 4, "state_causal", WIDE_PALETTE, True),
+    "plant_n8_growth_K60": (14, 8, 3, "generic", GROWTH_PALETTE, True, 60),
+    "plant_n6_q0_K30": (12, 6, 0, "generic", None, True, 30),
 }
 K = 6
 
 
-def planted_doc(seed, n, q, plant, palette, consistent):
+def planted_doc(seed, n, q, plant, palette, consistent, K=K):
     rng = random.Random(seed)
     kw = {"palette": palette} if palette else {}
     sysm, w, tin, _, _ = random_descriptor(rng, n, 2, 2, q=q, plant=plant, **kw)
@@ -109,6 +114,8 @@ DIGESTS = {
     'plant_n16': {'analyze': [0, '93da06232ef6c617', 'e3b0c44298fc1c14', '48c20d5e2da33cb2'], 'solve': [0, 'a36829d8bb6139aa', 'e3b0c44298fc1c14', '2504244c08ecfb60'], 'causality': [0, '1fe73cf62b09d50f', 'e3b0c44298fc1c14', None]},
     'plant_n9_wide': {'analyze': [0, 'a215b8afe1a9cb72', 'e3b0c44298fc1c14', 'a9df88160cf773b8'], 'solve': [0, 'a36829d8bb6139aa', 'e3b0c44298fc1c14', '14eedc8f8adad5cb'], 'causality': [0, 'df3836c175e7b5f9', 'e3b0c44298fc1c14', None]},
     'plant_n12_wide': {'analyze': [0, '713e9cc9847a2d1c', 'e3b0c44298fc1c14', '50d54dd2dac35c5a'], 'solve': [0, 'a36829d8bb6139aa', 'e3b0c44298fc1c14', 'd3da770cd75e7413'], 'causality': [0, '81dd6775bc8be45b', 'e3b0c44298fc1c14', None]},
+    'plant_n8_growth_K60': {'analyze': [0, 'e96d03924d6fb559', 'e3b0c44298fc1c14', 'e8b0b8f44e1b7294'], 'solve': [0, 'a36829d8bb6139aa', 'e3b0c44298fc1c14', '8f395238047963b4'], 'causality': [0, '07567c6250d6ab8b', 'e3b0c44298fc1c14', None]},
+    'plant_n6_q0_K30': {'analyze': [0, '21513217661f2915', 'e3b0c44298fc1c14', '18fd0df492876f18'], 'solve': [0, 'a36829d8bb6139aa', 'e3b0c44298fc1c14', '593b433c74e167a3'], 'causality': [0, '51264f1289991002', 'e3b0c44298fc1c14', None]},
 }
 
 CASES = sorted(p.stem for p in DATA.glob("*.json")) + list(PLANTS)

@@ -64,6 +64,14 @@ def test_matmul_and_empty_shapes():
     assert prod.is_zero()
 
 
+def test_take_rows_of_a_range_matches_a_list_and_checks_bounds():
+    m = Matrix([[1, 2], [3, 4], [5, 6]], EX)
+    for iz in (range(3), range(1, 3), range(2, 2), range(0, 3, 2), range(2, 0, -1)):
+        assert m.take_rows(iz) == m.take_rows(list(iz))
+    with pytest.raises(IndexError):
+        m.take_rows(range(2, 4))
+
+
 def test_stack_and_block_diag():
     a = Matrix([[1]], EX)
     b = Matrix([[2]], EX)

@@ -2,12 +2,14 @@ import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 
 from dkit import (
     ChainConstructionFailure,
     DescriptorSystem,
+    DkitError,
     InconsistentInitialCondition,
     InputHorizonTooShort,
     InputSignal,
@@ -27,7 +29,8 @@ from dkit import (
     verify,
     vstack,
 )
-from dkit import linalg
+from dkit import linalg, solver
+from dkit.causality import build_report
 from dkit.scalars import Mode
 
 from helpers import (
@@ -48,7 +51,7 @@ def diag_fixture():
     c = Matrix.identity(2, EX)
     sysm = DescriptorSystem(f, g, b, c)
     w = decompose(Pencil(f, g))
-    tin = transform_input(w, b)
+    tin = transform_input(w, b, sysm.C)
     sig = InputSignal.from_rows(0, [[1]] * 5, EX)
     return sysm, w, tin, sig
 
@@ -85,7 +88,7 @@ def test_compute_dk_no_infinite_part():
     b = Matrix([[1], [0]], EX)
     sysm = DescriptorSystem(f, g, b, Matrix.identity(2, EX))
     w = decompose(Pencil(f, g))
-    tin = transform_input(w, b)
+    tin = transform_input(w, b, sysm.C)
     sig = InputSignal.from_rows(0, [[1], [2], [3]], EX)
     d = compute_Dk(w, tin, sig, 2)
     assert d.bottom.shape == (0, 1)
@@ -142,7 +145,7 @@ def test_scalar_system_reduces_to_ordinary_recursion():
     sysm = DescriptorSystem(Matrix([[1]], EX), Matrix([[a]], EX),
                             Matrix([[b]], EX), Matrix([[1]], EX))
     w = decompose(Pencil(sysm.F, sysm.G))
-    tin = transform_input(w, sysm.B)
+    tin = transform_input(w, sysm.B, sysm.C)
     rows = [[1], [2], [-1], [3], [0]]
     sig = InputSignal.from_rows(0, rows, EX)
     y0 = Matrix.column([7], EX)
@@ -289,7 +292,7 @@ def test_uniqueness_by_brute_force_on_nilpotent_fixture():
     b = Matrix([[0], [0], [1]], EX)
     sysm = DescriptorSystem(f, g, b, Matrix.identity(3, EX))
     w = decompose(Pencil(f, g))
-    tin = transform_input(w, b)
+    tin = transform_input(w, b, sysm.C)
     sig = InputSignal.from_rows(0, [[1], [2], [-1], [3], [1]], EX)
     y0 = Matrix.column([2, -2, -1], EX)  # (z, -v_1, -v_0) with z = 2
     assert check_consistency(sysm, w, tin, sig, y0).consistent
@@ -343,7 +346,7 @@ def test_float_mode_worked_trajectory():
     b = Matrix([[1], [1]], Mode.FLOAT)
     sysm = DescriptorSystem(f, g, b, Matrix.identity(2, Mode.FLOAT))
     w = decompose(Pencil(f, g))
-    tin = transform_input(w, b)
+    tin = transform_input(w, b, sysm.C)
     sig = InputSignal.from_rows(0, [[1]] * 5, Mode.FLOAT)
     traj = solve(sysm, w, tin, sig, Matrix.column([5, -1], Mode.FLOAT), 3)
     want = [5.0, 11.0, 23.0, 47.0]
@@ -369,7 +372,7 @@ def test_analyze_matches_the_separate_library_calls():
             assert a.char_poly == sysm.char_poly == char_poly(sysm.pencil)
             assert a.w == w
             assert a.verification == verify(sysm.pencil, w)
-            assert a.tin == transform_input(w, sysm.B)
+            assert a.tin == transform_input(w, sysm.B, sysm.C)
 
 
 def _reference_step_residual(sysm, sig, states):
@@ -404,9 +407,11 @@ def test_fused_residual_oracle_matches_separate_products():
         assert got == _reference_step_residual(sysm, sig, states)
 
 
-def test_solve_makes_four_products_per_step_and_the_oracle_one(monkeypatch):
-    """Pins the fused loop: per step one backward, one Q, one C and one
-    forward product in solve, one [F | -G | -B] product in the oracle."""
+def test_solve_makes_one_product_per_step_and_the_oracle_one(monkeypatch):
+    """Pins the fused loop: per step one step-map product in solve, one
+    [F | -G | -B] product in the oracle.  The first solve also builds the
+    step map, with two products (Q_q M and C [Q_p | -Q_q M]); later solves
+    reuse it."""
     calls = [0]
     matmul = Matrix.__matmul__
 
@@ -420,12 +425,60 @@ def test_solve_makes_four_products_per_step_and_the_oracle_one(monkeypatch):
         sysm, w, tin, _, _ = random_descriptor(rng, rng.randint(2, 5), 2, 2, min_q=1)
         sig = random_signal(rng, 2, 0, 12 + w.q_star)
         y0 = consistent_y0(rng, w, tin, sig)
-        setups = set()
+        setups = []
         for K in (1, 4, 12):
             calls[0] = 0
             traj = solve(sysm, w, tin, sig, y0, K)
-            setups.add(calls[0] - 4 * K)
+            setups.append(calls[0] - K)
             calls[0] = 0
             residual_oracle(sysm, sig, traj, y0)
             assert calls[0] == K
-        assert len(setups) == 1
+        assert setups[0] - 2 == setups[1] == setups[2]
+
+
+def test_step_map_is_built_on_the_first_solve_and_kept():
+    rng = random.Random(38)
+    sysm, w, _, _, _ = random_descriptor(rng, 5, 2, 2, min_q=2)
+    sig = random_signal(rng, 2, 0, 6 + w.q_star)
+    with mock.patch.object(solver, "_step_maps", wraps=solver._step_maps) as build:
+        a = analyze(sysm)
+        build_report(a.system, a.w, a.tin)
+        y0 = consistent_y0(rng, a.w, a.tin, sig)
+        assert build.call_count == 0
+        traj = solve(sysm, a.w, a.tin, sig, y0, 6)
+        assert solve(sysm, a.w, a.tin, sig, y0, 3).states == traj.states[:4]
+        assert build.call_count == 1
+        # a system with another output map gets its own map, not the kept one
+        other = DescriptorSystem(sysm.F, sysm.G, sysm.B, sysm.C.scale(3))
+        got = solve(other, a.w, a.tin, sig, y0, 6)
+        assert build.call_count == 2
+    assert got.states == traj.states
+    assert got.outputs == tuple(x.scale(3) for x in traj.outputs)
+    without_c = solve(sysm, a.w, transform_input(a.w, sysm.B), sig, y0, 6)
+    assert without_c == traj
+
+
+def test_float_solve_on_the_step_map_tracks_exact_solve():
+    """The step map re-associates the float sums for Y and X; the float
+    trajectory still matches the exact one to 1e-9 of its scale."""
+    rng = random.Random(39)
+    checked = 0
+    for _ in range(10):
+        sysm, w, tin, _, _ = random_descriptor(rng, rng.randint(2, 6), 2, 2)
+        K = 8
+        sig = random_signal(rng, 2, 0, K + w.q_star)
+        y0 = consistent_y0(rng, w, tin, sig)
+        exact = solve(sysm, w, tin, sig, y0, K)
+        try:
+            sys_f = sysm.to_float()
+            w_f = decompose(sys_f.pencil)
+        except DkitError:
+            continue
+        sig_f = InputSignal(sig.k0, [v.to_float() for v in sig.samples])
+        got = solve(sys_f, w_f, transform_input(w_f, sys_f.B, sys_f.C), sig_f, y0.to_float(), K)
+        scale = max([1.0] + [float(abs(v.max_abs())) for v in exact.states + exact.outputs])
+        for ex, fl in zip(exact.states + exact.outputs, got.states + got.outputs):
+            assert float((ex.to_float() - fl).max_abs()) <= 1e-9 * scale
+        assert float(residual_oracle(sys_f, sig_f, got, y0.to_float()).step_residual) <= 1e-9 * scale
+        checked += 1
+    assert checked >= 5
