@@ -43,6 +43,7 @@ from .solver import (
     Analysis,
     DescriptorSystem,
     InputSignal,
+    Trajectory,
     analyze,
     check_consistency,
     residual_oracle,
@@ -174,7 +175,8 @@ def parse_system_file(source, mode_override: Mode | None = None) -> SystemFile:
 
 
 def _matrix_to_lists(mat: Matrix) -> list[list[str]]:
-    return [[format_scalar(x) for x in mat.row_list(i)] for i in range(mat.rows)]
+    e, c = mat.format_entries(), mat.cols
+    return [e[i * c : (i + 1) * c] for i in range(mat.rows)]
 
 
 def system_file_to_dict(sf: SystemFile) -> dict:
@@ -187,9 +189,9 @@ def system_file_to_dict(sf: SystemFile) -> dict:
         "G": _matrix_to_lists(sf.G),
         "B": _matrix_to_lists(sf.B),
         "C": _matrix_to_lists(sf.C),
-        "Y0": [format_scalar(x) for x in sf.Y0.column_list()],
+        "Y0": sf.Y0.format_entries(),
         "k0": sf.k0,
-        "inputs": [[format_scalar(x) for x in v.column_list()] for v in sf.inputs],
+        "inputs": [v.format_entries() for v in sf.inputs],
         "K": sf.K,
     }
 
@@ -197,8 +199,7 @@ def system_file_to_dict(sf: SystemFile) -> dict:
 def _fmt_matrix(mat: Matrix) -> str:
     if mat.rows == 0 or mat.cols == 0:
         return f"(empty {mat.rows}x{mat.cols})"
-    rows = ["[" + ", ".join(format_scalar(x) for x in mat.row_list(i)) + "]"
-            for i in range(mat.rows)]
+    rows = ["[" + ", ".join(row) + "]" for row in _matrix_to_lists(mat)]
     return "[" + "; ".join(rows) + "]"
 
 
@@ -320,10 +321,13 @@ def cmd_analyze(args) -> int:
     return EXIT_OK if cons.consistent else EXIT_INCONSISTENT
 
 
-def _write_trajectory_csv(fh, k0: int, rows: list[list], n: int, m: int, p: int, q: int):
-    """One line per instant, joined by commas: no field is ever quoted, as
+def _trajectory_csv(traj: Trajectory, n: int, m: int, p: int, q: int) -> list[str]:
+    """The lines of the trajectory CSV, header first, then one per instant:
+    k, Y, X, Z^p and Z^q, joined by commas.  No field is ever quoted, as
     none (names, integers, ``format_scalar`` output) holds a comma, a quote
-    or a line break."""
+    or a line break.  Raises the ``DkitError`` of ``format_scalar`` for a
+    value over the digit limit, so a caller that writes the lines only
+    after this returns writes nothing then."""
     header = (
         ["k"]
         + [f"Y_{i + 1}" for i in range(n)]
@@ -331,9 +335,10 @@ def _write_trajectory_csv(fh, k0: int, rows: list[list], n: int, m: int, p: int,
         + [f"Zp_{i + 1}" for i in range(p)]
         + [f"Zq_{i + 1}" for i in range(q)]
     )
-    fh.write(",".join(header) + "\n")
-    for k, row in enumerate(rows, k0):
-        fh.write(",".join([str(k), *map(format_scalar, row)]) + "\n")
+    lines = [",".join(header) + "\n"]
+    for k, vecs in enumerate(zip(traj.states, traj.outputs, traj.z_p, traj.z_q), traj.k0):
+        lines.append(",".join([str(k), *(s for v in vecs for s in v.format_entries())]) + "\n")
+    return lines
 
 
 def cmd_solve(args) -> int:
@@ -347,23 +352,20 @@ def cmd_solve(args) -> int:
     signal = sf.signal()
     traj = solve(a.system, a.w, a.tin, signal, sf.Y0, horizon_end, rank_tol=args.tol)
     res = residual_oracle(a.system, signal, traj, sf.Y0)
-    rows = [[x for v in step for x in v.column_list()]
-            for step in zip(traj.states, traj.outputs, traj.z_p, traj.z_q)]
-    # write nothing unless every value can be printed
-    check_printable([x for row in rows for x in row] + [res.step_residual, res.y0_mismatch])
+    # format everything first: a value over the digit limit raises here,
+    # before anything is written
+    lines = _trajectory_csv(traj, sf.n, sf.m, a.w.p, a.w.q)
+    summary = (f"residual: max step residual {format_scalar(res.step_residual)}, "
+               f"Y_k0 mismatch {format_scalar(res.y0_mismatch)}")
 
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8", newline="") as fh:
-            _write_trajectory_csv(fh, traj.k0, rows, sf.n, sf.m, a.w.p, a.w.q)
+            fh.writelines(lines)
         out = sys.stdout
     else:
-        _write_trajectory_csv(sys.stdout, traj.k0, rows, sf.n, sf.m, a.w.p, a.w.q)
+        sys.stdout.writelines(lines)
         out = sys.stderr
-    print(
-        f"residual: max step residual {format_scalar(res.step_residual)}, "
-        f"Y_k0 mismatch {format_scalar(res.y0_mismatch)}",
-        file=out,
-    )
+    print(summary, file=out)
     if args.out_csv:
         print(f"trajectory written to {args.out_csv}", file=out)
     return EXIT_OK

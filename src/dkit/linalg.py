@@ -1,20 +1,20 @@
 """Elimination-based linear algebra over both scalar modes.
 
-Exact mode never eliminates over ``Fraction``.  It scales each row by the
-lcm of its denominators, which changes neither the row space nor the rank,
-and runs fraction-free elimination on Python ints (Bareiss 1968,
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination"): every update ``(pivot * a - f * b) // prev_pivot`` divides
-exactly, because each entry stays a minor of the scaled matrix.  Results
-become ``Fraction`` only on output: kernel and column-space bases and the
-solutions of ``solve``, ``solve_unique`` and ``inverse`` are read straight
-off the integer rows (d times the RREF), one ``Fraction`` per entry they
-return, and rank and pivot columns come from forward elimination alone,
-since any echelon form has the pivot columns of the RREF.  The reduced
-row echelon form of a matrix is unique, so this yields the same RREF,
-pivots and determinant as Gauss-Jordan over rationals would, and every
-kernel basis and particular solution produced here is canonical and
-reproducible.  Float mode uses Gauss-Jordan with partial
+Exact mode never eliminates over ``Fraction``.  An exact matrix stores
+each row scaled by the lcm of its denominators, which changes neither the
+row space nor the rank, and elimination runs fraction-free on a copy of
+those integer rows (Bareiss 1968, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination"): every update
+``(pivot * a - f * b) // prev_pivot`` divides exactly, because each entry
+stays a minor of the scaled matrix.  Results stay integers: the RREF,
+kernel and column-space bases and the solutions of ``solve``,
+``solve_unique`` and ``inverse`` are read straight off the integer rows
+(d times the RREF) into matrices over d, and rank and pivot columns come
+from forward elimination alone, since any echelon form has the pivot
+columns of the RREF.  The reduced row echelon form of a matrix is unique,
+so this yields the same RREF, pivots and determinant as Gauss-Jordan over
+rationals would, and every kernel basis and particular solution produced
+here is canonical and reproducible.  Float mode uses Gauss-Jordan with partial
 pivoting and a relative rank threshold ``tol * (largest entry magnitude)``.
 """
 
@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .matrices import Matrix, hstack
-from .scalars import Mode, clear_denominators, one, zero
+from .scalars import Mode, one, zero
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -37,13 +37,6 @@ def _threshold(mat: Matrix, tol: float | None) -> float:
         tol = DEFAULT_RANK_TOL
     scale = float(abs(mat.max_abs()))
     return tol * scale
-
-
-def _integer_rows(data: list[list[Fraction]]) -> tuple[list[list[int]], int]:
-    """Each row cleared of denominators, and the product of the row
-    scales (the factor by which the determinant grew)."""
-    cleared = [clear_denominators(row) for row in data]
-    return [row for row, _ in cleared], math.prod(s for _, s in cleared)
 
 
 def _bareiss(rows: list[list[int]], reduce: bool) -> tuple[list[int], int, int]:
@@ -103,12 +96,8 @@ def integer_det(rows: list[list[int]]) -> int:
 
 
 def _rref_data(data: list[list], mode: Mode, thr: float) -> list[int]:
-    """In-place reduced row echelon form; returns pivot column indices."""
-    if mode is Mode.EXACT:
-        rows, _ = _integer_rows(data)
-        pivots, d, _ = _bareiss(rows, reduce=True)
-        data[:] = [[Fraction(x, d) for x in row] for row in rows]
-        return pivots
+    """In-place reduced row echelon form of float rows by Gauss-Jordan with
+    partial pivoting; returns pivot column indices."""
     nrows = len(data)
     ncols = len(data[0]) if nrows else 0
     pivots: list[int] = []
@@ -147,6 +136,9 @@ def _rref_data(data: list[list], mode: Mode, thr: float) -> list[int]:
 
 
 def rref(mat: Matrix, tol: float | None = None) -> tuple[Matrix, list[int]]:
+    if mat.mode is Mode.EXACT:
+        rows, pivots, d = _reduced(mat, tol)
+        return Matrix.divided(rows, d, mat.cols, mat.mode), pivots
     data = mat.to_lists()
     pivots = _rref_data(data, mat.mode, _threshold(mat, tol))
     out = Matrix(data, mat.mode) if data else Matrix.zeros(mat.rows, mat.cols, mat.mode)
@@ -154,23 +146,21 @@ def rref(mat: Matrix, tol: float | None = None) -> tuple[Matrix, list[int]]:
 
 
 def _reduced(mat: Matrix, tol: float | None):
-    """Rows proportional to the RREF rows of ``mat``, the pivot columns, and
-    the map from a row entry to the RREF entry.  Exact mode keeps the
-    integer rows (d times the RREF) and makes a ``Fraction`` only of the
-    entries a caller reads."""
+    """Rows d times the RREF rows of ``mat``, the pivot columns, and d:
+    exact mode keeps the integer rows of ``_bareiss``, float mode has d = 1."""
     if mat.mode is Mode.EXACT:
-        rows, _ = _integer_rows(mat.to_lists())
+        rows = mat.integer_rows()
         pivots, d, _ = _bareiss(rows, reduce=True)
-        return rows, pivots, lambda x: Fraction(x, d)
+        return rows, pivots, d
     red, pivots = rref(mat, tol)
-    return red.to_lists(), pivots, lambda x: x
+    return red.to_lists(), pivots, 1
 
 
 def pivot_columns(mat: Matrix, tol: float | None = None) -> list[int]:
     """Pivot columns of the RREF of ``mat``.  They are those of any echelon
     form, so exact mode stops after forward elimination."""
     if mat.mode is Mode.EXACT:
-        return _bareiss(_integer_rows(mat.to_lists())[0], reduce=False)[0]
+        return _bareiss(mat.integer_rows(), reduce=False)[0]
     return rref(mat, tol)[1]
 
 
@@ -181,29 +171,28 @@ def rank(mat: Matrix, tol: float | None = None) -> int:
 def kernel_basis(mat: Matrix, tol: float | None = None) -> Matrix:
     """Canonical null-space basis, one column per free variable f of the
     RREF: 1 in row f, minus column f of the RREF in the pivot rows."""
-    rows, pivots, entry = _reduced(mat, tol)
+    rows, pivots, d = _reduced(mat, tol)
     at = dict(zip(pivots, rows))
     free = [c for c in range(mat.cols) if c not in at]
-    o, z = one(mat.mode), zero(mat.mode)
-    entries = tuple(entry(-at[c][f]) if c in at else o if c == f else z
-                    for c in range(mat.cols) for f in free)
-    return Matrix._new(mat.cols, len(free), mat.mode, entries)
+    out = [[-at[c][f] for f in free] if c in at else [d if c == f else 0 for f in free]
+           for c in range(mat.cols)]
+    return Matrix.divided(out, d, len(free), mat.mode)
 
 
 def _reduce_augmented(a: Matrix, b: Matrix, tol: float | None,
-                      thr_from_a: bool = False) -> tuple[list[int], list[list]]:
-    """Pivot columns of the RREF of [a | b] and the b part of each pivot
-    row, the only entries made ``Fraction`` in exact mode.  The float
-    threshold scales with [a | b], or with ``a`` alone."""
+                      thr_from_a: bool = False) -> tuple[list[int], list[list], object]:
+    """Pivot columns of the RREF of [a | b], the b part of each pivot row
+    times d, and d (integer rows in exact mode; d = 1 in float mode).  The
+    float threshold scales with [a | b], or with ``a`` alone."""
     if a.rows != b.rows:
         raise ValueError("row counts differ")
     aug = hstack([a, b])
     if a.mode is Mode.EXACT:
-        rows, pivots, entry = _reduced(aug, tol)
-        return pivots, [[entry(x) for x in row[a.cols:]] for row in rows[: len(pivots)]]
+        rows, pivots, d = _reduced(aug, tol)
+        return pivots, [row[a.cols:] for row in rows[: len(pivots)]], d
     data = aug.to_lists()
     pivots = _rref_data(data, a.mode, _threshold(a if thr_from_a else aug, tol))
-    return pivots, [row[a.cols:] for row in data[: len(pivots)]]
+    return pivots, [row[a.cols:] for row in data[: len(pivots)]], 1
 
 
 def solve(a: Matrix, b: Matrix, tol: float | None = None) -> Matrix | None:
@@ -212,34 +201,34 @@ def solve(a: Matrix, b: Matrix, tol: float | None = None) -> Matrix | None:
     Returns None when the system is inconsistent.  ``b`` may have several
     columns; consistency is required for all of them.
     """
-    pivots, rows = _reduce_augmented(a, b, tol)
+    pivots, rows, d = _reduce_augmented(a, b, tol)
     if any(pc >= a.cols for pc in pivots):
         return None
-    x = [[zero(a.mode)] * b.cols for _ in range(a.cols)]
+    x = [[0] * b.cols for _ in range(a.cols)]
     for pc, row in zip(pivots, rows):
         x[pc] = row
-    return Matrix(x, a.mode) if a.cols else Matrix.zeros(0, b.cols, a.mode)
+    return Matrix.divided(x, d, b.cols, a.mode)
 
 
 def solve_unique(a: Matrix, b: Matrix, tol: float | None = None) -> Matrix:
     """Solution of ``a x = b`` requiring full column rank and consistency."""
-    pivots, rows = _reduce_augmented(a, b, tol)
+    pivots, rows, d = _reduce_augmented(a, b, tol)
     if any(pc >= a.cols for pc in pivots):
         raise ValueError("inconsistent system")
     if len(pivots) != a.cols:
         raise ValueError("solution is not unique (rank deficient)")
-    return Matrix(rows, a.mode) if a.cols else Matrix.zeros(0, b.cols, a.mode)
+    return Matrix.divided(rows, d, b.cols, a.mode)
 
 
 def inverse(mat: Matrix, tol: float | None = None) -> Matrix:
     if not mat.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = mat.rows
-    pivots, rows = _reduce_augmented(mat, Matrix.identity(n, mat.mode), tol,
-                                     thr_from_a=True)
+    pivots, rows, d = _reduce_augmented(mat, Matrix.identity(n, mat.mode), tol,
+                                        thr_from_a=True)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(rows, mat.mode) if n else Matrix.zeros(0, 0, mat.mode)
+    return Matrix.divided(rows, d, n, mat.mode)
 
 
 def det(mat: Matrix, tol: float | None = None):
@@ -249,10 +238,9 @@ def det(mat: Matrix, tol: float | None = None):
     n = mat.rows
     if n == 0:
         return one(mat.mode)
-    data = mat.to_lists()
     if mat.mode is Mode.EXACT:
-        rows, scale = _integer_rows(data)
-        return Fraction(integer_det(rows), scale)
+        return Fraction(integer_det(mat.integer_rows()), math.prod(mat.denominators))
+    data = mat.to_lists()
     thr = _threshold(mat, tol)
     sign = 1
     result = one(mat.mode)
@@ -299,9 +287,9 @@ def least_squares(a: Matrix, b: Matrix, tol: float | None = None) -> Matrix:
 
 def column_space_basis(mat: Matrix, tol: float | None = None) -> Matrix:
     """Canonical basis of the column space (RREF rows of the transpose)."""
-    rows, pivots, entry = _reduced(mat.T, tol)
-    entries = tuple(entry(rows[j][i]) for i in range(mat.rows) for j in range(len(pivots)))
-    return Matrix._new(mat.rows, len(pivots), mat.mode, entries)
+    rows, pivots, d = _reduced(mat.T, tol)
+    out = [[rows[j][i] for j in range(len(pivots))] for i in range(mat.rows)]
+    return Matrix.divided(out, d, len(pivots), mat.mode)
 
 
 def is_nonsingular(mat: Matrix, tol: float | None = None) -> bool:

@@ -2,11 +2,12 @@
 
 The characteristic polynomial det(sF - G) is obtained by evaluating the
 determinant at the nodes s = 0, 1, ..., n and interpolating.  Exact mode
-does both on integers: each row of [F | G] is cleared of denominators
-once, each determinant is a fraction-free elimination, Newton forward
-differences interpolate, and the coefficients become ``Fraction`` only at
-the end.  Float mode solves the Vandermonde system of the nodes, which is
-adequately conditioned at desk scale.
+does both on integers: it copies the stored integer rows of [F | G] (an
+exact matrix keeps each row cleared of denominators), each determinant is
+a fraction-free elimination, Newton forward differences interpolate, and
+the coefficients become ``Fraction`` only at the end.  Float mode solves
+the Vandermonde system of the nodes, which is adequately conditioned at
+desk scale.
 Its degree p counts the finite eigenvalues with multiplicity; the
 remaining q = n - p dimensions belong to the infinite eigenvalue.
 In exact mode the finite eigenvalues are its rational roots, searched and
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ChainConstructionFailure, UnresolvableSpectrum
-from .matrices import Matrix
+from .matrices import Matrix, hstack
 from .scalars import Mode, Scalar, clear_denominators
 
 DEFAULT_ZERO_TOL = 1e-9
@@ -88,9 +89,10 @@ class CharPoly:
 def char_poly(pencil: Pencil, zero_tol: float | None = None) -> CharPoly:
     """det(sF - G) from its values at the n + 1 nodes s = 0, 1, ..., n.
 
-    Exact mode clears each row of [F | G] of denominators once, so sF - G
-    has integer rows at every node and a fraction-free elimination gives
-    det(sF - G) times the product of the row scales.  Newton forward
+    Exact mode takes the stored integer rows of [F | G], each row of F and
+    G over one denominator, so sF - G has integer rows at every node and a
+    fraction-free elimination gives det(sF - G) times the product of the
+    row denominators.  Newton forward
     differences interpolate these integers: the k-th difference at 0 is
     k! times the coefficient of the falling factorial s(s - 1)...(s - k + 1),
     and multiplying out a_0 + s(a_1 + (s - 1)(a_2 + ...)) gives the
@@ -100,10 +102,10 @@ def char_poly(pencil: Pencil, zero_tol: float | None = None) -> CharPoly:
     n = pencil.n
     mode = pencil.mode
     if mode is Mode.EXACT:
-        rows = [clear_denominators(pencil.F.row_list(i) + pencil.G.row_list(i))
-                for i in range(n)]
+        fg = hstack([pencil.F, pencil.G])
+        rows = fg.integer_rows()
         values = [linalg.integer_det([[s * f - g for f, g in zip(r[:n], r[n:])]
-                                      for r, _ in rows]) for s in range(n + 1)]
+                                      for r in rows]) for s in range(n + 1)]
         for k in range(1, n + 1):  # values[k] becomes the k-th difference at 0
             values[k:] = [b - a for a, b in zip(values[k - 1:], values[k:])]
         coeffs: list = []
@@ -112,7 +114,7 @@ def char_poly(pencil: Pencil, zero_tol: float | None = None) -> CharPoly:
             coeffs[0] += values[k] // math.factorial(k)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        scale = math.prod(d for _, d in rows)
+        scale = math.prod(fg.denominators)
         return CharPoly(tuple(Fraction(c, scale) for c in coeffs), n)
     nodes = [complex(i) for i in range(n + 1)]
     dets = [linalg.det(pencil.eval(s)) for s in nodes]

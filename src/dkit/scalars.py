@@ -46,7 +46,10 @@ def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Exact ``values`` times the lcm s of their denominators, and s.
 
     Integer arithmetic on the scaled values replaces a gcd per ``Fraction``
-    operation; an empty sequence has s = 1.
+    operation; an empty sequence has s = 1.  The result is in lowest terms:
+    no prime p divides s and every scaled value, as the value whose
+    denominator carries the power of p in s has a numerator prime to p and
+    is scaled by a factor prime to p.
     """
     s = math.lcm(*[x.denominator for x in values])
     return [x.numerator * (s // x.denominator) for x in values], s
@@ -144,6 +147,26 @@ def format_scalar(value: Scalar) -> str:
     if isinstance(value, (int, float)):  # e.g. a float-mode residual norm
         return repr(value)
     raise TypeError(f"not a scalar: {value!r}")
+
+
+def format_ratios(rows: Iterable[tuple[Sequence[int], int]]) -> list[str]:
+    """:func:`format_scalar` of ``Fraction(x, d)`` for each integer x of
+    each row (nums, d) in lowest terms, in order, made from the integers
+    without a ``Fraction``: a one-entry row in lowest terms is x/d itself."""
+    out: list[str] = []
+    try:
+        for nums, d in rows:
+            if d == 1:
+                out += map(str, nums)
+            elif len(nums) == 1:
+                out.append(f"{nums[0]}/{d}")
+            else:
+                for x in nums:
+                    g = math.gcd(x, d)
+                    out.append(str(x // g) if g == d else f"{x // g}/{d // g}")
+    except ValueError:
+        raise _over_digit_limit() from None
+    return out
 
 
 def check_printable(values: Iterable[Scalar]) -> None:

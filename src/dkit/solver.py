@@ -317,15 +317,17 @@ def solve(
             residual=res.residual,
         )
 
-    n, m, q = sys.n, sys.m, w.q
+    n, m, q, l = sys.n, sys.m, w.q, sys.l
     width = max(w.q_star, 1)
     step_map, last_map = tin.step_maps(sys.C)
+    inputs = vstack([Matrix.zeros(0, 1, sys.mode), *signal.samples])
     z_p_list, z_q_list, states, outputs = [], [], [], []
     zp = res.z_p0
     for k in range(k0, K + 1):
         step = step_map if k < K else last_map
-        window = [signal.sample(k + i) for i in range(width)] if k < K or w.q_star else []
-        out = step @ vstack([zp, *window])
+        i = (k - k0) * l  # V_k .. V_{k+width-1} are rows i .. i + width l of the inputs
+        window = inputs.take_rows(range(i, i + width * l) if k < K or w.q_star else range(0))
+        out = step @ vstack([zp, window])
         z_p_list.append(zp)
         states.append(out.take_rows(range(n)))
         outputs.append(out.take_rows(range(n, n + m)))

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .errors import ChainConstructionFailure, IrregularPencil
@@ -83,6 +84,9 @@ def assemble_Hq(blocks: list[NilpotentBlockSpec] | tuple, mode: Mode) -> Matrix:
 
 @dataclass(frozen=True)
 class WeierstrassDecomposition:
+    """P, Q and the block structure; the blocks Q_p, Q_q, J_p, H_q, F_w and
+    G_w are built on first read and kept (equality reads the fields only)."""
+
     P: Matrix
     Q: Matrix
     jordan_blocks: tuple[JordanBlockSpec, ...]
@@ -99,27 +103,27 @@ class WeierstrassDecomposition:
     def mode(self) -> Mode:
         return self.P.mode
 
-    @property
+    @cached_property
     def Q_p(self) -> Matrix:
         return self.Q.take_cols(range(self.p))
 
-    @property
+    @cached_property
     def Q_q(self) -> Matrix:
         return self.Q.take_cols(range(self.p, self.n))
 
-    @property
+    @cached_property
     def J_p(self) -> Matrix:
         return assemble_Jp(self.jordan_blocks, self.mode)
 
-    @property
+    @cached_property
     def H_q(self) -> Matrix:
         return assemble_Hq(self.nilpotent_blocks, self.mode)
 
-    @property
+    @cached_property
     def F_w(self) -> Matrix:
         return block_diag([Matrix.identity(self.p, self.mode), self.H_q], self.mode)
 
-    @property
+    @cached_property
     def G_w(self) -> Matrix:
         return block_diag([self.J_p, Matrix.identity(self.q, self.mode)], self.mode)
 

@@ -3,12 +3,13 @@
 Everything here is deliberately separate from the library's computation
 paths: the brute-force characteristic polynomial expands cofactors over
 coefficient lists, the stacked-step solvability check works on the raw
-system matrices, and the exact elimination, product and rational root
-references run plain ``Fraction`` arithmetic where the library runs
-integer kernels.  The char poly reference solves a Vandermonde system for
-``Fraction`` determinants where the library takes Newton differences of
-integer ones, and the chain-top reference makes one rank elimination per
-candidate where the library makes one for all of them.
+system matrices, and the exact elimination, matrix operation and rational
+root references run plain ``Fraction`` arithmetic where the library runs
+integer kernels on integer rows.  The char poly reference solves a
+Vandermonde system for ``Fraction`` determinants where the library takes
+Newton differences of integer ones, and the chain-top reference makes one
+rank elimination per candidate where the library makes one for all of
+them.
 """
 
 from __future__ import annotations
@@ -304,6 +305,85 @@ def reference_det(mat: Matrix) -> Fraction:
             for j in range(c, n):
                 row_i[j] = row_i[j] - f * row_c[j]
     return result if sign > 0 else -result
+
+
+class ReferenceMatrix:
+    """An exact matrix as the flat row-major tuple of its ``Fraction``
+    entries, every operation done entry by entry in ``Fraction`` arithmetic:
+    the reference for the integer rows of exact ``Matrix``."""
+
+    def __init__(self, rows: int, cols: int, entries):
+        self.rows, self.cols, self.e = rows, cols, tuple(entries)
+
+    @classmethod
+    def of(cls, m: Matrix) -> "ReferenceMatrix":
+        return cls(m.rows, m.cols, (x for row in m.to_lists() for x in row))
+
+    def _entry(self, i, j):
+        return self.e[i * self.cols + j]
+
+    def __matmul__(self, other):
+        return ReferenceMatrix(self.rows, other.cols, (
+            sum((self._entry(i, t) * other._entry(t, j) for t in range(self.cols)), Fraction(0))
+            for i in range(self.rows) for j in range(other.cols)))
+
+    def __add__(self, other):
+        return ReferenceMatrix(self.rows, self.cols, (a + b for a, b in zip(self.e, other.e)))
+
+    def __sub__(self, other):
+        return ReferenceMatrix(self.rows, self.cols, (a - b for a, b in zip(self.e, other.e)))
+
+    def __neg__(self):
+        return ReferenceMatrix(self.rows, self.cols, (-a for a in self.e))
+
+    def scale(self, s):
+        return ReferenceMatrix(self.rows, self.cols, (Fraction(s) * a for a in self.e))
+
+    def take_rows(self, iz):
+        return ReferenceMatrix(len(iz), self.cols,
+                               (self._entry(i, j) for i in iz for j in range(self.cols)))
+
+    def take_cols(self, js):
+        return ReferenceMatrix(self.rows, len(js),
+                               (self._entry(i, j) for i in range(self.rows) for j in js))
+
+    @property
+    def T(self):
+        return ReferenceMatrix(self.cols, self.rows,
+                               (self._entry(i, j) for j in range(self.cols) for i in range(self.rows)))
+
+    def __eq__(self, other):
+        return (self.rows, self.cols, self.e) == (other.rows, other.cols, other.e)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, Mode.EXACT, self.e))
+
+    def is_zero(self):
+        return all(x == 0 for x in self.e)
+
+    def max_abs(self):
+        return max((abs(x) for x in self.e), default=Fraction(0))
+
+
+def reference_hstack(mats: list[ReferenceMatrix]) -> ReferenceMatrix:
+    return ReferenceMatrix(mats[0].rows, sum(m.cols for m in mats), (
+        m._entry(i, j) for i in range(mats[0].rows) for m in mats for j in range(m.cols)))
+
+
+def reference_vstack(mats: list[ReferenceMatrix]) -> ReferenceMatrix:
+    return ReferenceMatrix(sum(m.rows for m in mats), mats[0].cols, (x for m in mats for x in m.e))
+
+
+def reference_block_diag(mats: list[ReferenceMatrix]) -> ReferenceMatrix:
+    n, c = sum(m.rows for m in mats), sum(m.cols for m in mats)
+    out = [[Fraction(0)] * c for _ in range(n)]
+    r0 = c0 = 0
+    for m in mats:
+        for i in range(m.rows):
+            for j in range(m.cols):
+                out[r0 + i][c0 + j] = m._entry(i, j)
+        r0, c0 = r0 + m.rows, c0 + m.cols
+    return ReferenceMatrix(n, c, (x for row in out for x in row))
 
 
 def reference_matmul(a: Matrix, b: Matrix) -> Matrix:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dkit import DkitError, ParseError
+from dkit import DkitError, Matrix, ParseError, Trajectory
 from dkit.cli import (
     EXIT_HORIZON,
     EXIT_INCONSISTENT,
@@ -20,7 +20,7 @@ from dkit.cli import (
     EXIT_ORACLE_DISAGREES,
     EXIT_PARSE,
     EXIT_UNRESOLVABLE,
-    _write_trajectory_csv,
+    _trajectory_csv,
     main,
     parse_system_file,
     system_file_to_dict,
@@ -342,21 +342,25 @@ FLOAT_VALUES = st.one_of(REALS.map(complex), st.builds(complex, REALS, REALS))
 
 @st.composite
 def trajectories(draw):
-    """Block sizes, k0 and rows of one scalar mode, as ``cmd_solve`` hands
-    them to the CSV writer."""
+    """Block sizes, k0, a scalar mode and rows of values, one per instant:
+    Y, X, Z^p and Z^q one after another."""
     n, m, p, q = (draw(st.integers(lo, 3)) for lo in (1, 0, 0, 0))
-    values = draw(st.sampled_from([EXACT_VALUES, FLOAT_VALUES]))
+    mode = draw(st.sampled_from([Mode.EXACT, Mode.FLOAT]))
+    values = EXACT_VALUES if mode is Mode.EXACT else FLOAT_VALUES
     rows = draw(st.lists(st.lists(values, min_size=n + m + p + q, max_size=n + m + p + q),
                          max_size=4))
-    return draw(st.integers(-5, 5)), rows, n, m, p, q
+    return draw(st.integers(-5, 5)), mode, rows, n, m, p, q
 
 
 @settings(max_examples=200)
 @given(trajectories())
 def test_trajectory_csv_bytes_match_the_csv_module(traj):
-    k0, rows, n, m, p, q = traj
+    k0, mode, rows, n, m, p, q = traj
+    bounds = [0, n, n + m, n + m + p, n + m + p + q]
+    parts = [tuple(Matrix.column(row[lo:hi], mode) for row in rows)
+             for lo, hi in zip(bounds, bounds[1:])]
     got = io.StringIO(newline="")
-    _write_trajectory_csv(got, k0, rows, n, m, p, q)
+    got.writelines(_trajectory_csv(Trajectory(k0, *parts), n, m, p, q))
     want = io.StringIO(newline="")
     writer = csv.writer(want, lineterminator="\n")
     writer.writerow(["k"] + [f"Y_{i + 1}" for i in range(n)] + [f"X_{i + 1}" for i in range(m)]

@@ -1,16 +1,18 @@
 """The integer exact kernels against plain-``Fraction`` references.
 
-Exact-mode elimination runs fraction-free on integer rows and exact
-``Matrix.__matmul__`` on denominator-cleared integers.  Both must give
-results bit-identical to Gauss-Jordan and multiply-and-add over
-``Fraction``; the reference path runs linalg's own wrappers with
-``_rref_data`` swapped for the ``Fraction`` loop in ``helpers``.  Exact
-kernel and column-space bases, pivots and rank, and the solutions of
-``solve``, ``solve_unique`` and ``inverse`` skip ``_rref_data`` (they read
-the integer rows directly), so their references are built here on that
-``Fraction`` loop.
+An exact ``Matrix`` stores integer rows over one denominator each; every
+operation on it, fraction-free elimination and the integer
+``Matrix.__matmul__`` must give results bit-identical to entrywise
+``Fraction`` arithmetic, Gauss-Jordan and multiply-and-add over
+``Fraction``, and leave every stored row in its canonical cleared form.
+The reference path for the RREF, kernel bases and solutions runs linalg's
+own wrappers with ``_reduced`` swapped for the ``Fraction`` Gauss-Jordan
+loop in ``helpers``; kernel and column-space bases and the solutions of
+``solve``, ``solve_unique`` and ``inverse`` also get references built here
+on that loop alone.
 """
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -19,10 +21,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dkit import Matrix, char_poly, decompose, hstack, linalg
-from dkit.scalars import Mode
+from dkit import Matrix, block_diag, char_poly, decompose, hstack, linalg, vstack
+from dkit.scalars import Mode, clear_denominators, format_scalar
 
-from helpers import planted_pencil, reference_det, reference_matmul, reference_rref_data
+from helpers import (
+    ReferenceMatrix,
+    planted_pencil,
+    reference_block_diag,
+    reference_det,
+    reference_hstack,
+    reference_matmul,
+    reference_rref_data,
+    reference_vstack,
+)
 
 EX = Mode.EXACT
 
@@ -81,8 +92,18 @@ def systems(draw):
     return a, b
 
 
+def reference_reduced(mat, tol):
+    """Drop-in for ``linalg._reduced`` in exact mode: the RREF by
+    Gauss-Jordan over ``Fraction``, times the lcm d of its denominators,
+    the pivot columns and d."""
+    data = mat.to_lists()
+    pivots = reference_rref_data(data, EX, 0.0)
+    d = math.lcm(*[x.denominator for row in data for x in row])
+    return [[(x * d).numerator for x in row] for row in data], pivots, d
+
+
 def reference(fn, *args):
-    with mock.patch.object(linalg, "_rref_data", reference_rref_data):
+    with mock.patch.object(linalg, "_reduced", reference_reduced):
         return fn(*args)
 
 
@@ -200,13 +221,13 @@ def test_cached_rows_of_reused_left_operands_match_the_reference(steps):
 
 def test_row_cache_is_invisible_to_equality_hash_and_assignment():
     a = Matrix([[Fraction(1, 2), 3], [0, Fraction(-5, 7)]], EX)
-    a @ Matrix.column([1, 1], EX)          # fills a's row cache
+    a @ Matrix.column([1, 1], EX)          # a product leaves its operands as they were
     fresh = Matrix(a.to_lists(), EX)
     assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
     with pytest.raises(AttributeError):
         a.rows = 3
     with pytest.raises(AttributeError):
-        a._int_rows = None
+        a._r = None
 
 
 def reference_rref(a):
@@ -345,3 +366,149 @@ def test_exact_decompose_builds_no_fraction_rref():
         assert rref.call_count == 0
         linalg.kernel_basis(pencil.F.to_float())  # float mode keeps its rref
         assert rref.call_count == 1
+
+
+# ---------------------------------------------------------------------------
+# the stored integer rows against entrywise Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+def assert_canonical(m: Matrix):
+    """Each stored row is ``clear_denominators`` of its ``Fraction`` row:
+    integers over the lcm of the entry denominators, in lowest terms."""
+    rows, dens = m.integer_rows(), m.denominators
+    assert len(rows) == len(dens) == m.rows
+    for i in range(m.rows):
+        assert len(rows[i]) == m.cols
+        assert (rows[i], dens[i]) == clear_denominators(m.row_list(i))
+
+
+def assert_matches(m: Matrix, ref: ReferenceMatrix):
+    assert m.mode is EX
+    assert ReferenceMatrix.of(m) == ref
+    assert_fractions(m)
+    assert_canonical(m)
+
+
+def same_shape(count):
+    return st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+        lambda s: st.tuples(*[matrices(nrows=s[0], ncols=s[1])] * count))
+
+
+@settings(max_examples=200)
+@given(matrices())
+def test_constructed_rows_are_canonical(a):
+    assert_canonical(a)
+    assert_matches(Matrix(a.to_lists(), EX) if a.rows else a, ReferenceMatrix.of(a))
+    assert a._e == ReferenceMatrix.of(a).e
+
+
+@settings(max_examples=200)
+@given(same_shape(2))
+def test_sum_and_difference_match_fraction_entries(ab):
+    a, b = ab
+    ra, rb = ReferenceMatrix.of(a), ReferenceMatrix.of(b)
+    assert_matches(a + b, ra + rb)
+    assert_matches(a - b, ra - rb)
+    assert_matches(a - a, ra - ra)
+    assert (a - a).is_zero()
+
+
+@settings(max_examples=200)
+@given(matrices(), FRACTIONS)
+def test_negation_scaling_and_transpose_match_fraction_entries(a, s):
+    ra = ReferenceMatrix.of(a)
+    assert_matches(-a, -ra)
+    assert_matches(a.scale(s), ra.scale(s))
+    assert_matches(a.scale(0), ra.scale(0))
+    assert_matches(a.T, ra.T)
+    assert_matches(a.T.T, ra)
+    assert_matches(a.conj_T(), ra.T)
+
+
+@settings(max_examples=200)
+@given(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda s: st.tuples(matrices(nrows=s[0], ncols=s[1]), matrices(nrows=s[1], ncols=s[2]))))
+def test_product_rows_match_fraction_multiply_add(ab):
+    a, b = ab
+    assert_matches(a @ b, ReferenceMatrix.of(a) @ ReferenceMatrix.of(b))
+
+
+@settings(max_examples=200)
+@given(matrices().flatmap(lambda a: st.tuples(
+    st.just(a),
+    st.lists(st.integers(0, a.rows - 1), max_size=8) if a.rows else st.just([]),
+    st.lists(st.integers(0, a.cols - 1), max_size=8) if a.cols else st.just([]),
+    st.integers(0, a.rows), st.integers(0, a.rows))))
+def test_row_and_column_selections_match_fraction_entries(args):
+    a, iz, js, lo, hi = args
+    ra = ReferenceMatrix.of(a)
+    assert_matches(a.take_rows(iz), ra.take_rows(iz))
+    assert_matches(a.take_rows(range(lo, hi)), ra.take_rows(range(lo, hi)))
+    assert_matches(a.take_cols(js), ra.take_cols(js))
+    for j in js:
+        assert_matches(a.col(j), ra.take_cols([j]))
+    for i in iz:
+        assert a.row_list(i) == list(ra.e[i * a.cols : (i + 1) * a.cols])
+        assert all(a[i, j] == ra.e[i * a.cols + j] for j in js)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.integers(0, 4).flatmap(lambda c: matrices(nrows=n, ncols=c)), min_size=1, max_size=4)))
+def test_hstack_matches_fraction_entries(mats):
+    assert_matches(hstack(mats), reference_hstack([ReferenceMatrix.of(m) for m in mats]))
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 5).flatmap(lambda c: st.lists(
+    st.integers(0, 4).flatmap(lambda n: matrices(nrows=n, ncols=c)), min_size=1, max_size=4)))
+def test_vstack_matches_fraction_entries(mats):
+    assert_matches(vstack(mats), reference_vstack([ReferenceMatrix.of(m) for m in mats]))
+
+
+@settings(max_examples=150)
+@given(st.lists(matrices(), max_size=4))
+def test_block_diag_matches_fraction_entries(mats):
+    assert_matches(block_diag(mats, EX), reference_block_diag([ReferenceMatrix.of(m) for m in mats]))
+
+
+@settings(max_examples=200)
+@given(same_shape(2))
+def test_equality_hash_and_norms_agree_with_fraction_entries(ab):
+    a, b = ab
+    ra, rb = ReferenceMatrix.of(a), ReferenceMatrix.of(b)
+    assert (a == b) == (ra == rb)
+    for x, rx in ((a, ra), (b, rb)):
+        assert x.is_zero() == rx.is_zero()
+        assert x.max_abs() == rx.max_abs() and type(x.max_abs()) is Fraction
+        # the same matrix built another way: equal, with an equal hash
+        for twin in (Matrix(x.to_lists(), EX) if x.rows else x, x + Matrix.zeros(*x.shape, EX),
+                     x.scale(Fraction(3, 7)).scale(Fraction(7, 3)), -(-x), x.T.T):
+            assert twin == x and hash(twin) == hash(x)
+    if ra == rb:
+        assert hash(a) == hash(b)
+
+
+def test_representation_edge_cases():
+    big = 3**40
+    a = Matrix([[Fraction(-1, big), Fraction(2, 6)], [0, 0], [Fraction(-4), Fraction(6, 4)]], EX)
+    assert a.integer_rows() == [[-1, 3**39], [0, 0], [-8, 3]]
+    assert a.denominators == [big, 1, 2]
+    assert_canonical(a)
+    assert_matches(a.scale(Fraction(-big, 2)), ReferenceMatrix.of(a).scale(Fraction(-big, 2)))
+    empty = [Matrix.zeros(0, 3, EX), Matrix.zeros(3, 0, EX), Matrix.zeros(0, 0, EX)]
+    for e in empty:
+        assert_canonical(e)
+        assert e.max_abs() == 0 and e.is_zero()
+        assert_matches(e.T, ReferenceMatrix.of(e).T)
+    assert_matches(empty[1] @ empty[0], ReferenceMatrix(3, 3, [Fraction(0)] * 9))
+    assert Matrix.zeros(0, 3, EX) != Matrix.zeros(0, 2, EX)
+    assert Matrix.zeros(2, 2, EX) != Matrix.zeros(2, 2, Mode.FLOAT)
+
+
+@settings(max_examples=200)
+@given(matrices())
+@example(Matrix.column([Fraction(1, 2), Fraction(-3, 2), 4, 0], EX))
+@example(Matrix([[Fraction(1, 2), Fraction(1, 4), 2], [Fraction(-5, 6), Fraction(2, 3), 0]], EX))
+def test_formatted_entries_match_format_scalar_of_the_fractions(a):
+    assert a.format_entries() == [format_scalar(x) for row in a.to_lists() for x in row]

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from dkit import Matrix, block_diag, linalg
 from dkit.cli import SystemFile, main, system_file_to_dict
 from dkit.scalars import Mode
 
@@ -37,7 +38,8 @@ WIDE_PALETTE = [Fraction(2**20), Fraction(-3**9, 7), Fraction(5**6, 32),
 # entries that double or halve at every step of a long forward recursion
 GROWTH_PALETTE = [Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(-1, 2)]
 
-# name: (seed, n, q, plant kind, palette, consistent initial state[, horizon K])
+# name: (seed, n, q, plant kind, palette, consistent initial state[, horizon K
+# [, rational entries]])
 PLANTS = {
     "plant_n3": (1, 3, 1, "generic", None, True),
     "plant_n5_q0": (2, 5, 0, "generic", None, True),
@@ -51,11 +53,29 @@ PLANTS = {
     "plant_n12_wide": (10, 12, 4, "state_causal", WIDE_PALETTE, True),
     "plant_n8_growth_K60": (14, 8, 3, "generic", GROWTH_PALETTE, True, 60),
     "plant_n6_q0_K30": (12, 6, 0, "generic", None, True, 30),
+    "plant_n8_rational": (15, 8, 3, "generic", None, True, 12, True),
+    "plant_n10_rational_state_causal": (16, 10, 4, "state_causal", GROWTH_PALETTE, True, 20, True),
 }
 K = 6
 
 
-def planted_doc(seed, n, q, plant, palette, consistent, K=K):
+# row scales of F, G and B, state scales, and the ratio V' / V of the
+# rational plants
+ROW_SCALES = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(-5, 4)]
+STATE_SCALES = [Fraction(1), Fraction(2, 3), Fraction(-1, 5)]
+INPUT_SCALE = Fraction(1, 6)
+
+
+def _diag(scales, n):
+    return block_diag([Matrix([[scales[i % len(scales)]]], Mode.EXACT) for i in range(n)],
+                      Mode.EXACT)
+
+
+def planted_doc(seed, n, q, plant, palette, consistent, K=K, rational=False):
+    """The system file of a planted system.  A rational plant is the same
+    system in the coordinates Y = T Y' and V' = V / 6, its equations scaled
+    by D: F' = D F T, G' = D G T, B' = 6 D B, C' = C T / 3 and Y0' = T^-1 Y0,
+    so every matrix, the initial state and the inputs hold non-integers."""
     rng = random.Random(seed)
     kw = {"palette": palette} if palette else {}
     sysm, w, tin, _, _ = random_descriptor(rng, n, 2, 2, q=q, plant=plant, **kw)
@@ -63,8 +83,14 @@ def planted_doc(seed, n, q, plant, palette, consistent, K=K):
     y0 = consistent_y0(rng, w, tin, signal)
     if not consistent:
         y0 = y0 + w.Q.col(n - 1)
-    sf = SystemFile(n=n, l=2, m=2, mode=Mode.EXACT, F=sysm.F, G=sysm.G, B=sysm.B,
-                    C=sysm.C, Y0=y0, k0=0, inputs=signal.samples, K=K)
+    F, G, B, C, inputs = sysm.F, sysm.G, sysm.B, sysm.C, signal.samples
+    if rational:
+        d, t = _diag(ROW_SCALES, n), _diag(STATE_SCALES, n)
+        F, G, B = d @ F @ t, d @ G @ t, (d @ B).scale(1 / INPUT_SCALE)
+        C, y0 = (C @ t).scale(Fraction(1, 3)), linalg.inverse(t) @ y0
+        inputs = [v.scale(INPUT_SCALE) for v in inputs]
+    sf = SystemFile(n=n, l=2, m=2, mode=Mode.EXACT, F=F, G=G, B=B,
+                    C=C, Y0=y0, k0=0, inputs=inputs, K=K)
     return system_file_to_dict(sf)
 
 
@@ -116,6 +142,8 @@ DIGESTS = {
     'plant_n12_wide': {'analyze': [0, '713e9cc9847a2d1c', 'e3b0c44298fc1c14', '50d54dd2dac35c5a'], 'solve': [0, 'a36829d8bb6139aa', 'e3b0c44298fc1c14', 'd3da770cd75e7413'], 'causality': [0, '81dd6775bc8be45b', 'e3b0c44298fc1c14', None]},
     'plant_n8_growth_K60': {'analyze': [0, 'e96d03924d6fb559', 'e3b0c44298fc1c14', 'e8b0b8f44e1b7294'], 'solve': [0, 'a36829d8bb6139aa', 'e3b0c44298fc1c14', '8f395238047963b4'], 'causality': [0, '07567c6250d6ab8b', 'e3b0c44298fc1c14', None]},
     'plant_n6_q0_K30': {'analyze': [0, '21513217661f2915', 'e3b0c44298fc1c14', '18fd0df492876f18'], 'solve': [0, 'a36829d8bb6139aa', 'e3b0c44298fc1c14', '593b433c74e167a3'], 'causality': [0, '51264f1289991002', 'e3b0c44298fc1c14', None]},
+    'plant_n8_rational': {'analyze': [0, '222bdce98fced26b', 'e3b0c44298fc1c14', '8b7fbfa91b53a488'], 'solve': [0, 'a36829d8bb6139aa', 'e3b0c44298fc1c14', '1b13798f00e35d0b'], 'causality': [0, '62b8ee34640141b2', 'e3b0c44298fc1c14', None]},
+    'plant_n10_rational_state_causal': {'analyze': [0, '81902396d4d8c0fb', 'e3b0c44298fc1c14', '2dca32068f394938'], 'solve': [0, 'a36829d8bb6139aa', 'e3b0c44298fc1c14', 'bdc08eab639cb9f8'], 'causality': [0, 'd3a996b078ec9716', 'e3b0c44298fc1c14', None]},
 }
 
 CASES = sorted(p.stem for p in DATA.glob("*.json")) + list(PLANTS)

@@ -175,3 +175,14 @@ def test_column_space_basis_spans():
     assert basis.cols == linalg.rank(a)
     # every original column solvable in the basis
     assert linalg.solve(basis, a) is not None
+
+
+@pytest.mark.parametrize("mode", [EX, FL])
+def test_entry_tuple_lists_every_entry_row_major(mode):
+    for m in (Matrix([[1, 2, 0], [0, -5, 7]], mode), Matrix.zeros(0, 3, mode),
+              Matrix.zeros(2, 0, mode), Matrix.identity(3, mode)):
+        assert m._e == tuple(x for row in m.to_lists() for x in row)
+    if mode is EX:
+        m = Matrix([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(3, 9), 0]], mode)
+        assert m._e == (Fraction(1, 2), Fraction(-2, 3), Fraction(1, 3), Fraction(0))
+        assert m._e == tuple(x for row in m.to_lists() for x in row)

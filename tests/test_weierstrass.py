@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -69,6 +70,25 @@ def test_decompose_pencil_already_in_jordan_form():
     assert w.J_p.to_lists() == [[1, 1], [0, 1]]
     assert w.Q_q.shape == (2, 0)
     assert w.q_star == 0
+
+
+def test_canonical_blocks_are_built_once_and_leave_equality_alone():
+    rng = random.Random(11)
+    pen, _, _ = planted_pencil(rng, 6, q=3)
+    w = decompose(pen)
+    names = ("Q_p", "Q_q", "J_p", "H_q", "F_w", "G_w")
+    first = {name: getattr(w, name) for name in names}
+    for name in names:
+        assert getattr(w, name) is first[name]
+    assert w.Q_p == w.Q.take_cols(range(w.p)) and w.Q_q == w.Q.take_cols(range(w.p, w.n))
+    assert w.J_p == assemble_Jp(w.jordan_blocks, EX) and w.H_q == assemble_Hq(w.nilpotent_blocks, EX)
+    fresh = decompose(pen)
+    assert fresh == w and hash(fresh) == hash(w)   # read blocks do not enter equality
+    copy = dataclasses.replace(w)
+    assert copy == w and copy.J_p == w.J_p and copy.J_p is not w.J_p
+    moved = dataclasses.replace(w, P=w.P.scale(2))
+    assert moved != w and moved.Q_p == w.Q_p
+    assert dataclasses.replace(w, jordan_blocks=()).J_p.shape == (0, 0)
 
 
 def test_decompose_nilpotent_3x3_fixture():
