@@ -10,13 +10,16 @@ C Q_q H_q^i B_q = 0 for i = 1 .. q* - 1; equivalently every column of
 The oracle at the bottom tests the definition itself: perturb one future
 input sample and watch whether any earlier state (or output) moves.  It
 goes through the solver, not through the criteria, so the two can referee
-each other.
+each other.  One pass of trials serves every mode asked for: each trial
+solves its two signals once and is read as states and as outputs, and a
+seed gives each mode the verdict a pass for that mode alone would.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .matrices import Matrix
 from .scalars import Mode
@@ -141,39 +144,49 @@ def brute_force_causality_oracle(
     sys: DescriptorSystem,
     w: WeierstrassDecomposition,
     tin: TransformedInput,
-    mode: str = "state",
+    modes: Sequence[str] = ("state", "output"),
     horizon: int = 10,
     trials: int = 50,
     *,
     rng: random.Random | None = None,
     seed: int | None = None,
     tol: float | None = None,
-) -> OracleOutcome:
-    """Empirical causality test straight from the definition.
+) -> tuple[OracleOutcome, ...]:
+    """Empirical causality test straight from the definition, one outcome
+    per entry of ``modes`` ("state" or "output"), in that order.
 
     Each trial draws a random consistent initial state and a random input
     signal, then perturbs exactly one future sample (index j) by a random
     nonzero vector.  The perturbation is placed at j >= k0 + q*, which
     leaves D_{k0} untouched, so the same initial state stays consistent
     for both signals and the two trajectories are comparable.  Any
-    difference in a state (or output, per ``mode``) at a time k < j
-    witnesses non-causality.
+    difference in a state (or output) at a time k < j witnesses
+    non-causality.
+
+    One pass serves every mode: each trial solves both signals once, up to
+    K = j, as no later instant is compared, and tests each mode that has
+    no counterexample yet; the pass ends when every mode has one.  The
+    draws do not depend on the modes, so a mode's outcome is the one a
+    pass for that mode alone with the same ``seed`` finds.
     """
-    if mode not in ("state", "output"):
-        raise ValueError(f"mode must be 'state' or 'output', got {mode!r}")
+    for mode in modes:
+        if mode not in ("state", "output"):
+            raise ValueError(f"mode must be 'state' or 'output', got {mode!r}")
     if rng is None:
         rng = random.Random(0 if seed is None else seed)
     if sys.l == 0:
-        return OracleOutcome(True, None)
+        return tuple(OracleOutcome(True, None) for _ in modes)
     k0 = 0
-    K = horizon
-    count = K - k0 + w.q_star  # covers indices k0 .. K + q* - 1
+    count = horizon - k0 + w.q_star  # covers indices k0 .. horizon + q* - 1
     j_min = k0 + max(w.q_star, 1)
-    j_max = min(K, k0 + count - 1)  # perturbed sample must exist
+    j_max = min(horizon, k0 + count - 1)  # perturbed sample must exist
     if j_min > j_max:
         raise ValueError(f"horizon {horizon} too short; need at least {j_min - k0 + 1}")
 
+    found: list[OracleCounterexample | None] = [None] * len(modes)
     for t in range(trials):
+        if all(found):
+            break
         rows = [[rng.randint(-3, 3) for _ in range(sys.l)] for _ in range(count)]
         j = rng.randrange(j_min, j_max + 1)
         delta = [rng.randint(-3, 3) for _ in range(sys.l)]
@@ -188,17 +201,16 @@ def brute_force_causality_oracle(
         z = Matrix.column([rng.randint(-3, 3) for _ in range(w.p)], sys.mode)
         y0 = w.Q_p @ z + w.Q @ compute_Dk(w, tin, base, k0).stacked
 
-        traj_base = solve(sys, w, tin, base, y0, K)
-        traj_pert = solve(sys, w, tin, pert, y0, K)
-        seq_base = traj_base.states if mode == "state" else traj_base.outputs
-        seq_pert = traj_pert.states if mode == "state" else traj_pert.outputs
-
-        for k in range(k0, j):
-            diff = seq_base[k - k0] - seq_pert[k - k0]
-            if not _is_zero(diff, tol):
-                return OracleOutcome(
-                    False,
-                    OracleCounterexample(
+        traj_base = solve(sys, w, tin, base, y0, j)
+        traj_pert = solve(sys, w, tin, pert, y0, j)
+        for i, mode in enumerate(modes):
+            if found[i]:
+                continue
+            seq_base = traj_base.states if mode == "state" else traj_base.outputs
+            seq_pert = traj_pert.states if mode == "state" else traj_pert.outputs
+            for k in range(k0, j):
+                if not _is_zero(seq_base[k - k0] - seq_pert[k - k0], tol):
+                    found[i] = OracleCounterexample(
                         trial=t,
                         perturbed_index=j,
                         diverged_at=k,
@@ -207,6 +219,6 @@ def brute_force_causality_oracle(
                         perturbed_signal=pert,
                         base_value=seq_base[k - k0],
                         perturbed_value=seq_pert[k - k0],
-                    ),
-                )
-    return OracleOutcome(True, None)
+                    )
+                    break
+    return tuple(OracleOutcome(ce is None, ce) for ce in found)

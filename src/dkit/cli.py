@@ -385,26 +385,22 @@ def cmd_causality(args) -> int:
         except ValueError:
             raise ParseError(f"DKIT_SEED: expected an integer, got {raw_seed!r}") from None
         horizon = max(a.w.q_star + 5, 8)
-        disagreement = None
-        for mode_name, expected in (
-            ("state", report.state_input_causal),
-            ("output", report.output_input_causal),
-        ):
-            outcome = causality_mod.brute_force_causality_oracle(
-                a.system, a.w, a.tin, mode_name,
-                horizon=horizon, trials=args.oracle_trials,
-                seed=seed, tol=args.causality_tol,
-            )
-            agrees = outcome.causal == expected
+        expected = {"state": report.state_input_causal, "output": report.output_input_causal}
+        outcomes = causality_mod.brute_force_causality_oracle(
+            a.system, a.w, a.tin, tuple(expected),
+            horizon=horizon, trials=args.oracle_trials,
+            seed=seed, tol=args.causality_tol,
+        )
+        disagreements = []
+        for (mode_name, claim), outcome in zip(expected.items(), outcomes):
+            agrees = outcome.causal == claim
             print(f"oracle ({mode_name}, {args.oracle_trials} trials): "
                   f"{'agrees' if agrees else 'DISAGREES'}")
             if not agrees:
-                disagreement = (mode_name, expected, outcome)
-        if disagreement:
-            mode_name, expected, outcome = disagreement
-            print(f"criteria said {'causal' if expected else 'non-causal'} for "
+                disagreements.append((mode_name, claim, outcome.counterexample))
+        for mode_name, claim, ce in disagreements:
+            print(f"criteria said {'causal' if claim else 'non-causal'} for "
                   f"{mode_name} but the oracle found the opposite", file=sys.stderr)
-            ce = outcome.counterexample
             if ce is not None:
                 print(f"distinguishing pair (perturbed index {ce.perturbed_index}, "
                       f"diverged at k = {ce.diverged_at}):", file=sys.stderr)
@@ -418,6 +414,7 @@ def cmd_causality(args) -> int:
                       file=sys.stderr)
                 print(f"  value under U' at k: {_fmt_matrix(ce.perturbed_value)}",
                       file=sys.stderr)
+        if disagreements:
             return EXIT_ORACLE_DISAGREES
     return EXIT_OK
 

@@ -85,10 +85,15 @@ class Matrix:
 
     @classmethod
     def column(cls, values: Iterable, mode: Mode) -> "Matrix":
-        vals = [ensure_scalar(v, mode) for v in values]
-        if mode is Mode.EXACT:
-            return _exact(1, tuple(((v.numerator,), v.denominator) for v in vals))
-        return _float(len(vals), 1, tuple(vals))
+        if mode is not Mode.EXACT:
+            vals = tuple(ensure_scalar(v, mode) for v in values)
+            return _float(len(vals), 1, vals)
+        rows = []
+        for v in values:
+            if type(v) is not int and type(v) is not Fraction:  # an int is read as v / 1
+                v = ensure_scalar(v, mode)
+            rows.append(((v.numerator,), v.denominator))
+        return _exact(1, tuple(rows))
 
     # -- access ------------------------------------------------------------
 

@@ -9,7 +9,9 @@ integer kernels on integer rows.  The char poly reference solves a
 Vandermonde system for ``Fraction`` determinants where the library takes
 Newton differences of integer ones, and the chain-top reference makes one
 rank elimination per candidate where the library makes one for all of
-them.
+them.  The causality oracle reference runs one mode per pass and solves
+each trial to the full horizon, where the library serves every mode in
+one pass and solves only up to the perturbed instant.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from dkit import (
     Matrix,
     NilpotentBlockSpec,
     Pencil,
+    TransformedInput,
+    WeierstrassDecomposition,
     assemble_Hq,
     assemble_Jp,
     block_diag,
@@ -36,7 +40,8 @@ from dkit import (
     transform_input,
     vstack,
 )
-from dkit import linalg
+from dkit import linalg, solve
+from dkit.causality import OracleCounterexample, OracleOutcome, _is_zero
 from dkit.scalars import Mode
 
 EIGENVALUE_PALETTE = [Fraction(v) for v in (-3, -2, -1, 0, 1, 2, 3)] + [
@@ -487,3 +492,82 @@ def reference_pick_independent(candidates: Matrix, context: list[Matrix], tol: f
         if linalg.rank(trial, tol) == base + 1:
             return v
     raise ChainConstructionFailure("no chain top vector available at this level")
+
+
+def reference_causality_oracle(
+    sys: DescriptorSystem,
+    w: WeierstrassDecomposition,
+    tin: TransformedInput,
+    mode: str = "state",
+    horizon: int = 10,
+    trials: int = 50,
+    *,
+    rng: random.Random | None = None,
+    seed: int | None = None,
+    tol: float | None = None,
+) -> OracleOutcome:
+    """One mode per pass: solves both signals of a trial to the full
+    horizon and returns at the first counterexample.  The library oracle
+    must give each mode the outcome this gives it.
+
+    Empirical causality test straight from the definition.
+
+    Each trial draws a random consistent initial state and a random input
+    signal, then perturbs exactly one future sample (index j) by a random
+    nonzero vector.  The perturbation is placed at j >= k0 + q*, which
+    leaves D_{k0} untouched, so the same initial state stays consistent
+    for both signals and the two trajectories are comparable.  Any
+    difference in a state (or output, per ``mode``) at a time k < j
+    witnesses non-causality.
+    """
+    if mode not in ("state", "output"):
+        raise ValueError(f"mode must be 'state' or 'output', got {mode!r}")
+    if rng is None:
+        rng = random.Random(0 if seed is None else seed)
+    if sys.l == 0:
+        return OracleOutcome(True, None)
+    k0 = 0
+    K = horizon
+    count = K - k0 + w.q_star  # covers indices k0 .. K + q* - 1
+    j_min = k0 + max(w.q_star, 1)
+    j_max = min(K, k0 + count - 1)  # perturbed sample must exist
+    if j_min > j_max:
+        raise ValueError(f"horizon {horizon} too short; need at least {j_min - k0 + 1}")
+
+    for t in range(trials):
+        rows = [[rng.randint(-3, 3) for _ in range(sys.l)] for _ in range(count)]
+        j = rng.randrange(j_min, j_max + 1)
+        delta = [rng.randint(-3, 3) for _ in range(sys.l)]
+        while all(d == 0 for d in delta):
+            delta = [rng.randint(-3, 3) for _ in range(sys.l)]
+        pert_rows = [list(r) for r in rows]
+        pert_rows[j - k0] = [a + b for a, b in zip(pert_rows[j - k0], delta)]
+
+        base = InputSignal.from_rows(k0, rows, sys.mode)
+        pert = InputSignal.from_rows(k0, pert_rows, sys.mode)
+
+        z = Matrix.column([rng.randint(-3, 3) for _ in range(w.p)], sys.mode)
+        y0 = w.Q_p @ z + w.Q @ compute_Dk(w, tin, base, k0).stacked
+
+        traj_base = solve(sys, w, tin, base, y0, K)
+        traj_pert = solve(sys, w, tin, pert, y0, K)
+        seq_base = traj_base.states if mode == "state" else traj_base.outputs
+        seq_pert = traj_pert.states if mode == "state" else traj_pert.outputs
+
+        for k in range(k0, j):
+            diff = seq_base[k - k0] - seq_pert[k - k0]
+            if not _is_zero(diff, tol):
+                return OracleOutcome(
+                    False,
+                    OracleCounterexample(
+                        trial=t,
+                        perturbed_index=j,
+                        diverged_at=k,
+                        mode=mode,
+                        base_signal=base,
+                        perturbed_signal=pert,
+                        base_value=seq_base[k - k0],
+                        perturbed_value=seq_pert[k - k0],
+                    ),
+                )
+    return OracleOutcome(True, None)

@@ -157,9 +157,9 @@ def test_criterion_4_causality_criteria_vs_definition(causality_corpus):
             continue
         horizon = w.q_star + 5
         state_seen = brute_force_causality_oracle(
-            sysm, w, tin, "state", horizon=horizon, trials=50, seed=9000 + i).causal
+            sysm, w, tin, ("state",), horizon=horizon, trials=50, seed=9000 + i)[0].causal
         output_seen = brute_force_causality_oracle(
-            sysm, w, tin, "output", horizon=horizon, trials=50, seed=9500 + i).causal
+            sysm, w, tin, ("output",), horizon=horizon, trials=50, seed=9500 + i)[0].causal
         if state_seen != state_claim:
             failures.append((i, f"state criterion {state_claim} vs oracle {state_seen}"))
         if output_seen != output_claim:

@@ -1,9 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
 from dkit import (
     DescriptorSystem,
+    DkitError,
+    InputSignal,
     Matrix,
     Pencil,
     brute_force_causality_oracle,
@@ -14,9 +17,10 @@ from dkit import (
     decompose,
     transform_input,
 )
+from dkit.causality import OracleCounterexample
 from dkit.scalars import Mode
 
-from helpers import random_descriptor, rational_nonsingular
+from helpers import random_descriptor, rational_nonsingular, reference_causality_oracle
 
 EX = Mode.EXACT
 
@@ -133,20 +137,20 @@ def test_remark_no_infinite_eigenvalues_forces_causality():
 
 def test_oracle_on_fixture_family():
     sysm_a, w, tin = nilpotent3([[1, 0, 0]])
-    out = brute_force_causality_oracle(sysm_a, w, tin, "state",
-                                       horizon=8, trials=25, seed=5)
+    out = brute_force_causality_oracle(sysm_a, w, tin, ("state",),
+                                       horizon=8, trials=25, seed=5)[0]
     assert not out.causal
     ce = out.counterexample
     assert ce is not None
     assert ce.diverged_at < ce.perturbed_index
     assert ce.base_value != ce.perturbed_value
 
-    assert brute_force_causality_oracle(sysm_a, w, tin, "output",
-                                        horizon=8, trials=25, seed=5).causal
+    assert brute_force_causality_oracle(sysm_a, w, tin, ("output",),
+                                        horizon=8, trials=25, seed=5)[0].causal
 
     sysm_b, _, _ = nilpotent3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    out_b = brute_force_causality_oracle(sysm_b, w, tin, "output",
-                                         horizon=8, trials=25, seed=5)
+    out_b = brute_force_causality_oracle(sysm_b, w, tin, ("output",),
+                                         horizon=8, trials=25, seed=5)[0]
     assert not out_b.causal
 
 
@@ -154,8 +158,8 @@ def test_oracle_trivially_true_for_q_zero():
     rng = random.Random(45)
     sysm, w, tin, _, _ = random_descriptor(rng, 3, 1, 1, q=0)
     for mode in ("state", "output"):
-        assert brute_force_causality_oracle(sysm, w, tin, mode,
-                                            horizon=6, trials=15, seed=1).causal
+        assert brute_force_causality_oracle(sysm, w, tin, (mode,),
+                                            horizon=6, trials=15, seed=1)[0].causal
 
 
 def test_oracle_agrees_with_criteria_on_random_systems():
@@ -169,11 +173,76 @@ def test_oracle_agrees_with_criteria_on_random_systems():
         state_expected = check_state_causality(w, tin)[0]
         output_expected = check_output_causality(sysm, w, tin)[0]
         got_state = brute_force_causality_oracle(
-            sysm, w, tin, "state", horizon=horizon, trials=50, seed=100 + i).causal
+            sysm, w, tin, ("state",), horizon=horizon, trials=50, seed=100 + i)[0].causal
         got_output = brute_force_causality_oracle(
-            sysm, w, tin, "output", horizon=horizon, trials=50, seed=200 + i).causal
+            sysm, w, tin, ("output",), horizon=horizon, trials=50, seed=200 + i)[0].causal
         assert got_state == state_expected
         assert got_output == output_expected
+
+
+def _assert_same_outcome(got, want):
+    assert got.causal == want.causal
+    assert (got.counterexample is None) == (want.counterexample is None)
+    if got.counterexample is None:
+        return
+    for field in dataclasses.fields(OracleCounterexample):
+        a = getattr(got.counterexample, field.name)
+        b = getattr(want.counterexample, field.name)
+        if isinstance(a, InputSignal):
+            assert (a.k0, a.samples) == (b.k0, b.samples), field.name
+        else:
+            assert a == b, field.name
+
+
+def _two_channel():
+    """Two nilpotent blocks of size 2 with one input each: every nonzero
+    perturbation moves an earlier state, but only one of input 1 moves an
+    earlier output, so the two modes can find their counterexamples in
+    different trials."""
+    f = Matrix([[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 0],
+                [0, 0, 0, 0, 1], [0, 0, 0, 0, 0]], EX)
+    g = Matrix.identity(5, EX)
+    b = Matrix([[1, 1], [0, 0], [1, 0], [0, 0], [0, 1]], EX)
+    c = Matrix([[0, 1, 0, 0, 0]], EX)
+    return DescriptorSystem(f, g, b, c)
+
+
+def test_one_pass_oracle_matches_the_one_mode_reference_loop():
+    """Each mode's outcome, counterexample included, is the one the
+    reference loop finds for that mode alone with the same seed, whatever
+    the modes asked and their order, in exact mode and in float mode."""
+    rng = random.Random(48)
+    cases = []
+    for i in range(30):
+        plant = ("generic", "state_causal", "output_causal_only")[i % 3]
+        sysm, _, _, _, _ = random_descriptor(
+            rng, rng.randint(2, 5), rng.randint(1, 2), rng.randint(1, 2),
+            min_q=1, plant=plant)
+        cases.append((sysm, rng.randint(2, 5), rng.randint(5, 25), 300 + i))
+    cases += [(_two_channel(), 4, 20, seed) for seed in range(8)]
+    counterexamples = {EX: 0, Mode.FLOAT: 0}
+    apart = 0  # cases whose modes find their counterexamples in different trials
+    for sysm, extra, trials, seed in cases:
+        for s in (sysm, sysm.to_float()):
+            try:
+                ws = decompose(Pencil(s.F, s.G))
+            except DkitError:
+                continue
+            ts = transform_input(ws, s.B, s.C)
+            horizon = ws.q_star + extra
+            want = {mode: reference_causality_oracle(s, ws, ts, mode, horizon=horizon,
+                                                     trials=trials, seed=seed)
+                    for mode in ("state", "output")}
+            found = [o.counterexample for o in want.values() if o.counterexample]
+            counterexamples[s.mode] += len(found)
+            apart += len({ce.trial for ce in found}) > 1
+            for modes in (("state", "output"), ("output", "state"), ("state",), ("output",)):
+                got = brute_force_causality_oracle(s, ws, ts, modes, horizon=horizon,
+                                                   trials=trials, seed=seed)
+                assert len(got) == len(modes)
+                for mode, outcome in zip(modes, got):
+                    _assert_same_outcome(outcome, want[mode])
+    assert min(counterexamples.values()) >= 10 and apart >= 2
 
 
 def test_verdicts_invariant_under_equivalence_transform():
@@ -215,6 +284,6 @@ def test_float_zero_threshold_semantics():
 def test_oracle_rejects_bad_mode_and_short_horizon():
     sysm, w, tin = nilpotent3([[1, 0, 0]])
     with pytest.raises(ValueError):
-        brute_force_causality_oracle(sysm, w, tin, "sideways")
+        brute_force_causality_oracle(sysm, w, tin, ("sideways",))
     with pytest.raises(ValueError):
-        brute_force_causality_oracle(sysm, w, tin, "state", horizon=1)
+        brute_force_causality_oracle(sysm, w, tin, ("state",), horizon=1)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import random
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dkit import DkitError, Matrix, ParseError, Trajectory
+from dkit import DkitError, Matrix, ParseError, Trajectory, analyze
+from dkit import causality as causality_mod
 from dkit.cli import (
     EXIT_HORIZON,
     EXIT_INCONSISTENT,
@@ -20,13 +22,20 @@ from dkit.cli import (
     EXIT_ORACLE_DISAGREES,
     EXIT_PARSE,
     EXIT_UNRESOLVABLE,
+    SystemFile,
     _trajectory_csv,
     main,
     parse_system_file,
     system_file_to_dict,
 )
-from dkit.scalars import Mode, check_printable, format_scalar
-from helpers import planted_pencil
+from dkit.scalars import Mode, check_printable, format_scalar, parse_scalar
+from helpers import (
+    consistent_y0,
+    planted_pencil,
+    random_descriptor,
+    random_signal,
+    reference_causality_oracle,
+)
 
 DATA = Path(__file__).parent / "data"
 DIAG = str(DATA / "diag_system.json")
@@ -241,8 +250,8 @@ def test_causality_disagreement_exits_6(capsys, monkeypatch):
     import dkit.cli as cli_mod
     from dkit.causality import OracleOutcome
 
-    def lying_oracle(*args, **kwargs):
-        return OracleOutcome(causal=False, counterexample=None)
+    def lying_oracle(sys, w, tin, modes, **kwargs):
+        return tuple(OracleOutcome(causal=False, counterexample=None) for _ in modes)
 
     monkeypatch.setattr(cli_mod.causality_mod, "brute_force_causality_oracle",
                         lying_oracle)
@@ -250,6 +259,71 @@ def test_causality_disagreement_exits_6(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "DISAGREES" in captured.out
     assert "oracle found the opposite" in captured.err
+
+
+def test_both_disagreements_print_their_counterexamples_state_first(capsys, monkeypatch):
+    # both verdicts of nilpotent3_ceye read causal, which the oracle refutes
+    real_report = causality_mod.build_report
+
+    def all_causal(*args, **kwargs):
+        return dataclasses.replace(real_report(*args, **kwargs),
+                                   state_input_causal=True, output_input_causal=True)
+
+    monkeypatch.setattr(causality_mod, "build_report", all_causal)
+    monkeypatch.delenv("DKIT_SEED", raising=False)
+    assert main(["causality", NIL_CEYE, "--oracle-trials", "5"]) == EXIT_ORACLE_DISAGREES
+    out, err = capsys.readouterr()
+    assert "oracle (state, 5 trials): DISAGREES\noracle (output, 5 trials): DISAGREES\n" in out
+
+    a = analyze(parse_system_file(NIL_CEYE).system())
+    blocks = []
+    for mode in ("state", "output"):
+        ce = reference_causality_oracle(a.system, a.w, a.tin, mode, horizon=8, trials=5,
+                                        seed=0).counterexample
+        u = [[format_scalar(x) for x in v.column_list()] for v in ce.base_signal.samples]
+        u_pert = [[format_scalar(x) for x in v.column_list()]
+                  for v in ce.perturbed_signal.samples]
+        # C = I, so a diverging state is a diverging output
+        blocks.append(
+            f"criteria said causal for {mode} but the oracle found the opposite\n"
+            f"distinguishing pair (perturbed index {ce.perturbed_index}, "
+            f"diverged at k = {ce.diverged_at}):\n"
+            f"  U  = {u}\n"
+            f"  U' = {u_pert}\n"
+            "  value under U  at k: [[0]; [0]; [0]]\n"
+            "  value under U' at k: [[0]; [1]; [0]]\n")
+    assert err == "".join(blocks)
+
+
+def test_oracle_solves_each_trial_once_up_to_the_perturbed_instant(capsys, monkeypatch):
+    rng = random.Random(4)
+    sysm, w, tin, _, _ = random_descriptor(rng, 6, 2, 2, q=3, plant="state_causal")
+    signal = random_signal(rng, 2, 0, 12)
+    sf = SystemFile(n=6, l=2, m=2, mode=Mode.EXACT, F=sysm.F, G=sysm.G, B=sysm.B,
+                    C=sysm.C, Y0=consistent_y0(rng, w, tin, signal), k0=0,
+                    inputs=signal.samples, K=6)
+    real_oracle, real_solve = causality_mod.brute_force_causality_oracle, causality_mod.solve
+    oracle_modes, solves = [], []
+
+    def counted_oracle(*args, **kwargs):
+        oracle_modes.append(args[3])
+        return real_oracle(*args, **kwargs)
+
+    def recorded_solve(sys_, w_, tin_, signal_, y0, K, **kwargs):
+        solves.append((signal_, K))
+        return real_solve(sys_, w_, tin_, signal_, y0, K, **kwargs)
+
+    monkeypatch.setattr(causality_mod, "brute_force_causality_oracle", counted_oracle)
+    monkeypatch.setattr(causality_mod, "solve", recorded_solve)
+    doc = json.dumps(system_file_to_dict(sf))
+    assert main(["causality", doc, "--oracle-trials", "3"]) == EXIT_OK
+    assert "state-input causality: CAUSAL" in capsys.readouterr().out
+    assert oracle_modes == [("state", "output")]
+    assert len(solves) == 6
+    for (base, K), (pert, K_pert) in zip(solves[::2], solves[1::2]):
+        moved = [k for k, (a, b) in enumerate(zip(base.samples, pert.samples), base.k0)
+                 if a != b]
+        assert K == K_pert and moved == [K]
 
 
 def test_float_mode_full_pipeline(capsys):
@@ -460,6 +534,31 @@ def test_exact_value_over_the_digit_limit_is_a_parse_error(command, capsys):
     assert main([command, json.dumps(doc)]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert "Traceback" not in err and "decimal digits" in err
+
+
+@digit_limit
+def test_exact_scalars_at_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    widest = 10**limit - 1  # the largest integer with `limit` digits
+    for raw in (widest, -widest, f"{widest}/7", f"7/{widest}"):
+        assert format_scalar(parse_scalar(raw, Mode.EXACT))
+    doc = load(DIAG)
+    doc["Y0"] = [widest, f"-{widest}/3"]
+    assert parse_system_file(doc).Y0.column_list() == [widest, Fraction(-widest, 3)]
+    # a numerator of 10^limit: as an int it is caught by its size, as a
+    # string (spelled without str()) when it is read
+    over = "1" + "0" * limit
+    for raw in ("1e5000", f"{over}/3", 10**limit):
+        with pytest.raises(ValueError, match="digits"):
+            parse_scalar(raw, Mode.EXACT)
+        doc["Y0"] = [raw, 0]
+        with pytest.raises(ParseError, match=r"Y0\[0\]: .*digits"):
+            parse_system_file(doc)
+    for raw in ("1e5000", f"{over}/3"):
+        doc["Y0"] = [raw, 0]
+        assert main(["analyze", json.dumps(doc)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "digits" in err
 
 
 @digit_limit

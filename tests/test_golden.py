@@ -6,7 +6,8 @@ fixed-seed planted systems this runs exact ``analyze --out-json``,
 ``solve --out-csv`` and ``causality --oracle-trials 2`` and compares the
 exit code and the sha256 (first 16 hex digits) of stdout, of stderr and
 of the file written against the values frozen in ``DIGESTS``.  The temporary
-directory is masked in both streams.  ``PYTHONPATH=src python tests/test_golden.py``
+directory is masked in both streams.  ``ORACLE_DIGESTS`` holds longer
+``causality --oracle-trials`` runs in the same way.  ``PYTHONPATH=src python tests/test_golden.py``
 prints the digests of the current code in the same layout.
 """
 
@@ -146,6 +147,23 @@ DIGESTS = {
     'plant_n10_rational_state_causal': {'analyze': [0, '81902396d4d8c0fb', 'e3b0c44298fc1c14', '2dca32068f394938'], 'solve': [0, 'a36829d8bb6139aa', 'e3b0c44298fc1c14', 'bdc08eab639cb9f8'], 'causality': [0, 'd3a996b078ec9716', 'e3b0c44298fc1c14', None]},
 }
 
+# name: (oracle trials, [exit code, stdout digest, stderr digest]); a
+# state-causal plant runs every trial of both modes to the end
+ORACLE_DIGESTS = {
+    'plant_n8_state_causal': (25, [0, 'c4b18b603da193fa', 'e3b0c44298fc1c14']),
+}
+
+
+def run_oracle_case(case, trials) -> list:
+    """Exit code and digests of stdout and stderr of ``causality
+    --oracle-trials trials``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["causality", system_text(case), "--mode", "exact",
+                     "--oracle-trials", str(trials)])
+    return [code, sha(stdout.getvalue().encode()), sha(stderr.getvalue().encode())]
+
+
 CASES = sorted(p.stem for p in DATA.glob("*.json")) + list(PLANTS)
 
 
@@ -155,10 +173,21 @@ def test_exact_cli_output_matches_its_golden_digest(case, tmp_path, monkeypatch)
     assert run_case(case, tmp_path) == DIGESTS[case]
 
 
+@pytest.mark.parametrize("case", sorted(ORACLE_DIGESTS))
+def test_exact_oracle_output_matches_its_golden_digest(case, monkeypatch):
+    monkeypatch.delenv("DKIT_SEED", raising=False)
+    trials, want = ORACLE_DIGESTS[case]
+    assert run_oracle_case(case, trials) == want
+
+
 if __name__ == "__main__":
     os.environ.pop("DKIT_SEED", None)
     print("DIGESTS = {")
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             print(f"    {case!r}: {run_case(case, Path(tmp))!r},")
+    print("}")
+    print("ORACLE_DIGESTS = {")
+    for case, (trials, _) in ORACLE_DIGESTS.items():
+        print(f"    {case!r}: ({trials}, {run_oracle_case(case, trials)!r}),")
     print("}")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dkit import Matrix, block_diag, hstack, vstack
 from dkit import linalg
-from dkit.scalars import Mode, format_scalar, parse_scalar
+from dkit.scalars import Mode, ensure_scalar, format_scalar, parse_scalar
 
 EX = Mode.EXACT
 FL = Mode.FLOAT
@@ -80,6 +80,22 @@ def test_stack_and_block_diag():
     d = block_diag([a, Matrix([[3, 0], [0, 4]], EX)], EX)
     assert d.to_lists() == [[1, 0, 0], [0, 3, 0], [0, 0, 4]]
     assert block_diag([], EX).shape == (0, 0)
+
+
+def test_column_admits_ints_and_fractions_and_rejects_the_rest():
+    values = [0, 3, -7, Fraction(-2, 6), Fraction(5), 10**40, Fraction(1, 3**30)]
+    col = Matrix.column(values, EX)
+    assert col == Matrix([[v] for v in values], EX)
+    assert col.column_list() == [Fraction(v) for v in values]
+    ints = [0, 3, -7, 10**40]
+    assert Matrix.column(ints, FL) == Matrix([[v] for v in ints], FL)
+    for bad, mode in [(True, EX), (0.5, EX), (1j, EX), ("1", EX), (False, FL),
+                      (Fraction(1, 2), FL), ("1", FL)]:
+        with pytest.raises(TypeError) as want:
+            ensure_scalar(bad, mode)
+        with pytest.raises(TypeError) as got:
+            Matrix.column([1, bad], mode)
+        assert str(got.value) == str(want.value)
 
 
 def test_scalar_parse_and_format_round_trip():
