@@ -24,6 +24,7 @@ from typing import Sequence
 from .matrices import Matrix
 from .scalars import Mode
 from .solver import (
+    Analysis,
     DescriptorSystem,
     InputSignal,
     TransformedInput,
@@ -141,9 +142,7 @@ class OracleOutcome:
 
 
 def brute_force_causality_oracle(
-    sys: DescriptorSystem,
-    w: WeierstrassDecomposition,
-    tin: TransformedInput,
+    a: Analysis,
     modes: Sequence[str] = ("state", "output"),
     horizon: int = 10,
     trials: int = 50,
@@ -152,8 +151,9 @@ def brute_force_causality_oracle(
     seed: int | None = None,
     tol: float | None = None,
 ) -> tuple[OracleOutcome, ...]:
-    """Empirical causality test straight from the definition, one outcome
-    per entry of ``modes`` ("state" or "output"), in that order.
+    """Empirical causality test of the analysed system straight from the
+    definition, one outcome per entry of ``modes`` ("state" or "output"),
+    in that order.
 
     Each trial draws a random consistent initial state and a random input
     signal, then perturbs exactly one future sample (index j) by a random
@@ -174,6 +174,7 @@ def brute_force_causality_oracle(
             raise ValueError(f"mode must be 'state' or 'output', got {mode!r}")
     if rng is None:
         rng = random.Random(0 if seed is None else seed)
+    sys, w = a.system, a.w
     if sys.l == 0:
         return tuple(OracleOutcome(True, None) for _ in modes)
     k0 = 0
@@ -199,10 +200,10 @@ def brute_force_causality_oracle(
         pert = InputSignal.from_rows(k0, pert_rows, sys.mode)
 
         z = Matrix.column([rng.randint(-3, 3) for _ in range(w.p)], sys.mode)
-        y0 = w.Q_p @ z + w.Q @ compute_Dk(w, tin, base, k0).stacked
+        y0 = w.Q_p @ z + w.Q @ compute_Dk(w, a.tin, base, k0).stacked
 
-        traj_base = solve(sys, w, tin, base, y0, j)
-        traj_pert = solve(sys, w, tin, pert, y0, j)
+        traj_base = solve(a, base, y0, j)
+        traj_pert = solve(a, pert, y0, j)
         for i, mode in enumerate(modes):
             if found[i]:
                 continue

@@ -5,7 +5,8 @@ decimal strings, or "num/den" rational strings (float mode also accepts
 complex strings such as "1+2j").  Exit codes are part of the contract:
 
     0  success
-    1  parse error (malformed file, or a usage error in the arguments),
+    1  parse error (malformed or unreadable file, or a usage error in the
+       arguments, such as an output path that cannot be written),
        or an exact value with more decimal digits than Python prints
        (``sys.get_int_max_str_digits()``): rejected when the file is read,
        or stopping the run before its report when a result outgrows it
@@ -125,13 +126,16 @@ def parse_system_file(source, mode_override: Mode | None = None) -> SystemFile:
         text = str(source)
         looks_like_json = text.lstrip().startswith("{")
         if not looks_like_json:
-            if not os.path.exists(source):
-                raise ParseError(f"file not found: {source}")
-            with open(source, encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(source, encoding="utf-8") as fh:
+                    text = fh.read()
+            except FileNotFoundError:
+                raise ParseError(f"file not found: {source}") from None
+            except (OSError, ValueError) as exc:  # a directory, say, or not UTF-8
+                raise ParseError(f"cannot read {source}: {exc}") from None
         try:
             doc = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
+        except (ValueError, RecursionError) as exc:  # also too long an int or too deep
             raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
@@ -212,7 +216,7 @@ def _analysis_dict(a: Analysis, cons, causality) -> dict:
     w, rep = a.w, a.verification
     return {
         "regular": True,
-        "char_poly": [format_scalar(c) for c in a.char_poly.coefficients],
+        "char_poly": [format_scalar(c) for c in a.system.char_poly.coefficients],
         "p": w.p,
         "q": w.q,
         "q_star": w.q_star,
@@ -241,7 +245,7 @@ def _print_structure(a: Analysis):
     w, rep = a.w, a.verification
     print(f"pencil: regular (char poly degree {w.p})")
     print("char poly coefficients (ascending): "
-          + "[" + ", ".join(format_scalar(c) for c in a.char_poly.coefficients) + "]")
+          + "[" + ", ".join(format_scalar(c) for c in a.system.char_poly.coefficients) + "]")
     print(f"p = {w.p}, q = {w.q}, q_star = {w.q_star}")
     if w.jordan_blocks:
         blocks = ", ".join(
@@ -298,14 +302,17 @@ def _causality_dict(report) -> dict:
 def cmd_analyze(args) -> int:
     sf = parse_system_file(args.file, _mode_override(args))
     a = _analysis(sf, args)
-    cons = check_consistency(a.system, a.w, a.tin, sf.signal(), sf.Y0, rank_tol=args.tol)
+    cons = check_consistency(a, sf.signal(), sf.Y0)
     causality = causality_mod.build_report(a.system, a.w, a.tin, args.causality_tol)
     # print nothing unless every value of the report can be printed
     mats = [cons.residual, cons.z_p0, *_witnesses(causality),
             causality.nullspace_form if args.out_json else None]
-    check_printable([*a.char_poly.coefficients, *(b.eigenvalue for b in a.w.jordan_blocks),
+    check_printable([*a.system.char_poly.coefficients,
+                     *(b.eigenvalue for b in a.w.jordan_blocks),
                      a.verification.residual_F, a.verification.residual_G,
                      *_entries([m for m in mats if m is not None])])
+    if args.out_json:
+        _write(args.out_json, [json.dumps(_analysis_dict(a, cons, causality), indent=2), "\n"])
     _print_structure(a)
     if cons.consistent:
         print(f"consistency: consistent, Z^p_k0 = {_fmt_matrix(cons.z_p0)}")
@@ -314,11 +321,18 @@ def cmd_analyze(args) -> int:
         print(f"  residual Y0 - Q_p Z^p - Q D_k0 = {_fmt_matrix(cons.residual)}")
     _print_causality(causality)
     if args.out_json:
-        with open(args.out_json, "w", encoding="utf-8") as fh:
-            json.dump(_analysis_dict(a, cons, causality), fh, indent=2)
-            fh.write("\n")
         print(f"report written to {args.out_json}")
     return EXIT_OK if cons.consistent else EXIT_INCONSISTENT
+
+
+def _write(path: str, chunks: list[str]):
+    """Write ``chunks`` to the file ``path``; a path that cannot be written
+    is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise DkitError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _trajectory_csv(traj: Trajectory, n: int, m: int, p: int, q: int) -> list[str]:
@@ -350,7 +364,7 @@ def cmd_solve(args) -> int:
                          f"got {horizon_end}")
     a = _analysis(sf, args)
     signal = sf.signal()
-    traj = solve(a.system, a.w, a.tin, signal, sf.Y0, horizon_end, rank_tol=args.tol)
+    traj = solve(a, signal, sf.Y0, horizon_end)
     res = residual_oracle(a.system, signal, traj, sf.Y0)
     # format everything first: a value over the digit limit raises here,
     # before anything is written
@@ -359,8 +373,7 @@ def cmd_solve(args) -> int:
                f"Y_k0 mismatch {format_scalar(res.y0_mismatch)}")
 
     if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
+        _write(args.out_csv, lines)
         out = sys.stdout
     else:
         sys.stdout.writelines(lines)
@@ -387,7 +400,7 @@ def cmd_causality(args) -> int:
         horizon = max(a.w.q_star + 5, 8)
         expected = {"state": report.state_input_causal, "output": report.output_input_causal}
         outcomes = causality_mod.brute_force_causality_oracle(
-            a.system, a.w, a.tin, tuple(expected),
+            a, tuple(expected),
             horizon=horizon, trials=args.oracle_trials,
             seed=seed, tol=args.causality_tol,
         )

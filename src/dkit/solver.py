@@ -12,7 +12,7 @@ Both parts together make one constant linear map per instant, the step map
     w = max(q*, 1),
 
 so :func:`solve` spends one product per step; S is built once per
-transformed input, on its first solve.
+:class:`Analysis`, on its first solve.
 
 An initial state is admissible exactly when it lies in the affine set
 colspan(Q_p) + Q D_{k0}; the solver rejects anything else.  The residual
@@ -35,7 +35,7 @@ from .errors import (
     IrregularPencil,
 )
 from .matrices import Matrix, hstack, vstack
-from .pencil import CharPoly, Pencil, char_poly
+from .pencil import Pencil, char_poly
 from .scalars import Mode
 from .weierstrass import VerificationReport, WeierstrassDecomposition, _decompose
 
@@ -113,30 +113,15 @@ class InputSignal:
 
 @dataclass(frozen=True)
 class TransformedInput:
-    """P B split into its forward (p x l) and backward (q x l) rows, the
-    backward map [B_q | H_q B_q | ... | H_q^{q*-1} B_q] (q x l q*), and the
-    canonical form and output map C the step map is built from."""
+    """P B split into its forward (p x l) and backward (q x l) rows, and the
+    backward map [B_q | H_q B_q | ... | H_q^{q*-1} B_q] (q x l q*)."""
 
-    w: WeierstrassDecomposition
-    C: Matrix | None
     B_p: Matrix
     B_q: Matrix
     backward: Matrix
 
-    def step_maps(self, C: Matrix) -> tuple[Matrix, Matrix]:
-        """The step map S for output map C and its final-instant form.  For
-        the C given to :func:`transform_input` both are built on the first
-        call and kept; any other C gets them anew."""
-        if C is self.C or C == self.C:
-            return self._own_step_maps
-        return _step_maps(self, C)
 
-    @cached_property
-    def _own_step_maps(self) -> tuple[Matrix, Matrix]:
-        return _step_maps(self, self.C)
-
-
-def _step_maps(tin: TransformedInput, C: Matrix) -> tuple[Matrix, Matrix]:
+def _step_maps(a: Analysis) -> tuple[Matrix, Matrix]:
     """S, with w = max(q*, 1): rows Y (n), X (m), Z^q (q) and the next Z^p
     (p); columns Z^p (p), then V_k .. V_{k+w-1} (l each).
 
@@ -148,12 +133,12 @@ def _step_maps(tin: TransformedInput, C: Matrix) -> tuple[Matrix, Matrix]:
     The final instant needs no Z^p_{k+1} rows, and no V columns when q* = 0,
     so it reads no sample past the horizon.
     """
-    w, l = tin.w, tin.B_p.cols
+    w, tin, l = a.w, a.tin, a.system.l
     back = tin.backward if w.q_star else Matrix.zeros(w.q, l, w.mode)
     state = hstack([w.Q_p, -(w.Q_q @ back)])
     step = vstack([
         state,
-        C @ state,
+        a.system.C @ state,
         hstack([Matrix.zeros(w.q, w.p, w.mode), -back]),
         hstack([w.J_p, tin.B_p, Matrix.zeros(w.p, l * (max(w.q_star, 1) - 1), w.mode)]),
     ])
@@ -161,19 +146,14 @@ def _step_maps(tin: TransformedInput, C: Matrix) -> tuple[Matrix, Matrix]:
     return step, (last if w.q_star else last.take_cols(range(w.p)))
 
 
-def transform_input(w: WeierstrassDecomposition, B: Matrix,
-                    C: Matrix | None = None) -> TransformedInput:
-    """P B in the blocks the solver and the causality checks read.  The
-    step map of :func:`solve` is kept for the output map C; without C, or
-    for a system with another C, each solve builds its own."""
+def transform_input(w: WeierstrassDecomposition, B: Matrix) -> TransformedInput:
+    """P B in the blocks the solver and the causality checks read."""
     pb = w.P @ B
     b_q, h_q = pb.take_rows(range(w.p, w.n)), w.H_q
     blocks: list[Matrix] = []
     for _ in range(w.q_star):
         blocks.append(h_q @ blocks[-1] if blocks else b_q)
     return TransformedInput(
-        w=w,
-        C=C,
         B_p=pb.take_rows(range(w.p)),
         B_q=b_q,
         backward=hstack(blocks) if blocks else Matrix.zeros(w.q, 0, w.mode),
@@ -182,14 +162,23 @@ def transform_input(w: WeierstrassDecomposition, B: Matrix,
 
 @dataclass(frozen=True)
 class Analysis:
-    """Everything derived from one system, each computed once: the char
-    poly, the canonical form with its reconstruction report, and P B."""
+    """The one handle for running a system: everything derived from it,
+    each computed once.  The canonical form with its reconstruction report
+    and P B come from :func:`analyze` (the char poly stays on the system);
+    the step map of :func:`solve` is built on its first solve and kept.
+    :func:`solve` and :func:`check_consistency` decide ranks with the
+    ``rank_tol`` the canonical form was found with."""
 
     system: DescriptorSystem
-    char_poly: CharPoly
     w: WeierstrassDecomposition
     verification: VerificationReport
     tin: TransformedInput
+    rank_tol: float | None = None
+
+    @cached_property
+    def step_maps(self) -> tuple[Matrix, Matrix]:
+        """The step map S and its final-instant form."""
+        return _step_maps(self)
 
 
 def analyze(
@@ -202,8 +191,7 @@ def analyze(
     poly its regularity check computed.  Raises as ``weierstrass.decompose`` does."""
     w, verification = _decompose(system.pencil, system.char_poly,
                                  cluster_radius=cluster_radius, rank_tol=rank_tol)
-    return Analysis(system, system.char_poly, w, verification,
-                    transform_input(w, system.B, system.C))
+    return Analysis(system, w, verification, transform_input(w, system.B), rank_tol)
 
 
 class Dk(NamedTuple):
@@ -239,31 +227,24 @@ class ConsistencyResult:
     residual: Matrix   # y0 - Q_p z - Q D_{k0}; zero when consistent
 
 
-def check_consistency(
-    sys: DescriptorSystem,
-    w: WeierstrassDecomposition,
-    tin: TransformedInput,
-    signal: InputSignal,
-    y0: Matrix,
-    *,
-    rank_tol: float | None = None,
-) -> ConsistencyResult:
+def check_consistency(a: Analysis, signal: InputSignal, y0: Matrix) -> ConsistencyResult:
     """Decide membership of y0 in colspan(Q_p) + Q D_{k0}.
 
     Q_p has full column rank, so a consistent y0 pins down Z^p_{k0}
     uniquely.  For an inconsistent y0 the returned residual is measured
     against the least-squares projection onto the admissible set.
     """
-    if y0.shape != (sys.n, 1):
-        raise ValueError(f"y0 must be {sys.n} x 1")
-    d0 = compute_Dk(w, tin, signal, signal.k0)
+    n, w = a.system.n, a.w
+    if y0.shape != (n, 1):
+        raise ValueError(f"y0 must be {n} x 1")
+    d0 = compute_Dk(w, a.tin, signal, signal.k0)
     rhs = y0 - w.Q @ d0.stacked
     q_p = w.Q_p
-    z = linalg.solve(q_p, rhs, rank_tol)
+    z = linalg.solve(q_p, rhs, a.rank_tol)
     if z is not None:
-        return ConsistencyResult(True, z, Matrix.zeros(sys.n, 1, sys.mode))
+        return ConsistencyResult(True, z, Matrix.zeros(n, 1, w.mode))
     try:
-        z_ls = linalg.least_squares(q_p, rhs, rank_tol)
+        z_ls = linalg.least_squares(q_p, rhs, a.rank_tol)
     except ValueError as exc:  # float only: an exact Q_p has full column rank
         raise ChainConstructionFailure(
             f"Q_p is numerically rank deficient: {exc}") from None
@@ -286,41 +267,32 @@ class Trajectory:
         return len(self.states)
 
 
-def solve(
-    sys: DescriptorSystem,
-    w: WeierstrassDecomposition,
-    tin: TransformedInput,
-    signal: InputSignal,
-    y0: Matrix,
-    K: int,
-    *,
-    rank_tol: float | None = None,
-) -> Trajectory:
+def solve(a: Analysis, signal: InputSignal, y0: Matrix, K: int) -> Trajectory:
     """Unique trajectory on k0..K for a consistent initial state.
 
     Needs input samples up to index K + q* - 1; raises
     InputHorizonTooShort instead of fabricating missing samples.  Each
-    instant is one product of the step map ``tin.step_maps(sys.C)`` with
+    instant is one product of the step map ``a.step_maps`` with
     [Z^p_k; V_k; ...; V_{k+w-1}].
     """
-    k0 = signal.k0
+    k0, w = signal.k0, a.w
     if K < k0:
         raise ValueError(f"horizon K = {K} precedes the initial time {k0}")
     last_needed = K + w.q_star - 1
     if last_needed >= k0:
         signal.sample(last_needed)  # fail fast before any work
 
-    res = check_consistency(sys, w, tin, signal, y0, rank_tol=rank_tol)
+    res = check_consistency(a, signal, y0)
     if not res.consistent:
         raise InconsistentInitialCondition(
             "initial state lies outside colspan(Q_p) + Q D_{k0}",
             residual=res.residual,
         )
 
-    n, m, q, l = sys.n, sys.m, w.q, sys.l
+    n, m, q, l = a.system.n, a.system.m, w.q, a.system.l
     width = max(w.q_star, 1)
-    step_map, last_map = tin.step_maps(sys.C)
-    inputs = vstack([Matrix.zeros(0, 1, sys.mode), *signal.samples])
+    step_map, last_map = a.step_maps
+    inputs = vstack([Matrix.zeros(0, 1, w.mode), *signal.samples])
     z_p_list, z_q_list, states, outputs = [], [], [], []
     zp = res.z_p0
     for k in range(k0, K + 1):

@@ -21,6 +21,7 @@ import random
 from fractions import Fraction
 
 from dkit import (
+    Analysis,
     ChainConstructionFailure,
     CharPoly,
     DescriptorSystem,
@@ -29,8 +30,6 @@ from dkit import (
     Matrix,
     NilpotentBlockSpec,
     Pencil,
-    TransformedInput,
-    WeierstrassDecomposition,
     assemble_Hq,
     assemble_Jp,
     block_diag,
@@ -38,6 +37,7 @@ from dkit import (
     decompose,
     hstack,
     transform_input,
+    verify,
     vstack,
 )
 from dkit import linalg, solve
@@ -135,17 +135,16 @@ def _causal_bq_pattern(rng: random.Random, nblocks, l: int) -> Matrix:
 
 def random_descriptor(rng: random.Random, n: int, l: int, m: int, *,
                       q: int | None = None, min_q: int = 0,
-                      plant: str = "generic", palette=EIGENVALUE_PALETTE):
-    """Random system plus its decomposition and transformed input.
+                      plant: str = "generic", palette=EIGENVALUE_PALETTE) -> Analysis:
+    """Random system with planted canonical structure, as its ``Analysis``.
 
     plant:
       "generic"            -- B, C free random
       "state_causal"       -- B built so that H_q B_q = 0
       "output_causal_only" -- C annihilates the infinite deflating subspace
-    Eigenvalues are drawn from ``palette``.  Returns (sys, w, tin, jordan
-    specs, nilpotent specs).
+    Eigenvalues are drawn from ``palette``.
     """
-    pen, jb, nb = planted_pencil(rng, n, q=q, min_q=min_q, palette=palette)
+    pen, _, _ = planted_pencil(rng, n, q=q, min_q=min_q, palette=palette)
     w = decompose(pen)
     if plant == "state_causal":
         b_p = small_int_matrix(rng, w.p, l)
@@ -157,9 +156,8 @@ def random_descriptor(rng: random.Random, n: int, l: int, m: int, *,
         c = block_like_c(small_int_matrix(rng, m, w.p), m, w)
     else:
         c = small_int_matrix(rng, m, n)
-    sysm = DescriptorSystem(pen.F, pen.G, b, c)
-    tin = transform_input(w, b, c)
-    return sysm, w, tin, jb, nb
+    return Analysis(DescriptorSystem(pen.F, pen.G, b, c), w, verify(pen, w),
+                    transform_input(w, b))
 
 
 def block_like_c(c_p: Matrix, m: int, w) -> Matrix:
@@ -174,9 +172,10 @@ def random_signal(rng: random.Random, l: int, k0: int, count: int,
     return InputSignal.from_rows(k0, rows, mode)
 
 
-def consistent_y0(rng: random.Random, w, tin, signal) -> Matrix:
+def consistent_y0(rng: random.Random, a: Analysis, signal) -> Matrix:
+    w = a.w
     z = Matrix.column([rng.randint(-3, 3) for _ in range(w.p)], w.mode)
-    d0 = compute_Dk(w, tin, signal, signal.k0)
+    d0 = compute_Dk(w, a.tin, signal, signal.k0)
     return w.Q_p @ z + w.Q @ d0.stacked
 
 
@@ -233,7 +232,7 @@ def brute_char_poly(F: Matrix, G: Matrix) -> tuple:
     return tuple(coeffs)
 
 
-def stacked_step_solvable(sysm: DescriptorSystem, w, tin, signal, y0: Matrix) -> bool:
+def stacked_step_solvable(a: Analysis, signal, y0: Matrix) -> bool:
     """Solvability of the step-k0 system stacked with the forced backward
     coordinates at k0+1: there exists Y_{k0+1} with
     F Y_{k0+1} = G Y_{k0} + B V_{k0} and [0 I_q] Q^{-1} Y_{k0+1} = Z^q_{k0+1}.
@@ -241,11 +240,11 @@ def stacked_step_solvable(sysm: DescriptorSystem, w, tin, signal, y0: Matrix) ->
     Solvable exactly when Y_{k0} satisfies the consistency condition; used
     to confirm rejections without going through check_consistency.
     """
-    k0 = signal.k0
+    k0, sysm, w = signal.k0, a.system, a.w
     q_inv = linalg.inverse(w.Q)
     s_rows = q_inv.take_rows(range(w.p, w.n))
     rhs_step = sysm.G @ y0 + sysm.B @ signal.sample(k0)
-    forced_next = compute_Dk(w, tin, signal, k0 + 1).bottom
+    forced_next = compute_Dk(w, a.tin, signal, k0 + 1).bottom
     a_stack = vstack([sysm.F, s_rows])
     b_stack = vstack([rhs_step, forced_next])
     return linalg.solve(a_stack, b_stack) is not None
@@ -495,9 +494,7 @@ def reference_pick_independent(candidates: Matrix, context: list[Matrix], tol: f
 
 
 def reference_causality_oracle(
-    sys: DescriptorSystem,
-    w: WeierstrassDecomposition,
-    tin: TransformedInput,
+    a: Analysis,
     mode: str = "state",
     horizon: int = 10,
     trials: int = 50,
@@ -524,6 +521,7 @@ def reference_causality_oracle(
         raise ValueError(f"mode must be 'state' or 'output', got {mode!r}")
     if rng is None:
         rng = random.Random(0 if seed is None else seed)
+    sys, w = a.system, a.w
     if sys.l == 0:
         return OracleOutcome(True, None)
     k0 = 0
@@ -547,10 +545,10 @@ def reference_causality_oracle(
         pert = InputSignal.from_rows(k0, pert_rows, sys.mode)
 
         z = Matrix.column([rng.randint(-3, 3) for _ in range(w.p)], sys.mode)
-        y0 = w.Q_p @ z + w.Q @ compute_Dk(w, tin, base, k0).stacked
+        y0 = w.Q_p @ z + w.Q @ compute_Dk(w, a.tin, base, k0).stacked
 
-        traj_base = solve(sys, w, tin, base, y0, K)
-        traj_pert = solve(sys, w, tin, pert, y0, K)
+        traj_base = solve(a, base, y0, K)
+        traj_pert = solve(a, pert, y0, K)
         seq_base = traj_base.states if mode == "state" else traj_base.outputs
         seq_pert = traj_pert.states if mode == "state" else traj_pert.outputs
 

@@ -15,6 +15,7 @@ import pytest
 from dkit import (
     Matrix,
     Pencil,
+    analyze,
     brute_force_causality_oracle,
     check_consistency,
     check_output_causality,
@@ -80,13 +81,13 @@ def test_criterion_2_solution_correctness_and_closed_form():
     failures = []
     for i in range(200):
         n = rng.randint(1, 5)
-        sysm, w, tin, _, _ = random_descriptor(rng, n, rng.randint(1, 2),
-                                               rng.randint(1, 2))
+        a = random_descriptor(rng, n, rng.randint(1, 2), rng.randint(1, 2))
+        sysm, w, tin = a.system, a.w, a.tin
         k0 = rng.randint(-2, 2)
         K = k0 + rng.randint(3, 20)
         sig = random_signal(rng, sysm.l, k0, K - k0 + w.q_star)
-        y0 = consistent_y0(rng, w, tin, sig)
-        traj = solve(sysm, w, tin, sig, y0, K)
+        y0 = consistent_y0(rng, a, sig)
+        traj = solve(a, sig, y0, K)
         res = residual_oracle(sysm, sig, traj, y0)
         if res.step_residual != 0 or res.y0_mismatch != 0:
             failures.append((i, "nonzero residual"))
@@ -104,25 +105,25 @@ def test_criterion_3_consistency_condition():
     failures = []
     for i in range(100):
         n = rng.randint(2, 6)
-        sysm, w, tin, _, _ = random_descriptor(rng, n, rng.randint(1, 2), 1,
-                                               min_q=1)
+        a = random_descriptor(rng, n, rng.randint(1, 2), 1, min_q=1)
+        sysm, w = a.system, a.w
         K = rng.randint(2, 6)
         sig = random_signal(rng, sysm.l, 0, K + w.q_star)
-        good = consistent_y0(rng, w, tin, sig)
-        res = check_consistency(sysm, w, tin, sig, good)
+        good = consistent_y0(rng, a, sig)
+        res = check_consistency(a, sig, good)
         if not res.consistent:
             failures.append((i, "consistent y0 rejected"))
             continue
-        traj = solve(sysm, w, tin, sig, good, K)
+        traj = solve(a, sig, good, K)
         if residual_oracle(sysm, sig, traj, good).step_residual != 0:
             failures.append((i, "accepted y0 but solution residual nonzero"))
             continue
         # displace off the affine set by a vector outside colspan Q_p
         u = Matrix.column([rng.choice([1, -1, 2]) for _ in range(w.q)], Mode.EXACT)
         bad = good + w.Q_q @ u
-        if check_consistency(sysm, w, tin, sig, bad).consistent:
+        if check_consistency(a, sig, bad).consistent:
             failures.append((i, "displaced y0 accepted"))
-        elif stacked_step_solvable(sysm, w, tin, sig, bad):
+        elif stacked_step_solvable(a, sig, bad):
             failures.append((i, "rejected y0 but stacked step system solvable"))
     _verdict("criterion 3: consistency acceptance/rejection on 100 systems, "
              "rejection confirmed by stacked-step unsolvability, zero tolerance",
@@ -137,19 +138,20 @@ def causality_corpus():
     for i in range(100):
         if i % 2 == 0:
             plant = plants[(i // 2) % 3]
-            sysm, w, tin, _, _ = random_descriptor(
+            a = random_descriptor(
                 rng, rng.randint(2, 6), rng.randint(1, 2), rng.randint(1, 2),
                 min_q=1, plant=plant)
         else:
-            sysm, w, tin, _, _ = random_descriptor(
+            a = random_descriptor(
                 rng, rng.randint(1, 6), rng.randint(1, 2), rng.randint(1, 2))
-        corpus.append((sysm, w, tin))
+        corpus.append(a)
     return corpus
 
 
 def test_criterion_4_causality_criteria_vs_definition(causality_corpus):
     failures = []
-    for i, (sysm, w, tin) in enumerate(causality_corpus):
+    for i, a in enumerate(causality_corpus):
+        sysm, w, tin = a.system, a.w, a.tin
         state_claim = check_state_causality(w, tin)[0]
         output_claim = check_output_causality(sysm, w, tin)[0]
         if output_claim != check_output_causality_nullspace(sysm, w, tin):
@@ -157,9 +159,9 @@ def test_criterion_4_causality_criteria_vs_definition(causality_corpus):
             continue
         horizon = w.q_star + 5
         state_seen = brute_force_causality_oracle(
-            sysm, w, tin, ("state",), horizon=horizon, trials=50, seed=9000 + i)[0].causal
+            a, ("state",), horizon=horizon, trials=50, seed=9000 + i)[0].causal
         output_seen = brute_force_causality_oracle(
-            sysm, w, tin, ("output",), horizon=horizon, trials=50, seed=9500 + i)[0].causal
+            a, ("output",), horizon=horizon, trials=50, seed=9500 + i)[0].causal
         if state_seen != state_claim:
             failures.append((i, f"state criterion {state_claim} vs oracle {state_seen}"))
         if output_seen != output_claim:
@@ -172,7 +174,8 @@ def test_criterion_5_structural_implications(causality_corpus):
     failures = []
     state_causal_seen = 0
     q_zero_seen = 0
-    for i, (sysm, w, tin) in enumerate(causality_corpus):
+    for i, a in enumerate(causality_corpus):
+        sysm, w, tin = a.system, a.w, a.tin
         state_ok = check_state_causality(w, tin)[0]
         output_ok = check_output_causality(sysm, w, tin)[0]
         if state_ok:
@@ -199,9 +202,10 @@ def test_criterion_6_equivalence_invariance():
     plants = ["generic", "state_causal", "output_causal_only"]
     for i in range(50):
         plant = plants[i % 3]
-        sysm, w, tin, _, _ = random_descriptor(
+        a = random_descriptor(
             rng, rng.randint(2, 6), rng.randint(1, 2), rng.randint(1, 2),
             min_q=(1 if plant != "generic" else 0), plant=plant)
+        sysm, w, tin = a.system, a.w, a.tin
         verdicts = (
             check_state_causality(w, tin)[0],
             check_output_causality(sysm, w, tin)[0],
@@ -212,7 +216,7 @@ def test_criterion_6_equivalence_invariance():
         sys2 = DescriptorSystem(m_l @ sysm.F @ m_r, m_l @ sysm.G @ m_r,
                                 m_l @ sysm.B, sysm.C @ m_r)
         w2 = decompose(Pencil(sys2.F, sys2.G))
-        tin2 = transform_input(w2, sys2.B, sys2.C)
+        tin2 = transform_input(w2, sys2.B)
         verdicts2 = (
             check_state_causality(w2, tin2)[0],
             check_output_causality(sys2, w2, tin2)[0],
@@ -274,8 +278,8 @@ def test_criterion_8_float_mode_sanity(capsys):
     for name, path in FIXTURES.items():
         sf_e = parse_system_file(path)
         sf_f = parse_system_file(path, mode_override=Mode.FLOAT)
-        w_e = decompose(Pencil(sf_e.F, sf_e.G))
-        w_f = decompose(Pencil(sf_f.F, sf_f.G))
+        a_e, a_f = analyze(sf_e.system()), analyze(sf_f.system())
+        w_e, w_f = a_e.w, a_f.w
         if (w_e.p, w_e.q, w_e.q_star) != (w_f.p, w_f.q, w_f.q_star):
             failures.append((name, "structure differs between modes"))
             continue
@@ -284,21 +288,18 @@ def test_criterion_8_float_mode_sanity(capsys):
         if float(rep.max_residual) > 1e-9 * scale:
             failures.append((name, f"float residual {rep.max_residual}"))
             continue
-        sys_e = sf_e.system()
-        sys_f = sf_f.system()
-        tin_e = transform_input(w_e, sf_e.B, sf_e.C)
-        tin_f = transform_input(w_f, sf_f.B, sf_f.C)
+        sys_e, tin_e, sys_f, tin_f = a_e.system, a_e.tin, a_f.system, a_f.tin
         verdicts_e = (
             check_state_causality(w_e, tin_e)[0],
             check_output_causality(sys_e, w_e, tin_e)[0],
             check_output_causality_nullspace(sys_e, w_e, tin_e),
-            check_consistency(sys_e, w_e, tin_e, sf_e.signal(), sf_e.Y0).consistent,
+            check_consistency(a_e, sf_e.signal(), sf_e.Y0).consistent,
         )
         verdicts_f = (
             check_state_causality(w_f, tin_f)[0],
             check_output_causality(sys_f, w_f, tin_f)[0],
             check_output_causality_nullspace(sys_f, w_f, tin_f),
-            check_consistency(sys_f, w_f, tin_f, sf_f.signal(), sf_f.Y0).consistent,
+            check_consistency(a_f, sf_f.signal(), sf_f.Y0).consistent,
         )
         if verdicts_e != verdicts_f:
             failures.append((name, f"verdicts {verdicts_e} vs {verdicts_f}"))

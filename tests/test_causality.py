@@ -9,6 +9,7 @@ from dkit import (
     InputSignal,
     Matrix,
     Pencil,
+    analyze,
     brute_force_causality_oracle,
     build_report,
     check_output_causality,
@@ -29,16 +30,13 @@ def nilpotent3(c_rows):
     f = Matrix([[1, 0, 0], [0, 0, 1], [0, 0, 0]], EX)
     g = Matrix.identity(3, EX)
     b = Matrix([[0], [0], [1]], EX)
-    c = Matrix(c_rows, EX)
-    sysm = DescriptorSystem(f, g, b, c)
-    w = decompose(Pencil(f, g))
-    return sysm, w, transform_input(w, b, c)
+    return analyze(DescriptorSystem(f, g, b, Matrix(c_rows, EX)))
 
 
 def test_state_causality_trivial_when_q_zero():
     rng = random.Random(41)
-    sysm, w, tin, _, _ = random_descriptor(rng, 3, 1, 1, q=0)
-    ok, witness = check_state_causality(w, tin)
+    a = random_descriptor(rng, 3, 1, 1, q=0)
+    ok, witness = check_state_causality(a.w, a.tin)
     assert ok
     assert witness.shape == (0, 1)
 
@@ -47,30 +45,30 @@ def test_state_causality_diag_fixture():
     f = Matrix([[1, 0], [0, 0]], EX)
     g = Matrix([[2, 0], [0, 1]], EX)
     b = Matrix([[5], [-7]], EX)
-    sysm = DescriptorSystem(f, g, b, Matrix.identity(2, EX))
     w = decompose(Pencil(f, g))
-    tin = transform_input(w, b, sysm.C)
-    ok, witness = check_state_causality(w, tin)
+    ok, witness = check_state_causality(w, transform_input(w, b))
     assert ok                      # 1x1 nilpotent block is the zero matrix
     assert witness.is_zero()
 
 
 def test_state_causality_3x3_fixture():
-    sysm, w, tin = nilpotent3([[1, 0, 0]])
-    ok, witness = check_state_causality(w, tin)
+    a = nilpotent3([[1, 0, 0]])
+    ok, witness = check_state_causality(a.w, a.tin)
     assert not ok
     assert witness.to_lists() == [[1], [0]]
 
 
 def test_output_causality_zero_c_always_causal():
-    sysm, w, tin = nilpotent3([[0, 0, 0]])
+    a = nilpotent3([[0, 0, 0]])
+    sysm, w, tin = a.system, a.w, a.tin
     ok, _ = check_output_causality(sysm, w, tin)
     assert ok
     assert check_output_causality_nullspace(sysm, w, tin)
 
 
 def test_output_causality_3x3_fixture_c100():
-    sysm, w, tin = nilpotent3([[1, 0, 0]])
+    a = nilpotent3([[1, 0, 0]])
+    sysm, w, tin = a.system, a.w, a.tin
     ok, witnesses = check_output_causality(sysm, w, tin)
     assert ok
     assert len(witnesses) == w.q_star - 1 == 1
@@ -79,7 +77,8 @@ def test_output_causality_3x3_fixture_c100():
 
 
 def test_output_causality_3x3_fixture_c_identity():
-    sysm, w, tin = nilpotent3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    a = nilpotent3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    sysm, w, tin = a.system, a.w, a.tin
     ok, witnesses = check_output_causality(sysm, w, tin)
     assert not ok
     # with P = Q = I the single witness is Q_q H_q B_q = e2 (nonzero 3x1)
@@ -88,7 +87,8 @@ def test_output_causality_3x3_fixture_c_identity():
 
 
 def test_report_fields_are_consistent():
-    sysm, w, tin = nilpotent3([[1, 0, 0]])
+    a = nilpotent3([[1, 0, 0]])
+    sysm, w, tin = a.system, a.w, a.tin
     rep = build_report(sysm, w, tin)
     assert rep.state_input_causal == rep.criterion_state.is_zero()
     assert rep.output_input_causal == all(m.is_zero() for m in rep.criteria_output)
@@ -102,9 +102,10 @@ def test_nullspace_and_product_checks_agree_everywhere():
     rng = random.Random(42)
     for i in range(40):
         plant = ("generic", "state_causal", "output_causal_only")[i % 3]
-        sysm, w, tin, _, _ = random_descriptor(
+        a = random_descriptor(
             rng, rng.randint(1, 6), rng.randint(1, 2), rng.randint(1, 2),
             min_q=(1 if plant != "generic" else 0), plant=plant)
+        sysm, w, tin = a.system, a.w, a.tin
         ok_products, _ = check_output_causality(sysm, w, tin)
         assert ok_products == check_output_causality_nullspace(sysm, w, tin)
 
@@ -113,9 +114,10 @@ def test_state_causal_implies_output_causal():
     rng = random.Random(43)
     hits = 0
     for _ in range(25):
-        sysm, w, tin, _, _ = random_descriptor(
+        a = random_descriptor(
             rng, rng.randint(2, 6), rng.randint(1, 2), rng.randint(1, 2),
             min_q=1, plant="state_causal")
+        sysm, w, tin = a.system, a.w, a.tin
         ok_state, _ = check_state_causality(w, tin)
         assert ok_state  # planted
         ok_out, _ = check_output_causality(sysm, w, tin)
@@ -127,7 +129,8 @@ def test_state_causal_implies_output_causal():
 def test_remark_no_infinite_eigenvalues_forces_causality():
     rng = random.Random(44)
     for _ in range(10):
-        sysm, w, tin, _, _ = random_descriptor(rng, rng.randint(1, 4), 1, 1, q=0)
+        a = random_descriptor(rng, rng.randint(1, 4), 1, 1, q=0)
+        sysm, w, tin = a.system, a.w, a.tin
         assert check_state_causality(w, tin)[0]
         assert check_output_causality(sysm, w, tin)[0]
         assert check_output_causality_nullspace(sysm, w, tin)
@@ -136,46 +139,43 @@ def test_remark_no_infinite_eigenvalues_forces_causality():
 
 
 def test_oracle_on_fixture_family():
-    sysm_a, w, tin = nilpotent3([[1, 0, 0]])
-    out = brute_force_causality_oracle(sysm_a, w, tin, ("state",),
-                                       horizon=8, trials=25, seed=5)[0]
+    a = nilpotent3([[1, 0, 0]])
+    out = brute_force_causality_oracle(a, ("state",), horizon=8, trials=25, seed=5)[0]
     assert not out.causal
     ce = out.counterexample
     assert ce is not None
     assert ce.diverged_at < ce.perturbed_index
     assert ce.base_value != ce.perturbed_value
 
-    assert brute_force_causality_oracle(sysm_a, w, tin, ("output",),
-                                        horizon=8, trials=25, seed=5)[0].causal
+    assert brute_force_causality_oracle(a, ("output",), horizon=8, trials=25, seed=5)[0].causal
 
-    sysm_b, _, _ = nilpotent3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    out_b = brute_force_causality_oracle(sysm_b, w, tin, ("output",),
-                                         horizon=8, trials=25, seed=5)[0]
+    a_b = nilpotent3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    out_b = brute_force_causality_oracle(a_b, ("output",), horizon=8, trials=25, seed=5)[0]
     assert not out_b.causal
 
 
 def test_oracle_trivially_true_for_q_zero():
     rng = random.Random(45)
-    sysm, w, tin, _, _ = random_descriptor(rng, 3, 1, 1, q=0)
+    a = random_descriptor(rng, 3, 1, 1, q=0)
     for mode in ("state", "output"):
-        assert brute_force_causality_oracle(sysm, w, tin, (mode,),
-                                            horizon=6, trials=15, seed=1)[0].causal
+        assert brute_force_causality_oracle(a, (mode,), horizon=6, trials=15, seed=1)[0].causal
 
 
 def test_oracle_agrees_with_criteria_on_random_systems():
     rng = random.Random(46)
     for i in range(12):
         plant = ("generic", "state_causal", "output_causal_only")[i % 3]
-        sysm, w, tin, _, _ = random_descriptor(
+        a = random_descriptor(
             rng, rng.randint(2, 5), rng.randint(1, 2), rng.randint(1, 2),
             min_q=1, plant=plant)
+        sysm, w, tin = a.system, a.w, a.tin
         horizon = w.q_star + 5
         state_expected = check_state_causality(w, tin)[0]
         output_expected = check_output_causality(sysm, w, tin)[0]
         got_state = brute_force_causality_oracle(
-            sysm, w, tin, ("state",), horizon=horizon, trials=50, seed=100 + i)[0].causal
+            a, ("state",), horizon=horizon, trials=50, seed=100 + i)[0].causal
         got_output = brute_force_causality_oracle(
-            sysm, w, tin, ("output",), horizon=horizon, trials=50, seed=200 + i)[0].causal
+            a, ("output",), horizon=horizon, trials=50, seed=200 + i)[0].causal
         assert got_state == state_expected
         assert got_output == output_expected
 
@@ -215,9 +215,9 @@ def test_one_pass_oracle_matches_the_one_mode_reference_loop():
     cases = []
     for i in range(30):
         plant = ("generic", "state_causal", "output_causal_only")[i % 3]
-        sysm, _, _, _, _ = random_descriptor(
+        sysm = random_descriptor(
             rng, rng.randint(2, 5), rng.randint(1, 2), rng.randint(1, 2),
-            min_q=1, plant=plant)
+            min_q=1, plant=plant).system
         cases.append((sysm, rng.randint(2, 5), rng.randint(5, 25), 300 + i))
     cases += [(_two_channel(), 4, 20, seed) for seed in range(8)]
     counterexamples = {EX: 0, Mode.FLOAT: 0}
@@ -225,19 +225,18 @@ def test_one_pass_oracle_matches_the_one_mode_reference_loop():
     for sysm, extra, trials, seed in cases:
         for s in (sysm, sysm.to_float()):
             try:
-                ws = decompose(Pencil(s.F, s.G))
+                a = analyze(s)
             except DkitError:
                 continue
-            ts = transform_input(ws, s.B, s.C)
-            horizon = ws.q_star + extra
-            want = {mode: reference_causality_oracle(s, ws, ts, mode, horizon=horizon,
+            horizon = a.w.q_star + extra
+            want = {mode: reference_causality_oracle(a, mode, horizon=horizon,
                                                      trials=trials, seed=seed)
                     for mode in ("state", "output")}
             found = [o.counterexample for o in want.values() if o.counterexample]
             counterexamples[s.mode] += len(found)
             apart += len({ce.trial for ce in found}) > 1
             for modes in (("state", "output"), ("output", "state"), ("state",), ("output",)):
-                got = brute_force_causality_oracle(s, ws, ts, modes, horizon=horizon,
+                got = brute_force_causality_oracle(a, modes, horizon=horizon,
                                                    trials=trials, seed=seed)
                 assert len(got) == len(modes)
                 for mode, outcome in zip(modes, got):
@@ -249,9 +248,10 @@ def test_verdicts_invariant_under_equivalence_transform():
     rng = random.Random(47)
     for i in range(12):
         plant = ("generic", "state_causal", "output_causal_only")[i % 3]
-        sysm, w, tin, _, _ = random_descriptor(
+        a = random_descriptor(
             rng, rng.randint(2, 5), rng.randint(1, 2), rng.randint(1, 2),
             min_q=1, plant=plant)
+        sysm, w, tin = a.system, a.w, a.tin
         state0 = check_state_causality(w, tin)[0]
         out0 = check_output_causality(sysm, w, tin)[0]
 
@@ -261,17 +261,16 @@ def test_verdicts_invariant_under_equivalence_transform():
         sys2 = DescriptorSystem(m_l @ sysm.F @ m_r, m_l @ sysm.G @ m_r,
                                 m_l @ sysm.B, sysm.C @ m_r)
         w2 = decompose(Pencil(sys2.F, sys2.G))
-        tin2 = transform_input(w2, sys2.B, sys2.C)
+        tin2 = transform_input(w2, sys2.B)
         assert check_state_causality(w2, tin2)[0] == state0
         assert check_output_causality(sys2, w2, tin2)[0] == out0
         assert check_output_causality_nullspace(sys2, w2, tin2) == out0
 
 
 def test_float_zero_threshold_semantics():
-    sysm, w, tin = nilpotent3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    sys_f = sysm.to_float()
+    sys_f = nilpotent3([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).system.to_float()
     w_f = decompose(Pencil(sys_f.F, sys_f.G))
-    tin_f = transform_input(w_f, sys_f.B, sys_f.C)
+    tin_f = transform_input(w_f, sys_f.B)
     ok, _ = check_state_causality(w_f, tin_f)
     assert not ok
     # an absurdly large threshold declares every witness zero
@@ -282,8 +281,8 @@ def test_float_zero_threshold_semantics():
 
 
 def test_oracle_rejects_bad_mode_and_short_horizon():
-    sysm, w, tin = nilpotent3([[1, 0, 0]])
+    a = nilpotent3([[1, 0, 0]])
     with pytest.raises(ValueError):
-        brute_force_causality_oracle(sysm, w, tin, ("sideways",))
+        brute_force_causality_oracle(a, ("sideways",))
     with pytest.raises(ValueError):
-        brute_force_causality_oracle(sysm, w, tin, ("state",), horizon=1)
+        brute_force_causality_oracle(a, ("state",), horizon=1)

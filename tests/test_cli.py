@@ -140,6 +140,22 @@ def test_analyze_missing_file(capsys):
     assert "file not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not_utf8", "nested_too_deep"])
+def test_unreadable_system_file_is_a_parse_error(kind, tmp_path, capsys):
+    path = tmp_path / "system.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b'{"n": "\xff"}')
+    else:
+        depth = 200_000
+        path.write_text('{"n": ' + "[" * depth + "]" * depth + "}")
+    assert main(["analyze", str(path)]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
 def test_analyze_out_json_round_trips_rationals(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     assert main(["analyze", DIAG, "--out-json", str(report_path)]) == EXIT_OK
@@ -154,6 +170,19 @@ def test_analyze_out_json_round_trips_rationals(tmp_path, capsys):
     assert doc["consistency"]["z_p0"] == ["5"]
     assert Fraction(doc["char_poly"][0]) == 2  # lossless strings
     assert doc["causality"]["state_input_causal"] is True
+
+
+@pytest.mark.parametrize("command, flag, target, reason", [
+    ("analyze", "--out-json", "", "Is a directory"),
+    ("solve", "--out-csv", "missing/t.csv", "No such file or directory"),
+], ids=["analyze", "solve"])
+def test_unwritable_output_path_exits_1_with_one_error_line(command, flag, target, reason,
+                                                            tmp_path, capsys):
+    path = tmp_path / target
+    assert main([command, DIAG, flag, str(path)]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write {path}: {reason}\n"
 
 
 def test_solve_worked_trajectory_csv(capsys):
@@ -250,7 +279,7 @@ def test_causality_disagreement_exits_6(capsys, monkeypatch):
     import dkit.cli as cli_mod
     from dkit.causality import OracleOutcome
 
-    def lying_oracle(sys, w, tin, modes, **kwargs):
+    def lying_oracle(a, modes, **kwargs):
         return tuple(OracleOutcome(causal=False, counterexample=None) for _ in modes)
 
     monkeypatch.setattr(cli_mod.causality_mod, "brute_force_causality_oracle",
@@ -278,8 +307,7 @@ def test_both_disagreements_print_their_counterexamples_state_first(capsys, monk
     a = analyze(parse_system_file(NIL_CEYE).system())
     blocks = []
     for mode in ("state", "output"):
-        ce = reference_causality_oracle(a.system, a.w, a.tin, mode, horizon=8, trials=5,
-                                        seed=0).counterexample
+        ce = reference_causality_oracle(a, mode, horizon=8, trials=5, seed=0).counterexample
         u = [[format_scalar(x) for x in v.column_list()] for v in ce.base_signal.samples]
         u_pert = [[format_scalar(x) for x in v.column_list()]
                   for v in ce.perturbed_signal.samples]
@@ -297,21 +325,22 @@ def test_both_disagreements_print_their_counterexamples_state_first(capsys, monk
 
 def test_oracle_solves_each_trial_once_up_to_the_perturbed_instant(capsys, monkeypatch):
     rng = random.Random(4)
-    sysm, w, tin, _, _ = random_descriptor(rng, 6, 2, 2, q=3, plant="state_causal")
+    a = random_descriptor(rng, 6, 2, 2, q=3, plant="state_causal")
+    sysm = a.system
     signal = random_signal(rng, 2, 0, 12)
     sf = SystemFile(n=6, l=2, m=2, mode=Mode.EXACT, F=sysm.F, G=sysm.G, B=sysm.B,
-                    C=sysm.C, Y0=consistent_y0(rng, w, tin, signal), k0=0,
+                    C=sysm.C, Y0=consistent_y0(rng, a, signal), k0=0,
                     inputs=signal.samples, K=6)
     real_oracle, real_solve = causality_mod.brute_force_causality_oracle, causality_mod.solve
     oracle_modes, solves = [], []
 
     def counted_oracle(*args, **kwargs):
-        oracle_modes.append(args[3])
+        oracle_modes.append(args[1])
         return real_oracle(*args, **kwargs)
 
-    def recorded_solve(sys_, w_, tin_, signal_, y0, K, **kwargs):
+    def recorded_solve(a_, signal_, y0, K):
         solves.append((signal_, K))
-        return real_solve(sys_, w_, tin_, signal_, y0, K, **kwargs)
+        return real_solve(a_, signal_, y0, K)
 
     monkeypatch.setattr(causality_mod, "brute_force_causality_oracle", counted_oracle)
     monkeypatch.setattr(causality_mod, "solve", recorded_solve)

@@ -79,11 +79,12 @@ def planted_doc(seed, n, q, plant, palette, consistent, K=K, rational=False):
     so every matrix, the initial state and the inputs hold non-integers."""
     rng = random.Random(seed)
     kw = {"palette": palette} if palette else {}
-    sysm, w, tin, _, _ = random_descriptor(rng, n, 2, 2, q=q, plant=plant, **kw)
+    a = random_descriptor(rng, n, 2, 2, q=q, plant=plant, **kw)
+    sysm = a.system
     signal = random_signal(rng, 2, 0, K + n)
-    y0 = consistent_y0(rng, w, tin, signal)
+    y0 = consistent_y0(rng, a, signal)
     if not consistent:
-        y0 = y0 + w.Q.col(n - 1)
+        y0 = y0 + a.w.Q.col(n - 1)
     F, G, B, C, inputs = sysm.F, sysm.G, sysm.B, sysm.C, signal.samples
     if rational:
         d, t = _diag(ROW_SCALES, n), _diag(STATE_SCALES, n)

@@ -49,11 +49,8 @@ def diag_fixture():
     g = Matrix([[2, 0], [0, 1]], EX)
     b = Matrix([[1], [1]], EX)
     c = Matrix.identity(2, EX)
-    sysm = DescriptorSystem(f, g, b, c)
-    w = decompose(Pencil(f, g))
-    tin = transform_input(w, b, sysm.C)
     sig = InputSignal.from_rows(0, [[1]] * 5, EX)
-    return sysm, w, tin, sig
+    return analyze(DescriptorSystem(f, g, b, c)), sig
 
 
 def test_descriptor_system_validation():
@@ -69,14 +66,15 @@ def test_descriptor_system_validation():
 def test_consistency_with_rank_deficient_Q_p_is_typed():
     # Float decomposition can return a Q_p that lost rank numerically; then
     # the least-squares residual of an inconsistent y0 is undefined.
-    sysm, w, tin, sig = diag_fixture()
-    broken = dataclasses.replace(w, Q=Matrix([[0, 0], [0, 1]], EX))
+    a, sig = diag_fixture()
+    broken = dataclasses.replace(a, w=dataclasses.replace(a.w, Q=Matrix([[0, 0], [0, 1]], EX)))
     with pytest.raises(ChainConstructionFailure, match="rank deficient"):
-        check_consistency(sysm, broken, tin, sig, Matrix.column([5, -1], EX))
+        check_consistency(broken, sig, Matrix.column([5, -1], EX))
 
 
 def test_transformed_input_stacks_to_pb():
-    sysm, w, tin, _ = diag_fixture()
+    a, _ = diag_fixture()
+    sysm, w, tin = a.system, a.w, a.tin
     assert vstack([tin.B_p, tin.B_q]) == w.P @ sysm.B
     assert tin.B_p.shape == (w.p, sysm.l)
     assert tin.B_q.shape == (w.q, sysm.l)
@@ -86,9 +84,8 @@ def test_compute_dk_no_infinite_part():
     f = Matrix.identity(2, EX)
     g = Matrix([[1, 1], [0, 1]], EX)
     b = Matrix([[1], [0]], EX)
-    sysm = DescriptorSystem(f, g, b, Matrix.identity(2, EX))
     w = decompose(Pencil(f, g))
-    tin = transform_input(w, b, sysm.C)
+    tin = transform_input(w, b)
     sig = InputSignal.from_rows(0, [[1], [2], [3]], EX)
     d = compute_Dk(w, tin, sig, 2)
     assert d.bottom.shape == (0, 1)
@@ -96,36 +93,36 @@ def test_compute_dk_no_infinite_part():
 
 
 def test_compute_dk_zero_input():
-    sysm, w, tin, _ = diag_fixture()
+    a, _ = diag_fixture()
     sig = InputSignal.from_rows(0, [[0]] * 4, EX)
     for k in range(3):
-        assert compute_Dk(w, tin, sig, k).stacked.is_zero()
+        assert compute_Dk(a.w, a.tin, sig, k).stacked.is_zero()
 
 
 def test_compute_dk_diag_fixture_values():
-    _, w, tin, sig = diag_fixture()
-    d2 = compute_Dk(w, tin, sig, 2)
+    a, sig = diag_fixture()
+    d2 = compute_Dk(a.w, a.tin, sig, 2)
     assert d2.top.to_lists() == [[3]]       # 2*1 + 1*1
     assert d2.bottom.to_lists() == [[-1]]   # -(H^0 B_q V_2)
 
 
 def test_compute_dk_needs_future_samples():
-    _, w, tin, _ = diag_fixture()
+    a, _ = diag_fixture()
     sig = InputSignal.from_rows(0, [[1], [1]], EX)
     with pytest.raises(InputHorizonTooShort):
-        compute_Dk(w, tin, sig, 2)  # bottom block reads V_2
+        compute_Dk(a.w, a.tin, sig, 2)  # bottom block reads V_2
     with pytest.raises(ValueError):
-        compute_Dk(w, tin, sig, -1)
+        compute_Dk(a.w, a.tin, sig, -1)
 
 
 def test_consistency_diag_fixture():
-    sysm, w, tin, sig = diag_fixture()
-    good = check_consistency(sysm, w, tin, sig, Matrix.column([5, -1], EX))
+    a, sig = diag_fixture()
+    good = check_consistency(a, sig, Matrix.column([5, -1], EX))
     assert good.consistent
     assert good.z_p0.to_lists() == [[5]]
     assert good.residual.is_zero()
 
-    bad = check_consistency(sysm, w, tin, sig, Matrix.column([5, 7], EX))
+    bad = check_consistency(a, sig, Matrix.column([5, 7], EX))
     assert not bad.consistent
     assert bad.z_p0 is None
     assert bad.residual.to_lists() == [[0], [8]]
@@ -134,22 +131,20 @@ def test_consistency_diag_fixture():
 def test_every_y0_consistent_when_q_zero():
     rng = random.Random(31)
     for _ in range(10):
-        sysm, w, tin, _, _ = random_descriptor(rng, rng.randint(1, 4), 1, 1, q=0)
+        a = random_descriptor(rng, rng.randint(1, 4), 1, 1, q=0)
         sig = random_signal(rng, 1, 0, 6)
-        y0 = Matrix.column([rng.randint(-5, 5) for _ in range(sysm.n)], EX)
-        assert check_consistency(sysm, w, tin, sig, y0).consistent
+        y0 = Matrix.column([rng.randint(-5, 5) for _ in range(a.system.n)], EX)
+        assert check_consistency(a, sig, y0).consistent
 
 
 def test_scalar_system_reduces_to_ordinary_recursion():
     a, b = Fraction(3, 2), Fraction(-2)
     sysm = DescriptorSystem(Matrix([[1]], EX), Matrix([[a]], EX),
                             Matrix([[b]], EX), Matrix([[1]], EX))
-    w = decompose(Pencil(sysm.F, sysm.G))
-    tin = transform_input(w, sysm.B, sysm.C)
     rows = [[1], [2], [-1], [3], [0]]
     sig = InputSignal.from_rows(0, rows, EX)
     y0 = Matrix.column([7], EX)
-    traj = solve(sysm, w, tin, sig, y0, 5)
+    traj = solve(analyze(sysm), sig, y0, 5)
     y = Fraction(7)
     for idx in range(5):
         assert traj.states[idx].column_list() == [y]
@@ -159,17 +154,17 @@ def test_scalar_system_reduces_to_ordinary_recursion():
 
 def test_pure_nilpotent_state_tracks_input():
     # q = 1 block: Z^q_k = -B_q V_k for every k
-    sysm, w, tin, sig = diag_fixture()
+    a, sig = diag_fixture()
     y0 = Matrix.column([5, -1], EX)
-    traj = solve(sysm, w, tin, sig, y0, 3)
+    traj = solve(a, sig, y0, 3)
     for idx in range(4):
         v = sig.sample(idx)
-        assert traj.z_q[idx] == -(tin.B_q @ v)
+        assert traj.z_q[idx] == -(a.tin.B_q @ v)
 
 
 def test_worked_trajectory_values():
-    sysm, w, tin, sig = diag_fixture()
-    traj = solve(sysm, w, tin, sig, Matrix.column([5, -1], EX), 3)
+    a, sig = diag_fixture()
+    traj = solve(a, sig, Matrix.column([5, -1], EX), 3)
     assert [s.column_list() for s in traj.states] == [
         [Fraction(5), Fraction(-1)],
         [Fraction(11), Fraction(-1)],
@@ -177,35 +172,35 @@ def test_worked_trajectory_values():
         [Fraction(47), Fraction(-1)],
     ]
     assert traj.outputs == traj.states  # C = I
-    res = residual_oracle(sysm, sig, traj, Matrix.column([5, -1], EX))
+    res = residual_oracle(a.system, sig, traj, Matrix.column([5, -1], EX))
     assert res.step_residual == 0 and res.y0_mismatch == 0
 
 
 def test_solve_rejects_inconsistent_y0():
-    sysm, w, tin, sig = diag_fixture()
+    a, sig = diag_fixture()
     with pytest.raises(InconsistentInitialCondition) as err:
-        solve(sysm, w, tin, sig, Matrix.column([5, 7], EX), 3)
+        solve(a, sig, Matrix.column([5, 7], EX), 3)
     assert err.value.residual is not None
 
 
 def test_solve_rejects_short_horizon():
-    sysm, w, tin, _ = diag_fixture()
+    a, _ = diag_fixture()
     sig = InputSignal.from_rows(0, [[1], [1], [1]], EX)  # need 4 for K=3, q*=1
     with pytest.raises(InputHorizonTooShort):
-        solve(sysm, w, tin, sig, Matrix.column([5, -1], EX), 3)
+        solve(a, sig, Matrix.column([5, -1], EX), 3)
 
 
 def test_trajectory_invariants_and_subsystem_equation():
     rng = random.Random(32)
     for _ in range(20):
         n = rng.randint(1, 5)
-        sysm, w, tin, _, _ = random_descriptor(rng, n, rng.randint(1, 2),
-                                               rng.randint(1, 2))
+        a = random_descriptor(rng, n, rng.randint(1, 2), rng.randint(1, 2))
+        sysm, w, tin = a.system, a.w, a.tin
         k0 = rng.randint(-2, 2)
         K = k0 + rng.randint(2, 8)
         sig = random_signal(rng, sysm.l, k0, K - k0 + w.q_star)
-        y0 = consistent_y0(rng, w, tin, sig)
-        traj = solve(sysm, w, tin, sig, y0, K)
+        y0 = consistent_y0(rng, a, sig)
+        traj = solve(a, sig, y0, K)
         assert residual_oracle(sysm, sig, traj, y0).step_residual == 0
         for idx in range(len(traj)):
             # Y = Q [Z^p; Z^q] and X = C Y at every stored instant
@@ -221,12 +216,13 @@ def test_closed_form_matches_recursion():
     rng = random.Random(33)
     for _ in range(15):
         n = rng.randint(1, 5)
-        sysm, w, tin, _, _ = random_descriptor(rng, n, 1, 1)
+        a = random_descriptor(rng, n, 1, 1)
+        w, tin = a.w, a.tin
         k0 = rng.randint(-1, 1)
         K = k0 + rng.randint(2, 7)
         sig = random_signal(rng, 1, k0, K - k0 + w.q_star)
-        y0 = consistent_y0(rng, w, tin, sig)
-        traj = solve(sysm, w, tin, sig, y0, K)
+        y0 = consistent_y0(rng, a, sig)
+        traj = solve(a, sig, y0, K)
         for idx in range(len(traj)):
             k = k0 + idx
             assert traj.z_p[idx] == closed_form_zp(w, tin, sig, traj.z_p[0], k)
@@ -237,8 +233,9 @@ def test_closed_form_matches_recursion():
 
 
 def test_residual_oracle_detects_corruption():
-    sysm, w, tin, sig = diag_fixture()
-    traj = solve(sysm, w, tin, sig, Matrix.column([5, -1], EX), 3)
+    a, sig = diag_fixture()
+    sysm = a.system
+    traj = solve(a, sig, Matrix.column([5, -1], EX), 3)
     bumped = list(traj.states)
     bumped[2] = bumped[2] + Matrix.column([1, 0], EX)
     corrupted = Trajectory(k0=traj.k0, states=tuple(bumped),
@@ -250,13 +247,13 @@ def test_residual_oracle_detects_corruption():
                                    (traj.z_p[0],), (traj.z_q[0],)))
 
 
-def _grid_uniqueness_check(sysm, w, tin, sig, y0, K):
+def _grid_uniqueness_check(a, sig, y0, K):
     """Enumerate candidate trajectories around the solver's output and check
     that zero-residual candidates agree with it wherever the window pins the
     state (k <= T - q*, with steps enforced on k0..T-1)."""
-    k0 = sig.k0
-    T = K + w.q_star
-    truth = solve(sysm, w, tin, sig, y0, T)
+    k0, sysm = sig.k0, a.system
+    T = K + a.w.q_star
+    truth = solve(a, sig, y0, T)
     n = sysm.n
     free_coords = n * (T - k0)
     offsets = [Fraction(0), Fraction(1), Fraction(-1)]
@@ -282,26 +279,24 @@ def _grid_uniqueness_check(sysm, w, tin, sig, y0, K):
 
 
 def test_uniqueness_by_brute_force_on_diag_fixture():
-    sysm, w, tin, sig = diag_fixture()
-    _grid_uniqueness_check(sysm, w, tin, sig, Matrix.column([5, -1], EX), K=1)
+    a, sig = diag_fixture()
+    _grid_uniqueness_check(a, sig, Matrix.column([5, -1], EX), K=1)
 
 
 def test_uniqueness_by_brute_force_on_nilpotent_fixture():
     f = Matrix([[1, 0, 0], [0, 0, 1], [0, 0, 0]], EX)
     g = Matrix.identity(3, EX)
     b = Matrix([[0], [0], [1]], EX)
-    sysm = DescriptorSystem(f, g, b, Matrix.identity(3, EX))
-    w = decompose(Pencil(f, g))
-    tin = transform_input(w, b, sysm.C)
+    a = analyze(DescriptorSystem(f, g, b, Matrix.identity(3, EX)))
     sig = InputSignal.from_rows(0, [[1], [2], [-1], [3], [1]], EX)
     y0 = Matrix.column([2, -2, -1], EX)  # (z, -v_1, -v_0) with z = 2
-    assert check_consistency(sysm, w, tin, sig, y0).consistent
-    _grid_uniqueness_check(sysm, w, tin, sig, y0, K=1)
+    assert check_consistency(a, sig, y0).consistent
+    _grid_uniqueness_check(a, sig, y0, K=1)
 
 
 def test_single_state_trajectory():
-    sysm, w, tin, sig = diag_fixture()
-    traj = solve(sysm, w, tin, sig, Matrix.column([5, -1], EX), 0)
+    a, sig = diag_fixture()
+    traj = solve(a, sig, Matrix.column([5, -1], EX), 0)
     assert len(traj) == 1 and traj.K == 0
 
 
@@ -310,16 +305,17 @@ def test_consistency_iff_stacked_step_solvable():
     checked_reject = 0
     for _ in range(20):
         n = rng.randint(2, 5)
-        sysm, w, tin, _, _ = random_descriptor(rng, n, 1, 1, min_q=1)
+        a = random_descriptor(rng, n, 1, 1, min_q=1)
+        w = a.w
         sig = random_signal(rng, 1, 0, w.q_star + 3)
-        good = consistent_y0(rng, w, tin, sig)
-        assert check_consistency(sysm, w, tin, sig, good).consistent
-        assert stacked_step_solvable(sysm, w, tin, sig, good)
+        good = consistent_y0(rng, a, sig)
+        assert check_consistency(a, sig, good).consistent
+        assert stacked_step_solvable(a, sig, good)
         if w.q:
             u = Matrix.column([rng.choice([1, 2, -1]) for _ in range(w.q)], EX)
             bad = good + w.Q_q @ u
-            assert not check_consistency(sysm, w, tin, sig, bad).consistent
-            assert not stacked_step_solvable(sysm, w, tin, sig, bad)
+            assert not check_consistency(a, sig, bad).consistent
+            assert not stacked_step_solvable(a, sig, bad)
             checked_reject += 1
     assert checked_reject >= 15
 
@@ -327,10 +323,11 @@ def test_consistency_iff_stacked_step_solvable():
 def test_q_zero_reduces_to_explicit_recursion():
     rng = random.Random(35)
     for _ in range(5):
-        sysm, w, tin, _, _ = random_descriptor(rng, rng.randint(1, 4), 1, 1, q=0)
+        a = random_descriptor(rng, rng.randint(1, 4), 1, 1, q=0)
+        sysm = a.system
         sig = random_signal(rng, 1, 0, 6)
         y0 = Matrix.column([rng.randint(-3, 3) for _ in range(sysm.n)], EX)
-        traj = solve(sysm, w, tin, sig, y0, 6)
+        traj = solve(a, sig, y0, 6)
         a_mat = linalg.inverse(sysm.F) @ sysm.G
         b_mat = linalg.inverse(sysm.F) @ sysm.B
         y = y0
@@ -345,10 +342,8 @@ def test_float_mode_worked_trajectory():
     g = Matrix([[2, 0], [0, 1]], Mode.FLOAT)
     b = Matrix([[1], [1]], Mode.FLOAT)
     sysm = DescriptorSystem(f, g, b, Matrix.identity(2, Mode.FLOAT))
-    w = decompose(Pencil(f, g))
-    tin = transform_input(w, b, sysm.C)
     sig = InputSignal.from_rows(0, [[1]] * 5, Mode.FLOAT)
-    traj = solve(sysm, w, tin, sig, Matrix.column([5, -1], Mode.FLOAT), 3)
+    traj = solve(analyze(sysm), sig, Matrix.column([5, -1], Mode.FLOAT), 3)
     want = [5.0, 11.0, 23.0, 47.0]
     for idx, target in enumerate(want):
         assert abs(traj.states[idx][0, 0] - target) < 1e-9
@@ -360,7 +355,7 @@ def test_analyze_matches_the_separate_library_calls():
     rng = random.Random(17)
     for mode in (Mode.EXACT, Mode.FLOAT):
         for _ in range(10):
-            sysm, _, _, _, _ = random_descriptor(rng, rng.randint(1, 5), 2, 2)
+            sysm = random_descriptor(rng, rng.randint(1, 5), 2, 2).system
             if mode is Mode.FLOAT:
                 sysm = sysm.to_float()
             try:
@@ -369,10 +364,10 @@ def test_analyze_matches_the_separate_library_calls():
                 continue
             a = analyze(sysm)
             assert a.system is sysm
-            assert a.char_poly == sysm.char_poly == char_poly(sysm.pencil)
+            assert sysm.char_poly == char_poly(sysm.pencil)
             assert a.w == w
             assert a.verification == verify(sysm.pencil, w)
-            assert a.tin == transform_input(w, sysm.B, sysm.C)
+            assert a.tin == transform_input(w, sysm.B)
 
 
 def _reference_step_residual(sysm, sig, states):
@@ -391,12 +386,12 @@ def _reference_step_residual(sysm, sig, states):
 def test_fused_residual_oracle_matches_separate_products():
     rng = random.Random(36)
     for _ in range(25):
-        sysm, w, tin, _, _ = random_descriptor(rng, rng.randint(1, 5), rng.randint(1, 2),
-                                               rng.randint(1, 2))
+        a = random_descriptor(rng, rng.randint(1, 5), rng.randint(1, 2), rng.randint(1, 2))
+        sysm = a.system
         k0 = rng.randint(-2, 2)
         K = k0 + rng.randint(1, 6)
-        sig = random_signal(rng, sysm.l, k0, K - k0 + w.q_star)
-        traj = solve(sysm, w, tin, sig, consistent_y0(rng, w, tin, sig), K)
+        sig = random_signal(rng, sysm.l, k0, K - k0 + a.w.q_star)
+        traj = solve(a, sig, consistent_y0(rng, a, sig), K)
         states = list(traj.states)
         for idx in rng.sample(range(len(states)), rng.randint(1, len(states))):
             bump = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(sysm.n)]
@@ -422,40 +417,40 @@ def test_solve_makes_one_product_per_step_and_the_oracle_one(monkeypatch):
     monkeypatch.setattr(Matrix, "__matmul__", counted)
     rng = random.Random(37)
     for _ in range(5):
-        sysm, w, tin, _, _ = random_descriptor(rng, rng.randint(2, 5), 2, 2, min_q=1)
-        sig = random_signal(rng, 2, 0, 12 + w.q_star)
-        y0 = consistent_y0(rng, w, tin, sig)
+        a = random_descriptor(rng, rng.randint(2, 5), 2, 2, min_q=1)
+        sig = random_signal(rng, 2, 0, 12 + a.w.q_star)
+        y0 = consistent_y0(rng, a, sig)
         setups = []
         for K in (1, 4, 12):
             calls[0] = 0
-            traj = solve(sysm, w, tin, sig, y0, K)
+            traj = solve(a, sig, y0, K)
             setups.append(calls[0] - K)
             calls[0] = 0
-            residual_oracle(sysm, sig, traj, y0)
+            residual_oracle(a.system, sig, traj, y0)
             assert calls[0] == K
         assert setups[0] - 2 == setups[1] == setups[2]
 
 
 def test_step_map_is_built_on_the_first_solve_and_kept():
     rng = random.Random(38)
-    sysm, w, _, _, _ = random_descriptor(rng, 5, 2, 2, min_q=2)
-    sig = random_signal(rng, 2, 0, 6 + w.q_star)
+    sysm = random_descriptor(rng, 5, 2, 2, min_q=2).system
     with mock.patch.object(solver, "_step_maps", wraps=solver._step_maps) as build:
         a = analyze(sysm)
+        sig = random_signal(rng, 2, 0, 6 + a.w.q_star)
         build_report(a.system, a.w, a.tin)
-        y0 = consistent_y0(rng, a.w, a.tin, sig)
+        y0 = consistent_y0(rng, a, sig)
         assert build.call_count == 0
-        traj = solve(sysm, a.w, a.tin, sig, y0, 6)
-        assert solve(sysm, a.w, a.tin, sig, y0, 3).states == traj.states[:4]
+        traj = solve(a, sig, y0, 6)
+        assert solve(a, sig, y0, 3).states == traj.states[:4]
         assert build.call_count == 1
-        # a system with another output map gets its own map, not the kept one
-        other = DescriptorSystem(sysm.F, sysm.G, sysm.B, sysm.C.scale(3))
-        got = solve(other, a.w, a.tin, sig, y0, 6)
+        # a system that differs only in C gets its own analysis and its own map
+        other = analyze(DescriptorSystem(sysm.F, sysm.G, sysm.B, sysm.C.scale(3)))
+        got = solve(other, sig, y0, 6)
+        assert build.call_count == 2
+        assert solve(a, sig, y0, 6) == traj
         assert build.call_count == 2
     assert got.states == traj.states
     assert got.outputs == tuple(x.scale(3) for x in traj.outputs)
-    without_c = solve(sysm, a.w, transform_input(a.w, sysm.B), sig, y0, 6)
-    assert without_c == traj
 
 
 def test_float_solve_on_the_step_map_tracks_exact_solve():
@@ -464,18 +459,18 @@ def test_float_solve_on_the_step_map_tracks_exact_solve():
     rng = random.Random(39)
     checked = 0
     for _ in range(10):
-        sysm, w, tin, _, _ = random_descriptor(rng, rng.randint(2, 6), 2, 2)
+        a = random_descriptor(rng, rng.randint(2, 6), 2, 2)
         K = 8
-        sig = random_signal(rng, 2, 0, K + w.q_star)
-        y0 = consistent_y0(rng, w, tin, sig)
-        exact = solve(sysm, w, tin, sig, y0, K)
+        sig = random_signal(rng, 2, 0, K + a.w.q_star)
+        y0 = consistent_y0(rng, a, sig)
+        exact = solve(a, sig, y0, K)
         try:
-            sys_f = sysm.to_float()
-            w_f = decompose(sys_f.pencil)
+            sys_f = a.system.to_float()
+            a_f = analyze(sys_f)
         except DkitError:
             continue
         sig_f = InputSignal(sig.k0, [v.to_float() for v in sig.samples])
-        got = solve(sys_f, w_f, transform_input(w_f, sys_f.B, sys_f.C), sig_f, y0.to_float(), K)
+        got = solve(a_f, sig_f, y0.to_float(), K)
         scale = max([1.0] + [float(abs(v.max_abs())) for v in exact.states + exact.outputs])
         for ex, fl in zip(exact.states + exact.outputs, got.states + got.outputs):
             assert float((ex.to_float() - fl).max_abs()) <= 1e-9 * scale
