@@ -7,6 +7,11 @@ Core surface:
 * analysis and solutions  -- :mod:`dkit.solver`
 * causality analysis      -- :mod:`dkit.causality`
 * command-line front-end  -- :mod:`dkit.cli`
+
+The records are NamedTuples or small classes with an explicit
+``__init__``, value equality and immutability, not dataclasses, whose
+import (it loads ``inspect``) and per-class code generation lengthen every
+cold start of the command line.
 """
 
 from .causality import (

@@ -18,8 +18,7 @@ seed gives each mode the verdict a pass for that mode alone would.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .matrices import Matrix
 from .scalars import Mode
@@ -92,8 +91,7 @@ def check_output_causality_nullspace(
     return _is_zero(sys.C @ nullspace_form(w, tin), tol)
 
 
-@dataclass(frozen=True)
-class CausalityReport:
+class CausalityReport(NamedTuple):
     state_input_causal: bool
     output_input_causal: bool
     criterion_state: Matrix                 # H_q B_q
@@ -123,8 +121,7 @@ def build_report(
     )
 
 
-@dataclass(frozen=True)
-class OracleCounterexample:
+class OracleCounterexample(NamedTuple):
     trial: int
     perturbed_index: int
     diverged_at: int
@@ -135,8 +132,7 @@ class OracleCounterexample:
     perturbed_value: Matrix
 
 
-@dataclass(frozen=True)
-class OracleOutcome:
+class OracleOutcome(NamedTuple):
     causal: bool
     counterexample: OracleCounterexample | None
 

@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import causality as causality_mod
 from .errors import (
@@ -36,6 +36,7 @@ from .errors import (
     IrregularPencil,
     ParseError,
     UnresolvableSpectrum,
+    excerpt,
 )
 from .matrices import Matrix
 from .pencil import Pencil  # noqa: F401  (read as cli.Pencil by perfbench)
@@ -63,8 +64,7 @@ EXIT_NUMERICAL = 7
 _REQUIRED_KEYS = ("n", "l", "m", "mode", "F", "G", "B", "C", "Y0", "k0", "inputs", "K")
 
 
-@dataclass(frozen=True)
-class SystemFile:
+class SystemFile(NamedTuple):
     n: int
     l: int
     m: int
@@ -87,7 +87,7 @@ class SystemFile:
 
 def _require_int(raw, field: str) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ParseError(f"{field}: expected an integer, got {raw!r}")
+        raise ParseError(f"{field}: expected an integer, got {excerpt(raw)}")
     return raw
 
 
@@ -155,7 +155,7 @@ def parse_system_file(source, mode_override: Mode | None = None) -> SystemFile:
         raise ParseError("l and m must be >= 0")
     raw_mode = doc["mode"]
     if raw_mode not in ("exact", "float"):
-        raise ParseError(f'mode: expected "exact" or "float", got {raw_mode!r}')
+        raise ParseError(f'mode: expected "exact" or "float", got {excerpt(raw_mode)}')
     mode = mode_override or Mode(raw_mode)
 
     k0 = _require_int(doc["k0"], "k0")
@@ -396,7 +396,7 @@ def cmd_causality(args) -> int:
         try:
             seed = int(raw_seed)
         except ValueError:
-            raise ParseError(f"DKIT_SEED: expected an integer, got {raw_seed!r}") from None
+            raise ParseError(f"DKIT_SEED: expected an integer, got {excerpt(raw_seed)}") from None
         horizon = max(a.w.q_star + 5, 8)
         expected = {"state": report.state_input_causal, "output": report.output_input_causal}
         outcomes = causality_mod.brute_force_causality_oracle(

@@ -5,6 +5,22 @@ class; the CLI maps each one to a distinct exit code.
 """
 
 
+def excerpt(value) -> str:
+    """The repr of ``value``, a value read from an input file, cut to at
+    most 60 characters for an error message, so that one long field cannot
+    flood it; a cut string, list or object also shows its length."""
+    import reprlib  # only on the error path, so start-up does not pay for it
+
+    short = reprlib.Repr()
+    short.maxlevel = 2  # bounds the work on nested lists, not only the text
+    text = short.repr(value)
+    if len(text) > 60:
+        text = text[:57] + "..."
+    if isinstance(value, (str, list, dict)) and "..." in text:
+        text += f" (length {len(value)})"
+    return text
+
+
 class DkitError(Exception):
     """Base class for all toolkit errors."""
 

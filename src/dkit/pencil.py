@@ -17,8 +17,8 @@ divided out in integer arithmetic once the denominators are cleared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .errors import ChainConstructionFailure, UnresolvableSpectrum
@@ -29,22 +29,35 @@ DEFAULT_ZERO_TOL = 1e-9
 DEFAULT_CLUSTER_RADIUS = 1e-7
 
 
-@dataclass(frozen=True)
 class Pencil:
     """The pair (F, G) defining the family sF - G."""
 
-    F: Matrix
-    G: Matrix
-
-    def __post_init__(self):
-        if not (self.F.is_square and self.G.is_square):
+    def __init__(self, F: Matrix, G: Matrix):
+        if not (F.is_square and G.is_square):
             raise ValueError("pencil matrices must be square")
-        if self.F.shape != self.G.shape:
+        if F.shape != G.shape:
             raise ValueError("F and G must have identical dimensions")
-        if self.F.mode is not self.G.mode:
+        if F.mode is not G.mode:
             raise ValueError("F and G must share one scalar mode")
-        if self.F.rows == 0:
+        if F.rows == 0:
             raise ValueError("empty pencil (n = 0) is not admitted")
+        self.__dict__.update(F=F, G=G)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("Pencil is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.F, self.G
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n(self) -> int:
@@ -59,8 +72,7 @@ class Pencil:
         return self.F.scale(s) - self.G
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(NamedTuple):
     """det(sF - G) with trailing (near-)zero coefficients trimmed.
 
     ``coefficients`` is ascending in s and empty for the identically zero

@@ -14,14 +14,13 @@ that admits a raw value into a given mode.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import DkitError
+from .errors import DkitError, excerpt
 
 Scalar = Union[Fraction, complex]
 
@@ -106,7 +105,9 @@ def parse_scalar(raw, mode: Mode) -> Scalar:
             try:
                 value = Fraction(raw)
             except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"cannot parse {raw!r} as a rational: {exc}") from None
+                # Fraction's reason for a malformed raw repeats all of it: kept if short
+                reason = f": {exc}" if len(str(exc)) <= 200 else ""
+                raise ValueError(f"cannot parse {excerpt(raw)} as a rational{reason}") from None
         else:
             raise ValueError(f"cannot parse {type(raw).__name__} as an exact scalar")
         # a value within 3 * limit bits prints (see check_printable), so
@@ -129,9 +130,9 @@ def parse_scalar(raw, mode: Mode) -> Scalar:
         else:
             value = complex(raw)
     except (ValueError, OverflowError):
-        raise ValueError(f"cannot parse {raw!r} as a float scalar") from None
-    if not cmath.isfinite(value):
-        raise ValueError(f"{raw!r} is not a finite float scalar")
+        raise ValueError(f"cannot parse {excerpt(raw)} as a float scalar") from None
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"{excerpt(raw)} is not a finite float scalar")
     return value
 
 

@@ -22,7 +22,6 @@ difference equation and is deliberately independent of the decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -111,8 +110,7 @@ class InputSignal:
         return self.samples[k - self.k0]
 
 
-@dataclass(frozen=True)
-class TransformedInput:
+class TransformedInput(NamedTuple):
     """P B split into its forward (p x l) and backward (q x l) rows, and the
     backward map [B_q | H_q B_q | ... | H_q^{q*-1} B_q] (q x l q*)."""
 
@@ -160,7 +158,6 @@ def transform_input(w: WeierstrassDecomposition, B: Matrix) -> TransformedInput:
     )
 
 
-@dataclass(frozen=True)
 class Analysis:
     """The one handle for running a system: everything derived from it,
     each computed once.  The canonical form with its reconstruction report
@@ -169,11 +166,27 @@ class Analysis:
     :func:`solve` and :func:`check_consistency` decide ranks with the
     ``rank_tol`` the canonical form was found with."""
 
-    system: DescriptorSystem
-    w: WeierstrassDecomposition
-    verification: VerificationReport
-    tin: TransformedInput
-    rank_tol: float | None = None
+    def __init__(self, system: DescriptorSystem, w: WeierstrassDecomposition,
+                 verification: VerificationReport, tin: TransformedInput,
+                 rank_tol: float | None = None):
+        self.__dict__.update(system=system, w=w, verification=verification,
+                             tin=tin, rank_tol=rank_tol)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("Analysis is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.system, self.w, self.verification, self.tin, self.rank_tol
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def step_maps(self) -> tuple[Matrix, Matrix]:
@@ -220,8 +233,7 @@ def compute_Dk(
     return Dk(top=top, bottom=bottom, stacked=vstack([top, bottom]))
 
 
-@dataclass(frozen=True)
-class ConsistencyResult:
+class ConsistencyResult(NamedTuple):
     consistent: bool
     z_p0: Matrix | None
     residual: Matrix   # y0 - Q_p z - Q D_{k0}; zero when consistent
@@ -251,13 +263,31 @@ def check_consistency(a: Analysis, signal: InputSignal, y0: Matrix) -> Consisten
     return ConsistencyResult(False, None, rhs - q_p @ z_ls)
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    k0: int
-    states: tuple[Matrix, ...]    # Y_k, n x 1
-    outputs: tuple[Matrix, ...]   # X_k, m x 1
-    z_p: tuple[Matrix, ...]       # forward coordinates, p x 1
-    z_q: tuple[Matrix, ...]       # backward coordinates, q x 1
+    """Y, X, Z^p and Z^q at the instants k0, k0 + 1, ..., K."""
+
+    def __init__(self, k0: int,
+                 states: tuple[Matrix, ...],    # Y_k, n x 1
+                 outputs: tuple[Matrix, ...],   # X_k, m x 1
+                 z_p: tuple[Matrix, ...],       # forward coordinates, p x 1
+                 z_q: tuple[Matrix, ...]):      # backward coordinates, q x 1
+        self.__dict__.update(k0=k0, states=states, outputs=outputs, z_p=z_p, z_q=z_q)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("Trajectory is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.k0, self.states, self.outputs, self.z_p, self.z_q
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def K(self) -> int:

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -185,13 +184,13 @@ def _assert_same_outcome(got, want):
     assert (got.counterexample is None) == (want.counterexample is None)
     if got.counterexample is None:
         return
-    for field in dataclasses.fields(OracleCounterexample):
-        a = getattr(got.counterexample, field.name)
-        b = getattr(want.counterexample, field.name)
+    for name in OracleCounterexample._fields:
+        a = getattr(got.counterexample, name)
+        b = getattr(want.counterexample, name)
         if isinstance(a, InputSignal):
-            assert (a.k0, a.samples) == (b.k0, b.samples), field.name
+            assert (a.k0, a.samples) == (b.k0, b.samples), name
         else:
-            assert a == b, field.name
+            assert a == b, name
 
 
 def _two_channel():

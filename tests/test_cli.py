@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import random
@@ -295,8 +294,8 @@ def test_both_disagreements_print_their_counterexamples_state_first(capsys, monk
     real_report = causality_mod.build_report
 
     def all_causal(*args, **kwargs):
-        return dataclasses.replace(real_report(*args, **kwargs),
-                                   state_input_causal=True, output_input_causal=True)
+        return real_report(*args, **kwargs)._replace(state_input_causal=True,
+                                                     output_input_causal=True)
 
     monkeypatch.setattr(causality_mod, "build_report", all_causal)
     monkeypatch.delenv("DKIT_SEED", raising=False)
@@ -523,7 +522,7 @@ def test_non_integer_seed_is_a_parse_error(monkeypatch, capsys):
     assert "DKIT_SEED" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1+nanj", "1e400",
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1+nanj", "1+infj", "1e400",
                                   float("nan"), float("inf")])
 def test_float_mode_rejects_non_finite_scalars(cell, capsys):
     doc = load(DIAG)
@@ -532,6 +531,22 @@ def test_float_mode_rejects_non_finite_scalars(cell, capsys):
     with pytest.raises(ParseError, match=r"F\[0\]\[0\]"):
         parse_system_file(doc)
     assert main(["analyze", json.dumps(doc)]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", [0] * 100_000),
+    ("mode", "x" * 100_000),
+    ("k0", "7" * 1_000_000),
+    ("F", [["x" * 200_000, 0], [0, 0]]),
+], ids=["n", "mode", "k0", "F"])
+def test_parse_errors_show_a_bounded_excerpt_of_the_value(field, value, tmp_path, capsys):
+    doc = load(DIAG)
+    doc[field] = value
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"parse error: {field}") and len(err) <= 200
 
 
 def test_exact_mode_rejects_non_finite_json_numbers():

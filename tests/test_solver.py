@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -7,6 +6,7 @@ from unittest import mock
 import pytest
 
 from dkit import (
+    Analysis,
     ChainConstructionFailure,
     DescriptorSystem,
     DkitError,
@@ -17,6 +17,7 @@ from dkit import (
     Matrix,
     Pencil,
     Trajectory,
+    WeierstrassDecomposition,
     analyze,
     char_poly,
     check_consistency,
@@ -67,7 +68,10 @@ def test_consistency_with_rank_deficient_Q_p_is_typed():
     # Float decomposition can return a Q_p that lost rank numerically; then
     # the least-squares residual of an inconsistent y0 is undefined.
     a, sig = diag_fixture()
-    broken = dataclasses.replace(a, w=dataclasses.replace(a.w, Q=Matrix([[0, 0], [0, 1]], EX)))
+    w = a.w
+    broken = Analysis(a.system, WeierstrassDecomposition(
+        w.P, Matrix([[0, 0], [0, 1]], EX), w.jordan_blocks, w.nilpotent_blocks, w.p, w.q,
+        w.q_star), a.verification, a.tin, a.rank_tol)
     with pytest.raises(ChainConstructionFailure, match="rank deficient"):
         check_consistency(broken, sig, Matrix.column([5, -1], EX))
 
@@ -396,7 +400,7 @@ def test_fused_residual_oracle_matches_separate_products():
         for idx in rng.sample(range(len(states)), rng.randint(1, len(states))):
             bump = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(sysm.n)]
             states[idx] = states[idx] + Matrix.column(bump, EX)
-        corrupted = dataclasses.replace(traj, states=tuple(states))
+        corrupted = Trajectory(traj.k0, tuple(states), traj.outputs, traj.z_p, traj.z_q)
         got = residual_oracle(sysm, sig, corrupted).step_residual
         assert type(got) is Fraction
         assert got == _reference_step_residual(sysm, sig, states)

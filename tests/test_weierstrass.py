@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -84,11 +83,12 @@ def test_canonical_blocks_are_built_once_and_leave_equality_alone():
     assert w.J_p == assemble_Jp(w.jordan_blocks, EX) and w.H_q == assemble_Hq(w.nilpotent_blocks, EX)
     fresh = decompose(pen)
     assert fresh == w and hash(fresh) == hash(w)   # read blocks do not enter equality
-    copy = dataclasses.replace(w)
+    fields = (w.P, w.Q, w.jordan_blocks, w.nilpotent_blocks, w.p, w.q, w.q_star)
+    copy = WeierstrassDecomposition(*fields)
     assert copy == w and copy.J_p == w.J_p and copy.J_p is not w.J_p
-    moved = dataclasses.replace(w, P=w.P.scale(2))
+    moved = WeierstrassDecomposition(w.P.scale(2), *fields[1:])
     assert moved != w and moved.Q_p == w.Q_p
-    assert dataclasses.replace(w, jordan_blocks=()).J_p.shape == (0, 0)
+    assert WeierstrassDecomposition(w.P, w.Q, (), *fields[3:]).J_p.shape == (0, 0)
 
 
 def test_decompose_nilpotent_3x3_fixture():
