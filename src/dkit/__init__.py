@@ -8,10 +8,10 @@ Core surface:
 * causality analysis      -- :mod:`dkit.causality`
 * command-line front-end  -- :mod:`dkit.cli`
 
-The records are NamedTuples or small classes with an explicit
-``__init__``, value equality and immutability, not dataclasses, whose
-import (it loads ``inspect``) and per-class code generation lengthen every
-cold start of the command line.
+The records are immutable values: NamedTuples, or classes on the one
+:class:`~dkit.record.Record` base.  None is a dataclass, as importing
+``dataclasses`` (it loads ``inspect``) and generating per-class code
+lengthen every cold start of the command line.
 """
 
 from .causality import (

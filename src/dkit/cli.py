@@ -130,9 +130,10 @@ def parse_system_file(source, mode_override: Mode | None = None) -> SystemFile:
                 with open(source, encoding="utf-8") as fh:
                     text = fh.read()
             except FileNotFoundError:
-                raise ParseError(f"file not found: {source}") from None
+                raise ParseError(f"file not found: {excerpt(text)}") from None
             except (OSError, ValueError) as exc:  # a directory, say, or not UTF-8
-                raise ParseError(f"cannot read {source}: {exc}") from None
+                reason = getattr(exc, "strerror", None) or exc  # strerror omits the path
+                raise ParseError(f"cannot read {excerpt(text)}: {reason}") from None
         try:
             doc = json.loads(text)
         except (ValueError, RecursionError) as exc:  # also too long an int or too deep
@@ -417,12 +418,10 @@ def cmd_causality(args) -> int:
             if ce is not None:
                 print(f"distinguishing pair (perturbed index {ce.perturbed_index}, "
                       f"diverged at k = {ce.diverged_at}):", file=sys.stderr)
-                base = [[format_scalar(x) for x in v.column_list()]
-                        for v in ce.base_signal.samples]
-                pert = [[format_scalar(x) for x in v.column_list()]
-                        for v in ce.perturbed_signal.samples]
-                print(f"  U  = {base}", file=sys.stderr)
-                print(f"  U' = {pert}", file=sys.stderr)
+                print(f"  U  = {[v.format_entries() for v in ce.base_signal.samples]}",
+                      file=sys.stderr)
+                print(f"  U' = {[v.format_entries() for v in ce.perturbed_signal.samples]}",
+                      file=sys.stderr)
                 print(f"  value under U  at k: {_fmt_matrix(ce.base_value)}",
                       file=sys.stderr)
                 print(f"  value under U' at k: {_fmt_matrix(ce.perturbed_value)}",
@@ -440,21 +439,30 @@ def _mode_override(args) -> Mode | None:
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports usage errors as ParseError (exit 1) instead of exiting 2,
-    which is the code for an irregular pencil."""
+    which is the code for an irregular pencil.  argparse quotes a bad
+    argument whole, so the message is cut to 200 characters."""
 
     def error(self, message):
+        if len(message) > 200:
+            message = message[:197] + "..."
         raise ParseError(f"{self.prog}: {message}")
 
 
 def _trial_count(raw: str) -> int:
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {raw}")
     return value
 
 
 def _tolerance(raw: str) -> float:
-    value = float(raw)
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {raw}")
     return value

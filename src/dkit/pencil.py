@@ -23,14 +23,17 @@ from typing import NamedTuple
 from . import linalg
 from .errors import ChainConstructionFailure, UnresolvableSpectrum
 from .matrices import Matrix, hstack
+from .record import Record
 from .scalars import Mode, Scalar, clear_denominators
 
 DEFAULT_ZERO_TOL = 1e-9
 DEFAULT_CLUSTER_RADIUS = 1e-7
 
 
-class Pencil:
+class Pencil(Record):
     """The pair (F, G) defining the family sF - G."""
+
+    _fields = ("F", "G")
 
     def __init__(self, F: Matrix, G: Matrix):
         if not (F.is_square and G.is_square):
@@ -41,23 +44,7 @@ class Pencil:
             raise ValueError("F and G must share one scalar mode")
         if F.rows == 0:
             raise ValueError("empty pencil (n = 0) is not admitted")
-        self.__dict__.update(F=F, G=G)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("Pencil is immutable")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return self.F, self.G
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        self._set(F=F, G=G)
 
     @property
     def n(self) -> int:

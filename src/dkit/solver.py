@@ -35,13 +35,17 @@ from .errors import (
 )
 from .matrices import Matrix, hstack, vstack
 from .pencil import Pencil, char_poly
+from .record import Record
 from .scalars import Mode
 from .weierstrass import VerificationReport, WeierstrassDecomposition, _decompose
 
 
-class DescriptorSystem:
+class DescriptorSystem(Record):
     """The quadruple (F, G, B, C) with a regular pencil sF - G; keeps the
-    char poly det(sF - G) that proves the regularity."""
+    char poly det(sF - G) that proves the regularity (a field, as float
+    mode trims it by ``zero_tol``) and the pencil."""
+
+    _fields = ("F", "G", "B", "C", "char_poly")
 
     def __init__(self, F: Matrix, G: Matrix, B: Matrix, C: Matrix,
                  *, zero_tol: float | None = None):
@@ -57,8 +61,7 @@ class DescriptorSystem:
         cp = char_poly(pencil, zero_tol)
         if cp.is_zero:
             raise IrregularPencil("det(sF - G) is identically zero")
-        self.F, self.G, self.B, self.C = F, G, B, C
-        self.pencil, self.char_poly = pencil, cp
+        self._set(F=F, G=G, B=B, C=C, pencil=pencil, char_poly=cp)
 
     @property
     def n(self) -> int:
@@ -81,17 +84,19 @@ class DescriptorSystem:
                                 self.B.to_float(), self.C.to_float())
 
 
-class InputSignal:
+class InputSignal(Record):
     """Samples V_{k0}, V_{k0+1}, ... as l x 1 columns."""
 
+    _fields = ("k0", "samples")
+
     def __init__(self, k0: int, samples: Sequence[Matrix]):
-        self.k0 = k0
-        self.samples = tuple(samples)
-        for s in self.samples:
+        samples = tuple(samples)
+        for s in samples:
             if s.cols != 1:
                 raise ValueError("input samples must be column vectors")
-            if s.rows != self.samples[0].rows or s.mode is not self.samples[0].mode:
+            if s.rows != samples[0].rows or s.mode is not samples[0].mode:
                 raise ValueError("input samples must agree in dimension and mode")
+        self._set(k0=k0, samples=samples)
 
     @classmethod
     def from_rows(cls, k0: int, rows: Sequence[Sequence], mode: Mode) -> "InputSignal":
@@ -158,7 +163,7 @@ def transform_input(w: WeierstrassDecomposition, B: Matrix) -> TransformedInput:
     )
 
 
-class Analysis:
+class Analysis(Record):
     """The one handle for running a system: everything derived from it,
     each computed once.  The canonical form with its reconstruction report
     and P B come from :func:`analyze` (the char poly stays on the system);
@@ -166,27 +171,12 @@ class Analysis:
     :func:`solve` and :func:`check_consistency` decide ranks with the
     ``rank_tol`` the canonical form was found with."""
 
+    _fields = ("system", "w", "verification", "tin", "rank_tol")
+
     def __init__(self, system: DescriptorSystem, w: WeierstrassDecomposition,
                  verification: VerificationReport, tin: TransformedInput,
                  rank_tol: float | None = None):
-        self.__dict__.update(system=system, w=w, verification=verification,
-                             tin=tin, rank_tol=rank_tol)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("Analysis is immutable")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return self.system, self.w, self.verification, self.tin, self.rank_tol
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        self._set(system=system, w=w, verification=verification, tin=tin, rank_tol=rank_tol)
 
     @cached_property
     def step_maps(self) -> tuple[Matrix, Matrix]:
@@ -263,31 +253,17 @@ def check_consistency(a: Analysis, signal: InputSignal, y0: Matrix) -> Consisten
     return ConsistencyResult(False, None, rhs - q_p @ z_ls)
 
 
-class Trajectory:
+class Trajectory(Record):
     """Y, X, Z^p and Z^q at the instants k0, k0 + 1, ..., K."""
+
+    _fields = ("k0", "states", "outputs", "z_p", "z_q")
 
     def __init__(self, k0: int,
                  states: tuple[Matrix, ...],    # Y_k, n x 1
                  outputs: tuple[Matrix, ...],   # X_k, m x 1
                  z_p: tuple[Matrix, ...],       # forward coordinates, p x 1
                  z_q: tuple[Matrix, ...]):      # backward coordinates, q x 1
-        self.__dict__.update(k0=k0, states=states, outputs=outputs, z_p=z_p, z_q=z_q)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("Trajectory is immutable")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return self.k0, self.states, self.outputs, self.z_p, self.z_q
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        self._set(k0=k0, states=states, outputs=outputs, z_p=z_p, z_q=z_q)
 
     @property
     def K(self) -> int:

@@ -40,63 +40,30 @@ from . import linalg
 from .errors import ChainConstructionFailure, IrregularPencil
 from .matrices import Matrix, block_diag, hstack
 from .pencil import CharPoly, Pencil, char_poly, finite_eigenvalues
+from .record import Record
 from .scalars import Mode, Scalar
 
 
-class JordanBlockSpec:
+class JordanBlockSpec(Record):
     """A Jordan block of ``size`` >= 1 at ``eigenvalue``."""
+
+    _fields = ("eigenvalue", "size")
 
     def __init__(self, eigenvalue: Scalar, size: int):
         if size < 1:
             raise ValueError("block size must be >= 1")
-        self.__dict__.update(eigenvalue=eigenvalue, size=size)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("JordanBlockSpec is immutable")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return self.eigenvalue, self.size
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"JordanBlockSpec(eigenvalue={self.eigenvalue!r}, size={self.size!r})"
+        self._set(eigenvalue=eigenvalue, size=size)
 
 
-class NilpotentBlockSpec:
+class NilpotentBlockSpec(Record):
     """A nilpotent shift block of ``size`` >= 1."""
+
+    _fields = ("size",)
 
     def __init__(self, size: int):
         if size < 1:
             raise ValueError("block size must be >= 1")
-        self.__dict__.update(size=size)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("NilpotentBlockSpec is immutable")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return (self.size,)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"NilpotentBlockSpec(size={self.size!r})"
+        self._set(size=size)
 
 
 def assemble_Jp(blocks: list[JordanBlockSpec] | tuple, mode: Mode) -> Matrix:
@@ -119,33 +86,18 @@ def assemble_Hq(blocks: list[NilpotentBlockSpec] | tuple, mode: Mode) -> Matrix:
     return assemble_Jp([JordanBlockSpec(0, b.size) for b in blocks], mode)
 
 
-class WeierstrassDecomposition:
+class WeierstrassDecomposition(Record):
     """P, Q and the block structure; the blocks Q_p, Q_q, J_p, H_q, F_w and
     G_w are built on first read and kept (equality reads the fields only)."""
+
+    _fields = ("P", "Q", "jordan_blocks", "nilpotent_blocks", "p", "q", "q_star")
 
     def __init__(self, P: Matrix, Q: Matrix,
                  jordan_blocks: tuple[JordanBlockSpec, ...],
                  nilpotent_blocks: tuple[NilpotentBlockSpec, ...],
                  p: int, q: int, q_star: int):
-        self.__dict__.update(P=P, Q=Q, jordan_blocks=jordan_blocks,
-                             nilpotent_blocks=nilpotent_blocks, p=p, q=q, q_star=q_star)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("WeierstrassDecomposition is immutable")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return (self.P, self.Q, self.jordan_blocks, self.nilpotent_blocks,
-                self.p, self.q, self.q_star)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        self._set(P=P, Q=Q, jordan_blocks=jordan_blocks,
+                  nilpotent_blocks=nilpotent_blocks, p=p, q=q, q_star=q_star)
 
     @property
     def n(self) -> int:

@@ -5,7 +5,6 @@ import pytest
 from dkit import (
     DescriptorSystem,
     DkitError,
-    InputSignal,
     Matrix,
     Pencil,
     analyze,
@@ -185,12 +184,7 @@ def _assert_same_outcome(got, want):
     if got.counterexample is None:
         return
     for name in OracleCounterexample._fields:
-        a = getattr(got.counterexample, name)
-        b = getattr(want.counterexample, name)
-        if isinstance(a, InputSignal):
-            assert (a.k0, a.samples) == (b.k0, b.samples), name
-        else:
-            assert a == b, name
+        assert getattr(got.counterexample, name) == getattr(want.counterexample, name), name
 
 
 def _two_channel():

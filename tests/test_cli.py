@@ -549,6 +549,20 @@ def test_parse_errors_show_a_bounded_excerpt_of_the_value(field, value, tmp_path
     assert out == "" and err.startswith(f"parse error: {field}") and len(err) <= 200
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", DIAG, "--K", "x" * 100_000],
+    ["analyze", DIAG, "--tol", "x" * 100_000],
+    ["causality", DIAG, "--oracle-trials", "x" * 100_000],
+    ["analyze", DIAG, "--mode", "x" * 100_000],
+    ["analyze", "x" * 100_000],
+], ids=["K", "tol", "oracle-trials", "mode", "path"])
+def test_usage_errors_show_a_bounded_excerpt_of_the_argument(argv, capsys):
+    assert main(argv) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("parse error: ") and err.count("\n") == 1
+    assert len(err.encode()) <= 300 and "invalid _" not in err
+
+
 def test_exact_mode_rejects_non_finite_json_numbers():
     doc = load(DIAG)
     doc["G"][1][1] = float("inf")

@@ -1,6 +1,7 @@
 """dkit's records: value equality and immutability without dataclasses.
 
-The records are NamedTuples or small hand-written classes, because
+The records are NamedTuples or classes on the one ``dkit.record.Record``
+base, which writes immutability, equality, hash and repr once, because
 importing ``dataclasses`` (which imports ``inspect``) and generating the
 methods of each decorated class cost every start of the command line.
 """
@@ -12,13 +13,17 @@ from pathlib import Path
 
 import pytest
 
+import dkit
 from dkit import (
     Analysis,
     CausalityReport,
     CharPoly,
     ConsistencyResult,
+    DescriptorSystem,
     InputSignal,
     JordanBlockSpec,
+    Matrix,
+    Mode,
     NilpotentBlockSpec,
     Pencil,
     Trajectory,
@@ -32,6 +37,7 @@ from dkit import (
 )
 from dkit.causality import OracleCounterexample, OracleOutcome
 from dkit.cli import SystemFile, parse_system_file
+from dkit.record import Record
 
 SRC = Path(__file__).parent.parent / "src"
 DIAG = str(Path(__file__).parent / "data" / "diag_system.json")
@@ -50,6 +56,8 @@ def _builds():
     ce = (0, 1, 0, "state", signal, other, traj.states[0], traj.states[1])
     return {
         "Pencil": (lambda: Pencil(sf.F, sf.G), "F"),
+        "DescriptorSystem": (lambda: DescriptorSystem(sf.F, sf.G, sf.B, sf.C), "B"),
+        "InputSignal": (lambda: InputSignal(signal.k0, signal.samples), "k0"),
         "CharPoly": (lambda: CharPoly(*a.system.char_poly), "n"),
         "JordanBlockSpec": (lambda: JordanBlockSpec(block.eigenvalue, block.size), "size"),
         "NilpotentBlockSpec": (lambda: NilpotentBlockSpec(2), "size"),
@@ -68,9 +76,10 @@ def _builds():
     }
 
 
-RECORDS = ("Analysis", "CausalityReport", "CharPoly", "ConsistencyResult", "JordanBlockSpec",
-           "NilpotentBlockSpec", "OracleCounterexample", "OracleOutcome", "Pencil", "SystemFile",
-           "Trajectory", "TransformedInput", "VerificationReport", "WeierstrassDecomposition")
+RECORDS = ("Analysis", "CausalityReport", "CharPoly", "ConsistencyResult", "DescriptorSystem",
+           "InputSignal", "JordanBlockSpec", "NilpotentBlockSpec", "OracleCounterexample",
+           "OracleOutcome", "Pencil", "SystemFile", "Trajectory", "TransformedInput",
+           "VerificationReport", "WeierstrassDecomposition")
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -86,6 +95,24 @@ def test_records_are_values_and_immutable(name):
     with pytest.raises(AttributeError):
         first.new_attribute = None
     assert getattr(first, field) is getattr(second, field)
+
+
+def test_a_system_and_its_signal_cannot_change_under_an_analysis():
+    sf = parse_system_file(DIAG)
+    a, signal = analyze(sf.system()), sf.signal()
+    with pytest.raises(AttributeError):
+        a.system.B = a.system.B.scale(2)
+    with pytest.raises(AttributeError):
+        signal.k0 = 1
+    assert a.system.B is sf.B and signal.k0 == sf.k0
+
+
+def test_every_exported_class_is_a_namedtuple_or_a_record():
+    classes = [obj for obj in map(vars(dkit).get, dkit.__all__)
+               if isinstance(obj, type) and not issubclass(obj, Exception)
+               and obj not in (Mode, Matrix)]
+    assert DescriptorSystem in classes and CharPoly in classes
+    assert [c.__name__ for c in classes if not issubclass(c, (tuple, Record))] == []
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
