@@ -40,7 +40,7 @@ from .errors import (
 )
 from .matrices import Matrix
 from .pencil import Pencil  # noqa: F401  (read as cli.Pencil by perfbench)
-from .scalars import Mode, check_printable, format_scalar, parse_scalar
+from .scalars import Mode, format_scalar, parse_scalar
 from .solver import (
     Analysis,
     DescriptorSystem,
@@ -81,8 +81,8 @@ class SystemFile(NamedTuple):
     def signal(self) -> InputSignal:
         return InputSignal(self.k0, list(self.inputs))
 
-    def system(self, zero_tol: float | None = None) -> DescriptorSystem:
-        return DescriptorSystem(self.F, self.G, self.B, self.C, zero_tol=zero_tol)
+    def system(self, tol: float | None = None) -> DescriptorSystem:
+        return DescriptorSystem(self.F, self.G, self.B, self.C, tol=tol)
 
 
 def _require_int(raw, field: str) -> int:
@@ -209,7 +209,7 @@ def _fmt_matrix(mat: Matrix) -> str:
 
 
 def _analysis(sf: SystemFile, args) -> Analysis:
-    return analyze(sf.system(args.tol), cluster_radius=args.cluster_tol, rank_tol=args.tol)
+    return analyze(sf.system(args.tol), cluster_radius=args.cluster_tol)
 
 
 def _analysis_dict(a: Analysis, cons, causality) -> dict:
@@ -242,50 +242,38 @@ def _analysis_dict(a: Analysis, cons, causality) -> dict:
     }
 
 
-def _print_structure(a: Analysis):
+def _structure_lines(a: Analysis) -> list[str]:
     w, rep = a.w, a.verification
-    print(f"pencil: regular (char poly degree {w.p})")
-    print("char poly coefficients (ascending): "
-          + "[" + ", ".join(format_scalar(c) for c in a.system.char_poly.coefficients) + "]")
-    print(f"p = {w.p}, q = {w.q}, q_star = {w.q_star}")
-    if w.jordan_blocks:
-        blocks = ", ".join(
-            f"(eigenvalue {format_scalar(b.eigenvalue)}, size {b.size})"
-            for b in w.jordan_blocks
-        )
-        print(f"finite blocks: {blocks}")
-    else:
-        print("finite blocks: none")
-    if w.nilpotent_blocks:
-        print("nilpotent blocks: "
-              + ", ".join(f"size {b.size}" for b in w.nilpotent_blocks))
-    else:
-        print("nilpotent blocks: none")
-    print(f"verification residuals: {format_scalar(rep.residual_F)}, "
-          f"{format_scalar(rep.residual_G)} "
-          f"(P nonsingular: {rep.P_nonsingular}, Q nonsingular: {rep.Q_nonsingular})")
+    finite = ", ".join(f"(eigenvalue {format_scalar(b.eigenvalue)}, size {b.size})"
+                       for b in w.jordan_blocks)
+    nilpotent = ", ".join(f"size {b.size}" for b in w.nilpotent_blocks)
+    return [
+        f"pencil: regular (char poly degree {w.p})",
+        "char poly coefficients (ascending): "
+        + "[" + ", ".join(format_scalar(c) for c in a.system.char_poly.coefficients) + "]",
+        f"p = {w.p}, q = {w.q}, q_star = {w.q_star}",
+        f"finite blocks: {finite or 'none'}",
+        f"nilpotent blocks: {nilpotent or 'none'}",
+        f"verification residuals: {format_scalar(rep.residual_F)}, "
+        f"{format_scalar(rep.residual_G)} "
+        f"(P nonsingular: {rep.P_nonsingular}, Q nonsingular: {rep.Q_nonsingular})",
+    ]
 
 
-def _print_causality(report):
-    if report.no_infinite_eigenvalues:
-        print("no infinite eigenvalues: causal in both senses")
+def _causality_lines(report) -> list[str]:
     state = "CAUSAL" if report.state_input_causal else "NON-CAUSAL"
     output = "CAUSAL" if report.output_input_causal else "NON-CAUSAL"
-    print(f"state-input causality: {state}   witness H_q B_q = "
-          f"{_fmt_matrix(report.criterion_state)}")
-    print(f"output-input causality: {output}")
-    for i, wmat in enumerate(report.criteria_output, start=1):
-        print(f"  C Q_q H_q^{i} B_q = {_fmt_matrix(wmat)}")
+    lines = []
+    if report.no_infinite_eigenvalues:
+        lines.append("no infinite eigenvalues: causal in both senses")
+    lines += [f"state-input causality: {state}   witness H_q B_q = "
+              f"{_fmt_matrix(report.criterion_state)}",
+              f"output-input causality: {output}"]
+    lines += [f"  C Q_q H_q^{i} B_q = {_fmt_matrix(wmat)}"
+              for i, wmat in enumerate(report.criteria_output, start=1)]
     if report.tolerance is not None:
-        print(f"  (zero threshold {report.tolerance})")
-
-
-def _witnesses(report) -> list[Matrix]:
-    return [report.criterion_state, *report.criteria_output]
-
-
-def _entries(mats: list[Matrix]) -> list:
-    return [x for m in mats for row in m.to_lists() for x in row]
+        lines.append(f"  (zero threshold {report.tolerance})")
+    return lines
 
 
 def _causality_dict(report) -> dict:
@@ -305,24 +293,19 @@ def cmd_analyze(args) -> int:
     a = _analysis(sf, args)
     cons = check_consistency(a, sf.signal(), sf.Y0)
     causality = causality_mod.build_report(a.system, a.w, a.tin, args.causality_tol)
-    # print nothing unless every value of the report can be printed
-    mats = [cons.residual, cons.z_p0, *_witnesses(causality),
-            causality.nullspace_form if args.out_json else None]
-    check_printable([*a.system.char_poly.coefficients,
-                     *(b.eigenvalue for b in a.w.jordan_blocks),
-                     a.verification.residual_F, a.verification.residual_G,
-                     *_entries([m for m in mats if m is not None])])
+    # format everything first: a value over the digit limit raises here,
+    # before anything is written
+    lines = _structure_lines(a)
+    if cons.consistent:
+        lines.append(f"consistency: consistent, Z^p_k0 = {_fmt_matrix(cons.z_p0)}")
+    else:
+        lines += ["consistency: INCONSISTENT",
+                  f"  residual Y0 - Q_p Z^p - Q D_k0 = {_fmt_matrix(cons.residual)}"]
+    lines += _causality_lines(causality)
     if args.out_json:
         _write(args.out_json, [json.dumps(_analysis_dict(a, cons, causality), indent=2), "\n"])
-    _print_structure(a)
-    if cons.consistent:
-        print(f"consistency: consistent, Z^p_k0 = {_fmt_matrix(cons.z_p0)}")
-    else:
-        print("consistency: INCONSISTENT")
-        print(f"  residual Y0 - Q_p Z^p - Q D_k0 = {_fmt_matrix(cons.residual)}")
-    _print_causality(causality)
-    if args.out_json:
-        print(f"report written to {args.out_json}")
+        lines.append(f"report written to {args.out_json}")
+    print("\n".join(lines))
     return EXIT_OK if cons.consistent else EXIT_INCONSISTENT
 
 
@@ -333,7 +316,7 @@ def _write(path: str, chunks: list[str]):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
     except OSError as exc:
-        raise DkitError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise DkitError(f"cannot write {excerpt(path)}: {exc.strerror or exc}") from None
 
 
 def _trajectory_csv(traj: Trajectory, n: int, m: int, p: int, q: int) -> list[str]:
@@ -389,9 +372,9 @@ def cmd_causality(args) -> int:
     sf = parse_system_file(args.file, _mode_override(args))
     a = _analysis(sf, args)
     report = causality_mod.build_report(a.system, a.w, a.tin, args.causality_tol)
-    check_printable(_entries(_witnesses(report)))
-    _print_causality(report)
-
+    # format everything first: a value over the digit limit raises here,
+    # before anything is written
+    lines, errors = _causality_lines(report), []
     if args.oracle_trials:
         raw_seed = os.environ.get("DKIT_SEED", "0")
         try:
@@ -405,29 +388,28 @@ def cmd_causality(args) -> int:
             horizon=horizon, trials=args.oracle_trials,
             seed=seed, tol=args.causality_tol,
         )
-        disagreements = []
         for (mode_name, claim), outcome in zip(expected.items(), outcomes):
             agrees = outcome.causal == claim
-            print(f"oracle ({mode_name}, {args.oracle_trials} trials): "
-                  f"{'agrees' if agrees else 'DISAGREES'}")
-            if not agrees:
-                disagreements.append((mode_name, claim, outcome.counterexample))
-        for mode_name, claim, ce in disagreements:
-            print(f"criteria said {'causal' if claim else 'non-causal'} for "
-                  f"{mode_name} but the oracle found the opposite", file=sys.stderr)
+            lines.append(f"oracle ({mode_name}, {args.oracle_trials} trials): "
+                         f"{'agrees' if agrees else 'DISAGREES'}")
+            if agrees:
+                continue
+            errors.append(f"criteria said {'causal' if claim else 'non-causal'} for "
+                          f"{mode_name} but the oracle found the opposite")
+            ce = outcome.counterexample
             if ce is not None:
-                print(f"distinguishing pair (perturbed index {ce.perturbed_index}, "
-                      f"diverged at k = {ce.diverged_at}):", file=sys.stderr)
-                print(f"  U  = {[v.format_entries() for v in ce.base_signal.samples]}",
-                      file=sys.stderr)
-                print(f"  U' = {[v.format_entries() for v in ce.perturbed_signal.samples]}",
-                      file=sys.stderr)
-                print(f"  value under U  at k: {_fmt_matrix(ce.base_value)}",
-                      file=sys.stderr)
-                print(f"  value under U' at k: {_fmt_matrix(ce.perturbed_value)}",
-                      file=sys.stderr)
-        if disagreements:
-            return EXIT_ORACLE_DISAGREES
+                errors += [
+                    f"distinguishing pair (perturbed index {ce.perturbed_index}, "
+                    f"diverged at k = {ce.diverged_at}):",
+                    f"  U  = {[v.format_entries() for v in ce.base_signal.samples]}",
+                    f"  U' = {[v.format_entries() for v in ce.perturbed_signal.samples]}",
+                    f"  value under U  at k: {_fmt_matrix(ce.base_value)}",
+                    f"  value under U' at k: {_fmt_matrix(ce.perturbed_value)}",
+                ]
+    print("\n".join(lines))
+    if errors:
+        print("\n".join(errors), file=sys.stderr)
+        return EXIT_ORACLE_DISAGREES
     return EXIT_OK
 
 

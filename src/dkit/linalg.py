@@ -136,24 +136,20 @@ def _rref_data(data: list[list], mode: Mode, thr: float) -> list[int]:
 
 
 def rref(mat: Matrix, tol: float | None = None) -> tuple[Matrix, list[int]]:
-    if mat.mode is Mode.EXACT:
-        rows, pivots, d = _reduced(mat, tol)
-        return Matrix.divided(rows, d, mat.cols, mat.mode), pivots
-    data = mat.to_lists()
-    pivots = _rref_data(data, mat.mode, _threshold(mat, tol))
-    out = Matrix(data, mat.mode) if data else Matrix.zeros(mat.rows, mat.cols, mat.mode)
-    return out, pivots
+    rows, pivots, d = _reduced(mat, tol)
+    return Matrix.divided(rows, d, mat.cols, mat.mode), pivots
 
 
 def _reduced(mat: Matrix, tol: float | None):
     """Rows d times the RREF rows of ``mat``, the pivot columns, and d:
-    exact mode keeps the integer rows of ``_bareiss``, float mode has d = 1."""
+    exact mode keeps the integer rows of ``_bareiss``, float mode reduces
+    its own copy of the rows with d = 1."""
     if mat.mode is Mode.EXACT:
         rows = mat.integer_rows()
         pivots, d, _ = _bareiss(rows, reduce=True)
         return rows, pivots, d
-    red, pivots = rref(mat, tol)
-    return red.to_lists(), pivots, 1
+    rows = mat.to_lists()
+    return rows, _rref_data(rows, mat.mode, _threshold(mat, tol)), 1
 
 
 def pivot_columns(mat: Matrix, tol: float | None = None) -> list[int]:
@@ -161,7 +157,7 @@ def pivot_columns(mat: Matrix, tol: float | None = None) -> list[int]:
     form, so exact mode stops after forward elimination."""
     if mat.mode is Mode.EXACT:
         return _bareiss(mat.integer_rows(), reduce=False)[0]
-    return rref(mat, tol)[1]
+    return _reduced(mat, tol)[1]
 
 
 def rank(mat: Matrix, tol: float | None = None) -> int:

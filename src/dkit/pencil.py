@@ -26,7 +26,6 @@ from .matrices import Matrix, hstack
 from .record import Record
 from .scalars import Mode, Scalar, clear_denominators
 
-DEFAULT_ZERO_TOL = 1e-9
 DEFAULT_CLUSTER_RADIUS = 1e-7
 
 
@@ -85,7 +84,7 @@ class CharPoly(NamedTuple):
         return linalg.poly_eval(self.coefficients, s)
 
 
-def char_poly(pencil: Pencil, zero_tol: float | None = None) -> CharPoly:
+def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
     """det(sF - G) from its values at the n + 1 nodes s = 0, 1, ..., n.
 
     Exact mode takes the stored integer rows of [F | G], each row of F and
@@ -96,7 +95,8 @@ def char_poly(pencil: Pencil, zero_tol: float | None = None) -> CharPoly:
     k! times the coefficient of the falling factorial s(s - 1)...(s - k + 1),
     and multiplying out a_0 + s(a_1 + (s - 1)(a_2 + ...)) gives the
     monomial coefficients.  Float mode solves the Vandermonde system of
-    the nodes and trims coefficients within ``zero_tol`` (relative) of 0.
+    the nodes and trims coefficients within ``tol`` (relative, default
+    ``linalg.DEFAULT_RANK_TOL``) of 0; exact mode ignores ``tol``.
     """
     n = pencil.n
     mode = pencil.mode
@@ -125,16 +125,16 @@ def char_poly(pencil: Pencil, zero_tol: float | None = None) -> CharPoly:
         raise ChainConstructionFailure(
             f"char poly interpolation on nodes 0..{n} broke down: {exc}"
         ) from None
-    tol = DEFAULT_ZERO_TOL if zero_tol is None else zero_tol
+    tol = linalg.DEFAULT_RANK_TOL if tol is None else tol
     thr = tol * max(1.0, max(abs(c) for c in coeffs))
     while coeffs and abs(coeffs[-1]) <= thr:
         coeffs.pop()
     return CharPoly(tuple(coeffs), n)
 
 
-def is_regular(pencil: Pencil, zero_tol: float | None = None) -> bool:
+def is_regular(pencil: Pencil, tol: float | None = None) -> bool:
     """True iff det(sF - G) is not identically zero."""
-    return not char_poly(pencil, zero_tol).is_zero
+    return not char_poly(pencil, tol).is_zero
 
 
 def _divisors(n: int) -> list[int]:

@@ -41,14 +41,16 @@ from .weierstrass import VerificationReport, WeierstrassDecomposition, _decompos
 
 
 class DescriptorSystem(Record):
-    """The quadruple (F, G, B, C) with a regular pencil sF - G; keeps the
-    char poly det(sF - G) that proves the regularity (a field, as float
-    mode trims it by ``zero_tol``) and the pencil."""
+    """The quadruple (F, G, B, C) with a regular pencil sF - G, and ``tol``,
+    the float-mode zero/rank tolerance (relative; None for the default)
+    that trims its char poly and decides every rank in its analysis.
+    Keeps the pencil and the char poly det(sF - G) that proves the
+    regularity, both derived from F, G and ``tol``."""
 
-    _fields = ("F", "G", "B", "C", "char_poly")
+    _fields = ("F", "G", "B", "C", "tol")
 
     def __init__(self, F: Matrix, G: Matrix, B: Matrix, C: Matrix,
-                 *, zero_tol: float | None = None):
+                 *, tol: float | None = None):
         pencil = Pencil(F, G)
         n = pencil.n
         if B.rows != n:
@@ -58,10 +60,10 @@ class DescriptorSystem(Record):
         for mat in (B, C):
             if mat.mode is not F.mode:
                 raise ValueError("all system matrices must share one scalar mode")
-        cp = char_poly(pencil, zero_tol)
+        cp = char_poly(pencil, tol)
         if cp.is_zero:
             raise IrregularPencil("det(sF - G) is identically zero")
-        self._set(F=F, G=G, B=B, C=C, pencil=pencil, char_poly=cp)
+        self._set(F=F, G=G, B=B, C=C, tol=tol, pencil=pencil, char_poly=cp)
 
     @property
     def n(self) -> int:
@@ -81,7 +83,7 @@ class DescriptorSystem(Record):
 
     def to_float(self) -> "DescriptorSystem":
         return DescriptorSystem(self.F.to_float(), self.G.to_float(),
-                                self.B.to_float(), self.C.to_float())
+                                self.B.to_float(), self.C.to_float(), tol=self.tol)
 
 
 class InputSignal(Record):
@@ -168,15 +170,13 @@ class Analysis(Record):
     each computed once.  The canonical form with its reconstruction report
     and P B come from :func:`analyze` (the char poly stays on the system);
     the step map of :func:`solve` is built on its first solve and kept.
-    :func:`solve` and :func:`check_consistency` decide ranks with the
-    ``rank_tol`` the canonical form was found with."""
+    Every rank decision uses the system's ``tol``."""
 
-    _fields = ("system", "w", "verification", "tin", "rank_tol")
+    _fields = ("system", "w", "verification", "tin")
 
     def __init__(self, system: DescriptorSystem, w: WeierstrassDecomposition,
-                 verification: VerificationReport, tin: TransformedInput,
-                 rank_tol: float | None = None):
-        self._set(system=system, w=w, verification=verification, tin=tin, rank_tol=rank_tol)
+                 verification: VerificationReport, tin: TransformedInput):
+        self._set(system=system, w=w, verification=verification, tin=tin)
 
     @cached_property
     def step_maps(self) -> tuple[Matrix, Matrix]:
@@ -184,17 +184,12 @@ class Analysis(Record):
         return _step_maps(self)
 
 
-def analyze(
-    system: DescriptorSystem,
-    *,
-    cluster_radius: float | None = None,
-    rank_tol: float | None = None,
-) -> Analysis:
+def analyze(system: DescriptorSystem, *, cluster_radius: float | None = None) -> Analysis:
     """Canonical form and transformed input of ``system``, reusing the char
     poly its regularity check computed.  Raises as ``weierstrass.decompose`` does."""
     w, verification = _decompose(system.pencil, system.char_poly,
-                                 cluster_radius=cluster_radius, rank_tol=rank_tol)
-    return Analysis(system, w, verification, transform_input(w, system.B), rank_tol)
+                                 tol=system.tol, cluster_radius=cluster_radius)
+    return Analysis(system, w, verification, transform_input(w, system.B))
 
 
 class Dk(NamedTuple):
@@ -242,11 +237,11 @@ def check_consistency(a: Analysis, signal: InputSignal, y0: Matrix) -> Consisten
     d0 = compute_Dk(w, a.tin, signal, signal.k0)
     rhs = y0 - w.Q @ d0.stacked
     q_p = w.Q_p
-    z = linalg.solve(q_p, rhs, a.rank_tol)
+    z = linalg.solve(q_p, rhs, a.system.tol)
     if z is not None:
         return ConsistencyResult(True, z, Matrix.zeros(n, 1, w.mode))
     try:
-        z_ls = linalg.least_squares(q_p, rhs, a.rank_tol)
+        z_ls = linalg.least_squares(q_p, rhs, a.system.tol)
     except ValueError as exc:  # float only: an exact Q_p has full column rank
         raise ChainConstructionFailure(
             f"Q_p is numerically rank deficient: {exc}") from None

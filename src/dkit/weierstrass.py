@@ -221,30 +221,38 @@ def _build_chains(
     return chains
 
 
+def _chains(A: Matrix, E: Matrix, target: int, tol: float | None) -> list[list[Matrix]]:
+    """The chains of A v_k = E v_{k-1} spanning the subspace of dimension
+    ``target``, longest first; block sizes are the chain lengths."""
+    bases = _filtration(A, E, target, tol)
+    return _build_chains(A, E, bases, _block_sizes([b.cols for b in bases]), tol)
+
+
 def decompose(
     pencil: Pencil,
     *,
-    zero_tol: float | None = None,
+    tol: float | None = None,
     cluster_radius: float | None = None,
-    rank_tol: float | None = None,
 ) -> WeierstrassDecomposition:
-    """Weierstrass canonical form of a regular pencil.
+    """Weierstrass canonical form of a regular pencil; ``tol`` is the
+    float-mode zero/rank tolerance of the char poly and of every rank
+    decision.
 
     Raises IrregularPencil when det(sF - G) vanishes identically,
     UnresolvableSpectrum in exact mode for irrational spectra, and
     ChainConstructionFailure when the observed rank structure breaks down
     (float-mode numerical trouble).
     """
-    cp = char_poly(pencil, zero_tol)
-    return _decompose(pencil, cp, cluster_radius=cluster_radius, rank_tol=rank_tol)[0]
+    cp = char_poly(pencil, tol)
+    return _decompose(pencil, cp, tol=tol, cluster_radius=cluster_radius)[0]
 
 
 def _decompose(
     pencil: Pencil,
     cp: CharPoly,
     *,
+    tol: float | None,
     cluster_radius: float | None,
-    rank_tol: float | None,
 ) -> tuple[WeierstrassDecomposition, VerificationReport]:
     """:func:`decompose` for a pencil whose char poly ``cp`` is known; also
     returns the report of the reconstruction check that gates the result."""
@@ -259,22 +267,15 @@ def _decompose(
     qp_cols: list[Matrix] = []
     if p > 0:
         for a, mult in finite_eigenvalues(cp, cluster_radius):
-            A = G - F.scale(a)
-            bases = _filtration(A, F, mult, rank_tol)
-            sizes = _block_sizes([b.cols for b in bases])
-            chains = _build_chains(A, F, bases, sizes, rank_tol)
-            for size, chain in zip(sizes, chains):
-                jordan_blocks.append(JordanBlockSpec(a, size))
+            for chain in _chains(G - F.scale(a), F, mult, tol):
+                jordan_blocks.append(JordanBlockSpec(a, len(chain)))
                 qp_cols.extend(chain)
 
     nilpotent_blocks: list[NilpotentBlockSpec] = []
     qq_cols: list[Matrix] = []
     if q > 0:
-        bases = _filtration(F, G, q, rank_tol)
-        sizes = _block_sizes([b.cols for b in bases])
-        chains = _build_chains(F, G, bases, sizes, rank_tol)
-        for size, chain in zip(sizes, chains):
-            nilpotent_blocks.append(NilpotentBlockSpec(size))
+        for chain in _chains(F, G, q, tol):
+            nilpotent_blocks.append(NilpotentBlockSpec(len(chain)))
             qq_cols.extend(chain)
 
     q_p = hstack(qp_cols) if qp_cols else Matrix.zeros(n, 0, mode)
@@ -285,7 +286,7 @@ def _decompose(
     # equal G Q_q; inverting it solves both block equations at once.
     pinv = hstack([F @ q_p, G @ q_q])
     try:
-        p_mat = linalg.inverse(pinv, rank_tol)
+        p_mat = linalg.inverse(pinv, tol)
     except ValueError:
         raise ChainConstructionFailure("[F Q_p | G Q_q] is singular") from None
 
@@ -299,12 +300,12 @@ def _decompose(
         q_star=max((b.size for b in nilpotent_blocks), default=0),
     )
 
-    report = verify(pencil, w, rank_tol)
+    report = verify(pencil, w, tol)
     if mode is Mode.EXACT:
         ok = report.residual_F == 0 and report.residual_G == 0
     else:
         scale = float(max(abs(F.max_abs()), abs(G.max_abs()), 1.0))
-        thr = (linalg.DEFAULT_RANK_TOL if rank_tol is None else rank_tol) * scale
+        thr = (linalg.DEFAULT_RANK_TOL if tol is None else tol) * scale
         ok = float(report.residual_F) <= thr and float(report.residual_G) <= thr
     if not (ok and report.P_nonsingular and report.Q_nonsingular):
         raise ChainConstructionFailure(
@@ -315,7 +316,7 @@ def _decompose(
 
 
 def verify(
-    pencil: Pencil, w: WeierstrassDecomposition, rank_tol: float | None = None
+    pencil: Pencil, w: WeierstrassDecomposition, tol: float | None = None
 ) -> VerificationReport:
     """Residuals of the two defining block equations (max-abs norm)."""
     if w.n != pencil.n:
@@ -325,6 +326,6 @@ def verify(
     return VerificationReport(
         residual_F=res_f,
         residual_G=res_g,
-        P_nonsingular=linalg.is_nonsingular(w.P, rank_tol),
-        Q_nonsingular=linalg.is_nonsingular(w.Q, rank_tol),
+        P_nonsingular=linalg.is_nonsingular(w.P, tol),
+        Q_nonsingular=linalg.is_nonsingular(w.Q, tol),
     )

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dkit import DkitError, Matrix, ParseError, Trajectory, analyze
+from dkit import DescriptorSystem, DkitError, Matrix, ParseError, Trajectory, analyze
 from dkit import causality as causality_mod
 from dkit.cli import (
     EXIT_HORIZON,
@@ -27,6 +27,7 @@ from dkit.cli import (
     parse_system_file,
     system_file_to_dict,
 )
+from dkit.errors import excerpt
 from dkit.scalars import Mode, check_printable, format_scalar, parse_scalar
 from helpers import (
     consistent_y0,
@@ -181,7 +182,7 @@ def test_unwritable_output_path_exits_1_with_one_error_line(command, flag, targe
     assert main([command, DIAG, flag, str(path)]) == EXIT_PARSE
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: cannot write {path}: {reason}\n"
+    assert err == f"error: cannot write {excerpt(str(path))}: {reason}\n"
 
 
 def test_solve_worked_trajectory_csv(capsys):
@@ -364,6 +365,25 @@ def test_float_mode_full_pipeline(capsys):
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     values = [float(r[1]) for r in rows[1:]]
     assert values == pytest.approx([5.0, 11.0, 23.0, 47.0], abs=1e-9)
+
+
+def test_the_system_tolerance_decides_the_float_structure(tmp_path, capsys):
+    # F = diag(1, 1e-6): at tol 1e-4 the char poly trim and every rank
+    # decision alike read the 1e-6 entry as zero
+    doc = load(DIAG)
+    doc["mode"], doc["F"] = "float", [[1, 0], [0, 1e-6]]
+    sf = parse_system_file(doc)
+    w = analyze(DescriptorSystem(sf.F, sf.G, sf.B, sf.C, tol=1e-4)).w
+    assert (w.p, w.q, w.q_star) == (1, 1, 1)
+    target = tmp_path / "report.json"
+    argv = ["analyze", json.dumps(doc), "--mode", "float", "--tol", "1e-4",
+            "--out-json", str(target)]
+    assert main(argv) == EXIT_OK
+    report = json.loads(target.read_text())
+    assert (report["p"], report["q"], report["q_star"]) == (w.p, w.q, w.q_star)
+    assert report["jordan_blocks"] == [
+        {"eigenvalue": format_scalar(b.eigenvalue), "size": b.size} for b in w.jordan_blocks]
+    assert report["nilpotent_blocks"] == [b.size for b in w.nilpotent_blocks]
 
 
 def test_float_char_poly_breakdown_is_typed(tmp_path, capsys):
@@ -549,17 +569,19 @@ def test_parse_errors_show_a_bounded_excerpt_of_the_value(field, value, tmp_path
     assert out == "" and err.startswith(f"parse error: {field}") and len(err) <= 200
 
 
-@pytest.mark.parametrize("argv", [
-    ["solve", DIAG, "--K", "x" * 100_000],
-    ["analyze", DIAG, "--tol", "x" * 100_000],
-    ["causality", DIAG, "--oracle-trials", "x" * 100_000],
-    ["analyze", DIAG, "--mode", "x" * 100_000],
-    ["analyze", "x" * 100_000],
-], ids=["K", "tol", "oracle-trials", "mode", "path"])
-def test_usage_errors_show_a_bounded_excerpt_of_the_argument(argv, capsys):
+@pytest.mark.parametrize("argv, prefix", [
+    (["solve", DIAG, "--K", "x" * 100_000], "parse error: "),
+    (["analyze", DIAG, "--tol", "x" * 100_000], "parse error: "),
+    (["causality", DIAG, "--oracle-trials", "x" * 100_000], "parse error: "),
+    (["analyze", DIAG, "--mode", "x" * 100_000], "parse error: "),
+    (["analyze", "x" * 100_000], "parse error: "),
+    (["analyze", DIAG, "--out-json", "x" * 100_000], "error: cannot write "),
+    (["solve", DIAG, "--out-csv", "x" * 100_000], "error: cannot write "),
+], ids=["K", "tol", "oracle-trials", "mode", "path", "out-json", "out-csv"])
+def test_usage_errors_show_a_bounded_excerpt_of_the_argument(argv, prefix, capsys):
     assert main(argv) == EXIT_PARSE
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("parse error: ") and err.count("\n") == 1
+    assert out == "" and err.startswith(prefix) and err.count("\n") == 1
     assert len(err.encode()) <= 300 and "invalid _" not in err
 
 

@@ -65,7 +65,7 @@ def _builds():
             w.P, w.Q, w.jordan_blocks, w.nilpotent_blocks, w.p, w.q, w.q_star), "Q"),
         "VerificationReport": (lambda: VerificationReport(*a.verification), "residual_F"),
         "TransformedInput": (lambda: TransformedInput(*tin), "B_p"),
-        "Analysis": (lambda: Analysis(a.system, w, a.verification, tin, a.rank_tol), "w"),
+        "Analysis": (lambda: Analysis(a.system, w, a.verification, tin), "w"),
         "ConsistencyResult": (lambda: ConsistencyResult(*cons), "consistent"),
         "Trajectory": (lambda: Trajectory(traj.k0, traj.states, traj.outputs,
                                           traj.z_p, traj.z_q), "states"),

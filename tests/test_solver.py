@@ -1,3 +1,6 @@
+import importlib
+import inspect
+import pkgutil
 import random
 from fractions import Fraction
 from itertools import product
@@ -5,6 +8,7 @@ from unittest import mock
 
 import pytest
 
+import dkit
 from dkit import (
     Analysis,
     ChainConstructionFailure,
@@ -64,6 +68,33 @@ def test_descriptor_system_validation():
                          Matrix.zeros(3, 1, EX), Matrix.identity(2, EX))
 
 
+def test_the_float_tolerance_is_a_field_of_the_system():
+    a, _ = diag_fixture()
+    loose = DescriptorSystem(a.system.F, a.system.G, a.system.B, a.system.C, tol=1e-4)
+    assert a.system.tol is None and loose.to_float().tol == 1e-4
+    assert loose != a.system and loose.to_float() != a.system.to_float()
+    assert loose.char_poly == a.system.char_poly  # exact mode ignores tol
+
+
+def test_no_public_signature_takes_a_second_tolerance():
+    params = set()
+    for info in pkgutil.iter_modules(dkit.__path__):
+        mod = importlib.import_module(f"dkit.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            members = [obj]
+            if isinstance(obj, type):
+                members += [getattr(obj, m) for m in vars(obj) if not m.startswith("_")]
+            for fn in filter(callable, members):
+                try:
+                    params |= set(inspect.signature(fn).parameters)
+                except ValueError:  # an exception class that keeps Exception's
+                    continue
+    assert "tol" in params and "cluster_radius" in params
+    assert not params & {"zero_tol", "rank_tol"}
+
+
 def test_consistency_with_rank_deficient_Q_p_is_typed():
     # Float decomposition can return a Q_p that lost rank numerically; then
     # the least-squares residual of an inconsistent y0 is undefined.
@@ -71,7 +102,7 @@ def test_consistency_with_rank_deficient_Q_p_is_typed():
     w = a.w
     broken = Analysis(a.system, WeierstrassDecomposition(
         w.P, Matrix([[0, 0], [0, 1]], EX), w.jordan_blocks, w.nilpotent_blocks, w.p, w.q,
-        w.q_star), a.verification, a.tin, a.rank_tol)
+        w.q_star), a.verification, a.tin)
     with pytest.raises(ChainConstructionFailure, match="rank deficient"):
         check_consistency(broken, sig, Matrix.column([5, -1], EX))
 
