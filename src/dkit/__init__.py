@@ -18,9 +18,6 @@ from .causality import (
     CausalityReport,
     brute_force_causality_oracle,
     build_report,
-    check_output_causality,
-    check_output_causality_nullspace,
-    check_state_causality,
 )
 from .errors import (
     ChainConstructionFailure,
@@ -32,7 +29,7 @@ from .errors import (
     UnresolvableSpectrum,
 )
 from .matrices import Matrix, block_diag, hstack, vstack
-from .pencil import CharPoly, Pencil, char_poly, finite_eigenvalues, is_regular
+from .pencil import CharPoly, Pencil, char_poly, finite_eigenvalues
 from .scalars import Mode, Scalar, format_scalar, parse_scalar
 from .solver import (
     Analysis,
@@ -94,16 +91,12 @@ __all__ = [
     "build_report",
     "char_poly",
     "check_consistency",
-    "check_output_causality",
-    "check_output_causality_nullspace",
-    "check_state_causality",
     "closed_form_zp",
     "compute_Dk",
     "decompose",
     "finite_eigenvalues",
     "format_scalar",
     "hstack",
-    "is_regular",
     "parse_scalar",
     "residual_oracle",
     "solve",

@@ -1,11 +1,14 @@
-"""Causality of descriptor systems: closed-form criteria and a brute-force
-trial oracle.
+"""Causality of descriptor systems: the closed-form criteria, computed in
+one pass by :func:`build_report`, and a brute-force trial oracle,
+:func:`brute_force_causality_oracle`.
 
 State-input causality fails exactly when the backward subsystem feeds a
 future input into the current state, i.e. when H_q B_q != 0.  Output-input
 causality only needs those leaks to be invisible through C, i.e.
 C Q_q H_q^i B_q = 0 for i = 1 .. q* - 1; equivalently every column of
 [Q_q H_q B_q | ... | Q_q H_q^{q*-1} B_q] lies in the right nullspace of C.
+The report carries both verdicts, their witnesses, that stacked matrix and
+the one zero threshold every test used.
 
 The oracle at the bottom tests the definition itself: perturb one future
 input sample and watch whether any earlier state (or output) moves.  It
@@ -35,60 +38,12 @@ from .weierstrass import WeierstrassDecomposition
 DEFAULT_CAUSALITY_TOL = 1e-8
 
 
-def _is_zero(mat: Matrix, tol: float | None) -> bool:
-    if mat.mode is Mode.EXACT:
-        return mat.is_zero()
-    return mat.is_zero(DEFAULT_CAUSALITY_TOL if tol is None else tol)
-
-
-def _leaks(w: WeierstrassDecomposition, tin: TransformedInput) -> list[Matrix]:
-    """H_q^i B_q for i = 1 .. q* - 1: the width-l column blocks of the
-    backward map [B_q | H_q B_q | ... | H_q^{q*-1} B_q] after the first."""
-    l = tin.B_q.cols
-    return [tin.backward.take_cols(range(i * l, (i + 1) * l)) for i in range(1, w.q_star)]
-
-
-def check_state_causality(
-    w: WeierstrassDecomposition, tin: TransformedInput, tol: float | None = None
-) -> tuple[bool, Matrix]:
-    """State-input causality holds iff H_q B_q = 0; the product is the witness."""
-    leaks = _leaks(w, tin)
-    witness = leaks[0] if leaks else Matrix.zeros(w.q, tin.B_q.cols, w.mode)
-    return _is_zero(witness, tol), witness
-
-
-def check_output_causality(
-    sys: DescriptorSystem,
-    w: WeierstrassDecomposition,
-    tin: TransformedInput,
-    tol: float | None = None,
-) -> tuple[bool, tuple[Matrix, ...]]:
-    """Output-input causality via the products C Q_q H_q^i B_q, i = 1..q*-1.
-
-    Vacuously true when q* <= 1 (no future sample reaches the output).
-    """
-    c_qq = sys.C @ w.Q_q
-    witnesses = tuple(c_qq @ leak for leak in _leaks(w, tin))
-    return all(_is_zero(m, tol) for m in witnesses), witnesses
-
-
-def nullspace_form(
-    w: WeierstrassDecomposition, tin: TransformedInput
-) -> Matrix:
-    """The stacked matrix [Q_q H_q B_q | ... | Q_q H_q^{q*-1} B_q]."""
-    l = tin.B_q.cols
-    return w.Q_q @ tin.backward.take_cols(range(l, w.q_star * l))
-
-
-def check_output_causality_nullspace(
-    sys: DescriptorSystem,
-    w: WeierstrassDecomposition,
-    tin: TransformedInput,
-    tol: float | None = None,
-) -> bool:
-    """Same verdict as :func:`check_output_causality`, computed as a single
-    membership test: C annihilates every column of the stacked matrix."""
-    return _is_zero(sys.C @ nullspace_form(w, tin), tol)
+def _threshold(mode: Mode, tol: float | None) -> float | None:
+    """The zero threshold of every causality test: ``tol`` or its default
+    in float mode, None in exact mode, where zero means exactly zero."""
+    if mode is Mode.EXACT:
+        return None
+    return DEFAULT_CAUSALITY_TOL if tol is None else tol
 
 
 class CausalityReport(NamedTuple):
@@ -107,17 +62,24 @@ def build_report(
     tin: TransformedInput,
     tol: float | None = None,
 ) -> CausalityReport:
-    state_ok, state_witness = check_state_causality(w, tin, tol)
-    output_ok, output_witnesses = check_output_causality(sys, w, tin, tol)
+    """Both criteria with their witnesses, in one pass over the leaks
+    H_q^i B_q, i = 1 .. q* - 1: the width-l column blocks of the backward
+    map after the first.  The output criterion is vacuous when q* <= 1.
+    Every zero test reads the one threshold kept as ``tolerance``."""
+    thr = _threshold(sys.mode, tol)
+    l = tin.B_q.cols
+    leaks = [tin.backward.take_cols(range(i * l, (i + 1) * l)) for i in range(1, w.q_star)]
+    state = leaks[0] if leaks else Matrix.zeros(w.q, l, w.mode)
+    c_qq = sys.C @ w.Q_q
+    output = tuple(c_qq @ leak for leak in leaks)
     return CausalityReport(
-        state_input_causal=state_ok,
-        output_input_causal=output_ok,
-        criterion_state=state_witness,
-        criteria_output=output_witnesses,
-        nullspace_form=nullspace_form(w, tin),
+        state_input_causal=state.is_zero(thr),
+        output_input_causal=all(m.is_zero(thr) for m in output),
+        criterion_state=state,
+        criteria_output=output,
+        nullspace_form=w.Q_q @ tin.backward.take_cols(range(l, w.q_star * l)),
         no_infinite_eigenvalues=(w.q == 0),
-        tolerance=(None if sys.mode is Mode.EXACT
-                   else (DEFAULT_CAUSALITY_TOL if tol is None else tol)),
+        tolerance=thr,
     )
 
 
@@ -173,6 +135,7 @@ def brute_force_causality_oracle(
     sys, w = a.system, a.w
     if sys.l == 0:
         return tuple(OracleOutcome(True, None) for _ in modes)
+    thr = _threshold(sys.mode, tol)
     k0 = 0
     count = horizon - k0 + w.q_star  # covers indices k0 .. horizon + q* - 1
     j_min = k0 + max(w.q_star, 1)
@@ -206,7 +169,7 @@ def brute_force_causality_oracle(
             seq_base = traj_base.states if mode == "state" else traj_base.outputs
             seq_pert = traj_pert.states if mode == "state" else traj_pert.outputs
             for k in range(k0, j):
-                if not _is_zero(seq_base[k - k0] - seq_pert[k - k0], tol):
+                if not (seq_base[k - k0] - seq_pert[k - k0]).is_zero(thr):
                     found[i] = OracleCounterexample(
                         trial=t,
                         perturbed_index=j,

@@ -132,11 +132,6 @@ def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
     return CharPoly(tuple(coeffs), n)
 
 
-def is_regular(pencil: Pencil, tol: float | None = None) -> bool:
-    """True iff det(sF - G) is not identically zero."""
-    return not char_poly(pencil, tol).is_zero
-
-
 def _divisors(n: int) -> list[int]:
     """Positive divisors of an integer n != 0 in ascending order, from its
     factorisation by trial division, which stops once the cofactor is 1."""

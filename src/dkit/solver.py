@@ -168,15 +168,20 @@ def transform_input(w: WeierstrassDecomposition, B: Matrix) -> TransformedInput:
 class Analysis(Record):
     """The one handle for running a system: everything derived from it,
     each computed once.  The canonical form with its reconstruction report
-    and P B come from :func:`analyze` (the char poly stays on the system);
-    the step map of :func:`solve` is built on its first solve and kept.
+    comes from :func:`analyze` (the char poly stays on the system); P B and
+    the step map of :func:`solve` are built on first read and kept.
     Every rank decision uses the system's ``tol``."""
 
-    _fields = ("system", "w", "verification", "tin")
+    _fields = ("system", "w", "verification")
 
     def __init__(self, system: DescriptorSystem, w: WeierstrassDecomposition,
-                 verification: VerificationReport, tin: TransformedInput):
-        self._set(system=system, w=w, verification=verification, tin=tin)
+                 verification: VerificationReport):
+        self._set(system=system, w=w, verification=verification)
+
+    @cached_property
+    def tin(self) -> TransformedInput:
+        """P B of the system in the blocks of ``w``."""
+        return transform_input(self.w, self.system.B)
 
     @cached_property
     def step_maps(self) -> tuple[Matrix, Matrix]:
@@ -185,11 +190,11 @@ class Analysis(Record):
 
 
 def analyze(system: DescriptorSystem, *, cluster_radius: float | None = None) -> Analysis:
-    """Canonical form and transformed input of ``system``, reusing the char
-    poly its regularity check computed.  Raises as ``weierstrass.decompose`` does."""
+    """Canonical form of ``system``, reusing the char poly its regularity
+    check computed.  Raises as ``weierstrass.decompose`` does."""
     w, verification = _decompose(system.pencil, system.char_poly,
                                  tol=system.tol, cluster_radius=cluster_radius)
-    return Analysis(system, w, verification, transform_input(w, system.B))
+    return Analysis(system, w, verification)
 
 
 class Dk(NamedTuple):

@@ -87,17 +87,20 @@ def assemble_Hq(blocks: list[NilpotentBlockSpec] | tuple, mode: Mode) -> Matrix:
 
 
 class WeierstrassDecomposition(Record):
-    """P, Q and the block structure; the blocks Q_p, Q_q, J_p, H_q, F_w and
-    G_w are built on first read and kept (equality reads the fields only)."""
+    """P, Q and the block structure.  p and q are the total sizes of the
+    Jordan and of the nilpotent blocks, and q_star, the nilpotency index,
+    the largest nilpotent block; the blocks Q_p, Q_q, J_p, H_q, F_w and G_w
+    are built on first read and kept (equality reads the fields only)."""
 
-    _fields = ("P", "Q", "jordan_blocks", "nilpotent_blocks", "p", "q", "q_star")
+    _fields = ("P", "Q", "jordan_blocks", "nilpotent_blocks")
 
     def __init__(self, P: Matrix, Q: Matrix,
                  jordan_blocks: tuple[JordanBlockSpec, ...],
-                 nilpotent_blocks: tuple[NilpotentBlockSpec, ...],
-                 p: int, q: int, q_star: int):
-        self._set(P=P, Q=Q, jordan_blocks=jordan_blocks,
-                  nilpotent_blocks=nilpotent_blocks, p=p, q=q, q_star=q_star)
+                 nilpotent_blocks: tuple[NilpotentBlockSpec, ...]):
+        self._set(P=P, Q=Q, jordan_blocks=jordan_blocks, nilpotent_blocks=nilpotent_blocks,
+                  p=sum(b.size for b in jordan_blocks),
+                  q=sum(b.size for b in nilpotent_blocks),
+                  q_star=max((b.size for b in nilpotent_blocks), default=0))
 
     @property
     def n(self) -> int:
@@ -295,9 +298,6 @@ def _decompose(
         Q=q_full,
         jordan_blocks=tuple(jordan_blocks),
         nilpotent_blocks=tuple(nilpotent_blocks),
-        p=p,
-        q=q,
-        q_star=max((b.size for b in nilpotent_blocks), default=0),
     )
 
     report = verify(pencil, w, tol)

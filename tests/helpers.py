@@ -36,12 +36,11 @@ from dkit import (
     compute_Dk,
     decompose,
     hstack,
-    transform_input,
     verify,
     vstack,
 )
 from dkit import linalg, solve
-from dkit.causality import OracleCounterexample, OracleOutcome, _is_zero
+from dkit.causality import DEFAULT_CAUSALITY_TOL, OracleCounterexample, OracleOutcome
 from dkit.scalars import Mode
 
 EIGENVALUE_PALETTE = [Fraction(v) for v in (-3, -2, -1, 0, 1, 2, 3)] + [
@@ -156,8 +155,7 @@ def random_descriptor(rng: random.Random, n: int, l: int, m: int, *,
         c = block_like_c(small_int_matrix(rng, m, w.p), m, w)
     else:
         c = small_int_matrix(rng, m, n)
-    return Analysis(DescriptorSystem(pen.F, pen.G, b, c), w, verify(pen, w),
-                    transform_input(w, b))
+    return Analysis(DescriptorSystem(pen.F, pen.G, b, c), w, verify(pen, w))
 
 
 def block_like_c(c_p: Matrix, m: int, w) -> Matrix:
@@ -554,7 +552,7 @@ def reference_causality_oracle(
 
         for k in range(k0, j):
             diff = seq_base[k - k0] - seq_pert[k - k0]
-            if not _is_zero(diff, tol):
+            if not diff.is_zero(DEFAULT_CAUSALITY_TOL if tol is None else tol):
                 return OracleOutcome(
                     False,
                     OracleCounterexample(

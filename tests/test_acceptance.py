@@ -17,15 +17,12 @@ from dkit import (
     Pencil,
     analyze,
     brute_force_causality_oracle,
+    build_report,
     check_consistency,
-    check_output_causality,
-    check_output_causality_nullspace,
-    check_state_causality,
     closed_form_zp,
     decompose,
     residual_oracle,
     solve,
-    transform_input,
     verify,
 )
 from dkit.cli import EXIT_OK, main, parse_system_file
@@ -151,13 +148,12 @@ def causality_corpus():
 def test_criterion_4_causality_criteria_vs_definition(causality_corpus):
     failures = []
     for i, a in enumerate(causality_corpus):
-        sysm, w, tin = a.system, a.w, a.tin
-        state_claim = check_state_causality(w, tin)[0]
-        output_claim = check_output_causality(sysm, w, tin)[0]
-        if output_claim != check_output_causality_nullspace(sysm, w, tin):
+        rep = build_report(a.system, a.w, a.tin)
+        state_claim, output_claim = rep.state_input_causal, rep.output_input_causal
+        if output_claim != (a.system.C @ rep.nullspace_form).is_zero(rep.tolerance):
             failures.append((i, "product and nullspace forms disagree"))
             continue
-        horizon = w.q_star + 5
+        horizon = a.w.q_star + 5
         state_seen = brute_force_causality_oracle(
             a, ("state",), horizon=horizon, trials=50, seed=9000 + i)[0].causal
         output_seen = brute_force_causality_oracle(
@@ -175,9 +171,8 @@ def test_criterion_5_structural_implications(causality_corpus):
     state_causal_seen = 0
     q_zero_seen = 0
     for i, a in enumerate(causality_corpus):
-        sysm, w, tin = a.system, a.w, a.tin
-        state_ok = check_state_causality(w, tin)[0]
-        output_ok = check_output_causality(sysm, w, tin)[0]
+        w, rep = a.w, build_report(a.system, a.w, a.tin)
+        state_ok, output_ok = rep.state_input_causal, rep.output_input_causal
         if state_ok:
             state_causal_seen += 1
             if not output_ok:
@@ -185,7 +180,7 @@ def test_criterion_5_structural_implications(causality_corpus):
         if w.q == 0:
             q_zero_seen += 1
             if not (state_ok and output_ok
-                    and check_output_causality_nullspace(sysm, w, tin)):
+                    and (a.system.C @ rep.nullspace_form).is_zero(rep.tolerance)):
                 failures.append((i, "q = 0 system not fully causal"))
     if state_causal_seen == 0:
         failures.append(("corpus", "no state-causal systems sampled"))
@@ -205,22 +200,17 @@ def test_criterion_6_equivalence_invariance():
         a = random_descriptor(
             rng, rng.randint(2, 6), rng.randint(1, 2), rng.randint(1, 2),
             min_q=(1 if plant != "generic" else 0), plant=plant)
-        sysm, w, tin = a.system, a.w, a.tin
-        verdicts = (
-            check_state_causality(w, tin)[0],
-            check_output_causality(sysm, w, tin)[0],
-        )
+        sysm, w = a.system, a.w
+        rep = build_report(sysm, w, a.tin)
+        verdicts = (rep.state_input_causal, rep.output_input_causal)
         m_l = rational_nonsingular(rng, sysm.n)
         m_r = rational_nonsingular(rng, sysm.n)
         # state change Y = N Y~ maps (F, G, B, C) to (MFN, MGN, MB, CN)
         sys2 = DescriptorSystem(m_l @ sysm.F @ m_r, m_l @ sysm.G @ m_r,
                                 m_l @ sysm.B, sysm.C @ m_r)
-        w2 = decompose(Pencil(sys2.F, sys2.G))
-        tin2 = transform_input(w2, sys2.B)
-        verdicts2 = (
-            check_state_causality(w2, tin2)[0],
-            check_output_causality(sys2, w2, tin2)[0],
-        )
+        a2 = analyze(sys2)
+        w2, rep2 = a2.w, build_report(sys2, a2.w, a2.tin)
+        verdicts2 = (rep2.state_input_causal, rep2.output_input_causal)
         if verdicts != verdicts2:
             failures.append((i, f"verdicts {verdicts} vs {verdicts2}"))
         elif jordan_multiset(w.jordan_blocks) != jordan_multiset(w2.jordan_blocks):
@@ -273,6 +263,17 @@ def test_criterion_7_worked_fixtures_via_cli(capsys):
                  failures)
 
 
+def _verdicts(a, sf):
+    """Both criteria, the null-space cross-check and the consistency of Y0."""
+    rep = build_report(a.system, a.w, a.tin)
+    return (
+        rep.state_input_causal,
+        rep.output_input_causal,
+        (a.system.C @ rep.nullspace_form).is_zero(rep.tolerance),
+        check_consistency(a, sf.signal(), sf.Y0).consistent,
+    )
+
+
 def test_criterion_8_float_mode_sanity(capsys):
     failures = []
     for name, path in FIXTURES.items():
@@ -288,19 +289,7 @@ def test_criterion_8_float_mode_sanity(capsys):
         if float(rep.max_residual) > 1e-9 * scale:
             failures.append((name, f"float residual {rep.max_residual}"))
             continue
-        sys_e, tin_e, sys_f, tin_f = a_e.system, a_e.tin, a_f.system, a_f.tin
-        verdicts_e = (
-            check_state_causality(w_e, tin_e)[0],
-            check_output_causality(sys_e, w_e, tin_e)[0],
-            check_output_causality_nullspace(sys_e, w_e, tin_e),
-            check_consistency(a_e, sf_e.signal(), sf_e.Y0).consistent,
-        )
-        verdicts_f = (
-            check_state_causality(w_f, tin_f)[0],
-            check_output_causality(sys_f, w_f, tin_f)[0],
-            check_output_causality_nullspace(sys_f, w_f, tin_f),
-            check_consistency(a_f, sf_f.signal(), sf_f.Y0).consistent,
-        )
+        verdicts_e, verdicts_f = _verdicts(a_e, sf_e), _verdicts(a_f, sf_f)
         if verdicts_e != verdicts_f:
             failures.append((name, f"verdicts {verdicts_e} vs {verdicts_f}"))
     with capsys.disabled():

@@ -6,15 +6,9 @@ from dkit import (
     DescriptorSystem,
     DkitError,
     Matrix,
-    Pencil,
     analyze,
     brute_force_causality_oracle,
     build_report,
-    check_output_causality,
-    check_output_causality_nullspace,
-    check_state_causality,
-    decompose,
-    transform_input,
 )
 from dkit.causality import OracleCounterexample
 from dkit.scalars import Mode
@@ -31,66 +25,71 @@ def nilpotent3(c_rows):
     return analyze(DescriptorSystem(f, g, b, Matrix(c_rows, EX)))
 
 
+def report(a, tol=None):
+    return build_report(a.system, a.w, a.tin, tol)
+
+
+def nullspace_verdict(sysm, rep):
+    """The output criterion as one membership test: C annihilates every
+    column of the report's stacked null-space form."""
+    return (sysm.C @ rep.nullspace_form).is_zero(rep.tolerance)
+
+
 def test_state_causality_trivial_when_q_zero():
     rng = random.Random(41)
     a = random_descriptor(rng, 3, 1, 1, q=0)
-    ok, witness = check_state_causality(a.w, a.tin)
-    assert ok
-    assert witness.shape == (0, 1)
+    rep = report(a)
+    assert rep.state_input_causal
+    assert rep.criterion_state.shape == (0, 1)
 
 
 def test_state_causality_diag_fixture():
     f = Matrix([[1, 0], [0, 0]], EX)
     g = Matrix([[2, 0], [0, 1]], EX)
     b = Matrix([[5], [-7]], EX)
-    w = decompose(Pencil(f, g))
-    ok, witness = check_state_causality(w, transform_input(w, b))
-    assert ok                      # 1x1 nilpotent block is the zero matrix
-    assert witness.is_zero()
+    rep = report(analyze(DescriptorSystem(f, g, b, Matrix.identity(2, EX))))
+    assert rep.state_input_causal  # 1x1 nilpotent block is the zero matrix
+    assert rep.criterion_state.is_zero()
 
 
 def test_state_causality_3x3_fixture():
-    a = nilpotent3([[1, 0, 0]])
-    ok, witness = check_state_causality(a.w, a.tin)
-    assert not ok
-    assert witness.to_lists() == [[1], [0]]
+    rep = report(nilpotent3([[1, 0, 0]]))
+    assert not rep.state_input_causal
+    assert rep.criterion_state.to_lists() == [[1], [0]]
 
 
 def test_output_causality_zero_c_always_causal():
     a = nilpotent3([[0, 0, 0]])
-    sysm, w, tin = a.system, a.w, a.tin
-    ok, _ = check_output_causality(sysm, w, tin)
-    assert ok
-    assert check_output_causality_nullspace(sysm, w, tin)
+    rep = report(a)
+    assert rep.output_input_causal
+    assert nullspace_verdict(a.system, rep)
 
 
 def test_output_causality_3x3_fixture_c100():
     a = nilpotent3([[1, 0, 0]])
-    sysm, w, tin = a.system, a.w, a.tin
-    ok, witnesses = check_output_causality(sysm, w, tin)
-    assert ok
-    assert len(witnesses) == w.q_star - 1 == 1
-    assert witnesses[0].is_zero()
-    assert check_output_causality_nullspace(sysm, w, tin)
+    rep = report(a)
+    assert rep.output_input_causal
+    assert len(rep.criteria_output) == a.w.q_star - 1 == 1
+    assert rep.criteria_output[0].is_zero()
+    assert nullspace_verdict(a.system, rep)
 
 
 def test_output_causality_3x3_fixture_c_identity():
     a = nilpotent3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    sysm, w, tin = a.system, a.w, a.tin
-    ok, witnesses = check_output_causality(sysm, w, tin)
-    assert not ok
+    rep = report(a)
+    assert not rep.output_input_causal
     # with P = Q = I the single witness is Q_q H_q B_q = e2 (nonzero 3x1)
-    assert witnesses[0].to_lists() == [[0], [1], [0]]
-    assert not check_output_causality_nullspace(sysm, w, tin)
+    assert rep.criteria_output[0].to_lists() == [[0], [1], [0]]
+    assert not nullspace_verdict(a.system, rep)
 
 
 def test_report_fields_are_consistent():
     a = nilpotent3([[1, 0, 0]])
-    sysm, w, tin = a.system, a.w, a.tin
-    rep = build_report(sysm, w, tin)
+    sysm, w = a.system, a.w
+    rep = report(a)
     assert rep.state_input_causal == rep.criterion_state.is_zero()
     assert rep.output_input_causal == all(m.is_zero() for m in rep.criteria_output)
-    assert rep.output_input_causal == (sysm.C @ rep.nullspace_form).is_zero()
+    assert rep.output_input_causal == nullspace_verdict(sysm, rep)
     assert rep.nullspace_form.shape == (3, (w.q_star - 1) * sysm.l)
     assert not rep.no_infinite_eigenvalues
     assert rep.tolerance is None
@@ -98,14 +97,20 @@ def test_report_fields_are_consistent():
 
 def test_nullspace_and_product_checks_agree_everywhere():
     rng = random.Random(42)
+    checked = {EX: 0, Mode.FLOAT: 0}
     for i in range(40):
         plant = ("generic", "state_causal", "output_causal_only")[i % 3]
         a = random_descriptor(
             rng, rng.randint(1, 6), rng.randint(1, 2), rng.randint(1, 2),
             min_q=(1 if plant != "generic" else 0), plant=plant)
-        sysm, w, tin = a.system, a.w, a.tin
-        ok_products, _ = check_output_causality(sysm, w, tin)
-        assert ok_products == check_output_causality_nullspace(sysm, w, tin)
+        for sysm in (a.system, a.system.to_float()):
+            try:
+                rep = report(a if sysm is a.system else analyze(sysm))
+            except DkitError:
+                continue
+            assert rep.output_input_causal == nullspace_verdict(sysm, rep)
+            checked[sysm.mode] += 1
+    assert checked[EX] == 40 and checked[Mode.FLOAT] >= 20
 
 
 def test_state_causal_implies_output_causal():
@@ -115,11 +120,9 @@ def test_state_causal_implies_output_causal():
         a = random_descriptor(
             rng, rng.randint(2, 6), rng.randint(1, 2), rng.randint(1, 2),
             min_q=1, plant="state_causal")
-        sysm, w, tin = a.system, a.w, a.tin
-        ok_state, _ = check_state_causality(w, tin)
-        assert ok_state  # planted
-        ok_out, _ = check_output_causality(sysm, w, tin)
-        assert ok_out
+        rep = report(a)
+        assert rep.state_input_causal  # planted
+        assert rep.output_input_causal
         hits += 1
     assert hits == 25
 
@@ -128,11 +131,10 @@ def test_remark_no_infinite_eigenvalues_forces_causality():
     rng = random.Random(44)
     for _ in range(10):
         a = random_descriptor(rng, rng.randint(1, 4), 1, 1, q=0)
-        sysm, w, tin = a.system, a.w, a.tin
-        assert check_state_causality(w, tin)[0]
-        assert check_output_causality(sysm, w, tin)[0]
-        assert check_output_causality_nullspace(sysm, w, tin)
-        rep = build_report(sysm, w, tin)
+        rep = report(a)
+        assert rep.state_input_causal
+        assert rep.output_input_causal
+        assert nullspace_verdict(a.system, rep)
         assert rep.no_infinite_eigenvalues
 
 
@@ -166,10 +168,9 @@ def test_oracle_agrees_with_criteria_on_random_systems():
         a = random_descriptor(
             rng, rng.randint(2, 5), rng.randint(1, 2), rng.randint(1, 2),
             min_q=1, plant=plant)
-        sysm, w, tin = a.system, a.w, a.tin
-        horizon = w.q_star + 5
-        state_expected = check_state_causality(w, tin)[0]
-        output_expected = check_output_causality(sysm, w, tin)[0]
+        horizon = a.w.q_star + 5
+        rep = report(a)
+        state_expected, output_expected = rep.state_input_causal, rep.output_input_causal
         got_state = brute_force_causality_oracle(
             a, ("state",), horizon=horizon, trials=50, seed=100 + i)[0].causal
         got_output = brute_force_causality_oracle(
@@ -244,33 +245,29 @@ def test_verdicts_invariant_under_equivalence_transform():
         a = random_descriptor(
             rng, rng.randint(2, 5), rng.randint(1, 2), rng.randint(1, 2),
             min_q=1, plant=plant)
-        sysm, w, tin = a.system, a.w, a.tin
-        state0 = check_state_causality(w, tin)[0]
-        out0 = check_output_causality(sysm, w, tin)[0]
+        sysm, rep = a.system, report(a)
 
         m_l = rational_nonsingular(rng, sysm.n)
         m_r = rational_nonsingular(rng, sysm.n)
         # state change Y = N Y~ sends (F, G, B, C) to (MFN, MGN, MB, CN)
         sys2 = DescriptorSystem(m_l @ sysm.F @ m_r, m_l @ sysm.G @ m_r,
                                 m_l @ sysm.B, sysm.C @ m_r)
-        w2 = decompose(Pencil(sys2.F, sys2.G))
-        tin2 = transform_input(w2, sys2.B)
-        assert check_state_causality(w2, tin2)[0] == state0
-        assert check_output_causality(sys2, w2, tin2)[0] == out0
-        assert check_output_causality_nullspace(sys2, w2, tin2) == out0
+        rep2 = report(analyze(sys2))
+        assert rep2.state_input_causal == rep.state_input_causal
+        assert rep2.output_input_causal == rep.output_input_causal
+        assert nullspace_verdict(sys2, rep2) == rep.output_input_causal
 
 
 def test_float_zero_threshold_semantics():
-    sys_f = nilpotent3([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).system.to_float()
-    w_f = decompose(Pencil(sys_f.F, sys_f.G))
-    tin_f = transform_input(w_f, sys_f.B)
-    ok, _ = check_state_causality(w_f, tin_f)
-    assert not ok
-    # an absurdly large threshold declares every witness zero
-    ok_loose, _ = check_state_causality(w_f, tin_f, tol=10.0)
-    assert ok_loose
-    rep = build_report(sys_f, w_f, tin_f)
+    a_f = analyze(nilpotent3([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).system.to_float())
+    rep = report(a_f)
+    assert not rep.state_input_causal and not rep.output_input_causal
     assert rep.tolerance == pytest.approx(1e-8)
+    # an absurdly large threshold declares every witness zero
+    loose = report(a_f, tol=10.0)
+    assert loose.state_input_causal and loose.output_input_causal
+    assert loose.tolerance == 10.0
+    assert nullspace_verdict(a_f.system, loose)
 
 
 def test_oracle_rejects_bad_mode_and_short_horizon():

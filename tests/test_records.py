@@ -62,10 +62,10 @@ def _builds():
         "JordanBlockSpec": (lambda: JordanBlockSpec(block.eigenvalue, block.size), "size"),
         "NilpotentBlockSpec": (lambda: NilpotentBlockSpec(2), "size"),
         "WeierstrassDecomposition": (lambda: WeierstrassDecomposition(
-            w.P, w.Q, w.jordan_blocks, w.nilpotent_blocks, w.p, w.q, w.q_star), "Q"),
+            w.P, w.Q, w.jordan_blocks, w.nilpotent_blocks), "Q"),
         "VerificationReport": (lambda: VerificationReport(*a.verification), "residual_F"),
         "TransformedInput": (lambda: TransformedInput(*tin), "B_p"),
-        "Analysis": (lambda: Analysis(a.system, w, a.verification, tin), "w"),
+        "Analysis": (lambda: Analysis(a.system, w, a.verification), "w"),
         "ConsistencyResult": (lambda: ConsistencyResult(*cons), "consistent"),
         "Trajectory": (lambda: Trajectory(traj.k0, traj.states, traj.outputs,
                                           traj.z_p, traj.z_q), "states"),

@@ -95,14 +95,27 @@ def test_no_public_signature_takes_a_second_tolerance():
     assert not params & {"zero_tol", "rank_tol"}
 
 
+def test_the_analysis_derives_its_own_transformed_input():
+    """P B is read off the analysed system on first read and kept; no
+    caller can hand the analysis a P B of another input matrix."""
+    a, _ = diag_fixture()
+    assert Analysis._fields == ("system", "w", "verification")
+    with pytest.raises(TypeError):
+        Analysis(a.system, a.w, a.verification, transform_input(a.w, a.system.B.scale(2)))
+    fresh = Analysis(a.system, a.w, a.verification)
+    assert fresh == a
+    assert fresh.tin == transform_input(fresh.w, fresh.system.B)
+    assert fresh.tin is fresh.tin
+
+
 def test_consistency_with_rank_deficient_Q_p_is_typed():
     # Float decomposition can return a Q_p that lost rank numerically; then
     # the least-squares residual of an inconsistent y0 is undefined.
     a, sig = diag_fixture()
     w = a.w
     broken = Analysis(a.system, WeierstrassDecomposition(
-        w.P, Matrix([[0, 0], [0, 1]], EX), w.jordan_blocks, w.nilpotent_blocks, w.p, w.q,
-        w.q_star), a.verification, a.tin)
+        w.P, Matrix([[0, 0], [0, 1]], EX), w.jordan_blocks, w.nilpotent_blocks),
+        a.verification)
     with pytest.raises(ChainConstructionFailure, match="rank deficient"):
         check_consistency(broken, sig, Matrix.column([5, -1], EX))
 

@@ -83,7 +83,7 @@ def test_canonical_blocks_are_built_once_and_leave_equality_alone():
     assert w.J_p == assemble_Jp(w.jordan_blocks, EX) and w.H_q == assemble_Hq(w.nilpotent_blocks, EX)
     fresh = decompose(pen)
     assert fresh == w and hash(fresh) == hash(w)   # read blocks do not enter equality
-    fields = (w.P, w.Q, w.jordan_blocks, w.nilpotent_blocks, w.p, w.q, w.q_star)
+    fields = (w.P, w.Q, w.jordan_blocks, w.nilpotent_blocks)
     copy = WeierstrassDecomposition(*fields)
     assert copy == w and copy.J_p == w.J_p and copy.J_p is not w.J_p
     moved = WeierstrassDecomposition(w.P.scale(2), *fields[1:])
@@ -121,10 +121,24 @@ def test_verify_hand_decomposition_of_diag_fixture():
         Q=Matrix.identity(2, EX),
         jordan_blocks=(JordanBlockSpec(Fraction(2), 1),),
         nilpotent_blocks=(NilpotentBlockSpec(1),),
-        p=1, q=1, q_star=1,
     )
     rep = verify(pen, w)
     assert rep.residual_F == 0 and rep.residual_G == 0
+
+
+def test_p_q_and_q_star_are_read_off_the_blocks():
+    pen = Pencil(Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]], EX),
+                 Matrix([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], EX))
+    blocks = (JordanBlockSpec(Fraction(2), 1),)
+    nil = (NilpotentBlockSpec(2), NilpotentBlockSpec(1))
+    eye = Matrix.identity(4, EX)
+    w = WeierstrassDecomposition(eye, eye, blocks, nil)
+    assert (w.p, w.q, w.q_star, w.n) == (1, 3, 2, 4)
+    assert w == decompose(pen)
+    rep = verify(pen, w)
+    assert rep.residual_F == 0 and rep.residual_G == 0
+    with pytest.raises(TypeError):
+        WeierstrassDecomposition(eye, eye, blocks, nil, p=2, q=0, q_star=5)
 
 
 def test_verify_detects_permuted_blocks():
@@ -134,7 +148,6 @@ def test_verify_detects_permuted_blocks():
         Q=Matrix.identity(2, EX),
         jordan_blocks=(JordanBlockSpec(Fraction(3), 1), JordanBlockSpec(Fraction(2), 1)),
         nilpotent_blocks=(),
-        p=2, q=0, q_star=0,
     )
     rep = verify(pen, wrong)
     assert rep.residual_G != 0
