@@ -44,6 +44,7 @@ from .solver import (
     compute_Dk,
     residual_oracle,
     solve,
+    solve_from_zp,
     transform_input,
 )
 from .weierstrass import (
@@ -100,6 +101,7 @@ __all__ = [
     "parse_scalar",
     "residual_oracle",
     "solve",
+    "solve_from_zp",
     "transform_input",
     "verify",
     "vstack",

@@ -13,9 +13,12 @@ the one zero threshold every test used.
 The oracle at the bottom tests the definition itself: perturb one future
 input sample and watch whether any earlier state (or output) moves.  It
 goes through the solver, not through the criteria, so the two can referee
-each other.  One pass of trials serves every mode asked for: each trial
-solves its two signals once and is read as states and as outputs, and a
-seed gives each mode the verdict a pass for that mode alone would.
+each other.  Each trial runs both signals from the Z^p_{k0} it draws: the
+perturbed sample lies at or past k0 + q*, so D_{k0}, and with it the
+consistent initial state, is the same for both.  One pass of trials
+serves every mode asked for: each trial runs its two signals once and is
+read as states and as outputs, and a seed gives each mode the verdict a
+pass for that mode alone would.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ from .solver import (
     DescriptorSystem,
     InputSignal,
     TransformedInput,
-    compute_Dk,
-    solve,
+    solve_from_zp,
 )
 from .weierstrass import WeierstrassDecomposition
 
@@ -113,15 +115,18 @@ def brute_force_causality_oracle(
     definition, one outcome per entry of ``modes`` ("state" or "output"),
     in that order.
 
-    Each trial draws a random consistent initial state and a random input
-    signal, then perturbs exactly one future sample (index j) by a random
+    Each trial draws a random input signal and a random forward coordinate
+    Z^p_{k0}, then perturbs exactly one future sample (index j) by a random
     nonzero vector.  The perturbation is placed at j >= k0 + q*, which
-    leaves D_{k0} untouched, so the same initial state stays consistent
-    for both signals and the two trajectories are comparable.  Any
+    leaves D_{k0} untouched, so the consistent initial state Q_p Z^p_{k0}
+    + Q D_{k0} is the same for both signals and the two trajectories are
+    comparable.  Both are run from Z^p_{k0} itself (``solve_from_zp``), so
+    no trial builds that state or solves for Z^p_{k0} again.  Any
     difference in a state (or output) at a time k < j witnesses
-    non-causality.
+    non-causality: in exact mode any inequality, in float mode a
+    difference over the zero threshold.
 
-    One pass serves every mode: each trial solves both signals once, up to
+    One pass serves every mode: each trial runs both signals once, up to
     K = j, as no later instant is compared, and tests each mode that has
     no counterexample yet; the pass ends when every mode has one.  The
     draws do not depend on the modes, so a mode's outcome is the one a
@@ -152,24 +157,21 @@ def brute_force_causality_oracle(
         delta = [rng.randint(-3, 3) for _ in range(sys.l)]
         while all(d == 0 for d in delta):
             delta = [rng.randint(-3, 3) for _ in range(sys.l)]
-        pert_rows = [list(r) for r in rows]
-        pert_rows[j - k0] = [a + b for a, b in zip(pert_rows[j - k0], delta)]
-
         base = InputSignal.from_rows(k0, rows, sys.mode)
-        pert = InputSignal.from_rows(k0, pert_rows, sys.mode)
+        moved = Matrix.column([v + d for v, d in zip(rows[j - k0], delta)], sys.mode)
+        pert = InputSignal(k0, base.samples[:j - k0] + (moved,) + base.samples[j - k0 + 1:])
 
         z = Matrix.column([rng.randint(-3, 3) for _ in range(w.p)], sys.mode)
-        y0 = w.Q_p @ z + w.Q @ compute_Dk(w, a.tin, base, k0).stacked
-
-        traj_base = solve(a, base, y0, j)
-        traj_pert = solve(a, pert, y0, j)
+        traj_base = solve_from_zp(a, base, z, j)
+        traj_pert = solve_from_zp(a, pert, z, j)
         for i, mode in enumerate(modes):
             if found[i]:
                 continue
             seq_base = traj_base.states if mode == "state" else traj_base.outputs
             seq_pert = traj_pert.states if mode == "state" else traj_pert.outputs
             for k in range(k0, j):
-                if not (seq_base[k - k0] - seq_pert[k - k0]).is_zero(thr):
+                b, q = seq_base[k - k0], seq_pert[k - k0]
+                if (b != q) if thr is None else not (b - q).is_zero(thr):
                     found[i] = OracleCounterexample(
                         trial=t,
                         perturbed_index=j,
@@ -177,8 +179,8 @@ def brute_force_causality_oracle(
                         mode=mode,
                         base_signal=base,
                         perturbed_signal=pert,
-                        base_value=seq_base[k - k0],
-                        perturbed_value=seq_pert[k - k0],
+                        base_value=b,
+                        perturbed_value=q,
                     )
                     break
     return tuple(OracleOutcome(ce is None, ce) for ce in found)

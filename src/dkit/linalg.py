@@ -78,7 +78,10 @@ def _bareiss(rows: list[list[int]], reduce: bool) -> tuple[list[int], int, int]:
             row_i = rows[i]
             f = row_i[c]
             j, tail = (lo, tail_above) if i < r else (c, tail_below)
-            row_i[j:] = [(p * a - f * b) // prev for a, b in zip(row_i[j:], tail)]
+            if f:
+                row_i[j:] = [(p * a - f * b) // prev for a, b in zip(row_i[j:], tail)]
+            elif p != prev:  # f = 0: the update only rescales the row
+                row_i[j:] = [p * a // prev for a in row_i[j:]]
         pivots.append(c)
         prev = p
         r += 1

@@ -11,13 +11,15 @@ Both parts together make one constant linear map per instant, the step map
     [Y_k; X_k; Z^q_k; Z^p_{k+1}] = S [Z^p_k; V_k; ...; V_{k+w-1}],
     w = max(q*, 1),
 
-so :func:`solve` spends one product per step; S is built once per
-:class:`Analysis`, on its first solve.
+so :func:`solve_from_zp` spends one product per step from a given
+Z^p_{k0}; S is built once per :class:`Analysis`, on its first solve.
 
 An initial state is admissible exactly when it lies in the affine set
-colspan(Q_p) + Q D_{k0}; the solver rejects anything else.  The residual
-oracle at the bottom re-checks a trajectory against the original
-difference equation and is deliberately independent of the decomposition.
+colspan(Q_p) + Q D_{k0}; :func:`solve` rejects anything else and runs
+:func:`solve_from_zp` from the Z^p_{k0} an admissible state pins down.
+The residual oracle at the bottom re-checks a trajectory against the
+original difference equation and is deliberately independent of the
+decomposition.
 """
 
 from __future__ import annotations
@@ -273,34 +275,48 @@ class Trajectory(Record):
         return len(self.states)
 
 
-def solve(a: Analysis, signal: InputSignal, y0: Matrix, K: int) -> Trajectory:
-    """Unique trajectory on k0..K for a consistent initial state.
-
-    Needs input samples up to index K + q* - 1; raises
-    InputHorizonTooShort instead of fabricating missing samples.  Each
-    instant is one product of the step map ``a.step_maps`` with
-    [Z^p_k; V_k; ...; V_{k+w-1}].
-    """
-    k0, w = signal.k0, a.w
+def _check_horizon(a: Analysis, signal: InputSignal, K: int) -> None:
+    """Raise unless k0 <= K and the signal has samples up to K + q* - 1:
+    InputHorizonTooShort instead of fabricating missing samples."""
+    k0 = signal.k0
     if K < k0:
         raise ValueError(f"horizon K = {K} precedes the initial time {k0}")
-    last_needed = K + w.q_star - 1
+    last_needed = K + a.w.q_star - 1
     if last_needed >= k0:
-        signal.sample(last_needed)  # fail fast before any work
+        signal.sample(last_needed)
 
+
+def solve(a: Analysis, signal: InputSignal, y0: Matrix, K: int) -> Trajectory:
+    """Unique trajectory on k0..K for a consistent initial state: the
+    consistency gate, then :func:`solve_from_zp` from the Z^p_{k0} that
+    ``y0`` pins down.  The input horizon is checked before any other work.
+    """
+    _check_horizon(a, signal, K)
     res = check_consistency(a, signal, y0)
     if not res.consistent:
         raise InconsistentInitialCondition(
             "initial state lies outside colspan(Q_p) + Q D_{k0}",
             residual=res.residual,
         )
+    return solve_from_zp(a, signal, res.z_p0, K)
 
+
+def solve_from_zp(a: Analysis, signal: InputSignal, z_p0: Matrix, K: int) -> Trajectory:
+    """The trajectory on k0..K from the forward coordinate Z^p_{k0} (p x 1).
+
+    Every Z^p_{k0} gives a consistent initial state, Y_{k0} = Q_p Z^p_{k0}
+    + Q D_{k0}, so only the input horizon is checked, as :func:`solve`
+    does.  Each instant is one product of the step map
+    ``a.step_maps`` with [Z^p_k; V_k; ...; V_{k+w-1}].
+    """
+    _check_horizon(a, signal, K)
+    k0, w = signal.k0, a.w
     n, m, q, l = a.system.n, a.system.m, w.q, a.system.l
     width = max(w.q_star, 1)
     step_map, last_map = a.step_maps
     inputs = vstack([Matrix.zeros(0, 1, w.mode), *signal.samples])
     z_p_list, z_q_list, states, outputs = [], [], [], []
-    zp = res.z_p0
+    zp = z_p0
     for k in range(k0, K + 1):
         step = step_map if k < K else last_map
         i = (k - k0) * l  # V_k .. V_{k+width-1} are rows i .. i + width l of the inputs

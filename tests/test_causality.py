@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -10,6 +12,7 @@ from dkit import (
     brute_force_causality_oracle,
     build_report,
 )
+from dkit import linalg, solver
 from dkit.causality import OracleCounterexample
 from dkit.scalars import Mode
 
@@ -236,6 +239,31 @@ def test_one_pass_oracle_matches_the_one_mode_reference_loop():
                 for mode, outcome in zip(modes, got):
                     _assert_same_outcome(outcome, want[mode])
     assert min(counterexamples.values()) >= 10 and apart >= 2
+
+
+def test_the_oracle_does_no_consistency_work(monkeypatch):
+    """Each trial runs from the Z^p_{k0} it draws: no trial builds D_{k0},
+    decides consistency or eliminates Q_p, under any dkit binding."""
+    rng = random.Random(12)
+    a = random_descriptor(rng, 6, 2, 2, q=3, plant="state_causal")
+    watched = {id(fn): fn for fn in (solver.check_consistency, solver.compute_Dk,
+                                     linalg.solve)}
+    calls = Counter()
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls[f"{fn.__module__}.{fn.__name__}"] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name, mod in list(sys.modules.items()):
+        if name == "dkit" or name.startswith("dkit."):
+            for attr, obj in list(vars(mod).items()):
+                if watched.get(id(obj)) is obj:
+                    monkeypatch.setattr(mod, attr, counting(obj))
+    outcomes = brute_force_causality_oracle(a, horizon=8, trials=5, seed=3)
+    assert [o.causal for o in outcomes] == [True, True]  # so all 5 trials ran
+    assert calls == Counter()
 
 
 def test_verdicts_invariant_under_equivalence_transform():

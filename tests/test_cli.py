@@ -331,25 +331,25 @@ def test_oracle_solves_each_trial_once_up_to_the_perturbed_instant(capsys, monke
     sf = SystemFile(n=6, l=2, m=2, mode=Mode.EXACT, F=sysm.F, G=sysm.G, B=sysm.B,
                     C=sysm.C, Y0=consistent_y0(rng, a, signal), k0=0,
                     inputs=signal.samples, K=6)
-    real_oracle, real_solve = causality_mod.brute_force_causality_oracle, causality_mod.solve
-    oracle_modes, solves = [], []
+    real_oracle, real_run = causality_mod.brute_force_causality_oracle, causality_mod.solve_from_zp
+    oracle_modes, runs = [], []
 
     def counted_oracle(*args, **kwargs):
         oracle_modes.append(args[1])
         return real_oracle(*args, **kwargs)
 
-    def recorded_solve(a_, signal_, y0, K):
-        solves.append((signal_, K))
-        return real_solve(a_, signal_, y0, K)
+    def recorded_run(a_, signal_, z_p0, K):
+        runs.append((signal_, K))
+        return real_run(a_, signal_, z_p0, K)
 
     monkeypatch.setattr(causality_mod, "brute_force_causality_oracle", counted_oracle)
-    monkeypatch.setattr(causality_mod, "solve", recorded_solve)
+    monkeypatch.setattr(causality_mod, "solve_from_zp", recorded_run)
     doc = json.dumps(system_file_to_dict(sf))
     assert main(["causality", doc, "--oracle-trials", "3"]) == EXIT_OK
     assert "state-input causality: CAUSAL" in capsys.readouterr().out
     assert oracle_modes == [("state", "output")]
-    assert len(solves) == 6
-    for (base, K), (pert, K_pert) in zip(solves[::2], solves[1::2]):
+    assert len(runs) == 6
+    for (base, K), (pert, K_pert) in zip(runs[::2], runs[1::2]):
         moved = [k for k, (a, b) in enumerate(zip(base.samples, pert.samples), base.k0)
                  if a != b]
         assert K == K_pert and moved == [K]

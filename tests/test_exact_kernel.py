@@ -173,6 +173,31 @@ def test_kernel_basis_matches_reference(a):
     assert (a @ k).is_zero()
 
 
+@st.composite
+def sparse_square(draw):
+    """Square matrices on which most elimination multipliers are zero:
+    block-diagonal, or with at most 2 n nonzero entries."""
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        return block_diag([draw(matrices(nrows=s, ncols=s)) for s in sizes], EX)
+    n = draw(st.integers(1, 7))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=2 * n)):
+        rows[i][j] = draw(FRACTIONS)
+    return build(rows, n, n)
+
+
+@settings(max_examples=150)
+@given(sparse_square())
+def test_zero_multipliers_match_the_references(a):
+    red, pivots = linalg.rref(a)
+    assert (red, pivots) == reference(linalg.rref, a)
+    assert linalg.det(a) == reference_det(a)
+    assert linalg.kernel_basis(a) == reference(linalg.kernel_basis, a)
+    assert outcome(linalg.inverse, a) == reference(outcome, linalg.inverse, a)
+
+
 @settings(max_examples=200)
 @given(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)).flatmap(
     lambda s: st.tuples(matrices(nrows=s[0], ncols=s[1]), matrices(nrows=s[1], ncols=s[2]))))

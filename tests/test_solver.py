@@ -30,6 +30,7 @@ from dkit import (
     decompose,
     residual_oracle,
     solve,
+    solve_from_zp,
     transform_input,
     verify,
     vstack,
@@ -525,3 +526,39 @@ def test_float_solve_on_the_step_map_tracks_exact_solve():
         assert float(residual_oracle(sys_f, sig_f, got, y0.to_float()).step_residual) <= 1e-9 * scale
         checked += 1
     assert checked >= 5
+
+
+def test_the_zp_entry_is_solve_from_the_state_it_pins_down():
+    """solve_from_zp(a, s, z, K) equals solve(a, s, Q_p z + Q D_{k0}, K):
+    bit for bit in exact mode, within 1e-9 of the trajectory's scale in
+    float mode, where the consistency solve rounds."""
+    def values(traj):
+        return traj.states + traj.outputs + traj.z_p + traj.z_q
+
+    rng = random.Random(43)
+    floats = 0
+    for i in range(18):
+        plant = ("generic", "state_causal", "output_causal_only")[i % 3]
+        exact = random_descriptor(rng, rng.randint(2, 6), 2, 2, plant=plant)
+        K = rng.randint(0, 6)
+        sig = random_signal(rng, 2, 0, K + exact.w.q_star + 1)
+        z = [rng.randint(-3, 3) for _ in range(exact.w.p)]
+        cases = [(exact, sig)]
+        try:
+            cases.append((analyze(exact.system.to_float()),
+                          InputSignal(sig.k0, [v.to_float() for v in sig.samples])))
+        except DkitError:
+            pass
+        for a, s in cases:
+            w = a.w
+            z_p0 = Matrix.column(z, w.mode)
+            y0 = w.Q_p @ z_p0 + w.Q @ compute_Dk(w, a.tin, s, s.k0).stacked
+            got, want = solve_from_zp(a, s, z_p0, K), solve(a, s, y0, K)
+            if a is exact:
+                assert got == want
+                continue
+            floats += 1
+            scale = max([1.0] + [float(abs(v.max_abs())) for v in values(want)])
+            for g, h in zip(values(got), values(want), strict=True):
+                assert float((g - h).max_abs()) <= 1e-9 * scale
+    assert floats >= 6
