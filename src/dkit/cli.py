@@ -40,7 +40,7 @@ from .errors import (
 )
 from .matrices import Matrix
 from .pencil import Pencil  # noqa: F401  (read as cli.Pencil by perfbench)
-from .scalars import Mode, format_scalar, parse_scalar
+from .scalars import Mode, format_scalar, max_str_digits, parse_scalar
 from .solver import (
     Analysis,
     DescriptorSystem,
@@ -92,8 +92,15 @@ def _require_int(raw, field: str) -> int:
 
 
 def _parse_scalars(raw: list, mode: Mode, field: str) -> list:
+    """The cells of one row.  In exact mode a JSON int short enough to
+    print (see ``scalars.check_printable``) stays an int, which the exact
+    ``Matrix`` takes as it is; every other cell goes through parse_scalar."""
+    short = 3 * max_str_digits() if mode is Mode.EXACT else -1
     out = []
     for j, cell in enumerate(raw):
+        if type(cell) is int and cell.bit_length() <= short:
+            out.append(cell)
+            continue
         try:
             out.append(parse_scalar(cell, mode))
         except ValueError as exc:

@@ -1,21 +1,17 @@
 """Elimination-based linear algebra over both scalar modes.
 
 Exact mode never eliminates over ``Fraction``.  An exact matrix stores
-each row scaled by the lcm of its denominators, which changes neither the
-row space nor the rank, and elimination runs fraction-free on a copy of
-those integer rows (Bareiss 1968, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination"): every update
-``(pivot * a - f * b) // prev_pivot`` divides exactly, because each entry
-stays a minor of the scaled matrix.  Results stay integers: the RREF,
-kernel and column-space bases and the solutions of ``solve``,
-``solve_unique`` and ``inverse`` are read straight off the integer rows
-(d times the RREF) into matrices over d, and rank and pivot columns come
-from forward elimination alone, since any echelon form has the pivot
-columns of the RREF.  The reduced row echelon form of a matrix is unique,
-so this yields the same RREF, pivots and determinant as Gauss-Jordan over
-rationals would, and every kernel basis and particular solution produced
-here is canonical and reproducible.  Float mode uses Gauss-Jordan with partial
-pivoting and a relative rank threshold ``tol * (largest entry magnitude)``.
+each row scaled by the lcm of its denominators, and one kernel,
+``_bareiss``, eliminates a copy of those integer rows forward,
+fraction-free (Bareiss 1968): ``(pivot * a - f * b) // prev_pivot`` divides
+exactly, as each entry stays a minor.  Rank, pivots and determinant need
+no more.  Back-substitution over the non-pivot columns turns the echelon
+rows u_i into d times the RREF rows, d the last pivot (Nakos, Turner &
+Williams 1997): R_i = (d u_i - sum over j > i of u_i[c_j] R_j) / u_i[c_i],
+exact by Cramer's rule.  The RREF is unique, so every basis and solution
+read off it is canonical.  :func:`preimages` eliminates A once and each
+[A | X] resumes it.  Float mode uses Gauss-Jordan with partial pivoting
+and a relative rank threshold ``tol * (largest entry magnitude)``.
 """
 
 from __future__ import annotations
@@ -39,62 +35,63 @@ def _threshold(mat: Matrix, tol: float | None) -> float:
     return tol * scale
 
 
-def _bareiss(rows: list[list[int]], reduce: bool) -> tuple[list[int], int, int]:
-    """Fraction-free elimination of integer rows, in place.
+def _bareiss(rows: list[list[int]], log: list | None = None, r: int = 0,
+             prev: int = 1) -> tuple[list[int], int, int]:
+    """Fraction-free forward elimination of integer rows, in place.
 
-    Forward elimination only, unless ``reduce`` also clears the entries
-    above each pivot (fraction-free Gauss-Jordan).  Returns the pivot
-    columns, the last pivot d and the sign of the row permutation.  After
-    forward elimination of a square matrix d is its determinant up to that
-    sign; after reduction, pivot row i equals d times row i of the RREF and
-    the rows below the rank are zero.
+    Rows above ``r`` are pivot rows already, ``prev`` the last pivot.
+    Returns the pivot columns, the last pivot d and the sign of the row
+    permutation; a square matrix has determinant d up to that sign.  Each
+    step goes to ``log``, if given, as (pivot row, pivot, previous pivot,
+    the multipliers of the rows below).
     """
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
-    prev, sign, r = 1, 1, 0
-    first_free = None  # first column without a pivot
-    for c in range(ncols):
+    sign = 1
+    for c in range(len(rows[0]) if nrows else 0):
         if r == nrows:
             break
         piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
-            if first_free is None:
-                first_free = c
             continue
         if piv != r:
             rows[piv], rows[r] = rows[r], rows[piv]
             sign = -sign
         row_r = rows[r]
-        p = row_r[c]
-        # Left of c the pivot row is zero, and so are the rows below.  Left
-        # of the first free column, rows above are zero except at their own
-        # pivot, which is left stale here and set once at the end.
-        lo = c if first_free is None else first_free
-        tail_above, tail_below = row_r[lo:], row_r[c:]
-        for i in range(0 if reduce else r + 1, nrows):
-            if i == r:
-                continue
-            row_i = rows[i]
-            f = row_i[c]
-            j, tail = (lo, tail_above) if i < r else (c, tail_below)
+        p, tail = row_r[c], row_r[c:]
+        if log is not None:
+            log.append((piv, p, prev, [row[c] for row in rows[r + 1:]]))
+        for row in rows[r + 1:]:
+            f = row[c]
             if f:
-                row_i[j:] = [(p * a - f * b) // prev for a, b in zip(row_i[j:], tail)]
+                row[c:] = [(p * a - f * b) // prev for a, b in zip(row[c:], tail)]
             elif p != prev:  # f = 0: the update only rescales the row
-                row_i[j:] = [p * a // prev for a in row_i[j:]]
+                row[c:] = [p * a // prev for a in row[c:]]
         pivots.append(c)
         prev = p
         r += 1
-    if reduce:
-        for i, c in enumerate(pivots):
-            rows[i][c] = prev
     return pivots, prev, sign
+
+
+def _back_substitute(rows: list[list[int]], pivots: list[int], d: int) -> None:
+    """Echelon rows of :func:`_bareiss` with last pivot d to d times the
+    RREF rows, in place; rows below the rank are zero already."""
+    free = [k for k in range(len(rows[0]) if rows else 0) if k not in pivots]
+    for i in reversed(range(len(pivots))):
+        u, ci = rows[i], pivots[i]
+        terms = [(u[cj], rows[j]) for j, cj in enumerate(pivots[i + 1:], i + 1) if u[cj]]
+        for k in free:
+            if k > ci:
+                u[k] = (d * u[k] - sum(f * row[k] for f, row in terms)) // u[ci]
+        for cj in pivots[i + 1:]:
+            u[cj] = 0
+        u[ci] = d
 
 
 def integer_det(rows: list[list[int]]) -> int:
     """Determinant of a square matrix of integer ``rows``, which it
     overwrites; forward elimination only."""
-    pivots, d, sign = _bareiss(rows, reduce=False)
+    pivots, d, sign = _bareiss(rows)
     return sign * d if len(pivots) == len(rows) else 0
 
 
@@ -143,23 +140,25 @@ def rref(mat: Matrix, tol: float | None = None) -> tuple[Matrix, list[int]]:
     return Matrix.divided(rows, d, mat.cols, mat.mode), pivots
 
 
-def _reduced(mat: Matrix, tol: float | None):
+def _reduced(mat: Matrix, tol: float | None, thr_of: Matrix | None = None):
     """Rows d times the RREF rows of ``mat``, the pivot columns, and d:
-    exact mode keeps the integer rows of ``_bareiss``, float mode reduces
-    its own copy of the rows with d = 1."""
+    exact mode back-substitutes the integer rows of ``_bareiss``, float
+    mode reduces its own copy of the rows with d = 1 under the threshold
+    of ``thr_of`` (default ``mat``)."""
     if mat.mode is Mode.EXACT:
         rows = mat.integer_rows()
-        pivots, d, _ = _bareiss(rows, reduce=True)
+        pivots, d, _ = _bareiss(rows)
+        _back_substitute(rows, pivots, d)
         return rows, pivots, d
     rows = mat.to_lists()
-    return rows, _rref_data(rows, mat.mode, _threshold(mat, tol)), 1
+    return rows, _rref_data(rows, mat.mode, _threshold(mat if thr_of is None else thr_of, tol)), 1
 
 
 def pivot_columns(mat: Matrix, tol: float | None = None) -> list[int]:
     """Pivot columns of the RREF of ``mat``.  They are those of any echelon
     form, so exact mode stops after forward elimination."""
     if mat.mode is Mode.EXACT:
-        return _bareiss(mat.integer_rows(), reduce=False)[0]
+        return _bareiss(mat.integer_rows())[0]
     return _reduced(mat, tol)[1]
 
 
@@ -170,12 +169,52 @@ def rank(mat: Matrix, tol: float | None = None) -> int:
 def kernel_basis(mat: Matrix, tol: float | None = None) -> Matrix:
     """Canonical null-space basis, one column per free variable f of the
     RREF: 1 in row f, minus column f of the RREF in the pivot rows."""
-    rows, pivots, d = _reduced(mat, tol)
+    return _null_space(*_reduced(mat, tol), mat.cols, mat.cols, mat.mode)
+
+
+def _null_space(rows, pivots: list[int], d, ncols: int, nv: int, mode: Mode) -> Matrix:
+    """Rows 0..nv-1 of :func:`kernel_basis` of a matrix with ``ncols``
+    columns and d times the RREF rows ``rows``."""
     at = dict(zip(pivots, rows))
-    free = [c for c in range(mat.cols) if c not in at]
+    free = [c for c in range(ncols) if c not in at]
     out = [[-at[c][f] for f in free] if c in at else [d if c == f else 0 for f in free]
-           for c in range(mat.cols)]
-    return Matrix.divided(out, d, len(free), mat.mode)
+           for c in range(nv)]
+    return Matrix.divided(out, d, len(free), mode)
+
+
+def preimages(a: Matrix, tol: float | None = None):
+    """The kernel basis of A, and the function from X to the canonical
+    basis of {v : A v in span X}, the column space of the v-parts of
+    ker [A | X].
+
+    Exact mode eliminates A once.  X's columns, each over its own
+    denominator, are appended times d_i in row i, d_i the denominator of
+    row i of A: that scales the rows of [A | X'], X' a column scaling of X,
+    which has the same span.  A's logged row operations are replayed on
+    the appended columns and elimination resumes past A's.  Float mode
+    reduces [A | X] afresh, as its pivot threshold scales with [A | X].
+    """
+    if a.mode is not Mode.EXACT:
+        return kernel_basis(a, tol), lambda x: column_space_basis(
+            kernel_basis(hstack([a, x]), tol).take_rows(range(a.cols)), tol)
+    top, log = a.integer_rows(), []
+    pivots, d, _ = _bareiss(top, log)
+
+    def v_parts(cols: list[list[int]]) -> Matrix:
+        for r, (piv, p, prev, fs) in enumerate(log):  # A's row operations
+            for col in cols:
+                col[piv], col[r] = col[r], col[piv]
+                b = col[r]
+                col[r + 1:] = [(p * v - f * b) // prev for v, f in zip(col[r + 1:], fs)]
+        ext = [list(row) for row in zip(*cols)] if cols else [[] for _ in top]
+        more, dx, _ = _bareiss(ext, r=len(pivots), prev=d)
+        piv = pivots + [a.cols + c for c in more]
+        rows = [top[i] + ext[i] for i in range(len(piv))]  # top is 0 below A's rank
+        _back_substitute(rows, piv, dx)
+        return _null_space(rows, piv, dx, a.cols + len(cols), a.cols, a.mode)
+
+    return v_parts([]), lambda x: column_space_basis(v_parts(
+        [[di * v for di, v in zip(a.denominators, nums)] for nums in x.T.integer_rows()]))
 
 
 def _reduce_augmented(a: Matrix, b: Matrix, tol: float | None,
@@ -185,13 +224,8 @@ def _reduce_augmented(a: Matrix, b: Matrix, tol: float | None,
     float threshold scales with [a | b], or with ``a`` alone."""
     if a.rows != b.rows:
         raise ValueError("row counts differ")
-    aug = hstack([a, b])
-    if a.mode is Mode.EXACT:
-        rows, pivots, d = _reduced(aug, tol)
-        return pivots, [row[a.cols:] for row in rows[: len(pivots)]], d
-    data = aug.to_lists()
-    pivots = _rref_data(data, a.mode, _threshold(a if thr_from_a else aug, tol))
-    return pivots, [row[a.cols:] for row in data[: len(pivots)]], 1
+    rows, pivots, d = _reduced(hstack([a, b]), tol, a if thr_from_a else None)
+    return pivots, [row[a.cols:] for row in rows[: len(pivots)]], d
 
 
 def solve(a: Matrix, b: Matrix, tol: float | None = None) -> Matrix | None:

@@ -51,8 +51,7 @@ class Matrix:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
         if mode is Mode.EXACT:
-            cleared = (clear_denominators([ensure_scalar(x, mode) for x in r]) for r in data)
-            _fill(self, nrows, ncols, mode, None, tuple((tuple(r), d) for r, d in cleared))
+            _fill(self, nrows, ncols, mode, None, tuple(map(_cleared, data)))
         else:
             _fill(self, nrows, ncols, mode,
                   tuple(ensure_scalar(x, mode) for r in data for x in r), None)
@@ -335,6 +334,16 @@ class Matrix:
 _fill_rows, _fill_cols, _fill_mode, _fill_f, _fill_r = (
     Matrix.__dict__[slot].__set__ for slot in Matrix.__slots__)
 _ZERO_ENTRY = ((0,), 1)
+
+
+def _cleared(row: list) -> tuple[tuple[int, ...], int]:
+    """An exact row in its stored form; an all-int row is itself over 1,
+    and only a cell neither int nor ``Fraction`` goes through ensure_scalar."""
+    if all(type(x) is int for x in row):
+        return tuple(row), 1
+    nums, d = clear_denominators([x if type(x) is int or type(x) is Fraction
+                                  else ensure_scalar(x, Mode.EXACT) for x in row])
+    return tuple(nums), d
 
 
 def _fill(m: Matrix, nrows: int, ncols: int, mode: Mode, entries, int_rows) -> Matrix:

@@ -25,7 +25,7 @@ from .errors import DkitError, excerpt
 Scalar = Union[Fraction, complex]
 
 # Python's int-to-str digit limit; 0 (no limit) where Python has none
-_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 class Mode(enum.Enum):
@@ -113,7 +113,7 @@ def parse_scalar(raw, mode: Mode) -> Scalar:
         # a value within 3 * limit bits prints (see check_printable), so
         # only a longer one is compared with the limit
         bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-        if bits > 3 * _max_str_digits():
+        if bits > 3 * max_str_digits():
             try:
                 check_printable((value,))
             except DkitError as exc:
@@ -180,7 +180,7 @@ def format_ratios(rows: Iterable[tuple[Sequence[int], int]]) -> list[str]:
 def check_printable(values: Iterable[Scalar]) -> None:
     """Raise the ``DkitError`` of :func:`format_scalar` if it could not print
     one of ``values``; compares integers, formats nothing."""
-    limit = _max_str_digits()
+    limit = max_str_digits()
     # below 2^(3 limit) < 10^limit an integer needs no comparison with 10^limit,
     # whose computation would cost more than a typical check
     big = [m for x in values if isinstance(x, Fraction)

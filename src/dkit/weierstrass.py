@@ -21,9 +21,12 @@ subspaces N_1 = ker A, N_k = {v : A v in E(N_{k-1})} grow exactly like the
 kernel filtration of a nilpotent operator, so the usual Jordan machinery
 applies: block sizes come from the dimension increments, top vectors of
 long chains are picked first, and each chain is generated downward by the
-unique solution of E x = A v_k inside N_{k-1}.  Columns of Q are the chain
-vectors; P is then forced, because the first p columns of P^{-1} must be
-F Q_p and the last q columns must be G Q_q.
+unique solution of E x = A v_k inside N_{k-1}.  N_k is read off the
+kernel of [A | -E N_{k-1}]; in exact mode A is eliminated once
+(``linalg.preimages``) and each step resumes that elimination on the
+appended columns rather than starting again from column 0.  Columns of Q
+are the chain vectors; P is then forced, because the first p columns of
+P^{-1} must be F Q_p and the last q columns must be G Q_q.
 
 All choices are canonical: kernels come from the (unique) reduced row
 echelon form, eigenvalues are sorted, and block sizes are descending, so
@@ -147,8 +150,13 @@ class VerificationReport(NamedTuple):
 
 
 def _filtration(A: Matrix, E: Matrix, target: int, tol: float | None) -> list[Matrix]:
-    """Bases of N_1 <= N_2 <= ... until the dimension reaches ``target``."""
-    basis = linalg.kernel_basis(A, tol)
+    """Bases of N_1 <= N_2 <= ... until the dimension reaches ``target``.
+
+    N_1 = ker A, and N_k is the canonical basis of the preimage of
+    E(N_{k-1}) under A; in exact mode each step resumes the one elimination
+    of A on the appended columns -E N_{k-1} (``linalg.preimages``).
+    """
+    basis, preimage = linalg.preimages(A, tol)
     if basis.cols == 0:
         raise ChainConstructionFailure(
             "kernel is trivial but the multiplicity demands eigenvectors"
@@ -156,10 +164,7 @@ def _filtration(A: Matrix, E: Matrix, target: int, tol: float | None) -> list[Ma
     bases = [basis]
     while bases[-1].cols < target:
         prev = bases[-1]
-        stacked = hstack([A, -(E @ prev)])
-        k = linalg.kernel_basis(stacked, tol)
-        v_part = k.take_rows(range(A.rows))
-        nxt = linalg.column_space_basis(v_part, tol)
+        nxt = preimage(-(E @ prev))
         if nxt.cols <= prev.cols or nxt.cols > target:
             raise ChainConstructionFailure(
                 f"chain subspaces stalled at dimension {prev.cols} "

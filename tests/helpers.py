@@ -9,9 +9,11 @@ integer kernels on integer rows.  The char poly reference solves a
 Vandermonde system for ``Fraction`` determinants where the library takes
 Newton differences of integer ones, and the chain-top reference makes one
 rank elimination per candidate where the library makes one for all of
-them.  The causality oracle reference runs one mode per pass and solves
-each trial to the full horizon, where the library serves every mode in
-one pass and solves only up to the perturbed instant.
+them, and the filtration reference eliminates each stacked [A | -E N]
+afresh where the library eliminates A once and resumes it.  The
+causality oracle reference runs one mode per pass and solves each trial
+to the full horizon, where the library serves every mode in one pass and
+solves only up to the perturbed instant.
 """
 
 from __future__ import annotations
@@ -489,6 +491,22 @@ def reference_pick_independent(candidates: Matrix, context: list[Matrix], tol: f
         if linalg.rank(trial, tol) == base + 1:
             return v
     raise ChainConstructionFailure("no chain top vector available at this level")
+
+
+def reference_filtration(A: Matrix, E: Matrix, target: int, tol: float | None) -> list[Matrix]:
+    """Bases of N_1 = ker A <= N_2 <= ... up to dimension ``target``, each
+    N_k the column space of the v-parts of ker [A | -E N_{k-1}], one
+    elimination of the stacked matrix per step; reference for
+    ``weierstrass._filtration``, which it follows in raising
+    ``ChainConstructionFailure`` when the dimensions stall."""
+    bases = [linalg.kernel_basis(A, tol)]
+    while bases[-1].cols < target:
+        k = linalg.kernel_basis(hstack([A, -(E @ bases[-1])]), tol)
+        nxt = linalg.column_space_basis(k.take_rows(range(A.cols)), tol)
+        if not bases[-1].cols < nxt.cols <= target:
+            raise ChainConstructionFailure("chain subspaces stalled")
+        bases.append(nxt)
+    return bases
 
 
 def reference_causality_oracle(

@@ -92,7 +92,7 @@ def systems(draw):
     return a, b
 
 
-def reference_reduced(mat, tol):
+def reference_reduced(mat, tol, thr_of=None):
     """Drop-in for ``linalg._reduced`` in exact mode: the RREF by
     Gauss-Jordan over ``Fraction``, times the lcm d of its denominators,
     the pivot columns and d."""
@@ -100,6 +100,44 @@ def reference_reduced(mat, tol):
     pivots = reference_rref_data(data, EX, 0.0)
     d = math.lcm(*[x.denominator for row in data for x in row])
     return [[(x * d).numerator for x in row] for row in data], pivots, d
+
+
+# Shapes where back-substitution has to skip or keep something: a free
+# column before the first pivot, zero rows between nonzero ones (a row
+# swap, and a free column between the pivots), a negative last pivot
+# (1 * 4 - 3 * 2), a single row, a single column.
+EDGE_CASES = [
+    Matrix([[0, 1, 2], [0, 3, Fraction(4, 5)]], EX),
+    Matrix([[1, 2, 3], [0, 0, 0], [0, 0, 0], [2, 4, Fraction(1, 3)]], EX),
+    Matrix([[1, 2], [3, 4]], EX),
+    Matrix([[0, 3, -1, Fraction(1, 2)]], EX),
+    Matrix.column([0, Fraction(2, 3), -3], EX),
+]
+SQUARE_EDGE_CASES = [
+    Matrix([[0, 1], [0, 3]], EX),
+    Matrix([[1, 2, 3], [0, 0, 0], [2, 4, Fraction(1, 3)]], EX),
+    Matrix([[1, 2], [3, 4]], EX),
+    Matrix([[-5]], EX),
+]
+
+
+def with_examples(cases):
+    """``hypothesis.example`` for each of ``cases``."""
+    def apply(test):
+        for case in reversed(cases):
+            test = example(case)(test)
+        return test
+    return apply
+
+
+def edge_systems():
+    """Each edge case with a consistent and an inconsistent right-hand side."""
+    out = []
+    for a in EDGE_CASES:
+        x = Matrix.column([Fraction(i + 1, 2) for i in range(a.cols)], EX)
+        out.append((a, a @ x))
+        out.append((a, Matrix.column([1] * a.rows, EX)))
+    return out
 
 
 def reference(fn, *args):
@@ -121,6 +159,7 @@ def assert_fractions(mat: Matrix):
 
 @settings(max_examples=200)
 @given(matrices())
+@with_examples(EDGE_CASES)
 def test_rref_matches_fraction_gauss_jordan(a):
     red, pivots = linalg.rref(a)
     assert (red, pivots) == reference(linalg.rref, a)
@@ -138,6 +177,7 @@ def test_det_matches_fraction_elimination(a):
 
 @settings(max_examples=100)
 @given(st.integers(0, 6).flatmap(lambda n: matrices(nrows=n, ncols=n)))
+@with_examples(SQUARE_EDGE_CASES)
 def test_inverse_matches_reference(a):
     got = outcome(linalg.inverse, a)
     assert got == reference(outcome, linalg.inverse, a)
@@ -148,6 +188,7 @@ def test_inverse_matches_reference(a):
 
 @settings(max_examples=150)
 @given(systems())
+@with_examples(edge_systems())
 def test_solve_matches_reference(ab):
     a, b = ab
     x = linalg.solve(a, b)
@@ -159,6 +200,7 @@ def test_solve_matches_reference(ab):
 
 @settings(max_examples=150)
 @given(systems())
+@with_examples(edge_systems())
 def test_solve_unique_matches_reference_including_errors(ab):
     a, b = ab
     assert outcome(linalg.solve_unique, a, b) == reference(outcome, linalg.solve_unique, a, b)
@@ -166,6 +208,7 @@ def test_solve_unique_matches_reference_including_errors(ab):
 
 @settings(max_examples=150)
 @given(matrices())
+@with_examples(EDGE_CASES)
 def test_kernel_basis_matches_reference(a):
     k = linalg.kernel_basis(a)
     assert k == reference(linalg.kernel_basis, a)
@@ -290,6 +333,7 @@ def test_kernel_basis_read_off_the_integer_rows_matches_the_fraction_rref(a):
 
 @settings(max_examples=200)
 @given(matrices())
+@with_examples(EDGE_CASES)
 def test_column_space_basis_read_off_the_integer_rows_matches_the_fraction_rref(a):
     basis = linalg.column_space_basis(a)
     assert basis == reference_column_space_basis(a)

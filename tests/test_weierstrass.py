@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dkit import (
@@ -16,18 +17,21 @@ from dkit import (
     WeierstrassDecomposition,
     assemble_Hq,
     assemble_Jp,
+    block_diag,
     decompose,
     hstack,
     verify,
 )
 from dkit import linalg
 from dkit.scalars import Mode
-from dkit.weierstrass import _pick_independent
+from dkit.weierstrass import _filtration, _pick_independent
 
 from helpers import (
     jordan_multiset,
     nilpotent_multiset,
     planted_pencil,
+    rational_nonsingular,
+    reference_filtration,
     reference_pick_independent,
     unimodular,
 )
@@ -326,3 +330,90 @@ def test_assemble_hq_is_assemble_jp_at_eigenvalue_zero():
         assert h == Matrix(expected, mode)
         assert all(type(x) is type(h[0, 0]) for row in h.to_lists() for x in row)
     assert assemble_Hq([], EX).shape == (0, 0)
+
+
+def pencil_from_blocks(rng, jordan, nilpotent, rational=False):
+    """The pencil with Jordan blocks ``jordan`` ((eigenvalue, size) pairs)
+    and nilpotent blocks of the sizes ``nilpotent``, hidden by unimodular
+    or by rational conjugation."""
+    jb = [JordanBlockSpec(a, k) for a, k in jordan]
+    nb = [NilpotentBlockSpec(k) for k in nilpotent]
+    p, q = sum(b.size for b in jb), sum(b.size for b in nb)
+    f_w = block_diag([Matrix.identity(p, EX), assemble_Hq(nb, EX)], EX)
+    g_w = block_diag([assemble_Jp(jb, EX), Matrix.identity(q, EX)], EX)
+    conj = rational_nonsingular if rational else unimodular
+    left, right = conj(rng, p + q), conj(rng, p + q)
+    return Pencil(left @ f_w @ right, left @ g_w @ right)
+
+
+def filtration_pairs(pencil, jordan, nilpotent):
+    """(A, E, target) of every filtration of the pencil: (G - aF, F) for
+    each eigenvalue a with its multiplicity, and (F, G) with q."""
+    F, G = pencil.F, pencil.G
+    mult = {}
+    for a, k in jordan:
+        mult[a] = mult.get(a, 0) + k
+    pairs = [(G - F.scale(a), F, m) for a, m in sorted(mult.items())]
+    return pairs + ([(F, G, sum(nilpotent))] if nilpotent else [])
+
+
+def _bases_or_none(filtration, A, E, target):
+    try:
+        return filtration(A, E, target, None)
+    except ChainConstructionFailure:
+        return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32),
+       st.lists(st.tuples(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2),
+                                           Fraction(-7, 3)]), st.integers(1, 3)),
+                max_size=3),
+       st.lists(st.integers(1, 4), max_size=3),
+       st.booleans())
+@example(5, [(Fraction(1, 2), 3), (Fraction(1, 2), 1)], [4, 3, 1], True)   # q* = 4
+@example(6, [(Fraction(-7, 3), 2), (Fraction(-7, 3), 2)], [3, 3], False)   # q* = 3
+def test_filtration_matches_the_stacked_reference(seed, jordan, nilpotent, rational):
+    if not jordan and not nilpotent:
+        return
+    pencil = pencil_from_blocks(random.Random(seed), jordan, nilpotent, rational)
+    for A, E, target in filtration_pairs(pencil, jordan, nilpotent):
+        assert _filtration(A, E, target, None) == reference_filtration(A, E, target, None)
+        fa, fe = A.to_float(), E.to_float()
+        assert _bases_or_none(_filtration, fa, fe, target) == _bases_or_none(
+            reference_filtration, fa, fe, target)
+
+
+def _scales_rows_of(rows, a_rows) -> bool:
+    """Whether each of ``rows`` starts with a positive multiple of the same
+    row of ``a_rows``."""
+    if len(rows) != len(a_rows) or (rows and len(rows[0]) < len(a_rows[0])):
+        return False
+    for row, a in zip(rows, a_rows):
+        head = row[: len(a)]
+        j = next((j for j, x in enumerate(a) if x), None)
+        if j is None:
+            if any(head):
+                return False
+        elif not (head[j] * a[j] > 0 and [Fraction(head[j], a[j]) * x for x in a] == head):
+            return False
+    return True
+
+
+def test_filtration_eliminates_the_columns_of_A_once():
+    """Every preimage step resumes A's elimination: of all eliminations in
+    one filtration, one runs over rows that start with A's rows."""
+    jordan, nilpotent = [(Fraction(1, 2), 1)], [4, 2]
+    pencil = pencil_from_blocks(random.Random(3), jordan, nilpotent, rational=True)
+    A, E, target = filtration_pairs(pencil, jordan, nilpotent)[-1]
+    calls = []
+    elim = linalg._bareiss
+
+    def recorded(rows, *args, **kwargs):
+        calls.append([list(r) for r in rows])
+        return elim(rows, *args, **kwargs)
+
+    with mock.patch.object(linalg, "_bareiss", recorded):
+        bases = _filtration(A, E, target, None)
+    assert [b.cols for b in bases] == [2, 4, 5, 6]  # three preimage steps
+    assert sum(_scales_rows_of(rows, A.integer_rows()) for rows in calls) == 1
