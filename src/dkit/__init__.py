@@ -40,8 +40,6 @@ from .solver import (
     TransformedInput,
     analyze,
     check_consistency,
-    closed_form_zp,
-    compute_Dk,
     residual_oracle,
     solve,
     solve_from_zp,
@@ -92,8 +90,6 @@ __all__ = [
     "build_report",
     "char_poly",
     "check_consistency",
-    "closed_form_zp",
-    "compute_Dk",
     "decompose",
     "finite_eigenvalues",
     "format_scalar",

@@ -107,7 +107,6 @@ def brute_force_causality_oracle(
     horizon: int = 10,
     trials: int = 50,
     *,
-    rng: random.Random | None = None,
     seed: int | None = None,
     tol: float | None = None,
 ) -> tuple[OracleOutcome, ...]:
@@ -135,8 +134,7 @@ def brute_force_causality_oracle(
     for mode in modes:
         if mode not in ("state", "output"):
             raise ValueError(f"mode must be 'state' or 'output', got {mode!r}")
-    if rng is None:
-        rng = random.Random(0 if seed is None else seed)
+    rng = random.Random(0 if seed is None else seed)
     sys, w = a.system, a.w
     if sys.l == 0:
         return tuple(OracleOutcome(True, None) for _ in modes)
@@ -144,7 +142,7 @@ def brute_force_causality_oracle(
     k0 = 0
     count = horizon - k0 + w.q_star  # covers indices k0 .. horizon + q* - 1
     j_min = k0 + max(w.q_star, 1)
-    j_max = min(horizon, k0 + count - 1)  # perturbed sample must exist
+    j_max = min(horizon, k0 + count - 1)  # the perturbed sample must exist: horizon - 1 if q* = 0
     if j_min > j_max:
         raise ValueError(f"horizon {horizon} too short; need at least {j_min - k0 + 1}")
 

@@ -61,9 +61,6 @@ EXIT_HORIZON = 5
 EXIT_ORACLE_DISAGREES = 6
 EXIT_NUMERICAL = 7
 
-_REQUIRED_KEYS = ("n", "l", "m", "mode", "F", "G", "B", "C", "Y0", "k0", "inputs", "K")
-
-
 class SystemFile(NamedTuple):
     n: int
     l: int
@@ -147,10 +144,10 @@ def parse_system_file(source, mode_override: Mode | None = None) -> SystemFile:
             raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
-    unknown = set(doc) - set(_REQUIRED_KEYS)
+    unknown = set(doc) - set(SystemFile._fields)
     if unknown:
         raise ParseError(f"unknown fields: {', '.join(sorted(unknown))}")
-    missing = [k for k in _REQUIRED_KEYS if k not in doc]
+    missing = [k for k in SystemFile._fields if k not in doc]
     if missing:
         raise ParseError(f"missing fields: {', '.join(missing)}")
 
@@ -189,23 +186,6 @@ def parse_system_file(source, mode_override: Mode | None = None) -> SystemFile:
 def _matrix_to_lists(mat: Matrix) -> list[list[str]]:
     e, c = mat.format_entries(), mat.cols
     return [e[i * c : (i + 1) * c] for i in range(mat.rows)]
-
-
-def system_file_to_dict(sf: SystemFile) -> dict:
-    return {
-        "n": sf.n,
-        "l": sf.l,
-        "m": sf.m,
-        "mode": str(sf.mode),
-        "F": _matrix_to_lists(sf.F),
-        "G": _matrix_to_lists(sf.G),
-        "B": _matrix_to_lists(sf.B),
-        "C": _matrix_to_lists(sf.C),
-        "Y0": sf.Y0.format_entries(),
-        "k0": sf.k0,
-        "inputs": [v.format_entries() for v in sf.inputs],
-        "K": sf.K,
-    }
 
 
 def _fmt_matrix(mat: Matrix) -> str:

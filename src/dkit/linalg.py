@@ -301,17 +301,6 @@ def det(mat: Matrix, tol: float | None = None):
     return result if sign > 0 else -result
 
 
-def matrix_power(mat: Matrix, k: int) -> Matrix:
-    if not mat.is_square:
-        raise ValueError("power of a non-square matrix")
-    if k < 0:
-        raise ValueError("negative power")
-    acc = Matrix.identity(mat.rows, mat.mode)
-    for _ in range(k):
-        acc = acc @ mat
-    return acc
-
-
 def least_squares(a: Matrix, b: Matrix, tol: float | None = None) -> Matrix:
     """Normal-equations solution; requires ``a`` to have full column rank."""
     ah = a.conj_T()
@@ -327,11 +316,3 @@ def column_space_basis(mat: Matrix, tol: float | None = None) -> Matrix:
 
 def is_nonsingular(mat: Matrix, tol: float | None = None) -> bool:
     return mat.is_square and rank(mat, tol) == mat.rows
-
-
-def poly_eval(coeffs, x):
-    """Horner evaluation of an ascending-coefficient polynomial."""
-    acc = None
-    for c in reversed(list(coeffs)):
-        acc = c if acc is None else acc * x + c
-    return 0 * x if acc is None else acc

@@ -80,9 +80,6 @@ class CharPoly(NamedTuple):
     def q(self) -> int | None:
         return None if self.is_zero else self.n - self.p
 
-    def eval(self, s: Scalar) -> Scalar:
-        return linalg.poly_eval(self.coefficients, s)
-
 
 def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
     """det(sF - G) from its values at the n + 1 nodes s = 0, 1, ..., n.

@@ -15,7 +15,9 @@ so :func:`solve_from_zp` spends one product per step from a given
 Z^p_{k0}; S is built once per :class:`Analysis`, on its first solve.
 
 An initial state is admissible exactly when it lies in the affine set
-colspan(Q_p) + Q D_{k0}; :func:`solve` rejects anything else and runs
+colspan(Q_p) + Q D_{k0}.  The driving vector D_k stacks the forward sum
+over the inputs before k on the forced Z^q_k; at k0 that sum is empty, so
+Q D_{k0} = Q_q Z^q_{k0}.  :func:`solve` rejects anything else and runs
 :func:`solve_from_zp` from the Z^p_{k0} an admissible state pins down.
 The residual oracle at the bottom re-checks a trajectory against the
 original difference equation and is deliberately independent of the
@@ -199,32 +201,6 @@ def analyze(system: DescriptorSystem, *, cluster_radius: float | None = None) ->
     return Analysis(system, w, verification)
 
 
-class Dk(NamedTuple):
-    top: Matrix       # forward convolution, p x 1
-    bottom: Matrix    # backward forced part, q x 1
-    stacked: Matrix   # n x 1
-
-
-def compute_Dk(
-    w: WeierstrassDecomposition,
-    tin: TransformedInput,
-    signal: InputSignal,
-    k: int,
-) -> Dk:
-    """The driving vector D_k (forward sum over past inputs stacked on the
-    backward sum over the next q* samples)."""
-    if k < signal.k0:
-        raise ValueError(f"k = {k} precedes the initial time {signal.k0}")
-    top, j_p = Matrix.zeros(w.p, 1, w.mode), w.J_p
-    for j in range(signal.k0, k):
-        top = j_p @ top + tin.B_p @ signal.sample(j)
-    if w.q_star:
-        bottom = -(tin.backward @ vstack([signal.sample(k + i) for i in range(w.q_star)]))
-    else:
-        bottom = Matrix.zeros(w.q, 1, w.mode)
-    return Dk(top=top, bottom=bottom, stacked=vstack([top, bottom]))
-
-
 class ConsistencyResult(NamedTuple):
     consistent: bool
     z_p0: Matrix | None
@@ -234,6 +210,7 @@ class ConsistencyResult(NamedTuple):
 def check_consistency(a: Analysis, signal: InputSignal, y0: Matrix) -> ConsistencyResult:
     """Decide membership of y0 in colspan(Q_p) + Q D_{k0}.
 
+    At k0 the forward sum of D_{k0} is empty, so Q D_{k0} = Q_q Z^q_{k0}.
     Q_p has full column rank, so a consistent y0 pins down Z^p_{k0}
     uniquely.  For an inconsistent y0 the returned residual is measured
     against the least-squares projection onto the admissible set.
@@ -241,8 +218,11 @@ def check_consistency(a: Analysis, signal: InputSignal, y0: Matrix) -> Consisten
     n, w = a.system.n, a.w
     if y0.shape != (n, 1):
         raise ValueError(f"y0 must be {n} x 1")
-    d0 = compute_Dk(w, a.tin, signal, signal.k0)
-    rhs = y0 - w.Q @ d0.stacked
+    rhs = y0
+    if w.q_star:  # the forced Z^q_{k0} reads V_{k0} .. V_{k0+q*-1}
+        z_q0 = -(a.tin.backward @ vstack([signal.sample(signal.k0 + i)
+                                          for i in range(w.q_star)]))
+        rhs = y0 - w.Q_q @ z_q0
     q_p = w.Q_p
     z = linalg.solve(q_p, rhs, a.system.tol)
     if z is not None:
@@ -335,23 +315,6 @@ def solve_from_zp(a: Analysis, signal: InputSignal, z_p0: Matrix, K: int) -> Tra
         z_p=tuple(z_p_list),
         z_q=tuple(z_q_list),
     )
-
-
-def closed_form_zp(
-    w: WeierstrassDecomposition,
-    tin: TransformedInput,
-    signal: InputSignal,
-    z_p0: Matrix,
-    k: int,
-) -> Matrix:
-    """Non-recursive forward coordinate: J_p^{k-k0} Z^p_{k0} plus the
-    convolution of past inputs.  Must agree with the recursion used by
-    :func:`solve`; tests hold both paths to that."""
-    k0 = signal.k0
-    acc = linalg.matrix_power(w.J_p, k - k0) @ z_p0
-    for i in range(k0, k):
-        acc = acc + linalg.matrix_power(w.J_p, k - i - 1) @ (tin.B_p @ signal.sample(i))
-    return acc
 
 
 class SolutionResidual(NamedTuple):

@@ -5,12 +5,14 @@ paths: the brute-force characteristic polynomial expands cofactors over
 coefficient lists, the stacked-step solvability check works on the raw
 system matrices, and the exact elimination, matrix operation and rational
 root references run plain ``Fraction`` arithmetic where the library runs
-integer kernels on integer rows.  The char poly reference solves a
-Vandermonde system for ``Fraction`` determinants where the library takes
-Newton differences of integer ones, and the chain-top reference makes one
-rank elimination per candidate where the library makes one for all of
-them, and the filtration reference eliminates each stacked [A | -E N]
-afresh where the library eliminates A once and resumes it.  The
+integer kernels on integer rows.  The closed-form trajectory sums powers
+of J_p where the library steps one constant map per instant.  The char
+poly reference solves a Vandermonde system for ``Fraction`` determinants
+where the library takes Newton differences of integer ones, and the
+chain-top reference makes one rank elimination per candidate where the
+library makes one for all of them, and the filtration reference
+eliminates each stacked [A | -E N] afresh where the library eliminates A
+once and resumes it.  The
 causality oracle reference runs one mode per pass and solves each trial
 to the full horizon, where the library serves every mode in one pass and
 solves only up to the perturbed instant.
@@ -35,7 +37,6 @@ from dkit import (
     assemble_Hq,
     assemble_Jp,
     block_diag,
-    compute_Dk,
     decompose,
     hstack,
     verify,
@@ -43,6 +44,7 @@ from dkit import (
 )
 from dkit import linalg, solve
 from dkit.causality import DEFAULT_CAUSALITY_TOL, OracleCounterexample, OracleOutcome
+from dkit.cli import SystemFile, _matrix_to_lists
 from dkit.scalars import Mode
 
 EIGENVALUE_PALETTE = [Fraction(v) for v in (-3, -2, -1, 0, 1, 2, 3)] + [
@@ -175,8 +177,25 @@ def random_signal(rng: random.Random, l: int, k0: int, count: int,
 def consistent_y0(rng: random.Random, a: Analysis, signal) -> Matrix:
     w = a.w
     z = Matrix.column([rng.randint(-3, 3) for _ in range(w.p)], w.mode)
-    d0 = compute_Dk(w, a.tin, signal, signal.k0)
-    return w.Q_p @ z + w.Q @ d0.stacked
+    return reference_closed_form(a, signal, z, signal.k0)[0]
+
+
+def system_file_to_dict(sf: SystemFile) -> dict:
+    """The JSON document of a parsed system file, entries as strings."""
+    return {
+        "n": sf.n,
+        "l": sf.l,
+        "m": sf.m,
+        "mode": str(sf.mode),
+        "F": _matrix_to_lists(sf.F),
+        "G": _matrix_to_lists(sf.G),
+        "B": _matrix_to_lists(sf.B),
+        "C": _matrix_to_lists(sf.C),
+        "Y0": sf.Y0.format_entries(),
+        "k0": sf.k0,
+        "inputs": [v.format_entries() for v in sf.inputs],
+        "K": sf.K,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +221,55 @@ def poly_mul(a: list, b: list) -> list:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def poly_eval(coeffs, x):
+    """Horner evaluation of an ascending-coefficient polynomial."""
+    acc = None
+    for c in reversed(list(coeffs)):
+        acc = c if acc is None else acc * x + c
+    return 0 * x if acc is None else acc
+
+
+def matrix_power(mat: Matrix, k: int) -> Matrix:
+    """mat^k by k products, k >= 0."""
+    acc = Matrix.identity(mat.rows, mat.mode)
+    for _ in range(k):
+        acc = acc @ mat
+    return acc
+
+
+def forced_z_q(a: Analysis, signal, k: int) -> Matrix:
+    """Z^q_k = -[B_q | H_q B_q | ... | H_q^{q*-1} B_q] [V_k; ...; V_{k+q*-1}].
+
+    The same product ``check_consistency`` subtracts at k0, so in float
+    mode a Y_{k0} built on it passes that check without rounding noise.
+    """
+    w = a.w
+    if not w.q_star:
+        return Matrix.zeros(w.q, 1, w.mode)
+    return -(a.tin.backward @ vstack([signal.sample(k + i) for i in range(w.q_star)]))
+
+
+def reference_closed_form(a: Analysis, signal, z_p0: Matrix, k: int) -> tuple[Matrix, Matrix, Matrix]:
+    """(Y_k, Z^p_k, Z^q_k) from the paper's closed form
+
+        Y_k = Q_p J_p^{k-k0} Z^p_{k0} + Q D_k,
+        D_k = [sum_{i=k0}^{k-1} J_p^{k-i-1} B_p V_i;
+               -[B_q | H_q B_q | ... | H_q^{q*-1} B_q] [V_k; ...; V_{k+q*-1}]],
+
+    summing powers of J_p where ``solve_from_zp`` steps Z^p one instant at
+    a time.
+    """
+    w, k0 = a.w, signal.k0
+    forward, power = Matrix.zeros(w.p, 1, w.mode), Matrix.identity(w.p, w.mode)
+    for i in range(k - 1, k0 - 1, -1):  # power = J_p^{k-i-1}
+        forward = forward + power @ (a.tin.B_p @ signal.sample(i))
+        power = power @ w.J_p
+    z_q = forced_z_q(a, signal, k)
+    free = power @ z_p0  # J_p^{k-k0} Z^p_{k0}
+    y = w.Q_p @ free + w.Q @ vstack([forward, z_q])
+    return y, free + forward, z_q
 
 
 def brute_char_poly(F: Matrix, G: Matrix) -> tuple:
@@ -244,9 +312,8 @@ def stacked_step_solvable(a: Analysis, signal, y0: Matrix) -> bool:
     q_inv = linalg.inverse(w.Q)
     s_rows = q_inv.take_rows(range(w.p, w.n))
     rhs_step = sysm.G @ y0 + sysm.B @ signal.sample(k0)
-    forced_next = compute_Dk(w, a.tin, signal, k0 + 1).bottom
     a_stack = vstack([sysm.F, s_rows])
-    b_stack = vstack([rhs_step, forced_next])
+    b_stack = vstack([rhs_step, forced_z_q(a, signal, k0 + 1)])
     return linalg.solve(a_stack, b_stack) is not None
 
 
@@ -440,7 +507,7 @@ def reference_rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fractio
         key=lambda f: (f.numerator, f.denominator),
     )
     for cand in candidates:
-        while len(work) > 1 and linalg.poly_eval(work, cand) == 0:
+        while len(work) > 1 and poly_eval(work, cand) == 0:
             # synthetic division by (s - cand)
             out = [Fraction(0)] * (len(work) - 1)
             out[-1] = work[-1]
@@ -561,7 +628,7 @@ def reference_causality_oracle(
         pert = InputSignal.from_rows(k0, pert_rows, sys.mode)
 
         z = Matrix.column([rng.randint(-3, 3) for _ in range(w.p)], sys.mode)
-        y0 = w.Q_p @ z + w.Q @ compute_Dk(w, a.tin, base, k0).stacked
+        y0 = reference_closed_form(a, base, z, k0)[0]
 
         traj_base = solve(a, base, y0, K)
         traj_pert = solve(a, pert, y0, K)

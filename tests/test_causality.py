@@ -246,8 +246,7 @@ def test_the_oracle_does_no_consistency_work(monkeypatch):
     decides consistency or eliminates Q_p, under any dkit binding."""
     rng = random.Random(12)
     a = random_descriptor(rng, 6, 2, 2, q=3, plant="state_causal")
-    watched = {id(fn): fn for fn in (solver.check_consistency, solver.compute_Dk,
-                                     linalg.solve)}
+    watched = {id(fn): fn for fn in (solver.check_consistency, linalg.solve)}
     calls = Counter()
 
     def counting(fn):

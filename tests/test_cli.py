@@ -25,7 +25,6 @@ from dkit.cli import (
     _trajectory_csv,
     main,
     parse_system_file,
-    system_file_to_dict,
 )
 from dkit.errors import excerpt
 from dkit.scalars import Mode, check_printable, format_scalar, parse_scalar
@@ -35,6 +34,7 @@ from helpers import (
     random_descriptor,
     random_signal,
     reference_causality_oracle,
+    system_file_to_dict,
 )
 
 DATA = Path(__file__).parent / "data"

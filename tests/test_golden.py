@@ -24,10 +24,10 @@ from pathlib import Path
 import pytest
 
 from dkit import Matrix, block_diag, linalg
-from dkit.cli import SystemFile, main, system_file_to_dict
+from dkit.cli import SystemFile, main
 from dkit.scalars import Mode
 
-from helpers import consistent_y0, random_descriptor, random_signal
+from helpers import consistent_y0, random_descriptor, random_signal, system_file_to_dict
 
 DATA = Path(__file__).parent / "data"
 

@@ -19,14 +19,11 @@ from dkit import (
     InputSignal,
     IrregularPencil,
     Matrix,
-    Pencil,
     Trajectory,
     WeierstrassDecomposition,
     analyze,
     char_poly,
     check_consistency,
-    closed_form_zp,
-    compute_Dk,
     decompose,
     residual_oracle,
     solve,
@@ -43,6 +40,7 @@ from helpers import (
     consistent_y0,
     random_descriptor,
     random_signal,
+    reference_closed_form,
     reference_matmul,
     stacked_step_solvable,
 )
@@ -93,7 +91,7 @@ def test_no_public_signature_takes_a_second_tolerance():
                 except ValueError:  # an exception class that keeps Exception's
                     continue
     assert "tol" in params and "cluster_radius" in params
-    assert not params & {"zero_tol", "rank_tol"}
+    assert not params & {"zero_tol", "rank_tol", "rng"}
 
 
 def test_the_analysis_derives_its_own_transformed_input():
@@ -129,39 +127,66 @@ def test_transformed_input_stacks_to_pb():
     assert tin.B_q.shape == (w.q, sysm.l)
 
 
-def test_compute_dk_no_infinite_part():
+def test_every_y0_is_consistent_without_an_infinite_part():
+    """q = 0: colspan Q_p is the whole space and D_{k0} reads no sample."""
     f = Matrix.identity(2, EX)
     g = Matrix([[1, 1], [0, 1]], EX)
     b = Matrix([[1], [0]], EX)
-    w = decompose(Pencil(f, g))
-    tin = transform_input(w, b)
-    sig = InputSignal.from_rows(0, [[1], [2], [3]], EX)
-    d = compute_Dk(w, tin, sig, 2)
-    assert d.bottom.shape == (0, 1)
-    assert d.stacked == d.top
+    a = analyze(DescriptorSystem(f, g, b, Matrix.identity(2, EX)))
+    assert a.w.q == 0
+    for sig in (InputSignal.from_rows(0, [[1], [2], [3]], EX), InputSignal(0, [])):
+        for y0 in ([0, 0], [1, -2], [Fraction(7, 3), 5]):
+            y0 = Matrix.column(y0, EX)
+            res = check_consistency(a, sig, y0)
+            assert res.consistent and res.residual.is_zero()
+            assert a.w.Q_p @ res.z_p0 == y0
+    y0 = Matrix.column([1, -2], EX)
+    assert solve(a, InputSignal(0, []), y0, 0).states == (y0,)
 
 
-def test_compute_dk_zero_input():
-    a, _ = diag_fixture()
-    sig = InputSignal.from_rows(0, [[0]] * 4, EX)
-    for k in range(3):
-        assert compute_Dk(a.w, a.tin, sig, k).stacked.is_zero()
+def test_zero_input_makes_colspan_qp_the_consistent_set():
+    rng = random.Random(20)
+    for i in range(8):
+        a = diag_fixture()[0] if i == 0 else random_descriptor(
+            rng, rng.randint(2, 5), 1, 1, min_q=1)
+        w = a.w
+        sig = InputSignal.from_rows(0, [[0]] * (w.q_star + 2), EX)
+        z = Matrix.column([rng.randint(-3, 3) for _ in range(w.p)], EX)
+        res = check_consistency(a, sig, w.Q_p @ z)
+        assert res.consistent and res.z_p0 == z
+        assert solve(a, sig, w.Q_p @ z, 2).z_q == (Matrix.zeros(w.q, 1, EX),) * 3
+        off = w.Q_q @ Matrix.column([1] + [0] * (w.q - 1), EX)
+        assert not check_consistency(a, sig, w.Q_p @ z + off).consistent
 
 
-def test_compute_dk_diag_fixture_values():
+def test_diag_fixture_forward_sum_and_forced_coordinate():
     a, sig = diag_fixture()
-    d2 = compute_Dk(a.w, a.tin, sig, 2)
-    assert d2.top.to_lists() == [[3]]       # 2*1 + 1*1
-    assert d2.bottom.to_lists() == [[-1]]   # -(H^0 B_q V_2)
+    assert solve(a, sig, Matrix.column([5, -1], EX), 3).z_q[0].to_lists() == [[-1]]
+    traj = solve_from_zp(a, sig, Matrix.zeros(1, 1, EX), 2)
+    assert traj.z_p[2].to_lists() == [[3]]    # 2*1 + 1*1
+    assert traj.z_q[2].to_lists() == [[-1]]   # -(H^0 B_q V_2)
 
 
-def test_compute_dk_needs_future_samples():
-    a, _ = diag_fixture()
-    sig = InputSignal.from_rows(0, [[1], [1]], EX)
+def test_consistency_reads_the_inputs_up_to_k0_plus_q_star_minus_1():
+    """Z^q_{k0} reads V_{k0} .. V_{k0+q*-1}, in that order; no later sample."""
+    f = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]], EX)
+    g = Matrix.identity(3, EX)
+    b = Matrix([[0], [0], [1]], EX)
+    a = analyze(DescriptorSystem(f, g, b, Matrix.identity(3, EX)))
+    assert (a.w.p, a.w.q_star) == (0, 3)
+    y0 = Matrix.zeros(3, 1, EX)
+    for count, needed in ((0, 0), (2, 2)):
+        sig = InputSignal.from_rows(0, [[1]] * count, EX)
+        with pytest.raises(InputHorizonTooShort) as exc:
+            check_consistency(a, sig, y0)
+        assert (exc.value.needed, exc.value.have_last) == (needed, count - 1)
+    assert check_consistency(a, InputSignal.from_rows(0, [[0]] * 3, EX), y0).consistent
+    # the diag fixture (q* = 1) needs only V_{k0}
+    d, _ = diag_fixture()
     with pytest.raises(InputHorizonTooShort):
-        compute_Dk(a.w, a.tin, sig, 2)  # bottom block reads V_2
-    with pytest.raises(ValueError):
-        compute_Dk(a.w, a.tin, sig, -1)
+        check_consistency(d, InputSignal(0, []), Matrix.column([5, -1], EX))
+    assert check_consistency(d, InputSignal.from_rows(0, [[1]], EX),
+                             Matrix.column([5, -1], EX)).consistent
 
 
 def test_consistency_diag_fixture():
@@ -262,23 +287,33 @@ def test_trajectory_invariants_and_subsystem_equation():
 
 
 def test_closed_form_matches_recursion():
+    """The step map of solve_from_zp reproduces the paper's closed form
+    Y_k = Q_p J_p^{k-k0} Z^p_{k0} + Q D_k bit for bit: Y_k, X_k = C Y_k,
+    Z^p_k and Z^q_k, on all three plant kinds, with q* = 0, q* >= 3 and
+    k0 < 0 among the draws."""
     rng = random.Random(33)
-    for _ in range(15):
-        n = rng.randint(1, 5)
-        a = random_descriptor(rng, n, 1, 1)
-        w, tin = a.w, a.tin
-        k0 = rng.randint(-1, 1)
+    seen = set()
+    for i in range(30):
+        plant = ("generic", "state_causal", "output_causal_only")[i % 3]
+        q = (0, 3, 4, None, None)[i % 5]
+        n = rng.randint(max(q or 0, 1), 6)
+        a = random_descriptor(rng, n, rng.randint(1, 2), rng.randint(1, 2), q=q,
+                              plant=plant)
+        sysm, w = a.system, a.w
+        k0 = rng.randint(-3, 1)
         K = k0 + rng.randint(2, 7)
-        sig = random_signal(rng, 1, k0, K - k0 + w.q_star)
+        sig = random_signal(rng, sysm.l, k0, K - k0 + w.q_star)
         y0 = consistent_y0(rng, a, sig)
         traj = solve(a, sig, y0, K)
         for idx in range(len(traj)):
-            k = k0 + idx
-            assert traj.z_p[idx] == closed_form_zp(w, tin, sig, traj.z_p[0], k)
-            # full closed form: Y_k = Q_p J^{k-k0} Z^p_{k0} + Q D_k
-            d = compute_Dk(w, tin, sig, k)
-            lhs = w.Q_p @ (linalg.matrix_power(w.J_p, k - k0) @ traj.z_p[0]) + w.Q @ d.stacked
-            assert traj.states[idx] == lhs
+            y, z_p, z_q = reference_closed_form(a, sig, traj.z_p[0], k0 + idx)
+            assert traj.states[idx] == y
+            assert traj.outputs[idx] == sysm.C @ y
+            assert traj.z_p[idx] == z_p
+            assert traj.z_q[idx] == z_q
+        seen |= {plant, "q*=0" if w.q_star == 0 else "q*>=3" if w.q_star >= 3 else "q*"}
+        seen |= {"k0<0"} if k0 < 0 else set()
+    assert seen >= {"generic", "state_causal", "output_causal_only", "q*=0", "q*>=3", "k0<0"}
 
 
 def test_residual_oracle_detects_corruption():
@@ -552,7 +587,7 @@ def test_the_zp_entry_is_solve_from_the_state_it_pins_down():
         for a, s in cases:
             w = a.w
             z_p0 = Matrix.column(z, w.mode)
-            y0 = w.Q_p @ z_p0 + w.Q @ compute_Dk(w, a.tin, s, s.k0).stacked
+            y0 = reference_closed_form(a, s, z_p0, s.k0)[0]
             got, want = solve_from_zp(a, s, z_p0, K), solve(a, s, y0, K)
             if a is exact:
                 assert got == want
