@@ -1,4 +1,4 @@
-"""Golden digests of exact CLI output.
+"""Golden digests of CLI output.
 
 Exact mode is the referee, so its output must not move when the code
 under it is made faster.  For every ``tests/data`` system and a set of
@@ -7,8 +7,11 @@ fixed-seed planted systems this runs exact ``analyze --out-json``,
 exit code and the sha256 (first 16 hex digits) of stdout, of stderr and
 of the file written against the values frozen in ``DIGESTS``.  The temporary
 directory is masked in both streams.  ``ORACLE_DIGESTS`` holds longer
-``causality --oracle-trials`` runs in the same way.  ``PYTHONPATH=src python tests/test_golden.py``
-prints the digests of the current code in the same layout.
+``causality --oracle-trials`` runs in the same way.  ``FLOAT_DIGESTS``
+holds the same cases and commands run with ``--mode float``: a refactor
+that keeps the order of float arithmetic keeps them bit for bit.
+``PYTHONPATH=src python tests/test_golden.py`` prints the digests of the
+current code in the same layout.
 """
 
 import contextlib
@@ -106,9 +109,9 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def run_case(case, tmp: Path) -> dict:
+def run_case(case, tmp: Path, mode: str = "exact") -> dict:
     """Exit code and digests of stdout, stderr and the written file, per
-    command."""
+    command run in ``mode``."""
     text = system_text(case)
     report, traj = tmp / "report.json", tmp / "traj.csv"
     runs = {
@@ -120,7 +123,7 @@ def run_case(case, tmp: Path) -> dict:
     for command, (extra, target) in runs.items():
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([command, text, "--mode", "exact"] + extra)
+            code = main([command, text, "--mode", mode] + extra)
         streams = [sha(s.getvalue().replace(str(tmp), "<tmp>").encode())
                    for s in (stdout, stderr)]
         written = sha(target.read_bytes()) if target and target.exists() else None
@@ -146,6 +149,28 @@ DIGESTS = {
     'plant_n6_q0_K30': {'analyze': [0, '21513217661f2915', 'e3b0c44298fc1c14', '18fd0df492876f18'], 'solve': [0, 'a36829d8bb6139aa', 'e3b0c44298fc1c14', '593b433c74e167a3'], 'causality': [0, '51264f1289991002', 'e3b0c44298fc1c14', None]},
     'plant_n8_rational': {'analyze': [0, '222bdce98fced26b', 'e3b0c44298fc1c14', '8b7fbfa91b53a488'], 'solve': [0, 'a36829d8bb6139aa', 'e3b0c44298fc1c14', '1b13798f00e35d0b'], 'causality': [0, '62b8ee34640141b2', 'e3b0c44298fc1c14', None]},
     'plant_n10_rational_state_causal': {'analyze': [0, '81902396d4d8c0fb', 'e3b0c44298fc1c14', '2dca32068f394938'], 'solve': [0, 'a36829d8bb6139aa', 'e3b0c44298fc1c14', 'bdc08eab639cb9f8'], 'causality': [0, 'd3a996b078ec9716', 'e3b0c44298fc1c14', None]},
+}
+
+# the cases of DIGESTS run with --mode float; a float run that ends in a
+# typed error keeps its exit code and stderr here as well
+FLOAT_DIGESTS = {
+    'diag_system': {'analyze': [0, '96b39e99d1779546', 'e3b0c44298fc1c14', 'd7c1104ec244f264'], 'solve': [0, '592a2f88c91d1fcf', 'e3b0c44298fc1c14', '2397d1736a5a9216'], 'causality': [0, '992ad20fcebb3733', 'e3b0c44298fc1c14', None]},
+    'nilpotent3_c100': {'analyze': [0, '7846588b6f17b671', 'e3b0c44298fc1c14', '22d54d157ff89052'], 'solve': [0, '592a2f88c91d1fcf', 'e3b0c44298fc1c14', '0334dd7c1927f5e4'], 'causality': [0, 'c6647e2e8dc005b4', 'e3b0c44298fc1c14', None]},
+    'nilpotent3_ceye': {'analyze': [0, 'da75675de8d8ea5a', 'e3b0c44298fc1c14', 'a4002e37b583135a'], 'solve': [0, '592a2f88c91d1fcf', 'e3b0c44298fc1c14', 'ca4d90737eec10b3'], 'causality': [0, '4bf03640c3b10a32', 'e3b0c44298fc1c14', None]},
+    'plant_n3': {'analyze': [0, 'cb38519e26fcdde8', 'e3b0c44298fc1c14', 'ca0ba92a6de11f46'], 'solve': [0, 'd02897b2cc9de7bf', 'e3b0c44298fc1c14', '1f5fec8d77a62491'], 'causality': [0, '4f24eb0ddf70decd', 'e3b0c44298fc1c14', None]},
+    'plant_n5_q0': {'analyze': [7, 'e3b0c44298fc1c14', '9ef7edae47e4cb6f', None], 'solve': [7, 'e3b0c44298fc1c14', '9ef7edae47e4cb6f', None], 'causality': [7, 'e3b0c44298fc1c14', '9ef7edae47e4cb6f', None]},
+    'plant_n6_pure_nilpotent': {'analyze': [3, 'c1d101691f0f3b76', 'e3b0c44298fc1c14', '96ffcf70c61cb913'], 'solve': [3, 'e3b0c44298fc1c14', '54419c0bb2882f8e', None], 'causality': [0, '16bfa24579b54a38', 'e3b0c44298fc1c14', None]},
+    'plant_n8_state_causal': {'analyze': [7, 'e3b0c44298fc1c14', 'd0f0be87f99edb7a', None], 'solve': [7, 'e3b0c44298fc1c14', 'd0f0be87f99edb7a', None], 'causality': [7, 'e3b0c44298fc1c14', 'd0f0be87f99edb7a', None]},
+    'plant_n8_inconsistent': {'analyze': [7, 'e3b0c44298fc1c14', '9ef7edae47e4cb6f', None], 'solve': [7, 'e3b0c44298fc1c14', '9ef7edae47e4cb6f', None], 'causality': [7, 'e3b0c44298fc1c14', '9ef7edae47e4cb6f', None]},
+    'plant_n10_output_causal': {'analyze': [7, 'e3b0c44298fc1c14', '3684215755fcbbde', None], 'solve': [7, 'e3b0c44298fc1c14', '3684215755fcbbde', None], 'causality': [7, 'e3b0c44298fc1c14', '3684215755fcbbde', None]},
+    'plant_n12': {'analyze': [7, 'e3b0c44298fc1c14', 'f9d76106818e196d', None], 'solve': [7, 'e3b0c44298fc1c14', 'f9d76106818e196d', None], 'causality': [7, 'e3b0c44298fc1c14', 'f9d76106818e196d', None]},
+    'plant_n16': {'analyze': [7, 'e3b0c44298fc1c14', '6355864fa18adeb4', None], 'solve': [7, 'e3b0c44298fc1c14', '6355864fa18adeb4', None], 'causality': [7, 'e3b0c44298fc1c14', '6355864fa18adeb4', None]},
+    'plant_n9_wide': {'analyze': [7, 'e3b0c44298fc1c14', '4f192d8da06a46fb', None], 'solve': [7, 'e3b0c44298fc1c14', '4f192d8da06a46fb', None], 'causality': [7, 'e3b0c44298fc1c14', '4f192d8da06a46fb', None]},
+    'plant_n12_wide': {'analyze': [7, 'e3b0c44298fc1c14', '6acf6ac1889b3589', None], 'solve': [7, 'e3b0c44298fc1c14', '6acf6ac1889b3589', None], 'causality': [7, 'e3b0c44298fc1c14', '6acf6ac1889b3589', None]},
+    'plant_n8_growth_K60': {'analyze': [7, 'e3b0c44298fc1c14', '42b2761425f4371e', None], 'solve': [7, 'e3b0c44298fc1c14', '42b2761425f4371e', None], 'causality': [7, 'e3b0c44298fc1c14', '42b2761425f4371e', None]},
+    'plant_n6_q0_K30': {'analyze': [7, 'e3b0c44298fc1c14', 'bf903a16c470fb2a', None], 'solve': [7, 'e3b0c44298fc1c14', 'bf903a16c470fb2a', None], 'causality': [7, 'e3b0c44298fc1c14', 'bf903a16c470fb2a', None]},
+    'plant_n8_rational': {'analyze': [7, 'e3b0c44298fc1c14', '42b2761425f4371e', None], 'solve': [7, 'e3b0c44298fc1c14', '42b2761425f4371e', None], 'causality': [7, 'e3b0c44298fc1c14', '42b2761425f4371e', None]},
+    'plant_n10_rational_state_causal': {'analyze': [7, 'e3b0c44298fc1c14', '3684215755fcbbde', None], 'solve': [7, 'e3b0c44298fc1c14', '3684215755fcbbde', None], 'causality': [7, 'e3b0c44298fc1c14', '3684215755fcbbde', None]},
 }
 
 # name: (oracle trials, [exit code, stdout digest, stderr digest]); a
@@ -174,6 +199,12 @@ def test_exact_cli_output_matches_its_golden_digest(case, tmp_path, monkeypatch)
     assert run_case(case, tmp_path) == DIGESTS[case]
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_float_cli_output_matches_its_golden_digest(case, tmp_path, monkeypatch):
+    monkeypatch.delenv("DKIT_SEED", raising=False)
+    assert run_case(case, tmp_path, "float") == FLOAT_DIGESTS[case]
+
+
 @pytest.mark.parametrize("case", sorted(ORACLE_DIGESTS))
 def test_exact_oracle_output_matches_its_golden_digest(case, monkeypatch):
     monkeypatch.delenv("DKIT_SEED", raising=False)
@@ -187,6 +218,11 @@ if __name__ == "__main__":
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             print(f"    {case!r}: {run_case(case, Path(tmp))!r},")
+    print("}")
+    print("FLOAT_DIGESTS = {")
+    for case in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f"    {case!r}: {run_case(case, Path(tmp), 'float')!r},")
     print("}")
     print("ORACLE_DIGESTS = {")
     for case, (trials, _) in ORACLE_DIGESTS.items():
