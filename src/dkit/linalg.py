@@ -95,7 +95,7 @@ def integer_det(rows: list[list[int]]) -> int:
     return sign * d if len(pivots) == len(rows) else 0
 
 
-def _rref_data(data: list[list], mode: Mode, thr: float) -> list[int]:
+def _rref_data(data: list[list], thr: float) -> list[int]:
     """In-place reduced row echelon form of float rows by Gauss-Jordan with
     partial pivoting; returns pivot column indices."""
     nrows = len(data)
@@ -115,11 +115,11 @@ def _rref_data(data: list[list], mode: Mode, thr: float) -> list[int]:
             continue
         if piv != r:
             data[piv], data[r] = data[r], data[piv]
-        inv = one(mode) / data[r][c]
+        inv = (1 + 0j) / data[r][c]
         row_r = data[r]
         for j in range(c, ncols):
             row_r[j] = row_r[j] * inv
-        row_r[c] = one(mode)
+        row_r[c] = 1 + 0j
         for i in range(nrows):
             if i == r:
                 continue
@@ -129,7 +129,7 @@ def _rref_data(data: list[list], mode: Mode, thr: float) -> list[int]:
             row_i = data[i]
             for j in range(c, ncols):
                 row_i[j] = row_i[j] - f * row_r[j]
-            row_i[c] = zero(mode)
+            row_i[c] = 0j
         pivots.append(c)
         r += 1
     return pivots
@@ -151,7 +151,7 @@ def _reduced(mat: Matrix, tol: float | None, thr_of: Matrix | None = None):
         _back_substitute(rows, pivots, d)
         return rows, pivots, d
     rows = mat.to_lists()
-    return rows, _rref_data(rows, mat.mode, _threshold(mat if thr_of is None else thr_of, tol)), 1
+    return rows, _rref_data(rows, _threshold(mat if thr_of is None else thr_of, tol)), 1
 
 
 def pivot_columns(mat: Matrix, tol: float | None = None) -> list[int]:

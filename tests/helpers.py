@@ -320,8 +320,8 @@ def stacked_step_solvable(a: Analysis, signal, y0: Matrix) -> bool:
 def reference_rref_data(data: list[list], mode: Mode, thr: float) -> list[int]:
     """Gauss-Jordan over ``Fraction``: in-place RREF, returns pivot columns.
 
-    Drop-in for ``linalg._rref_data`` in exact mode (``mode`` and ``thr``
-    are accepted for that and ignored).
+    The exact reference for the integer kernel; it keeps the argument list
+    of the float Gauss-Jordan it mirrors (``mode`` and ``thr`` are ignored).
     """
     nrows = len(data)
     ncols = len(data[0]) if nrows else 0
