@@ -218,23 +218,25 @@ def preimages(a: Matrix, tol: float | None = None):
 
 
 def _reduce_augmented(a: Matrix, b: Matrix, tol: float | None,
-                      thr_from_a: bool = False) -> tuple[list[int], list[list], object]:
+                      thr_of: Matrix | None = None) -> tuple[list[int], list[list], object]:
     """Pivot columns of the RREF of [a | b], the b part of each pivot row
     times d, and d (integer rows in exact mode; d = 1 in float mode).  The
-    float threshold scales with [a | b], or with ``a`` alone."""
+    float threshold scales with [a | b], or with ``thr_of``."""
     if a.rows != b.rows:
         raise ValueError("row counts differ")
-    rows, pivots, d = _reduced(hstack([a, b]), tol, a if thr_from_a else None)
+    rows, pivots, d = _reduced(hstack([a, b]), tol, thr_of)
     return pivots, [row[a.cols:] for row in rows[: len(pivots)]], d
 
 
-def solve(a: Matrix, b: Matrix, tol: float | None = None) -> Matrix | None:
+def solve(a: Matrix, b: Matrix, tol: float | None = None,
+          thr_of: Matrix | None = None) -> Matrix | None:
     """Particular solution of ``a x = b`` with free variables set to zero.
 
     Returns None when the system is inconsistent.  ``b`` may have several
-    columns; consistency is required for all of them.
+    columns; consistency is required for all of them.  The float pivot
+    threshold scales with [a | b], or with ``thr_of``.
     """
-    pivots, rows, d = _reduce_augmented(a, b, tol)
+    pivots, rows, d = _reduce_augmented(a, b, tol, thr_of)
     if any(pc >= a.cols for pc in pivots):
         return None
     x = [[0] * b.cols for _ in range(a.cols)]
@@ -257,8 +259,7 @@ def inverse(mat: Matrix, tol: float | None = None) -> Matrix:
     if not mat.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = mat.rows
-    pivots, rows, d = _reduce_augmented(mat, Matrix.identity(n, mat.mode), tol,
-                                        thr_from_a=True)
+    pivots, rows, d = _reduce_augmented(mat, Matrix.identity(n, mat.mode), tol, thr_of=mat)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return Matrix.divided(rows, d, n, mat.mode)

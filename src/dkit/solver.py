@@ -212,19 +212,23 @@ def check_consistency(a: Analysis, signal: InputSignal, y0: Matrix) -> Consisten
 
     At k0 the forward sum of D_{k0} is empty, so Q D_{k0} = Q_q Z^q_{k0}.
     Q_p has full column rank, so a consistent y0 pins down Z^p_{k0}
-    uniquely.  For an inconsistent y0 the returned residual is measured
+    uniquely.  In float mode the pivot threshold scales with
+    [Q_p | y0 - Q_q Z^q_{k0} | y0 | Q_q Z^q_{k0}]: when the two terms cancel,
+    a threshold scaled by their difference would cancel with them.  For an inconsistent y0 the returned residual is measured
     against the least-squares projection onto the admissible set.
     """
     n, w = a.system.n, a.w
     if y0.shape != (n, 1):
         raise ValueError(f"y0 must be {n} x 1")
-    rhs = y0
+    rhs, q_p, thr_of = y0, w.Q_p, None
     if w.q_star:  # the forced Z^q_{k0} reads V_{k0} .. V_{k0+q*-1}
         z_q0 = -(a.tin.backward @ vstack([signal.sample(signal.k0 + i)
                                           for i in range(w.q_star)]))
-        rhs = y0 - w.Q_q @ z_q0
-    q_p = w.Q_p
-    z = linalg.solve(q_p, rhs, a.system.tol)
+        forced = w.Q_q @ z_q0
+        rhs = y0 - forced
+        if w.mode is Mode.FLOAT:  # a threshold scaled by rhs alone cancels with it
+            thr_of = hstack([q_p, rhs, y0, forced])
+    z = linalg.solve(q_p, rhs, a.system.tol, thr_of)
     if z is not None:
         return ConsistencyResult(True, z, Matrix.zeros(n, 1, w.mode))
     try:

@@ -159,7 +159,7 @@ FLOAT_DIGESTS = {
     'nilpotent3_ceye': {'analyze': [0, 'da75675de8d8ea5a', 'e3b0c44298fc1c14', 'a4002e37b583135a'], 'solve': [0, '592a2f88c91d1fcf', 'e3b0c44298fc1c14', 'ca4d90737eec10b3'], 'causality': [0, '4bf03640c3b10a32', 'e3b0c44298fc1c14', None]},
     'plant_n3': {'analyze': [0, 'cb38519e26fcdde8', 'e3b0c44298fc1c14', 'ca0ba92a6de11f46'], 'solve': [0, 'd02897b2cc9de7bf', 'e3b0c44298fc1c14', '1f5fec8d77a62491'], 'causality': [0, '4f24eb0ddf70decd', 'e3b0c44298fc1c14', None]},
     'plant_n5_q0': {'analyze': [7, 'e3b0c44298fc1c14', '9ef7edae47e4cb6f', None], 'solve': [7, 'e3b0c44298fc1c14', '9ef7edae47e4cb6f', None], 'causality': [7, 'e3b0c44298fc1c14', '9ef7edae47e4cb6f', None]},
-    'plant_n6_pure_nilpotent': {'analyze': [3, 'c1d101691f0f3b76', 'e3b0c44298fc1c14', '96ffcf70c61cb913'], 'solve': [3, 'e3b0c44298fc1c14', '54419c0bb2882f8e', None], 'causality': [0, '16bfa24579b54a38', 'e3b0c44298fc1c14', None]},
+    'plant_n6_pure_nilpotent': {'analyze': [0, '7de372bcfe29f470', 'e3b0c44298fc1c14', '4048803b1a245589'], 'solve': [0, '177df34b9937b4c7', 'e3b0c44298fc1c14', '6cd8fef0cc9c8d8f'], 'causality': [0, '16bfa24579b54a38', 'e3b0c44298fc1c14', None]},
     'plant_n8_state_causal': {'analyze': [7, 'e3b0c44298fc1c14', 'd0f0be87f99edb7a', None], 'solve': [7, 'e3b0c44298fc1c14', 'd0f0be87f99edb7a', None], 'causality': [7, 'e3b0c44298fc1c14', 'd0f0be87f99edb7a', None]},
     'plant_n8_inconsistent': {'analyze': [7, 'e3b0c44298fc1c14', '9ef7edae47e4cb6f', None], 'solve': [7, 'e3b0c44298fc1c14', '9ef7edae47e4cb6f', None], 'causality': [7, 'e3b0c44298fc1c14', '9ef7edae47e4cb6f', None]},
     'plant_n10_output_causal': {'analyze': [7, 'e3b0c44298fc1c14', '3684215755fcbbde', None], 'solve': [7, 'e3b0c44298fc1c14', '3684215755fcbbde', None], 'causality': [7, 'e3b0c44298fc1c14', '3684215755fcbbde', None]},

@@ -563,6 +563,26 @@ def test_float_solve_on_the_step_map_tracks_exact_solve():
     assert checked >= 5
 
 
+def test_float_consistency_keeps_the_exact_consistent_states_of_pure_nilpotent_plants():
+    """With p = 0 the consistency test is rhs = Y0 - Q_q Z^q_{k0} = 0, a
+    difference that cancels: its pivot threshold scales with Y0 and
+    Q_q Z^q_{k0} as well, so a rounding residual of the difference is no
+    pivot and every exactly consistent Y0 stays consistent in float mode."""
+    checked = 0
+    for n in range(2, 6):
+        for seed in range(20):
+            rng = random.Random(seed)
+            a = random_descriptor(rng, n, 1, 1, q=n)
+            sig = random_signal(rng, 1, 0, a.w.q_star)
+            y0 = consistent_y0(rng, a, sig)
+            assert a.w.p == 0 and check_consistency(a, sig, y0).consistent
+            a_f = analyze(a.system.to_float())
+            sig_f = InputSignal(sig.k0, [v.to_float() for v in sig.samples])
+            assert check_consistency(a_f, sig_f, y0.to_float()).consistent, (n, seed)
+            checked += 1
+    assert checked == 80
+
+
 def test_the_zp_entry_is_solve_from_the_state_it_pins_down():
     """solve_from_zp(a, s, z, K) equals solve(a, s, Q_p z + Q D_{k0}, K):
     bit for bit in exact mode, within 1e-9 of the trajectory's scale in
