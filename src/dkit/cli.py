@@ -90,7 +90,7 @@ def _require_int(raw, field: str) -> int:
 
 def _parse_scalars(raw: list, mode: Mode, field: str) -> list:
     """The cells of one row.  In exact mode a JSON int short enough to
-    print (see ``scalars.check_printable``) stays an int, which the exact
+    print (see ``scalars.parse_scalar``) stays an int, which the exact
     ``Matrix`` takes as it is; every other cell goes through parse_scalar."""
     short = 3 * max_str_digits() if mode is Mode.EXACT else -1
     out = []

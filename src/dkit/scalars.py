@@ -110,14 +110,12 @@ def parse_scalar(raw, mode: Mode) -> Scalar:
                 raise ValueError(f"cannot parse {excerpt(raw)} as a rational{reason}") from None
         else:
             raise ValueError(f"cannot parse {type(raw).__name__} as an exact scalar")
-        # a value within 3 * limit bits prints (see check_printable), so
-        # only a longer one is compared with the limit
-        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-        if bits > 3 * max_str_digits():
-            try:
-                check_printable((value,))
-            except DkitError as exc:
-                raise ValueError(str(exc)) from None
+        # an integer within 3 * limit bits is below 2^(3 limit) < 10^limit and
+        # prints, so only a longer one is compared with 10^limit, whose
+        # computation would cost more than a typical check
+        limit, big = max_str_digits(), max(abs(value.numerator), value.denominator)
+        if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+            raise ValueError(str(_over_digit_limit()))
         return value
     if not isinstance(raw, (int, float, str)):
         raise ValueError(f"cannot parse {type(raw).__name__} as a float scalar")
@@ -175,18 +173,6 @@ def format_ratios(rows: Iterable[tuple[Sequence[int], int]]) -> list[str]:
     except ValueError:
         raise _over_digit_limit() from None
     return out
-
-
-def check_printable(values: Iterable[Scalar]) -> None:
-    """Raise the ``DkitError`` of :func:`format_scalar` if it could not print
-    one of ``values``; compares integers, formats nothing."""
-    limit = max_str_digits()
-    # below 2^(3 limit) < 10^limit an integer needs no comparison with 10^limit,
-    # whose computation would cost more than a typical check
-    big = [m for x in values if isinstance(x, Fraction)
-           for m in (abs(x.numerator), x.denominator) if m.bit_length() > 3 * limit]
-    if limit and big and max(big) >= 10**limit:
-        raise _over_digit_limit()
 
 
 def _over_digit_limit() -> DkitError:

@@ -27,7 +27,7 @@ from dkit.cli import (
     parse_system_file,
 )
 from dkit.errors import excerpt
-from dkit.scalars import Mode, check_printable, format_scalar, parse_scalar
+from dkit.scalars import Mode, format_scalar, parse_scalar
 from helpers import (
     consistent_y0,
     planted_pencil,
@@ -689,17 +689,23 @@ def test_solve_over_the_digit_limit_writes_no_rows(out_csv, tmp_path, capsys):
 
 
 @digit_limit
-def test_check_printable_agrees_with_str_at_the_limit():
+def test_parse_scalar_agrees_with_str_at_the_limit():
     big = 10 ** sys.get_int_max_str_digits()
     for x in (big - 1, 1 - big, big, -big):
+        cases = [(x, Fraction(x))]
         for value in (Fraction(x), Fraction(1, abs(x)), Fraction(3, abs(x))):
+            try:  # the n/d spelling, where its integers print and Fraction reads them
+                cases.append((f"{value.numerator}/{value.denominator}", value))
+            except ValueError:
+                pass
+        for raw, value in cases:
             try:
                 str(value)
             except ValueError:
-                with pytest.raises(DkitError, match="decimal digits"):
-                    check_printable([Fraction(1), value, complex(1e308)])
+                with pytest.raises(ValueError, match="decimal digits"):
+                    parse_scalar(raw, Mode.EXACT)
             else:
-                check_printable([Fraction(1), value, complex(1e308)])
+                assert parse_scalar(raw, Mode.EXACT) == value
 
 
 # the inconsistent residual of test_inconsistent_residual_over_the_digit_limit_exits_1,
