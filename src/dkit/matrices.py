@@ -370,12 +370,11 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     """Blocks side by side.  An exact row over the lcm of its blocks' row
     denominators is in lowest terms already."""
     mats, _, mode = _checked(mats, "hstack", "rows", "row")
-    ncols = sum(m.cols for m in mats)
+    ncols, rows = sum(m.cols for m in mats), zip(*[m._r for m in mats])
     if mode is Mode.FLOAT:
-        return _new(mode, ncols, tuple(tuple(chain.from_iterable(parts))
-                                       for parts in zip(*[m._r for m in mats])))
+        return _new(mode, ncols, tuple(tuple(chain.from_iterable(parts)) for parts in rows))
     out = []
-    for parts in zip(*[m._r for m in mats]):
+    for parts in rows:
         s = math.lcm(*[d for _, d in parts])
         row: list[int] = []
         for nums, d in parts:

@@ -213,9 +213,10 @@ def check_consistency(a: Analysis, signal: InputSignal, y0: Matrix) -> Consisten
     At k0 the forward sum of D_{k0} is empty, so Q D_{k0} = Q_q Z^q_{k0}.
     Q_p has full column rank, so a consistent y0 pins down Z^p_{k0}
     uniquely.  In float mode the pivot threshold scales with
-    [Q_p | y0 - Q_q Z^q_{k0} | y0 | Q_q Z^q_{k0}]: when the two terms cancel,
-    a threshold scaled by their difference would cancel with them.  For an inconsistent y0 the returned residual is measured
-    against the least-squares projection onto the admissible set.
+    [Q_p | y0 - Q_q Z^q_{k0} | y0 | Q_q Z^q_{k0}]: when the two terms
+    cancel, a threshold scaled by their difference would cancel with them.
+    For an inconsistent y0 the returned residual is measured against the
+    least-squares projection onto the admissible set.
     """
     n, w = a.system.n, a.w
     if y0.shape != (n, 1):
@@ -226,7 +227,7 @@ def check_consistency(a: Analysis, signal: InputSignal, y0: Matrix) -> Consisten
                                           for i in range(w.q_star)]))
         forced = w.Q_q @ z_q0
         rhs = y0 - forced
-        if w.mode is Mode.FLOAT:  # a threshold scaled by rhs alone cancels with it
+        if w.mode is Mode.FLOAT:
             thr_of = hstack([q_p, rhs, y0, forced])
     z = linalg.solve(q_p, rhs, a.system.tol, thr_of)
     if z is not None:
