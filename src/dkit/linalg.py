@@ -9,8 +9,12 @@ no more.  Back-substitution over the non-pivot columns turns the echelon
 rows u_i into d times the RREF rows, d the last pivot (Nakos, Turner &
 Williams 1997): R_i = (d u_i - sum over j > i of u_i[c_j] R_j) / u_i[c_i],
 exact by Cramer's rule.  The RREF is unique, so every basis and solution
-read off it is canonical.  :func:`preimages` eliminates A once and each
-[A | X] resumes it.  Float mode uses Gauss-Jordan with partial pivoting
+read off it is canonical.  An elimination stopped at pivot d resumes
+with ``prev`` = d, and its logged row operations replay on columns
+carried alongside (:func:`_replay`): :func:`preimages` eliminates A once
+and each [A | X] resumes it, and ``pencil.char_poly`` resumes one
+elimination through the rounds that deflate the infinite part and at
+each interpolation node.  Float mode uses Gauss-Jordan with partial pivoting
 and a relative rank threshold ``tol * (largest entry magnitude)``.
 """
 
@@ -88,10 +92,25 @@ def _back_substitute(rows: list[list[int]], pivots: list[int], d: int) -> None:
         u[ci] = d
 
 
-def integer_det(rows: list[list[int]]) -> int:
+def _replay(log: list, cols: list[list[int]]) -> None:
+    """Apply the row operations ``log`` of a :func:`_bareiss` call that
+    started at row 0 to integer columns of the same rows, in place: each
+    entry becomes the minor it would be had the columns been eliminated
+    alongside."""
+    for r, (piv, p, prev, fs) in enumerate(log):
+        for col in cols:
+            col[piv], col[r] = col[r], col[piv]
+            b = col[r]
+            col[r + 1:] = [(p * v - f * b) // prev for v, f in zip(col[r + 1:], fs)]
+
+
+def integer_det(rows: list[list[int]], prev: int = 1) -> int:
     """Determinant of a square matrix of integer ``rows``, which it
-    overwrites; forward elimination only."""
-    pivots, d, sign = _bareiss(rows)
+    overwrites; forward elimination only.  With ``prev`` the rows are the
+    trailing block of an elimination stopped at pivot ``prev``, and the
+    result is the determinant of the whole matrix (Sylvester's identity),
+    up to the sign of the row swaps made before it stopped."""
+    pivots, d, sign = _bareiss(rows, prev=prev)
     return sign * d if len(pivots) == len(rows) else 0
 
 
@@ -201,11 +220,7 @@ def preimages(a: Matrix, tol: float | None = None):
     pivots, d, _ = _bareiss(top, log)
 
     def v_parts(cols: list[list[int]]) -> Matrix:
-        for r, (piv, p, prev, fs) in enumerate(log):  # A's row operations
-            for col in cols:
-                col[piv], col[r] = col[r], col[piv]
-                b = col[r]
-                col[r + 1:] = [(p * v - f * b) // prev for v, f in zip(col[r + 1:], fs)]
+        _replay(log, cols)
         ext = [list(row) for row in zip(*cols)] if cols else [[] for _ in top]
         more, dx, _ = _bareiss(ext, r=len(pivots), prev=d)
         piv = pivots + [a.cols + c for c in more]

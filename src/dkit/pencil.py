@@ -1,19 +1,22 @@
 """Matrix pencils sF - G: regularity and the finite/infinite spectrum split.
 
 The characteristic polynomial det(sF - G) is obtained by evaluating the
-determinant at the nodes s = 0, 1, ..., n and interpolating.  Exact mode
-does both on integers: it copies the stored integer rows of [F | G] (an
-exact matrix keeps each row cleared of denominators), each determinant is
-a fraction-free elimination, Newton forward differences interpolate, and
-the coefficients become ``Fraction`` only at the end.  Float mode solves
-the Vandermonde system of the nodes, which is adequately conditioned at
-desk scale.
-Its degree p counts the finite eigenvalues with multiplicity; the
-remaining q = n - p dimensions belong to the infinite eigenvalue.
-In exact mode the finite eigenvalues are its rational roots, searched and
-divided out in integer arithmetic once the denominators are cleared.
+determinant at integer nodes and interpolating.  Its degree p counts the
+finite eigenvalues with multiplicity; the remaining q = n - p dimensions
+belong to the infinite eigenvalue.  Exact mode works on the stored
+integer rows of [F | G] (an exact matrix keeps each row cleared of
+denominators).  It first deflates the infinite part: each round replaces
+the columns of ker F of the trailing block by (sF - G) v = -G v, which
+does not depend on s, and eliminates them fraction-free once for all
+nodes.  Once the trailing F block is nonsingular, p x p is left, so only
+the p + 1 nodes s = 0..p are evaluated, each resuming that elimination;
+Newton forward differences interpolate, and the coefficients become
+``Fraction`` only at the end.  Float mode solves the Vandermonde system
+of the n + 1 nodes s = 0..n, which is adequately conditioned at desk
+scale.  In exact mode the finite eigenvalues are the rational roots,
+searched and divided out in integer arithmetic once the denominators are
+cleared.
 """
-
 from __future__ import annotations
 
 import math
@@ -82,36 +85,89 @@ class CharPoly(NamedTuple):
 
 
 def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
-    """det(sF - G) from its values at the n + 1 nodes s = 0, 1, ..., n.
+    """det(sF - G), ascending in s, from its values at integer nodes.
 
-    Exact mode takes the stored integer rows of [F | G], each row of F and
-    G over one denominator, so sF - G has integer rows at every node and a
-    fraction-free elimination gives det(sF - G) times the product of the
-    row denominators.  Newton forward
-    differences interpolate these integers: the k-th difference at 0 is
-    k! times the coefficient of the falling factorial s(s - 1)...(s - k + 1),
-    and multiplying out a_0 + s(a_1 + (s - 1)(a_2 + ...)) gives the
-    monomial coefficients.  Float mode solves the Vandermonde system of
-    the nodes and trims coefficients within ``tol`` (relative, default
+    Exact mode starts from the integer rows of [F | G], each row of F and G
+    over one denominator, and deflates the infinite part on one
+    fraction-free elimination (``linalg._bareiss``), in rounds that walk
+    the Wong sequence ker F = W_1 < W_2 < ... of the infinite part.  A
+    round takes the kernel of the trailing F block, divides each kernel
+    vector v by its content, and puts (sF - G) v = -G v, constant in s, in
+    place of column f of the trailing block, f the free column where v has
+    its entry d / content (d the last pivot).  The constant columns go
+    first and are eliminated, resuming the elimination at the last pivot;
+    the logged row operations are replayed on the F and G columns
+    (``linalg._replay``), so every entry stays a minor of the transformed
+    pencil.  The rounds stop when the trailing F block is nonsingular,
+    after q* rounds with p x p left, or when a constant column has no
+    pivot, as then the pencil is singular and the result is the zero
+    polynomial.  Without the content division, d would compound from
+    round to round.  The degree is at most p, so the nodes are s = 0..p;
+    each resumes the elimination on s F_t - G_t at the last constant
+    pivot, which by Sylvester's identity gives the determinant of the whole
+    transformed pencil.  Newton forward differences interpolate these
+    integers: the k-th difference at 0 is k! times the coefficient of the
+    falling factorial s(s - 1)...(s - k + 1), and multiplying out a_0 +
+    s(a_1 + (s - 1)(a_2 + ...)) gives the monomial coefficients.  They are
+    divided exactly by the product of the row denominators and by det V
+    times the signs of the column moves and row swaps, V the column
+    operations (det V the product of the entries d / content).
+
+    Float mode solves the Vandermonde system of the n + 1 nodes s = 0..n
+    and trims coefficients within ``tol`` (relative, default
     ``linalg.DEFAULT_RANK_TOL``) of 0; exact mode ignores ``tol``.
     """
     n = pencil.n
     mode = pencil.mode
     if mode is Mode.EXACT:
         fg = hstack([pencil.F, pencil.G])
-        rows = fg.integer_rows()
-        values = [linalg.integer_det([[s * f - g for f, g in zip(r[:n], r[n:])]
-                                      for r in rows]) for s in range(n + 1)]
-        for k in range(1, n + 1):  # values[k] becomes the k-th difference at 0
+        cols = [list(c) for c in zip(*fg.integer_rows())]
+        fcols, gcols = cols[:n], cols[n:]  # the trailing block, by columns
+        consts: list[list[int]] = []
+        keep, prev, den = range(n), 1, math.prod(fg.denominators)
+        while True:
+            k = len(consts)
+            rows = [list(r) for r in zip(*consts, *(fcols[j] for j in keep))]
+            log: list = []
+            pivots, d, _ = linalg._bareiss(rows, log, prev=prev)
+            if pivots[:k] != list(range(k)):  # dependent constant columns
+                return CharPoly((), n)
+            fcols, gcols = [fcols[j] for j in keep], [gcols[j] for j in keep]
+            linalg._replay(log[:k], fcols + gcols)
+            fcols, gcols = [c[k:] for c in fcols], [c[k:] for c in gcols]
+            if k:
+                prev = log[k - 1][1]
+                den *= (-1) ** sum(piv != r for r, (piv, *_) in enumerate(log[:k]))
+            keep = [c - k for c in pivots[k:]]
+            if len(keep) == len(fcols):
+                break
+            ech = [row[k:] for row in rows[k:k + len(keep)]]
+            linalg._back_substitute(ech, keep, d)
+            at = dict(zip(keep, ech))
+            free = [c for c in range(len(fcols)) if c not in at]
+            consts = []
+            for f in free:  # column f becomes (sF - G) v = -G v, v in ker F
+                v = [-at[c][f] if c in at else d if c == f else 0 for c in range(len(fcols))]
+                g = math.gcd(*v)
+                const = [0] * len(fcols)
+                for x, col in zip(v, gcols):
+                    if x:
+                        const = [a - x // g * b for a, b in zip(const, col)]
+                consts.append(const)
+                den *= v[f] // g
+            den *= (-1) ** sum(f - i for i, f in enumerate(free))  # free columns first
+        tf, tg = list(zip(*fcols)), list(zip(*gcols))
+        p = len(tf)
+        values = [linalg.integer_det([[s * f - g for f, g in zip(fr, gr)]
+                                      for fr, gr in zip(tf, tg)], prev)
+                  for s in range(p + 1)]
+        for k in range(1, p + 1):  # values[k] becomes the k-th difference at 0
             values[k:] = [b - a for a, b in zip(values[k - 1:], values[k:])]
         coeffs: list = []
-        for k in range(n, -1, -1):  # coeffs * (s - k) + values[k] / k!
+        for k in range(p, -1, -1):  # coeffs * (s - k) + values[k] / k!
             coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
             coeffs[0] += values[k] // math.factorial(k)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        scale = math.prod(fg.denominators)
-        return CharPoly(tuple(Fraction(c, scale) for c in coeffs), n)
+        return CharPoly(tuple(Fraction(c, den) for c in coeffs), n)
     nodes = [complex(i) for i in range(n + 1)]
     dets = [linalg.det(pencil.eval(s)) for s in nodes]
     vand = Matrix([[s**j for j in range(n + 1)] for s in nodes], mode)

@@ -98,24 +98,54 @@ def small_int_matrix(rng: random.Random, rows: int, cols: int, lo=-3, hi=3) -> M
 
 
 def planted_pencil(rng: random.Random, n: int, *, q: int | None = None,
-                   min_q: int = 0, palette=EIGENVALUE_PALETTE):
-    """Regular pencil with known canonical structure, hidden by unimodular
-    conjugation; eigenvalues are drawn from ``palette``.  Returns
-    (pencil, jordan specs, nilpotent specs)."""
-    if q is None:
+                   min_q: int = 0, palette=EIGENVALUE_PALETTE,
+                   nilpotent: list[int] | None = None, conjugate=unimodular):
+    """Regular pencil with known canonical structure, hidden by conjugation
+    with two ``conjugate(rng, n)`` matrices; eigenvalues are drawn from
+    ``palette``, nilpotent block sizes are ``nilpotent`` or a random
+    partition of q.  Returns (pencil, jordan specs, nilpotent specs)."""
+    if nilpotent is not None:
+        q = sum(nilpotent)
+    elif q is None:
         q = rng.randint(min_q, n)
     p = n - q
     jblocks = [JordanBlockSpec(rng.choice(palette), sz)
                for sz in (random_partition(rng, p) if p else [])]
-    nblocks = [NilpotentBlockSpec(sz)
-               for sz in (random_partition(rng, q) if q else [])]
+    if nilpotent is None:
+        nilpotent = random_partition(rng, q) if q else []
+    nblocks = [NilpotentBlockSpec(sz) for sz in nilpotent]
     f_w = block_diag([Matrix.identity(p, Mode.EXACT),
                       assemble_Hq(nblocks, Mode.EXACT)], Mode.EXACT)
     g_w = block_diag([assemble_Jp(jblocks, Mode.EXACT),
                       Matrix.identity(q, Mode.EXACT)], Mode.EXACT)
-    left, right = unimodular(rng, n), unimodular(rng, n)
+    left, right = conjugate(rng, n), conjugate(rng, n)
     pen = Pencil(left @ f_w @ right, left @ g_w @ right)
     return pen, jblocks, nblocks
+
+
+def singular_pencil(rng: random.Random, eps: int, eta: int, regular: int) -> Pencil:
+    """Square pencil with det(sF - G) identically zero: the Kronecker blocks
+    L_eps = s[I | 0] - [0 | I] (eps x (eps + 1)) and L_eta^T ((eta + 1) x
+    eta) beside a planted regular pencil of size ``regular``, hidden by
+    rational conjugation.  (sF - G) x(s) = 0 for a polynomial x(s) of
+    degree eps and no lower."""
+    def m(rows, cols, entry):
+        if not (rows and cols):
+            return Matrix.zeros(rows, cols, Mode.EXACT)
+        return Matrix([[int(entry(i, j)) for j in range(cols)] for i in range(rows)],
+                      Mode.EXACT)
+
+    f_l, g_l = m(eps, eps + 1, int.__eq__), m(eps, eps + 1, lambda i, j: j == i + 1)
+    f_t, g_t = m(eta + 1, eta, int.__eq__), m(eta + 1, eta, lambda i, j: i == j + 1)
+    blocks = [(f_l, g_l), (f_t, g_t)]
+    if regular:
+        reg, _, _ = planted_pencil(rng, regular)
+        blocks.append((reg.F, reg.G))
+    n = eps + eta + 1 + regular
+    f_w = block_diag([f for f, _ in blocks], Mode.EXACT)
+    g_w = block_diag([g for _, g in blocks], Mode.EXACT)
+    left, right = rational_nonsingular(rng, n), rational_nonsingular(rng, n)
+    return Pencil(left @ f_w @ right, left @ g_w @ right)
 
 
 def jordan_multiset(blocks) -> list:

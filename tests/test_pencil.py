@@ -1,11 +1,22 @@
 import random
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dkit import CharPoly, Matrix, Pencil, UnresolvableSpectrum, char_poly, finite_eigenvalues
+from dkit import (
+    CharPoly,
+    IrregularPencil,
+    Matrix,
+    Pencil,
+    UnresolvableSpectrum,
+    char_poly,
+    decompose,
+    finite_eigenvalues,
+)
 from dkit import linalg
 from dkit.scalars import Mode
 
@@ -15,8 +26,10 @@ from helpers import (
     planted_pencil,
     poly_eval,
     poly_mul,
+    rational_nonsingular,
     reference_char_poly,
     reference_rational_roots,
+    singular_pencil,
 )
 
 EX = Mode.EXACT
@@ -255,3 +268,58 @@ def test_char_poly_matches_the_vandermonde_reference(pencil):
 def test_char_poly_matches_the_vandermonde_reference_on_planted_pencils(seed, n):
     pencil, _, _ = planted_pencil(random.Random(seed), n)
     assert_same_char_poly(pencil)
+
+
+@st.composite
+def chained_pencils(draw):
+    """Planted pencils of size n <= 16 under rational conjugation, with
+    nilpotent chains up to q* = 6 long (q* deflation rounds), p = 0 and
+    p = n included.  Returns (pencil, p)."""
+    nilpotent = draw(st.lists(st.integers(1, 6), max_size=4).filter(lambda b: sum(b) <= 16))
+    q = sum(nilpotent)
+    p = draw(st.integers(0 if q else 1, 16 - q))
+    pencil, _, _ = planted_pencil(random.Random(draw(st.integers(0, 2**32))), p + q,
+                                  nilpotent=nilpotent, conjugate=rational_nonsingular)
+    return pencil, p
+
+
+@settings(max_examples=40, deadline=None)
+@given(chained_pencils())
+@example((planted_pencil(random.Random(0), 16, nilpotent=[6, 6, 4],
+                         conjugate=rational_nonsingular)[0], 0))
+@example((planted_pencil(random.Random(1), 16, nilpotent=[6, 1],
+                         conjugate=rational_nonsingular)[0], 9))
+def test_char_poly_matches_the_reference_on_long_nilpotent_chains(case):
+    pencil, p = case
+    assert_same_char_poly(pencil)
+    assert char_poly(pencil).p == p
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 6), st.integers(0, 2**32))
+@example(0, 0, 0, 0)
+@example(3, 1, 4, 0)
+def test_singular_pencils_are_caught_in_the_round_of_their_minimal_index(eps, eta, regular, seed):
+    """A polynomial kernel vector of degree eps makes a constant column of
+    round eps + 1 dependent: round 1 for a common kernel vector of F and
+    G (eps = 0), a later round otherwise.  Each round is one elimination
+    after the one of F, and no node is evaluated."""
+    pencil = singular_pencil(random.Random(seed), eps, eta, regular)
+    with mock.patch.object(linalg, "_bareiss", wraps=linalg._bareiss) as elim:
+        cp = char_poly(pencil)
+    assert cp.is_zero and cp.p is None
+    assert elim.call_count == 1 + (eps + 1)
+    assert reference_char_poly(pencil).is_zero
+    with pytest.raises(IrregularPencil):
+        decompose(pencil)
+
+
+def test_char_poly_bit_growth_stays_bounded_at_n30():
+    """Kernel vectors divided by their content keep the deflated entries
+    small; without that scaling the pivots compound round after round."""
+    pencil, _, _ = planted_pencil(random.Random(30), 30, nilpotent=[8, 6, 3, 1],
+                                  conjugate=rational_nonsingular)
+    t0 = time.perf_counter()
+    cp = char_poly(pencil)
+    assert time.perf_counter() - t0 < 2.0
+    assert cp.p == 12
