@@ -21,6 +21,7 @@ complex strings such as "1+2j").  Exit codes are part of the contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -461,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_an)
     p_an.add_argument("--out-json", default=None, dest="out_json",
                       help="also write a machine-readable report")
-    p_an.set_defaults(func=cmd_analyze)
 
     p_sv = sub.add_parser("solve", help="closed-form trajectory as CSV")
     _add_common(p_sv)
@@ -469,21 +469,29 @@ def build_parser() -> argparse.ArgumentParser:
                       help="solve horizon end (overrides the file's K)")
     p_sv.add_argument("--out-csv", default=None, dest="out_csv",
                       help="write the trajectory CSV here instead of stdout")
-    p_sv.set_defaults(func=cmd_solve)
 
     p_ca = sub.add_parser("causality", help="causality verdicts and witnesses")
     _add_common(p_ca)
     p_ca.add_argument("--oracle-trials", type=_trial_count, default=0, dest="oracle_trials",
                       help="cross-check the criteria with N brute-force trials "
                            "(seeded by DKIT_SEED)")
-    p_ca.set_defaults(func=cmd_causality)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` keeps no state
+    from one call to the next."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # looked up per call, so a patched or traced cmd_* is the one run
+        command = {"analyze": cmd_analyze, "solve": cmd_solve,
+                   "causality": cmd_causality}[args.command]
+        return command(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,7 +1,10 @@
+import contextlib
 import csv
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -10,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dkit
 from dkit import DescriptorSystem, DkitError, Matrix, ParseError, Trajectory, analyze
 from dkit import causality as causality_mod
+from dkit import cli
 from dkit.cli import (
     EXIT_HORIZON,
     EXIT_INCONSISTENT,
@@ -435,6 +440,58 @@ def test_each_run_computes_char_poly_and_verify_once(argv, monkeypatch, capsys):
     counts = _count_calls(monkeypatch, "pencil.char_poly", "weierstrass.verify")
     assert main(argv) == EXIT_OK
     assert counts == {"pencil.char_poly": 1, "weierstrass.verify": 1}
+
+
+# each run after another in one process, as ``main`` reuses one parser
+_SEQUENCE = [
+    ["solve", DIAG, "--K", "2"],
+    ["solve", DIAG],
+    ["analyze", DIAG, "--mode", "float", "--out-json", "{out}"],
+    ["analyze", DIAG, "--out-json", "{out}"],
+    ["solve", DIAG, "--K", "x"],
+    ["causality", NIL_C100, "--oracle-trials", "2"],
+]
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _in_a_fresh_interpreter(argv):
+    src = str(Path(dkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", "import sys; from dkit.cli import main; "
+                           "sys.exit(main(sys.argv[1:]))", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_consecutive_runs_in_one_process_match_runs_on_their_own(tmp_path, monkeypatch):
+    monkeypatch.setenv("DKIT_SEED", "7")
+    target = tmp_path / "report.json"
+
+    def run(argv, runner):
+        target.unlink(missing_ok=True)
+        result = runner([a.replace("{out}", str(target)) for a in argv])
+        return result + (target.read_bytes() if target.exists() else None,)
+
+    in_sequence = [run(argv, _in_process) for argv in _SEQUENCE]
+    alone = [run(argv, _in_a_fresh_interpreter) for argv in _SEQUENCE]
+    assert in_sequence == alone
+    assert [r[0] for r in in_sequence] == [EXIT_OK] * 4 + [EXIT_PARSE, EXIT_OK]
+    assert in_sequence[0][1] != in_sequence[1][1]  # --K 2 did set the horizon
+    assert in_sequence[2][3] != in_sequence[3][3]  # --mode float did switch the mode
+
+
+def test_main_dispatches_to_the_command_bound_at_call_time(monkeypatch, capsys):
+    assert main(["solve", DIAG]) == EXIT_OK  # the parser exists by now
+    counts = _count_calls(monkeypatch, "cli.cmd_solve", "cli.cmd_analyze")
+    assert main(["solve", DIAG]) == EXIT_OK
+    assert counts == {"cli.cmd_solve": 1, "cli.cmd_analyze": 0}
+    assert cli._parser() is cli._parser()
 
 
 @pytest.mark.parametrize("argv, builds", [
