@@ -194,11 +194,16 @@ def kernel_basis(mat: Matrix, tol: float | None = None) -> Matrix:
 def _null_space(rows, pivots: list[int], d, ncols: int, nv: int, mode: Mode) -> Matrix:
     """Rows 0..nv-1 of :func:`kernel_basis` of a matrix with ``ncols``
     columns and d times the RREF rows ``rows``."""
+    out, free = _null_rows(rows, pivots, d, ncols, nv)
+    return Matrix.divided(out, d, len(free), mode)
+
+
+def _null_rows(rows, pivots: list[int], d, ncols: int, nv: int) -> tuple[list[list], list[int]]:
+    """The rows of :func:`_null_space` times d, and the free columns."""
     at = dict(zip(pivots, rows))
     free = [c for c in range(ncols) if c not in at]
-    out = [[-at[c][f] for f in free] if c in at else [d if c == f else 0 for f in free]
-           for c in range(nv)]
-    return Matrix.divided(out, d, len(free), mode)
+    return [[-at[c][f] for f in free] if c in at else [d if c == f else 0 for f in free]
+            for c in range(nv)], free
 
 
 def preimages(a: Matrix, tol: float | None = None):

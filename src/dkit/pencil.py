@@ -87,31 +87,29 @@ class CharPoly(NamedTuple):
 def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
     """det(sF - G), ascending in s, from its values at integer nodes.
 
-    Exact mode starts from the integer rows of [F | G], each row of F and G
-    over one denominator, and deflates the infinite part on one
-    fraction-free elimination (``linalg._bareiss``), in rounds that walk
-    the Wong sequence ker F = W_1 < W_2 < ... of the infinite part.  A
-    round takes the kernel of the trailing F block, divides each kernel
-    vector v by its content, and puts (sF - G) v = -G v, constant in s, in
-    place of column f of the trailing block, f the free column where v has
-    its entry d / content (d the last pivot).  The constant columns go
-    first and are eliminated, resuming the elimination at the last pivot;
-    the logged row operations are replayed on the F and G columns
-    (``linalg._replay``), so every entry stays a minor of the transformed
-    pencil.  The rounds stop when the trailing F block is nonsingular,
-    after q* rounds with p x p left, or when a constant column has no
-    pivot, as then the pencil is singular and the result is the zero
-    polynomial.  Without the content division, d would compound from
-    round to round.  The degree is at most p, so the nodes are s = 0..p;
-    each resumes the elimination on s F_t - G_t at the last constant
-    pivot, which by Sylvester's identity gives the determinant of the whole
-    transformed pencil.  Newton forward differences interpolate these
-    integers: the k-th difference at 0 is k! times the coefficient of the
-    falling factorial s(s - 1)...(s - k + 1), and multiplying out a_0 +
-    s(a_1 + (s - 1)(a_2 + ...)) gives the monomial coefficients.  They are
-    divided exactly by the product of the row denominators and by det V
-    times the signs of the column moves and row swaps, V the column
-    operations (det V the product of the entries d / content).
+    Exact mode works on the integer rows of [F | G], each row of F and G
+    over one denominator.  It first deflates the infinite part on one
+    fraction-free elimination (``linalg._bareiss``), round by round along
+    the Wong sequence ker F = W_1 < W_2 < ...: each round takes the kernel
+    of the trailing F block, divides each kernel vector v by its content
+    (else the pivots compound from round to round), and puts (sF - G) v =
+    -G v, which is constant in s, in place of the trailing column at v's
+    free index.  Those columns go first and are eliminated once for all
+    nodes, resuming at the last pivot; the logged row operations replay on
+    the F and G columns (``linalg._replay``), so every entry stays a minor.
+    The rounds stop when the trailing F block is nonsingular, after q*
+    rounds with p x p left, or when a constant column has no pivot: then
+    the pencil is singular and the result is the zero polynomial.  The
+    degree is p, so only the nodes s = 0..p are evaluated, each by resuming
+    the elimination on s F_t - G_t at the last constant pivot, which gives
+    the determinant of the whole transformed pencil (Sylvester's identity).
+    Newton forward differences interpolate these integers: the k-th
+    difference at 0 is k! times the coefficient of the falling factorial
+    s(s - 1)...(s - k + 1), and multiplying out a_0 + s(a_1 + (s - 1)(a_2
+    + ...)) gives the monomial coefficients.  They are divided exactly by
+    the product of the row denominators and by det V, V the column
+    operations (det V is the product of the free entries d / content, d
+    the last pivot), times the signs of the column moves and row swaps.
 
     Float mode solves the Vandermonde system of the n + 1 nodes s = 0..n
     and trims coefficients within ``tol`` (relative, default
@@ -143,18 +141,17 @@ def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
                 break
             ech = [row[k:] for row in rows[k:k + len(keep)]]
             linalg._back_substitute(ech, keep, d)
-            at = dict(zip(keep, ech))
-            free = [c for c in range(len(fcols)) if c not in at]
+            kernel, free = linalg._null_rows(ech, keep, d, len(fcols), len(fcols))
             consts = []
-            for f in free:  # column f becomes (sF - G) v = -G v, v in ker F
-                v = [-at[c][f] if c in at else d if c == f else 0 for c in range(len(fcols))]
+            for f, v in zip(free, zip(*kernel)):  # column f becomes (sF - G) v = -G v
                 g = math.gcd(*v)
+                v = [x // g for x in v]
                 const = [0] * len(fcols)
                 for x, col in zip(v, gcols):
                     if x:
-                        const = [a - x // g * b for a, b in zip(const, col)]
+                        const = [a - x * b for a, b in zip(const, col)]
                 consts.append(const)
-                den *= v[f] // g
+                den *= v[f]
             den *= (-1) ** sum(f - i for i, f in enumerate(free))  # free columns first
         tf, tg = list(zip(*fcols)), list(zip(*gcols))
         p = len(tf)

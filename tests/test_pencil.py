@@ -1,5 +1,5 @@
 import random
-import time
+import signal
 from fractions import Fraction
 from unittest import mock
 
@@ -314,12 +314,21 @@ def test_singular_pencils_are_caught_in_the_round_of_their_minimal_index(eps, et
         decompose(pencil)
 
 
+def _over_time(signum, frame):
+    raise TimeoutError("char_poly took more than 2 s")
+
+
 def test_char_poly_bit_growth_stays_bounded_at_n30():
     """Kernel vectors divided by their content keep the deflated entries
-    small; without that scaling the pivots compound round after round."""
+    small; without that scaling the pivots compound round after round and
+    this takes minutes, so an alarm stops it at the bound."""
     pencil, _, _ = planted_pencil(random.Random(30), 30, nilpotent=[8, 6, 3, 1],
                                   conjugate=rational_nonsingular)
-    t0 = time.perf_counter()
-    cp = char_poly(pencil)
-    assert time.perf_counter() - t0 < 2.0
+    previous = signal.signal(signal.SIGALRM, _over_time)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        cp = char_poly(pencil)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert cp.p == 12
