@@ -17,6 +17,7 @@ scale.  In exact mode the finite eigenvalues are the rational roots,
 searched and divided out in integer arithmetic once the denominators are
 cleared.
 """
+
 from __future__ import annotations
 
 import math
@@ -84,32 +85,77 @@ class CharPoly(NamedTuple):
         return None if self.is_zero else self.n - self.p
 
 
+def _deflate(fcols: list[list[int]], gcols: list[list[int]]):
+    """Deflate the infinite part of the integer pencil sF - G, given by the
+    columns of F and G, on one fraction-free elimination.
+
+    Each round takes the kernel of the trailing F block, divides each
+    kernel vector v by its content (else the pivots compound from round to
+    round), and puts (sF - G) v = -G v, which is constant in s, in place of
+    the trailing column at v's free index.  Those columns go first and are
+    eliminated, resuming at the last pivot; the logged row operations
+    replay on the F and G columns (``linalg._replay``), so every entry stays
+    a minor.  The same elimination runs on into the F columns, which gives
+    the next round's kernel.  The rounds walk the Wong sequence ker F =
+    W_1 < W_2 < ... of the infinite part: for a regular pencil they stop
+    after q* rounds, when the trailing F block is nonsingular.  Returns the
+    rows of the trailing blocks F_t and G_t, the last constant pivot and
+    det V times the signs of the column moves and row swaps, V the column
+    operations (det V is the product of the free entries d / content, d the
+    last pivot); None when a constant column has no pivot, as then
+    det(sF - G) is identically zero.
+    """
+    consts: list[list[int]] = []
+    keep, prev, den = range(len(fcols)), 1, 1
+    while True:
+        k = len(consts)
+        rows = [list(r) for r in zip(*consts, *(fcols[j] for j in keep))]
+        log: list = []
+        pivots, d, _ = linalg._bareiss(rows, log, prev=prev)
+        if pivots[:k] != list(range(k)):
+            return None
+        fcols, gcols = [fcols[j] for j in keep], [gcols[j] for j in keep]
+        linalg._replay(log[:k], fcols + gcols)
+        fcols, gcols = [c[k:] for c in fcols], [c[k:] for c in gcols]
+        if k:
+            prev = log[k - 1][1]
+            den *= (-1) ** sum(piv != r for r, (piv, *_) in enumerate(log[:k]))
+        keep = [c - k for c in pivots[k:]]
+        m = len(fcols)
+        if len(keep) == m:
+            return list(zip(*fcols)), list(zip(*gcols)), prev, den
+        ech = [row[k:] for row in rows[k:k + len(keep)]]
+        linalg._back_substitute(ech, keep, d)
+        kernel, free = linalg._null_rows(ech, keep, d, m, m)
+        consts = []
+        for f, v in zip(free, zip(*kernel)):
+            g = math.gcd(*v)
+            v = [x // g for x in v]
+            const = [0] * m
+            for x, col in zip(v, gcols):
+                if x:
+                    const = [a - x * b for a, b in zip(const, col)]
+            consts.append(const)
+            den *= v[f]
+        den *= (-1) ** sum(f - i for i, f in enumerate(free))  # free columns first
+
+
 def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
     """det(sF - G), ascending in s, from its values at integer nodes.
 
     Exact mode works on the integer rows of [F | G], each row of F and G
-    over one denominator.  It first deflates the infinite part on one
-    fraction-free elimination (``linalg._bareiss``), round by round along
-    the Wong sequence ker F = W_1 < W_2 < ...: each round takes the kernel
-    of the trailing F block, divides each kernel vector v by its content
-    (else the pivots compound from round to round), and puts (sF - G) v =
-    -G v, which is constant in s, in place of the trailing column at v's
-    free index.  Those columns go first and are eliminated once for all
-    nodes, resuming at the last pivot; the logged row operations replay on
-    the F and G columns (``linalg._replay``), so every entry stays a minor.
-    The rounds stop when the trailing F block is nonsingular, after q*
-    rounds with p x p left, or when a constant column has no pivot: then
-    the pencil is singular and the result is the zero polynomial.  The
-    degree is p, so only the nodes s = 0..p are evaluated, each by resuming
-    the elimination on s F_t - G_t at the last constant pivot, which gives
-    the determinant of the whole transformed pencil (Sylvester's identity).
-    Newton forward differences interpolate these integers: the k-th
-    difference at 0 is k! times the coefficient of the falling factorial
-    s(s - 1)...(s - k + 1), and multiplying out a_0 + s(a_1 + (s - 1)(a_2
-    + ...)) gives the monomial coefficients.  They are divided exactly by
-    the product of the row denominators and by det V, V the column
-    operations (det V is the product of the free entries d / content, d
-    the last pivot), times the signs of the column moves and row swaps.
+    over one denominator.  It first deflates the infinite part
+    (:func:`_deflate`) to a trailing block s F_t - G_t, p x p with F_t
+    nonsingular, or finds the pencil singular and returns the zero
+    polynomial.  The degree is p, so only the nodes s = 0..p are
+    evaluated, each by resuming the deflating elimination on s F_t - G_t at
+    the last constant pivot, which gives the determinant of the whole
+    transformed pencil (Sylvester's identity).  Newton forward differences
+    interpolate these integers: the k-th difference at 0 is k! times the
+    coefficient of the falling factorial s(s - 1)...(s - k + 1), and
+    multiplying out a_0 + s(a_1 + (s - 1)(a_2 + ...)) gives the monomial
+    coefficients.  They are divided exactly by the product of the row
+    denominators and by det V with the signs of the deflation.
 
     Float mode solves the Vandermonde system of the n + 1 nodes s = 0..n
     and trims coefficients within ``tol`` (relative, default
@@ -120,40 +166,10 @@ def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
     if mode is Mode.EXACT:
         fg = hstack([pencil.F, pencil.G])
         cols = [list(c) for c in zip(*fg.integer_rows())]
-        fcols, gcols = cols[:n], cols[n:]  # the trailing block, by columns
-        consts: list[list[int]] = []
-        keep, prev, den = range(n), 1, math.prod(fg.denominators)
-        while True:
-            k = len(consts)
-            rows = [list(r) for r in zip(*consts, *(fcols[j] for j in keep))]
-            log: list = []
-            pivots, d, _ = linalg._bareiss(rows, log, prev=prev)
-            if pivots[:k] != list(range(k)):  # dependent constant columns
-                return CharPoly((), n)
-            fcols, gcols = [fcols[j] for j in keep], [gcols[j] for j in keep]
-            linalg._replay(log[:k], fcols + gcols)
-            fcols, gcols = [c[k:] for c in fcols], [c[k:] for c in gcols]
-            if k:
-                prev = log[k - 1][1]
-                den *= (-1) ** sum(piv != r for r, (piv, *_) in enumerate(log[:k]))
-            keep = [c - k for c in pivots[k:]]
-            if len(keep) == len(fcols):
-                break
-            ech = [row[k:] for row in rows[k:k + len(keep)]]
-            linalg._back_substitute(ech, keep, d)
-            kernel, free = linalg._null_rows(ech, keep, d, len(fcols), len(fcols))
-            consts = []
-            for f, v in zip(free, zip(*kernel)):  # column f becomes (sF - G) v = -G v
-                g = math.gcd(*v)
-                v = [x // g for x in v]
-                const = [0] * len(fcols)
-                for x, col in zip(v, gcols):
-                    if x:
-                        const = [a - x * b for a, b in zip(const, col)]
-                consts.append(const)
-                den *= v[f]
-            den *= (-1) ** sum(f - i for i, f in enumerate(free))  # free columns first
-        tf, tg = list(zip(*fcols)), list(zip(*gcols))
+        deflated = _deflate(cols[:n], cols[n:])
+        if deflated is None:
+            return CharPoly((), n)
+        tf, tg, prev, den = deflated
         p = len(tf)
         values = [linalg.integer_det([[s * f - g for f, g in zip(fr, gr)]
                                       for fr, gr in zip(tf, tg)], prev)
@@ -164,6 +180,7 @@ def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
         for k in range(p, -1, -1):  # coeffs * (s - k) + values[k] / k!
             coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
             coeffs[0] += values[k] // math.factorial(k)
+        den *= math.prod(fg.denominators)
         return CharPoly(tuple(Fraction(c, den) for c in coeffs), n)
     nodes = [complex(i) for i in range(n + 1)]
     dets = [linalg.det(pencil.eval(s)) for s in nodes]

@@ -135,8 +135,8 @@ def singular_pencil(rng: random.Random, eps: int, eta: int, regular: int) -> Pen
         return Matrix([[int(entry(i, j)) for j in range(cols)] for i in range(rows)],
                       Mode.EXACT)
 
-    f_l, g_l = m(eps, eps + 1, int.__eq__), m(eps, eps + 1, lambda i, j: j == i + 1)
-    f_t, g_t = m(eta + 1, eta, int.__eq__), m(eta + 1, eta, lambda i, j: i == j + 1)
+    f_l, g_l = m(eps, eps + 1, lambda i, j: i == j), m(eps, eps + 1, lambda i, j: j == i + 1)
+    f_t, g_t = m(eta + 1, eta, lambda i, j: i == j), m(eta + 1, eta, lambda i, j: i == j + 1)
     blocks = [(f_l, g_l), (f_t, g_t)]
     if regular:
         reg, _, _ = planted_pencil(rng, regular)
