@@ -8,8 +8,9 @@ integer rows of [F | G] (an exact matrix keeps each row cleared of
 denominators).  It first deflates the infinite part: each round replaces
 the columns of ker F of the trailing block by (sF - G) v = -G v, which
 does not depend on s, and eliminates them fraction-free once for all
-nodes.  Once the trailing F block is nonsingular, p x p is left, so only
-the p + 1 nodes s = 0..p are evaluated, each resuming that elimination;
+nodes.  Once the trailing F block is nonsingular, p x p is left; the
+elimination that finds it so gives the leading coefficient, and only the
+p nodes s = 0..p - 1 are evaluated, each resuming that elimination;
 Newton forward differences interpolate, and the coefficients become
 ``Fraction`` only at the end.  Float mode solves the Vandermonde system
 of the n + 1 nodes s = 0..n, which is adequately conditioned at desk
@@ -99,11 +100,12 @@ def _deflate(fcols: list[list[int]], gcols: list[list[int]]):
     the next round's kernel.  The rounds walk the Wong sequence ker F =
     W_1 < W_2 < ... of the infinite part: for a regular pencil they stop
     after q* rounds, when the trailing F block is nonsingular.  Returns the
-    rows of the trailing blocks F_t and G_t, the last constant pivot and
-    det V times the signs of the column moves and row swaps, V the column
+    rows of the trailing blocks F_t and G_t, the last constant pivot, det V
+    times the signs of the column moves and row swaps, V the column
     operations (det V is the product of the free entries d / content, d the
-    last pivot); None when a constant column has no pivot, as then
-    det(sF - G) is identically zero.
+    last pivot), and the leading coefficient of det(s F_t - G_t) resumed at
+    that pivot, the last pivot of the final round; None when a constant
+    column has no pivot, as then det(sF - G) is identically zero.
     """
     consts: list[list[int]] = []
     keep, prev, den = range(len(fcols)), 1, 1
@@ -111,19 +113,20 @@ def _deflate(fcols: list[list[int]], gcols: list[list[int]]):
         k = len(consts)
         rows = [list(r) for r in zip(*consts, *(fcols[j] for j in keep))]
         log: list = []
-        pivots, d, _ = linalg._bareiss(rows, log, prev=prev)
+        pivots, d, sign = linalg._bareiss(rows, log, prev=prev)
         if pivots[:k] != list(range(k)):
             return None
         fcols, gcols = [fcols[j] for j in keep], [gcols[j] for j in keep]
         linalg._replay(log[:k], fcols + gcols)
         fcols, gcols = [c[k:] for c in fcols], [c[k:] for c in gcols]
+        swaps = (-1) ** sum(piv != r for r, (piv, *_) in enumerate(log[:k]))
+        den *= swaps
         if k:
             prev = log[k - 1][1]
-            den *= (-1) ** sum(piv != r for r, (piv, *_) in enumerate(log[:k]))
         keep = [c - k for c in pivots[k:]]
         m = len(fcols)
         if len(keep) == m:
-            return list(zip(*fcols)), list(zip(*gcols)), prev, den
+            return list(zip(*fcols)), list(zip(*gcols)), prev, den, sign * swaps * d
         ech = [row[k:] for row in rows[k:k + len(keep)]]
         linalg._back_substitute(ech, keep, d)
         kernel, free = linalg._null_rows(ech, keep, d, m, m)
@@ -147,14 +150,15 @@ def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
     over one denominator.  It first deflates the infinite part
     (:func:`_deflate`) to a trailing block s F_t - G_t, p x p with F_t
     nonsingular, or finds the pencil singular and returns the zero
-    polynomial.  The degree is p, so only the nodes s = 0..p are
-    evaluated, each by resuming the deflating elimination on s F_t - G_t at
-    the last constant pivot, which gives the determinant of the whole
-    transformed pencil (Sylvester's identity).  Newton forward differences
-    interpolate these integers: the k-th difference at 0 is k! times the
-    coefficient of the falling factorial s(s - 1)...(s - k + 1), and
-    multiplying out a_0 + s(a_1 + (s - 1)(a_2 + ...)) gives the monomial
-    coefficients.  They are divided exactly by the product of the row
+    polynomial.  The degree is p and the deflation's last pivot is the
+    leading coefficient a_p, so only the nodes s = 0..p - 1 are evaluated,
+    each by resuming the deflating elimination on s F_t - G_t at the last
+    constant pivot, which gives the determinant of the whole transformed
+    pencil (Sylvester's identity).  Newton forward differences interpolate
+    these integers: the k-th difference at 0 is k! times the coefficient
+    a_k of the falling factorial s(s - 1)...(s - k + 1), and multiplying
+    out a_0 + s(a_1 + (s - 1)(a_2 + ... + (s - p + 1) a_p)) gives the
+    monomial coefficients.  They are divided exactly by the product of the row
     denominators and by det V with the signs of the deflation.
 
     Float mode solves the Vandermonde system of the n + 1 nodes s = 0..n
@@ -169,15 +173,15 @@ def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
         deflated = _deflate(cols[:n], cols[n:])
         if deflated is None:
             return CharPoly((), n)
-        tf, tg, prev, den = deflated
+        tf, tg, prev, den, lead = deflated
         p = len(tf)
         values = [linalg.integer_det([[s * f - g for f, g in zip(fr, gr)]
                                       for fr, gr in zip(tf, tg)], prev)
-                  for s in range(p + 1)]
-        for k in range(1, p + 1):  # values[k] becomes the k-th difference at 0
+                  for s in range(p)]
+        for k in range(1, p):  # values[k] becomes the k-th difference at 0
             values[k:] = [b - a for a, b in zip(values[k - 1:], values[k:])]
-        coeffs: list = []
-        for k in range(p, -1, -1):  # coeffs * (s - k) + values[k] / k!
+        coeffs = [lead]
+        for k in range(p - 1, -1, -1):  # coeffs * (s - k) + values[k] / k!
             coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
             coeffs[0] += values[k] // math.factorial(k)
         den *= math.prod(fg.denominators)

@@ -421,10 +421,13 @@ def test_reference_solutions_cover_both_errors():
                                           for n in (1, 2, 5, 9, 14)]
                          + [pytest.param(6, [6], id="6-p0"),
                             pytest.param(12, [4, 4, 1], id="12-qstar4")])
-def test_exact_char_poly_eliminates_once_per_deflation_round_and_once_per_node(n, nilpotent):
+def test_exact_char_poly_makes_n_plus_1_eliminations_and_no_fraction_solve(n, nilpotent):
     """One elimination per round of the infinite part (q* of them, each
     also eliminating the previous round's constant columns), one that
-    finds the trailing F block nonsingular, and one per node s = 0..p."""
+    finds the trailing F block nonsingular and gives the leading
+    coefficient, and one per node s = 0..p - 1: n + 1 when the nilpotent
+    part is empty or one chain, fewer by its dimension outside the
+    longest chain otherwise."""
     pencil, _, nblocks = planted_pencil(random.Random(n), n, nilpotent=nilpotent)
     qstar = max((b.size for b in nblocks), default=0)
     p = n - sum(b.size for b in nblocks)
@@ -432,7 +435,7 @@ def test_exact_char_poly_eliminates_once_per_deflation_round_and_once_per_node(n
             mock.patch.object(linalg, "det", wraps=linalg.det) as det, \
             mock.patch.object(linalg, "solve_unique", wraps=linalg.solve_unique) as solve:
         assert char_poly(pencil).p == p
-    assert elim.call_count == qstar + 1 + p + 1
+    assert elim.call_count == qstar + 1 + p <= n + 1
     assert det.call_count == solve.call_count == 0
 
 
