@@ -12,10 +12,10 @@ exact by Cramer's rule.  The RREF is unique, so every basis and solution
 read off it is canonical.  An elimination stopped at pivot d resumes
 with ``prev`` = d, and its logged row operations replay on columns
 carried alongside (:func:`_replay`): :func:`preimages` eliminates A once
-and each [A | X] resumes it, and ``pencil.char_poly`` resumes one
-elimination through the rounds that deflate the infinite part and at
-each interpolation node.  Float mode uses Gauss-Jordan with partial pivoting
-and a relative rank threshold ``tol * (largest entry magnitude)``.
+and each [A | X] of :func:`filtration` resumes it, and ``pencil.char_poly``
+resumes its one deflating elimination at each interpolation node.  Float
+mode uses Gauss-Jordan with partial pivoting and a relative rank
+threshold ``tol * (largest entry magnitude)``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import ChainConstructionFailure
 from .matrices import Matrix, hstack
 from .scalars import Mode, one, zero
 
@@ -194,16 +195,11 @@ def kernel_basis(mat: Matrix, tol: float | None = None) -> Matrix:
 def _null_space(rows, pivots: list[int], d, ncols: int, nv: int, mode: Mode) -> Matrix:
     """Rows 0..nv-1 of :func:`kernel_basis` of a matrix with ``ncols``
     columns and d times the RREF rows ``rows``."""
-    out, free = _null_rows(rows, pivots, d, ncols, nv)
-    return Matrix.divided(out, d, len(free), mode)
-
-
-def _null_rows(rows, pivots: list[int], d, ncols: int, nv: int) -> tuple[list[list], list[int]]:
-    """The rows of :func:`_null_space` times d, and the free columns."""
     at = dict(zip(pivots, rows))
     free = [c for c in range(ncols) if c not in at]
-    return [[-at[c][f] for f in free] if c in at else [d if c == f else 0 for f in free]
-            for c in range(nv)], free
+    out = [[-at[c][f] for f in free] if c in at else [d if c == f else 0 for f in free]
+           for c in range(nv)]
+    return Matrix.divided(out, d, len(free), mode)
 
 
 def preimages(a: Matrix, tol: float | None = None):
@@ -215,8 +211,11 @@ def preimages(a: Matrix, tol: float | None = None):
     denominator, are appended times d_i in row i, d_i the denominator of
     row i of A: that scales the rows of [A | X'], X' a column scaling of X,
     which has the same span.  A's logged row operations are replayed on
-    the appended columns and elimination resumes past A's.  Float mode
-    reduces [A | X] afresh, as its pivot threshold scales with [A | X].
+    the appended columns and elimination resumes past A's.  When that
+    finds [A | X] of full row rank, the function returns None before it
+    back-substitutes: for a square A the preimage then has dimension at
+    most rank X.  Float mode reduces [A | X] afresh, as its pivot
+    threshold scales with [A | X].
     """
     if a.mode is not Mode.EXACT:
         return kernel_basis(a, tol), lambda x: column_space_basis(
@@ -224,17 +223,60 @@ def preimages(a: Matrix, tol: float | None = None):
     top, log = a.integer_rows(), []
     pivots, d, _ = _bareiss(top, log)
 
-    def v_parts(cols: list[list[int]]) -> Matrix:
+    def v_parts(cols: list[list[int]]) -> Matrix | None:
         _replay(log, cols)
         ext = [list(row) for row in zip(*cols)] if cols else [[] for _ in top]
         more, dx, _ = _bareiss(ext, r=len(pivots), prev=d)
         piv = pivots + [a.cols + c for c in more]
+        if cols and len(piv) == a.rows:
+            return None
         rows = [top[i] + ext[i] for i in range(len(piv))]  # top is 0 below A's rank
         _back_substitute(rows, piv, dx)
         return _null_space(rows, piv, dx, a.cols + len(cols), a.cols, a.mode)
 
-    return v_parts([]), lambda x: column_space_basis(v_parts(
-        [[di * v for di, v in zip(a.denominators, nums)] for nums in x.T.integer_rows()]))
+    def preimage(x: Matrix) -> Matrix | None:
+        v = v_parts([[di * v for di, v in zip(a.denominators, nums)]
+                     for nums in x.T.integer_rows()])
+        return None if v is None else column_space_basis(v)
+
+    return v_parts([]), preimage
+
+
+def filtration(a: Matrix, e: Matrix, target: int | None = None,
+               tol: float | None = None) -> list[Matrix]:
+    """Bases of the growing subspaces N_1 < N_2 < ...: N_1 = ker A, and N_k
+    the canonical basis of the preimage of E(N_{k-1}) under A
+    (:func:`preimages`, which eliminates A once for all steps).
+
+    With a ``target`` it runs until the dimension reaches it, and raises
+    ChainConstructionFailure when ker A is trivial or a step stalls or
+    overshoots.  Without one it runs until the first step that does not
+    grow, which for A = F, E = G walks the Wong sequence of the pencil
+    sF - G up to its limit W*; in exact mode a step whose [A | -E N_{k-1}]
+    has full row rank ends after its forward elimination, as N_k contains
+    N_{k-1} and so equals it.
+    """
+    basis, preimage = preimages(a, tol)
+    bases = [basis] if basis.cols else []
+    if target is not None and not bases:
+        raise ChainConstructionFailure(
+            "kernel is trivial but the multiplicity demands eigenvectors"
+        )
+    limit = a.cols if target is None else target
+    while bases and bases[-1].cols < limit:
+        prev = bases[-1]
+        nxt = preimage(-(e @ prev))
+        grew = nxt is not None and nxt.cols > prev.cols
+        if target is None and not grew:
+            break
+        if not grew or nxt.cols > limit:
+            raise ChainConstructionFailure(
+                f"chain subspaces stalled at dimension {prev.cols} "
+                f"(target {target}); the rank structure contradicts the "
+                f"computed multiplicities"
+            )
+        bases.append(nxt)
+    return bases
 
 
 def _reduce_augmented(a: Matrix, b: Matrix, tol: float | None,

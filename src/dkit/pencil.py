@@ -5,24 +5,26 @@ determinant at integer nodes and interpolating.  Its degree p counts the
 finite eigenvalues with multiplicity; the remaining q = n - p dimensions
 belong to the infinite eigenvalue.  Exact mode works on the stored
 integer rows of [F | G] (an exact matrix keeps each row cleared of
-denominators).  It first deflates the infinite part: each round replaces
-the columns of ker F of the trailing block by (sF - G) v = -G v, which
-does not depend on s, and eliminates them fraction-free once for all
-nodes.  Once the trailing F block is nonsingular, p x p is left; the
-elimination that finds it so gives the leading coefficient, and only the
-p nodes s = 0..p - 1 are evaluated, each resuming that elimination;
-Newton forward differences interpolate, and the coefficients become
-``Fraction`` only at the end.  Float mode solves the Vandermonde system
-of the n + 1 nodes s = 0..n, which is adequately conditioned at desk
-scale.  In exact mode the finite eigenvalues are the rational roots,
-searched and divided out in integer arithmetic once the denominators are
-cleared.
+denominators).  It deflates the infinite part once, by the limit W* of
+the pencil's Wong sequence, which the pencil walks once and keeps for
+its canonical form: each basis vector w of W* puts -G w, which does not
+depend on s, in place of one column, and those columns are eliminated
+fraction-free once for all nodes.  The elimination that runs on into the
+p columns left gives the leading coefficient, and only the p nodes
+s = 0..p - 1 are evaluated, each resuming it; Newton forward differences
+interpolate, and the coefficients become ``Fraction`` only at the end.
+Float mode solves the Vandermonde system of the n + 1 nodes s = 0..n,
+which is adequately conditioned at desk scale.  In exact mode the finite
+eigenvalues are the rational roots, searched and divided out in integer
+arithmetic once the denominators are cleared.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from . import linalg
@@ -62,6 +64,15 @@ class Pencil(Record):
         """The matrix sF - G."""
         return self.F.scale(s) - self.G
 
+    @cached_property
+    def wong_sequence(self) -> tuple[Matrix, ...]:
+        """Exact mode: canonical bases of the Wong sequence W_1 = ker F <
+        W_2 < ... < W*, W_{i+1} = F^{-1}(G W_i) (Wong 1974), walked once
+        per pencil (``linalg.filtration`` without a target).  Its last
+        basis spans W*, the infinite part of a regular pencil; it is empty
+        when F is nonsingular."""
+        return tuple(linalg.filtration(self.F, self.G))
+
 
 class CharPoly(NamedTuple):
     """det(sF - G) with trailing (near-)zero coefficients trimmed.
@@ -86,80 +97,28 @@ class CharPoly(NamedTuple):
         return None if self.is_zero else self.n - self.p
 
 
-def _deflate(fcols: list[list[int]], gcols: list[list[int]]):
-    """Deflate the infinite part of the integer pencil sF - G, given by the
-    columns of F and G, on one fraction-free elimination.
-
-    Each round takes the kernel of the trailing F block, divides each
-    kernel vector v by its content (else the pivots compound from round to
-    round), and puts (sF - G) v = -G v, which is constant in s, in place of
-    the trailing column at v's free index.  Those columns go first and are
-    eliminated, resuming at the last pivot; the logged row operations
-    replay on the F and G columns (``linalg._replay``), so every entry stays
-    a minor.  The same elimination runs on into the F columns, which gives
-    the next round's kernel.  The rounds walk the Wong sequence ker F =
-    W_1 < W_2 < ... of the infinite part: for a regular pencil they stop
-    after q* rounds, when the trailing F block is nonsingular.  Returns the
-    rows of the trailing blocks F_t and G_t, the last constant pivot, det V
-    times the signs of the column moves and row swaps, V the column
-    operations (det V is the product of the free entries d / content, d the
-    last pivot), and the leading coefficient of det(s F_t - G_t) resumed at
-    that pivot, the last pivot of the final round; None when a constant
-    column has no pivot, as then det(sF - G) is identically zero.
-    """
-    consts: list[list[int]] = []
-    keep, prev, den = range(len(fcols)), 1, 1
-    while True:
-        k = len(consts)
-        rows = [list(r) for r in zip(*consts, *(fcols[j] for j in keep))]
-        log: list = []
-        pivots, d, sign = linalg._bareiss(rows, log, prev=prev)
-        if pivots[:k] != list(range(k)):
-            return None
-        fcols, gcols = [fcols[j] for j in keep], [gcols[j] for j in keep]
-        linalg._replay(log[:k], fcols + gcols)
-        fcols, gcols = [c[k:] for c in fcols], [c[k:] for c in gcols]
-        swaps = (-1) ** sum(piv != r for r, (piv, *_) in enumerate(log[:k]))
-        den *= swaps
-        if k:
-            prev = log[k - 1][1]
-        keep = [c - k for c in pivots[k:]]
-        m = len(fcols)
-        if len(keep) == m:
-            return list(zip(*fcols)), list(zip(*gcols)), prev, den, sign * swaps * d
-        ech = [row[k:] for row in rows[k:k + len(keep)]]
-        linalg._back_substitute(ech, keep, d)
-        kernel, free = linalg._null_rows(ech, keep, d, m, m)
-        consts = []
-        for f, v in zip(free, zip(*kernel)):
-            g = math.gcd(*v)
-            v = [x // g for x in v]
-            const = [0] * m
-            for x, col in zip(v, gcols):
-                if x:
-                    const = [a - x * b for a, b in zip(const, col)]
-            consts.append(const)
-            den *= v[f]
-        den *= (-1) ** sum(f - i for i, f in enumerate(free))  # free columns first
-
-
 def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
     """det(sF - G), ascending in s, from its values at integer nodes.
 
     Exact mode works on the integer rows of [F | G], each row of F and G
-    over one denominator.  It first deflates the infinite part
-    (:func:`_deflate`) to a trailing block s F_t - G_t, p x p with F_t
-    nonsingular, or finds the pencil singular and returns the zero
-    polynomial.  The degree is p and the deflation's last pivot is the
-    leading coefficient a_p, so only the nodes s = 0..p - 1 are evaluated,
-    each by resuming the deflating elimination on s F_t - G_t at the last
-    constant pivot, which gives the determinant of the whole transformed
-    pencil (Sylvester's identity).  Newton forward differences interpolate
-    these integers: the k-th difference at 0 is k! times the coefficient
-    a_k of the falling factorial s(s - 1)...(s - k + 1), and multiplying
-    out a_0 + s(a_1 + (s - 1)(a_2 + ... + (s - p + 1) a_p)) gives the
-    monomial coefficients.  They are divided exactly by the product of the row
-    denominators and by det V with the signs of the deflation.
+    over one denominator, and on a basis w_1..w_q of W*
+    (:attr:`Pencil.wong_sequence`) that is the identity on q rows r_j.
+    As F W* lies in G W*, (sF - G) W = G W (sN - I) with N nilpotent, so
+    putting -G w_j in place of column r_j keeps det(sF - G), up to the
+    integer scaling of each w_j and the sign of moving those constant
+    columns first.  One fraction-free elimination runs through them; a
+    dependent one means G W* has a kernel, and then det(sF - G) is the
+    zero polynomial.  Otherwise it runs on into the p = n - q columns
+    left, and its last pivot is the leading coefficient a_p, so only the
+    nodes s = 0..p - 1 are evaluated, each by resuming the elimination
+    on the trailing p x p block at the last constant pivot, which gives
+    the determinant of the whole transformed pencil (Sylvester's
+    identity).  Newton forward differences interpolate these integers:
+    the k-th difference at 0 is k! times the coefficient a_k of the
+    falling factorial s(s - 1)...(s - k + 1), and multiplying out
+    a_0 + s(a_1 + (s - 1)(a_2 + ... + (s - p + 1) a_p)) gives the
+    monomial coefficients.  They are divided exactly by the product of
+    the row denominators, the scalings and the signs.
 
     Float mode solves the Vandermonde system of the n + 1 nodes s = 0..n
     and trims coefficients within ``tol`` (relative, default
@@ -169,22 +128,37 @@ def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
     mode = pencil.mode
     if mode is Mode.EXACT:
         fg = hstack([pencil.F, pencil.G])
-        cols = [list(c) for c in zip(*fg.integer_rows())]
-        deflated = _deflate(cols[:n], cols[n:])
-        if deflated is None:
+        rows = fg.integer_rows()
+        w = (pencil.wong_sequence or [Matrix.zeros(n, 0, mode)])[-1]
+        wrows = list(zip(w.integer_rows(), w.denominators))
+        # (r, v): v = c w_j, w_j the column of W* that is e_j on row r
+        put = sorted((wrows.index(([int(i == j) for i in range(w.cols)], 1)), v)
+                     for j, v in enumerate(w.T.integer_rows()))
+        moved = [r for r, _ in put]
+        q, p = len(moved), n - len(moved)
+        keep = [c for c in range(n) if c not in moved]
+        log: list = []
+        pivots, d, sign = linalg._bareiss(  # [-G W* | the columns of F kept]
+            [[-sum(map(operator.mul, v, row[n:])) for _, v in put] + [row[j] for j in keep]
+             for row in rows], log)
+        if len(pivots) < n:  # -G W* has a dependent column
             return CharPoly((), n)
-        tf, tg, prev, den, lead = deflated
-        p = len(tf)
-        values = [linalg.integer_det([[s * f - g for f, g in zip(fr, gr)]
-                                      for fr, gr in zip(tf, tg)], prev)
+        tcols = [[row[j] for row in rows] for j in keep + [n + j for j in keep]]
+        linalg._replay(log[:q], tcols)
+        swaps = (-1) ** sum(piv != r for r, (piv, *_) in enumerate(log[:q]))
+        prev = log[q - 1][1] if q else 1
+        trail = list(zip(*(c[q:] for c in tcols)))  # the rows of [F_t | G_t]
+        values = [linalg.integer_det([[s * f - g for f, g in zip(row[:p], row[p:])]
+                                      for row in trail], prev)
                   for s in range(p)]
         for k in range(1, p):  # values[k] becomes the k-th difference at 0
             values[k:] = [b - a for a, b in zip(values[k - 1:], values[k:])]
-        coeffs = [lead]
+        coeffs = [sign * swaps * d]
         for k in range(p - 1, -1, -1):  # coeffs * (s - k) + values[k] / k!
             coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
             coeffs[0] += values[k] // math.factorial(k)
-        den *= math.prod(fg.denominators)
+        den = swaps * (-1) ** sum(r - i for i, r in enumerate(moved))  # W* columns first
+        den *= math.prod(v[r] for r, v in put) * math.prod(fg.denominators)
         return CharPoly(tuple(Fraction(c, den) for c in coeffs), n)
     nodes = [complex(i) for i in range(n + 1)]
     dets = [linalg.det(pencil.eval(s)) for s in nodes]

@@ -22,11 +22,14 @@ kernel filtration of a nilpotent operator, so the usual Jordan machinery
 applies: block sizes come from the dimension increments, top vectors of
 long chains are picked first, and each chain is generated downward by the
 unique solution of E x = A v_k inside N_{k-1}.  N_k is read off the
-kernel of [A | -E N_{k-1}]; in exact mode A is eliminated once
-(``linalg.preimages``) and each step resumes that elimination on the
-appended columns rather than starting again from column 0.  Columns of Q
-are the chain vectors; P is then forced, because the first p columns of
-P^{-1} must be F Q_p and the last q columns must be G Q_q.
+kernel of [A | -E N_{k-1}] (``linalg.filtration``); in exact mode A is
+eliminated once and each step resumes that elimination on the appended
+columns rather than starting again from column 0.  For the infinite
+structure the N_k are the Wong sequence of the pencil, and in exact mode
+they are the pencil's own walk, ``Pencil.wong_sequence``, the one its
+char poly deflates by.  Columns of Q are the chain vectors; P is then
+forced, because the first p columns of P^{-1} must be F Q_p and the last
+q columns must be G Q_q.
 
 All choices are canonical: kernels come from the (unique) reduced row
 echelon form, eigenvalues are sorted, and block sizes are descending, so
@@ -149,35 +152,9 @@ class VerificationReport(NamedTuple):
         return max(self.residual_F, self.residual_G)
 
 
-def _filtration(A: Matrix, E: Matrix, target: int, tol: float | None) -> list[Matrix]:
-    """Bases of N_1 <= N_2 <= ... until the dimension reaches ``target``.
-
-    N_1 = ker A, and N_k is the canonical basis of the preimage of
-    E(N_{k-1}) under A; in exact mode each step resumes the one elimination
-    of A on the appended columns -E N_{k-1} (``linalg.preimages``).
-    """
-    basis, preimage = linalg.preimages(A, tol)
-    if basis.cols == 0:
-        raise ChainConstructionFailure(
-            "kernel is trivial but the multiplicity demands eigenvectors"
-        )
-    bases = [basis]
-    while bases[-1].cols < target:
-        prev = bases[-1]
-        nxt = preimage(-(E @ prev))
-        if nxt.cols <= prev.cols or nxt.cols > target:
-            raise ChainConstructionFailure(
-                f"chain subspaces stalled at dimension {prev.cols} "
-                f"(target {target}); the rank structure contradicts the "
-                f"computed multiplicities"
-            )
-        bases.append(nxt)
-    return bases
-
-
 def _block_sizes(dims: list[int]) -> list[int]:
     """Block sizes (descending) from cumulative filtration dimensions."""
-    counts_ge = [dims[0]] + [dims[i] - dims[i - 1] for i in range(1, len(dims))]
+    counts_ge = [b - a for a, b in zip([0] + dims, dims)]
     sizes: list[int] = []
     for k in range(1, len(dims) + 1):
         exactly = counts_ge[k - 1] - (counts_ge[k] if k < len(dims) else 0)
@@ -199,10 +176,10 @@ def _pick_independent(candidates: Matrix, context: list[Matrix], tol: float | No
     return candidates.col(j - width)
 
 
-def _build_chains(
-    A: Matrix, E: Matrix, bases: list[Matrix], sizes: list[int], tol: float | None
-) -> list[list[Matrix]]:
-    """Chains v_1..v_r per block, longest blocks first.
+def _chains(A: Matrix, E: Matrix, bases, tol: float | None) -> list[list[Matrix]]:
+    """The chains v_1..v_r of A v_k = E v_{k-1} on the filtration
+    ``bases``, one per block, longest first: the block sizes, read off the
+    dimensions, are the chain lengths.
 
     The top vector of an r-chain is chosen in N_r, independent of N_{r-1}
     and of every previously picked chain vector; the rest of the chain
@@ -211,7 +188,7 @@ def _build_chains(
     """
     picked: list[Matrix] = []
     chains: list[list[Matrix]] = []
-    for r in sizes:
+    for r in _block_sizes([b.cols for b in bases]):
         context = [bases[r - 2]] + picked if r >= 2 else picked
         top = _pick_independent(bases[r - 1], context, tol)
         chain = [top]
@@ -227,13 +204,6 @@ def _build_chains(
         chains.append(chain)
         picked.extend(chain)
     return chains
-
-
-def _chains(A: Matrix, E: Matrix, target: int, tol: float | None) -> list[list[Matrix]]:
-    """The chains of A v_k = E v_{k-1} spanning the subspace of dimension
-    ``target``, longest first; block sizes are the chain lengths."""
-    bases = _filtration(A, E, target, tol)
-    return _build_chains(A, E, bases, _block_sizes([b.cols for b in bases]), tol)
 
 
 def decompose(
@@ -275,14 +245,16 @@ def _decompose(
     qp_cols: list[Matrix] = []
     if p > 0:
         for a, mult in finite_eigenvalues(cp, cluster_radius):
-            for chain in _chains(G - F.scale(a), F, mult, tol):
+            A = G - F.scale(a)
+            for chain in _chains(A, F, linalg.filtration(A, F, mult, tol), tol):
                 jordan_blocks.append(JordanBlockSpec(a, len(chain)))
                 qp_cols.extend(chain)
 
     nilpotent_blocks: list[NilpotentBlockSpec] = []
     qq_cols: list[Matrix] = []
     if q > 0:
-        for chain in _chains(F, G, q, tol):
+        walk = pencil.wong_sequence if mode is Mode.EXACT else linalg.filtration(F, G, q, tol)
+        for chain in _chains(F, G, walk, tol):
             nilpotent_blocks.append(NilpotentBlockSpec(len(chain)))
             qq_cols.extend(chain)
 

@@ -594,7 +594,7 @@ def reference_filtration(A: Matrix, E: Matrix, target: int, tol: float | None) -
     """Bases of N_1 = ker A <= N_2 <= ... up to dimension ``target``, each
     N_k the column space of the v-parts of ker [A | -E N_{k-1}], one
     elimination of the stacked matrix per step; reference for
-    ``weierstrass._filtration``, which it follows in raising
+    ``linalg.filtration``, which it follows in raising
     ``ChainConstructionFailure`` when the dimensions stall."""
     bases = [linalg.kernel_basis(A, tol)]
     while bases[-1].cols < target:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import dkit
 from dkit import DescriptorSystem, DkitError, Matrix, ParseError, Trajectory, analyze
 from dkit import causality as causality_mod
-from dkit import cli
+from dkit import cli, linalg
 from dkit.cli import (
     EXIT_HORIZON,
     EXIT_INCONSISTENT,
@@ -440,6 +440,29 @@ def test_each_run_computes_char_poly_and_verify_once(argv, monkeypatch, capsys):
     counts = _count_calls(monkeypatch, "pencil.char_poly", "weierstrass.verify")
     assert main(argv) == EXIT_OK
     assert counts == {"pencil.char_poly": 1, "weierstrass.verify": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", NIL_C100],
+    ["solve", NIL_C100],
+    ["causality", NIL_C100],
+    ["causality", NIL_CEYE, "--oracle-trials", "3"],
+])
+def test_each_exact_run_walks_the_wong_sequence_once(argv, monkeypatch, capsys):
+    """The char poly and the canonical form share one walk of the Wong
+    sequence of (F, G); the only other preimage steps are those of G - aF
+    for the one finite eigenvalue, a = 1."""
+    sf = parse_system_file(argv[1])
+    calls = []
+    preimages = linalg.preimages
+
+    def recorded(a, tol=None):
+        calls.append(a)
+        return preimages(a, tol)
+
+    monkeypatch.setattr(linalg, "preimages", recorded)
+    assert main(argv) == EXIT_OK
+    assert calls == [sf.F, sf.G - sf.F]
 
 
 # each run after another in one process, as ``main`` reuses one parser

@@ -422,20 +422,20 @@ def test_reference_solutions_cover_both_errors():
                          + [pytest.param(6, [6], id="6-p0"),
                             pytest.param(12, [4, 4, 1], id="12-qstar4")])
 def test_exact_char_poly_makes_n_plus_1_eliminations_and_no_fraction_solve(n, nilpotent):
-    """One elimination per round of the infinite part (q* of them, each
-    also eliminating the previous round's constant columns), one that
-    finds the trailing F block nonsingular and gives the leading
-    coefficient, and one per node s = 0..p - 1: n + 1 when the nilpotent
-    part is empty or one chain, fewer by its dimension outside the
-    longest chain otherwise."""
+    """Beyond the walk of the Wong sequence (q* steps), one deflating
+    elimination, which runs through the constant columns -G W* and on
+    into the p columns left and gives the leading coefficient, and one
+    per node s = 0..p - 1: 1 + p <= n + 1."""
     pencil, _, nblocks = planted_pencil(random.Random(n), n, nilpotent=nilpotent)
     qstar = max((b.size for b in nblocks), default=0)
     p = n - sum(b.size for b in nblocks)
     with mock.patch.object(linalg, "_bareiss", wraps=linalg._bareiss) as elim, \
             mock.patch.object(linalg, "det", wraps=linalg.det) as det, \
             mock.patch.object(linalg, "solve_unique", wraps=linalg.solve_unique) as solve:
+        assert len(pencil.wong_sequence) == qstar
+        walked = elim.call_count
         assert char_poly(pencil).p == p
-    assert elim.call_count == qstar + 1 + p <= n + 1
+    assert elim.call_count - walked == 1 + p <= n + 1
     assert det.call_count == solve.call_count == 0
 
 

@@ -16,16 +16,19 @@ from dkit import (
     char_poly,
     decompose,
     finite_eigenvalues,
+    hstack,
 )
 from dkit import linalg
 from dkit.scalars import Mode
 
 from dkit.pencil import _rational_roots
+from dkit.weierstrass import _block_sizes
 from helpers import (
     brute_char_poly,
     planted_pencil,
     poly_eval,
     poly_mul,
+    random_descriptor,
     rational_nonsingular,
     reference_char_poly,
     reference_rational_roots,
@@ -33,6 +36,7 @@ from helpers import (
 )
 
 EX = Mode.EXACT
+PLANT_KINDS = ("generic", "state_causal", "output_causal_only")
 
 
 def pen(f_rows, g_rows, mode=EX):
@@ -273,42 +277,92 @@ def test_char_poly_matches_the_vandermonde_reference_on_planted_pencils(seed, n)
 @st.composite
 def chained_pencils(draw):
     """Planted pencils of size n <= 16 under rational conjugation, with
-    nilpotent chains up to q* = 6 long (q* deflation rounds), p = 0 and
-    p = n included.  Returns (pencil, p)."""
+    nilpotent chains up to q* = 6 long (a Wong sequence of q* steps),
+    p = 0 and p = n included.  Returns (pencil, nilpotent block sizes)."""
     nilpotent = draw(st.lists(st.integers(1, 6), max_size=4).filter(lambda b: sum(b) <= 16))
     q = sum(nilpotent)
     p = draw(st.integers(0 if q else 1, 16 - q))
     pencil, _, _ = planted_pencil(random.Random(draw(st.integers(0, 2**32))), p + q,
                                   nilpotent=nilpotent, conjugate=rational_nonsingular)
-    return pencil, p
+    return pencil, nilpotent
 
 
 @settings(max_examples=40, deadline=None)
 @given(chained_pencils())
 @example((planted_pencil(random.Random(0), 16, nilpotent=[6, 6, 4],
-                         conjugate=rational_nonsingular)[0], 0))
+                         conjugate=rational_nonsingular)[0], [6, 6, 4]))
 @example((planted_pencil(random.Random(1), 16, nilpotent=[6, 1],
-                         conjugate=rational_nonsingular)[0], 9))
+                         conjugate=rational_nonsingular)[0], [6, 1]))
 def test_char_poly_matches_the_reference_on_long_nilpotent_chains(case):
-    pencil, p = case
+    pencil, nilpotent = case
     assert_same_char_poly(pencil)
-    assert char_poly(pencil).p == p
+    assert char_poly(pencil).p == pencil.n - sum(nilpotent)
+
+
+@st.composite
+def descriptor_pencils(draw):
+    """The pencil of a ``random_descriptor`` system of one of the three
+    plant kinds, n <= 8, and its planted nilpotent block sizes (the system
+    is drawn from the rng state that ``planted_pencil`` starts from)."""
+    n, seed = draw(st.integers(1, 8)), draw(st.integers(0, 2**32))
+    q = draw(st.integers(0, n))
+    system = random_descriptor(random.Random(seed), n, 1, 1, q=q,
+                               plant=draw(st.sampled_from(PLANT_KINDS))).system
+    pencil, _, nblocks = planted_pencil(random.Random(seed), n, q=q)
+    assert (system.F, system.G) == (pencil.F, pencil.G)
+    return system.pencil, [b.size for b in nblocks]
+
+
+@st.composite
+def singular_pencils(draw):
+    return singular_pencil(random.Random(draw(st.integers(0, 2**32))), draw(st.integers(0, 3)),
+                           draw(st.integers(0, 3)), draw(st.integers(0, 6))), None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(descriptor_pencils(), chained_pencils(), singular_pencils()))
+def test_the_cached_walk_is_the_wong_sequence_up_to_w_star(case):
+    """Pencil.wong_sequence has q* steps whose dimensions give the planted
+    nilpotent blocks and end at dim W* = n - p; on a singular pencil G W*
+    has a kernel.  The step past the walk, made in full, gives W* again:
+    on a regular pencil [F | G W*] has full row rank, so the walk ended
+    that step early."""
+    pencil, nilpotent = case
+    n, F, G = pencil.n, pencil.F, pencil.G
+    walk = pencil.wong_sequence
+    assert walk is pencil.wong_sequence
+    w_star = walk[-1] if walk else Matrix.zeros(n, 0, EX)
+    if nilpotent is None:
+        assert linalg.kernel_basis(G @ w_star).cols > 0
+    else:
+        assert len(walk) == max(nilpotent, default=0)
+        assert _block_sizes([b.cols for b in walk]) == sorted(nilpotent, reverse=True)
+        assert w_star.cols == n - char_poly(pencil).p
+        assert linalg.rank(hstack([F, G @ w_star])) == n
+        if walk:
+            assert linalg.preimages(F)[1](-(G @ w_star)) is None
+    if walk:
+        full = linalg.kernel_basis(hstack([F, -(G @ w_star)])).take_rows(range(n))
+        assert linalg.column_space_basis(full) == linalg.column_space_basis(w_star)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 6), st.integers(0, 2**32))
 @example(0, 0, 0, 0)
 @example(3, 1, 4, 0)
-def test_singular_pencils_are_caught_in_the_round_of_their_minimal_index(eps, eta, regular, seed):
-    """A polynomial kernel vector of degree eps makes a constant column of
-    round eps + 1 dependent: round 1 for a common kernel vector of F and
-    G (eps = 0), a later round otherwise.  Each round is one elimination
-    after the one of F, and no node is evaluated."""
+def test_singular_pencils_are_caught_by_a_dependent_column_of_G_on_W_star(eps, eta, regular,
+                                                                         seed):
+    """A polynomial kernel vector x_0 + s x_1 + ... of sF - G has x_0 != 0
+    in W* and G x_0 = 0, so one of the constant columns -G W* is
+    dependent: the deflating elimination after the walk finds it, and no
+    node is evaluated."""
     pencil = singular_pencil(random.Random(seed), eps, eta, regular)
     with mock.patch.object(linalg, "_bareiss", wraps=linalg._bareiss) as elim:
+        pencil.wong_sequence
+        walked = elim.call_count
         cp = char_poly(pencil)
     assert cp.is_zero and cp.p is None
-    assert elim.call_count == 1 + (eps + 1)
+    assert elim.call_count - walked == 1
     assert reference_char_poly(pencil).is_zero
     with pytest.raises(IrregularPencil):
         decompose(pencil)
@@ -319,9 +373,10 @@ def _over_time(signum, frame):
 
 
 def test_char_poly_bit_growth_stays_bounded_at_n30():
-    """Kernel vectors divided by their content keep the deflated entries
-    small; without that scaling the pivots compound round after round and
-    this takes minutes, so an alarm stops it at the bound."""
+    """The one deflation by W* keeps the entries small: each basis vector
+    of W* is canonical and cleared to integers of content 1, and the
+    constant columns are eliminated once; pivots compounded over repeated
+    deflations would take minutes, so an alarm stops it at the bound."""
     pencil, _, _ = planted_pencil(random.Random(30), 30, nilpotent=[8, 6, 3, 1],
                                   conjugate=rational_nonsingular)
     previous = signal.signal(signal.SIGALRM, _over_time)

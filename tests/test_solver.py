@@ -19,12 +19,14 @@ from dkit import (
     InputSignal,
     IrregularPencil,
     Matrix,
+    Pencil,
     Trajectory,
     WeierstrassDecomposition,
     analyze,
     char_poly,
     check_consistency,
     decompose,
+    finite_eigenvalues,
     residual_oracle,
     solve,
     solve_from_zp,
@@ -38,6 +40,7 @@ from dkit.scalars import Mode
 
 from helpers import (
     consistent_y0,
+    planted_pencil,
     random_descriptor,
     random_signal,
     reference_closed_form,
@@ -452,6 +455,30 @@ def test_analyze_matches_the_separate_library_calls():
             assert a.w == w
             assert a.verification == verify(sysm.pencil, w)
             assert a.tin == transform_input(w, sysm.B)
+
+
+def test_each_pencil_walks_the_wong_sequence_of_F_G_once():
+    """DescriptorSystem walks the Wong sequence of (F, G) for its char
+    poly; analyze then steps preimages only under G - aF, once per finite
+    eigenvalue a, and decompose of a new pencil walks (F, G) once."""
+    pen, _, _ = planted_pencil(random.Random(5), 8, nilpotent=[3, 1])
+    calls = []
+    preimages = linalg.preimages
+
+    def recorded(a, tol=None):
+        calls.append(a)
+        return preimages(a, tol)
+
+    with mock.patch.object(linalg, "preimages", recorded):
+        sysm = DescriptorSystem(pen.F, pen.G, Matrix.zeros(8, 1, EX), Matrix.zeros(1, 8, EX))
+        assert calls == [pen.F]
+        calls.clear()
+        analyze(sysm)
+        eigenvalues = finite_eigenvalues(sysm.char_poly)
+        assert eigenvalues and calls == [pen.G - pen.F.scale(a) for a, _ in eigenvalues]
+        calls.clear()
+        decompose(Pencil(pen.F, pen.G))
+        assert calls.count(pen.F) == 1
 
 
 def _reference_step_residual(sysm, sig, states):

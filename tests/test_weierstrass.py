@@ -24,7 +24,7 @@ from dkit import (
 )
 from dkit import linalg
 from dkit.scalars import Mode
-from dkit.weierstrass import _filtration, _pick_independent
+from dkit.weierstrass import _pick_independent
 
 from helpers import (
     jordan_multiset,
@@ -379,9 +379,9 @@ def test_filtration_matches_the_stacked_reference(seed, jordan, nilpotent, ratio
         return
     pencil = pencil_from_blocks(random.Random(seed), jordan, nilpotent, rational)
     for A, E, target in filtration_pairs(pencil, jordan, nilpotent):
-        assert _filtration(A, E, target, None) == reference_filtration(A, E, target, None)
+        assert linalg.filtration(A, E, target, None) == reference_filtration(A, E, target, None)
         fa, fe = A.to_float(), E.to_float()
-        assert _bases_or_none(_filtration, fa, fe, target) == _bases_or_none(
+        assert _bases_or_none(linalg.filtration, fa, fe, target) == _bases_or_none(
             reference_filtration, fa, fe, target)
 
 
@@ -415,6 +415,6 @@ def test_filtration_eliminates_the_columns_of_A_once():
         return elim(rows, *args, **kwargs)
 
     with mock.patch.object(linalg, "_bareiss", recorded):
-        bases = _filtration(A, E, target, None)
+        bases = linalg.filtration(A, E, target, None)
     assert [b.cols for b in bases] == [2, 4, 5, 6]  # three preimage steps
     assert sum(_scales_rows_of(rows, A.integer_rows()) for rows in calls) == 1
