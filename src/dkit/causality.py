@@ -13,12 +13,15 @@ the one zero threshold every test used.
 The oracle at the bottom tests the definition itself: perturb one future
 input sample and watch whether any earlier state (or output) moves.  It
 goes through the solver, not through the criteria, so the two can referee
-each other.  Each trial runs both signals from the Z^p_{k0} it draws: the
-perturbed sample lies at or past k0 + q*, so D_{k0}, and with it the
-consistent initial state, is the same for both.  One pass of trials
-serves every mode asked for: each trial runs its two signals once and is
-read as states and as outputs, and a seed gives each mode the verdict a
-pass for that mode alone would.
+each other.  Each trial runs the base signal from the Z^p_{k0} it draws:
+the perturbed sample V_j lies at or past k0 + q*, so D_{k0}, and with it
+the consistent initial state, is the same for both signals.  Instant k
+reads V_k .. V_{k+w-1}, w = max(q*, 1), so the perturbed signal is run
+only from the first instant that reads V_j, j - w + 1, starting at the
+base run's Z^p there; nothing is run at j, which is never compared.  One
+pass of trials serves every mode asked for: each trial's runs are read
+as states and as outputs, and a seed gives each mode the verdict a pass
+for that mode alone would.
 """
 
 from __future__ import annotations
@@ -119,16 +122,23 @@ def brute_force_causality_oracle(
     nonzero vector.  The perturbation is placed at j >= k0 + q*, which
     leaves D_{k0} untouched, so the consistent initial state Q_p Z^p_{k0}
     + Q D_{k0} is the same for both signals and the two trajectories are
-    comparable.  Both are run from Z^p_{k0} itself (``solve_from_zp``), so
-    no trial builds that state or solves for Z^p_{k0} again.  Any
-    difference in a state (or output) at a time k < j witnesses
-    non-causality: in exact mode any inequality, in float mode a
-    difference over the zero threshold.
+    comparable.  Any difference in a state (or output) at a time k < j
+    witnesses non-causality: in exact mode any inequality, in float mode
+    a difference over the zero threshold.
 
-    One pass serves every mode: each trial runs both signals once, up to
-    K = j, as no later instant is compared, and tests each mode that has
-    no counterexample yet; the pass ends when every mode has one.  The
-    draws do not depend on the modes, so a mode's outcome is the one a
+    Each instant is computed once, up to K = j - 1, the last one compared.
+    The base signal is run from Z^p_{k0} itself (``solve_from_zp``), so no
+    trial builds the initial state or solves for Z^p_{k0}.  Instant k of
+    the solver reads V_k .. V_{k+w-1}, w = max(q*, 1), so the instants
+    before k1 = max(k0, j - w + 1), and Z^p_{k1}, read only samples the two
+    signals share, and both runs agree there whatever q* the solver uses.
+    The perturbed signal is run from the base run's Z^p_{k1}, and only the
+    instants k1 .. j - 1 are compared; when q* <= 1 there are none, and no
+    perturbed run is made.
+
+    One pass serves every mode: each trial's runs are tested for each mode
+    that has no counterexample yet; the pass ends when every mode has one.
+    The draws do not depend on the modes, so a mode's outcome is the one a
     pass for that mode alone with the same ``seed`` finds.
     """
     for mode in modes:
@@ -141,7 +151,8 @@ def brute_force_causality_oracle(
     thr = _threshold(sys.mode, tol)
     k0 = 0
     count = horizon - k0 + w.q_star  # covers indices k0 .. horizon + q* - 1
-    j_min = k0 + max(w.q_star, 1)
+    width = max(w.q_star, 1)  # instant k reads V_k .. V_{k+width-1}
+    j_min = k0 + width
     j_max = min(horizon, k0 + count - 1)  # the perturbed sample must exist: horizon - 1 if q* = 0
     if j_min > j_max:
         raise ValueError(f"horizon {horizon} too short; need at least {j_min - k0 + 1}")
@@ -160,15 +171,20 @@ def brute_force_causality_oracle(
         pert = InputSignal(k0, base.samples[:j - k0] + (moved,) + base.samples[j - k0 + 1:])
 
         z = Matrix.column([rng.randint(-3, 3) for _ in range(w.p)], sys.mode)
-        traj_base = solve_from_zp(a, base, z, j)
-        traj_pert = solve_from_zp(a, pert, z, j)
+        traj_base = solve_from_zp(a, base, z, j - 1)
+        # instants before k1 and Z^p_{k1} read only samples the signals share
+        k1 = max(k0, j - width + 1)
+        if k1 > j - 1:
+            continue
+        traj_pert = solve_from_zp(a, InputSignal(k1, pert.samples[k1 - k0:]),
+                                  traj_base.z_p[k1 - k0], j - 1)
         for i, mode in enumerate(modes):
             if found[i]:
                 continue
             seq_base = traj_base.states if mode == "state" else traj_base.outputs
             seq_pert = traj_pert.states if mode == "state" else traj_pert.outputs
-            for k in range(k0, j):
-                b, q = seq_base[k - k0], seq_pert[k - k0]
+            for k in range(k1, j):
+                b, q = seq_base[k - k0], seq_pert[k - k1]
                 if (b != q) if thr is None else not (b - q).is_zero(thr):
                     found[i] = OracleCounterexample(
                         trial=t,

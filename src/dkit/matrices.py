@@ -151,6 +151,29 @@ class Matrix:
             rows = tuple(self._r[i] for i in iz)
         return _new(self.mode, self.cols, rows)
 
+    def with_rows_of(self, other: "Matrix", iz: range) -> "Matrix":
+        """``vstack([self, other.take_rows(iz)])`` for a block of rows
+        ``iz`` (step 1), made without the block in between."""
+        self._check_mode(other)
+        if self.cols != other.cols:
+            raise ValueError("column counts differ")
+        if not (iz.step == 1 and 0 <= iz.start <= iz.stop <= other.rows):
+            raise ValueError(f"rows {iz} are not a block of {other.rows}")
+        return _new(self.mode, self.cols, self._r + other._r[iz.start : iz.stop])
+
+    def split_rows(self, sizes: Sequence[int]) -> tuple["Matrix", ...]:
+        """Consecutive blocks of ``sizes`` (>= 0) rows, then the rows left
+        over (possibly none): one slice per block."""
+        mode, cols, rows = self.mode, self.cols, self._r
+        out, i = [], 0
+        for s in sizes:
+            out.append(_new(mode, cols, rows[i : i + s]))
+            i += s
+        if i > self.rows:
+            raise ValueError(f"blocks of {tuple(sizes)} rows exceed {self.rows}")
+        out.append(_new(mode, cols, rows[i:]))
+        return tuple(out)
+
     def to_lists(self) -> list[list]:
         return [self.row_list(i) for i in range(self.rows)]
 

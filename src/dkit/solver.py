@@ -157,13 +157,12 @@ def _step_maps(a: Analysis) -> tuple[Matrix, Matrix]:
 
 def transform_input(w: WeierstrassDecomposition, B: Matrix) -> TransformedInput:
     """P B in the blocks the solver and the causality checks read."""
-    pb = w.P @ B
-    b_q, h_q = pb.take_rows(range(w.p, w.n)), w.H_q
+    b_p, b_q = (w.P @ B).split_rows((w.p,))
     blocks: list[Matrix] = []
     for _ in range(w.q_star):
-        blocks.append(h_q @ blocks[-1] if blocks else b_q)
+        blocks.append(w.H_q @ blocks[-1] if blocks else b_q)
     return TransformedInput(
-        B_p=pb.take_rows(range(w.p)),
+        B_p=b_p,
         B_q=b_q,
         backward=hstack(blocks) if blocks else Matrix.zeros(w.q, 0, w.mode),
     )
@@ -291,28 +290,30 @@ def solve_from_zp(a: Analysis, signal: InputSignal, z_p0: Matrix, K: int) -> Tra
 
     Every Z^p_{k0} gives a consistent initial state, Y_{k0} = Q_p Z^p_{k0}
     + Q D_{k0}, so only the input horizon is checked, as :func:`solve`
-    does.  Each instant is one product of the step map
-    ``a.step_maps`` with [Z^p_k; V_k; ...; V_{k+w-1}].
+    does.  Each instant is one product of the step map ``a.step_maps``
+    with the column [Z^p_k; V_k; ...; V_{k+w-1}], made from the rows of
+    Z^p_k and of the samples, so instant k reads only V_k .. V_{k+w-1};
+    the product's row blocks are Y_k, X_k, Z^q_k and Z^p_{k+1}.
     """
     _check_horizon(a, signal, K)
-    k0, w = signal.k0, a.w
-    n, m, q, l = a.system.n, a.system.m, w.q, a.system.l
-    width = max(w.q_star, 1)
+    k0, w, l = signal.k0, a.w, a.system.l
+    blocks = (a.system.n, a.system.m, w.q)
+    span = max(w.q_star, 1) * l  # the rows of V_k .. V_{k+w-1}
     step_map, last_map = a.step_maps
     inputs = vstack([Matrix.zeros(0, 1, w.mode), *signal.samples])
     z_p_list, z_q_list, states, outputs = [], [], [], []
     zp = z_p0
     for k in range(k0, K + 1):
-        step = step_map if k < K else last_map
-        i = (k - k0) * l  # V_k .. V_{k+width-1} are rows i .. i + width l of the inputs
-        window = inputs.take_rows(range(i, i + width * l) if k < K or w.q_star else range(0))
-        out = step @ vstack([zp, window])
+        i = (k - k0) * l  # V_k is row i of the inputs
         z_p_list.append(zp)
-        states.append(out.take_rows(range(n)))
-        outputs.append(out.take_rows(range(n, n + m)))
-        z_q_list.append(out.take_rows(range(n + m, n + m + q)))
         if k < K:
-            zp = out.take_rows(range(n + m + q, out.rows))
+            out = step_map @ zp.with_rows_of(inputs, range(i, i + span))
+        else:  # no Z^p_{K+1} rows, and no V columns when q* = 0
+            out = last_map @ zp.with_rows_of(inputs, range(i, i + span if w.q_star else i))
+        y, x, zq, zp = out.split_rows(blocks)
+        states.append(y)
+        outputs.append(x)
+        z_q_list.append(zq)
     return Trajectory(
         k0=k0,
         states=tuple(states),

@@ -13,9 +13,13 @@ chain-top reference makes one rank elimination per candidate where the
 library makes one for all of them, and the filtration reference
 eliminates each stacked [A | -E N] afresh where the library eliminates A
 once and resumes it.  The
-causality oracle reference runs one mode per pass and solves each trial
-to the full horizon, where the library serves every mode in one pass and
-solves only up to the perturbed instant.
+causality oracle reference runs one mode per pass and solves both
+signals of each trial over the full horizon, where the library serves
+every mode in one pass, stops before the perturbed instant and re-runs
+the perturbed signal only from the first instant that reads it.  The
+trajectory reference restacks [Z^p_k; V_k; ...; V_{k+w-1}] with
+``vstack`` and ``take_rows`` at every instant, where the library builds
+that column from the stored rows.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from dkit import (
     Matrix,
     NilpotentBlockSpec,
     Pencil,
+    Trajectory,
     assemble_Hq,
     assemble_Jp,
     block_diag,
@@ -42,7 +47,7 @@ from dkit import (
     verify,
     vstack,
 )
-from dkit import linalg, solve
+from dkit import linalg, solve_from_zp
 from dkit.causality import DEFAULT_CAUSALITY_TOL, OracleCounterexample, OracleOutcome
 from dkit.cli import SystemFile, _matrix_to_lists
 from dkit.scalars import Mode
@@ -168,8 +173,10 @@ def _causal_bq_pattern(rng: random.Random, nblocks, l: int) -> Matrix:
 
 def random_descriptor(rng: random.Random, n: int, l: int, m: int, *,
                       q: int | None = None, min_q: int = 0,
-                      plant: str = "generic", palette=EIGENVALUE_PALETTE) -> Analysis:
-    """Random system with planted canonical structure, as its ``Analysis``.
+                      plant: str = "generic", palette=EIGENVALUE_PALETTE,
+                      nilpotent: list[int] | None = None) -> Analysis:
+    """Random system with planted canonical structure, as its ``Analysis``;
+    ``q``, ``min_q``, ``palette`` and ``nilpotent`` go to :func:`planted_pencil`.
 
     plant:
       "generic"            -- B, C free random
@@ -177,7 +184,8 @@ def random_descriptor(rng: random.Random, n: int, l: int, m: int, *,
       "output_causal_only" -- C annihilates the infinite deflating subspace
     Eigenvalues are drawn from ``palette``.
     """
-    pen, _, _ = planted_pencil(rng, n, q=q, min_q=min_q, palette=palette)
+    pen, _, _ = planted_pencil(rng, n, q=q, min_q=min_q, palette=palette,
+                               nilpotent=nilpotent)
     w = decompose(pen)
     if plant == "state_causal":
         b_p = small_int_matrix(rng, w.p, l)
@@ -300,6 +308,31 @@ def reference_closed_form(a: Analysis, signal, z_p0: Matrix, k: int) -> tuple[Ma
     free = power @ z_p0  # J_p^{k-k0} Z^p_{k0}
     y = w.Q_p @ free + w.Q @ vstack([forward, z_q])
     return y, free + forward, z_q
+
+
+def reference_solve_from_zp(a: Analysis, signal, z_p0: Matrix, K: int) -> Trajectory:
+    """``solve_from_zp`` with the column of each instant stacked by
+    ``vstack`` from a window cut by ``take_rows``, and the product cut
+    into Y_k, X_k, Z^q_k and Z^p_{k+1} by ``take_rows``."""
+    k0, w = signal.k0, a.w
+    n, m, q, l = a.system.n, a.system.m, w.q, a.system.l
+    width = max(w.q_star, 1)
+    step_map, last_map = a.step_maps
+    inputs = vstack([Matrix.zeros(0, 1, w.mode), *signal.samples])
+    z_p_list, z_q_list, states, outputs = [], [], [], []
+    zp = z_p0
+    for k in range(k0, K + 1):
+        step = step_map if k < K else last_map
+        i = (k - k0) * l
+        window = inputs.take_rows(range(i, i + width * l) if k < K or w.q_star else range(0))
+        out = step @ vstack([zp, window])
+        z_p_list.append(zp)
+        states.append(out.take_rows(range(n)))
+        outputs.append(out.take_rows(range(n, n + m)))
+        z_q_list.append(out.take_rows(range(n + m, n + m + q)))
+        if k < K:
+            zp = out.take_rows(range(n + m + q, out.rows))
+    return Trajectory(k0, tuple(states), tuple(outputs), tuple(z_p_list), tuple(z_q_list))
 
 
 def brute_char_poly(F: Matrix, G: Matrix) -> tuple:
@@ -622,13 +655,14 @@ def reference_causality_oracle(
 
     Empirical causality test straight from the definition.
 
-    Each trial draws a random consistent initial state and a random input
-    signal, then perturbs exactly one future sample (index j) by a random
+    Each trial draws a random input signal and a random forward coordinate
+    Z^p_{k0}, then perturbs exactly one future sample (index j) by a random
     nonzero vector.  The perturbation is placed at j >= k0 + q*, which
-    leaves D_{k0} untouched, so the same initial state stays consistent
-    for both signals and the two trajectories are comparable.  Any
-    difference in a state (or output, per ``mode``) at a time k < j
-    witnesses non-causality.
+    leaves D_{k0} untouched, so the initial state Q_p Z^p_{k0} + Q D_{k0}
+    is the same for both signals and the two trajectories are comparable.
+    Both run from that Z^p_{k0} itself: in float mode a Y_{k0} solved back
+    for it would come back with rounding.  Any difference in a state (or
+    output, per ``mode``) at a time k < j witnesses non-causality.
     """
     if mode not in ("state", "output"):
         raise ValueError(f"mode must be 'state' or 'output', got {mode!r}")
@@ -658,10 +692,8 @@ def reference_causality_oracle(
         pert = InputSignal.from_rows(k0, pert_rows, sys.mode)
 
         z = Matrix.column([rng.randint(-3, 3) for _ in range(w.p)], sys.mode)
-        y0 = reference_closed_form(a, base, z, k0)[0]
-
-        traj_base = solve(a, base, y0, K)
-        traj_pert = solve(a, pert, y0, K)
+        traj_base = solve_from_zp(a, base, z, K)
+        traj_pert = solve_from_zp(a, pert, z, K)
         seq_base = traj_base.states if mode == "state" else traj_base.outputs
         seq_pert = traj_pert.states if mode == "state" else traj_pert.outputs
 

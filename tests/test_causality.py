@@ -12,6 +12,7 @@ from dkit import (
     brute_force_causality_oracle,
     build_report,
 )
+from dkit import causality as causality_mod
 from dkit import linalg, solver
 from dkit.causality import OracleCounterexample
 from dkit.scalars import Mode
@@ -239,6 +240,52 @@ def test_one_pass_oracle_matches_the_one_mode_reference_loop():
                 for mode, outcome in zip(modes, got):
                     _assert_same_outcome(outcome, want[mode])
     assert min(counterexamples.values()) >= 10 and apart >= 2
+
+
+@pytest.mark.parametrize("nilpotent", [[], [1], [1, 1, 1], [2], [2, 1], [3, 2]],
+                         ids=["none", "1", "1-1-1", "2", "2-1", "3-2"])
+def test_oracle_matches_the_full_horizon_reference_at_every_q_star(nilpotent, monkeypatch):
+    """With q* = 0, q* = 1 and q* >= 2, on all three plant kinds, in exact
+    and float mode, each mode's outcome, counterexample included, is the
+    one the reference finds solving both signals over the whole horizon.
+    With q* <= 1 no instant reads the perturbed sample before it, so each
+    trial makes its base run and no perturbed run."""
+    runs = []
+    real_run = causality_mod.solve_from_zp
+
+    def recorded_run(a_, signal, z_p0, K):
+        runs.append(signal.k0)
+        return real_run(a_, signal, z_p0, K)
+
+    monkeypatch.setattr(causality_mod, "solve_from_zp", recorded_run)
+    rng = random.Random(49 + len(nilpotent))
+    q_star = max(nilpotent, default=0)
+    checked = Counter()
+    for plant in ("generic", "state_causal", "output_causal_only"):
+        for _ in range(2):
+            sysm = random_descriptor(rng, sum(nilpotent) + rng.randint(1, 3), 2,
+                                     rng.randint(1, 2), plant=plant,
+                                     nilpotent=nilpotent).system
+            for s in (sysm, sysm.to_float()):
+                try:
+                    a = analyze(s)
+                except DkitError:
+                    continue
+                assert a.w.q_star == q_star
+                horizon, trials, seed = q_star + rng.randint(2, 5), 12, rng.randrange(100)
+                runs.clear()
+                got = brute_force_causality_oracle(a, ("state", "output"), horizon=horizon,
+                                                   trials=trials, seed=seed)
+                for mode, outcome in zip(("state", "output"), got):
+                    want = reference_causality_oracle(a, mode, horizon=horizon,
+                                                      trials=trials, seed=seed)
+                    _assert_same_outcome(outcome, want)
+                    checked[s.mode, outcome.causal] += 1
+                if q_star <= 1:
+                    assert runs == [0] * trials
+    assert checked[EX, True] and checked[Mode.FLOAT, True]
+    if q_star >= 2:
+        assert checked[EX, False] and checked[Mode.FLOAT, False]
 
 
 def test_the_oracle_does_no_consistency_work(monkeypatch):

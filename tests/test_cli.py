@@ -328,7 +328,10 @@ def test_both_disagreements_print_their_counterexamples_state_first(capsys, monk
     assert err == "".join(blocks)
 
 
-def test_oracle_solves_each_trial_once_up_to_the_perturbed_instant(capsys, monkeypatch):
+def test_oracle_reruns_the_perturbed_signal_only_where_its_window_reads_it(capsys, monkeypatch):
+    """Per trial: one base run from k0 up to K = j - 1, then one perturbed
+    run from max(k0, j - w + 1), w = max(q*, 1), up to the same K, whose
+    samples differ from the base only at j; no run computes instant j."""
     rng = random.Random(4)
     a = random_descriptor(rng, 6, 2, 2, q=3, plant="state_causal")
     sysm = a.system
@@ -353,11 +356,16 @@ def test_oracle_solves_each_trial_once_up_to_the_perturbed_instant(capsys, monke
     assert main(["causality", doc, "--oracle-trials", "3"]) == EXIT_OK
     assert "state-input causality: CAUSAL" in capsys.readouterr().out
     assert oracle_modes == [("state", "output")]
+    width = max(a.w.q_star, 1)
+    assert width >= 2
     assert len(runs) == 6
     for (base, K), (pert, K_pert) in zip(runs[::2], runs[1::2]):
-        moved = [k for k, (a, b) in enumerate(zip(base.samples, pert.samples), base.k0)
-                 if a != b]
-        assert K == K_pert and moved == [K]
+        moved = [k for k, v in enumerate(pert.samples, pert.k0) if v != base.sample(k)]
+        assert len(moved) == 1
+        j = moved[0]
+        assert base.k0 == 0 and K == K_pert == j - 1
+        assert pert.k0 == max(0, j - width + 1)
+        assert pert.last_index == base.last_index
 
 
 def test_float_mode_full_pipeline(capsys):

@@ -45,6 +45,7 @@ from helpers import (
     random_signal,
     reference_closed_form,
     reference_matmul,
+    reference_solve_from_zp,
     stacked_step_solvable,
 )
 
@@ -540,6 +541,48 @@ def test_solve_makes_one_product_per_step_and_the_oracle_one(monkeypatch):
             residual_oracle(a.system, sig, traj, y0)
             assert calls[0] == K
         assert setups[0] - 2 == setups[1] == setups[2]
+
+
+@pytest.mark.parametrize("mode", [EX, Mode.FLOAT], ids=["exact", "float"])
+def test_solve_from_zp_makes_one_product_per_instant_as_the_restacking_loop(mode, monkeypatch):
+    """Over k0..K, K - k0 + 1 ``Matrix.__matmul__`` calls once the step map
+    is built, and the trajectory the loop that restacks each column with
+    ``vstack`` and ``take_rows`` gives, bit for bit in both modes; with
+    q* = 0, q* = 1, q* >= 2, p = 0 and k0 < 0 among the plants."""
+    calls = [0]
+    matmul = Matrix.__matmul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return matmul(a, b)
+
+    def bits(traj):  # repr tells -0.0 from 0.0, which == does not
+        return repr([[x._r for x in seq]
+                     for seq in (traj.states, traj.outputs, traj.z_p, traj.z_q)])
+
+    rng = random.Random(40)
+    covered = set()
+    for nilpotent in ([], [1, 1], [3], [2, 2, 1], [3, 1]) * 2:
+        n = sum(nilpotent) + (0 if nilpotent == [3, 1] else rng.randint(1, 3))
+        sysm = random_descriptor(rng, n, 2, rng.randint(1, 2), nilpotent=nilpotent).system
+        try:
+            a = analyze(sysm if mode is EX else sysm.to_float())
+        except DkitError:  # float analysis fails on some plants; coverage is asserted below
+            continue
+        covered |= {min(a.w.q_star, 2), "p = 0" if a.w.p == 0 else "p > 0"}
+        k0 = rng.randint(-3, 2)
+        sig = random_signal(rng, 2, k0, 9 + a.w.q_star, mode)
+        z = Matrix.column([rng.randint(-3, 3) for _ in range(a.w.p)], mode)
+        a.step_maps  # built before the products are counted
+        for K in (k0, k0 + 1, k0 + 9):
+            want = reference_solve_from_zp(a, sig, z, K)
+            calls[0] = 0
+            with monkeypatch.context() as m:
+                m.setattr(Matrix, "__matmul__", counted)
+                traj = solve_from_zp(a, sig, z, K)
+            assert calls[0] == K - k0 + 1
+            assert traj == want and bits(traj) == bits(want)
+    assert covered == {0, 1, 2, "p = 0", "p > 0"}
 
 
 def test_step_map_is_built_on_the_first_solve_and_kept():
