@@ -10,12 +10,13 @@ rows u_i into d times the RREF rows, d the last pivot (Nakos, Turner &
 Williams 1997): R_i = (d u_i - sum over j > i of u_i[c_j] R_j) / u_i[c_i],
 exact by Cramer's rule.  The RREF is unique, so every basis and solution
 read off it is canonical.  An elimination stopped at pivot d resumes
-with ``prev`` = d, and its logged row operations replay on columns
-carried alongside (:func:`_replay`): :func:`preimages` eliminates A once
-and each [A | X] of :func:`filtration` resumes it, and ``pencil.char_poly``
-resumes its one deflating elimination at each interpolation node.  Float
-mode uses Gauss-Jordan with partial pivoting and a relative rank
-threshold ``tol * (largest entry magnitude)``.
+with ``prev`` = d: ``pencil.char_poly`` stops its deflating elimination
+after the W* columns (``stop``) and resumes it at each node, and only
+:func:`preimages` logs the row operations, to replay them on columns
+that come later (:func:`_replay`), as each [A | X] of :func:`filtration`
+resumes its one elimination of A.  Float mode uses Gauss-Jordan with
+partial pivoting and a relative rank threshold
+``tol * (largest entry magnitude)``.
 """
 
 from __future__ import annotations
@@ -41,19 +42,20 @@ def _threshold(mat: Matrix, tol: float | None) -> float:
 
 
 def _bareiss(rows: list[list[int]], log: list | None = None, r: int = 0,
-             prev: int = 1) -> tuple[list[int], int, int]:
+             prev: int = 1, stop: int | None = None) -> tuple[list[int], int, int]:
     """Fraction-free forward elimination of integer rows, in place.
 
     Rows above ``r`` are pivot rows already, ``prev`` the last pivot.
-    Returns the pivot columns, the last pivot d and the sign of the row
-    permutation; a square matrix has determinant d up to that sign.  Each
-    step goes to ``log``, if given, as (pivot row, pivot, previous pivot,
-    the multipliers of the rows below).
+    With ``stop`` it pivots in the first ``stop`` columns only, but still
+    updates whole rows.  Returns the pivot columns, the last pivot d and
+    the sign of the row permutation; a square matrix has determinant d up
+    to that sign.  Each step goes to ``log``, if given, as (pivot row,
+    pivot, previous pivot, the multipliers of the rows below).
     """
     nrows = len(rows)
     pivots: list[int] = []
     sign = 1
-    for c in range(len(rows[0]) if nrows else 0):
+    for c in range((len(rows[0]) if nrows else 0) if stop is None else stop):
         if r == nrows:
             break
         piv = next((i for i in range(r, nrows) if rows[i][c]), None)

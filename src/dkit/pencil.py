@@ -8,15 +8,15 @@ integer rows of [F | G] (an exact matrix keeps each row cleared of
 denominators).  It deflates the infinite part once, by the limit W* of
 the pencil's Wong sequence, which the pencil walks once and keeps for
 its canonical form: each basis vector w of W* puts -G w, which does not
-depend on s, in place of one column, and those columns are eliminated
-fraction-free once for all nodes.  The elimination that runs on into the
-p columns left gives the leading coefficient, and only the p nodes
-s = 0..p - 1 are evaluated, each resuming it; Newton forward differences
-interpolate, and the coefficients become ``Fraction`` only at the end.
-Float mode solves the Vandermonde system of the n + 1 nodes s = 0..n,
-which is adequately conditioned at desk scale.  In exact mode the finite
-eigenvalues are the rational roots, searched and divided out in integer
-arithmetic once the denominators are cleared.
+depend on s, in place of one column.  One fraction-free elimination of
+those columns, stopped after them, serves all nodes: the p + 1 nodes
+s = 0..p each resume it on the p columns left.  Newton forward
+differences interpolate, and the coefficients become ``Fraction`` only
+at the end.  Float mode solves the Vandermonde system of the n + 1 nodes
+s = 0..n, which is ill-conditioned: from n = 10 on it breaks down even
+for F = I, G = diag(1..n) (ROADMAP item 4 replaces it).  In exact mode
+the finite eigenvalues are the rational roots, searched and divided out
+in integer arithmetic once the denominators are cleared.
 """
 
 from __future__ import annotations
@@ -106,23 +106,25 @@ def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
     As F W* lies in G W*, (sF - G) W = G W (sN - I) with N nilpotent, so
     putting -G w_j in place of column r_j keeps det(sF - G), up to the
     integer scaling of each w_j and the sign of moving those constant
-    columns first.  One fraction-free elimination runs through them; a
-    dependent one means G W* has a kernel, and then det(sF - G) is the
-    zero polynomial.  Otherwise it runs on into the p = n - q columns
-    left, and its last pivot is the leading coefficient a_p, so only the
-    nodes s = 0..p - 1 are evaluated, each by resuming the elimination
-    on the trailing p x p block at the last constant pivot, which gives
-    the determinant of the whole transformed pencil (Sylvester's
-    identity).  Newton forward differences interpolate these integers:
-    the k-th difference at 0 is k! times the coefficient a_k of the
-    falling factorial s(s - 1)...(s - k + 1), and multiplying out
-    a_0 + s(a_1 + (s - 1)(a_2 + ... + (s - p + 1) a_p)) gives the
-    monomial coefficients.  They are divided exactly by the product of
-    the row denominators, the scalings and the signs.
+    columns first.  One fraction-free elimination pivots in them and
+    stops; a dependent one means G W* has a kernel, and then det(sF - G)
+    is the zero polynomial.  Otherwise the pencil is regular of degree
+    p = n - q, and the rows below the q pivots hold the trailing
+    [F_t | G_t] of the p columns left.  Each node s = 0..p resumes the
+    elimination on sF_t - G_t at the last constant pivot, which gives the
+    determinant of the whole transformed pencil (Sylvester's identity);
+    at p = 0 that is the last pivot itself.  Newton forward differences
+    interpolate these p + 1 integers: the k-th difference at 0 is k! times
+    the coefficient a_k of the falling factorial s(s - 1)...(s - k + 1),
+    and multiplying out a_0 + s(a_1 + (s - 1)(a_2 + ... + (s - p + 1) a_p))
+    gives the monomial coefficients.  They are divided exactly by the
+    product of the row denominators, the scalings and the signs.
 
     Float mode solves the Vandermonde system of the n + 1 nodes s = 0..n
     and trims coefficients within ``tol`` (relative, default
-    ``linalg.DEFAULT_RANK_TOL``) of 0; exact mode ignores ``tol``.
+    ``linalg.DEFAULT_RANK_TOL``) of 0; exact mode ignores ``tol``.  The
+    system is ill-conditioned: from n = 10 on, even F = I, G = diag(1..n)
+    raises ChainConstructionFailure (ROADMAP item 4).
     """
     n = pencil.n
     mode = pencil.mode
@@ -137,27 +139,21 @@ def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
         moved = [r for r, _ in put]
         q, p = len(moved), n - len(moved)
         keep = [c for c in range(n) if c not in moved]
-        log: list = []
-        pivots, d, sign = linalg._bareiss(  # [-G W* | the columns of F kept]
-            [[-sum(map(operator.mul, v, row[n:])) for _, v in put] + [row[j] for j in keep]
-             for row in rows], log)
-        if len(pivots) < n:  # -G W* has a dependent column
+        elim = [[-sum(map(operator.mul, v, row[n:])) for _, v in put]  # [-G W* | kept F | kept G]
+                + [row[j] for j in keep] + [row[n + j] for j in keep] for row in rows]
+        pivots, d, sign = linalg._bareiss(elim, stop=q)
+        if len(pivots) < q:  # -G W* has a dependent column
             return CharPoly((), n)
-        tcols = [[row[j] for row in rows] for j in keep + [n + j for j in keep]]
-        linalg._replay(log[:q], tcols)
-        swaps = (-1) ** sum(piv != r for r, (piv, *_) in enumerate(log[:q]))
-        prev = log[q - 1][1] if q else 1
-        trail = list(zip(*(c[q:] for c in tcols)))  # the rows of [F_t | G_t]
-        values = [linalg.integer_det([[s * f - g for f, g in zip(row[:p], row[p:])]
-                                      for row in trail], prev)
-                  for s in range(p)]
-        for k in range(1, p):  # values[k] becomes the k-th difference at 0
+        values = [linalg.integer_det([[s * f - g for f, g in zip(row[q:n], row[n:])]
+                                      for row in elim[q:]], d)  # rows of [F_t | G_t]
+                  for s in range(p + 1)]
+        for k in range(1, p + 1):  # values[k] becomes the k-th difference at 0
             values[k:] = [b - a for a, b in zip(values[k - 1:], values[k:])]
-        coeffs = [sign * swaps * d]
-        for k in range(p - 1, -1, -1):  # coeffs * (s - k) + values[k] / k!
+        coeffs: list[int] = []
+        for k in range(p, -1, -1):  # coeffs * (s - k) + values[k] / k!
             coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
             coeffs[0] += values[k] // math.factorial(k)
-        den = swaps * (-1) ** sum(r - i for i, r in enumerate(moved))  # W* columns first
+        den = sign * (-1) ** sum(r - i for i, r in enumerate(moved))  # W* columns first
         den *= math.prod(v[r] for r, v in put) * math.prod(fg.denominators)
         return CharPoly(tuple(Fraction(c, den) for c in coeffs), n)
     nodes = [complex(i) for i in range(n + 1)]

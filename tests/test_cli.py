@@ -418,6 +418,22 @@ def test_float_char_poly_breakdown_is_typed(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.xfail(strict=True, reason="the float char poly solves the Vandermonde system of "
+                   "nodes 0..n, which breaks down from n = 10 (ROADMAP item 4)")
+def test_float_analyze_of_a_10_x_10_diagonal_system(capsys):
+    # F = I, G = diag(1..10): ten simple eigenvalues 1..10, no infinite part;
+    # n = 9 exits 0, n = 10 exits 7 ("interpolation on nodes 0..10 broke down")
+    n = 10
+    doc = {
+        "n": n, "l": 1, "m": 1, "mode": "float",
+        "F": [[int(i == j) for j in range(n)] for i in range(n)],
+        "G": [[(i + 1) * int(i == j) for j in range(n)] for i in range(n)],
+        "B": [[1]] * n, "C": [[1] * n], "Y0": [0] * n,
+        "k0": 0, "inputs": [[0]] * 2, "K": 2,
+    }
+    assert main(["analyze", json.dumps(doc)]) == EXIT_OK
+
+
 def _count_calls(monkeypatch, *names):
     """Count calls of dkit functions given as "module.function" by patching
     every dkit.* module binding of each, as perfbench/spans.py does."""

@@ -417,25 +417,66 @@ def test_reference_solutions_cover_both_errors():
     assert outcome(reference_inverse, RANK_ONE) == (ValueError, "matrix is singular")
 
 
+INTEGERS = st.one_of(st.integers(-3, 3), st.integers(-10**20, 10**20))
+
+
+@st.composite
+def stopped_eliminations(draw):
+    """Integer rows of shape 0..6 x 0..7, some of them integer combinations
+    of the others, and a column ``stop`` from 0 to the column count."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.booleans()):  # a dependent row
+            fs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(f * row[c] for f, row in zip(fs, rows)) for c in range(ncols)])
+        else:
+            rows.append(draw(st.lists(INTEGERS, min_size=ncols, max_size=ncols)))
+    draw(st.randoms()).shuffle(rows)
+    return rows, draw(st.integers(0, ncols))
+
+
+@settings(max_examples=300)
+@given(stopped_eliminations())
+@example(([[0, 1, 2], [0, 3, 4]], 3))              # a free column first
+@example(([[1, 2, 3], [2, 4, 6], [0, 0, 5]], 2))  # a dependent row, a row swap
+@example(([[2, 5, 1, 7]], 4))                      # rank 1 = nrows at column 0
+@example(([[0, 0], [0, 0]], 2))
+def test_stopped_elimination_matches_a_log_replayed_on_the_columns_past_the_stop(case):
+    """``_bareiss(rows, stop=k)`` against what it replaces: the elimination
+    of the first k columns with a log, replayed on the columns left."""
+    rows, k = case
+    got = [list(row) for row in rows]
+    head, log = [row[:k] for row in rows], []
+    assert linalg._bareiss(got, stop=k) == linalg._bareiss(head, log)
+    cols = [list(col) for col in zip(*rows)][k:]
+    linalg._replay(log, cols)
+    assert got == [h + [col[i] for col in cols] for i, h in enumerate(head)]
+
+
 @pytest.mark.parametrize("n, nilpotent", [pytest.param(n, None, id=str(n))
                                           for n in (1, 2, 5, 9, 14)]
                          + [pytest.param(6, [6], id="6-p0"),
                             pytest.param(12, [4, 4, 1], id="12-qstar4")])
-def test_exact_char_poly_makes_n_plus_1_eliminations_and_no_fraction_solve(n, nilpotent):
+def test_exact_char_poly_makes_p_plus_2_eliminations_and_no_replay(n, nilpotent):
     """Beyond the walk of the Wong sequence (q* steps), one deflating
-    elimination, which runs through the constant columns -G W* and on
-    into the p columns left and gives the leading coefficient, and one
-    per node s = 0..p - 1: 1 + p <= n + 1."""
+    elimination, which stops after the q constant columns -G W*, and one
+    per node s = 0..p, each resuming it on the trailing p x p block (at
+    p = 0 the one node is the empty determinant, the last constant
+    pivot): p + 2 eliminations.  No logged row operations are replayed,
+    and nothing is solved or eliminated over ``Fraction``."""
     pencil, _, nblocks = planted_pencil(random.Random(n), n, nilpotent=nilpotent)
     qstar = max((b.size for b in nblocks), default=0)
     p = n - sum(b.size for b in nblocks)
     with mock.patch.object(linalg, "_bareiss", wraps=linalg._bareiss) as elim, \
+            mock.patch.object(linalg, "_replay", wraps=linalg._replay) as replay, \
             mock.patch.object(linalg, "det", wraps=linalg.det) as det, \
             mock.patch.object(linalg, "solve_unique", wraps=linalg.solve_unique) as solve:
         assert len(pencil.wong_sequence) == qstar
-        walked = elim.call_count
+        walked, replayed = elim.call_count, replay.call_count
         assert char_poly(pencil).p == p
-    assert elim.call_count - walked == 1 + p <= n + 1
+    assert elim.call_count - walked == p + 2
+    assert replay.call_count == replayed
     assert det.call_count == solve.call_count == 0
 
 
