@@ -19,15 +19,15 @@ the consistent initial state, is the same for both signals.  Instant k
 reads V_k .. V_{k+w-1}, w = max(q*, 1), so the perturbed signal is run
 only from the first instant that reads V_j, j - w + 1, starting at the
 base run's Z^p there; nothing is run at j, which is never compared.  One
-pass of trials serves every mode asked for: each trial's runs are read
-as states and as outputs, and a seed gives each mode the verdict a pass
-for that mode alone would.
+pass of trials serves both verdicts: each trial's runs are read as states
+and as outputs.  The oracle returns one counterexample or None per
+verdict, state first; None means no trial found the system non-causal.
 """
 
 from __future__ import annotations
 
 import random
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .matrices import Matrix
 from .scalars import Mode
@@ -92,30 +92,22 @@ class OracleCounterexample(NamedTuple):
     trial: int
     perturbed_index: int
     diverged_at: int
-    mode: str
     base_signal: InputSignal
     perturbed_signal: InputSignal
     base_value: Matrix
     perturbed_value: Matrix
 
 
-class OracleOutcome(NamedTuple):
-    causal: bool
-    counterexample: OracleCounterexample | None
-
-
 def brute_force_causality_oracle(
     a: Analysis,
-    modes: Sequence[str] = ("state", "output"),
-    horizon: int = 10,
     trials: int = 50,
     *,
     seed: int | None = None,
     tol: float | None = None,
-) -> tuple[OracleOutcome, ...]:
+) -> tuple[OracleCounterexample | None, OracleCounterexample | None]:
     """Empirical causality test of the analysed system straight from the
-    definition, one outcome per entry of ``modes`` ("state" or "output"),
-    in that order.
+    definition: a (state, output) pair, each entry the first counterexample
+    the trials found, or None when no trial found one (causal).
 
     Each trial draws a random input signal and a random forward coordinate
     Z^p_{k0}, then perturbs exactly one future sample (index j) by a random
@@ -124,7 +116,9 @@ def brute_force_causality_oracle(
     + Q D_{k0} is the same for both signals and the two trajectories are
     comparable.  Any difference in a state (or output) at a time k < j
     witnesses non-causality: in exact mode any inequality, in float mode
-    a difference over the zero threshold.
+    a difference over the zero threshold.  The signals cover the horizon
+    max(q* + 5, 8), which always leaves room for j: it ranges over
+    k0 + max(q*, 1) .. the horizon (its last instant when q* = 0).
 
     Each instant is computed once, up to K = j - 1, the last one compared.
     The base signal is run from Z^p_{k0} itself (``solve_from_zp``), so no
@@ -134,30 +128,24 @@ def brute_force_causality_oracle(
     signals share, and both runs agree there whatever q* the solver uses.
     The perturbed signal is run from the base run's Z^p_{k1}, and only the
     instants k1 .. j - 1 are compared; when q* <= 1 there are none, and no
-    perturbed run is made.
-
-    One pass serves every mode: each trial's runs are tested for each mode
-    that has no counterexample yet; the pass ends when every mode has one.
-    The draws do not depend on the modes, so a mode's outcome is the one a
-    pass for that mode alone with the same ``seed`` finds.
+    perturbed run is made.  Each trial's runs are read as states and as
+    outputs, for each verdict that has no counterexample yet; the pass ends
+    when both have one.  The draws do not depend on what is read, so each
+    entry is the counterexample a pass reading that verdict alone finds.
     """
-    for mode in modes:
-        if mode not in ("state", "output"):
-            raise ValueError(f"mode must be 'state' or 'output', got {mode!r}")
     rng = random.Random(0 if seed is None else seed)
     sys, w = a.system, a.w
     if sys.l == 0:
-        return tuple(OracleOutcome(True, None) for _ in modes)
+        return None, None
     thr = _threshold(sys.mode, tol)
     k0 = 0
+    horizon = max(w.q_star + 5, 8)
     count = horizon - k0 + w.q_star  # covers indices k0 .. horizon + q* - 1
     width = max(w.q_star, 1)  # instant k reads V_k .. V_{k+width-1}
     j_min = k0 + width
     j_max = min(horizon, k0 + count - 1)  # the perturbed sample must exist: horizon - 1 if q* = 0
-    if j_min > j_max:
-        raise ValueError(f"horizon {horizon} too short; need at least {j_min - k0 + 1}")
 
-    found: list[OracleCounterexample | None] = [None] * len(modes)
+    found: list[OracleCounterexample | None] = [None, None]  # state, output
     for t in range(trials):
         if all(found):
             break
@@ -178,11 +166,10 @@ def brute_force_causality_oracle(
             continue
         traj_pert = solve_from_zp(a, InputSignal(k1, pert.samples[k1 - k0:]),
                                   traj_base.z_p[k1 - k0], j - 1)
-        for i, mode in enumerate(modes):
+        pairs = ((traj_base.states, traj_pert.states), (traj_base.outputs, traj_pert.outputs))
+        for i, (seq_base, seq_pert) in enumerate(pairs):
             if found[i]:
                 continue
-            seq_base = traj_base.states if mode == "state" else traj_base.outputs
-            seq_pert = traj_pert.states if mode == "state" else traj_pert.outputs
             for k in range(k1, j):
                 b, q = seq_base[k - k0], seq_pert[k - k1]
                 if (b != q) if thr is None else not (b - q).is_zero(thr):
@@ -190,11 +177,10 @@ def brute_force_causality_oracle(
                         trial=t,
                         perturbed_index=j,
                         diverged_at=k,
-                        mode=mode,
                         base_signal=base,
                         perturbed_signal=pert,
                         base_value=b,
                         perturbed_value=q,
                     )
                     break
-    return tuple(OracleOutcome(ce is None, ce) for ce in found)
+    return tuple(found)

@@ -48,7 +48,7 @@ from dkit import (
     vstack,
 )
 from dkit import linalg, solve_from_zp
-from dkit.causality import DEFAULT_CAUSALITY_TOL, OracleCounterexample, OracleOutcome
+from dkit.causality import DEFAULT_CAUSALITY_TOL, OracleCounterexample
 from dkit.cli import SystemFile, _matrix_to_lists
 from dkit.scalars import Mode
 
@@ -641,17 +641,18 @@ def reference_filtration(A: Matrix, E: Matrix, target: int, tol: float | None) -
 
 def reference_causality_oracle(
     a: Analysis,
-    mode: str = "state",
-    horizon: int = 10,
+    mode: str,
+    horizon: int,
     trials: int = 50,
     *,
     rng: random.Random | None = None,
     seed: int | None = None,
     tol: float | None = None,
-) -> OracleOutcome:
+) -> OracleCounterexample | None:
     """One mode per pass: solves both signals of a trial to the full
-    horizon and returns at the first counterexample.  The library oracle
-    must give each mode the outcome this gives it.
+    horizon and returns the first counterexample, or None.  At horizon
+    max(q* + 5, 8) the library oracle must give each mode the
+    counterexample this gives it.
 
     Empirical causality test straight from the definition.
 
@@ -670,7 +671,7 @@ def reference_causality_oracle(
         rng = random.Random(0 if seed is None else seed)
     sys, w = a.system, a.w
     if sys.l == 0:
-        return OracleOutcome(True, None)
+        return None
     k0 = 0
     K = horizon
     count = K - k0 + w.q_star  # covers indices k0 .. K + q* - 1
@@ -700,17 +701,13 @@ def reference_causality_oracle(
         for k in range(k0, j):
             diff = seq_base[k - k0] - seq_pert[k - k0]
             if not diff.is_zero(DEFAULT_CAUSALITY_TOL if tol is None else tol):
-                return OracleOutcome(
-                    False,
-                    OracleCounterexample(
-                        trial=t,
-                        perturbed_index=j,
-                        diverged_at=k,
-                        mode=mode,
-                        base_signal=base,
-                        perturbed_signal=pert,
-                        base_value=seq_base[k - k0],
-                        perturbed_value=seq_pert[k - k0],
-                    ),
+                return OracleCounterexample(
+                    trial=t,
+                    perturbed_index=j,
+                    diverged_at=k,
+                    base_signal=base,
+                    perturbed_signal=pert,
+                    base_value=seq_base[k - k0],
+                    perturbed_value=seq_pert[k - k0],
                 )
-    return OracleOutcome(True, None)
+    return None

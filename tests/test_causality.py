@@ -144,25 +144,20 @@ def test_remark_no_infinite_eigenvalues_forces_causality():
 
 def test_oracle_on_fixture_family():
     a = nilpotent3([[1, 0, 0]])
-    out = brute_force_causality_oracle(a, ("state",), horizon=8, trials=25, seed=5)[0]
-    assert not out.causal
-    ce = out.counterexample
+    ce, output_ce = brute_force_causality_oracle(a, 25, seed=5)
     assert ce is not None
     assert ce.diverged_at < ce.perturbed_index
     assert ce.base_value != ce.perturbed_value
-
-    assert brute_force_causality_oracle(a, ("output",), horizon=8, trials=25, seed=5)[0].causal
+    assert output_ce is None
 
     a_b = nilpotent3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    out_b = brute_force_causality_oracle(a_b, ("output",), horizon=8, trials=25, seed=5)[0]
-    assert not out_b.causal
+    assert brute_force_causality_oracle(a_b, 25, seed=5)[1] is not None
 
 
 def test_oracle_trivially_true_for_q_zero():
     rng = random.Random(45)
     a = random_descriptor(rng, 3, 1, 1, q=0)
-    for mode in ("state", "output"):
-        assert brute_force_causality_oracle(a, (mode,), horizon=6, trials=15, seed=1)[0].causal
+    assert brute_force_causality_oracle(a, 15, seed=1) == (None, None)
 
 
 def test_oracle_agrees_with_criteria_on_random_systems():
@@ -172,24 +167,32 @@ def test_oracle_agrees_with_criteria_on_random_systems():
         a = random_descriptor(
             rng, rng.randint(2, 5), rng.randint(1, 2), rng.randint(1, 2),
             min_q=1, plant=plant)
-        horizon = a.w.q_star + 5
         rep = report(a)
         state_expected, output_expected = rep.state_input_causal, rep.output_input_causal
-        got_state = brute_force_causality_oracle(
-            a, ("state",), horizon=horizon, trials=50, seed=100 + i)[0].causal
-        got_output = brute_force_causality_oracle(
-            a, ("output",), horizon=horizon, trials=50, seed=200 + i)[0].causal
+        got_state = brute_force_causality_oracle(a, 50, seed=100 + i)[0] is None
+        got_output = brute_force_causality_oracle(a, 50, seed=200 + i)[1] is None
         assert got_state == state_expected
         assert got_output == output_expected
 
 
-def _assert_same_outcome(got, want):
-    assert got.causal == want.causal
-    assert (got.counterexample is None) == (want.counterexample is None)
-    if got.counterexample is None:
+def _assert_same_counterexample(got, want):
+    assert (got is None) == (want is None)
+    if got is None:
         return
     for name in OracleCounterexample._fields:
-        assert getattr(got.counterexample, name) == getattr(want.counterexample, name), name
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def _assert_matches_reference(a, trials, seed):
+    """The oracle's (state, output) pair is the pair of counterexamples the
+    one-mode reference finds at horizon max(q* + 5, 8); returns it."""
+    got = brute_force_causality_oracle(a, trials, seed=seed)
+    assert len(got) == 2
+    for mode, ce in zip(("state", "output"), got):
+        want = reference_causality_oracle(a, mode, horizon=max(a.w.q_star + 5, 8),
+                                          trials=trials, seed=seed)
+        _assert_same_counterexample(ce, want)
+    return got
 
 
 def _two_channel():
@@ -206,9 +209,9 @@ def _two_channel():
 
 
 def test_one_pass_oracle_matches_the_one_mode_reference_loop():
-    """Each mode's outcome, counterexample included, is the one the
-    reference loop finds for that mode alone with the same seed, whatever
-    the modes asked and their order, in exact mode and in float mode."""
+    """Each verdict's counterexample, or None, is the one the reference
+    loop finds for that mode alone with the same seed, in exact mode and in
+    float mode."""
     rng = random.Random(48)
     cases = []
     for i in range(30):
@@ -216,29 +219,19 @@ def test_one_pass_oracle_matches_the_one_mode_reference_loop():
         sysm = random_descriptor(
             rng, rng.randint(2, 5), rng.randint(1, 2), rng.randint(1, 2),
             min_q=1, plant=plant).system
-        cases.append((sysm, rng.randint(2, 5), rng.randint(5, 25), 300 + i))
-    cases += [(_two_channel(), 4, 20, seed) for seed in range(8)]
+        cases.append((sysm, rng.randint(5, 25), 300 + i))
+    cases += [(_two_channel(), 20, seed) for seed in range(8)]
     counterexamples = {EX: 0, Mode.FLOAT: 0}
-    apart = 0  # cases whose modes find their counterexamples in different trials
-    for sysm, extra, trials, seed in cases:
+    apart = 0  # cases whose verdicts find their counterexamples in different trials
+    for sysm, trials, seed in cases:
         for s in (sysm, sysm.to_float()):
             try:
                 a = analyze(s)
             except DkitError:
                 continue
-            horizon = a.w.q_star + extra
-            want = {mode: reference_causality_oracle(a, mode, horizon=horizon,
-                                                     trials=trials, seed=seed)
-                    for mode in ("state", "output")}
-            found = [o.counterexample for o in want.values() if o.counterexample]
+            found = [ce for ce in _assert_matches_reference(a, trials, seed) if ce]
             counterexamples[s.mode] += len(found)
             apart += len({ce.trial for ce in found}) > 1
-            for modes in (("state", "output"), ("output", "state"), ("state",), ("output",)):
-                got = brute_force_causality_oracle(a, modes, horizon=horizon,
-                                                   trials=trials, seed=seed)
-                assert len(got) == len(modes)
-                for mode, outcome in zip(modes, got):
-                    _assert_same_outcome(outcome, want[mode])
     assert min(counterexamples.values()) >= 10 and apart >= 2
 
 
@@ -246,8 +239,8 @@ def test_one_pass_oracle_matches_the_one_mode_reference_loop():
                          ids=["none", "1", "1-1-1", "2", "2-1", "3-2"])
 def test_oracle_matches_the_full_horizon_reference_at_every_q_star(nilpotent, monkeypatch):
     """With q* = 0, q* = 1 and q* >= 2, on all three plant kinds, in exact
-    and float mode, each mode's outcome, counterexample included, is the
-    one the reference finds solving both signals over the whole horizon.
+    and float mode, each verdict's counterexample, or None, is the one the
+    reference finds solving both signals over the whole horizon.
     With q* <= 1 no instant reads the perturbed sample before it, so each
     trial makes its base run and no perturbed run."""
     runs = []
@@ -272,20 +265,33 @@ def test_oracle_matches_the_full_horizon_reference_at_every_q_star(nilpotent, mo
                 except DkitError:
                     continue
                 assert a.w.q_star == q_star
-                horizon, trials, seed = q_star + rng.randint(2, 5), 12, rng.randrange(100)
+                trials, seed = 12, rng.randrange(100)
                 runs.clear()
-                got = brute_force_causality_oracle(a, ("state", "output"), horizon=horizon,
-                                                   trials=trials, seed=seed)
-                for mode, outcome in zip(("state", "output"), got):
-                    want = reference_causality_oracle(a, mode, horizon=horizon,
-                                                      trials=trials, seed=seed)
-                    _assert_same_outcome(outcome, want)
-                    checked[s.mode, outcome.causal] += 1
+                got = _assert_matches_reference(a, trials, seed)
                 if q_star <= 1:
                     assert runs == [0] * trials
+                for ce in got:
+                    checked[s.mode, ce is None] += 1
     assert checked[EX, True] and checked[Mode.FLOAT, True]
     if q_star >= 2:
         assert checked[EX, False] and checked[Mode.FLOAT, False]
+
+
+def test_oracle_reads_its_horizon_off_q_star():
+    """At q* = 11 the perturbed sample must lie at 11 or later, past the
+    old fixed horizon of 10: the horizon max(q* + 5, 8) = 16 leaves room,
+    and each verdict's counterexample, or None, is the reference's there.
+    Exact mode only: float mode's char poly breaks down from n = 12."""
+    rng = random.Random(50)
+    verdicts = Counter()
+    for plant in ("generic", "state_causal", "output_causal_only"):
+        a = random_descriptor(rng, 12, 1, 1, plant=plant, nilpotent=[11])
+        assert a.w.q_star == 11
+        for ce in _assert_matches_reference(a, 4, rng.randrange(100)):
+            verdicts[ce is None] += 1
+            if ce is not None:
+                assert 11 <= ce.perturbed_index <= 16
+    assert verdicts[True] and verdicts[False]
 
 
 def test_the_oracle_does_no_consistency_work(monkeypatch):
@@ -307,8 +313,7 @@ def test_the_oracle_does_no_consistency_work(monkeypatch):
             for attr, obj in list(vars(mod).items()):
                 if watched.get(id(obj)) is obj:
                     monkeypatch.setattr(mod, attr, counting(obj))
-    outcomes = brute_force_causality_oracle(a, horizon=8, trials=5, seed=3)
-    assert [o.causal for o in outcomes] == [True, True]  # so all 5 trials ran
+    assert brute_force_causality_oracle(a, 5, seed=3) == (None, None)  # so all 5 trials ran
     assert calls == Counter()
 
 
@@ -342,11 +347,3 @@ def test_float_zero_threshold_semantics():
     assert loose.state_input_causal and loose.output_input_causal
     assert loose.tolerance == 10.0
     assert nullspace_verdict(a_f.system, loose)
-
-
-def test_oracle_rejects_bad_mode_and_short_horizon():
-    a = nilpotent3([[1, 0, 0]])
-    with pytest.raises(ValueError):
-        brute_force_causality_oracle(a, ("sideways",))
-    with pytest.raises(ValueError):
-        brute_force_causality_oracle(a, ("state",), horizon=1)

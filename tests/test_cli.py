@@ -14,7 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dkit
-from dkit import DescriptorSystem, DkitError, Matrix, ParseError, Trajectory, analyze
+from dkit import (
+    DescriptorSystem,
+    DkitError,
+    Matrix,
+    ParseError,
+    Trajectory,
+    analyze,
+    brute_force_causality_oracle,
+)
 from dkit import causality as causality_mod
 from dkit import cli, linalg
 from dkit.cli import (
@@ -281,18 +289,40 @@ def test_causality_seed_is_reproducible(capsys, monkeypatch):
 
 
 def test_causality_disagreement_exits_6(capsys, monkeypatch):
-    import dkit.cli as cli_mod
-    from dkit.causality import OracleOutcome
+    # DIAG has no infinite eigenvalues, so no trial finds a counterexample
+    # to the non-causal verdicts claimed here, and none is printed
+    real_report = causality_mod.build_report
 
-    def lying_oracle(a, modes, **kwargs):
-        return tuple(OracleOutcome(causal=False, counterexample=None) for _ in modes)
+    def none_causal(*args, **kwargs):
+        return real_report(*args, **kwargs)._replace(state_input_causal=False,
+                                                     output_input_causal=False)
 
-    monkeypatch.setattr(cli_mod.causality_mod, "brute_force_causality_oracle",
-                        lying_oracle)
+    monkeypatch.setattr(causality_mod, "build_report", none_causal)
     assert main(["causality", DIAG, "--oracle-trials", "5"]) == EXIT_ORACLE_DISAGREES
     captured = capsys.readouterr()
     assert "DISAGREES" in captured.out
-    assert "oracle found the opposite" in captured.err
+    assert captured.err == "".join(
+        f"criteria said non-causal for {mode} but the oracle found the opposite\n"
+        for mode in ("state", "output"))
+
+
+def _fmt_values(mat: Matrix) -> str:
+    return "[" + "; ".join("[" + ", ".join(format_scalar(x) for x in mat.row_list(i)) + "]"
+                           for i in range(mat.rows)) + "]"
+
+
+def _disagreement_block(mode: str, ce) -> str:
+    """What the CLI prints for an exact-mode verdict claimed causal that the
+    oracle refutes with ``ce``."""
+    u = [[format_scalar(x) for x in v.column_list()] for v in ce.base_signal.samples]
+    u_pert = [[format_scalar(x) for x in v.column_list()] for v in ce.perturbed_signal.samples]
+    return (f"criteria said causal for {mode} but the oracle found the opposite\n"
+            f"distinguishing pair (perturbed index {ce.perturbed_index}, "
+            f"diverged at k = {ce.diverged_at}):\n"
+            f"  U  = {u}\n"
+            f"  U' = {u_pert}\n"
+            f"  value under U  at k: {_fmt_values(ce.base_value)}\n"
+            f"  value under U' at k: {_fmt_values(ce.perturbed_value)}\n")
 
 
 def test_both_disagreements_print_their_counterexamples_state_first(capsys, monkeypatch):
@@ -312,20 +342,50 @@ def test_both_disagreements_print_their_counterexamples_state_first(capsys, monk
     a = analyze(parse_system_file(NIL_CEYE).system())
     blocks = []
     for mode in ("state", "output"):
-        ce = reference_causality_oracle(a, mode, horizon=8, trials=5, seed=0).counterexample
-        u = [[format_scalar(x) for x in v.column_list()] for v in ce.base_signal.samples]
-        u_pert = [[format_scalar(x) for x in v.column_list()]
-                  for v in ce.perturbed_signal.samples]
+        ce = reference_causality_oracle(a, mode, horizon=8, trials=5, seed=0)
         # C = I, so a diverging state is a diverging output
-        blocks.append(
-            f"criteria said causal for {mode} but the oracle found the opposite\n"
-            f"distinguishing pair (perturbed index {ce.perturbed_index}, "
-            f"diverged at k = {ce.diverged_at}):\n"
-            f"  U  = {u}\n"
-            f"  U' = {u_pert}\n"
-            "  value under U  at k: [[0]; [0]; [0]]\n"
-            "  value under U' at k: [[0]; [1]; [0]]\n")
+        assert _fmt_values(ce.base_value) == "[[0]; [0]; [0]]"
+        assert _fmt_values(ce.perturbed_value) == "[[0]; [1]; [0]]"
+        blocks.append(_disagreement_block(mode, ce))
     assert err == "".join(blocks)
+
+
+@pytest.mark.parametrize("seed, plant", [(0, "generic"), (3, "generic"),
+                                         (7, "output_causal_only")])
+def test_the_cli_prints_the_library_oracles_counterexamples(seed, plant, capsys, monkeypatch):
+    """``DKIT_SEED=s dkit causality --oracle-trials N`` prints, for each
+    verdict a patched ``build_report`` flips, the counterexample (or none)
+    that ``brute_force_causality_oracle(a, N, seed=s)`` returns for it."""
+    rng = random.Random(seed)
+    a = random_descriptor(rng, 5, 2, 1, q=3, plant=plant)
+    sysm = a.system
+    signal = random_signal(rng, 2, 0, 8)
+    sf = SystemFile(n=5, l=2, m=1, mode=Mode.EXACT, F=sysm.F, G=sysm.G, B=sysm.B,
+                    C=sysm.C, Y0=consistent_y0(rng, a, signal), k0=0,
+                    inputs=signal.samples, K=4)
+    doc = json.dumps(system_file_to_dict(sf))
+    real_report = causality_mod.build_report
+    truth = real_report(a.system, a.w, a.tin)
+
+    def flipped(*args, **kwargs):
+        rep = real_report(*args, **kwargs)
+        return rep._replace(state_input_causal=not rep.state_input_causal,
+                            output_input_causal=not rep.output_input_causal)
+
+    monkeypatch.setattr(causality_mod, "build_report", flipped)
+    monkeypatch.setenv("DKIT_SEED", str(seed))
+    assert main(["causality", doc, "--oracle-trials", "20"]) == EXIT_ORACLE_DISAGREES
+    err = capsys.readouterr().err
+
+    found = brute_force_causality_oracle(analyze(sf.system()), 20, seed=seed)
+    want = []
+    for mode, causal, ce in zip(("state", "output"),
+                                (truth.state_input_causal, truth.output_input_causal), found):
+        assert (ce is None) == causal
+        want.append(_disagreement_block(mode, ce) if ce else
+                    f"criteria said non-causal for {mode} but the oracle found the opposite\n")
+    assert any(found)
+    assert err == "".join(want)
 
 
 def test_oracle_reruns_the_perturbed_signal_only_where_its_window_reads_it(capsys, monkeypatch):
@@ -340,10 +400,10 @@ def test_oracle_reruns_the_perturbed_signal_only_where_its_window_reads_it(capsy
                     C=sysm.C, Y0=consistent_y0(rng, a, signal), k0=0,
                     inputs=signal.samples, K=6)
     real_oracle, real_run = causality_mod.brute_force_causality_oracle, causality_mod.solve_from_zp
-    oracle_modes, runs = [], []
+    oracle_calls, runs = [], []
 
     def counted_oracle(*args, **kwargs):
-        oracle_modes.append(args[1])
+        oracle_calls.append((args[1:], kwargs))
         return real_oracle(*args, **kwargs)
 
     def recorded_run(a_, signal_, z_p0, K):
@@ -352,10 +412,11 @@ def test_oracle_reruns_the_perturbed_signal_only_where_its_window_reads_it(capsy
 
     monkeypatch.setattr(causality_mod, "brute_force_causality_oracle", counted_oracle)
     monkeypatch.setattr(causality_mod, "solve_from_zp", recorded_run)
+    monkeypatch.delenv("DKIT_SEED", raising=False)
     doc = json.dumps(system_file_to_dict(sf))
     assert main(["causality", doc, "--oracle-trials", "3"]) == EXIT_OK
     assert "state-input causality: CAUSAL" in capsys.readouterr().out
-    assert oracle_modes == [("state", "output")]
+    assert oracle_calls == [((3,), {"seed": 0, "tol": None})]  # one pass for both verdicts
     width = max(a.w.q_star, 1)
     assert width >= 2
     assert len(runs) == 6

@@ -369,7 +369,7 @@ def test_singular_pencils_are_caught_by_a_dependent_column_of_G_on_W_star(eps, e
 
 
 def _over_time(signum, frame):
-    raise TimeoutError("char_poly took more than 2 s")
+    raise TimeoutError("stopped by the 2 s alarm")
 
 
 def test_char_poly_bit_growth_stays_bounded_at_n30():
@@ -387,3 +387,21 @@ def test_char_poly_bit_growth_stays_bounded_at_n30():
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert cp.p == 12
+
+
+@pytest.mark.xfail(strict=True, raises=TimeoutError,
+                   reason="_rational_roots searches the divisors of the constant term by "
+                          "trial division, about 10^12 steps for s^2 - p1 p2")
+def test_finite_eigenvalues_of_a_two_prime_quadratic_ends_within_2s():
+    """s^2 - p1 p2 with p1 = 10^12 + 39 and p2 = 10^12 + 61 has no rational
+    root; exact mode must say so with UnresolvableSpectrum, not hang."""
+    p1, p2 = 10**12 + 39, 10**12 + 61
+    cp = CharPoly((Fraction(-p1 * p2), Fraction(0), Fraction(1)), n=2)
+    previous = signal.signal(signal.SIGALRM, _over_time)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        with pytest.raises(UnresolvableSpectrum):
+            finite_eigenvalues(cp)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -35,7 +35,7 @@ from dkit import (
     check_consistency,
     solve,
 )
-from dkit.causality import OracleCounterexample, OracleOutcome
+from dkit.causality import OracleCounterexample
 from dkit.cli import SystemFile, parse_system_file
 from dkit.record import Record
 
@@ -53,7 +53,7 @@ def _builds():
     cons = check_consistency(a, signal, sf.Y0)
     rep = build_report(a.system, w, tin)
     other = InputSignal(signal.k0, signal.samples)
-    ce = (0, 1, 0, "state", signal, other, traj.states[0], traj.states[1])
+    ce = (0, 1, 0, signal, other, traj.states[0], traj.states[1])
     return {
         "Pencil": (lambda: Pencil(sf.F, sf.G), "F"),
         "DescriptorSystem": (lambda: DescriptorSystem(sf.F, sf.G, sf.B, sf.C), "B"),
@@ -71,15 +71,14 @@ def _builds():
                                           traj.z_p, traj.z_q), "states"),
         "CausalityReport": (lambda: CausalityReport(*rep), "state_input_causal"),
         "OracleCounterexample": (lambda: OracleCounterexample(*ce), "diverged_at"),
-        "OracleOutcome": (lambda: OracleOutcome(False, OracleCounterexample(*ce)), "causal"),
         "SystemFile": (lambda: SystemFile(*sf), "mode"),
     }
 
 
 RECORDS = ("Analysis", "CausalityReport", "CharPoly", "ConsistencyResult", "DescriptorSystem",
            "InputSignal", "JordanBlockSpec", "NilpotentBlockSpec", "OracleCounterexample",
-           "OracleOutcome", "Pencil", "SystemFile", "Trajectory", "TransformedInput",
-           "VerificationReport", "WeierstrassDecomposition")
+           "Pencil", "SystemFile", "Trajectory", "TransformedInput", "VerificationReport",
+           "WeierstrassDecomposition")
 
 
 @pytest.mark.parametrize("name", RECORDS)
