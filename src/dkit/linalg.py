@@ -14,7 +14,10 @@ with ``prev`` = d: ``pencil.char_poly`` stops its deflating elimination
 after the W* columns (``stop``) and resumes it at each node, and only
 :func:`preimages` logs the row operations, to replay them on columns
 that come later (:func:`_replay`), as each [A | X] of :func:`filtration`
-resumes its one elimination of A.  Float mode uses Gauss-Jordan with
+resumes its one elimination of A and back-substitutes only the appended
+columns left free.  That step's kernel vectors (v, y) are reduced as
+rows once more, which makes the v-parts canonical and carries the
+y-parts along as the step's y-map.  Float mode uses Gauss-Jordan with
 partial pivoting and a relative rank threshold
 ``tol * (largest entry magnitude)``.
 """
@@ -80,10 +83,12 @@ def _bareiss(rows: list[list[int]], log: list | None = None, r: int = 0,
     return pivots, prev, sign
 
 
-def _back_substitute(rows: list[list[int]], pivots: list[int], d: int) -> None:
+def _back_substitute(rows: list[list[int]], pivots: list[int], d: int, start: int = 0) -> None:
     """Echelon rows of :func:`_bareiss` with last pivot d to d times the
-    RREF rows, in place; rows below the rank are zero already."""
-    free = [k for k in range(len(rows[0]) if rows else 0) if k not in pivots]
+    RREF rows, in place, in the pivot columns and in the non-pivot columns
+    from ``start`` on (a column left out keeps its echelon entries); rows
+    below the rank are zero already."""
+    free = [k for k in range(start, len(rows[0]) if rows else 0) if k not in pivots]
     for i in reversed(range(len(pivots))):
         u, ci = rows[i], pivots[i]
         terms = [(u[cj], rows[j]) for j, cj in enumerate(pivots[i + 1:], i + 1) if u[cj]]
@@ -191,61 +196,90 @@ def rank(mat: Matrix, tol: float | None = None) -> int:
 def kernel_basis(mat: Matrix, tol: float | None = None) -> Matrix:
     """Canonical null-space basis, one column per free variable f of the
     RREF: 1 in row f, minus column f of the RREF in the pivot rows."""
-    return _null_space(*_reduced(mat, tol), mat.cols, mat.cols, mat.mode)
+    rows, pivots, d = _reduced(mat, tol)
+    return _as_columns(_kernel_vectors(rows, pivots, d, mat.cols), d, mat.cols, mat.mode)
 
 
-def _null_space(rows, pivots: list[int], d, ncols: int, nv: int, mode: Mode) -> Matrix:
-    """Rows 0..nv-1 of :func:`kernel_basis` of a matrix with ``ncols``
-    columns and d times the RREF rows ``rows``."""
+def _kernel_vectors(rows, pivots: list[int], d, ncols: int, start: int = 0) -> list[list]:
+    """d times the :func:`kernel_basis` vector of each free column f >=
+    ``start`` of a matrix with ``ncols`` columns whose RREF rows times d
+    are ``rows`` (only in those columns f): d at f, minus column f of the
+    rows at the pivots."""
     at = dict(zip(pivots, rows))
-    free = [c for c in range(ncols) if c not in at]
-    out = [[-at[c][f] for f in free] if c in at else [d if c == f else 0 for f in free]
-           for c in range(nv)]
-    return Matrix.divided(out, d, len(free), mode)
+    return [[-at[c][f] if c in at else d * (c == f) for c in range(ncols)]
+            for f in range(start, ncols) if f not in at]
+
+
+def _as_columns(vectors: list[list], d, nrows: int, mode: Mode) -> Matrix:
+    """The matrix whose columns are the first ``nrows`` entries of each of
+    ``vectors``, over d."""
+    return Matrix.divided([[v[i] for v in vectors] for i in range(nrows)], d, len(vectors), mode)
 
 
 def preimages(a: Matrix, tol: float | None = None):
-    """The kernel basis of A, and the function from X to the canonical
-    basis of {v : A v in span X}, the column space of the v-parts of
-    ker [A | X].
+    """The kernel basis of A, and the step function from X to the
+    canonical basis N of {v : A v in span X}, the column space of the
+    v-parts of ker [A | X], with its y-map: Y with A N = -X Y.
 
-    Exact mode eliminates A once.  X's columns, each over its own
-    denominator, are appended times d_i in row i, d_i the denominator of
-    row i of A: that scales the rows of [A | X'], X' a column scaling of X,
-    which has the same span.  A's logged row operations are replayed on
-    the appended columns and elimination resumes past A's.  When that
-    finds [A | X] of full row rank, the function returns None before it
+    Exact mode eliminates A once and back-substitutes it once, which
+    gives ker A.  X's columns, each over its own denominator c_j, are
+    appended times d_i in row i, d_i the denominator of row i of A: that
+    scales the rows of [A | X C], C = diag(c_j), which has the same
+    kernel v-parts.  A's logged row operations are replayed on the
+    appended columns and elimination resumes past A's.  When that finds
+    [A | X] of full row rank, the function returns None before it
     back-substitutes: for a square A the preimage then has dimension at
-    most rank X.  Float mode reduces [A | X] afresh, as its pivot
-    threshold scales with [A | X].
+    most rank X.  Otherwise only the appended columns that stay free are
+    back-substituted: A's free columns give the vectors of ker A, with a
+    zero y-part, whatever X is.  One more elimination, of the kernel
+    vectors (v, y) as the rows of [V^T | Y^T], makes the v-parts
+    canonical, N^T the RREF of V^T, and carries the y-parts along: when
+    the v-parts are independent, as for a regular pencil's walks, every
+    pivot lies in V^T and C times the rest of the rows, transposed, is
+    the unique Y.  Dependent v-parts leave the map None.  Float mode
+    reduces [A | X] afresh, as its pivot threshold scales with [A | X],
+    and keeps no map.
     """
     if a.mode is not Mode.EXACT:
-        return kernel_basis(a, tol), lambda x: column_space_basis(
-            kernel_basis(hstack([a, x]), tol).take_rows(range(a.cols)), tol)
+        def float_step(x: Matrix) -> tuple[Matrix, None]:
+            k = kernel_basis(hstack([a, x]), tol).take_rows(range(a.cols))
+            return column_space_basis(k, tol), None
+        return kernel_basis(a, tol), float_step
+    n = a.cols
     top, log = a.integer_rows(), []
     pivots, d, _ = _bareiss(top, log)
+    reduced = [list(row) for row in top[: len(pivots)]]
+    _back_substitute(reduced, pivots, d)
+    kernel = _kernel_vectors(reduced, pivots, d, n)
 
-    def v_parts(cols: list[list[int]]) -> Matrix | None:
+    def preimage(x: Matrix) -> tuple[Matrix, Matrix | None] | None:
+        xt = x.T
+        cols = [[di * v for di, v in zip(a.denominators, nums)] for nums in xt.integer_rows()]
         _replay(log, cols)
         ext = [list(row) for row in zip(*cols)] if cols else [[] for _ in top]
         more, dx, _ = _bareiss(ext, r=len(pivots), prev=d)
-        piv = pivots + [a.cols + c for c in more]
-        if cols and len(piv) == a.rows:
+        piv = pivots + [n + c for c in more]
+        if len(piv) == a.rows:
             return None
         rows = [top[i] + ext[i] for i in range(len(piv))]  # top is 0 below A's rank
-        _back_substitute(rows, piv, dx)
-        return _null_space(rows, piv, dx, a.cols + len(cols), a.cols, a.mode)
+        _back_substitute(rows, piv, dx, n)
+        m = x.cols
+        vy = [v + [0] * m for v in kernel] + _kernel_vectors(rows, piv, dx, n + m, n)
+        canon, dc, _ = _bareiss(vy)
+        _back_substitute(vy, canon, dc)
+        dim = sum(c < n for c in canon)  # rows past it have pivots in Y^T
+        basis = _as_columns(vy[:dim], dc, n, a.mode)
+        if dim < len(canon):
+            return basis, None
+        dens = xt.denominators
+        ymap = [[c * y for c, y in zip(dens, row[n:])] for row in vy]
+        return basis, _as_columns(ymap, dc, m, a.mode)
 
-    def preimage(x: Matrix) -> Matrix | None:
-        v = v_parts([[di * v for di, v in zip(a.denominators, nums)]
-                     for nums in x.T.integer_rows()])
-        return None if v is None else column_space_basis(v)
-
-    return v_parts([]), preimage
+    return _as_columns(kernel, d, n, a.mode), preimage
 
 
 def filtration(a: Matrix, e: Matrix, target: int | None = None,
-               tol: float | None = None) -> list[Matrix]:
+               tol: float | None = None, maps: list | None = None) -> list[Matrix]:
     """Bases of the growing subspaces N_1 < N_2 < ...: N_1 = ker A, and N_k
     the canonical basis of the preimage of E(N_{k-1}) under A
     (:func:`preimages`, which eliminates A once for all steps).
@@ -256,7 +290,9 @@ def filtration(a: Matrix, e: Matrix, target: int | None = None,
     grow, which for A = F, E = G walks the Wong sequence of the pencil
     sF - G up to its limit W*; in exact mode a step whose [A | -E N_{k-1}]
     has full row rank ends after its forward elimination, as N_k contains
-    N_{k-1} and so equals it.
+    N_{k-1} and so equals it.  Each step's y-map goes to ``maps``, if
+    given: Y_k with A N_k = E N_{k-1} Y_k, or None where the step keeps
+    none (float mode, dependent v-parts).
     """
     basis, preimage = preimages(a, tol)
     bases = [basis] if basis.cols else []
@@ -267,17 +303,19 @@ def filtration(a: Matrix, e: Matrix, target: int | None = None,
     limit = a.cols if target is None else target
     while bases and bases[-1].cols < limit:
         prev = bases[-1]
-        nxt = preimage(-(e @ prev))
-        grew = nxt is not None and nxt.cols > prev.cols
+        step = preimage(-(e @ prev))
+        grew = step is not None and step[0].cols > prev.cols
         if target is None and not grew:
             break
-        if not grew or nxt.cols > limit:
+        if not grew or step[0].cols > limit:
             raise ChainConstructionFailure(
                 f"chain subspaces stalled at dimension {prev.cols} "
                 f"(target {target}); the rank structure contradicts the "
                 f"computed multiplicities"
             )
-        bases.append(nxt)
+        bases.append(step[0])
+        if maps is not None:
+            maps.append(step[1])
     return bases
 
 
@@ -375,8 +413,7 @@ def least_squares(a: Matrix, b: Matrix, tol: float | None = None) -> Matrix:
 def column_space_basis(mat: Matrix, tol: float | None = None) -> Matrix:
     """Canonical basis of the column space (RREF rows of the transpose)."""
     rows, pivots, d = _reduced(mat.T, tol)
-    out = [[rows[j][i] for j in range(len(pivots))] for i in range(mat.rows)]
-    return Matrix.divided(out, d, len(pivots), mat.mode)
+    return _as_columns(rows[: len(pivots)], d, mat.rows, mat.mode)
 
 
 def is_nonsingular(mat: Matrix, tol: float | None = None) -> bool:

@@ -65,13 +65,25 @@ class Pencil(Record):
         return self.F.scale(s) - self.G
 
     @cached_property
+    def _wong_walk(self) -> tuple[tuple[Matrix, ...], tuple[Matrix | None, ...]]:
+        maps: list = []
+        return tuple(linalg.filtration(self.F, self.G, maps=maps)), tuple(maps)
+
+    @property
     def wong_sequence(self) -> tuple[Matrix, ...]:
         """Exact mode: canonical bases of the Wong sequence W_1 = ker F <
         W_2 < ... < W*, W_{i+1} = F^{-1}(G W_i) (Wong 1974), walked once
         per pencil (``linalg.filtration`` without a target).  Its last
         basis spans W*, the infinite part of a regular pencil; it is empty
         when F is nonsingular."""
-        return tuple(linalg.filtration(self.F, self.G))
+        return self._wong_walk[0]
+
+    @property
+    def wong_maps(self) -> tuple[Matrix | None, ...]:
+        """Exact mode: the y-maps of the same walk, one per step i >= 1:
+        Y_{i+1} with F W_{i+1} = G W_i Y_{i+1}, or None where the step's
+        v-parts are dependent, which only a singular pencil's walk has."""
+        return self._wong_walk[1]
 
 
 class CharPoly(NamedTuple):

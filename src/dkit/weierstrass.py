@@ -20,16 +20,20 @@ Both are instances of one scheme, "A v_k = E v_{k-1}".  The nested
 subspaces N_1 = ker A, N_k = {v : A v in E(N_{k-1})} grow exactly like the
 kernel filtration of a nilpotent operator, so the usual Jordan machinery
 applies: block sizes come from the dimension increments, top vectors of
-long chains are picked first, and each chain is generated downward by the
-unique solution of E x = A v_k inside N_{k-1}.  N_k is read off the
-kernel of [A | -E N_{k-1}] (``linalg.filtration``); in exact mode A is
-eliminated once and each step resumes that elimination on the appended
-columns rather than starting again from column 0.  For the infinite
+long chains are picked first, and each chain runs downward through the
+unique x in N_{k-1} with E x = A v_k.  N_k is read off the kernel of
+[A | -E N_{k-1}] (``linalg.filtration``), whose vectors (v, y) pair each v
+in N_k with the y that gives A v = E N_{k-1} y.  In exact mode A is
+eliminated once, each step resumes that elimination on the appended
+columns rather than starting again from column 0, and the walk keeps the
+y-map Y_k of each basis, A N_k = E N_{k-1} Y_k: a chain step is then
+the product of Y_k with the coordinates of v_k, solved for nothing.
+Float mode solves E N_{k-1} y = A v_k at each step.  For the infinite
 structure the N_k are the Wong sequence of the pencil, and in exact mode
-they are the pencil's own walk, ``Pencil.wong_sequence``, the one its
-char poly deflates by.  Columns of Q are the chain vectors; P is then
-forced, because the first p columns of P^{-1} must be F Q_p and the last
-q columns must be G Q_q.
+they are the pencil's own walk, ``Pencil.wong_sequence`` with
+``Pencil.wong_maps``, the one its char poly deflates by.  Columns of Q
+are the chain vectors; P is then forced, because the first p columns of
+P^{-1} must be F Q_p and the last q columns must be G Q_q.
 
 All choices are canonical: kernels come from the (unique) reduced row
 echelon form, eigenvalues are sorted, and block sizes are descending, so
@@ -165,40 +169,47 @@ def _block_sizes(dims: list[int]) -> list[int]:
     return sizes
 
 
-def _pick_independent(candidates: Matrix, context: list[Matrix], tol: float | None) -> Matrix:
-    """First candidate column outside the span of the context columns: the
-    first pivot column of [context | candidates] past the context."""
+def _pick_independent(candidates: Matrix, context: list[Matrix], tol: float | None) -> int:
+    """Index of the first candidate column outside the span of the context
+    columns: the first pivot column of [context | candidates] past the
+    context."""
     width = sum(c.cols for c in context)
     pivots = linalg.pivot_columns(hstack(context + [candidates]), tol)
     j = next((c for c in pivots if c >= width), None)
     if j is None:
         raise ChainConstructionFailure("no chain top vector available at this level")
-    return candidates.col(j - width)
+    return j - width
 
 
-def _chains(A: Matrix, E: Matrix, bases, tol: float | None) -> list[list[Matrix]]:
+def _chains(A: Matrix, E: Matrix, bases, maps, tol: float | None) -> list[list[Matrix]]:
     """The chains v_1..v_r of A v_k = E v_{k-1} on the filtration
     ``bases``, one per block, longest first: the block sizes, read off the
     dimensions, are the chain lengths.
 
-    The top vector of an r-chain is chosen in N_r, independent of N_{r-1}
-    and of every previously picked chain vector; the rest of the chain
-    follows from E v_{k-1} = A v_k, solved inside N_{k-1} where the
-    solution is unique.
+    The top vector of an r-chain is chosen in N_r, column j of its basis,
+    independent of N_{r-1} and of every previously picked chain vector.
+    The rest of the chain is read off the walk's y-maps ``maps`` (exact
+    mode), maps[k - 2] = Y_k with A N_k = E N_{k-1} Y_k: with v_k = N_k c_k
+    and c_r = e_j, v_{k-1} = N_{k-1} c_{k-1}, c_{k-1} = Y_k c_k.  E is
+    injective on N_{k-1}, so that is the unique solution of
+    E x = A v_k inside N_{k-1}, which float mode (``maps`` None) solves
+    for at each step.
     """
     picked: list[Matrix] = []
     chains: list[list[Matrix]] = []
     for r in _block_sizes([b.cols for b in bases]):
         context = [bases[r - 2]] + picked if r >= 2 else picked
-        top = _pick_independent(bases[r - 1], context, tol)
-        chain = [top]
+        j = _pick_independent(bases[r - 1], context, tol)
+        chain = [bases[r - 1].col(j)]
         for k in range(r, 1, -1):
             b = bases[k - 2]
-            rhs = A @ chain[-1]
-            try:
-                y = linalg.solve_unique(E @ b, rhs, tol)
-            except ValueError as exc:
-                raise ChainConstructionFailure(f"chain step solve failed: {exc}") from None
+            if maps is not None:
+                y = maps[k - 2].col(j) if k == r else maps[k - 2] @ y
+            else:
+                try:
+                    y = linalg.solve_unique(E @ b, A @ chain[-1], tol)
+                except ValueError as exc:
+                    raise ChainConstructionFailure(f"chain step solve failed: {exc}") from None
             chain.append(b @ y)
         chain.reverse()
         chains.append(chain)
@@ -241,20 +252,26 @@ def _decompose(
     F, G = pencil.F, pencil.G
     n = pencil.n
 
+    exact = mode is Mode.EXACT
     jordan_blocks: list[JordanBlockSpec] = []
     qp_cols: list[Matrix] = []
     if p > 0:
         for a, mult in finite_eigenvalues(cp, cluster_radius):
             A = G - F.scale(a)
-            for chain in _chains(A, F, linalg.filtration(A, F, mult, tol), tol):
+            maps = [] if exact else None
+            bases = linalg.filtration(A, F, mult, tol, maps)
+            for chain in _chains(A, F, bases, maps, tol):
                 jordan_blocks.append(JordanBlockSpec(a, len(chain)))
                 qp_cols.extend(chain)
 
     nilpotent_blocks: list[NilpotentBlockSpec] = []
     qq_cols: list[Matrix] = []
     if q > 0:
-        walk = pencil.wong_sequence if mode is Mode.EXACT else linalg.filtration(F, G, q, tol)
-        for chain in _chains(F, G, walk, tol):
+        if exact:
+            walk, maps = pencil.wong_sequence, pencil.wong_maps
+        else:
+            walk, maps = linalg.filtration(F, G, q, tol), None
+        for chain in _chains(F, G, walk, maps, tol):
             nilpotent_blocks.append(NilpotentBlockSpec(len(chain)))
             qq_cols.extend(chain)
 

@@ -10,16 +10,17 @@ of J_p where the library steps one constant map per instant.  The char
 poly reference solves a Vandermonde system for ``Fraction`` determinants
 where the library takes Newton differences of integer ones, and the
 chain-top reference makes one rank elimination per candidate where the
-library makes one for all of them, and the filtration reference
-eliminates each stacked [A | -E N] afresh where the library eliminates A
-once and resumes it.  The
-causality oracle reference runs one mode per pass and solves both
-signals of each trial over the full horizon, where the library serves
-every mode in one pass, stops before the perturbed instant and re-runs
-the perturbed signal only from the first instant that reads it.  The
-trajectory reference restacks [Z^p_k; V_k; ...; V_{k+w-1}] with
-``vstack`` and ``take_rows`` at every instant, where the library builds
-that column from the stored rows.
+library makes one for all of them, the chain reference solves each chain
+step where the exact library reads it off the walk's y-maps, and the
+filtration reference eliminates each stacked [A | -E N] afresh where the
+library eliminates A once and resumes it.  The causality oracle
+reference runs one mode per pass and solves both signals of each trial
+over the full horizon, where the library serves every mode in one pass,
+stops before the perturbed instant and re-runs the perturbed signal only
+from the first instant that reads it.  The trajectory reference
+restacks [Z^p_k; V_k; ...; V_{k+w-1}] with ``vstack`` and ``take_rows``
+at every instant, where the library builds that column from the stored
+rows.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from dkit import linalg, solve_from_zp
 from dkit.causality import DEFAULT_CAUSALITY_TOL, OracleCounterexample
 from dkit.cli import SystemFile, _matrix_to_lists
 from dkit.scalars import Mode
+from dkit.weierstrass import _block_sizes
 
 EIGENVALUE_PALETTE = [Fraction(v) for v in (-3, -2, -1, 0, 1, 2, 3)] + [
     Fraction(1, 2),
@@ -605,9 +607,9 @@ def reference_char_poly(pencil: Pencil) -> CharPoly:
     return CharPoly(tuple(coeffs), n)
 
 
-def reference_pick_independent(candidates: Matrix, context: list[Matrix], tol: float | None) -> Matrix:
-    """First candidate column outside the span of the context columns, by
-    one rank elimination per candidate; reference for
+def reference_pick_independent(candidates: Matrix, context: list[Matrix], tol: float | None) -> int:
+    """Index of the first candidate column outside the span of the context
+    columns, by one rank elimination per candidate; reference for
     ``weierstrass._pick_independent``."""
     if context:
         s = hstack(context)
@@ -619,8 +621,30 @@ def reference_pick_independent(candidates: Matrix, context: list[Matrix], tol: f
         v = candidates.col(j)
         trial = hstack([s, v]) if s is not None else v
         if linalg.rank(trial, tol) == base + 1:
-            return v
+            return j
     raise ChainConstructionFailure("no chain top vector available at this level")
+
+
+def reference_chains(A: Matrix, E: Matrix, bases, tol: float | None) -> list[list[Matrix]]:
+    """The chains of ``weierstrass._chains`` with each step solved afresh:
+    v_{k-1} = N_{k-1} y, y the unique solution of E N_{k-1} y = A v_k;
+    reference for the exact chains, which read y off the walk's y-maps."""
+    picked: list[Matrix] = []
+    chains: list[list[Matrix]] = []
+    for r in _block_sizes([b.cols for b in bases]):
+        context = [bases[r - 2]] + picked if r >= 2 else picked
+        chain = [bases[r - 1].col(reference_pick_independent(bases[r - 1], context, tol))]
+        for k in range(r, 1, -1):
+            b = bases[k - 2]
+            try:
+                y = linalg.solve_unique(E @ b, A @ chain[-1], tol)
+            except ValueError as exc:
+                raise ChainConstructionFailure(f"chain step solve failed: {exc}") from None
+            chain.append(b @ y)
+        chain.reverse()
+        chains.append(chain)
+        picked.extend(chain)
+    return chains
 
 
 def reference_filtration(A: Matrix, E: Matrix, target: int, tol: float | None) -> list[Matrix]:

@@ -22,9 +22,10 @@ from dkit import (
     hstack,
     verify,
 )
-from dkit import linalg
+from dkit import linalg, weierstrass
 from dkit.scalars import Mode
-from dkit.weierstrass import _pick_independent
+from dkit.pencil import char_poly
+from dkit.weierstrass import _decompose, _pick_independent
 
 from helpers import (
     jordan_multiset,
@@ -32,6 +33,7 @@ from helpers import (
     nilpotent_multiset,
     planted_pencil,
     rational_nonsingular,
+    reference_chains,
     reference_filtration,
     reference_pick_independent,
     unimodular,
@@ -316,8 +318,8 @@ def test_pick_independent_matches_the_rank_per_candidate_reference(inputs):
 def test_pick_independent_skips_a_dependent_first_candidate():
     context = [Matrix([[1], [0], [0]], EX)]
     candidates = Matrix([[2, 1, 5], [0, 1, 0], [0, 0, 0]], EX)
-    assert _pick_independent(candidates, context, None) == candidates.col(1)
-    assert _pick_independent(candidates, [], None) == candidates.col(0)
+    assert _pick_independent(candidates, context, None) == 1
+    assert _pick_independent(candidates, [], None) == 0
     with pytest.raises(ChainConstructionFailure):
         _pick_independent(candidates.take_cols([0, 2]), context, None)
 
@@ -418,3 +420,83 @@ def test_filtration_eliminates_the_columns_of_A_once():
         bases = linalg.filtration(A, E, target, None)
     assert [b.cols for b in bases] == [2, 4, 5, 6]  # three preimage steps
     assert sum(_scales_rows_of(rows, A.integer_rows()) for rows in calls) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32),
+       st.lists(st.tuples(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2),
+                                           Fraction(-7, 3)]), st.integers(1, 3)),
+                max_size=3),
+       st.lists(st.integers(1, 4), max_size=3))
+@example(5, [(Fraction(1, 2), 3), (Fraction(1, 2), 1)], [4, 3, 1])   # q* = 4
+@example(6, [(Fraction(-7, 3), 2), (Fraction(-7, 3), 2)], [3, 3])
+def test_the_kept_y_maps_solve_each_step_and_give_the_solved_chains(seed, jordan, nilpotent):
+    """Every y-map of an exact walk, eigenvalue filtration or Wong walk,
+    satisfies A N_k = E N_{k-1} Y_k exactly, and the decomposition built
+    on the maps is the one whose chain steps each solve
+    E N_{k-1} y = A v_k."""
+    if not jordan and not nilpotent:
+        return
+    pencil = pencil_from_blocks(random.Random(seed), jordan, nilpotent, rational=True)
+    walks = []
+    for A, E, target in filtration_pairs(pencil, jordan, nilpotent):
+        maps = []
+        walks.append((A, E, linalg.filtration(A, E, target, None, maps), maps))
+    if nilpotent:
+        walks.append((pencil.F, pencil.G, pencil.wong_sequence, pencil.wong_maps))
+        assert walks[-1][2] == tuple(walks[-2][2]) and walks[-1][3] == tuple(walks[-2][3])
+    for A, E, bases, maps in walks:
+        assert len(maps) == len(bases) - 1
+        for k, y in enumerate(maps, 1):
+            assert y is not None and y.shape == (bases[k - 1].cols, bases[k].cols)
+            assert A @ bases[k] == E @ bases[k - 1] @ y
+    cp = char_poly(pencil)
+    got = _decompose(pencil, cp, tol=None, cluster_radius=None)[0]
+    with mock.patch.object(weierstrass, "_chains",
+                           lambda A, E, bases, maps, tol: reference_chains(A, E, bases, tol)):
+        want = _decompose(pencil, cp, tol=None, cluster_radius=None)[0]
+    assert got == want
+
+
+def _chain_work(pencil):
+    """(chain steps, ``solve_unique`` calls, products with E on the left)
+    made inside ``_chains`` by one ``_decompose`` of the pencil."""
+    inside, counts = [], [0, 0, 0]
+    chains, matmul, solve = weierstrass._chains, Matrix.__matmul__, linalg.solve_unique
+
+    def spy_chains(A, E, *rest):
+        inside.append(E)
+        try:
+            out = chains(A, E, *rest)
+        finally:
+            inside.pop()
+        counts[0] += sum(len(chain) - 1 for chain in out)
+        return out
+
+    def spy_matmul(x, y):
+        counts[2] += bool(inside) and x is inside[-1]
+        return matmul(x, y)
+
+    def spy_solve(*args, **kwargs):
+        counts[1] += bool(inside)
+        return solve(*args, **kwargs)
+
+    with mock.patch.object(weierstrass, "_chains", spy_chains), \
+            mock.patch.object(Matrix, "__matmul__", spy_matmul), \
+            mock.patch.object(linalg, "solve_unique", spy_solve):
+        _decompose(pencil, char_poly(pencil), tol=None, cluster_radius=None)
+    return tuple(counts)
+
+
+def test_exact_chains_solve_nothing_and_multiply_nothing_by_E():
+    """Exact chains read each step off the walk's y-maps: no
+    ``solve_unique`` and no product E N_{k-1}; float chains solve each
+    step, one product E N_{k-1} per step."""
+    jordan, nilpotent = [(Fraction(2), 2), (Fraction(-1), 2)], [3, 1]
+    steps = sum(k - 1 for _, k in jordan) + sum(k - 1 for k in nilpotent)
+    assert _chain_work(pencil_from_blocks(random.Random(4), jordan, nilpotent)) == (steps, 0, 0)
+    # float mode splits the defective eigenvalues of a conjugated plant
+    jb, nb = [JordanBlockSpec(a, k) for a, k in jordan], [NilpotentBlockSpec(k) for k in nilpotent]
+    f_w = block_diag([Matrix.identity(4, EX), assemble_Hq(nb, EX)], EX)
+    g_w = block_diag([assemble_Jp(jb, EX), Matrix.identity(4, EX)], EX)
+    assert _chain_work(Pencil(f_w.to_float(), g_w.to_float())) == (steps, steps, steps)
