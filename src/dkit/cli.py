@@ -90,14 +90,20 @@ def _require_int(raw, field: str) -> int:
 
 
 def _parse_scalars(raw: list, mode: Mode, field: str) -> list:
-    """The cells of one row.  In exact mode a JSON int short enough to
-    print (see ``scalars.parse_scalar``) stays an int, which the exact
-    ``Matrix`` takes as it is; every other cell goes through parse_scalar."""
-    short = 3 * max_str_digits() if mode is Mode.EXACT else -1
+    """The cells of one row, each admitted once.  A JSON int short enough
+    for its mode is taken without ``scalars.parse_scalar``: in exact mode
+    one that prints (within 3 * the digit limit bits, see parse_scalar; any
+    int where Python has no limit) stays an int, which the exact ``Matrix``
+    takes as it is; in float mode one within 1023 bits, below 2^1023 and so
+    finite as a double, becomes the ``complex`` that the float ``Matrix``
+    stores as it is.  Every other cell (a longer int, a bool, a JSON float,
+    a string) goes through parse_scalar, which gives its error message."""
+    exact = mode is Mode.EXACT
+    short = (3 * max_str_digits() or math.inf) if exact else 1023
     out = []
     for j, cell in enumerate(raw):
         if type(cell) is int and cell.bit_length() <= short:
-            out.append(cell)
+            out.append(cell if exact else complex(cell))
             continue
         try:
             out.append(parse_scalar(cell, mode))

@@ -18,6 +18,12 @@ an entry leaves the matrix (indexing, ``row_list``, ``to_lists``,
 without one.  This module alone knows how an exact value is cleared; the
 constructor is where ``Fraction`` entries come in.
 
+Values are admitted once: the constructor and ``Matrix.column`` store a
+float value whose type is exactly ``complex`` (what the float parser
+makes) as it is, and an exact int or ``Fraction`` without a conversion;
+any other value goes through ``ensure_scalar``, which still rejects
+a ``Fraction`` in float mode and a bool in either.
+
 Float rows are built by ``tuple([...])``: ``tuple()`` of a generator
 allocates a guessed size and resizes it, and with one tuple per row that
 churn set off the garbage collector a fifth more often.
@@ -55,7 +61,8 @@ class Matrix:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
         _fill(self, mode, ncols, tuple(map(_cleared, data)) if mode is Mode.EXACT
-              else tuple([tuple([ensure_scalar(x, mode) for x in r]) for r in data]))
+              else tuple([tuple([x if type(x) is complex else ensure_scalar(x, mode) for x in r])
+                          for r in data]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -81,8 +88,12 @@ class Matrix:
 
     @classmethod
     def column(cls, values: Iterable, mode: Mode) -> "Matrix":
+        """A column vector of ``values``.  A value of what the mode stores
+        (float: exactly ``complex``; exact: an int or a ``Fraction``) is taken
+        as it is, any other goes through ensure_scalar."""
         if mode is not Mode.EXACT:
-            return _new(mode, 1, tuple([(ensure_scalar(v, mode),) for v in values]))
+            return _new(mode, 1, tuple([(v if type(v) is complex else ensure_scalar(v, mode),)
+                                        for v in values]))
         rows = []
         for v in values:
             if type(v) is not int and type(v) is not Fraction:  # an int is read as v / 1
@@ -243,10 +254,11 @@ class Matrix:
         """Matrix product.
 
         Exact mode multiplies the stored integer rows: the rows of ``other``
-        are put on one denominator e (their integer lcm), so row i of the
-        product is the integer dot products of row i of ``self`` with the
-        columns of ``other``, over d_i e, and one n-ary gcd brings it to
-        lowest terms.  No ``Fraction`` is made; a zero row costs no division.
+        are put on one denominator e (the lcm of their distinct
+        denominators), so row i of the product is the integer dot products
+        of row i of ``self`` with the columns of ``other``, over d_i e, and
+        one n-ary gcd brings it to lowest terms.  No ``Fraction`` is made;
+        a zero row costs no division.
         Float mode accumulates each entry over the inner index in ascending
         order, from ``0j``.
         """
@@ -260,7 +272,7 @@ class Matrix:
             return Matrix.zeros(n, m, self.mode)
         if self.mode is Mode.EXACT:
             right = other._r
-            e = math.lcm(*[d for _, d in right])
+            e = math.lcm(*{d for _, d in right})  # rows often share a denominator
             mul, gcd = operator.mul, math.gcd
             out = []
             if m == 1:  # a column, the operand of every step of a recursion
@@ -318,9 +330,11 @@ class Matrix:
         return hash((self.rows, self.cols, self.mode, self._r))
 
     def max_abs(self):
-        """Largest entry magnitude (Fraction in exact mode, float otherwise)."""
+        """Largest entry magnitude (Fraction in exact mode, float otherwise).
+        The float scan runs in C over the entries row-major, the order in
+        which ``max`` keeps a leading NaN and passes over a later one."""
         if self.mode is Mode.FLOAT:
-            return max((abs(x) for row in self._r for x in row), default=0.0)
+            return max(map(abs, chain.from_iterable(self._r)), default=0.0)
         return max((Fraction(max(map(abs, nums)), d) for nums, d in self._r if nums),
                    default=Fraction(0))
 

@@ -501,6 +501,12 @@ class ReferenceMatrix:
         return max((abs(x) for x in self.e), default=Fraction(0))
 
 
+def reference_float_max_abs(m: Matrix) -> float:
+    """Largest entry magnitude of a float matrix by a generator over its
+    entries, row-major: a NaN first stays, a later one is passed over."""
+    return max((abs(x) for row in m.to_lists() for x in row), default=0.0)
+
+
 def reference_hstack(mats: list[ReferenceMatrix]) -> ReferenceMatrix:
     return ReferenceMatrix(mats[0].rows, sum(m.cols for m in mats), (
         m._entry(i, j) for i in range(mats[0].rows) for m in mats for j in range(m.cols)))

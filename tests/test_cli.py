@@ -708,14 +708,53 @@ def test_non_integer_seed_is_a_parse_error(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1+nanj", "1+infj", "1e400",
-                                  float("nan"), float("inf")])
+                                  float("nan"), float("inf"),
+                                  pytest.param(10**400, id="int10**400"),
+                                  pytest.param(True, id="True")])
 def test_float_mode_rejects_non_finite_scalars(cell, capsys):
     doc = load(DIAG)
     doc["mode"] = "float"
     doc["F"][0][0] = cell
-    with pytest.raises(ParseError, match=r"F\[0\]\[0\]"):
+    with pytest.raises(ValueError) as reason:
+        parse_scalar(cell, Mode.FLOAT)
+    with pytest.raises(ParseError) as exc:
         parse_system_file(doc)
+    assert str(exc.value) == f"F[0][0]: {reason.value}"
     assert main(["analyze", json.dumps(doc)]) == EXIT_PARSE
+
+
+def test_float_json_ints_are_admitted_once(monkeypatch):
+    doc = load(DIAG)
+    doc["mode"] = "float"
+    doc["F"][1] = [2**1023 - 1, -(2**1023 - 1)]  # the widest ints taken directly
+    doc["Y0"] = [-(2**53 + 1), 3]  # rounded to a double as complex() rounds it
+    counts = _count_calls(monkeypatch, "scalars.parse_scalar", "scalars.ensure_scalar")
+    sf = parse_system_file(doc)
+    assert counts == {"scalars.parse_scalar": 0, "scalars.ensure_scalar": 0}
+    for name in ("F", "G", "B", "C"):
+        want = [[parse_scalar(x, Mode.FLOAT) for x in row] for row in doc[name]]
+        got = getattr(sf, name).to_lists()
+        assert got == want and all(type(x) is complex for row in got for x in row)
+    assert sf.Y0.column_list() == [parse_scalar(x, Mode.FLOAT) for x in doc["Y0"]]
+    assert [v.column_list() for v in sf.inputs] == [[1 + 0j]] * 4
+
+
+def test_float_json_int_of_1024_bits_goes_through_parse_scalar(monkeypatch):
+    doc = load(DIAG)
+    doc["mode"] = "float"
+    doc["F"][0][0] = 2**1023  # finite, but beyond the direct path's bound
+    counts = _count_calls(monkeypatch, "scalars.parse_scalar")
+    assert parse_system_file(doc).F[0, 0] == complex(2**1023)
+    assert counts == {"scalars.parse_scalar": 1}
+
+
+def test_exact_json_ints_pass_through_where_python_has_no_digit_limit(monkeypatch):
+    want = parse_system_file(DIAG)
+    monkeypatch.setattr(cli, "max_str_digits", lambda: 0)
+    counts = _count_calls(monkeypatch, "scalars.parse_scalar")
+    got = parse_system_file(DIAG)
+    assert counts == {"scalars.parse_scalar": 0}
+    assert got == want
 
 
 @pytest.mark.parametrize("field, value", [

@@ -7,11 +7,14 @@ ascending order.  Entries are compared through ``float.hex`` of their real
 and imaginary parts, so a signed zero or the last bit of a rounding shows.
 """
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dkit import Matrix, block_diag, hstack, vstack
 from dkit.scalars import Mode
+from helpers import reference_float_max_abs
 
 FL = Mode.FLOAT
 
@@ -177,3 +180,23 @@ def test_float_vstack_matches_the_reference(mats):
 @given(st.lists(matrices(), max_size=4))
 def test_float_block_diag_matches_the_reference(mats):
     assert_same(block_diag(mats, FL), ref_block_diag([Ref.of(m) for m in mats]))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def test_float_max_abs_matches_the_generator_reference_at_nan_inf_and_signed_zero():
+    cases = [
+        [[complex(NAN, 0), 5], [INF, 1]],       # a NaN first is kept
+        [[1, 2], [complex(NAN, 0), 3]],         # a later NaN is passed over
+        [[-INF, 1]], [[complex(0, INF), 2]], [[complex(3, -INF), NAN]],
+        [[-0.0, complex(-0.0, -0.0)]], [[complex(-0.0, 0.0)], [0]],
+        [[complex(1, NAN), 7]], [[7, complex(NAN, 1)]], [[complex(INF, NAN)]],
+        [[3 + 4j, -5, complex(-4, 3)]],
+    ]
+    mats = [Matrix(rows, FL) for rows in cases]
+    mats += [Matrix.zeros(0, 0, FL), Matrix([], FL), Matrix.zeros(3, 0, FL), Matrix.zeros(0, 2, FL)]
+    for m in mats:
+        got, want = m.max_abs(), reference_float_max_abs(m)
+        assert type(got) is float
+        assert (math.isnan(got) and math.isnan(want)) or got.hex() == want.hex(), m
