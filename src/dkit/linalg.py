@@ -19,17 +19,21 @@ columns left free.  That step's kernel vectors (v, y) are reduced as
 rows once more, which makes the v-parts canonical and carries the
 y-parts along as the step's y-map.  Float mode uses Gauss-Jordan with
 partial pivoting and a relative rank threshold
-``tol * (largest entry magnitude)``.
+``tol * (largest entry magnitude)``; its determinant is one kernel on
+rows, :func:`float_det`.  Only ``pencil.char_poly`` logs a float
+elimination, of the Vandermonde matrix of its nodes, to replay it on
+each pencil's column of node determinants (:func:`_replay_rref`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ChainConstructionFailure
 from .matrices import Matrix, hstack
-from .scalars import Mode, one, zero
+from .scalars import Mode, one
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -42,6 +46,13 @@ def _threshold(mat: Matrix, tol: float | None) -> float:
         tol = DEFAULT_RANK_TOL
     scale = float(abs(mat.max_abs()))
     return tol * scale
+
+
+def _row_threshold(rows: list[list], tol: float | None = None) -> float:
+    """:func:`_threshold` of the float matrix with these rows: the same
+    row-major scan, so a NaN counts only where it comes first."""
+    return (DEFAULT_RANK_TOL if tol is None else tol) * max(
+        map(abs, chain.from_iterable(rows)), default=0.0)
 
 
 def _bareiss(rows: list[list[int]], log: list | None = None, r: int = 0,
@@ -122,9 +133,11 @@ def integer_det(rows: list[list[int]], prev: int = 1) -> int:
     return sign * d if len(pivots) == len(rows) else 0
 
 
-def _rref_data(data: list[list], thr: float) -> list[int]:
+def _rref_data(data: list[list], thr: float, log: list | None = None) -> list[int]:
     """In-place reduced row echelon form of float rows by Gauss-Jordan with
-    partial pivoting; returns pivot column indices."""
+    partial pivoting; returns pivot column indices.  Each step goes to
+    ``log``, if given, as (pivot row, pivot magnitude, the inverse of the
+    pivot, the (row, multiplier) pairs of the rows it updates)."""
     nrows = len(data)
     ncols = len(data[0]) if nrows else 0
     pivots: list[int] = []
@@ -147,6 +160,9 @@ def _rref_data(data: list[list], thr: float) -> list[int]:
         for j in range(c, ncols):
             row_r[j] = row_r[j] * inv
         row_r[c] = 1 + 0j
+        if log is not None:
+            log.append((piv, best_mag, inv,
+                        [(i, row[c]) for i, row in enumerate(data) if i != r and row[c] != 0]))
         for i in range(nrows):
             if i == r:
                 continue
@@ -160,6 +176,18 @@ def _rref_data(data: list[list], thr: float) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _replay_rref(log: list, col: list) -> None:
+    """Apply the row operations ``log`` of a :func:`_rref_data` call to a
+    float column of the same rows, in place: it becomes what that column
+    would have been, reduced alongside in a matrix whose pivots all lie
+    in the logged columns."""
+    for r, (piv, _, inv, mults) in enumerate(log):
+        col[piv], col[r] = col[r], col[piv]
+        b = col[r] = col[r] * inv
+        for i, f in mults:
+            col[i] = col[i] - f * b
 
 
 def rref(mat: Matrix, tol: float | None = None) -> tuple[Matrix, list[int]]:
@@ -376,10 +404,18 @@ def det(mat: Matrix, tol: float | None = None):
         return one(mat.mode)
     if mat.mode is Mode.EXACT:
         return Fraction(integer_det(mat.integer_rows()), math.prod(mat.denominators))
-    data = mat.to_lists()
-    thr = _threshold(mat, tol)
+    return float_det(mat.to_lists(), tol)
+
+
+def float_det(data: list[list], tol: float | None = None) -> complex:
+    """Determinant of a square matrix of float rows ``data``, which it
+    overwrites, by elimination with partial pivoting; a column with no
+    entry above the threshold of the rows (:func:`_row_threshold`) makes
+    it 0."""
+    n = len(data)
+    thr = _row_threshold(data, tol)
     sign = 1
-    result = one(mat.mode)
+    result = 1 + 0j
     for c in range(n):
         piv = None
         best_mag = thr
@@ -388,7 +424,7 @@ def det(mat: Matrix, tol: float | None = None):
             if m > best_mag:
                 piv, best_mag = i, m
         if piv is None:
-            return zero(mat.mode)
+            return 0j
         if piv != c:
             data[piv], data[c] = data[c], data[piv]
             sign = -sign

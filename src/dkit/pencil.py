@@ -13,10 +13,16 @@ those columns, stopped after them, serves all nodes: the p + 1 nodes
 s = 0..p each resume it on the p columns left.  Newton forward
 differences interpolate, and the coefficients become ``Fraction`` only
 at the end.  Float mode solves the Vandermonde system of the n + 1 nodes
-s = 0..n, which is ill-conditioned: from n = 10 on it breaks down even
-for F = I, G = diag(1..n) (ROADMAP item 4 replaces it).  In exact mode
-the finite eigenvalues are the rational roots, searched and divided out
-in integer arithmetic once the denominators are cleared.
+s = 0..n.  It builds each node's rows of sF - G as lists and passes them
+to ``linalg.float_det``; the elimination of the Vandermonde matrix,
+which depends on n alone, is logged once per n and replayed on the
+column of node determinants, and a pencil whose threshold that log's
+pivots do not clear takes the full solve instead.  The outputs are those
+of the plain solve, bit for bit.  The system is ill-conditioned: from
+n = 10 on it breaks down even for F = I, G = diag(1..n) (ROADMAP item 4
+replaces it).  In exact mode the finite eigenvalues are the rational
+roots, searched and divided out in integer arithmetic once the
+denominators and the integer content are cleared.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import product
 from typing import NamedTuple
 
 from . import linalg
@@ -132,11 +139,18 @@ def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
     gives the monomial coefficients.  They are divided exactly by the
     product of the row denominators, the scalings and the signs.
 
-    Float mode solves the Vandermonde system of the n + 1 nodes s = 0..n
-    and trims coefficients within ``tol`` (relative, default
-    ``linalg.DEFAULT_RANK_TOL``) of 0; exact mode ignores ``tol``.  The
+    Float mode takes each node determinant by ``linalg.float_det`` of the
+    rows s f - g, built from the stored rows of F and G, and solves the
+    Vandermonde system V a = dets of the n + 1 nodes s = 0..n.  The
+    Gauss-Jordan log of V is made once per n (:func:`_vandermonde`).
+    When each of its pivots exceeds the threshold of [V | dets], the
+    elimination of [V | dets] would pick the same pivots, so replaying
+    the log on the dets gives its solution bit for bit; otherwise
+    ``linalg.solve_unique`` solves [V | dets] afresh.  Coefficients within
+    ``tol`` (relative, default ``linalg.DEFAULT_RANK_TOL``) of 0 are
+    trimmed; only the trim reads ``tol``, and exact mode ignores it.  The
     system is ill-conditioned: from n = 10 on, even F = I, G = diag(1..n)
-    raises ChainConstructionFailure (ROADMAP item 4).
+    takes the solve and raises ChainConstructionFailure (ROADMAP item 4).
     """
     n = pencil.n
     mode = pencil.mode
@@ -168,21 +182,38 @@ def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
         den = sign * (-1) ** sum(r - i for i, r in enumerate(moved))  # W* columns first
         den *= math.prod(v[r] for r, v in put) * math.prod(fg.denominators)
         return CharPoly(tuple(Fraction(c, den) for c in coeffs), n)
-    nodes = [complex(i) for i in range(n + 1)]
-    dets = [linalg.det(pencil.eval(s)) for s in nodes]
-    vand = Matrix([[s**j for j in range(n + 1)] for s in nodes], mode)
-    rhs = Matrix([[d] for d in dets], mode)
-    try:
-        coeffs = linalg.solve_unique(vand, rhs).column_list()
-    except ValueError as exc:
-        raise ChainConstructionFailure(
-            f"char poly interpolation on nodes 0..{n} broke down: {exc}"
-        ) from None
+    fg = list(zip(pencil.F.to_lists(), pencil.G.to_lists()))
+    dets = [linalg.float_det([[s * f - g for f, g in zip(fr, gr)] for fr, gr in fg])
+            for s in map(complex, range(n + 1))]
+    vand, log = _vandermonde(n)
+    thr = linalg._row_threshold([[*v, d] for v, d in zip(vand, dets)])  # of [V | dets]
+    if len(log) == n + 1 and all(mag > thr for _, mag, _, _ in log):
+        coeffs = dets
+        linalg._replay_rref(log, coeffs)
+    else:  # the elimination of [V | dets] may pivot elsewhere
+        try:
+            coeffs = linalg.solve_unique(Matrix(vand, mode),
+                                         Matrix([[d] for d in dets], mode)).column_list()
+        except ValueError as exc:
+            raise ChainConstructionFailure(
+                f"char poly interpolation on nodes 0..{n} broke down: {exc}"
+            ) from None
     tol = linalg.DEFAULT_RANK_TOL if tol is None else tol
     thr = tol * max(1.0, max(abs(c) for c in coeffs))
     while coeffs and abs(coeffs[-1]) <= thr:
         coeffs.pop()
     return CharPoly(tuple(coeffs), n)
+
+
+@cache
+def _vandermonde(n: int) -> tuple[tuple[tuple[complex, ...], ...], tuple]:
+    """The rows of the Vandermonde matrix V of the float nodes s = 0..n and
+    the log of its Gauss-Jordan elimination with no threshold; both depend
+    on n alone."""
+    vand = tuple(tuple(s**j for j in range(n + 1)) for s in map(complex, range(n + 1)))
+    log: list = []
+    linalg._rref_data([list(v) for v in vand], 0.0, log)
+    return vand, tuple(log)
 
 
 def _divisors(n: int) -> list[int]:
@@ -211,7 +242,9 @@ def _homogeneous_eval(work: list[int], a: int, b: int) -> int:
 
 def _rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fraction, int]], list[Fraction]]:
     """All rational roots with multiplicity, plus the unfactored remainder:
-    the integer quotient by each (b s - a)^m, times each b^m."""
+    the integer quotient by each (b s - a)^m, times each b^m and the
+    integer content, which the candidate search leaves out; the search
+    ends once the quotient has degree 0."""
     work, _ = clear_denominators(coeffs)
     roots: list[tuple[Fraction, int]] = []
     t = next(i for i, c in enumerate(work) if c)
@@ -220,23 +253,25 @@ def _rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fraction, int]],
         work = work[t:]
     if len(work) == 1:
         return roots, []
-    scale = 1
+    scale = math.gcd(*work)
+    work = [c // scale for c in work]
     nums = [x for a in _divisors(work[0]) for x in (a, -a)]
     # b ascending: if g = gcd(a, b) > 1, (a/g)/(b/g) came first and is
     # divided out, so a/b does not match
-    for b in _divisors(work[-1]):
-        for a in nums:
-            m = 0
-            while len(work) > 1 and _homogeneous_eval(work, a, b) == 0:
-                r, out = 0, []
-                for c in work[:0:-1]:  # quotient by (b s - a), top down
-                    r = (c + a * r) // b
-                    out.append(r)
-                work = out[::-1]
-                m += 1
-            if m:
-                roots.append((Fraction(a, b), m))
-                scale *= b**m
+    for b, a in product(_divisors(work[-1]), nums):
+        if len(work) == 1:
+            break
+        m = 0
+        while len(work) > 1 and _homogeneous_eval(work, a, b) == 0:
+            r, out = 0, []
+            for c in work[:0:-1]:  # quotient by (b s - a), top down
+                r = (c + a * r) // b
+                out.append(r)
+            work = out[::-1]
+            m += 1
+        if m:
+            roots.append((Fraction(a, b), m))
+            scale *= b**m
     return roots, [Fraction(c * scale) for c in work] if len(work) > 1 else []
 
 
@@ -263,8 +298,9 @@ def finite_eigenvalues(
     Exact mode factors over the rationals and raises UnresolvableSpectrum
     if an irreducible factor of degree >= 2 remains (switch to float mode
     for irrational or complex spectra).  It searches on integers: candidates
-    a/b from divisors of the end coefficients, the test sum c_i a^i b^(d-i)
-    = 0, division by (b s - a).  Float mode takes polynomial roots
+    a/b from divisors of the end coefficients once the content is divided
+    out, the test sum c_i a^i b^(d-i) = 0, division by (b s - a), until
+    the quotient has degree 0.  Float mode takes polynomial roots
     and merges any that fall within ``cluster_radius`` of each other.
     """
     if cp.is_zero:

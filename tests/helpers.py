@@ -8,12 +8,15 @@ root references run plain ``Fraction`` arithmetic where the library runs
 integer kernels on integer rows.  The closed-form trajectory sums powers
 of J_p where the library steps one constant map per instant.  The char
 poly reference solves a Vandermonde system for ``Fraction`` determinants
-where the library takes Newton differences of integer ones, and the
-chain-top reference makes one rank elimination per candidate where the
-library makes one for all of them, the chain reference solves each chain
-step where the exact library reads it off the walk's y-maps, and the
-filtration reference eliminates each stacked [A | -E N] afresh where the
-library eliminates A once and resumes it.  The causality oracle
+where the library takes Newton differences of integer ones; the float
+char poly reference builds each node matrix sF - G and solves the
+Vandermonde system where the library builds node rows and replays one
+logged elimination per n.  The chain-top reference makes one rank
+elimination per candidate where the library makes one for all of them,
+the chain reference solves each chain step where the exact library
+reads it off the walk's y-maps, and the filtration reference eliminates
+each stacked [A | -E N] afresh where the library eliminates A once and
+resumes it.  The causality oracle
 reference runs one mode per pass and solves both signals of each trial
 over the full horizon, where the library serves every mode in one pass,
 stops before the perturbed instant and re-runs the perturbed signal only
@@ -507,6 +510,36 @@ def reference_float_max_abs(m: Matrix) -> float:
     return max((abs(x) for row in m.to_lists() for x in row), default=0.0)
 
 
+def reference_float_det(m: Matrix, tol: float | None = None) -> complex:
+    """Determinant of a square float matrix by the loop ``linalg.det`` ran
+    before its float branch became ``linalg.float_det``: partial pivoting
+    on a copy of the rows under ``tol`` times the largest entry magnitude,
+    and 0 at the first column with no pivot above that."""
+    n = m.rows
+    data = m.to_lists()
+    thr = (linalg.DEFAULT_RANK_TOL if tol is None else tol) * reference_float_max_abs(m)
+    sign, result = 1, complex(1.0)
+    for c in range(n):
+        piv, best_mag = None, thr
+        for i in range(c, n):
+            if abs(data[i][c]) > best_mag:
+                piv, best_mag = i, abs(data[i][c])
+        if piv is None:
+            return complex(0.0)
+        if piv != c:
+            data[piv], data[c] = data[c], data[piv]
+            sign = -sign
+        pv = data[c][c]
+        result = result * pv
+        for i in range(c + 1, n):
+            f = data[i][c] / pv
+            if f == 0:
+                continue
+            for j in range(c, n):
+                data[i][j] = data[i][j] - f * data[c][j]
+    return result if sign > 0 else -result
+
+
 def reference_hstack(mats: list[ReferenceMatrix]) -> ReferenceMatrix:
     return ReferenceMatrix(mats[0].rows, sum(m.cols for m in mats), (
         m._entry(i, j) for i in range(mats[0].rows) for m in mats for j in range(m.cols)))
@@ -609,6 +642,31 @@ def reference_char_poly(pencil: Pencil) -> CharPoly:
     rhs = Matrix([[d] for d in dets], mode)
     coeffs = linalg.solve_unique(vand, rhs).column_list()
     while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return CharPoly(tuple(coeffs), n)
+
+
+def reference_float_char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
+    """det(sF - G) of a float pencil from ``linalg.det`` of the node
+    matrices sF - G at s = 0..n and a Vandermonde solve, trimmed within
+    ``tol``; reference for the node rows and the replayed elimination of
+    ``pencil.char_poly``, which must match it bit for bit, breakdown
+    message included."""
+    n = pencil.n
+    mode = pencil.mode
+    nodes = [complex(i) for i in range(n + 1)]
+    dets = [linalg.det(pencil.eval(s)) for s in nodes]
+    vand = Matrix([[s**j for j in range(n + 1)] for s in nodes], mode)
+    rhs = Matrix([[d] for d in dets], mode)
+    try:
+        coeffs = linalg.solve_unique(vand, rhs).column_list()
+    except ValueError as exc:
+        raise ChainConstructionFailure(
+            f"char poly interpolation on nodes 0..{n} broke down: {exc}"
+        ) from None
+    tol = linalg.DEFAULT_RANK_TOL if tol is None else tol
+    thr = tol * max(1.0, max(abs(c) for c in coeffs))
+    while coeffs and abs(coeffs[-1]) <= thr:
         coeffs.pop()
     return CharPoly(tuple(coeffs), n)
 

@@ -2,8 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import random
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,6 +27,7 @@ from dkit import (
 )
 from dkit import causality as causality_mod
 from dkit import cli, linalg
+from dkit import pencil as pencil_mod
 from dkit.cli import (
     EXIT_HORIZON,
     EXIT_INCONSISTENT,
@@ -493,6 +496,53 @@ def test_float_analyze_of_a_10_x_10_diagonal_system(capsys):
         "k0": 0, "inputs": [[0]] * 2, "K": 2,
     }
     assert main(["analyze", json.dumps(doc)]) == EXIT_OK
+
+
+def test_float_analyze_at_n_10_still_falls_back_and_exits_7(capsys):
+    """At n = 10 the smallest pivot of the logged Vandermonde elimination is
+    under the threshold of [V | dets], so the char poly falls back to the
+    full solve, which breaks down with the same message as before."""
+    n = 10
+    _, log = pencil_mod._vandermonde(n)
+    assert min(mag for _, mag, _, _ in log) <= linalg.DEFAULT_RANK_TOL * n**n
+    doc = {
+        "n": n, "l": 1, "m": 1, "mode": "float",
+        "F": [[int(i == j) for j in range(n)] for i in range(n)],
+        "G": [[(i + 1) * int(i == j) for j in range(n)] for i in range(n)],
+        "B": [[1]] * n, "C": [[1] * n], "Y0": [0] * n,
+        "k0": 0, "inputs": [[0]] * 2, "K": 2,
+    }
+    assert main(["analyze", json.dumps(doc)]) == EXIT_NUMERICAL
+    assert capsys.readouterr() == (
+        "", "numerical breakdown: char poly interpolation on nodes 0..10 broke down: "
+            "inconsistent system\nhint: retry with --mode exact\n")
+
+
+def _over_time(signum, frame):
+    raise TimeoutError("stopped by the 2 s alarm")
+
+
+def test_analyze_of_eigenvalues_scaled_by_a_product_of_11_primes_ends_within_2s(capsys):
+    """F = P I, G = diag(59 P, 61 P), P the product of the first 11 primes:
+    the char poly has content P^2, which the rational root search divides
+    out; kept, it gives the end coefficients 4 * 3^11 and 3^11 divisors."""
+    big = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    doc = {
+        "n": 2, "l": 1, "m": 1, "mode": "exact",
+        "F": [[big, 0], [0, big]], "G": [[59 * big, 0], [0, 61 * big]],
+        "B": [[1], [1]], "C": [[1, 1]], "Y0": [0, 0],
+        "k0": 0, "inputs": [[0]] * 2, "K": 2,
+    }
+    previous = signal.signal(signal.SIGALRM, _over_time)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        code = main(["analyze", json.dumps(doc)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == EXIT_OK
+    assert ("finite blocks: (eigenvalue 59, size 1), (eigenvalue 61, size 1)\n"
+            in capsys.readouterr().out)
 
 
 def _count_calls(monkeypatch, *names):

@@ -12,9 +12,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dkit import Matrix, block_diag, hstack, vstack
+from dkit import Matrix, block_diag, hstack, linalg, vstack
 from dkit.scalars import Mode
-from helpers import reference_float_max_abs
+from helpers import reference_float_det, reference_float_max_abs
 
 FL = Mode.FLOAT
 
@@ -200,3 +200,30 @@ def test_float_max_abs_matches_the_generator_reference_at_nan_inf_and_signed_zer
         got, want = m.max_abs(), reference_float_max_abs(m)
         assert type(got) is float
         assert (math.isnan(got) and math.isnan(want)) or got.hex() == want.hex(), m
+
+
+def hex_of(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def test_float_det_matches_the_loop_it_replaced():
+    cases = [
+        [[0, 2, 1], [3, 1 + 1j, 0], [1, 0.5, -2]],                 # row swaps, complex pivots
+        [[1e-12, 1], [1, 1]],                                       # a pivot below 1e-9 max|entry|
+        [[1, 2], [2, 4]],                                           # singular: 0
+        [[2, 1], [complex(NAN, 0), 3]],                             # a NaN in the second row
+        [[1e300, 3e300], [-2e300, 5e300]],                          # the product overflows
+        [[0.25]],
+    ]
+    for rows in cases:
+        m = Matrix(rows, FL)
+        for tol in (None, 0.0, 1e-3):
+            assert hex_of(linalg.det(m, tol)) == hex_of(reference_float_det(m, tol))
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(ENTRIES, min_size=n, max_size=n),
+                                                    min_size=n, max_size=n)))
+def test_float_det_matches_the_loop_it_replaced_on_random_matrices(rows):
+    m = Matrix(rows, FL)
+    assert hex_of(linalg.det(m)) == hex_of(reference_float_det(m))

@@ -1,3 +1,4 @@
+import math
 import random
 import signal
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dkit import (
+    ChainConstructionFailure,
     CharPoly,
     IrregularPencil,
     Matrix,
@@ -21,7 +23,7 @@ from dkit import (
 from dkit import linalg
 from dkit.scalars import Mode
 
-from dkit.pencil import _rational_roots
+from dkit.pencil import _rational_roots, _vandermonde
 from dkit.weierstrass import _block_sizes
 from helpers import (
     brute_char_poly,
@@ -31,11 +33,13 @@ from helpers import (
     random_descriptor,
     rational_nonsingular,
     reference_char_poly,
+    reference_float_char_poly,
     reference_rational_roots,
     singular_pencil,
 )
 
 EX = Mode.EXACT
+FL = Mode.FLOAT
 PLANT_KINDS = ("generic", "state_causal", "output_causal_only")
 
 
@@ -166,6 +170,76 @@ def test_float_mode_evaluation_tracks_determinant():
         for a in (complex(7.5), complex(-3.25)):
             d = linalg.det(p.eval(a))
             assert abs(poly_eval(cp.coefficients, a) - d) <= 1e-9 * (1 + abs(d))
+
+
+NAN, INF = float("nan"), float("inf")
+FLOAT_ENTRIES = {
+    "complex": st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+    "singular_f": st.builds(complex, st.integers(-3, 3)),
+    # products of such entries overflow, so node determinants turn inf or NaN
+    "huge": st.builds(lambda m, e: complex(m * 10.0**e), st.floats(-9, 9), st.integers(290, 307)),
+    "nonfinite": st.sampled_from([complex(NAN), complex(INF), complex(0, -INF), 1 + 0j, 0j,
+                                  2 - 1j, complex(-3)]),
+}
+
+
+@st.composite
+def float_pencils(draw):
+    """Float pencils of n = 1..11, so that the replayed Vandermonde
+    elimination and the fallback (from n = 10, and wherever the node
+    determinants dwarf V) both run: an integer-valued plant, random
+    complex entries, a singular F, entries near 1e300, or NaN and inf
+    entries that ``Matrix`` lets in."""
+    n = draw(st.integers(1, 11))
+    kind = draw(st.sampled_from(["plant", *FLOAT_ENTRIES]))
+    if kind == "plant":
+        pencil, _, _ = planted_pencil(random.Random(draw(st.integers(0, 2**32))), n)
+        return Pencil(pencil.F.to_float(), pencil.G.to_float())
+    entries = st.lists(st.lists(FLOAT_ENTRIES[kind], min_size=n, max_size=n),
+                       min_size=n, max_size=n)
+    f, g = draw(entries), draw(entries)
+    if kind == "singular_f":
+        f[draw(st.integers(0, n - 1))] = [0j] * n
+    return Pencil(Matrix(f, FL), Matrix(g, FL))
+
+
+def float_char_poly_outcome(char_poly_of, pencil, tol=None):
+    """The coefficients as ``float.hex`` of their parts, in which every NaN
+    reads "nan", or the breakdown message."""
+    try:
+        cp = char_poly_of(pencil, tol)
+    except ChainConstructionFailure as exc:
+        return str(exc)
+    return cp.n, [(c.real.hex(), c.imag.hex()) for c in cp.coefficients]
+
+
+def diagonal_float_pencil(n):
+    return pen([[int(i == j) for j in range(n)] for i in range(n)],
+               [[(i + 1) * int(i == j) for j in range(n)] for i in range(n)], FL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_pencils(), st.sampled_from([None, 1e-6]))
+@example(diagonal_float_pencil(4), None)
+@example(diagonal_float_pencil(10), None)
+def test_float_char_poly_is_bit_identical_to_the_node_matrix_route(pencil, tol):
+    assert (float_char_poly_outcome(char_poly, pencil, tol)
+            == float_char_poly_outcome(reference_float_char_poly, pencil, tol))
+
+
+def test_float_pencils_of_one_size_eliminate_the_vandermonde_matrix_once():
+    pencils = [diagonal_float_pencil(5),
+               Pencil(Matrix([[1, 2j, 0, 1, 0], [0, 1, 3, 0, 0], [1, 0, 0, 0, 2],
+                              [0, 0, 0, 0, 0], [2, 1, 1, 0, 1]], FL),
+                      Matrix([[0, 1, 0, 0, 4], [1, 0, 2, 0, 0], [0, 3, 1, 0, 0],
+                              [0, 0, 0, 1, 0], [1, 1, 0, 2, 0]], FL))]
+    want = [float_char_poly_outcome(reference_float_char_poly, p) for p in pencils]
+    _vandermonde.cache_clear()
+    with mock.patch.object(linalg, "_rref_data", wraps=linalg._rref_data) as elim, \
+            mock.patch.object(linalg, "solve_unique", wraps=linalg.solve_unique) as solve:
+        got = [float_char_poly_outcome(char_poly, p) for p in pencils]
+    assert got == want
+    assert elim.call_count == 1 and solve.call_count == 0  # both replayed the one log
 
 
 def test_pencil_validation():
@@ -387,6 +461,22 @@ def test_char_poly_bit_growth_stays_bounded_at_n30():
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert cp.p == 12
+
+
+def test_rational_roots_of_a_quadratic_with_a_large_smooth_content_end_within_2s():
+    """61 P s^2 - 59 P, P the product of the first 11 primes: the candidate
+    search runs on 61 s^2 - 59 once the content P is divided out, and the
+    remainder carries P again."""
+    big = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    coeffs = [Fraction(-59 * big), Fraction(0), Fraction(61 * big)]
+    previous = signal.signal(signal.SIGALRM, _over_time)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        roots, remainder = _rational_roots(coeffs)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (roots, remainder) == ([], coeffs)
 
 
 @pytest.mark.xfail(strict=True, raises=TimeoutError,
