@@ -22,7 +22,10 @@ partial pivoting and a relative rank threshold
 ``tol * (largest entry magnitude)``; its determinant is one kernel on
 rows, :func:`float_det`.  Only ``pencil.char_poly`` logs a float
 elimination, of the Vandermonde matrix of its nodes, to replay it on
-each pencil's column of node determinants (:func:`_replay_rref`).
+each pencil's column of node determinants (:func:`_replay_rref`); it
+reads the smallest logged pivot against the threshold of
+:func:`_row_threshold` under the fixed ``DEFAULT_RANK_TOL`` to tell when
+the elimination of [V | dets] could not succeed, and raises then.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ churn set off the garbage collector a fifth more often.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from fractions import Fraction
@@ -337,6 +338,11 @@ class Matrix:
             return max(map(abs, chain.from_iterable(self._r)), default=0.0)
         return max((Fraction(max(map(abs, nums)), d) for nums, d in self._r if nums),
                    default=Fraction(0))
+
+    def is_finite(self) -> bool:
+        """No NaN or infinite entry (always so in exact mode); the float
+        scan runs in C."""
+        return self.mode is Mode.EXACT or all(map(cmath.isfinite, chain.from_iterable(self._r)))
 
     def is_zero(self, tol=None) -> bool:
         """Entrywise zero test; ``tol`` is an absolute threshold (float mode)."""

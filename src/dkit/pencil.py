@@ -13,13 +13,18 @@ those columns, stopped after them, serves all nodes: the p + 1 nodes
 s = 0..p each resume it on the p columns left.  Newton forward
 differences interpolate, and the coefficients become ``Fraction`` only
 at the end.  Float mode solves the Vandermonde system of the n + 1 nodes
-s = 0..n.  It builds each node's rows of sF - G as lists and passes them
-to ``linalg.float_det``; the elimination of the Vandermonde matrix,
-which depends on n alone, is logged once per n and replayed on the
-column of node determinants, and a pencil whose threshold that log's
-pivots do not clear takes the full solve instead.  The outputs are those
-of the plain solve, bit for bit.  The system is ill-conditioned: from
-n = 10 on it breaks down even for F = I, G = diag(1..n) (ROADMAP item 4
+s = 0..n.  The elimination of the Vandermonde matrix V depends on n
+alone; it is logged once per n and replayed on the column of node
+determinants, each taken by ``linalg.float_det`` on the rows of sF - G
+built as lists.  That replay is the elimination of [V | dets] bit for
+bit unless one of the logged pivots lies within the rank threshold of
+[V | dets]; then that elimination has no pivot in its column, so the
+solve cannot succeed, and the interpolation breaks down.  The threshold
+is ``linalg.DEFAULT_RANK_TOL`` times the largest of n^n and the node
+determinants, and the smallest pivot is 1, so interpolation succeeds
+only while n^n and every |det(sF - G)| on the nodes stay below
+1/``DEFAULT_RANK_TOL`` = 1e9: from n = 10 on it breaks down before any
+node is evaluated, even for F = I, G = diag(1..n) (ROADMAP item 4
 replaces it).  In exact mode the finite eigenvalues are the rational
 roots, searched and divided out in integer arithmetic once the
 denominators and the integer content are cleared.
@@ -141,16 +146,19 @@ def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
 
     Float mode takes each node determinant by ``linalg.float_det`` of the
     rows s f - g, built from the stored rows of F and G, and solves the
-    Vandermonde system V a = dets of the n + 1 nodes s = 0..n.  The
-    Gauss-Jordan log of V is made once per n (:func:`_vandermonde`).
-    When each of its pivots exceeds the threshold of [V | dets], the
-    elimination of [V | dets] would pick the same pivots, so replaying
-    the log on the dets gives its solution bit for bit; otherwise
-    ``linalg.solve_unique`` solves [V | dets] afresh.  Coefficients within
+    Vandermonde system V a = dets of the n + 1 nodes s = 0..n by replaying
+    the Gauss-Jordan log of V, made once per n (:func:`_vandermonde`).
+    While each logged pivot exceeds the threshold of [V | dets], the
+    elimination of [V | dets] picks the same pivots, so the replay gives
+    its solution bit for bit.  Once one does not, that elimination finds
+    no pivot in its column and no solve can succeed, whatever the dets:
+    ChainConstructionFailure is raised, before any node determinant
+    when the threshold of V alone already covers the pivot.  With the
+    fixed ``linalg.DEFAULT_RANK_TOL`` (the interpolation ignores ``tol``)
+    that means n^n or some |det(sF - G)| on the nodes reaches 1e9, and so
+    every n >= 10 breaks down (ROADMAP item 4).  Coefficients within
     ``tol`` (relative, default ``linalg.DEFAULT_RANK_TOL``) of 0 are
-    trimmed; only the trim reads ``tol``, and exact mode ignores it.  The
-    system is ill-conditioned: from n = 10 on, even F = I, G = diag(1..n)
-    takes the solve and raises ChainConstructionFailure (ROADMAP item 4).
+    trimmed; only the trim reads ``tol``, and exact mode ignores it.
     """
     n = pencil.n
     mode = pencil.mode
@@ -182,22 +190,19 @@ def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
         den = sign * (-1) ** sum(r - i for i, r in enumerate(moved))  # W* columns first
         den *= math.prod(v[r] for r, v in put) * math.prod(fg.denominators)
         return CharPoly(tuple(Fraction(c, den) for c in coeffs), n)
-    fg = list(zip(pencil.F.to_lists(), pencil.G.to_lists()))
-    dets = [linalg.float_det([[s * f - g for f, g in zip(fr, gr)] for fr, gr in fg])
-            for s in map(complex, range(n + 1))]
-    vand, log = _vandermonde(n)
-    thr = linalg._row_threshold([[*v, d] for v, d in zip(vand, dets)])  # of [V | dets]
-    if len(log) == n + 1 and all(mag > thr for _, mag, _, _ in log):
-        coeffs = dets
-        linalg._replay_rref(log, coeffs)
-    else:  # the elimination of [V | dets] may pivot elsewhere
-        try:
-            coeffs = linalg.solve_unique(Matrix(vand, mode),
-                                         Matrix([[d] for d in dets], mode)).column_list()
-        except ValueError as exc:
-            raise ChainConstructionFailure(
-                f"char poly interpolation on nodes 0..{n} broke down: {exc}"
-            ) from None
+    vand, log, pivot = _vandermonde(n)
+    thr = linalg._row_threshold(vand)  # of V, which no det column lowers
+    if pivot > thr:
+        fg = list(zip(pencil.F.to_lists(), pencil.G.to_lists()))
+        dets = [linalg.float_det([[s * f - g for f, g in zip(fr, gr)] for fr, gr in fg])
+                for s in map(complex, range(n + 1))]
+        thr = linalg._row_threshold([[*v, d] for v, d in zip(vand, dets)])  # of [V | dets]
+    if not pivot > thr:  # also when thr is NaN
+        raise ChainConstructionFailure(
+            f"char poly interpolation on nodes 0..{n} broke down: "
+            f"Vandermonde pivot {pivot:.3g} within the rank threshold {thr:.3g}")
+    coeffs = dets
+    linalg._replay_rref(log, coeffs)
     tol = linalg.DEFAULT_RANK_TOL if tol is None else tol
     thr = tol * max(1.0, max(abs(c) for c in coeffs))
     while coeffs and abs(coeffs[-1]) <= thr:
@@ -206,14 +211,16 @@ def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
 
 
 @cache
-def _vandermonde(n: int) -> tuple[tuple[tuple[complex, ...], ...], tuple]:
-    """The rows of the Vandermonde matrix V of the float nodes s = 0..n and
-    the log of its Gauss-Jordan elimination with no threshold; both depend
-    on n alone."""
+def _vandermonde(n: int) -> tuple[tuple[tuple[complex, ...], ...], tuple, float]:
+    """The rows of the Vandermonde matrix V of the float nodes s = 0..n,
+    the log of its Gauss-Jordan elimination with no threshold, and the
+    smallest pivot magnitude of that log (0 if a column had no pivot); all
+    depend on n alone."""
     vand = tuple(tuple(s**j for j in range(n + 1)) for s in map(complex, range(n + 1)))
     log: list = []
     linalg._rref_data([list(v) for v in vand], 0.0, log)
-    return vand, tuple(log)
+    pivot = min(mag for _, mag, _, _ in log) if len(log) == n + 1 else 0.0
+    return vand, tuple(log), pivot
 
 
 def _divisors(n: int) -> list[int]:

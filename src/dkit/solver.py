@@ -48,8 +48,9 @@ class DescriptorSystem(Record):
     """The quadruple (F, G, B, C) with a regular pencil sF - G, and ``tol``,
     the float-mode zero/rank tolerance (relative; None for the default)
     that trims its char poly and decides every rank in its analysis.
-    Keeps the pencil and the char poly det(sF - G) that proves the
-    regularity, both derived from F, G and ``tol``."""
+    Float F, G, B and C must be finite.  Keeps the pencil and the char
+    poly det(sF - G) that proves the regularity, both derived from F, G
+    and ``tol``."""
 
     _fields = ("F", "G", "B", "C", "tol")
 
@@ -64,6 +65,9 @@ class DescriptorSystem(Record):
         for mat in (B, C):
             if mat.mode is not F.mode:
                 raise ValueError("all system matrices must share one scalar mode")
+        for name, mat in zip("FGBC", (F, G, B, C)):
+            if not mat.is_finite():
+                raise ValueError(f"{name} has a NaN or infinite entry")
         cp = char_poly(pencil, tol)
         if cp.is_zero:
             raise IrregularPencil("det(sF - G) is identically zero")

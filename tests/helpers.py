@@ -650,8 +650,8 @@ def reference_float_char_poly(pencil: Pencil, tol: float | None = None) -> CharP
     """det(sF - G) of a float pencil from ``linalg.det`` of the node
     matrices sF - G at s = 0..n and a Vandermonde solve, trimmed within
     ``tol``; reference for the node rows and the replayed elimination of
-    ``pencil.char_poly``, which must match it bit for bit, breakdown
-    message included."""
+    ``pencil.char_poly``, which must match its coefficients bit for bit
+    and break down where it does, with a message of its own."""
     n = pencil.n
     mode = pencil.mode
     nodes = [complex(i) for i in range(n + 1)]

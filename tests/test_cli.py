@@ -498,13 +498,13 @@ def test_float_analyze_of_a_10_x_10_diagonal_system(capsys):
     assert main(["analyze", json.dumps(doc)]) == EXIT_OK
 
 
-def test_float_analyze_at_n_10_still_falls_back_and_exits_7(capsys):
-    """At n = 10 the smallest pivot of the logged Vandermonde elimination is
-    under the threshold of [V | dets], so the char poly falls back to the
-    full solve, which breaks down with the same message as before."""
+def test_float_analyze_at_n_10_breaks_down_before_any_node_and_exits_7(capsys):
+    """At n = 10 the smallest pivot of the logged Vandermonde elimination,
+    1, is within the threshold of V alone, 1e-9 * 10^10, so the char poly
+    breaks down before it evaluates a node."""
     n = 10
-    _, log = pencil_mod._vandermonde(n)
-    assert min(mag for _, mag, _, _ in log) <= linalg.DEFAULT_RANK_TOL * n**n
+    _, _, pivot = pencil_mod._vandermonde(n)
+    assert pivot <= linalg.DEFAULT_RANK_TOL * n**n
     doc = {
         "n": n, "l": 1, "m": 1, "mode": "float",
         "F": [[int(i == j) for j in range(n)] for i in range(n)],
@@ -515,7 +515,7 @@ def test_float_analyze_at_n_10_still_falls_back_and_exits_7(capsys):
     assert main(["analyze", json.dumps(doc)]) == EXIT_NUMERICAL
     assert capsys.readouterr() == (
         "", "numerical breakdown: char poly interpolation on nodes 0..10 broke down: "
-            "inconsistent system\nhint: retry with --mode exact\n")
+            "Vandermonde pivot 1 within the rank threshold 10\nhint: retry with --mode exact\n")
 
 
 def _over_time(signum, frame):

@@ -162,15 +162,15 @@ FLOAT_DIGESTS = {
     'plant_n6_pure_nilpotent': {'analyze': [0, '7de372bcfe29f470', 'e3b0c44298fc1c14', '4048803b1a245589'], 'solve': [0, '177df34b9937b4c7', 'e3b0c44298fc1c14', '6cd8fef0cc9c8d8f'], 'causality': [0, '16bfa24579b54a38', 'e3b0c44298fc1c14', None]},
     'plant_n8_state_causal': {'analyze': [7, 'e3b0c44298fc1c14', 'd0f0be87f99edb7a', None], 'solve': [7, 'e3b0c44298fc1c14', 'd0f0be87f99edb7a', None], 'causality': [7, 'e3b0c44298fc1c14', 'd0f0be87f99edb7a', None]},
     'plant_n8_inconsistent': {'analyze': [7, 'e3b0c44298fc1c14', '9ef7edae47e4cb6f', None], 'solve': [7, 'e3b0c44298fc1c14', '9ef7edae47e4cb6f', None], 'causality': [7, 'e3b0c44298fc1c14', '9ef7edae47e4cb6f', None]},
-    'plant_n10_output_causal': {'analyze': [7, 'e3b0c44298fc1c14', '3684215755fcbbde', None], 'solve': [7, 'e3b0c44298fc1c14', '3684215755fcbbde', None], 'causality': [7, 'e3b0c44298fc1c14', '3684215755fcbbde', None]},
-    'plant_n12': {'analyze': [7, 'e3b0c44298fc1c14', 'f9d76106818e196d', None], 'solve': [7, 'e3b0c44298fc1c14', 'f9d76106818e196d', None], 'causality': [7, 'e3b0c44298fc1c14', 'f9d76106818e196d', None]},
-    'plant_n16': {'analyze': [7, 'e3b0c44298fc1c14', '6355864fa18adeb4', None], 'solve': [7, 'e3b0c44298fc1c14', '6355864fa18adeb4', None], 'causality': [7, 'e3b0c44298fc1c14', '6355864fa18adeb4', None]},
-    'plant_n9_wide': {'analyze': [7, 'e3b0c44298fc1c14', '4f192d8da06a46fb', None], 'solve': [7, 'e3b0c44298fc1c14', '4f192d8da06a46fb', None], 'causality': [7, 'e3b0c44298fc1c14', '4f192d8da06a46fb', None]},
-    'plant_n12_wide': {'analyze': [7, 'e3b0c44298fc1c14', '6acf6ac1889b3589', None], 'solve': [7, 'e3b0c44298fc1c14', '6acf6ac1889b3589', None], 'causality': [7, 'e3b0c44298fc1c14', '6acf6ac1889b3589', None]},
+    'plant_n10_output_causal': {'analyze': [7, 'e3b0c44298fc1c14', '9994cfc52aa30113', None], 'solve': [7, 'e3b0c44298fc1c14', '9994cfc52aa30113', None], 'causality': [7, 'e3b0c44298fc1c14', '9994cfc52aa30113', None]},
+    'plant_n12': {'analyze': [7, 'e3b0c44298fc1c14', 'd2f69dcfdb386998', None], 'solve': [7, 'e3b0c44298fc1c14', 'd2f69dcfdb386998', None], 'causality': [7, 'e3b0c44298fc1c14', 'd2f69dcfdb386998', None]},
+    'plant_n16': {'analyze': [7, 'e3b0c44298fc1c14', '668c8dee34899b82', None], 'solve': [7, 'e3b0c44298fc1c14', '668c8dee34899b82', None], 'causality': [7, 'e3b0c44298fc1c14', '668c8dee34899b82', None]},
+    'plant_n9_wide': {'analyze': [7, 'e3b0c44298fc1c14', '6a68c3f97fee3053', None], 'solve': [7, 'e3b0c44298fc1c14', '6a68c3f97fee3053', None], 'causality': [7, 'e3b0c44298fc1c14', '6a68c3f97fee3053', None]},
+    'plant_n12_wide': {'analyze': [7, 'e3b0c44298fc1c14', 'd2f69dcfdb386998', None], 'solve': [7, 'e3b0c44298fc1c14', 'd2f69dcfdb386998', None], 'causality': [7, 'e3b0c44298fc1c14', 'd2f69dcfdb386998', None]},
     'plant_n8_growth_K60': {'analyze': [7, 'e3b0c44298fc1c14', '42b2761425f4371e', None], 'solve': [7, 'e3b0c44298fc1c14', '42b2761425f4371e', None], 'causality': [7, 'e3b0c44298fc1c14', '42b2761425f4371e', None]},
     'plant_n6_q0_K30': {'analyze': [7, 'e3b0c44298fc1c14', 'bf903a16c470fb2a', None], 'solve': [7, 'e3b0c44298fc1c14', 'bf903a16c470fb2a', None], 'causality': [7, 'e3b0c44298fc1c14', 'bf903a16c470fb2a', None]},
     'plant_n8_rational': {'analyze': [7, 'e3b0c44298fc1c14', '42b2761425f4371e', None], 'solve': [7, 'e3b0c44298fc1c14', '42b2761425f4371e', None], 'causality': [7, 'e3b0c44298fc1c14', '42b2761425f4371e', None]},
-    'plant_n10_rational_state_causal': {'analyze': [7, 'e3b0c44298fc1c14', '3684215755fcbbde', None], 'solve': [7, 'e3b0c44298fc1c14', '3684215755fcbbde', None], 'causality': [7, 'e3b0c44298fc1c14', '3684215755fcbbde', None]},
+    'plant_n10_rational_state_causal': {'analyze': [7, 'e3b0c44298fc1c14', '9994cfc52aa30113', None], 'solve': [7, 'e3b0c44298fc1c14', '9994cfc52aa30113', None], 'causality': [7, 'e3b0c44298fc1c14', '9994cfc52aa30113', None]},
 }
 
 # name: (oracle trials, [exit code, stdout digest, stderr digest]); a

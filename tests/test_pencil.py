@@ -21,6 +21,7 @@ from dkit import (
     hstack,
 )
 from dkit import linalg
+from dkit.cli import parse_system_file
 from dkit.scalars import Mode
 
 from dkit.pencil import _rational_roots, _vandermonde
@@ -37,6 +38,7 @@ from helpers import (
     reference_rational_roots,
     singular_pencil,
 )
+from test_golden import PLANTS, planted_doc
 
 EX = Mode.EXACT
 FL = Mode.FLOAT
@@ -186,10 +188,10 @@ FLOAT_ENTRIES = {
 @st.composite
 def float_pencils(draw):
     """Float pencils of n = 1..11, so that the replayed Vandermonde
-    elimination and the fallback (from n = 10, and wherever the node
-    determinants dwarf V) both run: an integer-valued plant, random
-    complex entries, a singular F, entries near 1e300, or NaN and inf
-    entries that ``Matrix`` lets in."""
+    elimination and both breakdowns (from n = 10 before any node, and
+    wherever the node determinants dwarf V) all run: an integer-valued
+    plant, random complex entries, a singular F, entries near 1e300, or
+    NaN and inf entries that ``Matrix`` lets in."""
     n = draw(st.integers(1, 11))
     kind = draw(st.sampled_from(["plant", *FLOAT_ENTRIES]))
     if kind == "plant":
@@ -213,6 +215,13 @@ def float_char_poly_outcome(char_poly_of, pencil, tol=None):
     return cp.n, [(c.real.hex(), c.imag.hex()) for c in cp.coefficients]
 
 
+def breakdown(n, thr):
+    """The message of a float char poly breakdown on nodes 0..n, whose
+    Vandermonde pivot 1 lies within the rank threshold ``thr``."""
+    return (f"char poly interpolation on nodes 0..{n} broke down: "
+            f"Vandermonde pivot 1 within the rank threshold {thr}")
+
+
 def diagonal_float_pencil(n):
     return pen([[int(i == j) for j in range(n)] for i in range(n)],
                [[(i + 1) * int(i == j) for j in range(n)] for i in range(n)], FL)
@@ -223,8 +232,40 @@ def diagonal_float_pencil(n):
 @example(diagonal_float_pencil(4), None)
 @example(diagonal_float_pencil(10), None)
 def test_float_char_poly_is_bit_identical_to_the_node_matrix_route(pencil, tol):
-    assert (float_char_poly_outcome(char_poly, pencil, tol)
-            == float_char_poly_outcome(reference_float_char_poly, pencil, tol))
+    """Where the node matrices and the full Vandermonde solve of the
+    reference give coefficients, ``char_poly`` gives them bit for bit;
+    where that solve breaks down, ``char_poly`` breaks down too, with its
+    own message, and nowhere else."""
+    want = float_char_poly_outcome(reference_float_char_poly, pencil, tol)
+    got = float_char_poly_outcome(char_poly, pencil, tol)
+    if isinstance(want, str):
+        assert isinstance(got, str) and got.startswith(breakdown(pencil.n, ""))
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("n, thr", [(10, "10"), (11, "285")])
+def test_float_char_poly_from_n_10_breaks_down_before_any_node_determinant(n, thr):
+    """n^n >= 1e9 puts the threshold of V alone over the pivot 1."""
+    with mock.patch.object(linalg, "float_det", wraps=linalg.float_det) as det:
+        with pytest.raises(ChainConstructionFailure) as exc:
+            char_poly(diagonal_float_pencil(n))
+    assert str(exc.value) == breakdown(n, thr)
+    assert det.call_count == 0
+
+
+def test_float_char_poly_breaks_down_after_its_nodes_once_a_determinant_reaches_1e9():
+    """The golden plant_n9_wide: at n = 9 the threshold of V, 0.387, is
+    under the pivot 1, but its eigenvalues run to 2^20, so its node
+    determinants reach 1e9 and the threshold of [V | dets] covers it."""
+    sf = parse_system_file(planted_doc(*PLANTS["plant_n9_wide"]), FL)
+    pencil = Pencil(sf.F, sf.G)
+    assert isinstance(float_char_poly_outcome(reference_float_char_poly, pencil), str)
+    with mock.patch.object(linalg, "float_det", wraps=linalg.float_det) as det:
+        with pytest.raises(ChainConstructionFailure) as exc:
+            char_poly(pencil)
+    assert str(exc.value) == breakdown(9, "4.49e+08")
+    assert det.call_count == 10
 
 
 def test_float_pencils_of_one_size_eliminate_the_vandermonde_matrix_once():

@@ -121,3 +121,21 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_exact_commands_leave_numpy_unimported():
+    """Exact mode needs no numpy, whose import would nearly double its
+    start-up; only the float root finder imports it."""
+    data = Path(DIAG).parent
+    argvs = [["analyze", str(data / "diag_system.json")],
+             ["solve", str(data / "nilpotent3_c100.json")],
+             ["causality", str(data / "nilpotent3_ceye.json"), "--oracle-trials", "3"]]
+    code = ("import contextlib, io, sys\n"
+            "from dkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {argvs!r}]\n"
+            "print(codes, 'numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[0, 0, 0] False\n"

@@ -71,6 +71,19 @@ def test_descriptor_system_validation():
                          Matrix.zeros(3, 1, EX), Matrix.identity(2, EX))
 
 
+@pytest.mark.parametrize("name", "FGBC")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, -float("inf"))])
+def test_a_float_system_with_a_non_finite_entry_is_rejected_by_name(name, bad):
+    """F = [[1, 0], [0, nan]], G = diag(2, 1) was taken as an irregular
+    pencil; each matrix is now checked before the char poly."""
+    mats = {"F": [[1, 0], [0, 0]], "G": [[2, 0], [0, 1]], "B": [[1], [1]], "C": [[1, 0]]}
+    mats[name][-1][-1] = bad
+    with mock.patch.object(solver, "char_poly", wraps=solver.char_poly) as cp:
+        with pytest.raises(ValueError, match=f"^{name} has a NaN or infinite entry$"):
+            DescriptorSystem(*(Matrix(mats[k], Mode.FLOAT) for k in "FGBC"))
+    assert cp.call_count == 0
+
+
 def test_the_float_tolerance_is_a_field_of_the_system():
     a, _ = diag_fixture()
     loose = DescriptorSystem(a.system.F, a.system.G, a.system.B, a.system.C, tol=1e-4)
