@@ -9,7 +9,9 @@ complex strings such as "1+2j").  Exit codes are part of the contract:
        arguments, such as an output path that cannot be written),
        or an exact value with more decimal digits than Python prints
        (``sys.get_int_max_str_digits()``): rejected when the file is read,
-       or stopping the run before its report when a result outgrows it
+       or stopping the run before its report when a result outgrows it,
+       or float mode without numpy, which its root finder imports (retry
+       with --mode exact)
     2  irregular pencil
     3  inconsistent initial condition (analysis still emitted)
     4  unresolvable exact spectrum (retry with --mode float)

@@ -19,8 +19,11 @@ columns left free.  That step's kernel vectors (v, y) are reduced as
 rows once more, which makes the v-parts canonical and carries the
 y-parts along as the step's y-map.  Float mode uses Gauss-Jordan with
 partial pivoting and a relative rank threshold
-``tol * (largest entry magnitude)``; its determinant is one kernel on
-rows, :func:`float_det`.  Only ``pencil.char_poly`` logs a float
+``tol * (largest entry magnitude)``.  Its pivot search (:func:`pivot_columns`,
+so rank and the nonsingularity test) stops at the pivot row: it leaves
+the rows above each pivot alone, which are never searched again, and
+finds the pivots of the full reduction.  Its determinant is one kernel
+on rows, :func:`float_det`.  Only ``pencil.char_poly`` logs a float
 elimination, of the Vandermonde matrix of its nodes, to replay it on
 each pencil's column of node determinants (:func:`_replay_rref`); it
 reads the smallest logged pivot against the threshold of
@@ -136,11 +139,16 @@ def integer_det(rows: list[list[int]], prev: int = 1) -> int:
     return sign * d if len(pivots) == len(rows) else 0
 
 
-def _rref_data(data: list[list], thr: float, log: list | None = None) -> list[int]:
+def _rref_data(data: list[list], thr: float, log: list | None = None,
+               back: bool = True) -> list[int]:
     """In-place reduced row echelon form of float rows by Gauss-Jordan with
     partial pivoting; returns pivot column indices.  Each step goes to
     ``log``, if given, as (pivot row, pivot magnitude, the inverse of the
-    pivot, the (row, multiplier) pairs of the rows it updates)."""
+    pivot, the (row, multiplier) pairs of the rows it updates).  With
+    ``back`` False it leaves the rows above each pivot alone, so the rows
+    end in an echelon form only; the rows at or below it get the same
+    operations in the same order, and only they are searched for the
+    later pivots, so the pivots are the same."""
     nrows = len(data)
     ncols = len(data[0]) if nrows else 0
     pivots: list[int] = []
@@ -166,7 +174,7 @@ def _rref_data(data: list[list], thr: float, log: list | None = None) -> list[in
         if log is not None:
             log.append((piv, best_mag, inv,
                         [(i, row[c]) for i, row in enumerate(data) if i != r and row[c] != 0]))
-        for i in range(nrows):
+        for i in range(0 if back else r + 1, nrows):
             if i == r:
                 continue
             f = data[i][c]
@@ -214,10 +222,10 @@ def _reduced(mat: Matrix, tol: float | None, thr_of: Matrix | None = None):
 
 def pivot_columns(mat: Matrix, tol: float | None = None) -> list[int]:
     """Pivot columns of the RREF of ``mat``.  They are those of any echelon
-    form, so exact mode stops after forward elimination."""
+    form, so both modes stop after forward elimination."""
     if mat.mode is Mode.EXACT:
         return _bareiss(mat.integer_rows())[0]
-    return _reduced(mat, tol)[1]
+    return _rref_data(mat.to_lists(), _threshold(mat, tol), back=False)
 
 
 def rank(mat: Matrix, tol: float | None = None) -> int:

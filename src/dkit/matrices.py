@@ -56,14 +56,16 @@ class Matrix:
     __slots__ = ("rows", "cols", "mode", "_r")
 
     def __init__(self, rows: Sequence[Sequence], mode: Mode):
-        data = [list(r) for r in rows]
+        exact = mode is Mode.EXACT
+        # a float row is admitted in the one pass that makes its tuple
+        data = ([list(r) for r in rows] if exact else
+                [tuple([x if type(x) is complex else ensure_scalar(x, mode) for x in r])
+                 for r in rows])
         ncols = len(data[0]) if data else 0
         for r in data:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        _fill(self, mode, ncols, tuple(map(_cleared, data)) if mode is Mode.EXACT
-              else tuple([tuple([x if type(x) is complex else ensure_scalar(x, mode) for x in r])
-                          for r in data]))
+        _fill(self, mode, ncols, tuple(map(_cleared, data)) if exact else tuple(data))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -187,6 +189,10 @@ class Matrix:
         return tuple(out)
 
     def to_lists(self) -> list[list]:
+        """A fresh list of the entries of each row; a float row is copied
+        as it is stored."""
+        if self.mode is Mode.FLOAT:
+            return list(map(list, self._r))
         return [self.row_list(i) for i in range(self.rows)]
 
     def column_list(self) -> list:
@@ -250,6 +256,26 @@ class Matrix:
         p, q = s.numerator, s.denominator
         return _new(self.mode, self.cols, tuple(_lowest([p * x for x in nums], q * d)
                                                 for nums, d in self._r))
+
+    def sub_scaled(self, other: "Matrix", s) -> "Matrix":
+        """``self - other.scale(s)`` in one pass over the stored rows: each
+        entry is x - s y, an exact row over the lcm of the two row
+        denominators in lowest terms."""
+        self._check_mode(other)
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+        s = ensure_scalar(s, self.mode)
+        if self.mode is Mode.FLOAT:
+            return _new(self.mode, self.cols, tuple([tuple([x - s * y for x, y in zip(a, b)])
+                                                     for a, b in zip(self._r, other._r)]))
+        p, q = s.numerator, s.denominator
+        out = []
+        for (a, d), (b, e) in zip(self._r, other._r):
+            e *= q
+            t = math.lcm(d, e)
+            da, eb = t // d, p * (t // e)
+            out.append(_lowest([x * da - y * eb for x, y in zip(a, b)], t))
+        return _new(self.mode, self.cols, tuple(out))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Matrix product.
@@ -338,6 +364,53 @@ class Matrix:
             return max(map(abs, chain.from_iterable(self._r)), default=0.0)
         return max((Fraction(max(map(abs, nums)), d) for nums, d in self._r if nums),
                    default=Fraction(0))
+
+    def max_abs_off_jordan(self, blocks: Sequence[tuple]):
+        """``(self - J).max_abs()`` for J the direct sum of the Jordan
+        blocks ``blocks``, (eigenvalue, size) pairs: J has the eigenvalues
+        on its diagonal and ones on the superdiagonal inside each block.
+        It reads the stored rows and builds no J.  The float scan is the
+        row-major one of ``max_abs`` with the entries on J's pattern taken
+        less J's, so a NaN counts where it would in ``self - J``: x - 0
+        has the magnitude of x, and x - v is the same for an int, float or
+        complex v of one value."""
+        n = self.rows
+        if not self.is_square or sum(size for _, size in blocks) != n:
+            raise ValueError(f"Jordan blocks of {[size for _, size in blocks]} do not fit "
+                             f"{self.rows}x{self.cols}")
+        rows, start = self._r, 0
+        if self.mode is Mode.FLOAT:
+            vals = list(map(abs, chain.from_iterable(rows)))
+            for v, size in blocks:
+                if type(v) is not complex and type(v) is not int:
+                    v = ensure_scalar(v, self.mode)
+                end = start + size
+                for i in range(start, end):
+                    row, k = rows[i], i * (n + 1)
+                    if v != 0:
+                        vals[k] = abs(row[i] - v)
+                    if i + 1 < end:
+                        vals[k + 1] = abs(row[i + 1] - 1)
+                start = end
+            return max(vals, default=0.0)
+        # row i less J, times d q for the eigenvalue p / q, compared as integers
+        best, best_d = 0, 1
+        for v, size in blocks:
+            if type(v) is not int and type(v) is not Fraction:
+                v = ensure_scalar(v, self.mode)
+            p, q = v.numerator, v.denominator
+            end = start + size
+            for i in range(start, end):
+                nums, d = rows[i]
+                r, dq = (list(nums) if q == 1 else [x * q for x in nums]), d * q
+                r[i] -= p * d
+                if i + 1 < end:
+                    r[i + 1] -= dq
+                m = max(map(abs, r))
+                if m * best_d > best * dq:
+                    best, best_d = m, dq
+            start = end
+        return Fraction(best, best_d)
 
     def is_finite(self) -> bool:
         """No NaN or infinite entry (always so in exact mode); the float

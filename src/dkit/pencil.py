@@ -40,7 +40,7 @@ from itertools import product
 from typing import NamedTuple
 
 from . import linalg
-from .errors import ChainConstructionFailure, UnresolvableSpectrum
+from .errors import ChainConstructionFailure, DkitError, UnresolvableSpectrum
 from .matrices import Matrix, hstack
 from .record import Record
 from .scalars import Mode, Scalar, clear_denominators
@@ -215,8 +215,14 @@ def _vandermonde(n: int) -> tuple[tuple[tuple[complex, ...], ...], tuple, float]
     """The rows of the Vandermonde matrix V of the float nodes s = 0..n,
     the log of its Gauss-Jordan elimination with no threshold, and the
     smallest pivot magnitude of that log (0 if a column had no pivot); all
-    depend on n alone."""
-    vand = tuple(tuple(s**j for j in range(n + 1)) for s in map(complex, range(n + 1)))
+    depend on n alone.  From n = 144 on the entry n^n overflows a double,
+    and the interpolation breaks down here (ChainConstructionFailure)."""
+    try:
+        vand = tuple(tuple(s**j for j in range(n + 1)) for s in map(complex, range(n + 1)))
+    except OverflowError:  # n^n > 1.8e308, from n = 144 on
+        raise ChainConstructionFailure(
+            f"char poly interpolation on nodes 0..{n} broke down: "
+            f"the Vandermonde entries overflow a double") from None
     log: list = []
     linalg._rref_data([list(v) for v in vand], 0.0, log)
     pivot = min(mag for _, mag, _, _ in log) if len(log) == n + 1 else 0.0
@@ -325,7 +331,12 @@ def finite_eigenvalues(
             )
         roots.sort(key=lambda t: (t[0].numerator, t[0].denominator))
         return roots
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError:
+        raise DkitError("float mode needs numpy for the roots of the char poly, "
+                        "and it cannot be imported; install numpy or retry with "
+                        "--mode exact") from None
 
     radius = DEFAULT_CLUSTER_RADIUS if cluster_radius is None else cluster_radius
     values = [complex(z) for z in np.roots([complex(c) for c in reversed(coeffs)])]

@@ -38,6 +38,13 @@ P^{-1} must be F Q_p and the last q columns must be G Q_q.
 All choices are canonical: kernels come from the (unique) reduced row
 echelon form, eigenvalues are sorted, and block sizes are descending, so
 repeated runs produce identical output.
+
+The result is accepted by the reconstruction check, :func:`verify`.  It
+reads the residuals |P F Q - (I_p (+) H_q)| and |P G Q - (J_p (+) I_q)|
+off the two products against the block pattern, the diagonal and the
+ones above it inside each block, without building either right-hand
+side.  Only when both pass (0 in exact mode, at most tol * max(|F|, |G|,
+1) in float mode) does it test P and Q for rank.
 """
 
 from __future__ import annotations
@@ -99,8 +106,8 @@ def assemble_Hq(blocks: list[NilpotentBlockSpec] | tuple, mode: Mode) -> Matrix:
 class WeierstrassDecomposition(Record):
     """P, Q and the block structure.  p and q are the total sizes of the
     Jordan and of the nilpotent blocks, and q_star, the nilpotency index,
-    the largest nilpotent block; the blocks Q_p, Q_q, J_p, H_q, F_w and G_w
-    are built on first read and kept (equality reads the fields only)."""
+    the largest nilpotent block; the blocks Q_p, Q_q, J_p and H_q are
+    built on first read and kept (equality reads the fields only)."""
 
     _fields = ("P", "Q", "jordan_blocks", "nilpotent_blocks")
 
@@ -136,20 +143,16 @@ class WeierstrassDecomposition(Record):
     def H_q(self) -> Matrix:
         return assemble_Hq(self.nilpotent_blocks, self.mode)
 
-    @cached_property
-    def F_w(self) -> Matrix:
-        return block_diag([Matrix.identity(self.p, self.mode), self.H_q], self.mode)
-
-    @cached_property
-    def G_w(self) -> Matrix:
-        return block_diag([self.J_p, Matrix.identity(self.q, self.mode)], self.mode)
-
 
 class VerificationReport(NamedTuple):
+    """The reconstruction check of a decomposition: its two residuals, and
+    whether P and Q are nonsingular, which is tested only when the
+    residuals pass (None otherwise)."""
+
     residual_F: Fraction | float
     residual_G: Fraction | float
-    P_nonsingular: bool
-    Q_nonsingular: bool
+    P_nonsingular: bool | None
+    Q_nonsingular: bool | None
 
     @property
     def max_residual(self):
@@ -257,7 +260,7 @@ def _decompose(
     qp_cols: list[Matrix] = []
     if p > 0:
         for a, mult in finite_eigenvalues(cp, cluster_radius):
-            A = G - F.scale(a)
+            A = G.sub_scaled(F, a)
             maps = [] if exact else None
             bases = linalg.filtration(A, F, mult, tol, maps)
             for chain in _chains(A, F, bases, maps, tol):
@@ -295,13 +298,7 @@ def _decompose(
     )
 
     report = verify(pencil, w, tol)
-    if mode is Mode.EXACT:
-        ok = report.residual_F == 0 and report.residual_G == 0
-    else:
-        scale = float(max(abs(F.max_abs()), abs(G.max_abs()), 1.0))
-        thr = (linalg.DEFAULT_RANK_TOL if tol is None else tol) * scale
-        ok = float(report.residual_F) <= thr and float(report.residual_G) <= thr
-    if not (ok and report.P_nonsingular and report.Q_nonsingular):
+    if not (report.P_nonsingular and report.Q_nonsingular):
         raise ChainConstructionFailure(
             f"reconstruction check failed: residuals "
             f"{report.residual_F}, {report.residual_G}"
@@ -312,14 +309,27 @@ def _decompose(
 def verify(
     pencil: Pencil, w: WeierstrassDecomposition, tol: float | None = None
 ) -> VerificationReport:
-    """Residuals of the two defining block equations (max-abs norm)."""
+    """The reconstruction check of ``w``: the residuals of the two defining
+    block equations in the max-abs norm, |P F Q - (I_p (+) H_q)| and
+    |P G Q - (J_p (+) I_q)|, read off the two products against the block
+    pattern (``Matrix.max_abs_off_jordan``).  They pass when both are 0
+    (exact mode) or at most ``tol`` (default ``linalg.DEFAULT_RANK_TOL``)
+    times max(|F|, |G|, 1) (float mode).  Only then are P and Q tested for
+    rank under ``tol``; the two rank fields read None otherwise."""
     if w.n != pencil.n:
         raise ValueError("decomposition and pencil dimensions differ")
-    res_f = (w.P @ pencil.F @ w.Q - w.F_w).max_abs()
-    res_g = (w.P @ pencil.G @ w.Q - w.G_w).max_abs()
-    return VerificationReport(
-        residual_F=res_f,
-        residual_G=res_g,
-        P_nonsingular=linalg.is_nonsingular(w.P, tol),
-        Q_nonsingular=linalg.is_nonsingular(w.Q, tol),
-    )
+    F, G = pencil.F, pencil.G
+    res_f = (w.P @ F @ w.Q).max_abs_off_jordan(
+        [(1, 1)] * w.p + [(0, b.size) for b in w.nilpotent_blocks])
+    res_g = (w.P @ G @ w.Q).max_abs_off_jordan(
+        [(b.eigenvalue, b.size) for b in w.jordan_blocks] + [(1, 1)] * w.q)
+    if pencil.mode is Mode.EXACT:
+        ok = res_f == 0 and res_g == 0
+    else:
+        scale = float(max(abs(F.max_abs()), abs(G.max_abs()), 1.0))
+        thr = (linalg.DEFAULT_RANK_TOL if tol is None else tol) * scale
+        ok = float(res_f) <= thr and float(res_g) <= thr
+    if not ok:
+        return VerificationReport(res_f, res_g, None, None)
+    return VerificationReport(res_f, res_g, linalg.is_nonsingular(w.P, tol),
+                              linalg.is_nonsingular(w.Q, tol))

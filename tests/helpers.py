@@ -23,7 +23,9 @@ stops before the perturbed instant and re-runs the perturbed signal only
 from the first instant that reads it.  The trajectory reference
 restacks [Z^p_k; V_k; ...; V_{k+w-1}] with ``vstack`` and ``take_rows``
 at every instant, where the library builds that column from the stored
-rows.
+rows.  The residual reference builds F_w and G_w and subtracts them from
+P F Q and P G Q, where the library reads the residuals off the two
+products against the block pattern.
 """
 
 from __future__ import annotations
@@ -669,6 +671,16 @@ def reference_float_char_poly(pencil: Pencil, tol: float | None = None) -> CharP
     while coeffs and abs(coeffs[-1]) <= thr:
         coeffs.pop()
     return CharPoly(tuple(coeffs), n)
+
+
+def reference_residuals(pencil: Pencil, w) -> tuple:
+    """The two residuals of the reconstruction check as differences:
+    F_w = I_p (+) H_q and G_w = J_p (+) I_q built as matrices and
+    subtracted from P F Q and P G Q, then ``max_abs`` of each."""
+    mode = w.mode
+    f_w = block_diag([Matrix.identity(w.p, mode), assemble_Hq(w.nilpotent_blocks, mode)], mode)
+    g_w = block_diag([assemble_Jp(w.jordan_blocks, mode), Matrix.identity(w.q, mode)], mode)
+    return ((w.P @ pencil.F @ w.Q - f_w).max_abs(), (w.P @ pencil.G @ w.Q - g_w).max_abs())
 
 
 def reference_pick_independent(candidates: Matrix, context: list[Matrix], tol: float | None) -> int:

@@ -522,6 +522,44 @@ def _over_time(signum, frame):
     raise TimeoutError("stopped by the 2 s alarm")
 
 
+def test_float_analyze_at_n_144_exits_7_on_the_vandermonde_overflow_within_2s(capsys):
+    """From n = 144 on the Vandermonde entry n^n overflows a double (143^143
+    is below 1.8e308, 144^144 above), and the char poly breaks down there
+    with exit 7 instead of an OverflowError."""
+    n = 144
+    doc = {
+        "n": n, "l": 1, "m": 1, "mode": "float",
+        "F": [[int(i == j) for j in range(n)] for i in range(n)],
+        "G": [[(i + 1) * int(i == j) for j in range(n)] for i in range(n)],
+        "B": [[1]] * n, "C": [[1] * n], "Y0": [0] * n,
+        "k0": 0, "inputs": [[0]] * 2, "K": 2,
+    }
+    previous = signal.signal(signal.SIGALRM, _over_time)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        code = main(["analyze", json.dumps(doc)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0] == (
+        "numerical breakdown: char poly interpolation on nodes 0..144 broke down: "
+        "the Vandermonde entries overflow a double")
+
+
+def test_float_mode_without_numpy_exits_1_naming_numpy_and_exact_mode(monkeypatch, capsys):
+    """Only the float root finder imports numpy; without it (dkit installed
+    with --no-deps) a float run ends in a typed error, not a traceback."""
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert main(["analyze", DIAG, "--mode", "float"]) == EXIT_PARSE
+    assert capsys.readouterr() == (
+        "", "error: float mode needs numpy for the roots of the char poly, and it cannot "
+            "be imported; install numpy or retry with --mode exact\n")
+    assert main(["analyze", DIAG]) == EXIT_OK
+
+
 def test_analyze_of_eigenvalues_scaled_by_a_product_of_11_primes_ends_within_2s(capsys):
     """F = P I, G = diag(59 P, 61 P), P the product of the first 11 primes:
     the char poly has content P^2, which the rational root search divides

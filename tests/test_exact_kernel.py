@@ -21,7 +21,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dkit import Matrix, block_diag, char_poly, decompose, hstack, linalg, vstack
+from dkit import (JordanBlockSpec, Matrix, assemble_Jp, block_diag, char_poly, decompose,
+                  hstack, linalg, vstack)
 from dkit.scalars import Mode, clear_denominators, format_scalar
 
 from helpers import (
@@ -249,6 +250,33 @@ def test_matmul_matches_fraction_multiply_add(ab):
     prod = a @ b
     assert prod == reference_matmul(a, b)
     assert_fractions(prod)
+
+
+@settings(max_examples=200)
+@given(st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda s: st.tuples(matrices(nrows=s[0], ncols=s[1]), matrices(nrows=s[0], ncols=s[1]),
+                        st.one_of(FRACTIONS, st.integers(-3, 3)))))
+def test_sub_scaled_matches_the_difference_with_the_scaled_matrix(abs_):
+    a, b, s = abs_
+    got = a.sub_scaled(b, s)
+    assert got == a - b.scale(s)
+    assert_fractions(got)
+
+
+@st.composite
+def off_jordan_cases(draw):
+    """A square matrix and (eigenvalue, size) blocks that fill it."""
+    sizes = draw(st.lists(st.integers(1, 3), max_size=4))
+    blocks = [(draw(st.one_of(st.sampled_from([0, 1, -2]), FRACTIONS)), k) for k in sizes]
+    return draw(matrices(nrows=sum(sizes), ncols=sum(sizes))), blocks
+
+
+@settings(max_examples=200)
+@given(off_jordan_cases())
+def test_max_abs_off_jordan_matches_the_difference_with_the_blocks(case):
+    a, blocks = case
+    jordan = block_diag([assemble_Jp([JordanBlockSpec(v, k)], EX) for v, k in blocks], EX)
+    assert a.max_abs_off_jordan(blocks) == (a - jordan).max_abs()
 
 
 def test_solve_reports_inconsistency_as_none():

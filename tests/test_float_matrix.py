@@ -12,7 +12,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dkit import Matrix, block_diag, hstack, linalg, vstack
+from dkit import JordanBlockSpec, Matrix, assemble_Jp, block_diag, hstack, linalg, vstack
 from dkit.scalars import Mode
 from helpers import reference_float_det, reference_float_max_abs
 
@@ -127,6 +127,7 @@ def test_float_entrywise_operations_match_the_reference(ab, s):
     assert_same(a - b, Ref(a.rows, a.cols, (x - y for x, y in zip(ra.e, rb.e))))
     assert_same(-a, ra.map(lambda x: -x))
     assert_same(a.scale(s), ra.map(lambda x: s * x))
+    assert_same(a.sub_scaled(b, s), Ref(a.rows, a.cols, (x - s * y for x, y in zip(ra.e, rb.e))))
     assert_same(a.T, ra.T)
     assert_same(a.conj_T(), ra.T.map(complex.conjugate))
     assert_same(Matrix.zeros(a.rows, a.cols, FL), ra.map(lambda x: 0j))
@@ -200,6 +201,75 @@ def test_float_max_abs_matches_the_generator_reference_at_nan_inf_and_signed_zer
         got, want = m.max_abs(), reference_float_max_abs(m)
         assert type(got) is float
         assert (math.isnan(got) and math.isnan(want)) or got.hex() == want.hex(), m
+
+
+@st.composite
+def off_jordan_cases(draw):
+    """A square matrix, NaN and infinite entries included, and
+    (eigenvalue, size) blocks that fill it, the eigenvalues an int, float
+    or complex."""
+    sizes = draw(st.lists(st.integers(1, 3), max_size=4))
+    values = st.one_of(st.sampled_from([0, 1, 0j, 1 + 0j, -0.0, 2.5, complex(-0.0, 0.0)]), ENTRIES)
+    blocks = [(draw(values), k) for k in sizes]
+    n = sum(sizes)
+    cells = st.one_of(ENTRIES, st.sampled_from([complex(NAN, 0), complex(0, NAN), INF]))
+    rows = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n))
+    return (Matrix(rows, FL) if n else Matrix.zeros(0, 0, FL)), blocks
+
+
+@settings(max_examples=300)
+@given(off_jordan_cases())
+def test_max_abs_off_jordan_matches_the_difference_with_the_blocks(case):
+    """The residual read in place scans like ``(a - J).max_abs()``: a NaN
+    counts only where it comes first, and x - 0 keeps the magnitude of x."""
+    a, blocks = case
+    jordan = block_diag([assemble_Jp([JordanBlockSpec(v, k)], FL) for v, k in blocks], FL)
+    got, want = a.max_abs_off_jordan(blocks), (a - jordan).max_abs()
+    assert type(got) is float and got.hex() == want.hex()
+
+
+def near_threshold_rows(nrows, ncols, big, tol):
+    """Rows with one entry ``big``, which puts the rank threshold near
+    t = tol * big (a multiple of a row may exceed it): entries at, just
+    above and just below t, and rows that are a multiple of an earlier
+    row plus such an entry."""
+    t = (linalg.DEFAULT_RANK_TOL if tol is None else tol) * big
+    near = st.sampled_from([t, -t, t * 1j, t * (1 + 2**-52), t * (1 - 2**-53),
+                            t * (1 + 1e-9), t * (1 - 1e-9), t / 2, 0j])
+    cell = st.one_of(near, st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)),
+                     st.complex_numbers(max_magnitude=big, allow_nan=False, allow_infinity=False))
+
+    @st.composite
+    def build(draw):
+        rows = []
+        for _ in range(nrows):
+            if rows and draw(st.booleans()):
+                base, k = draw(st.sampled_from(rows)), draw(st.sampled_from([1, -2, 0.5, 1j]))
+                j = draw(st.integers(0, ncols - 1))
+                row = [k * x for x in base]
+                row[j] += draw(near)
+            else:
+                row = draw(st.lists(cell, min_size=ncols, max_size=ncols))
+            rows.append(row)
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, ncols - 1))
+        rows[i][j] = complex(big)
+        return rows
+
+    return build()
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([None, 0.0, 0.5, 1.0, 2.0]).flatmap(lambda tol: st.tuples(
+    st.just(tol),
+    st.tuples(st.integers(1, 5), st.integers(1, 5), st.sampled_from([1.0, 4.0, 1e3])).flatmap(
+        lambda s: near_threshold_rows(*s, tol)))))
+def test_forward_only_float_pivots_are_those_of_the_full_reduction(case):
+    """pivot_columns leaves the rows above each pivot alone; the rows it
+    searches get the operations of the full Gauss-Jordan, so the pivots are
+    those of ``_reduced``, also with entries at the rank threshold."""
+    tol, rows = case
+    m = Matrix(rows, FL)
+    assert linalg.pivot_columns(m, tol) == linalg._reduced(m, tol)[1]
 
 
 def hex_of(z: complex) -> tuple[str, str]:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -36,6 +37,7 @@ from helpers import (
     reference_chains,
     reference_filtration,
     reference_pick_independent,
+    reference_residuals,
     unimodular,
 )
 
@@ -82,7 +84,7 @@ def test_canonical_blocks_are_built_once_and_leave_equality_alone():
     rng = random.Random(11)
     pen, _, _ = planted_pencil(rng, 6, q=3)
     w = decompose(pen)
-    names = ("Q_p", "Q_q", "J_p", "H_q", "F_w", "G_w")
+    names = ("Q_p", "Q_q", "J_p", "H_q")
     first = {name: getattr(w, name) for name in names}
     for name in names:
         assert getattr(w, name) is first[name]
@@ -158,6 +160,133 @@ def test_verify_detects_permuted_blocks():
     )
     rep = verify(pen, wrong)
     assert rep.residual_G != 0
+
+
+FL = Mode.FLOAT
+# finite blocks only, infinite blocks only, and both
+PLANT_KINDS = (dict(n=4, q=0), dict(n=4, nilpotent=[3, 1]), dict(n=5, nilpotent=[2, 1]))
+
+
+def _planted_decomposition(rng, conjugate, **kind):
+    """A planted pencil and its planted decomposition: P and Q are the
+    inverses of the two matrices that conjugate F_w and G_w."""
+    made = []
+
+    def record(rng, n):
+        made.append(conjugate(rng, n))
+        return made[-1]
+
+    pen, jb, nb = planted_pencil(rng, conjugate=record, **kind)
+    left, right = made
+    return pen, WeierstrassDecomposition(linalg.inverse(left), linalg.inverse(right),
+                                         tuple(jb), tuple(nb))
+
+
+def _to_float(pen, w):
+    return (Pencil(pen.F.to_float(), pen.G.to_float()),
+            WeierstrassDecomposition(
+                w.P.to_float(), w.Q.to_float(),
+                tuple(JordanBlockSpec(complex(b.eigenvalue), b.size) for b in w.jordan_blocks),
+                w.nilpotent_blocks))
+
+
+def _with_p(w, p_mat):
+    return WeierstrassDecomposition(p_mat, w.Q, w.jordan_blocks, w.nilpotent_blocks)
+
+
+def _nan_at(m, k):
+    """``m`` with a NaN at row-major position k."""
+    rows = m.to_lists()
+    rows[k // m.cols][k % m.cols] = complex(float("nan"), 0.0)
+    return Matrix(rows, FL)
+
+
+def _wrong_ps(w):
+    """Wrong versions of P: scaled by 2 and, in float mode, with a NaN just
+    before and just after its largest entry (row-major), where there is one."""
+    out = [w.P.scale(2)]
+    if w.mode is FL:
+        flat = [abs(x) for row in w.P.to_lists() for x in row]
+        k = flat.index(max(flat))
+        out += [_nan_at(w.P, j) for j in (k - 1, k + 1) if 0 <= j < len(flat)]
+    return out
+
+
+def _residual_corpus():
+    """(pencil, decomposition) pairs: planted exact and float decompositions
+    of each kind, with unimodular and rational conjugators, and wrong ones
+    made from them by permuting the blocks and by each wrong P."""
+    rng = random.Random(41)
+    out = []
+    for kind in PLANT_KINDS:
+        for conjugate in (unimodular, rational_nonsingular):
+            for _ in range(4):
+                pen, w = _planted_decomposition(rng, conjugate, **kind)
+                for pen, w in ((pen, w), _to_float(pen, w)):
+                    out.append((pen, w))
+                    out.append((pen, WeierstrassDecomposition(
+                        w.P, w.Q, w.jordan_blocks[::-1], w.nilpotent_blocks[::-1])))
+                    out += [(pen, _with_p(w, p)) for p in _wrong_ps(w)]
+    return out
+
+
+def test_verify_residuals_equal_the_difference_matrices_bit_for_bit():
+    seen, nans = set(), []
+    for pen, w in _residual_corpus():
+        got = verify(pen, w)
+        want = reference_residuals(pen, w)
+        if w.mode is EX:
+            assert (got.residual_F, got.residual_G) == want
+        else:
+            assert (got.residual_F.hex(), got.residual_G.hex()) == (want[0].hex(), want[1].hex())
+            nans.append(math.isnan(got.residual_F))
+        seen.add((w.mode, max((b.size for b in w.jordan_blocks), default=0),
+                  max((b.size for b in w.nilpotent_blocks), default=0)))
+    for mode in (EX, FL):  # each kind with blocks of size >= 2
+        assert any(m == mode and j >= 2 and k == 0 for m, j, k in seen)
+        assert any(m == mode and j == 0 and k >= 2 for m, j, k in seen)
+        assert any(m == mode and j >= 2 and k >= 2 for m, j, k in seen)
+    assert any(nans) and not all(nans)  # a NaN counts in the first row only
+
+
+def test_reconstruction_failure_message_reads_the_reference_residuals():
+    """A wrong P out of the inversion: _decompose names the residuals the
+    difference matrices give, in the message it raised before."""
+    rng = random.Random(43)
+    checked = 0
+    for kind in PLANT_KINDS:
+        pen, _, _ = planted_pencil(rng, **kind)
+        for pen in (pen, Pencil(pen.F.to_float(), pen.G.to_float())):
+            try:
+                w = decompose(pen)
+            except ChainConstructionFailure:
+                continue
+            for p_mat in _wrong_ps(w):
+                want = reference_residuals(pen, _with_p(w, p_mat))
+                with mock.patch.object(linalg, "inverse", return_value=p_mat), \
+                        pytest.raises(ChainConstructionFailure) as info:
+                    _decompose(pen, char_poly(pen), tol=None, cluster_radius=None)
+                assert str(info.value) == (f"reconstruction check failed: residuals "
+                                           f"{want[0]}, {want[1]}")
+                checked += 1
+    assert checked >= 2 * len(PLANT_KINDS)
+
+
+@pytest.mark.parametrize("mode", [EX, FL])
+def test_verify_tests_ranks_only_when_the_residuals_pass(mode):
+    pen, w = _planted_decomposition(random.Random(5), unimodular, n=5, nilpotent=[2])
+    if mode is FL:
+        pen, w = _to_float(pen, w)
+    with mock.patch.object(linalg, "is_nonsingular", wraps=linalg.is_nonsingular) as spy:
+        bad = verify(pen, _with_p(w, w.P.scale(2)))
+        assert spy.call_count == 0
+        assert (bad.P_nonsingular, bad.Q_nonsingular) == (None, None)
+        assert bad.max_residual > 0
+        good = verify(pen, w)
+        assert spy.call_count == 2
+        assert (good.P_nonsingular, good.Q_nonsingular) == (True, True)
+    singular = verify(pen, _with_p(w, Matrix.zeros(5, 5, mode)))
+    assert (singular.P_nonsingular, singular.Q_nonsingular) == (None, None)
 
 
 def test_reconstruction_recovers_planted_structure():
