@@ -160,8 +160,10 @@ def _step_maps(a: Analysis) -> tuple[Matrix, Matrix]:
 
 
 def transform_input(w: WeierstrassDecomposition, B: Matrix) -> TransformedInput:
-    """P B in the blocks the solver and the causality checks read."""
-    b_p, b_q = (w.P @ B).split_rows((w.p,))
+    """P B in the blocks the solver and the causality checks read.  Where
+    ``w`` defines P as [F Q_p | G Q_q]^{-1} (exact :func:`analyze`), P B is
+    the solution of [F Q_p | G Q_q] X = B, and P is never built."""
+    b_p, b_q = w.P_times(B).split_rows((w.p,))
     blocks: list[Matrix] = []
     for _ in range(w.q_star):
         blocks.append(w.H_q @ blocks[-1] if blocks else b_q)

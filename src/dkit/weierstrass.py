@@ -33,7 +33,12 @@ structure the N_k are the Wong sequence of the pencil, and in exact mode
 they are the pencil's own walk, ``Pencil.wong_sequence`` with
 ``Pencil.wong_maps``, the one its char poly deflates by.  Columns of Q
 are the chain vectors; P is then forced, because the first p columns of
-P^{-1} must be F Q_p and the last q columns must be G Q_q.
+P^{-1} must be F Q_p and the last q columns must be G Q_q: P = M^{-1},
+M = [F Q_p | G Q_q] (the quasi-Weierstrass construction of Berger,
+Ilchmann & Trenn 2012 defines it from the two deflating subspaces the
+same way).  Float mode inverts M.  Exact mode tests M for rank by one
+forward elimination and builds P only when it is first read, which no
+CLI command does: P B is the solution of M X = B.
 
 All choices are canonical: kernels come from the (unique) reduced row
 echelon form, eigenvalues are sorted, and block sizes are descending, so
@@ -44,7 +49,17 @@ reads the residuals |P F Q - (I_p (+) H_q)| and |P G Q - (J_p (+) I_q)|
 off the two products against the block pattern, the diagonal and the
 ones above it inside each block, without building either right-hand
 side.  Only when both pass (0 in exact mode, at most tol * max(|F|, |G|,
-1) in float mode) does it test P and Q for rank.
+1) in float mode) does it test P and Q for rank.  Exact mode first
+checks the chain relations instead, which settle the whole report when
+the decomposition defines P as M^{-1} for the pencil checked:
+
+    P F Q - (I_p (+) H_q) = P [0 | F Q_q - G Q_q H_q],
+    P G Q - (J_p (+) I_q) = P [G Q_p - F Q_p J_p | 0],
+
+so G Q_p = (F Q_p) J_p and F Q_q = (G Q_q) H_q make both residuals 0,
+and then det P det(sF - G) det Q = det(sI - J_p) (-1)^q, a nonzero
+polynomial, so P and Q are nonsingular.  A relation that fails leaves
+the report to the products, so every residual reported is theirs.
 """
 
 from __future__ import annotations
@@ -107,17 +122,49 @@ class WeierstrassDecomposition(Record):
     """P, Q and the block structure.  p and q are the total sizes of the
     Jordan and of the nilpotent blocks, and q_star, the nilpotency index,
     the largest nilpotent block; the blocks Q_p, Q_q, J_p and H_q are
-    built on first read and kept (equality reads the fields only)."""
+    built on first read and kept (equality reads the fields only).
+
+    An exact decomposition from :func:`decompose` defines P as M^{-1},
+    M = [F Q_p | G Q_q] of its pencil, and builds it (``linalg.inverse``)
+    only when ``P`` is first read; :meth:`P_times` solves M X = B
+    instead.  Equality, hash and repr read P, so they build it."""
 
     _fields = ("P", "Q", "jordan_blocks", "nilpotent_blocks")
 
     def __init__(self, P: Matrix, Q: Matrix,
                  jordan_blocks: tuple[JordanBlockSpec, ...],
                  nilpotent_blocks: tuple[NilpotentBlockSpec, ...]):
-        self._set(P=P, Q=Q, jordan_blocks=jordan_blocks, nilpotent_blocks=nilpotent_blocks,
+        self._set(P=P, _M=None)
+        self._set_blocks(Q, jordan_blocks, nilpotent_blocks)
+
+    @classmethod
+    def _inverse_of(cls, pencil: Pencil, M: Matrix, fq_p: Matrix, gq_q: Matrix,
+                    q_p: Matrix, q_q: Matrix,
+                    jordan_blocks: tuple[JordanBlockSpec, ...],
+                    nilpotent_blocks: tuple[NilpotentBlockSpec, ...]) -> "WeierstrassDecomposition":
+        """The decomposition with Q = [Q_p | Q_q] whose P is M^{-1}, for a
+        nonsingular M = [F Q_p | G Q_q] of ``pencil`` given with its two
+        blocks, which are kept with the pencil they were formed from."""
+        w = object.__new__(cls)
+        w._set(_M=M, _M_blocks=(fq_p, gq_q), _pencil=pencil, Q_p=q_p, Q_q=q_q)
+        w._set_blocks(hstack([q_p, q_q]), jordan_blocks, nilpotent_blocks)
+        return w
+
+    def _set_blocks(self, Q, jordan_blocks, nilpotent_blocks):
+        self._set(Q=Q, jordan_blocks=jordan_blocks, nilpotent_blocks=nilpotent_blocks,
                   p=sum(b.size for b in jordan_blocks),
                   q=sum(b.size for b in nilpotent_blocks),
                   q_star=max((b.size for b in nilpotent_blocks), default=0))
+
+    @cached_property
+    def P(self) -> Matrix:
+        # reached only when P is defined as M^{-1}: the constructor sets it
+        return linalg.inverse(self._M)
+
+    def P_times(self, B: Matrix) -> Matrix:
+        """P B: where P is defined as M^{-1}, the solution of M X = B by one
+        elimination of [M | B], the same entries as P @ B."""
+        return self.P @ B if self._M is None else linalg.solve_unique(self._M, B)
 
     @property
     def n(self) -> int:
@@ -125,7 +172,7 @@ class WeierstrassDecomposition(Record):
 
     @property
     def mode(self) -> Mode:
-        return self.P.mode
+        return self.Q.mode
 
     @cached_property
     def Q_p(self) -> Matrix:
@@ -280,22 +327,23 @@ def _decompose(
 
     q_p = hstack(qp_cols) if qp_cols else Matrix.zeros(n, 0, mode)
     q_q = hstack(qq_cols) if qq_cols else Matrix.zeros(n, 0, mode)
-    q_full = hstack([q_p, q_q])
+    jb, nb = tuple(jordan_blocks), tuple(nilpotent_blocks)
 
     # P^{-1} is forced blockwise: columns 1..p equal F Q_p, columns p+1..n
-    # equal G Q_q; inverting it solves both block equations at once.
-    pinv = hstack([F @ q_p, G @ q_q])
-    try:
-        p_mat = linalg.inverse(pinv, tol)
-    except ValueError:
-        raise ChainConstructionFailure("[F Q_p | G Q_q] is singular") from None
-
-    w = WeierstrassDecomposition(
-        P=p_mat,
-        Q=q_full,
-        jordan_blocks=tuple(jordan_blocks),
-        nilpotent_blocks=tuple(nilpotent_blocks),
-    )
+    # equal G Q_q.  Exact mode defines P as its inverse and tests it only
+    # for rank; float mode inverts it, which solves both block equations.
+    fq_p, gq_q = F @ q_p, G @ q_q
+    m = hstack([fq_p, gq_q])
+    if exact:
+        w = (WeierstrassDecomposition._inverse_of(pencil, m, fq_p, gq_q, q_p, q_q, jb, nb)
+             if linalg.is_nonsingular(m) else None)
+    else:
+        try:
+            w = WeierstrassDecomposition(linalg.inverse(m, tol), hstack([q_p, q_q]), jb, nb)
+        except ValueError:
+            w = None
+    if w is None:
+        raise ChainConstructionFailure("[F Q_p | G Q_q] is singular")
 
     report = verify(pencil, w, tol)
     if not (report.P_nonsingular and report.Q_nonsingular):
@@ -315,9 +363,20 @@ def verify(
     pattern (``Matrix.max_abs_off_jordan``).  They pass when both are 0
     (exact mode) or at most ``tol`` (default ``linalg.DEFAULT_RANK_TOL``)
     times max(|F|, |G|, 1) (float mode).  Only then are P and Q tested for
-    rank under ``tol``; the two rank fields read None otherwise."""
+    rank under ``tol``; the two rank fields read None otherwise.
+
+    Exact mode reports (0, 0, True, True) without those products when
+    ``w`` defines P as M^{-1}, M = [F Q_p | G Q_q] of this same pencil,
+    and the chain relations G Q_p = (F Q_p) J_p and F Q_q = (G Q_q) H_q
+    hold, which the module docstring shows to be the same report.  That
+    check reuses M's blocks and costs one n x n x p and one n x n x q
+    product and two thin products by J_p and H_q, against four n x n x n
+    products and two rank eliminations.  Any other decomposition or
+    pencil, and a relation that fails, go to the products."""
     if w.n != pencil.n:
         raise ValueError("decomposition and pencil dimensions differ")
+    if pencil.mode is Mode.EXACT and _chain_relations_hold(pencil, w):
+        return VerificationReport(Fraction(0), Fraction(0), True, True)
     F, G = pencil.F, pencil.G
     res_f = (w.P @ F @ w.Q).max_abs_off_jordan(
         [(1, 1)] * w.p + [(0, b.size) for b in w.nilpotent_blocks])
@@ -333,3 +392,13 @@ def verify(
         return VerificationReport(res_f, res_g, None, None)
     return VerificationReport(res_f, res_g, linalg.is_nonsingular(w.P, tol),
                               linalg.is_nonsingular(w.Q, tol))
+
+
+def _chain_relations_hold(pencil: Pencil, w: WeierstrassDecomposition) -> bool:
+    """Exact mode: whether ``w`` defines P as M^{-1}, M = [F Q_p | G Q_q]
+    of ``pencil`` itself, and the chain relations G Q_p = (F Q_p) J_p and
+    F Q_q = (G Q_q) H_q hold."""
+    if w._M is None or w._pencil != pencil:
+        return False
+    fq_p, gq_q = w._M_blocks
+    return pencil.G @ w.Q_p == fq_p @ w.J_p and pencil.F @ w.Q_q == gq_q @ w.H_q

@@ -25,7 +25,9 @@ restacks [Z^p_k; V_k; ...; V_{k+w-1}] with ``vstack`` and ``take_rows``
 at every instant, where the library builds that column from the stored
 rows.  The residual reference builds F_w and G_w and subtracts them from
 P F Q and P G Q, where the library reads the residuals off the two
-products against the block pattern.
+products against the block pattern.  The reconstruction check reference
+reads every exact report off P F Q and P G Q and two rank tests, where
+the library first checks the chain relations against M = [F Q_p | G Q_q].
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from dkit import linalg, solve_from_zp
 from dkit.causality import DEFAULT_CAUSALITY_TOL, OracleCounterexample
 from dkit.cli import SystemFile, _matrix_to_lists
 from dkit.scalars import Mode
-from dkit.weierstrass import _block_sizes
+from dkit.weierstrass import VerificationReport, _block_sizes
 
 EIGENVALUE_PALETTE = [Fraction(v) for v in (-3, -2, -1, 0, 1, 2, 3)] + [
     Fraction(1, 2),
@@ -681,6 +683,31 @@ def reference_residuals(pencil: Pencil, w) -> tuple:
     f_w = block_diag([Matrix.identity(w.p, mode), assemble_Hq(w.nilpotent_blocks, mode)], mode)
     g_w = block_diag([assemble_Jp(w.jordan_blocks, mode), Matrix.identity(w.q, mode)], mode)
     return ((w.P @ pencil.F @ w.Q - f_w).max_abs(), (w.P @ pencil.G @ w.Q - g_w).max_abs())
+
+
+def reference_verify(pencil: Pencil, w, tol: float | None = None) -> VerificationReport:
+    """The reconstruction check by its defining formula in both modes: the
+    residuals read off P F Q and P G Q against the block pattern, then P
+    and Q tested for rank when both pass.  ``w.P`` is built as
+    ``linalg.inverse(M)`` where the decomposition defines it as M^{-1}.
+    Reference for ``weierstrass.verify``."""
+    if w.n != pencil.n:
+        raise ValueError("decomposition and pencil dimensions differ")
+    F, G = pencil.F, pencil.G
+    res_f = (w.P @ F @ w.Q).max_abs_off_jordan(
+        [(1, 1)] * w.p + [(0, b.size) for b in w.nilpotent_blocks])
+    res_g = (w.P @ G @ w.Q).max_abs_off_jordan(
+        [(b.eigenvalue, b.size) for b in w.jordan_blocks] + [(1, 1)] * w.q)
+    if pencil.mode is Mode.EXACT:
+        ok = res_f == 0 and res_g == 0
+    else:
+        scale = float(max(abs(F.max_abs()), abs(G.max_abs()), 1.0))
+        thr = (linalg.DEFAULT_RANK_TOL if tol is None else tol) * scale
+        ok = float(res_f) <= thr and float(res_g) <= thr
+    if not ok:
+        return VerificationReport(res_f, res_g, None, None)
+    return VerificationReport(res_f, res_g, linalg.is_nonsingular(w.P, tol),
+                              linalg.is_nonsingular(w.Q, tol))
 
 
 def reference_pick_independent(candidates: Matrix, context: list[Matrix], tol: float | None) -> int:

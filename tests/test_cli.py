@@ -618,6 +618,23 @@ def test_each_run_computes_char_poly_and_verify_once(argv, monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["analyze", NIL_C100],
     ["solve", NIL_C100],
+    ["causality", NIL_CEYE, "--oracle-trials", "3"],
+])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_only_float_runs_invert_the_forced_blocks(argv, mode, monkeypatch, capsys):
+    """Exact mode defines P as [F Q_p | G Q_q]^{-1} and never builds it:
+    P B is one solve.  Float mode still inverts the blocks."""
+    counts = _count_calls(monkeypatch, "linalg.inverse", "linalg.solve_unique")
+    assert main(argv + ["--mode", mode]) == EXIT_OK
+    if mode == "exact":
+        assert counts == {"linalg.inverse": 0, "linalg.solve_unique": 1}
+    else:
+        assert counts["linalg.inverse"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", NIL_C100],
+    ["solve", NIL_C100],
     ["causality", NIL_C100],
     ["causality", NIL_CEYE, "--oracle-trials", "3"],
 ])

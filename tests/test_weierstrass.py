@@ -38,6 +38,7 @@ from helpers import (
     reference_filtration,
     reference_pick_independent,
     reference_residuals,
+    reference_verify,
     unimodular,
 )
 
@@ -249,9 +250,123 @@ def test_verify_residuals_equal_the_difference_matrices_bit_for_bit():
     assert any(nans) and not all(nans)  # a NaN counts in the first row only
 
 
+def _report_key(rep):
+    """The fields of a report, each float by its hex and each other value
+    with its type."""
+    return tuple(x.hex() if isinstance(x, float) else (type(x), x) for x in rep)
+
+
+def _chain_spans(w):
+    """(first column, length) of each chain of length >= 2 in Q: the first
+    finite one, then the first infinite one, where there is one."""
+    out = []
+    for blocks, at in ((w.jordan_blocks, 0), (w.nilpotent_blocks, w.p)):
+        for b in blocks:
+            if b.size >= 2:
+                out.append((at, b.size))
+                break
+            at += b.size
+    return out
+
+
+def _with_q(pen, w, q):
+    """``w`` with Q replaced by ``q``: with P defined as [F Q_p | G Q_q]^{-1}
+    (built on first read), with that P given explicitly, and with w's P."""
+    q_p, q_q = q.take_cols(range(w.p)), q.take_cols(range(w.p, w.n))
+    fq_p, gq_q = pen.F @ q_p, pen.G @ q_q
+    m = hstack([fq_p, gq_q])
+    blocks = (w.jordan_blocks, w.nilpotent_blocks)
+    return [WeierstrassDecomposition._inverse_of(pen, m, fq_p, gq_q, q_p, q_q, *blocks),
+            WeierstrassDecomposition(linalg.inverse(m), q, *blocks),
+            WeierstrassDecomposition(w.P, q, *blocks)]
+
+
+def _corrupted_qs(w):
+    """Q with one chain's bottom column scaled by 2, and with its first two
+    columns swapped, for each chain of :func:`_chain_spans`."""
+    n, out = w.n, []
+    for start, _ in _chain_spans(w):
+        out.append(hstack([w.Q.col(k).scale(2) if k == start else w.Q.col(k)
+                           for k in range(n)]))
+        swap = list(range(n))
+        swap[start], swap[start + 1] = start + 1, start
+        out.append(w.Q.take_cols(swap))
+    return out
+
+
+def test_verify_reports_what_the_reference_formula_reports():
+    """Exact verify checks the chain relations before the formula; its
+    report equals the one read off P F Q, P G Q and two rank tests, field
+    by field, on the residual corpus, on decompose results (P defined as
+    [F Q_p | G Q_q]^{-1}), and on Q's with a corrupted chain, under a
+    lazily defined, an explicit inverse and a mismatched explicit P; and
+    on decompose results checked against a pencil other than their own."""
+    cases = _residual_corpus()
+    rng = random.Random(47)
+    for kind in PLANT_KINDS:
+        for _ in range(3):
+            pen, _, _ = planted_pencil(rng, **kind)
+            w = decompose(pen)
+            cases += [(pen, bad) for q in _corrupted_qs(w) for bad in _with_q(pen, w, q)]
+            cases.append((pen, decompose(pen)))  # _with_q built w's P
+            cases += [(other, decompose(pen)) for other in (
+                Pencil(pen.F.scale(2), pen.G), Pencil(pen.F, pen.G.scale(2)),
+                Pencil(Matrix.zeros(pen.n, pen.n, EX), pen.G))]
+    eye, g = Matrix.identity(2, EX), Matrix([[1, 0], [0, 2]], EX)
+    for f in (eye.scale(2), Matrix.zeros(2, 2, EX)):
+        cases.append((Pencil(f, g), decompose(Pencil(eye, g))))
+        assert verify(*cases[-1]).residual_F == 1
+    finite_only = infinite_only = passed_lazily = 0
+    for pen, w in cases:
+        lazy = w._M is not None and w._pencil == pen
+        got = verify(pen, w)
+        if lazy and got.P_nonsingular:
+            assert "P" not in vars(w)  # the relations held: no inverse was built
+        want = reference_verify(pen, w)
+        assert _report_key(got) == _report_key(want)
+        if w.mode is EX:
+            finite_only += got.residual_F == 0 < got.residual_G
+            infinite_only += got.residual_G == 0 < got.residual_F
+            passed_lazily += lazy and got.P_nonsingular is True
+    assert finite_only and infinite_only and passed_lazily
+
+
+def test_decompose_defines_p_as_the_inverse_of_the_forced_blocks():
+    rng = random.Random(53)
+    for kind in PLANT_KINDS:
+        pen, _, _ = planted_pencil(rng, **kind)
+        w = decompose(pen)
+        assert "P" not in vars(w)
+        with mock.patch.object(linalg, "inverse", wraps=linalg.inverse) as inv:
+            p_mat = w.P
+            assert w.P is p_mat and inv.call_count == 1
+        assert p_mat == linalg.inverse(hstack([pen.F @ w.Q_p, pen.G @ w.Q_q]))
+        assert w == WeierstrassDecomposition(p_mat, w.Q, w.jordan_blocks, w.nilpotent_blocks)
+        b = Matrix([[1, -2], [0, 3], [5, 1], [2, 2], [-1, 0]][: w.n], EX)
+        assert w.P_times(b) == p_mat @ b
+
+
+def _scaling_the_first_long_chain(made):
+    """A stand-in for ``weierstrass._chains`` that scales the bottom vector
+    of the first chain of length >= 2 by 2, where its call has one, and
+    appends every chain it returns to ``made``."""
+    real = weierstrass._chains
+
+    def chains(*args):
+        out = real(*args)
+        long = next((c for c in out if len(c) >= 2), None)
+        if long is not None:
+            long[0] = long[0].scale(2)
+        made.extend(out)
+        return out
+    return chains
+
+
 def test_reconstruction_failure_message_reads_the_reference_residuals():
-    """A wrong P out of the inversion: _decompose names the residuals the
-    difference matrices give, in the message it raised before."""
+    """A wrong P out of the inversion (float mode), or wrong chains (exact
+    mode, where P is defined as [F Q_p | G Q_q]^{-1}): _decompose names
+    the residuals the difference matrices give, in the message it raised
+    before."""
     rng = random.Random(43)
     checked = 0
     for kind in PLANT_KINDS:
@@ -261,11 +376,25 @@ def test_reconstruction_failure_message_reads_the_reference_residuals():
                 w = decompose(pen)
             except ChainConstructionFailure:
                 continue
-            for p_mat in _wrong_ps(w):
-                want = reference_residuals(pen, _with_p(w, p_mat))
-                with mock.patch.object(linalg, "inverse", return_value=p_mat), \
-                        pytest.raises(ChainConstructionFailure) as info:
+            if w.mode is EX:
+                made = []
+                patch = mock.patch.object(weierstrass, "_chains",
+                                          _scaling_the_first_long_chain(made))
+                with patch, pytest.raises(ChainConstructionFailure) as info:
                     _decompose(pen, char_poly(pen), tol=None, cluster_radius=None)
+                q = hstack([v for chain in made for v in chain])
+                m = hstack([pen.F @ q.take_cols(range(w.p)), pen.G @ q.take_cols(range(w.p, w.n))])
+                wrongs = [(info, WeierstrassDecomposition(
+                    linalg.inverse(m), q, w.jordan_blocks, w.nilpotent_blocks))]
+            else:
+                wrongs = []
+                for p_mat in _wrong_ps(w):
+                    with mock.patch.object(linalg, "inverse", return_value=p_mat), \
+                            pytest.raises(ChainConstructionFailure) as info:
+                        _decompose(pen, char_poly(pen), tol=None, cluster_radius=None)
+                    wrongs.append((info, _with_p(w, p_mat)))
+            for info, wrong in wrongs:
+                want = reference_residuals(pen, wrong)
                 assert str(info.value) == (f"reconstruction check failed: residuals "
                                            f"{want[0]}, {want[1]}")
                 checked += 1
