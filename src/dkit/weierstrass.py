@@ -44,22 +44,25 @@ All choices are canonical: kernels come from the (unique) reduced row
 echelon form, eigenvalues are sorted, and block sizes are descending, so
 repeated runs produce identical output.
 
-The result is accepted by the reconstruction check, :func:`verify`.  It
-reads the residuals |P F Q - (I_p (+) H_q)| and |P G Q - (J_p (+) I_q)|
-off the two products against the block pattern, the diagonal and the
-ones above it inside each block, without building either right-hand
-side.  Only when both pass (0 in exact mode, at most tol * max(|F|, |G|,
-1) in float mode) does it test P and Q for rank.  Exact mode first
-checks the chain relations instead, which settle the whole report when
-the decomposition defines P as M^{-1} for the pencil checked:
+The reconstruction check is :func:`verify`, the one formula for any
+pencil and decomposition.  It reads the residuals
+|P F Q - (I_p (+) H_q)| and |P G Q - (J_p (+) I_q)| off the two products
+against the block pattern, the diagonal and the ones above it inside each
+block, without building either right-hand side.  Only when both pass (0
+in exact mode; in float mode, both products finite and both residuals at
+most tol * max(|F|, |G|, 1)) does it test P and Q for rank.  Float
+:func:`decompose` accepts its result by :func:`verify`.  Exact
+:func:`decompose`, which has just defined P as M^{-1}, accepts it by the
+chain relations instead:
 
     P F Q - (I_p (+) H_q) = P [0 | F Q_q - G Q_q H_q],
     P G Q - (J_p (+) I_q) = P [G Q_p - F Q_p J_p | 0],
 
 so G Q_p = (F Q_p) J_p and F Q_q = (G Q_q) H_q make both residuals 0,
 and then det P det(sF - G) det Q = det(sI - J_p) (-1)^q, a nonzero
-polynomial, so P and Q are nonsingular.  A relation that fails leaves
-the report to the products, so every residual reported is theirs.
+polynomial, so P and Q are nonsingular: the report :func:`verify` gives.
+A relation that fails leaves the report to :func:`verify`, so every
+residual reported is read off the products.
 """
 
 from __future__ import annotations
@@ -127,7 +130,10 @@ class WeierstrassDecomposition(Record):
     An exact decomposition from :func:`decompose` defines P as M^{-1},
     M = [F Q_p | G Q_q] of its pencil, and builds it (``linalg.inverse``)
     only when ``P`` is first read; :meth:`P_times` solves M X = B
-    instead.  Equality, hash and repr read P, so they build it."""
+    instead.  Equality, hash and repr read P, so they build it.
+    :func:`decompose` accepts such a result by its chain relations; it
+    keeps no pencil, and :func:`verify` checks it, like any decomposition,
+    against any pencil by the products."""
 
     _fields = ("P", "Q", "jordan_blocks", "nilpotent_blocks")
 
@@ -138,15 +144,13 @@ class WeierstrassDecomposition(Record):
         self._set_blocks(Q, jordan_blocks, nilpotent_blocks)
 
     @classmethod
-    def _inverse_of(cls, pencil: Pencil, M: Matrix, fq_p: Matrix, gq_q: Matrix,
-                    q_p: Matrix, q_q: Matrix,
+    def _inverse_of(cls, M: Matrix, q_p: Matrix, q_q: Matrix,
                     jordan_blocks: tuple[JordanBlockSpec, ...],
                     nilpotent_blocks: tuple[NilpotentBlockSpec, ...]) -> "WeierstrassDecomposition":
         """The decomposition with Q = [Q_p | Q_q] whose P is M^{-1}, for a
-        nonsingular M = [F Q_p | G Q_q] of ``pencil`` given with its two
-        blocks, which are kept with the pencil they were formed from."""
+        nonsingular M = [F Q_p | G Q_q]."""
         w = object.__new__(cls)
-        w._set(_M=M, _M_blocks=(fq_p, gq_q), _pencil=pencil, Q_p=q_p, Q_q=q_q)
+        w._set(_M=M, Q_p=q_p, Q_q=q_q)
         w._set_blocks(hstack([q_p, q_q]), jordan_blocks, nilpotent_blocks)
         return w
 
@@ -294,7 +298,9 @@ def _decompose(
     cluster_radius: float | None,
 ) -> tuple[WeierstrassDecomposition, VerificationReport]:
     """:func:`decompose` for a pencil whose char poly ``cp`` is known; also
-    returns the report of the reconstruction check that gates the result."""
+    returns the report that gates the result: (0, 0, True, True) from the
+    chain relations of an exact result (module docstring), else
+    :func:`verify`'s."""
     if cp.is_zero:
         raise IrregularPencil("det(sF - G) is identically zero")
     p, q = cp.p, cp.q
@@ -335,7 +341,7 @@ def _decompose(
     fq_p, gq_q = F @ q_p, G @ q_q
     m = hstack([fq_p, gq_q])
     if exact:
-        w = (WeierstrassDecomposition._inverse_of(pencil, m, fq_p, gq_q, q_p, q_q, jb, nb)
+        w = (WeierstrassDecomposition._inverse_of(m, q_p, q_q, jb, nb)
              if linalg.is_nonsingular(m) else None)
     else:
         try:
@@ -345,6 +351,8 @@ def _decompose(
     if w is None:
         raise ChainConstructionFailure("[F Q_p | G Q_q] is singular")
 
+    if exact and G @ q_p == fq_p @ w.J_p and F @ q_q == gq_q @ w.H_q:
+        return w, VerificationReport(Fraction(0), Fraction(0), True, True)
     report = verify(pencil, w, tol)
     if not (report.P_nonsingular and report.Q_nonsingular):
         raise ChainConstructionFailure(
@@ -362,43 +370,26 @@ def verify(
     |P G Q - (J_p (+) I_q)|, read off the two products against the block
     pattern (``Matrix.max_abs_off_jordan``).  They pass when both are 0
     (exact mode) or at most ``tol`` (default ``linalg.DEFAULT_RANK_TOL``)
-    times max(|F|, |G|, 1) (float mode).  Only then are P and Q tested for
-    rank under ``tol``; the two rank fields read None otherwise.
-
-    Exact mode reports (0, 0, True, True) without those products when
-    ``w`` defines P as M^{-1}, M = [F Q_p | G Q_q] of this same pencil,
-    and the chain relations G Q_p = (F Q_p) J_p and F Q_q = (G Q_q) H_q
-    hold, which the module docstring shows to be the same report.  That
-    check reuses M's blocks and costs one n x n x p and one n x n x q
-    product and two thin products by J_p and H_q, against four n x n x n
-    products and two rank eliminations.  Any other decomposition or
-    pencil, and a relation that fails, go to the products."""
+    times max(|F|, |G|, 1) with both products finite (float mode).  Only
+    then are P and Q tested for rank under ``tol``; the two rank fields
+    read None otherwise."""
     if w.n != pencil.n:
         raise ValueError("decomposition and pencil dimensions differ")
-    if pencil.mode is Mode.EXACT and _chain_relations_hold(pencil, w):
-        return VerificationReport(Fraction(0), Fraction(0), True, True)
     F, G = pencil.F, pencil.G
-    res_f = (w.P @ F @ w.Q).max_abs_off_jordan(
+    pfq, pgq = w.P @ F @ w.Q, w.P @ G @ w.Q
+    res_f = pfq.max_abs_off_jordan(
         [(1, 1)] * w.p + [(0, b.size) for b in w.nilpotent_blocks])
-    res_g = (w.P @ G @ w.Q).max_abs_off_jordan(
+    res_g = pgq.max_abs_off_jordan(
         [(b.eigenvalue, b.size) for b in w.jordan_blocks] + [(1, 1)] * w.q)
     if pencil.mode is Mode.EXACT:
         ok = res_f == 0 and res_g == 0
     else:
+        # the residual scan, like max, passes over a NaN after a larger entry
         scale = float(max(abs(F.max_abs()), abs(G.max_abs()), 1.0))
         thr = (linalg.DEFAULT_RANK_TOL if tol is None else tol) * scale
-        ok = float(res_f) <= thr and float(res_g) <= thr
+        ok = (float(res_f) <= thr and float(res_g) <= thr
+              and pfq.is_finite() and pgq.is_finite())
     if not ok:
         return VerificationReport(res_f, res_g, None, None)
     return VerificationReport(res_f, res_g, linalg.is_nonsingular(w.P, tol),
                               linalg.is_nonsingular(w.Q, tol))
-
-
-def _chain_relations_hold(pencil: Pencil, w: WeierstrassDecomposition) -> bool:
-    """Exact mode: whether ``w`` defines P as M^{-1}, M = [F Q_p | G Q_q]
-    of ``pencil`` itself, and the chain relations G Q_p = (F Q_p) J_p and
-    F Q_q = (G Q_q) H_q hold."""
-    if w._M is None or w._pencil != pencil:
-        return False
-    fq_p, gq_q = w._M_blocks
-    return pencil.G @ w.Q_p == fq_p @ w.J_p and pencil.F @ w.Q_q == gq_q @ w.H_q

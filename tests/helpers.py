@@ -26,12 +26,15 @@ at every instant, where the library builds that column from the stored
 rows.  The residual reference builds F_w and G_w and subtracts them from
 P F Q and P G Q, where the library reads the residuals off the two
 products against the block pattern.  The reconstruction check reference
-reads every exact report off P F Q and P G Q and two rank tests, where
-the library first checks the chain relations against M = [F Q_p | G Q_q].
+tests the float products for finite entries one by one, where the
+library scans them with ``Matrix.is_finite``; exact ``decompose``, which
+accepts its result by the chain relations against M = [F Q_p | G Q_q],
+is held to the report the reference gives through ``verify``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -688,22 +691,25 @@ def reference_residuals(pencil: Pencil, w) -> tuple:
 def reference_verify(pencil: Pencil, w, tol: float | None = None) -> VerificationReport:
     """The reconstruction check by its defining formula in both modes: the
     residuals read off P F Q and P G Q against the block pattern, then P
-    and Q tested for rank when both pass.  ``w.P`` is built as
+    and Q tested for rank when both pass, which in float mode also needs
+    every entry of both products finite.  ``w.P`` is built as
     ``linalg.inverse(M)`` where the decomposition defines it as M^{-1}.
     Reference for ``weierstrass.verify``."""
     if w.n != pencil.n:
         raise ValueError("decomposition and pencil dimensions differ")
     F, G = pencil.F, pencil.G
-    res_f = (w.P @ F @ w.Q).max_abs_off_jordan(
+    pfq, pgq = w.P @ F @ w.Q, w.P @ G @ w.Q
+    res_f = pfq.max_abs_off_jordan(
         [(1, 1)] * w.p + [(0, b.size) for b in w.nilpotent_blocks])
-    res_g = (w.P @ G @ w.Q).max_abs_off_jordan(
+    res_g = pgq.max_abs_off_jordan(
         [(b.eigenvalue, b.size) for b in w.jordan_blocks] + [(1, 1)] * w.q)
     if pencil.mode is Mode.EXACT:
         ok = res_f == 0 and res_g == 0
     else:
         scale = float(max(abs(F.max_abs()), abs(G.max_abs()), 1.0))
         thr = (linalg.DEFAULT_RANK_TOL if tol is None else tol) * scale
-        ok = float(res_f) <= thr and float(res_g) <= thr
+        finite = all(cmath.isfinite(x) for m in (pfq, pgq) for row in m.to_lists() for x in row)
+        ok = finite and float(res_f) <= thr and float(res_g) <= thr
     if not ok:
         return VerificationReport(res_f, res_g, None, None)
     return VerificationReport(res_f, res_g, linalg.is_nonsingular(w.P, tol),

@@ -610,9 +610,16 @@ def _count_calls(monkeypatch, *names):
     ["causality", NIL_CEYE, "--oracle-trials", "3"],
 ])
 def test_each_run_computes_char_poly_and_verify_once(argv, monkeypatch, capsys):
-    counts = _count_calls(monkeypatch, "pencil.char_poly", "weierstrass.verify")
-    assert main(argv) == EXIT_OK
-    assert counts == {"pencil.char_poly": 1, "weierstrass.verify": 1}
+    """Each run computes the char poly and the canonical form once.  An
+    exact run accepts the form by its chain relations inside _decompose and
+    calls no verify; a float run calls verify once."""
+    counts = _count_calls(monkeypatch, "pencil.char_poly", "weierstrass._decompose",
+                          "weierstrass.verify")
+    for mode, verify_calls in (("exact", 0), ("float", 1)):
+        counts.update(dict.fromkeys(counts, 0))
+        assert main(argv + ["--mode", mode]) == EXIT_OK
+        assert counts == {"pencil.char_poly": 1, "weierstrass._decompose": 1,
+                          "weierstrass.verify": verify_calls}
 
 
 @pytest.mark.parametrize("argv", [

@@ -273,10 +273,9 @@ def _with_q(pen, w, q):
     """``w`` with Q replaced by ``q``: with P defined as [F Q_p | G Q_q]^{-1}
     (built on first read), with that P given explicitly, and with w's P."""
     q_p, q_q = q.take_cols(range(w.p)), q.take_cols(range(w.p, w.n))
-    fq_p, gq_q = pen.F @ q_p, pen.G @ q_q
-    m = hstack([fq_p, gq_q])
+    m = hstack([pen.F @ q_p, pen.G @ q_q])
     blocks = (w.jordan_blocks, w.nilpotent_blocks)
-    return [WeierstrassDecomposition._inverse_of(pen, m, fq_p, gq_q, q_p, q_q, *blocks),
+    return [WeierstrassDecomposition._inverse_of(m, q_p, q_q, *blocks),
             WeierstrassDecomposition(linalg.inverse(m), q, *blocks),
             WeierstrassDecomposition(w.P, q, *blocks)]
 
@@ -295,12 +294,12 @@ def _corrupted_qs(w):
 
 
 def test_verify_reports_what_the_reference_formula_reports():
-    """Exact verify checks the chain relations before the formula; its
-    report equals the one read off P F Q, P G Q and two rank tests, field
-    by field, on the residual corpus, on decompose results (P defined as
-    [F Q_p | G Q_q]^{-1}), and on Q's with a corrupted chain, under a
-    lazily defined, an explicit inverse and a mismatched explicit P; and
-    on decompose results checked against a pencil other than their own."""
+    """verify's report equals the one read off P F Q, P G Q and two rank
+    tests, field by field, on the residual corpus, on decompose results
+    (P defined as [F Q_p | G Q_q]^{-1}), and on Q's with a corrupted
+    chain, under a lazily defined, an explicit inverse and a mismatched
+    explicit P; and on decompose results checked against a pencil other
+    than their own."""
     cases = _residual_corpus()
     rng = random.Random(47)
     for kind in PLANT_KINDS:
@@ -316,19 +315,30 @@ def test_verify_reports_what_the_reference_formula_reports():
     for f in (eye.scale(2), Matrix.zeros(2, 2, EX)):
         cases.append((Pencil(f, g), decompose(Pencil(eye, g))))
         assert verify(*cases[-1]).residual_F == 1
-    finite_only = infinite_only = passed_lazily = 0
+    finite_only = infinite_only = 0
     for pen, w in cases:
-        lazy = w._M is not None and w._pencil == pen
         got = verify(pen, w)
-        if lazy and got.P_nonsingular:
-            assert "P" not in vars(w)  # the relations held: no inverse was built
         want = reference_verify(pen, w)
         assert _report_key(got) == _report_key(want)
         if w.mode is EX:
             finite_only += got.residual_F == 0 < got.residual_G
             infinite_only += got.residual_G == 0 < got.residual_F
-            passed_lazily += lazy and got.P_nonsingular is True
-    assert finite_only and infinite_only and passed_lazily
+    assert finite_only and infinite_only
+
+
+def test_exact_decompose_reports_what_verify_reports_and_keeps_no_pencil():
+    """Exact _decompose accepts its result by the chain relations, without
+    calling verify; its report is verify's, field by field, and the
+    decomposition holds no reference to the pencil."""
+    rng = random.Random(59)
+    for kind in PLANT_KINDS:
+        for _ in range(3):
+            pen, _, _ = planted_pencil(rng, **kind)
+            with mock.patch.object(weierstrass, "verify", wraps=verify) as spy:
+                w, rep = _decompose(pen, char_poly(pen), tol=None, cluster_radius=None)
+            assert spy.call_count == 0
+            assert _report_key(rep) == _report_key(verify(pen, w))
+            assert not any(isinstance(v, Pencil) for v in vars(w).values())
 
 
 def test_decompose_defines_p_as_the_inverse_of_the_forced_blocks():
