@@ -4,10 +4,11 @@ Exact mode never eliminates over ``Fraction``.  An exact matrix stores
 each row scaled by the lcm of its denominators, and one kernel,
 ``_bareiss``, eliminates a copy of those integer rows forward,
 fraction-free (Bareiss 1968): ``(pivot * a - f * b) // prev_pivot`` divides
-exactly, as each entry stays a minor.  Rank, pivots and determinant need
-no more.  Back-substitution over the non-pivot columns turns the echelon
-rows u_i into d times the RREF rows, d the last pivot (Nakos, Turner &
-Williams 1997): R_i = (d u_i - sum over j > i of u_i[c_j] R_j) / u_i[c_i],
+exactly, as each entry stays a minor.  Rank, pivots and the determinant
+(:func:`integer_det`) need no more.  Back-substitution over the non-pivot
+columns turns the echelon rows u_i into d times the RREF rows, d the last
+pivot (Nakos, Turner & Williams 1997):
+R_i = (d u_i - sum over j > i of u_i[c_j] R_j) / u_i[c_i],
 exact by Cramer's rule.  The RREF is unique, so every basis and solution
 read off it is canonical.  An elimination stopped at pivot d resumes
 with ``prev`` = d: ``pencil.char_poly`` stops its deflating elimination
@@ -17,29 +18,28 @@ that come later (:func:`_replay`), as each [A | X] of :func:`filtration`
 resumes its one elimination of A and back-substitutes only the appended
 columns left free.  That step's kernel vectors (v, y) are reduced as
 rows once more, which makes the v-parts canonical and carries the
-y-parts along as the step's y-map.  Float mode uses Gauss-Jordan with
-partial pivoting and a relative rank threshold
-``tol * (largest entry magnitude)``.  Its pivot search (:func:`pivot_columns`,
-so rank and the nonsingularity test) stops at the pivot row: it leaves
-the rows above each pivot alone, which are never searched again, and
-finds the pivots of the full reduction.  Its determinant is one kernel
-on rows, :func:`float_det`.  Only ``pencil.char_poly`` logs a float
-elimination, of the Vandermonde matrix of its nodes, to replay it on
-each pencil's column of node determinants (:func:`_replay_rref`); it
-reads the smallest logged pivot against the threshold of
-:func:`_row_threshold` under the fixed ``DEFAULT_RANK_TOL`` to tell when
-the elimination of [V | dets] could not succeed, and raises then.
+y-parts along as the step's y-map, which :func:`filtration` returns with
+the step's basis.  Float mode uses Gauss-Jordan with partial pivoting and
+a relative rank threshold ``tol * (largest entry magnitude)``.  Its pivot
+search (:func:`pivot_columns`, so rank and the nonsingularity test) stops
+at the pivot row: it leaves the rows above each pivot alone, which are
+never searched again, and finds the pivots of the full reduction.  Its
+determinant is one kernel on rows, :func:`float_det`.  Only
+``pencil.char_poly`` logs a float elimination, of the Vandermonde matrix
+of its nodes, to replay it on each pencil's column of node determinants
+(:func:`_replay_rref`); it reads the smallest logged pivot against the
+threshold of :func:`_row_threshold` under the fixed ``DEFAULT_RANK_TOL``
+to tell when the elimination of [V | dets] could not succeed, and raises
+then.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from itertools import chain
 
 from .errors import ChainConstructionFailure
 from .matrices import Matrix, hstack
-from .scalars import Mode, one
+from .scalars import Mode
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -54,11 +54,11 @@ def _threshold(mat: Matrix, tol: float | None) -> float:
     return tol * scale
 
 
-def _row_threshold(rows: list[list], tol: float | None = None) -> float:
-    """:func:`_threshold` of the float matrix with these rows: the same
-    row-major scan, so a NaN counts only where it comes first."""
-    return (DEFAULT_RANK_TOL if tol is None else tol) * max(
-        map(abs, chain.from_iterable(rows)), default=0.0)
+def _row_threshold(rows: list[list]) -> float:
+    """:func:`_threshold` of the float matrix with these rows under
+    ``DEFAULT_RANK_TOL``: the same row-major scan, so a NaN counts only
+    where it comes first."""
+    return DEFAULT_RANK_TOL * max(map(abs, chain.from_iterable(rows)), default=0.0)
 
 
 def _bareiss(rows: list[list[int]], log: list | None = None, r: int = 0,
@@ -201,11 +201,6 @@ def _replay_rref(log: list, col: list) -> None:
             col[i] = col[i] - f * b
 
 
-def rref(mat: Matrix, tol: float | None = None) -> tuple[Matrix, list[int]]:
-    rows, pivots, d = _reduced(mat, tol)
-    return Matrix.divided(rows, d, mat.cols, mat.mode), pivots
-
-
 def _reduced(mat: Matrix, tol: float | None, thr_of: Matrix | None = None):
     """Rows d times the RREF rows of ``mat``, the pivot columns, and d:
     exact mode back-substitutes the integer rows of ``_bareiss``, float
@@ -318,10 +313,11 @@ def preimages(a: Matrix, tol: float | None = None):
 
 
 def filtration(a: Matrix, e: Matrix, target: int | None = None,
-               tol: float | None = None, maps: list | None = None) -> list[Matrix]:
+               tol: float | None = None) -> tuple[list[Matrix], list[Matrix | None]]:
     """Bases of the growing subspaces N_1 < N_2 < ...: N_1 = ker A, and N_k
     the canonical basis of the preimage of E(N_{k-1}) under A
-    (:func:`preimages`, which eliminates A once for all steps).
+    (:func:`preimages`, which eliminates A once for all steps), and the
+    y-map of each step k >= 2.
 
     With a ``target`` it runs until the dimension reaches it, and raises
     ChainConstructionFailure when ker A is trivial or a step stalls or
@@ -329,12 +325,12 @@ def filtration(a: Matrix, e: Matrix, target: int | None = None,
     grow, which for A = F, E = G walks the Wong sequence of the pencil
     sF - G up to its limit W*; in exact mode a step whose [A | -E N_{k-1}]
     has full row rank ends after its forward elimination, as N_k contains
-    N_{k-1} and so equals it.  Each step's y-map goes to ``maps``, if
-    given: Y_k with A N_k = E N_{k-1} Y_k, or None where the step keeps
-    none (float mode, dependent v-parts).
+    N_{k-1} and so equals it.  A step's y-map is Y_k with
+    A N_k = E N_{k-1} Y_k, or None where the step keeps none (float mode,
+    dependent v-parts).
     """
     basis, preimage = preimages(a, tol)
-    bases = [basis] if basis.cols else []
+    bases, maps = [basis] if basis.cols else [], []
     if target is not None and not bases:
         raise ChainConstructionFailure(
             "kernel is trivial but the multiplicity demands eigenvectors"
@@ -353,9 +349,8 @@ def filtration(a: Matrix, e: Matrix, target: int | None = None,
                 f"computed multiplicities"
             )
         bases.append(step[0])
-        if maps is not None:
-            maps.append(step[1])
-    return bases
+        maps.append(step[1])
+    return bases, maps
 
 
 def _reduce_augmented(a: Matrix, b: Matrix, tol: float | None,
@@ -406,25 +401,13 @@ def inverse(mat: Matrix, tol: float | None = None) -> Matrix:
     return Matrix.divided(rows, d, n, mat.mode)
 
 
-def det(mat: Matrix, tol: float | None = None):
-    """Determinant by elimination; tolerance governs float pivot rejection."""
-    if not mat.is_square:
-        raise ValueError("determinant of a non-square matrix")
-    n = mat.rows
-    if n == 0:
-        return one(mat.mode)
-    if mat.mode is Mode.EXACT:
-        return Fraction(integer_det(mat.integer_rows()), math.prod(mat.denominators))
-    return float_det(mat.to_lists(), tol)
-
-
-def float_det(data: list[list], tol: float | None = None) -> complex:
+def float_det(data: list[list]) -> complex:
     """Determinant of a square matrix of float rows ``data``, which it
     overwrites, by elimination with partial pivoting; a column with no
     entry above the threshold of the rows (:func:`_row_threshold`) makes
     it 0."""
     n = len(data)
-    thr = _row_threshold(data, tol)
+    thr = _row_threshold(data)
     sign = 1
     result = 1 + 0j
     for c in range(n):

@@ -13,10 +13,11 @@ equality and hashing compare the stored rows, and every exact operation
 runs on integers: the rows go straight into fraction-free
 elimination (:meth:`Matrix.integer_rows`), products, sums and stacks
 combine rows by integer lcm and gcd, and a ``Fraction`` is made only when
-an entry leaves the matrix (indexing, ``row_list``, ``to_lists``,
-``column_list``, ``max_abs``) while ``format_entries`` prints the rows
-without one.  This module alone knows how an exact value is cleared; the
-constructor is where ``Fraction`` entries come in.
+an entry leaves the matrix (indexing, ``row_list``, ``column_list``,
+``max_abs``, and ``to_lists``, which is how ``weierstrass.verify`` reads
+its residuals) while ``format_entries`` prints the rows without one.
+This module alone knows how an exact value is cleared; the constructor
+is where ``Fraction`` entries come in.
 
 Values are admitted once: the constructor and ``Matrix.column`` store a
 float value whose type is exactly ``complex`` (what the float parser
@@ -364,53 +365,6 @@ class Matrix:
             return max(map(abs, chain.from_iterable(self._r)), default=0.0)
         return max((Fraction(max(map(abs, nums)), d) for nums, d in self._r if nums),
                    default=Fraction(0))
-
-    def max_abs_off_jordan(self, blocks: Sequence[tuple]):
-        """``(self - J).max_abs()`` for J the direct sum of the Jordan
-        blocks ``blocks``, (eigenvalue, size) pairs: J has the eigenvalues
-        on its diagonal and ones on the superdiagonal inside each block.
-        It reads the stored rows and builds no J.  The float scan is the
-        row-major one of ``max_abs`` with the entries on J's pattern taken
-        less J's, so a NaN counts where it would in ``self - J``: x - 0
-        has the magnitude of x, and x - v is the same for an int, float or
-        complex v of one value."""
-        n = self.rows
-        if not self.is_square or sum(size for _, size in blocks) != n:
-            raise ValueError(f"Jordan blocks of {[size for _, size in blocks]} do not fit "
-                             f"{self.rows}x{self.cols}")
-        rows, start = self._r, 0
-        if self.mode is Mode.FLOAT:
-            vals = list(map(abs, chain.from_iterable(rows)))
-            for v, size in blocks:
-                if type(v) is not complex and type(v) is not int:
-                    v = ensure_scalar(v, self.mode)
-                end = start + size
-                for i in range(start, end):
-                    row, k = rows[i], i * (n + 1)
-                    if v != 0:
-                        vals[k] = abs(row[i] - v)
-                    if i + 1 < end:
-                        vals[k + 1] = abs(row[i + 1] - 1)
-                start = end
-            return max(vals, default=0.0)
-        # row i less J, times d q for the eigenvalue p / q, compared as integers
-        best, best_d = 0, 1
-        for v, size in blocks:
-            if type(v) is not int and type(v) is not Fraction:
-                v = ensure_scalar(v, self.mode)
-            p, q = v.numerator, v.denominator
-            end = start + size
-            for i in range(start, end):
-                nums, d = rows[i]
-                r, dq = (list(nums) if q == 1 else [x * q for x in nums]), d * q
-                r[i] -= p * d
-                if i + 1 < end:
-                    r[i + 1] -= dq
-                m = max(map(abs, r))
-                if m * best_d > best * dq:
-                    best, best_d = m, dq
-            start = end
-        return Fraction(best, best_d)
 
     def is_finite(self) -> bool:
         """No NaN or infinite entry (always so in exact mode); the float

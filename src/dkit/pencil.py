@@ -72,14 +72,10 @@ class Pencil(Record):
     def mode(self) -> Mode:
         return self.F.mode
 
-    def eval(self, s: Scalar) -> Matrix:
-        """The matrix sF - G."""
-        return self.F.scale(s) - self.G
-
     @cached_property
     def _wong_walk(self) -> tuple[tuple[Matrix, ...], tuple[Matrix | None, ...]]:
-        maps: list = []
-        return tuple(linalg.filtration(self.F, self.G, maps=maps)), tuple(maps)
+        bases, maps = linalg.filtration(self.F, self.G)
+        return tuple(bases), tuple(maps)
 
     @property
     def wong_sequence(self) -> tuple[Matrix, ...]:

@@ -36,14 +36,6 @@ class Mode(enum.Enum):
         return self.value
 
 
-def zero(mode: Mode) -> Scalar:
-    return Fraction(0) if mode is Mode.EXACT else complex(0.0)
-
-
-def one(mode: Mode) -> Scalar:
-    return Fraction(1) if mode is Mode.EXACT else complex(1.0)
-
-
 def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Exact ``values`` times the lcm s of their denominators, and s.
 

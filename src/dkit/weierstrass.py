@@ -48,10 +48,12 @@ The reconstruction check is :func:`verify`, the one formula for any
 pencil and decomposition.  It reads the residuals
 |P F Q - (I_p (+) H_q)| and |P G Q - (J_p (+) I_q)| off the two products
 against the block pattern, the diagonal and the ones above it inside each
-block, without building either right-hand side.  Only when both pass (0
-in exact mode; in float mode, both products finite and both residuals at
-most tol * max(|F|, |G|, 1)) does it test P and Q for rank.  Float
-:func:`decompose` accepts its result by :func:`verify`.  Exact
+block, without building either right-hand side: :func:`_residual`, one
+body for both modes, takes the pattern off a copy of each product's
+entries (``Fraction`` in exact mode) and scans them once.  Only when both
+pass (0 in exact mode; in float mode, both products finite and both
+residuals at most tol * max(|F|, |G|, 1)) does it test P and Q for rank.
+Float :func:`decompose` accepts its result by :func:`verify`.  Exact
 :func:`decompose`, which has just defined P as M^{-1}, accepts it by the
 chain relations instead:
 
@@ -69,6 +71,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 from . import linalg
@@ -242,12 +245,12 @@ def _chains(A: Matrix, E: Matrix, bases, maps, tol: float | None) -> list[list[M
 
     The top vector of an r-chain is chosen in N_r, column j of its basis,
     independent of N_{r-1} and of every previously picked chain vector.
-    The rest of the chain is read off the walk's y-maps ``maps`` (exact
-    mode), maps[k - 2] = Y_k with A N_k = E N_{k-1} Y_k: with v_k = N_k c_k
-    and c_r = e_j, v_{k-1} = N_{k-1} c_{k-1}, c_{k-1} = Y_k c_k.  E is
+    The rest of the chain is read off the walk's y-maps ``maps``,
+    maps[k - 2] = Y_k with A N_k = E N_{k-1} Y_k: with v_k = N_k c_k and
+    c_r = e_j, v_{k-1} = N_{k-1} c_{k-1}, c_{k-1} = Y_k c_k.  E is
     injective on N_{k-1}, so that is the unique solution of
-    E x = A v_k inside N_{k-1}, which float mode (``maps`` None) solves
-    for at each step.
+    E x = A v_k inside N_{k-1}, which a step whose map is None (every
+    float step) solves for.
     """
     picked: list[Matrix] = []
     chains: list[list[Matrix]] = []
@@ -257,7 +260,7 @@ def _chains(A: Matrix, E: Matrix, bases, maps, tol: float | None) -> list[list[M
         chain = [bases[r - 1].col(j)]
         for k in range(r, 1, -1):
             b = bases[k - 2]
-            if maps is not None:
+            if maps[k - 2] is not None:
                 y = maps[k - 2].col(j) if k == r else maps[k - 2] @ y
             else:
                 try:
@@ -314,9 +317,7 @@ def _decompose(
     if p > 0:
         for a, mult in finite_eigenvalues(cp, cluster_radius):
             A = G.sub_scaled(F, a)
-            maps = [] if exact else None
-            bases = linalg.filtration(A, F, mult, tol, maps)
-            for chain in _chains(A, F, bases, maps, tol):
+            for chain in _chains(A, F, *linalg.filtration(A, F, mult, tol), tol):
                 jordan_blocks.append(JordanBlockSpec(a, len(chain)))
                 qp_cols.extend(chain)
 
@@ -326,7 +327,7 @@ def _decompose(
         if exact:
             walk, maps = pencil.wong_sequence, pencil.wong_maps
         else:
-            walk, maps = linalg.filtration(F, G, q, tol), None
+            walk, maps = linalg.filtration(F, G, q, tol)
         for chain in _chains(F, G, walk, maps, tol):
             nilpotent_blocks.append(NilpotentBlockSpec(len(chain)))
             qq_cols.extend(chain)
@@ -368,19 +369,17 @@ def verify(
     """The reconstruction check of ``w``: the residuals of the two defining
     block equations in the max-abs norm, |P F Q - (I_p (+) H_q)| and
     |P G Q - (J_p (+) I_q)|, read off the two products against the block
-    pattern (``Matrix.max_abs_off_jordan``).  They pass when both are 0
-    (exact mode) or at most ``tol`` (default ``linalg.DEFAULT_RANK_TOL``)
-    times max(|F|, |G|, 1) with both products finite (float mode).  Only
-    then are P and Q tested for rank under ``tol``; the two rank fields
-    read None otherwise."""
+    pattern (:func:`_residual`).  They pass when both are 0 (exact mode)
+    or at most ``tol`` (default ``linalg.DEFAULT_RANK_TOL``) times
+    max(|F|, |G|, 1) with both products finite (float mode).  Only then
+    are P and Q tested for rank under ``tol``; the two rank fields read
+    None otherwise."""
     if w.n != pencil.n:
         raise ValueError("decomposition and pencil dimensions differ")
     F, G = pencil.F, pencil.G
     pfq, pgq = w.P @ F @ w.Q, w.P @ G @ w.Q
-    res_f = pfq.max_abs_off_jordan(
-        [(1, 1)] * w.p + [(0, b.size) for b in w.nilpotent_blocks])
-    res_g = pgq.max_abs_off_jordan(
-        [(b.eigenvalue, b.size) for b in w.jordan_blocks] + [(1, 1)] * w.q)
+    res_f = _residual(pfq, [(1, 1)] * w.p + [(0, b.size) for b in w.nilpotent_blocks])
+    res_g = _residual(pgq, [(b.eigenvalue, b.size) for b in w.jordan_blocks] + [(1, 1)] * w.q)
     if pencil.mode is Mode.EXACT:
         ok = res_f == 0 and res_g == 0
     else:
@@ -393,3 +392,25 @@ def verify(
         return VerificationReport(res_f, res_g, None, None)
     return VerificationReport(res_f, res_g, linalg.is_nonsingular(w.P, tol),
                               linalg.is_nonsingular(w.Q, tol))
+
+
+def _residual(product: Matrix, blocks: list[tuple]) -> Fraction | float:
+    """``(product - J).max_abs()`` for J the direct sum of the Jordan
+    blocks ``blocks``, (eigenvalue, size) pairs: the eigenvalues on the
+    diagonal and ones above it inside each block.  It takes J's entries
+    off a copy of the rows and builds no J; the scan is ``max_abs``'s,
+    row-major, so a NaN counts where it would in ``product - J``."""
+    n = sum(size for _, size in blocks)
+    if product.shape != (n, n):
+        raise ValueError(f"Jordan blocks of {n} rows do not fit {product.rows}x{product.cols}")
+    rows, start = product.to_lists(), 0
+    for v, size in blocks:
+        end = start + size
+        for i in range(start, end):
+            if v != 0:  # x - 0 has the magnitude of x
+                rows[i][i] -= v
+            if i + 1 < end:
+                rows[i][i + 1] -= 1
+        start = end
+    return max(map(abs, chain.from_iterable(rows)),
+               default=Fraction(0) if product.mode is Mode.EXACT else 0.0)

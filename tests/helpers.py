@@ -9,9 +9,10 @@ integer kernels on integer rows.  The closed-form trajectory sums powers
 of J_p where the library steps one constant map per instant.  The char
 poly reference solves a Vandermonde system for ``Fraction`` determinants
 where the library takes Newton differences of integer ones; the float
-char poly reference builds each node matrix sF - G and solves the
-Vandermonde system where the library builds node rows and replays one
-logged elimination per n.  The chain-top reference makes one rank
+char poly reference builds each node matrix sF - G, takes its
+determinant by the float reference loop and solves the Vandermonde
+system where the library builds node rows and replays one logged
+elimination per n.  The chain-top reference makes one rank
 elimination per candidate where the library makes one for all of them,
 the chain reference solves each chain step where the exact library
 reads it off the walk's y-maps, and the filtration reference eliminates
@@ -26,10 +27,13 @@ at every instant, where the library builds that column from the stored
 rows.  The residual reference builds F_w and G_w and subtracts them from
 P F Q and P G Q, where the library reads the residuals off the two
 products against the block pattern.  The reconstruction check reference
-tests the float products for finite entries one by one, where the
-library scans them with ``Matrix.is_finite``; exact ``decompose``, which
+reads its residuals off that difference reference and tests the float
+products for finite entries one by one, where the library scans them
+with ``Matrix.is_finite``; exact ``decompose``, which
 accepts its result by the chain relations against M = [F Q_p | G Q_q],
 is held to the report the reference gives through ``verify``.
+``exact_det`` and ``rref`` are no references: they read the library's
+``integer_det`` and ``_reduced`` in the form the tests compare.
 """
 
 from __future__ import annotations
@@ -428,6 +432,19 @@ def reference_rref_data(data: list[list], mode: Mode, thr: float) -> list[int]:
     return pivots
 
 
+def exact_det(mat: Matrix) -> Fraction:
+    """Determinant of an exact matrix: ``linalg.integer_det`` of its
+    integer rows over the product of the row denominators."""
+    return Fraction(linalg.integer_det(mat.integer_rows()), math.prod(mat.denominators))
+
+
+def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
+    """The RREF of ``mat`` and its pivot columns, read off
+    ``linalg._reduced``, which a test may patch."""
+    rows, pivots, d = linalg._reduced(mat, None)
+    return Matrix.divided(rows, d, mat.cols, mat.mode), pivots
+
+
 def reference_det(mat: Matrix) -> Fraction:
     """Determinant by Gaussian elimination over ``Fraction``."""
     n = mat.rows
@@ -517,14 +534,14 @@ def reference_float_max_abs(m: Matrix) -> float:
     return max((abs(x) for row in m.to_lists() for x in row), default=0.0)
 
 
-def reference_float_det(m: Matrix, tol: float | None = None) -> complex:
-    """Determinant of a square float matrix by the loop ``linalg.det`` ran
-    before its float branch became ``linalg.float_det``: partial pivoting
-    on a copy of the rows under ``tol`` times the largest entry magnitude,
-    and 0 at the first column with no pivot above that."""
+def reference_float_det(m: Matrix) -> complex:
+    """Determinant of a square float matrix by the loop that
+    ``linalg.float_det`` replaced: partial pivoting on a copy of the rows
+    under ``DEFAULT_RANK_TOL`` times the largest entry magnitude, and 0 at
+    the first column with no pivot above that."""
     n = m.rows
     data = m.to_lists()
-    thr = (linalg.DEFAULT_RANK_TOL if tol is None else tol) * reference_float_max_abs(m)
+    thr = linalg.DEFAULT_RANK_TOL * reference_float_max_abs(m)
     sign, result = 1, complex(1.0)
     for c in range(n):
         piv, best_mag = None, thr
@@ -639,12 +656,13 @@ def reference_rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fractio
 
 def reference_char_poly(pencil: Pencil) -> CharPoly:
     """det(sF - G) of an exact pencil from ``Fraction`` node matrices
-    sF - G at s = 0..n, ``linalg.det`` of each and an exact Vandermonde
-    solve; reference for the integer route of ``pencil.char_poly``."""
+    sF - G at s = 0..n, :func:`reference_det` of each and an exact
+    Vandermonde solve; reference for the integer route of
+    ``pencil.char_poly``."""
     n = pencil.n
     mode = pencil.mode
     nodes = [Fraction(i) for i in range(n + 1)]
-    dets = [linalg.det(pencil.eval(s)) for s in nodes]
+    dets = [reference_det(pencil.F.scale(s) - pencil.G) for s in nodes]
     vand = Matrix([[s**j for j in range(n + 1)] for s in nodes], mode)
     rhs = Matrix([[d] for d in dets], mode)
     coeffs = linalg.solve_unique(vand, rhs).column_list()
@@ -654,15 +672,15 @@ def reference_char_poly(pencil: Pencil) -> CharPoly:
 
 
 def reference_float_char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
-    """det(sF - G) of a float pencil from ``linalg.det`` of the node
-    matrices sF - G at s = 0..n and a Vandermonde solve, trimmed within
+    """det(sF - G) of a float pencil from :func:`reference_float_det` of the
+    node matrices sF - G at s = 0..n and a Vandermonde solve, trimmed within
     ``tol``; reference for the node rows and the replayed elimination of
     ``pencil.char_poly``, which must match its coefficients bit for bit
     and break down where it does, with a message of its own."""
     n = pencil.n
     mode = pencil.mode
     nodes = [complex(i) for i in range(n + 1)]
-    dets = [linalg.det(pencil.eval(s)) for s in nodes]
+    dets = [reference_float_det(pencil.F.scale(s) - pencil.G) for s in nodes]
     vand = Matrix([[s**j for j in range(n + 1)] for s in nodes], mode)
     rhs = Matrix([[d] for d in dets], mode)
     try:
@@ -690,19 +708,16 @@ def reference_residuals(pencil: Pencil, w) -> tuple:
 
 def reference_verify(pencil: Pencil, w, tol: float | None = None) -> VerificationReport:
     """The reconstruction check by its defining formula in both modes: the
-    residuals read off P F Q and P G Q against the block pattern, then P
-    and Q tested for rank when both pass, which in float mode also needs
-    every entry of both products finite.  ``w.P`` is built as
-    ``linalg.inverse(M)`` where the decomposition defines it as M^{-1}.
-    Reference for ``weierstrass.verify``."""
+    residuals of :func:`reference_residuals`, then P and Q tested for rank
+    when both pass, which in float mode also needs every entry of P F Q
+    and P G Q finite.  ``w.P`` is built as ``linalg.inverse(M)`` where the
+    decomposition defines it as M^{-1}.  Reference for
+    ``weierstrass.verify``."""
     if w.n != pencil.n:
         raise ValueError("decomposition and pencil dimensions differ")
     F, G = pencil.F, pencil.G
     pfq, pgq = w.P @ F @ w.Q, w.P @ G @ w.Q
-    res_f = pfq.max_abs_off_jordan(
-        [(1, 1)] * w.p + [(0, b.size) for b in w.nilpotent_blocks])
-    res_g = pgq.max_abs_off_jordan(
-        [(b.eigenvalue, b.size) for b in w.jordan_blocks] + [(1, 1)] * w.q)
+    res_f, res_g = reference_residuals(pencil, w)
     if pencil.mode is Mode.EXACT:
         ok = res_f == 0 and res_g == 0
     else:

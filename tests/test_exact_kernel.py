@@ -5,9 +5,9 @@ operation on it, fraction-free elimination and the integer
 ``Matrix.__matmul__`` must give results bit-identical to entrywise
 ``Fraction`` arithmetic, Gauss-Jordan and multiply-and-add over
 ``Fraction``, and leave every stored row in its canonical cleared form.
-The reference path for the RREF, kernel bases and solutions runs linalg's
-own wrappers with ``_reduced`` swapped for the ``Fraction`` Gauss-Jordan
-loop in ``helpers``; kernel and column-space bases and the solutions of
+The reference path for the RREF (``helpers.rref``), kernel bases and
+solutions runs the same wrappers with ``linalg._reduced`` swapped for the
+``Fraction`` Gauss-Jordan loop in ``helpers``; kernel and column-space bases and the solutions of
 ``solve``, ``solve_unique`` and ``inverse`` also get references built here
 on that loop alone.
 """
@@ -21,12 +21,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dkit import (JordanBlockSpec, Matrix, assemble_Jp, block_diag, char_poly, decompose,
-                  hstack, linalg, vstack)
+from dkit import Matrix, block_diag, char_poly, hstack, linalg, vstack
 from dkit.scalars import Mode, clear_denominators, format_scalar
 
 from helpers import (
     ReferenceMatrix,
+    exact_det,
     planted_pencil,
     reference_block_diag,
     reference_det,
@@ -34,6 +34,7 @@ from helpers import (
     reference_matmul,
     reference_rref_data,
     reference_vstack,
+    rref,
 )
 
 EX = Mode.EXACT
@@ -162,8 +163,8 @@ def assert_fractions(mat: Matrix):
 @given(matrices())
 @with_examples(EDGE_CASES)
 def test_rref_matches_fraction_gauss_jordan(a):
-    red, pivots = linalg.rref(a)
-    assert (red, pivots) == reference(linalg.rref, a)
+    red, pivots = rref(a)
+    assert (red, pivots) == reference(rref, a)
     assert_fractions(red)
     assert linalg.rank(a) == len(pivots)
 
@@ -171,7 +172,7 @@ def test_rref_matches_fraction_gauss_jordan(a):
 @settings(max_examples=200)
 @given(st.integers(0, 6).flatmap(lambda n: matrices(nrows=n, ncols=n)))
 def test_det_matches_fraction_elimination(a):
-    d = linalg.det(a)
+    d = exact_det(a)
     assert type(d) is Fraction
     assert d == reference_det(a)
 
@@ -235,9 +236,9 @@ def sparse_square(draw):
 @settings(max_examples=150)
 @given(sparse_square())
 def test_zero_multipliers_match_the_references(a):
-    red, pivots = linalg.rref(a)
-    assert (red, pivots) == reference(linalg.rref, a)
-    assert linalg.det(a) == reference_det(a)
+    red, pivots = rref(a)
+    assert (red, pivots) == reference(rref, a)
+    assert exact_det(a) == reference_det(a)
     assert linalg.kernel_basis(a) == reference(linalg.kernel_basis, a)
     assert outcome(linalg.inverse, a) == reference(outcome, linalg.inverse, a)
 
@@ -261,22 +262,6 @@ def test_sub_scaled_matches_the_difference_with_the_scaled_matrix(abs_):
     got = a.sub_scaled(b, s)
     assert got == a - b.scale(s)
     assert_fractions(got)
-
-
-@st.composite
-def off_jordan_cases(draw):
-    """A square matrix and (eigenvalue, size) blocks that fill it."""
-    sizes = draw(st.lists(st.integers(1, 3), max_size=4))
-    blocks = [(draw(st.one_of(st.sampled_from([0, 1, -2]), FRACTIONS)), k) for k in sizes]
-    return draw(matrices(nrows=sum(sizes), ncols=sum(sizes))), blocks
-
-
-@settings(max_examples=200)
-@given(off_jordan_cases())
-def test_max_abs_off_jordan_matches_the_difference_with_the_blocks(case):
-    a, blocks = case
-    jordan = block_diag([assemble_Jp([JordanBlockSpec(v, k)], EX) for v, k in blocks], EX)
-    assert a.max_abs_off_jordan(blocks) == (a - jordan).max_abs()
 
 
 def test_solve_reports_inconsistency_as_none():
@@ -498,23 +483,13 @@ def test_exact_char_poly_makes_p_plus_2_eliminations_and_no_replay(n, nilpotent)
     p = n - sum(b.size for b in nblocks)
     with mock.patch.object(linalg, "_bareiss", wraps=linalg._bareiss) as elim, \
             mock.patch.object(linalg, "_replay", wraps=linalg._replay) as replay, \
-            mock.patch.object(linalg, "det", wraps=linalg.det) as det, \
             mock.patch.object(linalg, "solve_unique", wraps=linalg.solve_unique) as solve:
         assert len(pencil.wong_sequence) == qstar
         walked, replayed = elim.call_count, replay.call_count
         assert char_poly(pencil).p == p
     assert elim.call_count - walked == p + 2
     assert replay.call_count == replayed
-    assert det.call_count == solve.call_count == 0
-
-
-def test_exact_decompose_builds_no_fraction_rref():
-    pencil, _, _ = planted_pencil(random.Random(3), 8, q=3)
-    with mock.patch.object(linalg, "rref", wraps=linalg.rref) as rref:
-        decompose(pencil)
-        assert rref.call_count == 0
-        linalg.rref(pencil.F.to_float())  # the patch is live
-        assert rref.call_count == 1
+    assert solve.call_count == 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dkit import JordanBlockSpec, Matrix, assemble_Jp, block_diag, hstack, linalg, vstack
+from dkit import Matrix, block_diag, hstack, linalg, vstack
 from dkit.scalars import Mode
 from helpers import reference_float_det, reference_float_max_abs
 
@@ -203,31 +203,6 @@ def test_float_max_abs_matches_the_generator_reference_at_nan_inf_and_signed_zer
         assert (math.isnan(got) and math.isnan(want)) or got.hex() == want.hex(), m
 
 
-@st.composite
-def off_jordan_cases(draw):
-    """A square matrix, NaN and infinite entries included, and
-    (eigenvalue, size) blocks that fill it, the eigenvalues an int, float
-    or complex."""
-    sizes = draw(st.lists(st.integers(1, 3), max_size=4))
-    values = st.one_of(st.sampled_from([0, 1, 0j, 1 + 0j, -0.0, 2.5, complex(-0.0, 0.0)]), ENTRIES)
-    blocks = [(draw(values), k) for k in sizes]
-    n = sum(sizes)
-    cells = st.one_of(ENTRIES, st.sampled_from([complex(NAN, 0), complex(0, NAN), INF]))
-    rows = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n))
-    return (Matrix(rows, FL) if n else Matrix.zeros(0, 0, FL)), blocks
-
-
-@settings(max_examples=300)
-@given(off_jordan_cases())
-def test_max_abs_off_jordan_matches_the_difference_with_the_blocks(case):
-    """The residual read in place scans like ``(a - J).max_abs()``: a NaN
-    counts only where it comes first, and x - 0 keeps the magnitude of x."""
-    a, blocks = case
-    jordan = block_diag([assemble_Jp([JordanBlockSpec(v, k)], FL) for v, k in blocks], FL)
-    got, want = a.max_abs_off_jordan(blocks), (a - jordan).max_abs()
-    assert type(got) is float and got.hex() == want.hex()
-
-
 def near_threshold_rows(nrows, ncols, big, tol):
     """Rows with one entry ``big``, which puts the rank threshold near
     t = tol * big (a multiple of a row may exceed it): entries at, just
@@ -287,8 +262,7 @@ def test_float_det_matches_the_loop_it_replaced():
     ]
     for rows in cases:
         m = Matrix(rows, FL)
-        for tol in (None, 0.0, 1e-3):
-            assert hex_of(linalg.det(m, tol)) == hex_of(reference_float_det(m, tol))
+        assert hex_of(linalg.float_det(m.to_lists())) == hex_of(reference_float_det(m))
 
 
 @settings(max_examples=200)
@@ -296,4 +270,4 @@ def test_float_det_matches_the_loop_it_replaced():
                                                     min_size=n, max_size=n)))
 def test_float_det_matches_the_loop_it_replaced_on_random_matrices(rows):
     m = Matrix(rows, FL)
-    assert hex_of(linalg.det(m)) == hex_of(reference_float_det(m))
+    assert hex_of(linalg.float_det(m.to_lists())) == hex_of(reference_float_det(m))

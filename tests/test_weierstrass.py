@@ -26,7 +26,7 @@ from dkit import (
 from dkit import linalg, weierstrass
 from dkit.scalars import Mode
 from dkit.pencil import char_poly
-from dkit.weierstrass import _decompose, _pick_independent
+from dkit.weierstrass import _decompose, _pick_independent, _residual
 
 from helpers import (
     jordan_multiset,
@@ -41,6 +41,8 @@ from helpers import (
     reference_verify,
     unimodular,
 )
+from test_exact_kernel import FRACTIONS, matrices as exact_matrices
+from test_float_matrix import ENTRIES as FLOAT_ENTRIES, INF, NAN
 
 EX = Mode.EXACT
 
@@ -248,6 +250,49 @@ def test_verify_residuals_equal_the_difference_matrices_bit_for_bit():
         assert any(m == mode and j == 0 and k >= 2 for m, j, k in seen)
         assert any(m == mode and j >= 2 and k >= 2 for m, j, k in seen)
     assert any(nans) and not all(nans)  # a NaN counts in the first row only
+
+
+@st.composite
+def exact_residual_cases(draw):
+    """A square exact matrix and (eigenvalue, size) blocks that fill it."""
+    sizes = draw(st.lists(st.integers(1, 3), max_size=4))
+    blocks = [(draw(st.one_of(st.sampled_from([0, 1, -2]), FRACTIONS)), k) for k in sizes]
+    return draw(exact_matrices(nrows=sum(sizes), ncols=sum(sizes))), blocks
+
+
+@settings(max_examples=200)
+@given(exact_residual_cases())
+def test_exact_residual_matches_the_difference_with_the_blocks(case):
+    a, blocks = case
+    jordan = block_diag([assemble_Jp([JordanBlockSpec(v, k)], EX) for v, k in blocks], EX)
+    got = _residual(a, blocks)
+    assert type(got) is Fraction and got == (a - jordan).max_abs()
+
+
+@st.composite
+def float_residual_cases(draw):
+    """A square float matrix, NaN and infinite entries included, and
+    (eigenvalue, size) blocks that fill it, the eigenvalues an int, float
+    or complex."""
+    sizes = draw(st.lists(st.integers(1, 3), max_size=4))
+    values = st.one_of(st.sampled_from([0, 1, 0j, 1 + 0j, -0.0, 2.5, complex(-0.0, 0.0)]),
+                       FLOAT_ENTRIES)
+    blocks = [(draw(values), k) for k in sizes]
+    n = sum(sizes)
+    cells = st.one_of(FLOAT_ENTRIES, st.sampled_from([complex(NAN, 0), complex(0, NAN), INF]))
+    rows = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n))
+    return (Matrix(rows, FL) if n else Matrix.zeros(0, 0, FL)), blocks
+
+
+@settings(max_examples=300)
+@given(float_residual_cases())
+def test_float_residual_matches_the_difference_with_the_blocks(case):
+    """The residual read in place scans like ``(a - J).max_abs()``: a NaN
+    counts only where it comes first, and x - 0 keeps the magnitude of x."""
+    a, blocks = case
+    jordan = block_diag([assemble_Jp([JordanBlockSpec(v, k)], FL) for v, k in blocks], FL)
+    got, want = _residual(a, blocks), (a - jordan).max_abs()
+    assert type(got) is float and got.hex() == want.hex()
 
 
 def _report_key(rep):
@@ -648,10 +693,13 @@ def test_filtration_matches_the_stacked_reference(seed, jordan, nilpotent, ratio
     if not jordan and not nilpotent:
         return
     pencil = pencil_from_blocks(random.Random(seed), jordan, nilpotent, rational)
+    def bases(A, E, target, tol):
+        return linalg.filtration(A, E, target, tol)[0]
+
     for A, E, target in filtration_pairs(pencil, jordan, nilpotent):
-        assert linalg.filtration(A, E, target, None) == reference_filtration(A, E, target, None)
+        assert bases(A, E, target, None) == reference_filtration(A, E, target, None)
         fa, fe = A.to_float(), E.to_float()
-        assert _bases_or_none(linalg.filtration, fa, fe, target) == _bases_or_none(
+        assert _bases_or_none(bases, fa, fe, target) == _bases_or_none(
             reference_filtration, fa, fe, target)
 
 
@@ -685,7 +733,7 @@ def test_filtration_eliminates_the_columns_of_A_once():
         return elim(rows, *args, **kwargs)
 
     with mock.patch.object(linalg, "_bareiss", recorded):
-        bases = linalg.filtration(A, E, target, None)
+        bases, _ = linalg.filtration(A, E, target, None)
     assert [b.cols for b in bases] == [2, 4, 5, 6]  # three preimage steps
     assert sum(_scales_rows_of(rows, A.integer_rows()) for rows in calls) == 1
 
@@ -708,8 +756,7 @@ def test_the_kept_y_maps_solve_each_step_and_give_the_solved_chains(seed, jordan
     pencil = pencil_from_blocks(random.Random(seed), jordan, nilpotent, rational=True)
     walks = []
     for A, E, target in filtration_pairs(pencil, jordan, nilpotent):
-        maps = []
-        walks.append((A, E, linalg.filtration(A, E, target, None, maps), maps))
+        walks.append((A, E, *linalg.filtration(A, E, target, None)))
     if nilpotent:
         walks.append((pencil.F, pencil.G, pencil.wong_sequence, pencil.wong_maps))
         assert walks[-1][2] == tuple(walks[-2][2]) and walks[-1][3] == tuple(walks[-2][3])
