@@ -9,9 +9,7 @@ Core surface:
 * command-line front-end  -- :mod:`dkit.cli`
 
 The records are immutable values: NamedTuples, or classes on the one
-:class:`~dkit.record.Record` base.  None is a dataclass, as importing
-``dataclasses`` (it loads ``inspect``) and generating per-class code
-lengthen every cold start of the command line.
+:class:`~dkit.record.Record` base, which says why none is a dataclass.
 """
 
 from .causality import (

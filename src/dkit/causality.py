@@ -7,21 +7,10 @@ future input into the current state, i.e. when H_q B_q != 0.  Output-input
 causality only needs those leaks to be invisible through C, i.e.
 C Q_q H_q^i B_q = 0 for i = 1 .. q* - 1; equivalently every column of
 [Q_q H_q B_q | ... | Q_q H_q^{q*-1} B_q] lies in the right nullspace of C.
-The report carries both verdicts, their witnesses, that stacked matrix and
-the one zero threshold every test used.
 
-The oracle at the bottom tests the definition itself: perturb one future
-input sample and watch whether any earlier state (or output) moves.  It
-goes through the solver, not through the criteria, so the two can referee
-each other.  Each trial runs the base signal from the Z^p_{k0} it draws:
-the perturbed sample V_j lies at or past k0 + q*, so D_{k0}, and with it
-the consistent initial state, is the same for both signals.  Instant k
-reads V_k .. V_{k+w-1}, w = max(q*, 1), so the perturbed signal is run
-only from the first instant that reads V_j, j - w + 1, starting at the
-base run's Z^p there; nothing is run at j, which is never compared.  One
-pass of trials serves both verdicts: each trial's runs are read as states
-and as outputs.  The oracle returns one counterexample or None per
-verdict, state first; None means no trial found the system non-causal.
+The oracle tests the definition itself: perturb one future input sample
+and watch whether any earlier state (or output) moves.  It goes through
+the solver, not through the criteria, so the two can referee each other.
 """
 
 from __future__ import annotations
@@ -160,7 +149,6 @@ def brute_force_causality_oracle(
 
         z = Matrix.column([rng.randint(-3, 3) for _ in range(w.p)], sys.mode)
         traj_base = solve_from_zp(a, base, z, j - 1)
-        # instants before k1 and Z^p_{k1} read only samples the signals share
         k1 = max(k0, j - width + 1)
         if k1 > j - 1:
             continue

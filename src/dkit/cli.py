@@ -5,19 +5,18 @@ decimal strings, or "num/den" rational strings (float mode also accepts
 complex strings such as "1+2j").  Exit codes are part of the contract:
 
     0  success
-    1  parse error (malformed or unreadable file, or a usage error in the
-       arguments, such as an output path that cannot be written),
-       or an exact value with more decimal digits than Python prints
-       (``sys.get_int_max_str_digits()``): rejected when the file is read,
-       or stopping the run before its report when a result outgrows it,
-       or float mode without numpy, which its root finder imports (retry
+    1  parse or usage error (a malformed or unreadable file, bad arguments,
+       an unwritable output path), an exact value past Python's digit
+       limit when read or reported, or float mode without numpy (retry
        with --mode exact)
-    2  irregular pencil
+    2  irregular pencil (exact mode; float mode cannot tell, exit 7)
     3  inconsistent initial condition (analysis still emitted)
     4  unresolvable exact spectrum (retry with --mode float)
     5  input horizon too short
     6  causality oracle disagrees with the closed-form criteria
     7  numerical breakdown in float mode (retry with --mode exact)
+
+:func:`_report` gives each ``DkitError`` its exit code by ``_EXITS``.
 """
 
 from __future__ import annotations
@@ -64,6 +63,19 @@ EXIT_HORIZON = 5
 EXIT_ORACLE_DISAGREES = 6
 EXIT_NUMERICAL = 7
 
+# (error type, exit code, stderr label, hint) for _report: the first match wins
+_EXITS = (
+    (ParseError, EXIT_PARSE, "parse error", None),
+    (IrregularPencil, EXIT_IRREGULAR, "irregular pencil", None),
+    (InconsistentInitialCondition, EXIT_INCONSISTENT, "inconsistent initial condition", None),
+    (UnresolvableSpectrum, EXIT_UNRESOLVABLE, "unresolvable spectrum in exact mode",
+     "retry with --mode float"),
+    (InputHorizonTooShort, EXIT_HORIZON, "input horizon too short", None),
+    (ChainConstructionFailure, EXIT_NUMERICAL, "numerical breakdown", "retry with --mode exact"),
+    (DkitError, EXIT_PARSE, "error", None),
+)
+
+
 class SystemFile(NamedTuple):
     n: int
     l: int
@@ -93,13 +105,12 @@ def _require_int(raw, field: str) -> int:
 
 def _parse_scalars(raw: list, mode: Mode, field: str) -> list:
     """The cells of one row, each admitted once.  A JSON int short enough
-    for its mode is taken without ``scalars.parse_scalar``: in exact mode
-    one that prints (within 3 * the digit limit bits, see parse_scalar; any
-    int where Python has no limit) stays an int, which the exact ``Matrix``
-    takes as it is; in float mode one within 1023 bits, below 2^1023 and so
-    finite as a double, becomes the ``complex`` that the float ``Matrix``
-    stores as it is.  Every other cell (a longer int, a bool, a JSON float,
-    a string) goes through parse_scalar, which gives its error message."""
+    for its mode skips ``scalars.parse_scalar``: in exact mode one that
+    prints (within 3 * the digit limit bits, see parse_scalar; any int where
+    Python has no limit) stays an int, in float mode one within 1023 bits,
+    so finite as a double, becomes a ``complex``; ``Matrix`` takes either
+    as it is.  Every other cell goes through parse_scalar, which gives its
+    error message."""
     exact = mode is Mode.EXACT
     short = (3 * max_str_digits() or math.inf) if exact else 1023
     out = []
@@ -132,13 +143,14 @@ def _parse_vector(raw, length: int, mode: Mode, field: str) -> Matrix:
 
 
 def parse_system_file(source, mode_override: Mode | None = None) -> SystemFile:
-    """Parse a system description from a dict, a JSON string, or a path."""
+    """Parse a system description from a dict, a path or a JSON string:
+    an argument that names a file is read from it, any other that starts
+    with "{" is read as JSON."""
     if isinstance(source, dict):
         doc = source
     else:
         text = str(source)
-        looks_like_json = text.lstrip().startswith("{")
-        if not looks_like_json:
+        if not text.lstrip().startswith("{") or os.path.isfile(text):
             try:
                 with open(source, encoding="utf-8") as fh:
                     text = fh.read()
@@ -495,35 +507,24 @@ def main(argv=None) -> int:
         command = {"analyze": cmd_analyze, "solve": cmd_solve,
                    "causality": cmd_causality}[args.command]
         return command(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except IrregularPencil as exc:
-        print(f"irregular pencil: {exc}", file=sys.stderr)
-        return EXIT_IRREGULAR
-    except InconsistentInitialCondition as exc:
-        print(f"inconsistent initial condition: {exc}", file=sys.stderr)
-        if exc.residual is not None:
-            try:
-                print(f"  residual: {_fmt_matrix(exc.residual)}", file=sys.stderr)
-            except DkitError as fmt_exc:  # a residual too long to print
-                print(f"error: {fmt_exc}", file=sys.stderr)
-                return EXIT_PARSE
-        return EXIT_INCONSISTENT
-    except UnresolvableSpectrum as exc:
-        print(f"unresolvable spectrum in exact mode: {exc}", file=sys.stderr)
-        print("hint: retry with --mode float", file=sys.stderr)
-        return EXIT_UNRESOLVABLE
-    except InputHorizonTooShort as exc:
-        print(f"input horizon too short: {exc}", file=sys.stderr)
-        return EXIT_HORIZON
-    except ChainConstructionFailure as exc:
-        print(f"numerical breakdown: {exc}", file=sys.stderr)
-        print("hint: retry with --mode exact", file=sys.stderr)
-        return EXIT_NUMERICAL
     except DkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _report(exc)
+
+
+def _report(exc: DkitError) -> int:
+    """Print ``exc`` to stderr as its row of ``_EXITS`` says, with the
+    residual of an inconsistent initial state, and return its exit code."""
+    code, label, hint = next(e[1:] for e in _EXITS if isinstance(exc, e[0]))
+    print(f"{label}: {exc}", file=sys.stderr)
+    if hint:
+        print(f"hint: {hint}", file=sys.stderr)
+    residual = getattr(exc, "residual", None)  # InconsistentInitialCondition's
+    if residual is not None:
+        try:
+            print(f"  residual: {_fmt_matrix(residual)}", file=sys.stderr)
+        except DkitError as fmt_exc:  # a residual too long to print
+            return _report(fmt_exc)
+    return code
 
 
 if __name__ == "__main__":

@@ -51,7 +51,8 @@ class ChainConstructionFailure(DkitError):
 
     Float mode also raises it when a numerically rank-deficient system
     stops the interpolation of the characteristic polynomial or the
-    least-squares residual of an inconsistent initial state."""
+    least-squares residual of an inconsistent initial state, and when the
+    characteristic polynomial reads zero under its thresholds."""
 
 
 class InputHorizonTooShort(DkitError):

@@ -1,36 +1,15 @@
 """Elimination-based linear algebra over both scalar modes.
 
-Exact mode never eliminates over ``Fraction``.  An exact matrix stores
-each row scaled by the lcm of its denominators, and one kernel,
-``_bareiss``, eliminates a copy of those integer rows forward,
-fraction-free (Bareiss 1968): ``(pivot * a - f * b) // prev_pivot`` divides
-exactly, as each entry stays a minor.  Rank, pivots and the determinant
-(:func:`integer_det`) need no more.  Back-substitution over the non-pivot
-columns turns the echelon rows u_i into d times the RREF rows, d the last
-pivot (Nakos, Turner & Williams 1997):
-R_i = (d u_i - sum over j > i of u_i[c_j] R_j) / u_i[c_i],
-exact by Cramer's rule.  The RREF is unique, so every basis and solution
-read off it is canonical.  An elimination stopped at pivot d resumes
-with ``prev`` = d: ``pencil.char_poly`` stops its deflating elimination
-after the W* columns (``stop``) and resumes it at each node, and only
-:func:`preimages` logs the row operations, to replay them on columns
-that come later (:func:`_replay`), as each [A | X] of :func:`filtration`
-resumes its one elimination of A and back-substitutes only the appended
-columns left free.  That step's kernel vectors (v, y) are reduced as
-rows once more, which makes the v-parts canonical and carries the
-y-parts along as the step's y-map, which :func:`filtration` returns with
-the step's basis.  Float mode uses Gauss-Jordan with partial pivoting and
-a relative rank threshold ``tol * (largest entry magnitude)``.  Its pivot
-search (:func:`pivot_columns`, so rank and the nonsingularity test) stops
-at the pivot row: it leaves the rows above each pivot alone, which are
-never searched again, and finds the pivots of the full reduction.  Its
-determinant is one kernel on rows, :func:`float_det`.  Only
-``pencil.char_poly`` logs a float elimination, of the Vandermonde matrix
-of its nodes, to replay it on each pencil's column of node determinants
-(:func:`_replay_rref`); it reads the smallest logged pivot against the
-threshold of :func:`_row_threshold` under the fixed ``DEFAULT_RANK_TOL``
-to tell when the elimination of [V | dets] could not succeed, and raises
-then.
+Exact mode never eliminates over ``Fraction``: one kernel,
+:func:`_bareiss`, eliminates a copy of the integer rows an exact matrix
+stores, fraction-free, and :func:`_back_substitute` turns its echelon rows
+into d times the RREF, which is unique, so every basis and solution read
+off it is canonical.  :func:`preimages` resumes one elimination for each
+step of :func:`filtration` (:func:`_replay`).  Float mode uses
+Gauss-Jordan with partial pivoting under a relative rank threshold
+(:func:`_rref_data`, :func:`_threshold`); its determinant is
+:func:`float_det`, and ``pencil.char_poly`` replays one logged elimination
+(:func:`_replay_rref`).
 """
 
 from __future__ import annotations
@@ -45,7 +24,8 @@ DEFAULT_RANK_TOL = 1e-9
 
 
 def _threshold(mat: Matrix, tol: float | None) -> float:
-    """Float pivot threshold relative to ``mat``; exact mode needs none."""
+    """Float pivot threshold: ``tol`` (default ``DEFAULT_RANK_TOL``) times
+    the largest entry magnitude of ``mat``; exact mode needs none."""
     if mat.mode is Mode.EXACT:
         return 0.0
     if tol is None:
@@ -63,9 +43,12 @@ def _row_threshold(rows: list[list]) -> float:
 
 def _bareiss(rows: list[list[int]], log: list | None = None, r: int = 0,
              prev: int = 1, stop: int | None = None) -> tuple[list[int], int, int]:
-    """Fraction-free forward elimination of integer rows, in place.
+    """Fraction-free forward elimination of integer rows, in place
+    (Bareiss 1968): ``(pivot * a - f * b) // prev`` divides exactly, as
+    each entry stays a minor.
 
-    Rows above ``r`` are pivot rows already, ``prev`` the last pivot.
+    Rows above ``r`` are pivot rows already, ``prev`` the last pivot, so an
+    elimination stopped at pivot d resumes with ``prev`` = d.
     With ``stop`` it pivots in the first ``stop`` columns only, but still
     updates whole rows.  Returns the pivot columns, the last pivot d and
     the sign of the row permutation; a square matrix has determinant d up
@@ -101,10 +84,12 @@ def _bareiss(rows: list[list[int]], log: list | None = None, r: int = 0,
 
 
 def _back_substitute(rows: list[list[int]], pivots: list[int], d: int, start: int = 0) -> None:
-    """Echelon rows of :func:`_bareiss` with last pivot d to d times the
-    RREF rows, in place, in the pivot columns and in the non-pivot columns
-    from ``start`` on (a column left out keeps its echelon entries); rows
-    below the rank are zero already."""
+    """Echelon rows u_i of :func:`_bareiss` with last pivot d to d times
+    the RREF rows, in place, in the pivot columns and in the non-pivot
+    columns from ``start`` on (a column left out keeps its echelon
+    entries); rows below the rank are zero already.  Row by row from the
+    last (Nakos, Turner & Williams 1997), R_i = (d u_i - sum over j > i of
+    u_i[c_j] R_j) / u_i[c_i], exact by Cramer's rule."""
     free = [k for k in range(start, len(rows[0]) if rows else 0) if k not in pivots]
     for i in reversed(range(len(pivots))):
         u, ci = rows[i], pivots[i]
@@ -317,17 +302,14 @@ def filtration(a: Matrix, e: Matrix, target: int | None = None,
     """Bases of the growing subspaces N_1 < N_2 < ...: N_1 = ker A, and N_k
     the canonical basis of the preimage of E(N_{k-1}) under A
     (:func:`preimages`, which eliminates A once for all steps), and the
-    y-map of each step k >= 2.
+    y-map Y_k of each step k >= 2, A N_k = E N_{k-1} Y_k, or None where
+    the step keeps none (float mode, dependent v-parts).
 
     With a ``target`` it runs until the dimension reaches it, and raises
     ChainConstructionFailure when ker A is trivial or a step stalls or
     overshoots.  Without one it runs until the first step that does not
     grow, which for A = F, E = G walks the Wong sequence of the pencil
-    sF - G up to its limit W*; in exact mode a step whose [A | -E N_{k-1}]
-    has full row rank ends after its forward elimination, as N_k contains
-    N_{k-1} and so equals it.  A step's y-map is Y_k with
-    A N_k = E N_{k-1} Y_k, or None where the step keeps none (float mode,
-    dependent v-parts).
+    sF - G up to its limit W*.
     """
     basis, preimage = preimages(a, tol)
     bases, maps = [basis] if basis.cols else [], []

@@ -10,20 +10,11 @@ exact row is stored cleared of denominators: a tuple of integer numerators
 and one row denominator d, in lowest terms (the gcd of the numerators and
 d is 1, d >= 1, and a zero row has d = 1).  Both forms are unique, so
 equality and hashing compare the stored rows, and every exact operation
-runs on integers: the rows go straight into fraction-free
-elimination (:meth:`Matrix.integer_rows`), products, sums and stacks
-combine rows by integer lcm and gcd, and a ``Fraction`` is made only when
-an entry leaves the matrix (indexing, ``row_list``, ``column_list``,
-``max_abs``, and ``to_lists``, which is how ``weierstrass.verify`` reads
-its residuals) while ``format_entries`` prints the rows without one.
-This module alone knows how an exact value is cleared; the constructor
-is where ``Fraction`` entries come in.
-
-Values are admitted once: the constructor and ``Matrix.column`` store a
-float value whose type is exactly ``complex`` (what the float parser
-makes) as it is, and an exact int or ``Fraction`` without a conversion;
-any other value goes through ``ensure_scalar``, which still rejects
-a ``Fraction`` in float mode and a bool in either.
+runs on integers; a ``Fraction`` is made only when an entry leaves the
+matrix (indexing, ``row_list``, ``column_list``, ``max_abs``, ``to_lists``),
+and ``format_entries`` prints the rows without one.  This module alone
+knows how an exact value is cleared; :meth:`Matrix.column` says how a
+value is admitted.
 
 Float rows are built by ``tuple([...])``: ``tuple()`` of a generator
 allocates a guessed size and resizes it, and with one tuple per row that
@@ -92,9 +83,12 @@ class Matrix:
 
     @classmethod
     def column(cls, values: Iterable, mode: Mode) -> "Matrix":
-        """A column vector of ``values``.  A value of what the mode stores
-        (float: exactly ``complex``; exact: an int or a ``Fraction``) is taken
-        as it is, any other goes through ensure_scalar."""
+        """A column vector of ``values``.  Values are admitted once: here
+        and in the constructor a value of what the mode stores (float:
+        exactly ``complex``, what the float parser makes; exact: an int or
+        a ``Fraction``) is taken as it is, any other goes through
+        ``ensure_scalar``, which still rejects a ``Fraction`` in float mode
+        and a bool in either."""
         if mode is not Mode.EXACT:
             return _new(mode, 1, tuple([(v if type(v) is complex else ensure_scalar(v, mode),)
                                         for v in values]))
@@ -399,8 +393,7 @@ _ZERO_ENTRY = ((0,), 1)
 
 
 def _cleared(row: list) -> tuple[tuple[int, ...], int]:
-    """An exact row in its stored form; an all-int row is itself over 1,
-    and only a cell neither int nor ``Fraction`` goes through ensure_scalar."""
+    """An exact row in its stored form; an all-int row is itself over 1."""
     if all(type(x) is int for x in row):
         return tuple(row), 1
     nums, d = clear_denominators([x if type(x) is int or type(x) is Fraction

@@ -1,33 +1,11 @@
 """Matrix pencils sF - G: regularity and the finite/infinite spectrum split.
 
-The characteristic polynomial det(sF - G) is obtained by evaluating the
-determinant at integer nodes and interpolating.  Its degree p counts the
-finite eigenvalues with multiplicity; the remaining q = n - p dimensions
-belong to the infinite eigenvalue.  Exact mode works on the stored
-integer rows of [F | G] (an exact matrix keeps each row cleared of
-denominators).  It deflates the infinite part once, by the limit W* of
-the pencil's Wong sequence, which the pencil walks once and keeps for
-its canonical form: each basis vector w of W* puts -G w, which does not
-depend on s, in place of one column.  One fraction-free elimination of
-those columns, stopped after them, serves all nodes: the p + 1 nodes
-s = 0..p each resume it on the p columns left.  Newton forward
-differences interpolate, and the coefficients become ``Fraction`` only
-at the end.  Float mode solves the Vandermonde system of the n + 1 nodes
-s = 0..n.  The elimination of the Vandermonde matrix V depends on n
-alone; it is logged once per n and replayed on the column of node
-determinants, each taken by ``linalg.float_det`` on the rows of sF - G
-built as lists.  That replay is the elimination of [V | dets] bit for
-bit unless one of the logged pivots lies within the rank threshold of
-[V | dets]; then that elimination has no pivot in its column, so the
-solve cannot succeed, and the interpolation breaks down.  The threshold
-is ``linalg.DEFAULT_RANK_TOL`` times the largest of n^n and the node
-determinants, and the smallest pivot is 1, so interpolation succeeds
-only while n^n and every |det(sF - G)| on the nodes stay below
-1/``DEFAULT_RANK_TOL`` = 1e9: from n = 10 on it breaks down before any
-node is evaluated, even for F = I, G = diag(1..n) (ROADMAP item 4
-replaces it).  In exact mode the finite eigenvalues are the rational
-roots, searched and divided out in integer arithmetic once the
-denominators and the integer content are cleared.
+:class:`Pencil` is the pair (F, G); in exact mode it walks its Wong
+sequence once and keeps it.  :func:`char_poly` is det(sF - G), whose
+degree p counts the finite eigenvalues, leaving q = n - p to the infinite
+one; its docstring gives each mode's evaluation and interpolation, and
+where float mode breaks down.  :func:`require_regular` is the one
+regularity verdict on it, and :func:`finite_eigenvalues` its roots.
 """
 
 from __future__ import annotations
@@ -40,7 +18,7 @@ from itertools import product
 from typing import NamedTuple
 
 from . import linalg
-from .errors import ChainConstructionFailure, DkitError, UnresolvableSpectrum
+from .errors import ChainConstructionFailure, DkitError, IrregularPencil, UnresolvableSpectrum
 from .matrices import Matrix, hstack
 from .record import Record
 from .scalars import Mode, Scalar, clear_denominators
@@ -151,8 +129,9 @@ def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
     ChainConstructionFailure is raised, before any node determinant
     when the threshold of V alone already covers the pivot.  With the
     fixed ``linalg.DEFAULT_RANK_TOL`` (the interpolation ignores ``tol``)
-    that means n^n or some |det(sF - G)| on the nodes reaches 1e9, and so
-    every n >= 10 breaks down (ROADMAP item 4).  Coefficients within
+    and a smallest pivot of 1, that means n^n or some |det(sF - G)| on the
+    nodes reaches 1e9, and so every n >= 10 breaks down, even for F = I
+    (ROADMAP item 4).  Coefficients within
     ``tol`` (relative, default ``linalg.DEFAULT_RANK_TOL``) of 0 are
     trimmed; only the trim reads ``tol``, and exact mode ignores it.
     """
@@ -204,6 +183,23 @@ def char_poly(pencil: Pencil, tol: float | None = None) -> CharPoly:
     while coeffs and abs(coeffs[-1]) <= thr:
         coeffs.pop()
     return CharPoly(tuple(coeffs), n)
+
+
+def require_regular(pencil: Pencil, cp: CharPoly, tol: float | None) -> None:
+    """The regularity verdict on ``cp``, the char poly of ``pencil`` under
+    ``tol``: IrregularPencil when an exact one is zero.  A float one that
+    reads zero may be a regular pencil's whose values fell under a
+    threshold (a node determinant's pivot within ``linalg.DEFAULT_RANK_TOL``
+    of its rows' largest entry, or every coefficient within ``tol`` of
+    max(1, |coefficients|)), so float mode raises ChainConstructionFailure."""
+    if not cp.is_zero:
+        return
+    if pencil.mode is Mode.EXACT:
+        raise IrregularPencil("det(sF - G) is identically zero")
+    tol = linalg.DEFAULT_RANK_TOL if tol is None else tol
+    raise ChainConstructionFailure(
+        f"det(sF - G) reads zero under the float thresholds ({linalg.DEFAULT_RANK_TOL:g} of each "
+        f"node's largest entry, {tol:g} of max(1, |coefficients|)): it may be regular")
 
 
 @cache

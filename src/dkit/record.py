@@ -7,6 +7,8 @@ class Record:
     A subclass checks its arguments in its own ``__init__``, which ends in
     :meth:`_set`.  Equality (same type only), hash and repr read the fields
     alone, so what a ``cached_property`` keeps in ``__dict__`` stays out.
+    No record is a dataclass: importing ``dataclasses`` (it loads
+    ``inspect``) and generating per-class code lengthen every cold start.
     """
 
     _fields: tuple[str, ...] = ()

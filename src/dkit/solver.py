@@ -6,22 +6,10 @@ by H_q.  The backward part is forced: it reads the next q* - 1 input
 samples, which is why every operation here is explicit about the input
 horizon it needs and refuses to zero-pad.
 
-Both parts together make one constant linear map per instant, the step map
-
-    [Y_k; X_k; Z^q_k; Z^p_{k+1}] = S [Z^p_k; V_k; ...; V_{k+w-1}],
-    w = max(q*, 1),
-
-so :func:`solve_from_zp` spends one product per step from a given
-Z^p_{k0}; S is built once per :class:`Analysis`, on its first solve.
-
-An initial state is admissible exactly when it lies in the affine set
-colspan(Q_p) + Q D_{k0}.  The driving vector D_k stacks the forward sum
-over the inputs before k on the forced Z^q_k; at k0 that sum is empty, so
-Q D_{k0} = Q_q Z^q_{k0}.  :func:`solve` rejects anything else and runs
-:func:`solve_from_zp` from the Z^p_{k0} an admissible state pins down.
-The residual oracle at the bottom re-checks a trajectory against the
-original difference equation and is deliberately independent of the
-decomposition.
+:func:`analyze` makes the :class:`Analysis` every run reads;
+:func:`check_consistency` decides whether an initial state is admissible,
+:func:`solve` runs it, and :func:`residual_oracle` re-checks a trajectory
+against the original equation, independently of the decomposition.
 """
 
 from __future__ import annotations
@@ -35,10 +23,9 @@ from .errors import (
     ChainConstructionFailure,
     InconsistentInitialCondition,
     InputHorizonTooShort,
-    IrregularPencil,
 )
 from .matrices import Matrix, hstack, vstack
-from .pencil import Pencil, char_poly
+from .pencil import Pencil, char_poly, require_regular
 from .record import Record
 from .scalars import Mode
 from .weierstrass import VerificationReport, WeierstrassDecomposition, _decompose
@@ -69,8 +56,7 @@ class DescriptorSystem(Record):
             if not mat.is_finite():
                 raise ValueError(f"{name} has a NaN or infinite entry")
         cp = char_poly(pencil, tol)
-        if cp.is_zero:
-            raise IrregularPencil("det(sF - G) is identically zero")
+        require_regular(pencil, cp, tol)
         self._set(F=F, G=G, B=B, C=C, tol=tol, pencil=pencil, char_poly=cp)
 
     @property
@@ -160,9 +146,8 @@ def _step_maps(a: Analysis) -> tuple[Matrix, Matrix]:
 
 
 def transform_input(w: WeierstrassDecomposition, B: Matrix) -> TransformedInput:
-    """P B in the blocks the solver and the causality checks read.  Where
-    ``w`` defines P as [F Q_p | G Q_q]^{-1} (exact :func:`analyze`), P B is
-    the solution of [F Q_p | G Q_q] X = B, and P is never built."""
+    """P B (``w.P_times``) in the blocks the solver and the causality
+    checks read."""
     b_p, b_q = w.P_times(B).split_rows((w.p,))
     blocks: list[Matrix] = []
     for _ in range(w.q_star):
@@ -178,8 +163,7 @@ class Analysis(Record):
     """The one handle for running a system: everything derived from it,
     each computed once.  The canonical form with its reconstruction report
     comes from :func:`analyze` (the char poly stays on the system); P B and
-    the step map of :func:`solve` are built on first read and kept.
-    Every rank decision uses the system's ``tol``."""
+    the step map of :func:`solve` are built on first read and kept."""
 
     _fields = ("system", "w", "verification")
 
@@ -213,9 +197,10 @@ class ConsistencyResult(NamedTuple):
 
 
 def check_consistency(a: Analysis, signal: InputSignal, y0: Matrix) -> ConsistencyResult:
-    """Decide membership of y0 in colspan(Q_p) + Q D_{k0}.
+    """Decide membership of y0 in the admissible set colspan(Q_p) + Q D_{k0}.
 
-    At k0 the forward sum of D_{k0} is empty, so Q D_{k0} = Q_q Z^q_{k0}.
+    D_k stacks the forward sum over the inputs before k on the forced Z^q_k;
+    at k0 that sum is empty, so Q D_{k0} = Q_q Z^q_{k0}.
     Q_p has full column rank, so a consistent y0 pins down Z^p_{k0}
     uniquely.  In float mode the pivot threshold scales with
     [Q_p | y0 - Q_q Z^q_{k0} | y0 | Q_q Z^q_{k0}]: when the two terms
@@ -297,9 +282,8 @@ def solve_from_zp(a: Analysis, signal: InputSignal, z_p0: Matrix, K: int) -> Tra
     Every Z^p_{k0} gives a consistent initial state, Y_{k0} = Q_p Z^p_{k0}
     + Q D_{k0}, so only the input horizon is checked, as :func:`solve`
     does.  Each instant is one product of the step map ``a.step_maps``
-    with the column [Z^p_k; V_k; ...; V_{k+w-1}], made from the rows of
-    Z^p_k and of the samples, so instant k reads only V_k .. V_{k+w-1};
-    the product's row blocks are Y_k, X_k, Z^q_k and Z^p_{k+1}.
+    (:func:`_step_maps`) with a column made from the rows of Z^p_k and of
+    the samples it reads.
     """
     _check_horizon(a, signal, K)
     k0, w, l = signal.k0, a.w, a.system.l
@@ -314,7 +298,7 @@ def solve_from_zp(a: Analysis, signal: InputSignal, z_p0: Matrix, K: int) -> Tra
         z_p_list.append(zp)
         if k < K:
             out = step_map @ zp.with_rows_of(inputs, range(i, i + span))
-        else:  # no Z^p_{K+1} rows, and no V columns when q* = 0
+        else:
             out = last_map @ zp.with_rows_of(inputs, range(i, i + span if w.q_star else i))
         y, x, zq, zp = out.split_rows(blocks)
         states.append(y)

@@ -7,8 +7,8 @@ For a regular pencil sF - G this module produces nonsingular P, Q with
 where J_p collects Jordan blocks of the finite eigenvalues and H_q is the
 nilpotent block of the infinite eigenstructure (ones on the superdiagonal).
 
-Construction outline.  Eigenvector chains are built directly on the
-pencil: for a finite eigenvalue a the chain relation is
+Eigenvector chains are built directly on the pencil: for a finite
+eigenvalue a the chain relation is
 
     (G - a F) v_1 = 0,     (G - a F) v_k = F v_{k-1},
 
@@ -17,43 +17,22 @@ and for the infinite structure the reversed relation
     F w_1 = 0,             F w_k = G w_{k-1}.
 
 Both are instances of one scheme, "A v_k = E v_{k-1}".  The nested
-subspaces N_1 = ker A, N_k = {v : A v in E(N_{k-1})} grow exactly like the
-kernel filtration of a nilpotent operator, so the usual Jordan machinery
-applies: block sizes come from the dimension increments, top vectors of
-long chains are picked first, and each chain runs downward through the
-unique x in N_{k-1} with E x = A v_k.  N_k is read off the kernel of
-[A | -E N_{k-1}] (``linalg.filtration``), whose vectors (v, y) pair each v
-in N_k with the y that gives A v = E N_{k-1} y.  In exact mode A is
-eliminated once, each step resumes that elimination on the appended
-columns rather than starting again from column 0, and the walk keeps the
-y-map Y_k of each basis, A N_k = E N_{k-1} Y_k: a chain step is then
-the product of Y_k with the coordinates of v_k, solved for nothing.
-Float mode solves E N_{k-1} y = A v_k at each step.  For the infinite
-structure the N_k are the Wong sequence of the pencil, and in exact mode
-they are the pencil's own walk, ``Pencil.wong_sequence`` with
-``Pencil.wong_maps``, the one its char poly deflates by.  Columns of Q
-are the chain vectors; P is then forced, because the first p columns of
-P^{-1} must be F Q_p and the last q columns must be G Q_q: P = M^{-1},
-M = [F Q_p | G Q_q] (the quasi-Weierstrass construction of Berger,
-Ilchmann & Trenn 2012 defines it from the two deflating subspaces the
-same way).  Float mode inverts M.  Exact mode tests M for rank by one
-forward elimination and builds P only when it is first read, which no
-CLI command does: P B is the solution of M X = B.
+subspaces N_1 = ker A, N_k = {v : A v in E(N_{k-1})} (``linalg.filtration``;
+for the infinite structure the Wong sequence, ``Pencil.wong_sequence``)
+grow exactly like the kernel filtration of a nilpotent operator, so
+:func:`_chains` reads Jordan chains off them.  Columns of Q are the chain
+vectors; P is then forced, because the first p columns of P^{-1} must be
+F Q_p and the last q columns must be G Q_q: P = M^{-1}, M = [F Q_p | G Q_q]
+(the quasi-Weierstrass construction of Berger, Ilchmann & Trenn 2012
+defines it from the two deflating subspaces the same way).
+:class:`WeierstrassDecomposition` says when P is built.
 
 All choices are canonical: kernels come from the (unique) reduced row
 echelon form, eigenvalues are sorted, and block sizes are descending, so
 repeated runs produce identical output.
 
-The reconstruction check is :func:`verify`, the one formula for any
-pencil and decomposition.  It reads the residuals
-|P F Q - (I_p (+) H_q)| and |P G Q - (J_p (+) I_q)| off the two products
-against the block pattern, the diagonal and the ones above it inside each
-block, without building either right-hand side: :func:`_residual`, one
-body for both modes, takes the pattern off a copy of each product's
-entries (``Fraction`` in exact mode) and scans them once.  Only when both
-pass (0 in exact mode; in float mode, both products finite and both
-residuals at most tol * max(|F|, |G|, 1)) does it test P and Q for rank.
-Float :func:`decompose` accepts its result by :func:`verify`.  Exact
+:func:`verify` is the reconstruction check of any decomposition against
+any pencil.  Float :func:`decompose` accepts its result by it.  Exact
 :func:`decompose`, which has just defined P as M^{-1}, accepts it by the
 chain relations instead:
 
@@ -63,8 +42,7 @@ chain relations instead:
 so G Q_p = (F Q_p) J_p and F Q_q = (G Q_q) H_q make both residuals 0,
 and then det P det(sF - G) det Q = det(sI - J_p) (-1)^q, a nonzero
 polynomial, so P and Q are nonsingular: the report :func:`verify` gives.
-A relation that fails leaves the report to :func:`verify`, so every
-residual reported is read off the products.
+A relation that fails leaves the report to :func:`verify`.
 """
 
 from __future__ import annotations
@@ -72,12 +50,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import linalg
-from .errors import ChainConstructionFailure, IrregularPencil
-from .matrices import Matrix, block_diag, hstack
-from .pencil import CharPoly, Pencil, char_poly, finite_eigenvalues
+from .errors import ChainConstructionFailure
+from .matrices import Matrix, hstack
+from .pencil import CharPoly, Pencil, char_poly, finite_eigenvalues, require_regular
 from .record import Record
 from .scalars import Mode, Scalar
 
@@ -104,19 +82,26 @@ class NilpotentBlockSpec(Record):
         self._set(size=size)
 
 
+def _jordan_entries(blocks) -> Iterator[tuple[int, int, Scalar]]:
+    """The (row, column, value) entries that need not be 0 of the direct
+    sum of the Jordan blocks ``blocks``, (eigenvalue, size) pairs."""
+    start = 0
+    for v, size in blocks:
+        end = start + size
+        for i in range(start, end):
+            yield i, i, v
+            if i + 1 < end:
+                yield i, i + 1, 1
+        start = end
+
+
 def assemble_Jp(blocks: list[JordanBlockSpec] | tuple, mode: Mode) -> Matrix:
     """Direct sum of Jordan blocks: eigenvalue diagonal, ones above it."""
-    mats = []
-    for b in blocks:
-        rows = [
-            [
-                b.eigenvalue if i == j else (1 if j == i + 1 else 0)
-                for j in range(b.size)
-            ]
-            for i in range(b.size)
-        ]
-        mats.append(Matrix(rows, mode))
-    return block_diag(mats, mode)
+    n = sum(b.size for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    for i, j, v in _jordan_entries([(b.eigenvalue, b.size) for b in blocks]):
+        rows[i][j] = v
+    return Matrix(rows, mode)
 
 
 def assemble_Hq(blocks: list[NilpotentBlockSpec] | tuple, mode: Mode) -> Matrix:
@@ -132,11 +117,8 @@ class WeierstrassDecomposition(Record):
 
     An exact decomposition from :func:`decompose` defines P as M^{-1},
     M = [F Q_p | G Q_q] of its pencil, and builds it (``linalg.inverse``)
-    only when ``P`` is first read; :meth:`P_times` solves M X = B
-    instead.  Equality, hash and repr read P, so they build it.
-    :func:`decompose` accepts such a result by its chain relations; it
-    keeps no pencil, and :func:`verify` checks it, like any decomposition,
-    against any pencil by the products."""
+    only when ``P`` is first read, as equality, hash and repr do;
+    :meth:`P_times` solves M X = B instead.  It keeps no pencil."""
 
     _fields = ("P", "Q", "jordan_blocks", "nilpotent_blocks")
 
@@ -284,12 +266,13 @@ def decompose(
     float-mode zero/rank tolerance of the char poly and of every rank
     decision.
 
-    Raises IrregularPencil when det(sF - G) vanishes identically,
+    Raises as ``pencil.require_regular`` does when det(sF - G) reads zero,
     UnresolvableSpectrum in exact mode for irrational spectra, and
     ChainConstructionFailure when the observed rank structure breaks down
     (float-mode numerical trouble).
     """
     cp = char_poly(pencil, tol)
+    require_regular(pencil, cp, tol)
     return _decompose(pencil, cp, tol=tol, cluster_radius=cluster_radius)[0]
 
 
@@ -300,12 +283,11 @@ def _decompose(
     tol: float | None,
     cluster_radius: float | None,
 ) -> tuple[WeierstrassDecomposition, VerificationReport]:
-    """:func:`decompose` for a pencil whose char poly ``cp`` is known; also
+    """:func:`decompose` for a pencil whose char poly ``cp`` is known and
+    has passed ``pencil.require_regular``; also
     returns the report that gates the result: (0, 0, True, True) from the
     chain relations of an exact result (module docstring), else
     :func:`verify`'s."""
-    if cp.is_zero:
-        raise IrregularPencil("det(sF - G) is identically zero")
     p, q = cp.p, cp.q
     mode = pencil.mode
     F, G = pencil.F, pencil.G
@@ -336,9 +318,7 @@ def _decompose(
     q_q = hstack(qq_cols) if qq_cols else Matrix.zeros(n, 0, mode)
     jb, nb = tuple(jordan_blocks), tuple(nilpotent_blocks)
 
-    # P^{-1} is forced blockwise: columns 1..p equal F Q_p, columns p+1..n
-    # equal G Q_q.  Exact mode defines P as its inverse and tests it only
-    # for rank; float mode inverts it, which solves both block equations.
+    # P = M^{-1} is forced; exact mode tests M only for rank
     fq_p, gq_q = F @ q_p, G @ q_q
     m = hstack([fq_p, gq_q])
     if exact:
@@ -396,21 +376,16 @@ def verify(
 
 def _residual(product: Matrix, blocks: list[tuple]) -> Fraction | float:
     """``(product - J).max_abs()`` for J the direct sum of the Jordan
-    blocks ``blocks``, (eigenvalue, size) pairs: the eigenvalues on the
-    diagonal and ones above it inside each block.  It takes J's entries
-    off a copy of the rows and builds no J; the scan is ``max_abs``'s,
-    row-major, so a NaN counts where it would in ``product - J``."""
+    blocks ``blocks``, (eigenvalue, size) pairs.  It takes J's entries
+    (:func:`_jordan_entries`) off a copy of the rows and builds no J; the
+    scan is ``max_abs``'s, row-major, so a NaN counts where it would in
+    ``product - J``."""
     n = sum(size for _, size in blocks)
     if product.shape != (n, n):
         raise ValueError(f"Jordan blocks of {n} rows do not fit {product.rows}x{product.cols}")
-    rows, start = product.to_lists(), 0
-    for v, size in blocks:
-        end = start + size
-        for i in range(start, end):
-            if v != 0:  # x - 0 has the magnitude of x
-                rows[i][i] -= v
-            if i + 1 < end:
-                rows[i][i + 1] -= 1
-        start = end
+    rows = product.to_lists()
+    for i, j, v in _jordan_entries(blocks):
+        if v != 0:  # x - 0 has the magnitude of x
+            rows[i][j] -= v
     return max(map(abs, chain.from_iterable(rows)),
                default=Fraction(0) if product.mode is Mode.EXACT else 0.0)

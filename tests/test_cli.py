@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -138,6 +139,53 @@ def test_analyze_irregular_pencil(tmp_path, capsys):
     assert "irregular" in capsys.readouterr().err
 
 
+FLOAT_ZERO_CHAR_POLY = {
+    # each node determinant's threshold, 1e-9 of its largest entry, zeroes the pivot -1
+    "large_g": ([[1, 0], [0, 0]], [[2_000_000_000, 0], [0, 1]], EXIT_OK),
+    # the trim's floor, 1e-9 * max(1, |coefficients|), zeroes every coefficient
+    "tiny_entries": ([["1e-6", 0], [0, 0]], [["2e-6", 0], [0, "1e-6"]], EXIT_OK),
+    "zero": ([[0, 0], [0, 0]], [[0, 0], [0, 0]], EXIT_IRREGULAR),
+}
+
+
+@pytest.mark.parametrize("case", FLOAT_ZERO_CHAR_POLY)
+def test_a_float_char_poly_that_reads_zero_exits_7_and_only_exact_mode_exits_2(
+        case, tmp_path, capsys):
+    """Float thresholds cannot tell these pencils from irregular ones, so
+    float mode asks for exact mode, which settles the verdict."""
+    f, g, exact_code = FLOAT_ZERO_CHAR_POLY[case]
+    doc = load(DIAG)
+    doc.update(F=f, G=g, Y0=[0, 0], inputs=[[0]] * len(doc["inputs"]), mode="float")
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == "" and "irregular" not in err
+    assert err.startswith("numerical breakdown: det(sF - G) reads zero under the float "
+                          "thresholds (1e-09 of each node's largest entry, 1e-09 of ")
+    assert err.endswith("\nhint: retry with --mode exact\n")
+    assert main(["analyze", str(path), "--mode", "exact"]) == exact_code
+    out, err = capsys.readouterr()
+    if exact_code == EXIT_OK:
+        assert "pencil: regular (char poly degree 1)" in out
+    else:
+        assert err == "irregular pencil: det(sF - G) is identically zero\n"
+
+
+def test_the_exit_codes_main_can_return_are_the_documented_ones():
+    """main returns a code of its error table, or EXIT_OK, cmd_analyze's
+    EXIT_INCONSISTENT or cmd_causality's EXIT_ORACLE_DISAGREES.  The cli
+    module docstring's table and README's "Exit codes" paragraph list
+    that set, no more and no less."""
+    returned = {code for _, code, _, _ in cli._EXITS}
+    returned |= {EXIT_OK, EXIT_INCONSISTENT, EXIT_ORACLE_DISAGREES}
+    table = {int(c) for c in re.findall(r"^    (\d)  \S", cli.__doc__, re.M)}
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("\nExit codes: "):].split("\n\n")[0]
+    listed = {int(c) for c in re.findall(r"`(\d)`", paragraph)}
+    assert returned == table == listed == set(range(8))
+
+
 def test_analyze_unresolvable_spectrum_suggests_float(tmp_path, capsys):
     doc = load(DIAG)
     doc["F"] = [[1, 0], [0, 1]]
@@ -154,6 +202,13 @@ def test_analyze_unresolvable_spectrum_suggests_float(tmp_path, capsys):
 def test_analyze_missing_file(capsys):
     assert main(["analyze", "no_such_file.json"]) == EXIT_PARSE
     assert "file not found" in capsys.readouterr().err
+
+
+def test_a_path_that_starts_with_a_brace_is_read_as_a_file(tmp_path, monkeypatch, capsys):
+    (tmp_path / "{odd}.json").write_text(Path(DIAG).read_text(encoding="utf-8"))
+    monkeypatch.chdir(tmp_path)
+    assert parse_system_file("{odd}.json") == parse_system_file(DIAG)
+    assert main(["analyze", "{odd}.json"]) == EXIT_OK
 
 
 @pytest.mark.parametrize("kind", ["directory", "not_utf8", "nested_too_deep"])

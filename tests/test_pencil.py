@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dkit import (
     ChainConstructionFailure,
     CharPoly,
+    DescriptorSystem,
     IrregularPencil,
     Matrix,
     Pencil,
@@ -482,6 +483,30 @@ def test_singular_pencils_are_caught_by_a_dependent_column_of_G_on_W_star(eps, e
     assert reference_char_poly(pencil).is_zero
     with pytest.raises(IrregularPencil):
         decompose(pencil)
+
+
+@pytest.mark.parametrize("f, g", [
+    ([[1, 0], [0, 0]], [[2 * 10**9, 0], [0, 1]]),
+    ([[Fraction(1, 10**6), 0], [0, 0]], [[Fraction(2, 10**6), 0], [0, Fraction(1, 10**6)]]),
+    ([[0, 0], [0, 0]], [[0, 0], [0, 0]]),
+])
+def test_only_an_exact_char_poly_that_reads_zero_is_an_irregular_verdict(f, g):
+    """The first two pencils are regular, and their float char polys read
+    zero all the same: float mode cannot tell them from F = G = 0, so for
+    all three it raises ChainConstructionFailure, and exact mode decides."""
+    exact = Pencil(Matrix(f, EX), Matrix(g, EX))
+    fl = Pencil(exact.F.to_float(), exact.G.to_float())
+    assert char_poly(fl).is_zero
+    b, c = Matrix.zeros(2, 0, FL), Matrix.zeros(0, 2, FL)
+    with pytest.raises(ChainConstructionFailure, match="reads zero under the float thresholds"):
+        decompose(fl)
+    with pytest.raises(ChainConstructionFailure, match="reads zero under the float thresholds"):
+        DescriptorSystem(fl.F, fl.G, b, c)
+    if f == g:
+        with pytest.raises(IrregularPencil):
+            decompose(exact)
+    else:
+        assert char_poly(exact).p == 1 and decompose(exact).p == 1
 
 
 def _over_time(signum, frame):
