@@ -296,8 +296,7 @@ def _causality_dict(report) -> dict:
     }
 
 
-def cmd_analyze(args) -> int:
-    sf = parse_system_file(args.file, _mode_override(args))
+def cmd_analyze(sf: SystemFile, args) -> int:
     a = _analysis(sf, args)
     cons = check_consistency(a, sf.signal(), sf.Y0)
     causality = causality_mod.build_report(a.system, a.w, a.tin, args.causality_tol)
@@ -347,8 +346,7 @@ def _trajectory_csv(traj: Trajectory, n: int, m: int, p: int, q: int) -> list[st
     return lines
 
 
-def cmd_solve(args) -> int:
-    sf = parse_system_file(args.file, _mode_override(args))
+def cmd_solve(sf: SystemFile, args) -> int:
     horizon_end = args.K if args.K is not None else sf.K
     if horizon_end <= sf.k0:
         field = "K" if args.K is None else "--K"
@@ -376,8 +374,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_causality(args) -> int:
-    sf = parse_system_file(args.file, _mode_override(args))
+def cmd_causality(sf: SystemFile, args) -> int:
     a = _analysis(sf, args)
     report = causality_mod.build_report(a.system, a.w, a.tin, args.causality_tol)
     # format everything first: a value over the digit limit raises here,
@@ -414,12 +411,6 @@ def cmd_causality(args) -> int:
         print("\n".join(errors), file=sys.stderr)
         return EXIT_ORACLE_DISAGREES
     return EXIT_OK
-
-
-def _mode_override(args) -> Mode | None:
-    if args.mode is None:
-        return None
-    return Mode(args.mode)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -503,10 +494,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        sf = parse_system_file(args.file, None if args.mode is None else Mode(args.mode))
         # looked up per call, so a patched or traced cmd_* is the one run
         command = {"analyze": cmd_analyze, "solve": cmd_solve,
                    "causality": cmd_causality}[args.command]
-        return command(args)
+        return command(sf, args)
     except DkitError as exc:
         return _report(exc)
 

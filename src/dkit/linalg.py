@@ -7,7 +7,7 @@ into d times the RREF, which is unique, so every basis and solution read
 off it is canonical.  :func:`preimages` resumes one elimination for each
 step of :func:`filtration` (:func:`_replay`).  Float mode uses
 Gauss-Jordan with partial pivoting under a relative rank threshold
-(:func:`_rref_data`, :func:`_threshold`); its determinant is
+(:func:`_rref_data`, :func:`_row_threshold`); its determinant is
 :func:`float_det`, and ``pencil.char_poly`` replays one logged elimination
 (:func:`_replay_rref`).
 """
@@ -23,22 +23,13 @@ from .scalars import Mode
 DEFAULT_RANK_TOL = 1e-9
 
 
-def _threshold(mat: Matrix, tol: float | None) -> float:
+def _row_threshold(rows: list[list], tol: float | None = None) -> float:
     """Float pivot threshold: ``tol`` (default ``DEFAULT_RANK_TOL``) times
-    the largest entry magnitude of ``mat``; exact mode needs none."""
-    if mat.mode is Mode.EXACT:
-        return 0.0
+    the largest entry magnitude of the float ``rows``, scanned row-major
+    in C, so a NaN counts only where it comes first (``Matrix.max_abs``)."""
     if tol is None:
         tol = DEFAULT_RANK_TOL
-    scale = float(abs(mat.max_abs()))
-    return tol * scale
-
-
-def _row_threshold(rows: list[list]) -> float:
-    """:func:`_threshold` of the float matrix with these rows under
-    ``DEFAULT_RANK_TOL``: the same row-major scan, so a NaN counts only
-    where it comes first."""
-    return DEFAULT_RANK_TOL * max(map(abs, chain.from_iterable(rows)), default=0.0)
+    return tol * max(map(abs, chain.from_iterable(rows)), default=0.0)
 
 
 def _bareiss(rows: list[list[int]], log: list | None = None, r: int = 0,
@@ -197,7 +188,8 @@ def _reduced(mat: Matrix, tol: float | None, thr_of: Matrix | None = None):
         _back_substitute(rows, pivots, d)
         return rows, pivots, d
     rows = mat.to_lists()
-    return rows, _rref_data(rows, _threshold(mat if thr_of is None else thr_of, tol)), 1
+    thr = _row_threshold(rows if thr_of is None else thr_of.to_lists(), tol)
+    return rows, _rref_data(rows, thr), 1
 
 
 def pivot_columns(mat: Matrix, tol: float | None = None) -> list[int]:
@@ -205,7 +197,8 @@ def pivot_columns(mat: Matrix, tol: float | None = None) -> list[int]:
     form, so both modes stop after forward elimination."""
     if mat.mode is Mode.EXACT:
         return _bareiss(mat.integer_rows())[0]
-    return _rref_data(mat.to_lists(), _threshold(mat, tol), back=False)
+    rows = mat.to_lists()
+    return _rref_data(rows, _row_threshold(rows, tol), back=False)
 
 
 def rank(mat: Matrix, tol: float | None = None) -> int:

@@ -366,11 +366,11 @@ class Matrix:
         return self.mode is Mode.EXACT or all(map(cmath.isfinite, chain.from_iterable(self._r)))
 
     def is_zero(self, tol=None) -> bool:
-        """Entrywise zero test; ``tol`` is an absolute threshold (float mode)."""
+        """Entrywise zero test; ``tol`` is an absolute threshold (float mode,
+        default 0.0: ``abs(x) <= 0.0`` holds exactly where ``x == 0``)."""
         if self.mode is Mode.EXACT:
             return not any(x for nums, _ in self._r for x in nums)
-        if tol is None:
-            return all(x == 0 for row in self._r for x in row)
+        tol = 0.0 if tol is None else tol
         return all(abs(x) <= tol for row in self._r for x in row)
 
     # -- conversions ---------------------------------------------------------

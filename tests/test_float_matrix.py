@@ -186,7 +186,13 @@ def test_float_block_diag_matches_the_reference(mats):
 NAN, INF = float("nan"), float("inf")
 
 
+def same_float(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or a.hex() == b.hex()
+
+
 def test_float_max_abs_matches_the_generator_reference_at_nan_inf_and_signed_zero():
+    """So do the rank threshold, tol times that magnitude, and the zero
+    test: ``x == 0`` without a tol, ``abs(x) <= tol`` with one."""
     cases = [
         [[complex(NAN, 0), 5], [INF, 1]],       # a NaN first is kept
         [[1, 2], [complex(NAN, 0), 3]],         # a later NaN is passed over
@@ -194,13 +200,23 @@ def test_float_max_abs_matches_the_generator_reference_at_nan_inf_and_signed_zer
         [[-0.0, complex(-0.0, -0.0)]], [[complex(-0.0, 0.0)], [0]],
         [[complex(1, NAN), 7]], [[7, complex(NAN, 1)]], [[complex(INF, NAN)]],
         [[3 + 4j, -5, complex(-4, 3)]],
+        [[5e-324, -0.0]], [[complex(0, -5e-324)], [1e-310]],
     ]
+    cases += [[[x]] for x in (0.0, -0.0, complex(-0.0, -0.0), 5e-324, -5e-324j, NAN, -INF,
+                              complex(INF, NAN), -1e-8j)]
     mats = [Matrix(rows, FL) for rows in cases]
     mats += [Matrix.zeros(0, 0, FL), Matrix([], FL), Matrix.zeros(3, 0, FL), Matrix.zeros(0, 2, FL)]
     for m in mats:
         got, want = m.max_abs(), reference_float_max_abs(m)
         assert type(got) is float
-        assert (math.isnan(got) and math.isnan(want)) or got.hex() == want.hex(), m
+        assert same_float(got, want), m
+        entries = [x for row in m.to_lists() for x in row]
+        assert m.is_zero() == all(x == 0 for x in entries), m
+        for tol in (None, 0.0, 1e-8):
+            old = (linalg.DEFAULT_RANK_TOL if tol is None else tol) * want
+            assert same_float(linalg._row_threshold(m.to_lists(), tol), old), (m, tol)
+            if tol is not None:
+                assert m.is_zero(tol) == all(abs(x) <= tol for x in entries), (m, tol)
 
 
 def near_threshold_rows(nrows, ncols, big, tol):
@@ -245,6 +261,8 @@ def test_forward_only_float_pivots_are_those_of_the_full_reduction(case):
     tol, rows = case
     m = Matrix(rows, FL)
     assert linalg.pivot_columns(m, tol) == linalg._reduced(m, tol)[1]
+    old = (linalg.DEFAULT_RANK_TOL if tol is None else tol) * reference_float_max_abs(m)
+    assert same_float(linalg._row_threshold(rows, tol), old)
 
 
 def hex_of(z: complex) -> tuple[str, str]:

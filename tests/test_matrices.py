@@ -191,6 +191,21 @@ def test_float_rank_threshold_is_relative():
     noisy = Matrix([[1e6, 0.0], [0.0, 1e-6]], FL)
     assert linalg.rank(noisy) == 1
     assert linalg.rank(noisy, tol=1e-14) == 2
+    # (rows, rank, rank at tol 0): the threshold, tol times the largest
+    # magnitude scanned row-major, underflows to 0 on subnormals; an inf
+    # entry, or a NaN that comes first, leaves no pivot, and a later NaN
+    # is passed over
+    nan, inf = float("nan"), float("inf")
+    for rows, want, want_tol0 in (
+        ([[5e-324, 0], [0, 5e-324]], 2, 2),
+        ([[2, 0], [0, 1e-310]], 1, 2),
+        ([[nan, 0], [0, 1]], 0, 0),
+        ([[1, 0], [nan, 1]], 1, 1),
+        ([[inf, 0], [0, 1]], 0, 0),
+        ([[1, 0], [0, inf]], 0, 0),
+    ):
+        m = Matrix(rows, FL)
+        assert (linalg.rank(m), linalg.rank(m, tol=0.0)) == (want, want_tol0), rows
 
 
 def test_matrix_power():
