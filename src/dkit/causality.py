@@ -9,8 +9,10 @@ C Q_q H_q^i B_q = 0 for i = 1 .. q* - 1; equivalently every column of
 [Q_q H_q B_q | ... | Q_q H_q^{q*-1} B_q] lies in the right nullspace of C.
 
 The oracle tests the definition itself: perturb one future input sample
-and watch whether any earlier state (or output) moves.  It goes through
-the solver, not through the criteria, so the two can referee each other.
+and watch whether any earlier state (or output) moves.  It steps the
+system on the solver's stepping core, the one loop ``solve`` runs, not
+through the criteria, so the two can referee each other; how it spares
+work is in :func:`brute_force_causality_oracle`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .solver import (
     DescriptorSystem,
     InputSignal,
     TransformedInput,
-    solve_from_zp,
+    _steps,
 )
 from .weierstrass import WeierstrassDecomposition
 
@@ -109,66 +111,81 @@ def brute_force_causality_oracle(
     max(q* + 5, 8), which always leaves room for j: it ranges over
     k0 + max(q*, 1) .. the horizon (its last instant when q* = 0).
 
-    Each instant is computed once, up to K = j - 1, the last one compared.
-    The base signal is run from Z^p_{k0} itself (``solve_from_zp``), so no
-    trial builds the initial state or solves for Z^p_{k0}.  Instant k of
-    the solver reads V_k .. V_{k+w-1}, w = max(q*, 1), so the instants
-    before k1 = max(k0, j - w + 1), and Z^p_{k1}, read only samples the two
-    signals share, and both runs agree there whatever q* the solver uses.
-    The perturbed signal is run from the base run's Z^p_{k1}, and only the
-    instants k1 .. j - 1 are compared; when q* <= 1 there are none, and no
-    perturbed run is made.  Each trial's runs are read as states and as
-    outputs, for each verdict that has no counterexample yet; the pass ends
-    when both have one.  The draws do not depend on what is read, so each
-    entry is the counterexample a pass reading that verdict alone finds.
+    The trials run on the solver's stepping core (``solver._steps``), from
+    the Z^p_{k0} drawn, so no trial builds an initial state or solves for
+    Z^p_{k0}.  Instant k reads V_k .. V_{k+w-1}, w = max(q*, 1), so the
+    instants before k1 = max(k0, j - w + 1), and Z^p_{k1}, read only
+    samples the two signals share: Z^p is advanced from k0 to k1 once, on
+    the forward rows of the step map alone.  From Z^p_{k1} both signals
+    are run over k1 .. j - 1, the instants compared, on the rows of the
+    verdicts that have no counterexample yet (and the forward rows, to
+    step); no run computes instant j.  When q* <= 1 there are no such
+    instants and a trial makes no run.  An instant is decided on the
+    values as the core gives them: exact mode by cross-multiplying the
+    two runs' numerators by each other's column denominator, float mode
+    by |b - q| over the threshold, entry by entry.  The signals and the
+    values of a counterexample are made only when one is found.  The pass
+    ends when both verdicts have one; the draws do not depend on what is
+    read, so each entry is the counterexample a pass reading that verdict
+    alone finds.
     """
     rng = random.Random(0 if seed is None else seed)
     sys, w = a.system, a.w
     if sys.l == 0:
         return None, None
     thr = _threshold(sys.mode, tol)
-    k0 = 0
+    exact = sys.mode is Mode.EXACT
+    k0, l, n, m = 0, sys.l, sys.n, sys.m
     horizon = max(w.q_star + 5, 8)
     count = horizon - k0 + w.q_star  # covers indices k0 .. horizon + q* - 1
     width = max(w.q_star, 1)  # instant k reads V_k .. V_{k+width-1}
     j_min = k0 + width
     j_max = min(horizon, k0 + count - 1)  # the perturbed sample must exist: horizon - 1 if q* = 0
+    st = a.step_map
+    blocks = ((0, n), (n, n + m))  # the rows of S each verdict reads: Y, X
 
     found: list[OracleCounterexample | None] = [None, None]  # state, output
     for t in range(trials):
         if all(found):
             break
-        rows = [[rng.randint(-3, 3) for _ in range(sys.l)] for _ in range(count)]
+        rows = [[rng.randint(-3, 3) for _ in range(l)] for _ in range(count)]
         j = rng.randrange(j_min, j_max + 1)
-        delta = [rng.randint(-3, 3) for _ in range(sys.l)]
+        delta = [rng.randint(-3, 3) for _ in range(l)]
         while all(d == 0 for d in delta):
-            delta = [rng.randint(-3, 3) for _ in range(sys.l)]
-        base = InputSignal.from_rows(k0, rows, sys.mode)
-        moved = Matrix.column([v + d for v, d in zip(rows[j - k0], delta)], sys.mode)
-        pert = InputSignal(k0, base.samples[:j - k0] + (moved,) + base.samples[j - k0 + 1:])
-
-        z = Matrix.column([rng.randint(-3, 3) for _ in range(w.p)], sys.mode)
-        traj_base = solve_from_zp(a, base, z, j - 1)
+            delta = [rng.randint(-3, 3) for _ in range(l)]
+        z = [rng.randint(-3, 3) for _ in range(w.p)]
         k1 = max(k0, j - width + 1)
         if k1 > j - 1:
             continue
-        traj_pert = solve_from_zp(a, InputSignal(k1, pert.samples[k1 - k0:]),
-                                  traj_base.z_p[k1 - k0], j - 1)
-        pairs = ((traj_base.states, traj_pert.states), (traj_base.outputs, traj_pert.outputs))
-        for i, (seq_base, seq_pert) in enumerate(pairs):
+        pert_rows = list(rows)
+        pert_rows[j - k0] = [v + d for v, d in zip(rows[j - k0], delta)]
+        runs = [([x if exact else complex(x) for r in sig for x in r], None)  # integer samples
+                for sig in (rows, pert_rows)]
+        if not exact:
+            z = list(map(complex, z))
+        *_, (z, e, _, _) = _steps(st, (), z, 1, runs[0], 0, k1 - k0 + 1)  # Z^p_{k1}
+        lo, hi = n if found[0] else 0, n if found[1] else n + m  # the rows still read
+        out_b, out_p = (list(_steps(st, st.rows[lo:hi], z, e, v, (k1 - k0) * l, j - k1))
+                        for v in runs)
+        for i, (r0, r1) in enumerate(blocks):
             if found[i]:
                 continue
-            for k in range(k1, j):
-                b, q = seq_base[k - k0], seq_pert[k - k1]
-                if (b != q) if thr is None else not (b - q).is_zero(thr):
-                    found[i] = OracleCounterexample(
-                        trial=t,
-                        perturbed_index=j,
-                        diverged_at=k,
-                        base_signal=base,
-                        perturbed_signal=pert,
-                        base_value=b,
-                        perturbed_value=q,
-                    )
-                    break
+            for k, (*_, vb, cb), (*_, vq, cq) in zip(range(k1, j), out_b, out_p):
+                b, q = vb[r0 - lo:r1 - lo], vq[r0 - lo:r1 - lo]
+                if exact:
+                    if all(x * cq == y * cb for x, y in zip(b, q)):
+                        continue
+                elif all(abs(x - y) <= thr for x, y in zip(b, q)):
+                    continue
+                dens = [d for _, d in st.rows[r0:r1]]
+                found[i] = OracleCounterexample(
+                    trial=t,
+                    perturbed_index=j,
+                    diverged_at=k,
+                    base_signal=InputSignal.from_rows(k0, rows, sys.mode),
+                    perturbed_signal=InputSignal.from_rows(k0, pert_rows, sys.mode),
+                    base_value=Matrix.ratios(b, dens, cb, sys.mode),
+                    perturbed_value=Matrix.ratios(q, dens, cq, sys.mode),
+                )
+                break
     return tuple(found)

@@ -385,7 +385,12 @@ def cmd_causality(sf: SystemFile, args) -> int:
         try:
             seed = int(raw_seed)
         except ValueError:
-            raise ParseError(f"DKIT_SEED: expected an integer, got {excerpt(raw_seed)}") from None
+            # int() refuses an integer written as it reads one only past the digit limit
+            import re  # only on the error path, so start-up does not pay for it
+
+            why = (f"the integer exceeds Python's limit of {max_str_digits()} digits"
+                   if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", raw_seed) else "expected an integer")
+            raise ParseError(f"DKIT_SEED: {why}, got {excerpt(raw_seed)}") from None
         claims = {"state": report.state_input_causal, "output": report.output_input_causal}
         found = causality_mod.brute_force_causality_oracle(
             a, args.oracle_trials, seed=seed, tol=args.causality_tol)

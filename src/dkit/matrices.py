@@ -73,6 +73,15 @@ class Matrix:
         return _new(mode, ncols, tuple([tuple([complex(x) for x in r]) for r in rows]))
 
     @classmethod
+    def ratios(cls, nums: Sequence, dens: Sequence[int], e: int, mode: Mode) -> "Matrix":
+        """The column nums[i] / (dens[i] e): exact mode takes integers with
+        dens[i] e >= 1 and brings each entry to lowest terms, as the column
+        path of ``@`` does; float mode takes ``complex`` values over 1."""
+        if mode is not Mode.EXACT:
+            return cls.column(nums, mode)
+        return _new(mode, 1, _lowest_column(nums, dens, e))
+
+    @classmethod
     def zeros(cls, nrows: int, ncols: int, mode: Mode) -> "Matrix":
         return _new(mode, ncols, (_int_row(mode, (0,) * ncols),) * nrows)
 
@@ -159,16 +168,6 @@ class Matrix:
         else:
             rows = tuple(self._r[i] for i in iz)
         return _new(self.mode, self.cols, rows)
-
-    def with_rows_of(self, other: "Matrix", iz: range) -> "Matrix":
-        """``vstack([self, other.take_rows(iz)])`` for a block of rows
-        ``iz`` (step 1), made without the block in between."""
-        self._check_mode(other)
-        if self.cols != other.cols:
-            raise ValueError("column counts differ")
-        if not (iz.step == 1 and 0 <= iz.start <= iz.stop <= other.rows):
-            raise ValueError(f"rows {iz} are not a block of {other.rows}")
-        return _new(self.mode, self.cols, self._r + other._r[iz.start : iz.stop])
 
     def split_rows(self, sizes: Sequence[int]) -> tuple["Matrix", ...]:
         """Consecutive blocks of ``sizes`` (>= 0) rows, then the rows left
@@ -295,19 +294,13 @@ class Matrix:
         if self.mode is Mode.EXACT:
             right = other._r
             e = math.lcm(*{d for _, d in right})  # rows often share a denominator
-            mul, gcd = operator.mul, math.gcd
-            out = []
+            mul = operator.mul
             if m == 1:  # a column, the operand of every step of a recursion
                 col = [b[0] if d == e else b[0] * (e // d) for b, d in right]
-                for a, d in self._r:
-                    s = sum(map(mul, a, col))
-                    if s:
-                        g = gcd(s, d * e)
-                        out.append(((s // g,), d * e // g))
-                    else:
-                        out.append(_ZERO_ENTRY)
-                return _new(self.mode, 1, tuple(out))
+                return _new(self.mode, 1, _lowest_column(
+                    [sum(map(mul, a, col)) for a, _ in self._r], self.denominators, e))
             cols = list(zip(*[b if d == e else [x * (e // d) for x in b] for b, d in right]))
+            out = []
             for a, d in self._r:
                 s = [sum(map(mul, a, bcol)) for bcol in cols]
                 out.append(_lowest(s, d * e) if any(s) else (tuple(s), 1))
@@ -390,6 +383,20 @@ class Matrix:
 _fill_rows, _fill_cols, _fill_mode, _fill_r = (
     Matrix.__dict__[slot].__set__ for slot in Matrix.__slots__)
 _ZERO_ENTRY = ((0,), 1)
+
+
+def _lowest_column(nums: Sequence[int], dens: Sequence[int], e: int) -> tuple:
+    """The stored rows of the column nums[i] / (dens[i] e), dens[i] e >= 1:
+    one gcd per nonzero entry."""
+    gcd, out = math.gcd, []
+    for s, d in zip(nums, dens):
+        if s:
+            d *= e
+            g = gcd(s, d)
+            out.append(((s // g,), d // g))
+        else:
+            out.append(_ZERO_ENTRY)
+    return tuple(out)
 
 
 def _cleared(row: list) -> tuple[tuple[int, ...], int]:

@@ -10,13 +10,17 @@ horizon it needs and refuses to zero-pad.
 :func:`check_consistency` decides whether an initial state is admissible,
 :func:`solve` runs it, and :func:`residual_oracle` re-checks a trajectory
 against the original equation, independently of the decomposition.
+:func:`_steps` is the one loop that steps a system, on the integer rows
+of the step map; ``solve`` and the causality oracle both run it.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import linalg
 from .errors import (
@@ -120,7 +124,20 @@ class TransformedInput(NamedTuple):
     backward: Matrix
 
 
-def _step_maps(a: Analysis) -> tuple[Matrix, Matrix]:
+class StepMap(NamedTuple):
+    """The step map S of :func:`_step_map` as the stepping core
+    :func:`_steps` reads it."""
+
+    S: Matrix
+    rows: tuple     # S's rows as (entries, d): exact integer numerators over d, float values over 1
+    forward: tuple  # the last p rows [J_p | B_p 0] as (entries, L / d), L the lcm of their d
+    lcm: int        # L
+    l: int          # the rows of one sample
+    width: int      # the rows of V_k .. V_{k+w-1}: w l
+    final: int      # the rows the final instant reads of them: w l, or none when q* = 0
+
+
+def _step_map(a: Analysis) -> StepMap:
     """S, with w = max(q*, 1): rows Y (n), X (m), Z^q (q) and the next Z^p
     (p); columns Z^p (p), then V_k .. V_{k+w-1} (l each).
 
@@ -141,8 +158,15 @@ def _step_maps(a: Analysis) -> tuple[Matrix, Matrix]:
         hstack([Matrix.zeros(w.q, w.p, w.mode), -back]),
         hstack([w.J_p, tin.B_p, Matrix.zeros(w.p, l * (max(w.q_star, 1) - 1), w.mode)]),
     ])
-    last = step.take_rows(range(step.rows - w.p))
-    return step, (last if w.q_star else last.take_cols(range(w.p)))
+    if w.mode is Mode.EXACT:
+        rows = tuple(zip(map(tuple, step.integer_rows()), step.denominators))
+    else:
+        rows = tuple((tuple(r), 1) for r in step.to_lists())
+    forward = rows[len(rows) - w.p:]
+    lcm = math.lcm(*[d for _, d in forward])
+    width = max(w.q_star, 1) * l
+    return StepMap(step, rows, tuple((r, lcm // d) for r, d in forward), lcm, l, width,
+                   width if w.q_star else 0)
 
 
 def transform_input(w: WeierstrassDecomposition, B: Matrix) -> TransformedInput:
@@ -177,9 +201,9 @@ class Analysis(Record):
         return transform_input(self.w, self.system.B)
 
     @cached_property
-    def step_maps(self) -> tuple[Matrix, Matrix]:
-        """The step map S and its final-instant form."""
-        return _step_maps(self)
+    def step_map(self) -> StepMap:
+        """The step map S in the form the solver steps it."""
+        return _step_map(self)
 
 
 def analyze(system: DescriptorSystem, *, cluster_radius: float | None = None) -> Analysis:
@@ -281,36 +305,92 @@ def solve_from_zp(a: Analysis, signal: InputSignal, z_p0: Matrix, K: int) -> Tra
 
     Every Z^p_{k0} gives a consistent initial state, Y_{k0} = Q_p Z^p_{k0}
     + Q D_{k0}, so only the input horizon is checked, as :func:`solve`
-    does.  Each instant is one product of the step map ``a.step_maps``
-    (:func:`_step_maps`) with a column made from the rows of Z^p_k and of
-    the samples it reads.
+    does.  The instants are :func:`_steps` on every row of the step map;
+    the values it gives become the trajectory's matrices.
     """
     _check_horizon(a, signal, K)
-    k0, w, l = signal.k0, a.w, a.system.l
-    blocks = (a.system.n, a.system.m, w.q)
-    span = max(w.q_star, 1) * l  # the rows of V_k .. V_{k+w-1}
-    step_map, last_map = a.step_maps
-    inputs = vstack([Matrix.zeros(0, 1, w.mode), *signal.samples])
+    st, mode = a.step_map, a.w.mode
+    exact, n, m, p = mode is Mode.EXACT, a.system.n, a.system.m, a.w.p
+    dens = [d for _, d in st.rows]
+    d_y, d_x, d_q, ones = dens[:n], dens[n:n + m], dens[n + m:len(dens) - p], [1] * p
+    if exact:  # Z^p_{k0} on its least common denominator e; the samples' entries as num / den
+        e = math.lcm(*z_p0.denominators)
+        z = [r[0] * (e // d) for r, d in zip(z_p0.integer_rows(), z_p0.denominators)]
+        v_dens = [d for v in signal.samples for d in v.denominators]
+        inputs = ([r[0] for v in signal.samples for r in v.integer_rows()],
+                  v_dens if any(d != 1 for d in v_dens) else None)
+    else:
+        z, e = z_p0.column_list(), 1
+        inputs = ([x for v in signal.samples for x in v.column_list()], None)
     z_p_list, z_q_list, states, outputs = [], [], [], []
-    zp = z_p0
-    for k in range(k0, K + 1):
-        i = (k - k0) * l  # V_k is row i of the inputs
-        z_p_list.append(zp)
-        if k < K:
-            out = step_map @ zp.with_rows_of(inputs, range(i, i + span))
-        else:
-            out = last_map @ zp.with_rows_of(inputs, range(i, i + span if w.q_star else i))
-        y, x, zq, zp = out.split_rows(blocks)
-        states.append(y)
-        outputs.append(x)
-        z_q_list.append(zq)
+    for z, e, vals, c in _steps(st, st.rows[:len(dens) - p], z, e, inputs, 0,
+                                K - signal.k0 + 1):
+        z_p_list.append(Matrix.ratios(z, ones, e, mode) if z_p_list else z_p0)
+        states.append(Matrix.ratios(vals[:n], d_y, c, mode))
+        outputs.append(Matrix.ratios(vals[n:n + m], d_x, c, mode))
+        z_q_list.append(Matrix.ratios(vals[n + m:], d_q, c, mode))
     return Trajectory(
-        k0=k0,
+        k0=signal.k0,
         states=tuple(states),
         outputs=tuple(outputs),
         z_p=tuple(z_p_list),
         z_q=tuple(z_q_list),
     )
+
+
+def _steps(st: StepMap, rows: Sequence, z: list, e: int, inputs: tuple[list, list | None],
+           i: int, count: int) -> Iterator[tuple]:
+    """``count`` instants of the step map: the one loop that steps a system.
+
+    The column of an instant is [Z^p_k; V_k; ...; V_{k+w-1}]: Z^p_k is z
+    (exact mode: integers over e) and V_k starts at entry i of ``inputs``,
+    l entries further each instant (exact mode: the entries' numerators
+    and denominators, None when all are 1; float mode: their values and
+    None).  Each instant
+    yields (z, e, values, c): its Z^p_k and the values of ``rows`` (rows of
+    ``st.rows``).  Exact mode puts the column on its least common
+    denominator c, as ``Matrix.__matmul__`` does, and a value is the
+    integer dot product of a row (entries, d) with it, read as over d c;
+    float mode sums each value from 0j in index order, as ``@`` does, and
+    c = 1.  No ``Matrix`` is made.  Z^p_{k+1} comes from the forward rows
+    ``st.forward`` alone, on its least common denominator in turn; the
+    last instant is not stepped past, and reads no V when q* = 0.
+    """
+    exact = st.S.mode is Mode.EXACT
+    vals, dens = inputs
+    mul, gcd, lcm = operator.mul, math.gcd, math.lcm
+    for t in range(count):
+        step = t < count - 1
+        stop = i + (st.width if step else st.final)
+        if exact:
+            c = e if dens is None else lcm(e, *dens[i:stop])
+            if c == 1:
+                col = z + vals[i:stop]
+            elif dens is None:
+                col = z + [v * c for v in vals[i:stop]]
+            else:
+                col = [x * (c // e) for x in z] + [
+                    v * (c // d) for v, d in zip(vals[i:stop], dens[i:stop])]
+            yield z, e, [sum(map(mul, a, col)) for a, _ in rows], c
+            if step:
+                z, e = [sum(map(mul, a, col)) * f for a, f in st.forward], c * st.lcm
+                g = gcd(*z, e)
+                if g != 1:
+                    z, e = [x // g for x in z], e // g
+        else:
+            col = z + vals[i:stop]
+            yield z, 1, [_dot(a, col) for a, _ in rows], 1
+            if step:
+                z = [_dot(a, col) for a, _ in st.forward]
+        i += st.l
+
+
+def _dot(row: Sequence[complex], col: list[complex]) -> complex:
+    """A float dot product summed from 0j in index order, as ``@`` sums."""
+    s = 0j
+    for x, y in zip(row, col):
+        s += x * y
+    return s
 
 
 class SolutionResidual(NamedTuple):

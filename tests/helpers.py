@@ -333,7 +333,10 @@ def reference_solve_from_zp(a: Analysis, signal, z_p0: Matrix, K: int) -> Trajec
     k0, w = signal.k0, a.w
     n, m, q, l = a.system.n, a.system.m, w.q, a.system.l
     width = max(w.q_star, 1)
-    step_map, last_map = a.step_maps
+    step_map = a.step_map.S
+    last_map = step_map.take_rows(range(step_map.rows - w.p))
+    if not w.q_star:  # the final instant reads no V
+        last_map = last_map.take_cols(range(w.p))
     inputs = vstack([Matrix.zeros(0, 1, w.mode), *signal.samples])
     z_p_list, z_q_list, states, outputs = [], [], [], []
     zp = z_p0

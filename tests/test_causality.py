@@ -241,16 +241,16 @@ def test_oracle_matches_the_full_horizon_reference_at_every_q_star(nilpotent, mo
     """With q* = 0, q* = 1 and q* >= 2, on all three plant kinds, in exact
     and float mode, each verdict's counterexample, or None, is the one the
     reference finds solving both signals over the whole horizon.
-    With q* <= 1 no instant reads the perturbed sample before it, so each
-    trial makes its base run and no perturbed run."""
+    With q* <= 1 no instant reads the perturbed sample before it, so no
+    trial runs the stepping core: no perturbed run, and no base run."""
     runs = []
-    real_run = causality_mod.solve_from_zp
+    real_steps = causality_mod._steps
 
-    def recorded_run(a_, signal, z_p0, K):
-        runs.append(signal.k0)
-        return real_run(a_, signal, z_p0, K)
+    def recorded_steps(st, rows, z, e, inputs, i, count):
+        runs.append(i)
+        return real_steps(st, rows, z, e, inputs, i, count)
 
-    monkeypatch.setattr(causality_mod, "solve_from_zp", recorded_run)
+    monkeypatch.setattr(causality_mod, "_steps", recorded_steps)
     rng = random.Random(49 + len(nilpotent))
     q_star = max(nilpotent, default=0)
     checked = Counter()
@@ -269,7 +269,7 @@ def test_oracle_matches_the_full_horizon_reference_at_every_q_star(nilpotent, mo
                 runs.clear()
                 got = _assert_matches_reference(a, trials, seed)
                 if q_star <= 1:
-                    assert runs == [0] * trials
+                    assert runs == []
                 for ce in got:
                     checked[s.mode, ce is None] += 1
     assert checked[EX, True] and checked[Mode.FLOAT, True]

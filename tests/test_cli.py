@@ -447,9 +447,11 @@ def test_the_cli_prints_the_library_oracles_counterexamples(seed, plant, capsys,
 
 
 def test_oracle_reruns_the_perturbed_signal_only_where_its_window_reads_it(capsys, monkeypatch):
-    """Per trial: one base run from k0 up to K = j - 1, then one perturbed
-    run from max(k0, j - w + 1), w = max(q*, 1), up to the same K, whose
-    samples differ from the base only at j; no run computes instant j."""
+    """Per trial, three runs of the stepping core: Z^p advanced from k0 to
+    k1 = max(k0, j - w + 1), w = max(q*, 1), on the forward rows alone,
+    then the base and the perturbed signal from Z^p_{k1} over k1 .. j - 1
+    on the Y and X rows, with samples that differ only at j; no run
+    computes instant j."""
     rng = random.Random(4)
     a = random_descriptor(rng, 6, 2, 2, q=3, plant="state_causal")
     sysm = a.system
@@ -457,19 +459,19 @@ def test_oracle_reruns_the_perturbed_signal_only_where_its_window_reads_it(capsy
     sf = SystemFile(n=6, l=2, m=2, mode=Mode.EXACT, F=sysm.F, G=sysm.G, B=sysm.B,
                     C=sysm.C, Y0=consistent_y0(rng, a, signal), k0=0,
                     inputs=signal.samples, K=6)
-    real_oracle, real_run = causality_mod.brute_force_causality_oracle, causality_mod.solve_from_zp
+    real_oracle, real_steps = causality_mod.brute_force_causality_oracle, causality_mod._steps
     oracle_calls, runs = [], []
 
     def counted_oracle(*args, **kwargs):
         oracle_calls.append((args[1:], kwargs))
         return real_oracle(*args, **kwargs)
 
-    def recorded_run(a_, signal_, z_p0, K):
-        runs.append((signal_, K))
-        return real_run(a_, signal_, z_p0, K)
+    def recorded_steps(st, rows, z, e, inputs, i, count):
+        runs.append((rows, inputs[0], i // sysm.l, count))  # (rows, samples, first instant, instants)
+        return real_steps(st, rows, z, e, inputs, i, count)
 
     monkeypatch.setattr(causality_mod, "brute_force_causality_oracle", counted_oracle)
-    monkeypatch.setattr(causality_mod, "solve_from_zp", recorded_run)
+    monkeypatch.setattr(causality_mod, "_steps", recorded_steps)
     monkeypatch.delenv("DKIT_SEED", raising=False)
     doc = json.dumps(system_file_to_dict(sf))
     assert main(["causality", doc, "--oracle-trials", "3"]) == EXIT_OK
@@ -477,14 +479,18 @@ def test_oracle_reruns_the_perturbed_signal_only_where_its_window_reads_it(capsy
     assert oracle_calls == [((3,), {"seed": 0, "tol": None})]  # one pass for both verdicts
     width = max(a.w.q_star, 1)
     assert width >= 2
-    assert len(runs) == 6
-    for (base, K), (pert, K_pert) in zip(runs[::2], runs[1::2]):
-        moved = [k for k, v in enumerate(pert.samples, pert.k0) if v != base.sample(k)]
+    assert len(runs) == 9
+    compared = a.step_map.rows[:sysm.n + sysm.m]
+    for prefix, base, pert in zip(runs[::3], runs[1::3], runs[2::3]):
+        moved = {i // sysm.l for i, (x, y) in enumerate(zip(base[1], pert[1], strict=True))
+                 if x != y}
         assert len(moved) == 1
-        j = moved[0]
-        assert base.k0 == 0 and K == K_pert == j - 1
-        assert pert.k0 == max(0, j - width + 1)
-        assert pert.last_index == base.last_index
+        j = moved.pop()
+        k1 = max(0, j - width + 1)
+        assert prefix[0] == () and prefix[1] == base[1]  # stepped on the forward rows alone
+        assert prefix[2:] == (0, k1 + 1)  # instants k0 .. k1: Z^p_{k1} is its last
+        assert base[0] == pert[0] == compared
+        assert base[2:] == pert[2:] == (k1, j - k1)  # instants k1 .. j - 1
 
 
 def test_float_mode_full_pipeline(capsys):
@@ -776,9 +782,9 @@ def test_main_dispatches_to_the_command_bound_at_call_time(monkeypatch, capsys):
     (["causality", NIL_CEYE, "--oracle-trials", "3"], 1),
 ])
 def test_each_run_builds_the_step_map_at_most_once(argv, builds, monkeypatch, capsys):
-    counts = _count_calls(monkeypatch, "solver._step_maps")
+    counts = _count_calls(monkeypatch, "solver._step_map")
     assert main(argv) == EXIT_OK
-    assert counts == {"solver._step_maps": builds}
+    assert counts == {"solver._step_map": builds}
 
 
 EXACT_VALUES = st.one_of(
@@ -872,6 +878,22 @@ def test_non_integer_seed_is_a_parse_error(monkeypatch, capsys):
     monkeypatch.setenv("DKIT_SEED", "abc")
     assert main(["causality", DIAG, "--oracle-trials", "2"]) == EXIT_PARSE
     assert "DKIT_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int digit limit")
+@pytest.mark.parametrize("raw, why", [
+    ("1" * 5000, "the integer exceeds Python's limit of"),
+    (" -1_" + "2" * 4999 + "\n", "the integer exceeds Python's limit of"),
+    ("1" * 4999 + "x", "expected an integer"),
+    ("1__" + "1" * 4999, "expected an integer"),
+])
+def test_a_seed_over_the_digit_limit_says_so(raw, why, monkeypatch, capsys):
+    monkeypatch.setenv("DKIT_SEED", raw)
+    assert main(["causality", DIAG, "--oracle-trials", "2"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"DKIT_SEED: {why}" in err
+    assert f"(length {len(raw)})" in err and len(err) < 200
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1+nanj", "1+infj", "1e400",

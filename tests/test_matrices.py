@@ -74,17 +74,20 @@ def test_take_rows_of_a_range_matches_a_list_and_checks_bounds():
         m.take_rows(range(2, 4))
 
 
+@given(st.lists(st.tuples(st.integers(-10**30, 10**30), st.integers(1, 10**6)), max_size=6),
+       st.integers(1, 10**12))
+def test_ratios_is_the_column_of_the_fractions(entries, e):
+    nums, dens = [x for x, _ in entries], [d for _, d in entries]
+    got = Matrix.ratios(nums, dens, e, EX)
+    assert got == Matrix.column([Fraction(x, d * e) for x, d in entries], EX)
+    assert got.shape == (len(entries), 1)
+    assert Matrix.ratios([1j, 2 + 0j], None, 1, FL) == Matrix.column([1j, 2], FL)
+
+
 @pytest.mark.parametrize("mode", [EX, FL], ids=["exact", "float"])
 def test_row_blocks_match_vstack_and_take_rows_and_check_bounds(mode):
     top = Matrix([[Fraction(1, 2) if mode is EX else 0.5, 0]], mode)
     m = Matrix([[1, 2], [3, 4], [5, 6]], mode)
-    for iz in (range(3), range(1, 3), range(2, 2), range(0, 0)):
-        assert top.with_rows_of(m, iz) == vstack([top, m.take_rows(iz)])
-    for iz in (range(2, 4), range(0, 3, 2), range(-1, 2)):
-        with pytest.raises(ValueError):
-            top.with_rows_of(m, iz)
-    with pytest.raises(ValueError):
-        top.with_rows_of(Matrix([[1]], mode), range(1))
     stacked = vstack([top, m])
     assert stacked.split_rows((1, 2)) == (top, m.take_rows(range(2)), m.take_rows(range(2, 3)))
     assert stacked.split_rows((0, 4)) == (stacked.take_rows(range(0)), stacked,

@@ -527,9 +527,10 @@ def test_fused_residual_oracle_matches_separate_products():
         assert got == _reference_step_residual(sysm, sig, states)
 
 
-def test_solve_makes_one_product_per_step_and_the_oracle_one(monkeypatch):
-    """Pins the fused loop: per step one step-map product in solve, one
-    [F | -G | -B] product in the oracle.  The first solve also builds the
+def test_solve_makes_no_product_per_step_and_the_oracle_one(monkeypatch):
+    """Pins the stepping core: solve makes no ``Matrix`` product per step,
+    so its products are the same at every horizon, and the oracle makes
+    one [F | -G | -B] product per step.  The first solve also builds the
     step map, with two products (Q_q M and C [Q_p | -Q_q M]); later solves
     reuse it."""
     calls = [0]
@@ -549,7 +550,7 @@ def test_solve_makes_one_product_per_step_and_the_oracle_one(monkeypatch):
         for K in (1, 4, 12):
             calls[0] = 0
             traj = solve(a, sig, y0, K)
-            setups.append(calls[0] - K)
+            setups.append(calls[0])
             calls[0] = 0
             residual_oracle(a.system, sig, traj, y0)
             assert calls[0] == K
@@ -557,11 +558,12 @@ def test_solve_makes_one_product_per_step_and_the_oracle_one(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", [EX, Mode.FLOAT], ids=["exact", "float"])
-def test_solve_from_zp_makes_one_product_per_instant_as_the_restacking_loop(mode, monkeypatch):
-    """Over k0..K, K - k0 + 1 ``Matrix.__matmul__`` calls once the step map
-    is built, and the trajectory the loop that restacks each column with
-    ``vstack`` and ``take_rows`` gives, bit for bit in both modes; with
-    q* = 0, q* = 1, q* >= 2, p = 0 and k0 < 0 among the plants."""
+def test_solve_from_zp_makes_no_product_and_gives_the_restacking_loops_trajectory(mode, monkeypatch):
+    """No ``Matrix.__matmul__`` call once the step map is built, and the
+    trajectory the loop that restacks each column with ``vstack`` and
+    ``take_rows`` and multiplies it by the step map gives, bit for bit in
+    both modes; with q* = 0, q* = 1, q* >= 2, p = 0 and k0 < 0 among the
+    plants, and fractional samples in exact mode."""
     calls = [0]
     matmul = Matrix.__matmul__
 
@@ -586,14 +588,17 @@ def test_solve_from_zp_makes_one_product_per_instant_as_the_restacking_loop(mode
         k0 = rng.randint(-3, 2)
         sig = random_signal(rng, 2, k0, 9 + a.w.q_star, mode)
         z = Matrix.column([rng.randint(-3, 3) for _ in range(a.w.p)], mode)
-        a.step_maps  # built before the products are counted
-        for K in (k0, k0 + 1, k0 + 9):
-            want = reference_solve_from_zp(a, sig, z, K)
+        a.step_map  # built before the products are counted
+        signals = [sig]
+        if mode is EX:  # samples with denominators 1 and 3 as well
+            signals.append(InputSignal(k0, [v.scale(Fraction(1, 3)) for v in sig.samples]))
+        for s, K in product(signals, (k0, k0 + 1, k0 + 9)):
+            want = reference_solve_from_zp(a, s, z, K)
             calls[0] = 0
             with monkeypatch.context() as m:
                 m.setattr(Matrix, "__matmul__", counted)
-                traj = solve_from_zp(a, sig, z, K)
-            assert calls[0] == K - k0 + 1
+                traj = solve_from_zp(a, s, z, K)
+            assert calls[0] == 0
             assert traj == want and bits(traj) == bits(want)
     assert covered == {0, 1, 2, "p = 0", "p > 0"}
 
@@ -601,7 +606,7 @@ def test_solve_from_zp_makes_one_product_per_instant_as_the_restacking_loop(mode
 def test_step_map_is_built_on_the_first_solve_and_kept():
     rng = random.Random(38)
     sysm = random_descriptor(rng, 5, 2, 2, min_q=2).system
-    with mock.patch.object(solver, "_step_maps", wraps=solver._step_maps) as build:
+    with mock.patch.object(solver, "_step_map", wraps=solver._step_map) as build:
         a = analyze(sysm)
         sig = random_signal(rng, 2, 0, 6 + a.w.q_star)
         build_report(a.system, a.w, a.tin)
