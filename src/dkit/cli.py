@@ -7,8 +7,10 @@ complex strings such as "1+2j").  Exit codes are part of the contract:
     0  success
     1  parse or usage error (a malformed or unreadable file, bad arguments,
        an unwritable output path), an exact value past Python's digit
-       limit when read or reported, or float mode without numpy (retry
-       with --mode exact)
+       limit when read or reported (``solve`` stops at the first state
+       it cannot print; Python 3.10 has no limit, so there a solve is
+       bounded only by K), or float mode without numpy (retry with
+       --mode exact)
     2  irregular pencil (exact mode; float mode cannot tell, exit 7)
     3  inconsistent initial condition (analysis still emitted)
     4  unresolvable exact spectrum (retry with --mode float)
@@ -27,7 +29,7 @@ import json
 import math
 import os
 import sys
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import causality as causality_mod
 from .errors import (
@@ -47,11 +49,11 @@ from .solver import (
     Analysis,
     DescriptorSystem,
     InputSignal,
-    Trajectory,
+    _instants,
+    _pinned_zp,
+    _residual,
     analyze,
     check_consistency,
-    residual_oracle,
-    solve,
 )
 
 EXIT_OK = 0
@@ -326,24 +328,24 @@ def _write(path: str, chunks: list[str]):
         raise DkitError(f"cannot write {excerpt(path)}: {exc.strerror or exc}") from None
 
 
-def _trajectory_csv(traj: Trajectory, n: int, m: int, p: int, q: int) -> list[str]:
-    """The lines of the trajectory CSV, header first, then one per instant:
-    k, Y, X, Z^p and Z^q, joined by commas.  No field is ever quoted, as
-    none (names, integers, ``format_scalar`` output) holds a comma, a quote
-    or a line break.  Raises the ``DkitError`` of ``format_scalar`` for a
-    value over the digit limit, so a caller that writes the lines only
-    after this returns writes nothing then."""
-    header = (
-        ["k"]
-        + [f"Y_{i + 1}" for i in range(n)]
-        + [f"X_{i + 1}" for i in range(m)]
-        + [f"Zp_{i + 1}" for i in range(p)]
-        + [f"Zq_{i + 1}" for i in range(q)]
-    )
-    lines = [",".join(header) + "\n"]
-    for k, vecs in enumerate(zip(traj.states, traj.outputs, traj.z_p, traj.z_q), traj.k0):
+def _csv_header(n: int, m: int, p: int, q: int) -> str:
+    """The first line of the trajectory CSV: k, Y, X, Z^p and Z^q."""
+    return ",".join(["k"] + [f"Y_{i + 1}" for i in range(n)] + [f"X_{i + 1}" for i in range(m)]
+                    + [f"Zp_{i + 1}" for i in range(p)]
+                    + [f"Zq_{i + 1}" for i in range(q)]) + "\n"
+
+
+def _csv_rows(instants: Iterable[tuple[Matrix, ...]], k0: int,
+              lines: list[str]) -> Iterator[Matrix]:
+    """Y_k of each instant (Y_k, X_k, Z^p_k, Z^q_k), k = k0, k0 + 1, ...,
+    after its CSV line, k and the entries joined by commas, joins
+    ``lines``.  No field is ever quoted, as none (integers,
+    ``format_scalar`` output) holds a comma, a quote or a line break.
+    Raises the ``DkitError`` of ``format_scalar`` for a value over the
+    digit limit, at the first instant that has one."""
+    for k, vecs in enumerate(instants, k0):
         lines.append(",".join([str(k), *(s for v in vecs for s in v.format_entries())]) + "\n")
-    return lines
+        yield vecs[0]
 
 
 def cmd_solve(sf: SystemFile, args) -> int:
@@ -354,11 +356,13 @@ def cmd_solve(sf: SystemFile, args) -> int:
                          f"got {horizon_end}")
     a = _analysis(sf, args)
     signal = sf.signal()
-    traj = solve(a, signal, sf.Y0, horizon_end)
-    res = residual_oracle(a.system, signal, traj, sf.Y0)
-    # format everything first: a value over the digit limit raises here,
-    # before anything is written
-    lines = _trajectory_csv(traj, sf.n, sf.m, a.w.p, a.w.q)
+    z_p0 = _pinned_zp(a, signal, sf.Y0, horizon_end)
+    # each instant is formatted, then checked against the one before it, and
+    # dropped: a value over the digit limit raises at its instant, and the
+    # lines are written only after the last one, so an error writes nothing
+    lines = [_csv_header(sf.n, sf.m, a.w.p, a.w.q)]
+    res = _residual(a.system, signal, sf.k0,
+                    _csv_rows(_instants(a, signal, z_p0, horizon_end), sf.k0, lines), sf.Y0)
     summary = (f"residual: max step residual {format_scalar(res.step_residual)}, "
                f"Y_k0 mismatch {format_scalar(res.y0_mismatch)}")
 

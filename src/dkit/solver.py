@@ -11,7 +11,11 @@ horizon it needs and refuses to zero-pad.
 :func:`solve` runs it, and :func:`residual_oracle` re-checks a trajectory
 against the original equation, independently of the decomposition.
 :func:`_steps` is the one loop that steps a system, on the integer rows
-of the step map; ``solve`` and the causality oracle both run it.
+of the step map; the causality oracle runs it, and :func:`_instants`
+makes each instant's matrices from it.  ``solve`` is the gate
+:func:`_pinned_zp` and those instants collected; ``dkit solve`` passes
+the gate, then checks (:func:`_residual`) and prints each instant as it
+comes and keeps none.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import linalg
 from .errors import (
@@ -286,10 +290,15 @@ def _check_horizon(a: Analysis, signal: InputSignal, K: int) -> None:
 
 
 def solve(a: Analysis, signal: InputSignal, y0: Matrix, K: int) -> Trajectory:
-    """Unique trajectory on k0..K for a consistent initial state: the
-    consistency gate, then :func:`solve_from_zp` from the Z^p_{k0} that
-    ``y0`` pins down.  The input horizon is checked before any other work.
-    """
+    """Unique trajectory on k0..K for a consistent initial state: the gate
+    :func:`_pinned_zp`, then :func:`solve_from_zp` from the Z^p_{k0} it
+    gives."""
+    return solve_from_zp(a, signal, _pinned_zp(a, signal, y0, K), K)
+
+
+def _pinned_zp(a: Analysis, signal: InputSignal, y0: Matrix, K: int) -> Matrix:
+    """The gate of :func:`solve`: the input horizon, checked before any
+    other work, then the Z^p_{k0} that a consistent ``y0`` pins down."""
     _check_horizon(a, signal, K)
     res = check_consistency(a, signal, y0)
     if not res.consistent:
@@ -297,18 +306,27 @@ def solve(a: Analysis, signal: InputSignal, y0: Matrix, K: int) -> Trajectory:
             "initial state lies outside colspan(Q_p) + Q D_{k0}",
             residual=res.residual,
         )
-    return solve_from_zp(a, signal, res.z_p0, K)
+    return res.z_p0
 
 
 def solve_from_zp(a: Analysis, signal: InputSignal, z_p0: Matrix, K: int) -> Trajectory:
-    """The trajectory on k0..K from the forward coordinate Z^p_{k0} (p x 1).
+    """The trajectory on k0..K from the forward coordinate Z^p_{k0} (p x 1):
+    the instants of :func:`_instants`, collected.
 
     Every Z^p_{k0} gives a consistent initial state, Y_{k0} = Q_p Z^p_{k0}
     + Q D_{k0}, so only the input horizon is checked, as :func:`solve`
-    does.  The instants are :func:`_steps` on every row of the step map;
-    the values it gives become the trajectory's matrices.
+    does.
     """
     _check_horizon(a, signal, K)
+    return Trajectory(signal.k0, *zip(*_instants(a, signal, z_p0, K)))
+
+
+def _instants(a: Analysis, signal: InputSignal, z_p0: Matrix,
+              K: int) -> Iterator[tuple[Matrix, Matrix, Matrix, Matrix]]:
+    """(Y_k, X_k, Z^p_k, Z^q_k) for k = k0..K, each made as its instant is
+    stepped, so a caller that drops them holds no trajectory: :func:`_steps`
+    on every row of the step map, whose values become the matrices.  The
+    caller checks the input horizon first."""
     st, mode = a.step_map, a.w.mode
     exact, n, m, p = mode is Mode.EXACT, a.system.n, a.system.m, a.w.p
     dens = [d for _, d in st.rows]
@@ -322,20 +340,11 @@ def solve_from_zp(a: Analysis, signal: InputSignal, z_p0: Matrix, K: int) -> Tra
     else:
         z, e = z_p0.column_list(), 1
         inputs = ([x for v in signal.samples for x in v.column_list()], None)
-    z_p_list, z_q_list, states, outputs = [], [], [], []
-    for z, e, vals, c in _steps(st, st.rows[:len(dens) - p], z, e, inputs, 0,
-                                K - signal.k0 + 1):
-        z_p_list.append(Matrix.ratios(z, ones, e, mode) if z_p_list else z_p0)
-        states.append(Matrix.ratios(vals[:n], d_y, c, mode))
-        outputs.append(Matrix.ratios(vals[n:n + m], d_x, c, mode))
-        z_q_list.append(Matrix.ratios(vals[n + m:], d_q, c, mode))
-    return Trajectory(
-        k0=signal.k0,
-        states=tuple(states),
-        outputs=tuple(outputs),
-        z_p=tuple(z_p_list),
-        z_q=tuple(z_q_list),
-    )
+    for t, (z, e, vals, c) in enumerate(_steps(st, st.rows[:len(dens) - p], z, e, inputs, 0,
+                                               K - signal.k0 + 1)):
+        yield (Matrix.ratios(vals[:n], d_y, c, mode), Matrix.ratios(vals[n:n + m], d_x, c, mode),
+               Matrix.ratios(z, ones, e, mode) if t else z_p0,
+               Matrix.ratios(vals[n + m:], d_q, c, mode))
 
 
 def _steps(st: StepMap, rows: Sequence, z: list, e: int, inputs: tuple[list, list | None],
@@ -404,21 +413,31 @@ def residual_oracle(
     traj: Trajectory,
     y0: Matrix | None = None,
 ) -> SolutionResidual:
-    """Check a trajectory against the original difference equation.
+    """Check a trajectory against the original difference equation:
+    :func:`_residual` of its states."""
+    if len(traj) < 2:
+        raise ValueError("trajectory must contain at least two states")
+    return _residual(sys, signal, traj.k0, traj.states, y0)
+
+
+def _residual(sys: DescriptorSystem, signal: InputSignal, k0: int,
+              states: Iterable[Matrix], y0: Matrix | None) -> SolutionResidual:
+    """The residual of the states Y_{k0}, Y_{k0+1}, ... (at least one).
 
     Works directly on (F, G, B); no canonical form involved, so it can
     referee the solver.  Each step is one product of [F | -G | -B] with
-    the stacked [Y_{k+1}; Y_k; V_k]; a zero residual costs no norm.
+    the stacked [Y_{k+1}; Y_k; V_k], made as Y_{k+1} arrives, so a caller
+    may pass states it does not keep; a zero residual costs no norm.
     """
-    if len(traj) < 2:
-        raise ValueError("trajectory must contain at least two states")
     nil = Fraction(0) if sys.mode is Mode.EXACT else 0.0
     worst = nil
     step = hstack([sys.F, -sys.G, -sys.B])
-    for idx in range(len(traj) - 1):
-        k = traj.k0 + idx
-        r = step @ vstack([traj.states[idx + 1], traj.states[idx], signal.sample(k)])
+    states = iter(states)
+    first = prev = next(states)
+    for k, y in enumerate(states, k0):
+        r = step @ vstack([y, prev, signal.sample(k)])
         if not r.is_zero():
             worst = max(worst, r.max_abs())
-    mismatch = (traj.states[0] - y0).max_abs() if y0 is not None else nil
+        prev = y
+    mismatch = (first - y0).max_abs() if y0 is not None else nil
     return SolutionResidual(step_residual=worst, y0_mismatch=mismatch)

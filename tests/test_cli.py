@@ -9,6 +9,8 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from dkit import (
     Trajectory,
     analyze,
     brute_force_causality_oracle,
+    residual_oracle,
 )
 from dkit import causality as causality_mod
 from dkit import cli, linalg
@@ -39,7 +42,8 @@ from dkit.cli import (
     EXIT_PARSE,
     EXIT_UNRESOLVABLE,
     SystemFile,
-    _trajectory_csv,
+    _csv_header,
+    _csv_rows,
     main,
     parse_system_file,
 )
@@ -819,8 +823,11 @@ def test_trajectory_csv_bytes_match_the_csv_module(traj):
     bounds = [0, n, n + m, n + m + p, n + m + p + q]
     parts = [tuple(Matrix.column(row[lo:hi], mode) for row in rows)
              for lo, hi in zip(bounds, bounds[1:])]
+    lines = [_csv_header(n, m, p, q)]
+    states = list(_csv_rows(zip(*parts), k0, lines))
+    assert states == list(parts[0])
     got = io.StringIO(newline="")
-    got.writelines(_trajectory_csv(Trajectory(k0, *parts), n, m, p, q))
+    got.writelines(lines)
     want = io.StringIO(newline="")
     writer = csv.writer(want, lineterminator="\n")
     writer.writerow(["k"] + [f"Y_{i + 1}" for i in range(n)] + [f"X_{i + 1}" for i in range(m)]
@@ -1133,3 +1140,147 @@ def test_causality_over_the_digit_limit_prints_nothing(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "Traceback" not in err and "decimal digits" in err
+
+
+@digit_limit
+@pytest.mark.parametrize("out_csv", [False, True])
+def test_solve_stops_at_the_first_unprintable_state_within_2s(out_csv, tmp_path, capsys):
+    # Y_k = 10^(6k) passes 4,300 digits at k = 717; the run stops there,
+    # long before K = 32,000, and writes nothing
+    doc = {"n": 1, "l": 1, "m": 1, "mode": "exact", "F": [[1]], "G": [[10**6]],
+           "B": [[0]], "C": [[1]], "Y0": [1], "k0": 0,
+           "inputs": [[0]] * 32001, "K": 32000}
+    target = tmp_path / "t.csv"
+    argv = ["solve", json.dumps(doc)] + (["--out-csv", str(target)] if out_csv else [])
+    previous = signal.signal(signal.SIGALRM, _over_time)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == EXIT_PARSE
+    assert capsys.readouterr() == (
+        "", f"error: an exact value has more than {sys.get_int_max_str_digits()} decimal "
+            "digits, Python's limit for printing an integer\n")
+    assert not target.exists()
+
+
+def _solve_outputs(argv: list[str], where: str) -> tuple[str, str, bytes]:
+    """stdout, stderr and the bytes of the CSV file of ``dkit solve``, run
+    once printing to stdout and once writing to a file in ``where``; both
+    runs must exit 0 and print the same CSV."""
+    path = os.path.join(where, "t.csv")
+    runs = []
+    for extra in ([], ["--out-csv", path]):
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(argv + extra) == EXIT_OK
+        runs.append((out.getvalue(), err.getvalue()))
+    with open(path, "rb") as fh:
+        written = fh.read()
+    (csv_text, summary), (told, nothing) = runs
+    assert nothing == ""
+    assert told == summary + f"trajectory written to {path}\n"
+    return csv_text, summary, written
+
+
+def _library_outputs(sf: SystemFile, traj: Trajectory, y0) -> tuple[str, str]:
+    """The CSV text and the residual line built from a library trajectory."""
+    a = analyze(sf.system())
+    lines = [",".join(["k"] + [f"Y_{i + 1}" for i in range(sf.n)]
+                      + [f"X_{i + 1}" for i in range(sf.m)]
+                      + [f"Zp_{i + 1}" for i in range(a.w.p)]
+                      + [f"Zq_{i + 1}" for i in range(a.w.q)])]
+    for k, vecs in enumerate(zip(traj.states, traj.outputs, traj.z_p, traj.z_q), traj.k0):
+        lines.append(",".join([str(k)] + [s for v in vecs for s in v.format_entries()]))
+    res = residual_oracle(a.system, sf.signal(), traj, y0)
+    return ("".join(line + "\n" for line in lines),
+            f"residual: max step residual {format_scalar(res.step_residual)}, "
+            f"Y_k0 mismatch {format_scalar(res.y0_mismatch)}\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["exact", "float"]), st.integers(1, 4),
+       st.integers(0, 4), st.integers(-3, 3), st.integers(1, 5), st.booleans(), st.booleans())
+def test_streamed_solve_prints_what_the_library_computes(seed, mode, n, q, k0, span,
+                                                          fractional, shorter):
+    """CSV on stdout, the ``--out-csv`` bytes and the residual line are the
+    library's ``solve`` and ``residual_oracle`` results, formatted by
+    ``format_entries``; over k0 != 0, q* = 0, samples with denominators
+    and a ``--K`` before the file's K."""
+    rng = random.Random(seed)
+    a = random_descriptor(rng, n, 2, rng.randint(0, 2), q=min(q, n))
+    den = 3 if fractional else 1
+    count = span + a.w.q_star + 1
+    sig = dkit.InputSignal(k0, [Matrix.column([Fraction(rng.randint(-3, 3), den)
+                                               for _ in range(2)], Mode.EXACT)
+                                for _ in range(count)])
+    doc = system_file_to_dict(SystemFile(
+        n=n, l=2, m=a.system.m, mode=Mode.EXACT, F=a.system.F, G=a.system.G, B=a.system.B,
+        C=a.system.C, Y0=consistent_y0(rng, a, sig), k0=k0, inputs=sig.samples, K=k0 + span))
+    doc["mode"] = mode
+    sf = parse_system_file(doc)
+    K = k0 + (rng.randint(1, span) if shorter else span)
+    try:
+        traj = dkit.solve(analyze(sf.system()), sf.signal(), sf.Y0, K)
+    except DkitError:  # float mode breaks down on some plants
+        assert mode == "float"
+        return
+    want_csv, want_summary = _library_outputs(sf, traj, sf.Y0)
+    argv = ["solve", json.dumps(doc)] + (["--K", str(K)] if shorter else [])
+    with tempfile.TemporaryDirectory() as where:
+        csv_text, summary, written = _solve_outputs(argv, where)
+    assert csv_text == want_csv
+    assert written == want_csv.encode()
+    assert summary == want_summary
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("where", [0, 2, 3])
+def test_streamed_solve_reports_the_residual_of_a_corrupted_state(mode, where, monkeypatch):
+    """A state corrupted in the stream at the first, a middle and the last
+    of DIAG's instants k = 0..3 shows in the CLI's residual line exactly as
+    ``residual_oracle`` sees it on the corrupted trajectory."""
+    stream = cli._instants
+    seen = []
+
+    def corrupted(*args):
+        for t, (y, *rest) in enumerate(stream(*args)):
+            if t == where:
+                y = y + Matrix.column([1, 0], y.mode)
+            seen.append((y, *rest))
+            yield (y, *rest)
+
+    monkeypatch.setattr(cli, "_instants", corrupted)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_text, summary, written = _solve_outputs(["solve", DIAG, "--mode", mode], tmp)
+    sf = parse_system_file(DIAG, Mode(mode))
+    traj = Trajectory(sf.k0, *zip(*seen[:len(seen) // 2]))
+    assert len(traj) == 4
+    want_csv, want_summary = _library_outputs(sf, traj, sf.Y0)
+    assert (csv_text, summary, written) == (want_csv, want_summary, want_csv.encode())
+    res = residual_oracle(analyze(sf.system()).system, sf.signal(), traj, sf.Y0)
+    assert res.step_residual != 0
+    assert (res.y0_mismatch != 0) == (where == 0)
+
+
+def test_solve_holds_no_trajectory(tmp_path, capsys):
+    """README's 2 x 2 example over K = 2,000: the traced peak of ``dkit
+    solve --out-csv`` stays below 1.6 times the CSV it writes.  The lines
+    are kept until the last one is formatted; the instants' matrices are
+    not."""
+    doc = load(DIAG)
+    doc["inputs"], doc["K"] = [[1]] * 2001, 2000
+    target = tmp_path / "t.csv"
+    argv = ["solve", json.dumps(doc), "--out-csv", str(target)]
+    assert main(argv) == EXIT_OK  # warms the imports and the parser
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = target.stat().st_size
+    assert size > 1_500_000
+    assert peak < 1.6 * size, (peak, size)
