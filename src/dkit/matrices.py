@@ -163,24 +163,7 @@ class Matrix:
                     tuple(_lowest([nums[j] for j in js], d) for nums, d in self._r))
 
     def take_rows(self, iz: Sequence[int]) -> "Matrix":
-        if isinstance(iz, range) and iz.step == 1 and 0 <= iz.start and iz.stop <= self.rows:
-            rows = self._r[iz.start : max(iz.start, iz.stop)]  # a block of rows is one slice
-        else:
-            rows = tuple(self._r[i] for i in iz)
-        return _new(self.mode, self.cols, rows)
-
-    def split_rows(self, sizes: Sequence[int]) -> tuple["Matrix", ...]:
-        """Consecutive blocks of ``sizes`` (>= 0) rows, then the rows left
-        over (possibly none): one slice per block."""
-        mode, cols, rows = self.mode, self.cols, self._r
-        out, i = [], 0
-        for s in sizes:
-            out.append(_new(mode, cols, rows[i : i + s]))
-            i += s
-        if i > self.rows:
-            raise ValueError(f"blocks of {tuple(sizes)} rows exceed {self.rows}")
-        out.append(_new(mode, cols, rows[i:]))
-        return tuple(out)
+        return _new(self.mode, self.cols, tuple(self._r[i] for i in iz))
 
     def to_lists(self) -> list[list]:
         """A fresh list of the entries of each row; a float row is copied
@@ -222,12 +205,9 @@ class Matrix:
                                                      for a, b in zip(self._r, other._r)]))
         out = []
         for (a, d), (b, e) in zip(self._r, other._r):
-            if d == e:
-                out.append(_lowest(list(map(op, a, b)), d))
-            else:
-                s = math.lcm(d, e)
-                da, eb = s // d, s // e
-                out.append(_lowest([op(x * da, y * eb) for x, y in zip(a, b)], s))
+            s = math.lcm(d, e)
+            da, eb = s // d, s // e
+            out.append(_lowest([op(x * da, y * eb) for x, y in zip(a, b)], s))
         return _new(self.mode, self.cols, tuple(out))
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -295,7 +275,7 @@ class Matrix:
             right = other._r
             e = math.lcm(*{d for _, d in right})  # rows often share a denominator
             mul = operator.mul
-            if m == 1:  # a column, the operand of every step of a recursion
+            if m == 1:  # a column: mostly ``solver._residual``'s product of each step
                 col = [b[0] if d == e else b[0] * (e // d) for b, d in right]
                 return _new(self.mode, 1, _lowest_column(
                     [sum(map(mul, a, col)) for a, _ in self._r], self.denominators, e))

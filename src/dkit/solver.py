@@ -176,7 +176,8 @@ def _step_map(a: Analysis) -> StepMap:
 def transform_input(w: WeierstrassDecomposition, B: Matrix) -> TransformedInput:
     """P B (``w.P_times``) in the blocks the solver and the causality
     checks read."""
-    b_p, b_q = w.P_times(B).split_rows((w.p,))
+    pb = w.P_times(B)
+    b_p, b_q = pb.take_rows(range(w.p)), pb.take_rows(range(w.p, w.n))
     blocks: list[Matrix] = []
     for _ in range(w.q_star):
         blocks.append(w.H_q @ blocks[-1] if blocks else b_q)
@@ -373,9 +374,7 @@ def _steps(st: StepMap, rows: Sequence, z: list, e: int, inputs: tuple[list, lis
         stop = i + (st.width if step else st.final)
         if exact:
             c = e if dens is None else lcm(e, *dens[i:stop])
-            if c == 1:
-                col = z + vals[i:stop]
-            elif dens is None:
+            if dens is None:
                 col = z + [v * c for v in vals[i:stop]]
             else:
                 col = [x * (c // e) for x in z] + [

@@ -2,8 +2,7 @@
 
 Everything here is deliberately separate from the library's computation
 paths: the brute-force characteristic polynomial expands cofactors over
-coefficient lists, the stacked-step solvability check works on the raw
-system matrices, and the exact elimination, matrix operation and rational
+coefficient lists, and the exact elimination, matrix operation and rational
 root references run plain ``Fraction`` arithmetic where the library runs
 integer kernels on integer rows.  The closed-form trajectory sums powers
 of J_p where the library steps one constant map per instant.  The char
@@ -380,23 +379,6 @@ def brute_char_poly(F: Matrix, G: Matrix) -> tuple:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def stacked_step_solvable(a: Analysis, signal, y0: Matrix) -> bool:
-    """Solvability of the step-k0 system stacked with the forced backward
-    coordinates at k0+1: there exists Y_{k0+1} with
-    F Y_{k0+1} = G Y_{k0} + B V_{k0} and [0 I_q] Q^{-1} Y_{k0+1} = Z^q_{k0+1}.
-
-    Solvable exactly when Y_{k0} satisfies the consistency condition; used
-    to confirm rejections without going through check_consistency.
-    """
-    k0, sysm, w = signal.k0, a.system, a.w
-    q_inv = linalg.inverse(w.Q)
-    s_rows = q_inv.take_rows(range(w.p, w.n))
-    rhs_step = sysm.G @ y0 + sysm.B @ signal.sample(k0)
-    a_stack = vstack([sysm.F, s_rows])
-    b_stack = vstack([rhs_step, forced_z_q(a, signal, k0 + 1)])
-    return linalg.solve(a_stack, b_stack) is not None
 
 
 def reference_rref_data(data: list[list], mode: Mode, thr: float) -> list[int]:

@@ -37,8 +37,8 @@ from helpers import (
     random_signal,
     rational_nonsingular,
     reference_closed_form,
-    stacked_step_solvable,
 )
+from test_exact_consistency import stacked_step_verdict
 
 DATA = Path(__file__).parent / "data"
 FIXTURES = {
@@ -121,10 +121,10 @@ def test_criterion_3_consistency_condition():
         bad = good + w.Q_q @ u
         if check_consistency(a, sig, bad).consistent:
             failures.append((i, "displaced y0 accepted"))
-        elif stacked_step_solvable(a, sig, bad):
-            failures.append((i, "rejected y0 but stacked step system solvable"))
+        elif stacked_step_verdict(a, sig, bad):
+            failures.append((i, "rejected y0 but stacked step equations solvable"))
     _verdict("criterion 3: consistency acceptance/rejection on 100 systems, "
-             "rejection confirmed by stacked-step unsolvability, zero tolerance",
+             "rejection certified on the stacked step equations, zero tolerance",
              failures)
 
 

@@ -46,7 +46,6 @@ from helpers import (
     reference_closed_form,
     reference_matmul,
     reference_solve_from_zp,
-    stacked_step_solvable,
 )
 
 EX = Mode.EXACT
@@ -399,26 +398,6 @@ def test_single_state_trajectory():
     a, sig = diag_fixture()
     traj = solve(a, sig, Matrix.column([5, -1], EX), 0)
     assert len(traj) == 1 and traj.K == 0
-
-
-def test_consistency_iff_stacked_step_solvable():
-    rng = random.Random(34)
-    checked_reject = 0
-    for _ in range(20):
-        n = rng.randint(2, 5)
-        a = random_descriptor(rng, n, 1, 1, min_q=1)
-        w = a.w
-        sig = random_signal(rng, 1, 0, w.q_star + 3)
-        good = consistent_y0(rng, a, sig)
-        assert check_consistency(a, sig, good).consistent
-        assert stacked_step_solvable(a, sig, good)
-        if w.q:
-            u = Matrix.column([rng.choice([1, 2, -1]) for _ in range(w.q)], EX)
-            bad = good + w.Q_q @ u
-            assert not check_consistency(a, sig, bad).consistent
-            assert not stacked_step_solvable(a, sig, bad)
-            checked_reject += 1
-    assert checked_reject >= 15
 
 
 def test_q_zero_reduces_to_explicit_recursion():
