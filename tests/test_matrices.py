@@ -67,17 +67,11 @@ def test_matmul_and_empty_shapes():
 
 
 def test_take_rows_of_a_range_matches_a_list_and_checks_bounds():
-    for mode in (EX, FL):
-        m = Matrix([[1, 2], [3, 4], [5, 6]], mode)
-        for iz in (range(3), range(1, 3), range(2, 2), range(0, 3, 2), range(2, 0, -1)):
-            assert m.take_rows(iz) == m.take_rows(list(iz))
-        top = Matrix([[Fraction(1, 2) if mode is EX else 0.5, 0]], mode)
-        stacked = vstack([top, m])
-        assert stacked.take_rows(range(1)) == top and stacked.take_rows(range(1, 4)) == m
-        for empty in (range(0), range(4, 4)):
-            assert stacked.take_rows(empty) == Matrix.zeros(0, 2, mode)
-        with pytest.raises(IndexError):
-            m.take_rows(range(2, 4))
+    m = Matrix([[1, 2], [3, 4], [5, 6]], EX)
+    for iz in (range(3), range(1, 3), range(2, 2), range(0, 3, 2), range(2, 0, -1)):
+        assert m.take_rows(iz) == m.take_rows(list(iz))
+    with pytest.raises(IndexError):
+        m.take_rows(range(2, 4))
 
 
 @given(st.lists(st.tuples(st.integers(-10**30, 10**30), st.integers(1, 10**6)), max_size=6),
@@ -88,6 +82,21 @@ def test_ratios_is_the_column_of_the_fractions(entries, e):
     assert got == Matrix.column([Fraction(x, d * e) for x, d in entries], EX)
     assert got.shape == (len(entries), 1)
     assert Matrix.ratios([1j, 2 + 0j], None, 1, FL) == Matrix.column([1j, 2], FL)
+
+
+@pytest.mark.parametrize("mode", [EX, FL], ids=["exact", "float"])
+def test_row_blocks_match_vstack_and_take_rows_and_check_bounds(mode):
+    top = Matrix([[Fraction(1, 2) if mode is EX else 0.5, 0]], mode)
+    m = Matrix([[1, 2], [3, 4], [5, 6]], mode)
+    stacked = vstack([top, m])
+    for iz in (range(4), range(1, 4), range(2, 2), range(0, 4, 2), range(3, 0, -1)):
+        assert stacked.take_rows(iz) == stacked.take_rows(list(iz))
+    assert stacked.take_rows(range(1)) == top and stacked.take_rows(range(1, 4)) == m
+    assert stacked.take_rows(range(1, 3)) == m.take_rows(range(2))
+    for empty in (range(0), range(4, 4)):
+        assert stacked.take_rows(empty) == Matrix.zeros(0, 2, mode)
+    with pytest.raises(IndexError):
+        stacked.take_rows(range(3, 5))
 
 
 def test_stack_and_block_diag():
