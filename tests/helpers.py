@@ -2,9 +2,11 @@
 
 Everything here is deliberately separate from the library's computation
 paths: the brute-force characteristic polynomial expands cofactors over
-coefficient lists, and the exact elimination, matrix operation and rational
-root references run plain ``Fraction`` arithmetic where the library runs
-integer kernels on integer rows.  The closed-form trajectory sums powers
+coefficient lists, and the exact elimination and rational root references
+run plain ``Fraction`` arithmetic where the library runs integer kernels on
+integer rows.  ``ReferenceMatrix`` does every matrix operation one entry
+at a time, over ``Fraction`` or ``complex``, where the library keeps integer
+rows or float tuples.  The closed-form trajectory sums powers
 of J_p where the library steps one constant map per instant.  The char
 poly reference solves a Vandermonde system for ``Fraction`` determinants
 where the library takes Newton differences of integer ones; the float
@@ -381,12 +383,9 @@ def brute_char_poly(F: Matrix, G: Matrix) -> tuple:
     return tuple(coeffs)
 
 
-def reference_rref_data(data: list[list], mode: Mode, thr: float) -> list[int]:
-    """Gauss-Jordan over ``Fraction``: in-place RREF, returns pivot columns.
-
-    The exact reference for the integer kernel; it keeps the argument list
-    of the float Gauss-Jordan it mirrors (``mode`` and ``thr`` are ignored).
-    """
+def reference_rref_data(data: list[list]) -> list[int]:
+    """Gauss-Jordan over ``Fraction``: in-place RREF, returns pivot columns;
+    the exact reference for the integer kernel."""
     nrows = len(data)
     ncols = len(data[0]) if nrows else 0
     pivots: list[int] = []
@@ -425,7 +424,7 @@ def exact_det(mat: Matrix) -> Fraction:
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     """The RREF of ``mat`` and its pivot columns, read off
-    ``linalg._reduced``, which a test may patch."""
+    ``linalg._reduced``."""
     rows, pivots, d = linalg._reduced(mat, None)
     return Matrix.divided(rows, d, mat.cols, mat.mode), pivots
 
@@ -456,61 +455,96 @@ def reference_det(mat: Matrix) -> Fraction:
 
 
 class ReferenceMatrix:
-    """An exact matrix as the flat row-major tuple of its ``Fraction``
-    entries, every operation done entry by entry in ``Fraction`` arithmetic:
-    the reference for the integer rows of exact ``Matrix``."""
+    """A matrix of either mode as the flat row-major tuple of its entries,
+    ``Fraction`` or ``complex``, every operation done entry by entry in that
+    arithmetic: the reference for the integer rows of exact ``Matrix`` and,
+    bit for bit, for float ``Matrix``.
 
-    def __init__(self, rows: int, cols: int, entries):
-        self.rows, self.cols, self.e = rows, cols, tuple(entries)
+    A product entry starts at the mode's zero and adds ``x * y`` over the
+    inner index in ascending order, in an explicit loop: ``sum()`` is no
+    bit-exact stand-in, as CPython 3.12 made float ``sum()`` compensated."""
+
+    ZERO = {Mode.EXACT: Fraction(0), Mode.FLOAT: 0j}
+
+    def __init__(self, mode: Mode, rows: int, cols: int, entries):
+        self.mode, self.rows, self.cols, self.e = mode, rows, cols, tuple(entries)
 
     @classmethod
     def of(cls, m: Matrix) -> "ReferenceMatrix":
-        return cls(m.rows, m.cols, (x for row in m.to_lists() for x in row))
+        return cls(m.mode, m.rows, m.cols, (x for row in m.to_lists() for x in row))
 
-    def _entry(self, i, j):
+    def _like(self, rows, cols, entries):
+        return ReferenceMatrix(self.mode, rows, cols, entries)
+
+    def at(self, i, j):
         return self.e[i * self.cols + j]
 
+    def map(self, fn):
+        return self._like(self.rows, self.cols, map(fn, self.e))
+
     def __matmul__(self, other):
-        return ReferenceMatrix(self.rows, other.cols, (
-            sum((self._entry(i, t) * other._entry(t, j) for t in range(self.cols)), Fraction(0))
-            for i in range(self.rows) for j in range(other.cols)))
+        out = []
+        for i in range(self.rows):
+            for j in range(other.cols):
+                s = self.ZERO[self.mode]
+                for t in range(self.cols):
+                    s += self.at(i, t) * other.at(t, j)
+                out.append(s)
+        return self._like(self.rows, other.cols, out)
 
     def __add__(self, other):
-        return ReferenceMatrix(self.rows, self.cols, (a + b for a, b in zip(self.e, other.e)))
+        return self._like(self.rows, self.cols, (a + b for a, b in zip(self.e, other.e)))
 
     def __sub__(self, other):
-        return ReferenceMatrix(self.rows, self.cols, (a - b for a, b in zip(self.e, other.e)))
+        return self._like(self.rows, self.cols, (a - b for a, b in zip(self.e, other.e)))
 
     def __neg__(self):
-        return ReferenceMatrix(self.rows, self.cols, (-a for a in self.e))
+        return self.map(lambda x: -x)
 
     def scale(self, s):
-        return ReferenceMatrix(self.rows, self.cols, (Fraction(s) * a for a in self.e))
+        return self.map(lambda x: s * x)
 
     def take_rows(self, iz):
-        return ReferenceMatrix(len(iz), self.cols,
-                               (self._entry(i, j) for i in iz for j in range(self.cols)))
+        return self._like(len(iz), self.cols, (self.at(i, j) for i in iz for j in range(self.cols)))
 
     def take_cols(self, js):
-        return ReferenceMatrix(self.rows, len(js),
-                               (self._entry(i, j) for i in range(self.rows) for j in js))
+        return self._like(self.rows, len(js), (self.at(i, j) for i in range(self.rows) for j in js))
 
     @property
     def T(self):
-        return ReferenceMatrix(self.cols, self.rows,
-                               (self._entry(i, j) for j in range(self.cols) for i in range(self.rows)))
+        return self._like(self.cols, self.rows,
+                          (self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
 
     def __eq__(self, other):
-        return (self.rows, self.cols, self.e) == (other.rows, other.cols, other.e)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, Mode.EXACT, self.e))
+        return ((self.mode, self.rows, self.cols, self.e)
+                == (other.mode, other.rows, other.cols, other.e))
 
     def is_zero(self):
         return all(x == 0 for x in self.e)
 
     def max_abs(self):
-        return max((abs(x) for x in self.e), default=Fraction(0))
+        return max(map(abs, self.e), default=abs(self.ZERO[self.mode]))
+
+
+def reference_hstack(mats: list[ReferenceMatrix]) -> ReferenceMatrix:
+    return mats[0]._like(mats[0].rows, sum(m.cols for m in mats), (
+        m.at(i, j) for i in range(mats[0].rows) for m in mats for j in range(m.cols)))
+
+
+def reference_vstack(mats: list[ReferenceMatrix]) -> ReferenceMatrix:
+    return mats[0]._like(sum(m.rows for m in mats), mats[0].cols, (x for m in mats for x in m.e))
+
+
+def reference_block_diag(mats: list[ReferenceMatrix], mode: Mode) -> ReferenceMatrix:
+    n, c = sum(m.rows for m in mats), sum(m.cols for m in mats)
+    out = [[ReferenceMatrix.ZERO[mode]] * c for _ in range(n)]
+    r0 = c0 = 0
+    for m in mats:
+        for i in range(m.rows):
+            for j in range(m.cols):
+                out[r0 + i][c0 + j] = m.at(i, j)
+        r0, c0 = r0 + m.rows, c0 + m.cols
+    return ReferenceMatrix(mode, n, c, (x for row in out for x in row))
 
 
 def reference_float_max_abs(m: Matrix) -> float:
@@ -547,27 +581,6 @@ def reference_float_det(m: Matrix) -> complex:
             for j in range(c, n):
                 data[i][j] = data[i][j] - f * data[c][j]
     return result if sign > 0 else -result
-
-
-def reference_hstack(mats: list[ReferenceMatrix]) -> ReferenceMatrix:
-    return ReferenceMatrix(mats[0].rows, sum(m.cols for m in mats), (
-        m._entry(i, j) for i in range(mats[0].rows) for m in mats for j in range(m.cols)))
-
-
-def reference_vstack(mats: list[ReferenceMatrix]) -> ReferenceMatrix:
-    return ReferenceMatrix(sum(m.rows for m in mats), mats[0].cols, (x for m in mats for x in m.e))
-
-
-def reference_block_diag(mats: list[ReferenceMatrix]) -> ReferenceMatrix:
-    n, c = sum(m.rows for m in mats), sum(m.cols for m in mats)
-    out = [[Fraction(0)] * c for _ in range(n)]
-    r0 = c0 = 0
-    for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[r0 + i][c0 + j] = m._entry(i, j)
-        r0, c0 = r0 + m.rows, c0 + m.cols
-    return ReferenceMatrix(n, c, (x for row in out for x in row))
 
 
 def reference_matmul(a: Matrix, b: Matrix) -> Matrix:

@@ -1,10 +1,12 @@
 """Float ``Matrix`` operations against an entry-by-entry reference, bit for bit.
 
-The reference holds a float matrix as the flat row-major tuple of its
+The reference is ``helpers.ReferenceMatrix``, which the exact kernel tests
+share: it holds a float matrix as the flat row-major tuple of its
 ``complex`` entries and does every operation one entry at a time; a
 product entry accumulates ``s = 0j; s += a * b`` over the inner index in
-ascending order.  Entries are compared through ``float.hex`` of their real
-and imaginary parts, so a signed zero or the last bit of a rounding shows.
+ascending order.  Entries are compared here through ``float.hex`` of their
+real and imaginary parts, and their type, so a signed zero, a ``float``
+where a ``complex`` belongs or the last bit of a rounding shows.
 """
 
 import math
@@ -14,7 +16,14 @@ from hypothesis import strategies as st
 
 from dkit import Matrix, block_diag, hstack, linalg, vstack
 from dkit.scalars import Mode
-from helpers import reference_float_det, reference_float_max_abs
+from helpers import (
+    ReferenceMatrix,
+    reference_block_diag,
+    reference_float_det,
+    reference_float_max_abs,
+    reference_hstack,
+    reference_vstack,
+)
 
 FL = Mode.FLOAT
 
@@ -26,67 +35,11 @@ ENTRIES = st.one_of(
 )
 
 
-class Ref:
-    """A float matrix as rows, cols and its row-major entries."""
-
-    def __init__(self, rows, cols, entries):
-        self.rows, self.cols, self.e = rows, cols, tuple(entries)
-
-    @classmethod
-    def of(cls, m: Matrix) -> "Ref":
-        return cls(m.rows, m.cols, (m[i, j] for i in range(m.rows) for j in range(m.cols)))
-
-    def at(self, i, j):
-        return self.e[i * self.cols + j]
-
-    def __matmul__(self, other):
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                s = 0j
-                for t in range(self.cols):
-                    s += self.at(i, t) * other.at(t, j)
-                out.append(s)
-        return Ref(self.rows, other.cols, out)
-
-    def map(self, fn):
-        return Ref(self.rows, self.cols, map(fn, self.e))
-
-    def take(self, iz, js):
-        return Ref(len(iz), len(js), (self.at(i, j) for i in iz for j in js))
-
-    @property
-    def T(self):
-        return Ref(self.cols, self.rows,
-                   (self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
-
-
-def ref_hstack(refs):
-    return Ref(refs[0].rows, sum(r.cols for r in refs),
-               (r.at(i, j) for i in range(refs[0].rows) for r in refs for j in range(r.cols)))
-
-
-def ref_vstack(refs):
-    return Ref(sum(r.rows for r in refs), refs[0].cols, (x for r in refs for x in r.e))
-
-
-def ref_block_diag(refs):
-    n, c = sum(r.rows for r in refs), sum(r.cols for r in refs)
-    out = [[0j] * c for _ in range(n)]
-    r0 = c0 = 0
-    for r in refs:
-        for i in range(r.rows):
-            for j in range(r.cols):
-                out[r0 + i][c0 + j] = r.at(i, j)
-        r0, c0 = r0 + r.rows, c0 + r.cols
-    return Ref(n, c, (x for row in out for x in row))
-
-
 def bits(entries):
     return [(type(x), x.real.hex(), x.imag.hex()) for x in entries]
 
 
-def assert_same(m: Matrix, ref: Ref):
+def assert_same(m: Matrix, ref: ReferenceMatrix):
     assert m.mode is FL
     assert m.shape == (ref.rows, ref.cols)
     assert bits(m._e) == bits(ref.e)
@@ -115,30 +68,31 @@ def same_shape(count):
     lambda s: st.tuples(matrices(nrows=s[0], ncols=s[1]), matrices(nrows=s[1], ncols=s[2]))))
 def test_float_product_accumulates_in_ascending_order(ab):
     a, b = ab
-    assert_same(a @ b, Ref.of(a) @ Ref.of(b))
+    assert_same(a @ b, ReferenceMatrix.of(a) @ ReferenceMatrix.of(b))
 
 
 @settings(max_examples=200)
 @given(same_shape(2), ENTRIES)
 def test_float_entrywise_operations_match_the_reference(ab, s):
     a, b = ab
-    ra, rb = Ref.of(a), Ref.of(b)
-    assert_same(a + b, Ref(a.rows, a.cols, (x + y for x, y in zip(ra.e, rb.e))))
-    assert_same(a - b, Ref(a.rows, a.cols, (x - y for x, y in zip(ra.e, rb.e))))
-    assert_same(-a, ra.map(lambda x: -x))
-    assert_same(a.scale(s), ra.map(lambda x: s * x))
-    assert_same(a.sub_scaled(b, s), Ref(a.rows, a.cols, (x - s * y for x, y in zip(ra.e, rb.e))))
+    ra, rb = ReferenceMatrix.of(a), ReferenceMatrix.of(b)
+    assert_same(a + b, ra + rb)
+    assert_same(a - b, ra - rb)
+    assert_same(-a, -ra)
+    assert_same(a.scale(s), ra.scale(s))
+    assert_same(a.sub_scaled(b, s), ra - rb.scale(s))
     assert_same(a.T, ra.T)
     assert_same(a.conj_T(), ra.T.map(complex.conjugate))
     assert_same(Matrix.zeros(a.rows, a.cols, FL), ra.map(lambda x: 0j))
-    assert_same(Matrix.identity(a.cols, FL), Ref(a.cols, a.cols, (
-        1 + 0j if i == j else 0j for i in range(a.cols) for j in range(a.cols))))
-    assert bits([complex(a.max_abs())]) == bits([complex(max(map(abs, ra.e), default=0.0))])
+    eye = ReferenceMatrix(FL, a.cols, a.cols, (
+        1 + 0j if i == j else 0j for i in range(a.cols) for j in range(a.cols)))
+    assert_same(Matrix.identity(a.cols, FL), eye)
+    assert bits([complex(a.max_abs())]) == bits([complex(ra.max_abs())])
     assert type(a.max_abs()) is float
-    assert a.is_zero() == all(x == 0 for x in ra.e)
+    assert a.is_zero() == ra.is_zero()
     for tol in (0.0, 1.0, 1e3):
         assert a.is_zero(tol) == all(abs(x) <= tol for x in ra.e)
-    assert (a == b) == (ra.e == rb.e)
+    assert (a == b) == (ra == rb)
     if a == b:
         assert hash(a) == hash(b)
     for twin in (Matrix(a.to_lists(), FL) if a.rows else a, a.T.T, -(-a)):
@@ -153,12 +107,12 @@ def test_float_entrywise_operations_match_the_reference(ab, s):
     st.integers(0, a.rows), st.integers(0, a.rows))))
 def test_float_row_and_column_selections_match_the_reference(args):
     a, iz, js, lo, hi = args
-    ra, every_col, every_row = Ref.of(a), range(a.cols), range(a.rows)
-    assert_same(a.take_rows(iz), ra.take(iz, every_col))
-    assert_same(a.take_rows(range(lo, hi)), ra.take(range(lo, hi), every_col))
-    assert_same(a.take_cols(js), ra.take(every_row, js))
+    ra = ReferenceMatrix.of(a)
+    assert_same(a.take_rows(iz), ra.take_rows(iz))
+    assert_same(a.take_rows(range(lo, hi)), ra.take_rows(range(lo, hi)))
+    assert_same(a.take_cols(js), ra.take_cols(js))
     for j in js:
-        assert_same(a.col(j), ra.take(every_row, [j]))
+        assert_same(a.col(j), ra.take_cols([j]))
     for i in iz:
         assert bits(a.row_list(i)) == bits(ra.e[i * a.cols : (i + 1) * a.cols])
 
@@ -167,20 +121,20 @@ def test_float_row_and_column_selections_match_the_reference(args):
 @given(st.integers(0, 5).flatmap(lambda n: st.lists(
     st.integers(0, 4).flatmap(lambda c: matrices(nrows=n, ncols=c)), min_size=1, max_size=4)))
 def test_float_hstack_matches_the_reference(mats):
-    assert_same(hstack(mats), ref_hstack([Ref.of(m) for m in mats]))
+    assert_same(hstack(mats), reference_hstack([ReferenceMatrix.of(m) for m in mats]))
 
 
 @settings(max_examples=150)
 @given(st.integers(0, 5).flatmap(lambda c: st.lists(
     st.integers(0, 4).flatmap(lambda n: matrices(nrows=n, ncols=c)), min_size=1, max_size=4)))
 def test_float_vstack_matches_the_reference(mats):
-    assert_same(vstack(mats), ref_vstack([Ref.of(m) for m in mats]))
+    assert_same(vstack(mats), reference_vstack([ReferenceMatrix.of(m) for m in mats]))
 
 
 @settings(max_examples=150)
 @given(st.lists(matrices(), max_size=4))
 def test_float_block_diag_matches_the_reference(mats):
-    assert_same(block_diag(mats, FL), ref_block_diag([Ref.of(m) for m in mats]))
+    assert_same(block_diag(mats, FL), reference_block_diag([ReferenceMatrix.of(m) for m in mats], FL))
 
 
 NAN, INF = float("nan"), float("inf")

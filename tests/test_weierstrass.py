@@ -233,25 +233,6 @@ def _residual_corpus():
     return out
 
 
-def test_verify_residuals_equal_the_difference_matrices_bit_for_bit():
-    seen, nans = set(), []
-    for pen, w in _residual_corpus():
-        got = verify(pen, w)
-        want = reference_residuals(pen, w)
-        if w.mode is EX:
-            assert (got.residual_F, got.residual_G) == want
-        else:
-            assert (got.residual_F.hex(), got.residual_G.hex()) == (want[0].hex(), want[1].hex())
-            nans.append(math.isnan(got.residual_F))
-        seen.add((w.mode, max((b.size for b in w.jordan_blocks), default=0),
-                  max((b.size for b in w.nilpotent_blocks), default=0)))
-    for mode in (EX, FL):  # each kind with blocks of size >= 2
-        assert any(m == mode and j >= 2 and k == 0 for m, j, k in seen)
-        assert any(m == mode and j == 0 and k >= 2 for m, j, k in seen)
-        assert any(m == mode and j >= 2 and k >= 2 for m, j, k in seen)
-    assert any(nans) and not all(nans)  # a NaN counts in the first row only
-
-
 @st.composite
 def exact_residual_cases(draw):
     """A square exact matrix and (eigenvalue, size) blocks that fill it."""
@@ -344,8 +325,11 @@ def test_verify_reports_what_the_reference_formula_reports():
     (P defined as [F Q_p | G Q_q]^{-1}), and on Q's with a corrupted
     chain, under a lazily defined, an explicit inverse and a mismatched
     explicit P; and on decompose results checked against a pencil other
-    than their own."""
-    cases = _residual_corpus()
+    than their own.  The residuals compare bit for bit, a NaN by its hex.
+    The corpus has finite-only, infinite-only and mixed blocks of size
+    >= 2 in each mode, and NaN float residuals, but not only those."""
+    corpus = _residual_corpus()
+    cases = list(corpus)
     rng = random.Random(47)
     for kind in PLANT_KINDS:
         for _ in range(3):
@@ -361,6 +345,7 @@ def test_verify_reports_what_the_reference_formula_reports():
         cases.append((Pencil(f, g), decompose(Pencil(eye, g))))
         assert verify(*cases[-1]).residual_F == 1
     finite_only = infinite_only = 0
+    nans = []
     for pen, w in cases:
         got = verify(pen, w)
         want = reference_verify(pen, w)
@@ -368,7 +353,16 @@ def test_verify_reports_what_the_reference_formula_reports():
         if w.mode is EX:
             finite_only += got.residual_F == 0 < got.residual_G
             infinite_only += got.residual_G == 0 < got.residual_F
+        else:
+            nans.append(math.isnan(got.residual_F))
     assert finite_only and infinite_only
+    assert any(nans) and not all(nans)  # a NaN counts in the first row only
+    seen = {(w.mode, max((b.size for b in w.jordan_blocks), default=0),
+             max((b.size for b in w.nilpotent_blocks), default=0)) for _, w in corpus}
+    for mode in (EX, FL):  # each kind with blocks of size >= 2
+        assert any(m == mode and j >= 2 and k == 0 for m, j, k in seen)
+        assert any(m == mode and j == 0 and k >= 2 for m, j, k in seen)
+        assert any(m == mode and j >= 2 and k >= 2 for m, j, k in seen)
 
 
 def test_exact_decompose_reports_what_verify_reports_and_keeps_no_pencil():
