@@ -231,26 +231,6 @@ class Matrix:
         return _new(self.mode, self.cols, tuple(_lowest([p * x for x in nums], q * d)
                                                 for nums, d in self._r))
 
-    def sub_scaled(self, other: "Matrix", s) -> "Matrix":
-        """``self - other.scale(s)`` in one pass over the stored rows: each
-        entry is x - s y, an exact row over the lcm of the two row
-        denominators in lowest terms."""
-        self._check_mode(other)
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        s = ensure_scalar(s, self.mode)
-        if self.mode is Mode.FLOAT:
-            return _new(self.mode, self.cols, tuple([tuple([x - s * y for x, y in zip(a, b)])
-                                                     for a, b in zip(self._r, other._r)]))
-        p, q = s.numerator, s.denominator
-        out = []
-        for (a, d), (b, e) in zip(self._r, other._r):
-            e *= q
-            t = math.lcm(d, e)
-            da, eb = t // d, p * (t // e)
-            out.append(_lowest([x * da - y * eb for x, y in zip(a, b)], t))
-        return _new(self.mode, self.cols, tuple(out))
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Matrix product.
 

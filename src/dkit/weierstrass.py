@@ -298,7 +298,7 @@ def _decompose(
     qp_cols: list[Matrix] = []
     if p > 0:
         for a, mult in finite_eigenvalues(cp, cluster_radius):
-            A = G.sub_scaled(F, a)
+            A = G - F.scale(a)
             for chain in _chains(A, F, *linalg.filtration(A, F, mult, tol), tol):
                 jordan_blocks.append(JordanBlockSpec(a, len(chain)))
                 qp_cols.extend(chain)

@@ -1,16 +1,17 @@
-"""Random system generators and independent oracles shared by the tests.
+"""Random system generators, independent oracles and the test machinery
+(``time_limit``, ``count_calls``, ``with_examples``) shared by the tests.
 
 Everything here is deliberately separate from the library's computation
-paths: the brute-force characteristic polynomial expands cofactors over
-coefficient lists, and the exact elimination and rational root references
-run plain ``Fraction`` arithmetic where the library runs integer kernels on
-integer rows.  ``ReferenceMatrix`` does every matrix operation one entry
+paths: the exact elimination and rational root references run plain
+``Fraction`` arithmetic where the library runs integer kernels on integer
+rows.  ``ReferenceMatrix`` does every matrix operation one entry
 at a time, over ``Fraction`` or ``complex``, where the library keeps integer
 rows or float tuples.  The closed-form trajectory sums powers
 of J_p where the library steps one constant map per instant.  The char
 poly reference solves a Vandermonde system for ``Fraction`` determinants
-where the library takes Newton differences of integer ones; the float
-char poly reference builds each node matrix sF - G, takes its
+by the ``Fraction`` Gauss-Jordan loop where the library takes Newton
+differences of integer ones; the float char poly reference builds each
+node matrix sF - G, takes its
 determinant by the float reference loop and solves the Vandermonde
 system where the library builds node rows and replays one logged
 elimination per n.  The chain-top reference makes one rank
@@ -40,9 +41,14 @@ is held to the report the reference gives through ``verify``.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import random
+import signal
+import sys
 from fractions import Fraction
+
+from hypothesis import example
 
 from dkit import (
     Analysis,
@@ -254,17 +260,57 @@ def system_file_to_dict(sf: SystemFile) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# independent oracles
+# test machinery
 # ---------------------------------------------------------------------------
 
-def _poly_add(a: list, b: list) -> list:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return out
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise ``TimeoutError`` in the body once ``seconds`` of wall time have
+    passed (a SIGALRM timer); the previous handler is restored on exit."""
+    def over_time(signum, frame):
+        raise TimeoutError(f"stopped by the {seconds:g} s alarm")
 
+    previous = signal.signal(signal.SIGALRM, over_time)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def count_calls(monkeypatch, *names) -> dict:
+    """Count calls of dkit functions given as "module.function" by patching
+    every dkit.* module binding of each, as perfbench/spans.py does."""
+    counts = dict.fromkeys(names, 0)
+    for qual in names:
+        mod_name, attr = qual.split(".")
+        orig = getattr(sys.modules[f"dkit.{mod_name}"], attr)
+
+        def counted(*args, _orig=orig, _qual=qual, **kwargs):
+            counts[_qual] += 1
+            return _orig(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "dkit" or name.startswith("dkit."):
+                for key, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, key, counted)
+    return counts
+
+
+def with_examples(cases):
+    """``hypothesis.example`` for each of ``cases``."""
+    def apply(test):
+        for case in reversed(cases):
+            test = example(case)(test)
+        return test
+    return apply
+
+
+# ---------------------------------------------------------------------------
+# independent oracles
+# ---------------------------------------------------------------------------
 
 def poly_mul(a: list, b: list) -> list:
     if not a or not b:
@@ -353,34 +399,6 @@ def reference_solve_from_zp(a: Analysis, signal, z_p0: Matrix, K: int) -> Trajec
         if k < K:
             zp = out.take_rows(range(n + m + q, out.rows))
     return Trajectory(k0, tuple(states), tuple(outputs), tuple(z_p_list), tuple(z_q_list))
-
-
-def brute_char_poly(F: Matrix, G: Matrix) -> tuple:
-    """det(sF - G) by cofactor expansion over coefficient lists.
-
-    Completely independent of the interpolation path used by the library.
-    """
-    n = F.rows
-    entries = [[[-G[i, j], F[i, j]] for j in range(n)] for i in range(n)]
-
-    def det(rows: list[int], cols: list[int]) -> list:
-        if len(rows) == 1:
-            return list(entries[rows[0]][cols[0]])
-        acc: list = []
-        r = rows[0]
-        rest = rows[1:]
-        for idx, c in enumerate(cols):
-            minor = det(rest, [x for x in cols if x != c])
-            term = poly_mul(entries[r][c], minor)
-            if idx % 2:
-                term = [-t for t in term]
-            acc = _poly_add(acc, term)
-        return acc
-
-    coeffs = det(list(range(n)), list(range(n)))
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
 
 
 def reference_rref_data(data: list[list]) -> list[int]:
@@ -547,12 +565,6 @@ def reference_block_diag(mats: list[ReferenceMatrix], mode: Mode) -> ReferenceMa
     return ReferenceMatrix(mode, n, c, (x for row in out for x in row))
 
 
-def reference_float_max_abs(m: Matrix) -> float:
-    """Largest entry magnitude of a float matrix by a generator over its
-    entries, row-major: a NaN first stays, a later one is passed over."""
-    return max((abs(x) for row in m.to_lists() for x in row), default=0.0)
-
-
 def reference_float_det(m: Matrix) -> complex:
     """Determinant of a square float matrix by the loop that
     ``linalg.float_det`` replaced: partial pivoting on a copy of the rows
@@ -560,7 +572,7 @@ def reference_float_det(m: Matrix) -> complex:
     the first column with no pivot above that."""
     n = m.rows
     data = m.to_lists()
-    thr = linalg.DEFAULT_RANK_TOL * reference_float_max_abs(m)
+    thr = linalg.DEFAULT_RANK_TOL * ReferenceMatrix.of(m).max_abs()
     sign, result = 1, complex(1.0)
     for c in range(n):
         piv, best_mag = None, thr
@@ -581,13 +593,6 @@ def reference_float_det(m: Matrix) -> complex:
             for j in range(c, n):
                 data[i][j] = data[i][j] - f * data[c][j]
     return result if sign > 0 else -result
-
-
-def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Product of exact matrices by ``Fraction`` multiply-and-add."""
-    out = [[sum((a[i, t] * b[t, j] for t in range(a.cols)), Fraction(0))
-            for j in range(b.cols)] for i in range(a.rows)]
-    return Matrix(out, Mode.EXACT) if a.rows and b.cols else Matrix.zeros(a.rows, b.cols, Mode.EXACT)
 
 
 def _reference_divisors(n: int) -> list[int]:
@@ -653,17 +658,19 @@ def reference_rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fractio
 
 
 def reference_char_poly(pencil: Pencil) -> CharPoly:
-    """det(sF - G) of an exact pencil from ``Fraction`` node matrices
-    sF - G at s = 0..n, :func:`reference_det` of each and an exact
-    Vandermonde solve; reference for the integer route of
+    """det(sF - G) of an exact pencil from the node matrices sF - G at
+    s = 0..n, built entry by entry over ``Fraction``, :func:`reference_det`
+    of each and the Vandermonde system [V | dets] reduced by
+    :func:`reference_rref_data`; reference for the integer route of
     ``pencil.char_poly``."""
     n = pencil.n
-    mode = pencil.mode
-    nodes = [Fraction(i) for i in range(n + 1)]
-    dets = [reference_det(pencil.F.scale(s) - pencil.G) for s in nodes]
-    vand = Matrix([[s**j for j in range(n + 1)] for s in nodes], mode)
-    rhs = Matrix([[d] for d in dets], mode)
-    coeffs = linalg.solve_unique(vand, rhs).column_list()
+    f, g = pencil.F.to_lists(), pencil.G.to_lists()
+    system = []
+    for s in map(Fraction, range(n + 1)):
+        node = Matrix([[s * x - y for x, y in zip(fr, gr)] for fr, gr in zip(f, g)], Mode.EXACT)
+        system.append([s**j for j in range(n + 1)] + [reference_det(node)])
+    assert reference_rref_data(system) == list(range(n + 1))
+    coeffs = [row[-1] for row in system]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return CharPoly(tuple(coeffs), n)

@@ -1,5 +1,4 @@
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -13,11 +12,15 @@ from dkit import (
     build_report,
 )
 from dkit import causality as causality_mod
-from dkit import linalg, solver
 from dkit.causality import OracleCounterexample
 from dkit.scalars import Mode
 
-from helpers import random_descriptor, rational_nonsingular, reference_causality_oracle
+from helpers import (
+    count_calls,
+    random_descriptor,
+    rational_nonsingular,
+    reference_causality_oracle,
+)
 
 EX = Mode.EXACT
 
@@ -299,22 +302,9 @@ def test_the_oracle_does_no_consistency_work(monkeypatch):
     decides consistency or eliminates Q_p, under any dkit binding."""
     rng = random.Random(12)
     a = random_descriptor(rng, 6, 2, 2, q=3, plant="state_causal")
-    watched = {id(fn): fn for fn in (solver.check_consistency, linalg.solve)}
-    calls = Counter()
-
-    def counting(fn):
-        def counted(*args, **kwargs):
-            calls[f"{fn.__module__}.{fn.__name__}"] += 1
-            return fn(*args, **kwargs)
-        return counted
-
-    for name, mod in list(sys.modules.items()):
-        if name == "dkit" or name.startswith("dkit."):
-            for attr, obj in list(vars(mod).items()):
-                if watched.get(id(obj)) is obj:
-                    monkeypatch.setattr(mod, attr, counting(obj))
+    counts = count_calls(monkeypatch, "solver.check_consistency", "linalg.solve")
     assert brute_force_causality_oracle(a, 5, seed=3) == (None, None)  # so all 5 trials ran
-    assert calls == Counter()
+    assert counts == {"solver.check_consistency": 0, "linalg.solve": 0}
 
 
 def test_verdicts_invariant_under_equivalence_transform():

@@ -6,7 +6,6 @@ import math
 import os
 import random
 import re
-import signal
 import subprocess
 import sys
 import tempfile
@@ -51,11 +50,13 @@ from dkit.errors import excerpt
 from dkit.scalars import Mode, format_scalar, parse_scalar
 from helpers import (
     consistent_y0,
+    count_calls,
     planted_pencil,
     random_descriptor,
     random_signal,
     reference_causality_oracle,
     system_file_to_dict,
+    time_limit,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -583,10 +584,6 @@ def test_float_analyze_at_n_10_breaks_down_before_any_node_and_exits_7(capsys):
             "Vandermonde pivot 1 within the rank threshold 10\nhint: retry with --mode exact\n")
 
 
-def _over_time(signum, frame):
-    raise TimeoutError("stopped by the 2 s alarm")
-
-
 def test_float_analyze_at_n_144_exits_7_on_the_vandermonde_overflow_within_2s(capsys):
     """From n = 144 on the Vandermonde entry n^n overflows a double (143^143
     is below 1.8e308, 144^144 above), and the char poly breaks down there
@@ -599,13 +596,8 @@ def test_float_analyze_at_n_144_exits_7_on_the_vandermonde_overflow_within_2s(ca
         "B": [[1]] * n, "C": [[1] * n], "Y0": [0] * n,
         "k0": 0, "inputs": [[0]] * 2, "K": 2,
     }
-    previous = signal.signal(signal.SIGALRM, _over_time)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
+    with time_limit(2):
         code = main(["analyze", json.dumps(doc)])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == EXIT_NUMERICAL
     out, err = capsys.readouterr()
     assert out == ""
@@ -636,36 +628,51 @@ def test_analyze_of_eigenvalues_scaled_by_a_product_of_11_primes_ends_within_2s(
         "B": [[1], [1]], "C": [[1, 1]], "Y0": [0, 0],
         "k0": 0, "inputs": [[0]] * 2, "K": 2,
     }
-    previous = signal.signal(signal.SIGALRM, _over_time)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
+    with time_limit(2):
         code = main(["analyze", json.dumps(doc)])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == EXIT_OK
     assert ("finite blocks: (eigenvalue 59, size 1), (eigenvalue 61, size 1)\n"
             in capsys.readouterr().out)
 
 
-def _count_calls(monkeypatch, *names):
-    """Count calls of dkit functions given as "module.function" by patching
-    every dkit.* module binding of each, as perfbench/spans.py does."""
-    counts = dict.fromkeys(names, 0)
-    for qual in names:
-        mod_name, attr = qual.split(".")
-        orig = getattr(sys.modules[f"dkit.{mod_name}"], attr)
+def generic_exact_docs() -> list[tuple[str, dict]]:
+    """Two random small-integer exact systems for each n = 4, 8, 12, named
+    "n<n>-<i>": entries -9..9, F of rank n - n // 3 as the product of random
+    n x (n - n // 3) and (n - n // 3) x n factors, G, B (l = 1) and C (m = 1)
+    random, Y0 and the inputs zero."""
+    rng = random.Random(7)
 
-        def counted(*args, _orig=orig, _qual=qual, **kwargs):
-            counts[_qual] += 1
-            return _orig(*args, **kwargs)
+    def rand(rows, cols):
+        return [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
 
-        for name, mod in list(sys.modules.items()):
-            if name == "dkit" or name.startswith("dkit."):
-                for key, value in list(vars(mod).items()):
-                    if value is orig:
-                        monkeypatch.setattr(mod, key, counted)
-    return counts
+    docs = []
+    for n in (4, 4, 8, 8, 12, 12):
+        r = n - n // 3
+        left, right = rand(n, r), rand(r, n)
+        f = [[sum(left[i][t] * right[t][j] for t in range(r)) for j in range(n)]
+             for i in range(n)]
+        docs.append((f"n{n}-{len(docs) % 2}", {
+            "n": n, "l": 1, "m": 1, "mode": "exact", "F": f, "G": rand(n, n),
+            "B": rand(n, 1), "C": rand(1, n), "Y0": [0] * n, "k0": 0,
+            "inputs": [[0]] * 2, "K": 2}))
+    return docs
+
+
+DIVISOR_HANGS = {"n12-0", "n12-1"}
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(doc, id=name, marks=pytest.mark.xfail(
+        name in DIVISOR_HANGS, strict=True, raises=TimeoutError,
+        reason="pencil._divisors factors an end coefficient of the char poly by trial "
+               "division, which runs past 2 s"))
+    for name, doc in generic_exact_docs()])
+def test_exact_analyze_of_a_generic_small_integer_system_ends_within_2s(doc):
+    """Exit 0, or exit 4 for a spectrum with irrational or complex
+    eigenvalues, within 2 s: the inputs a user is most likely to bring."""
+    with time_limit(2):
+        code = main(["analyze", json.dumps(doc)])
+    assert code in (EXIT_OK, EXIT_UNRESOLVABLE)
 
 
 @pytest.mark.parametrize("argv", [
@@ -678,7 +685,7 @@ def test_each_run_computes_char_poly_and_verify_once(argv, monkeypatch, capsys):
     """Each run computes the char poly and the canonical form once.  An
     exact run accepts the form by its chain relations inside _decompose and
     calls no verify; a float run calls verify once."""
-    counts = _count_calls(monkeypatch, "pencil.char_poly", "weierstrass._decompose",
+    counts = count_calls(monkeypatch, "pencil.char_poly", "weierstrass._decompose",
                           "weierstrass.verify")
     for mode, verify_calls in (("exact", 0), ("float", 1)):
         counts.update(dict.fromkeys(counts, 0))
@@ -696,7 +703,7 @@ def test_each_run_computes_char_poly_and_verify_once(argv, monkeypatch, capsys):
 def test_only_float_runs_invert_the_forced_blocks(argv, mode, monkeypatch, capsys):
     """Exact mode defines P as [F Q_p | G Q_q]^{-1} and never builds it:
     P B is one solve.  Float mode still inverts the blocks."""
-    counts = _count_calls(monkeypatch, "linalg.inverse", "linalg.solve_unique")
+    counts = count_calls(monkeypatch, "linalg.inverse", "linalg.solve_unique")
     assert main(argv + ["--mode", mode]) == EXIT_OK
     if mode == "exact":
         assert counts == {"linalg.inverse": 0, "linalg.solve_unique": 1}
@@ -773,7 +780,7 @@ def test_consecutive_runs_in_one_process_match_runs_on_their_own(tmp_path, monke
 
 def test_main_dispatches_to_the_command_bound_at_call_time(monkeypatch, capsys):
     assert main(["solve", DIAG]) == EXIT_OK  # the parser exists by now
-    counts = _count_calls(monkeypatch, "cli.cmd_solve", "cli.cmd_analyze")
+    counts = count_calls(monkeypatch, "cli.cmd_solve", "cli.cmd_analyze")
     assert main(["solve", DIAG]) == EXIT_OK
     assert counts == {"cli.cmd_solve": 1, "cli.cmd_analyze": 0}
     assert cli._parser() is cli._parser()
@@ -786,7 +793,7 @@ def test_main_dispatches_to_the_command_bound_at_call_time(monkeypatch, capsys):
     (["causality", NIL_CEYE, "--oracle-trials", "3"], 1),
 ])
 def test_each_run_builds_the_step_map_at_most_once(argv, builds, monkeypatch, capsys):
-    counts = _count_calls(monkeypatch, "solver._step_map")
+    counts = count_calls(monkeypatch, "solver._step_map")
     assert main(argv) == EXIT_OK
     assert counts == {"solver._step_map": builds}
 
@@ -924,7 +931,7 @@ def test_float_json_ints_are_admitted_once(monkeypatch):
     doc["mode"] = "float"
     doc["F"][1] = [2**1023 - 1, -(2**1023 - 1)]  # the widest ints taken directly
     doc["Y0"] = [-(2**53 + 1), 3]  # rounded to a double as complex() rounds it
-    counts = _count_calls(monkeypatch, "scalars.parse_scalar", "scalars.ensure_scalar")
+    counts = count_calls(monkeypatch, "scalars.parse_scalar", "scalars.ensure_scalar")
     sf = parse_system_file(doc)
     assert counts == {"scalars.parse_scalar": 0, "scalars.ensure_scalar": 0}
     for name in ("F", "G", "B", "C"):
@@ -939,7 +946,7 @@ def test_float_json_int_of_1024_bits_goes_through_parse_scalar(monkeypatch):
     doc = load(DIAG)
     doc["mode"] = "float"
     doc["F"][0][0] = 2**1023  # finite, but beyond the direct path's bound
-    counts = _count_calls(monkeypatch, "scalars.parse_scalar")
+    counts = count_calls(monkeypatch, "scalars.parse_scalar")
     assert parse_system_file(doc).F[0, 0] == complex(2**1023)
     assert counts == {"scalars.parse_scalar": 1}
 
@@ -947,7 +954,7 @@ def test_float_json_int_of_1024_bits_goes_through_parse_scalar(monkeypatch):
 def test_exact_json_ints_pass_through_where_python_has_no_digit_limit(monkeypatch):
     want = parse_system_file(DIAG)
     monkeypatch.setattr(cli, "max_str_digits", lambda: 0)
-    counts = _count_calls(monkeypatch, "scalars.parse_scalar")
+    counts = count_calls(monkeypatch, "scalars.parse_scalar")
     got = parse_system_file(DIAG)
     assert counts == {"scalars.parse_scalar": 0}
     assert got == want
@@ -1152,13 +1159,8 @@ def test_solve_stops_at_the_first_unprintable_state_within_2s(out_csv, tmp_path,
            "inputs": [[0]] * 32001, "K": 32000}
     target = tmp_path / "t.csv"
     argv = ["solve", json.dumps(doc)] + (["--out-csv", str(target)] if out_csv else [])
-    previous = signal.signal(signal.SIGALRM, _over_time)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
+    with time_limit(2):
         code = main(argv)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == EXIT_PARSE
     assert capsys.readouterr() == (
         "", f"error: an exact value has more than {sys.get_int_max_str_digits()} decimal "

@@ -20,7 +20,6 @@ from helpers import (
     ReferenceMatrix,
     reference_block_diag,
     reference_float_det,
-    reference_float_max_abs,
     reference_hstack,
     reference_vstack,
 )
@@ -80,7 +79,6 @@ def test_float_entrywise_operations_match_the_reference(ab, s):
     assert_same(a - b, ra - rb)
     assert_same(-a, -ra)
     assert_same(a.scale(s), ra.scale(s))
-    assert_same(a.sub_scaled(b, s), ra - rb.scale(s))
     assert_same(a.T, ra.T)
     assert_same(a.conj_T(), ra.T.map(complex.conjugate))
     assert_same(Matrix.zeros(a.rows, a.cols, FL), ra.map(lambda x: 0j))
@@ -161,7 +159,7 @@ def test_float_max_abs_matches_the_generator_reference_at_nan_inf_and_signed_zer
     mats = [Matrix(rows, FL) for rows in cases]
     mats += [Matrix.zeros(0, 0, FL), Matrix([], FL), Matrix.zeros(3, 0, FL), Matrix.zeros(0, 2, FL)]
     for m in mats:
-        got, want = m.max_abs(), reference_float_max_abs(m)
+        got, want = m.max_abs(), ReferenceMatrix.of(m).max_abs()
         assert type(got) is float
         assert same_float(got, want), m
         entries = [x for row in m.to_lists() for x in row]
@@ -215,7 +213,7 @@ def test_forward_only_float_pivots_are_those_of_the_full_reduction(case):
     tol, rows = case
     m = Matrix(rows, FL)
     assert linalg.pivot_columns(m, tol) == linalg._reduced(m, tol)[1]
-    old = (linalg.DEFAULT_RANK_TOL if tol is None else tol) * reference_float_max_abs(m)
+    old = (linalg.DEFAULT_RANK_TOL if tol is None else tol) * ReferenceMatrix.of(m).max_abs()
     assert same_float(linalg._row_threshold(rows, tol), old)
 
 

@@ -1,6 +1,5 @@
 import math
 import random
-import signal
 from fractions import Fraction
 from unittest import mock
 
@@ -28,8 +27,6 @@ from dkit.scalars import Mode
 from dkit.pencil import _rational_roots, _vandermonde
 from dkit.weierstrass import _block_sizes
 from helpers import (
-    brute_char_poly,
-    exact_det,
     planted_pencil,
     poly_eval,
     poly_mul,
@@ -39,6 +36,8 @@ from helpers import (
     reference_float_char_poly,
     reference_rational_roots,
     singular_pencil,
+    time_limit,
+    with_examples,
 )
 from test_golden import PLANTS, planted_doc
 
@@ -63,31 +62,26 @@ def test_char_poly_identically_zero():
     assert cp.p is None and cp.q is None
 
 
+DIAG_PENCIL = pen([[1, 0], [0, 0]], [[2, 0], [0, 1]])
+
+
 def test_char_poly_diag_fixture():
-    # sF - G = diag(s-2, -1), det = -(s-2); frozen from the cofactor oracle
-    f, g = [[1, 0], [0, 0]], [[2, 0], [0, 1]]
-    cp = char_poly(pen(f, g))
+    # sF - G = diag(s-2, -1), det = -(s-2)
+    cp = char_poly(DIAG_PENCIL)
     assert cp.coefficients == (Fraction(2), Fraction(-1))
     assert cp.p == 1 and cp.q == 1
-    assert cp.coefficients == brute_char_poly(Matrix(f, EX), Matrix(g, EX))
 
 
-def test_char_poly_matches_cofactor_oracle_on_random_pencils():
+def small_random_pencils() -> list[Pencil]:
+    """40 pencils of size 1..4 with entries -3..3."""
     rng = random.Random(11)
+    out = []
     for _ in range(40):
         n = rng.randint(1, 4)
-        f = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], EX)
-        g = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], EX)
-        assert char_poly(Pencil(f, g)).coefficients == brute_char_poly(f, g)
-
-
-def test_char_poly_evaluation_matches_determinant_away_from_nodes():
-    rng = random.Random(12)
-    for _ in range(20):
-        p, _, _ = planted_pencil(rng, rng.randint(1, 5))
-        cp = char_poly(p)
-        for a in (Fraction(17), Fraction(-9, 2), Fraction(23, 3)):
-            assert poly_eval(cp.coefficients, a) == exact_det(p.F.scale(a) - p.G)
+        f = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        g = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        out.append(pen(f, g))
+    return out
 
 
 def test_is_regular_examples():
@@ -380,6 +374,7 @@ def assert_same_char_poly(pencil):
 
 @settings(max_examples=300)
 @given(exact_pencils())
+@with_examples([DIAG_PENCIL] + small_random_pencils())
 def test_char_poly_matches_the_vandermonde_reference(pencil):
     assert_same_char_poly(pencil)
 
@@ -509,10 +504,6 @@ def test_only_an_exact_char_poly_that_reads_zero_is_an_irregular_verdict(f, g):
         assert char_poly(exact).p == 1 and decompose(exact).p == 1
 
 
-def _over_time(signum, frame):
-    raise TimeoutError("stopped by the 2 s alarm")
-
-
 def test_char_poly_bit_growth_stays_bounded_at_n30():
     """The one deflation by W* keeps the entries small: each basis vector
     of W* is canonical and cleared to integers of content 1, and the
@@ -520,13 +511,8 @@ def test_char_poly_bit_growth_stays_bounded_at_n30():
     deflations would take minutes, so an alarm stops it at the bound."""
     pencil, _, _ = planted_pencil(random.Random(30), 30, nilpotent=[8, 6, 3, 1],
                                   conjugate=rational_nonsingular)
-    previous = signal.signal(signal.SIGALRM, _over_time)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
+    with time_limit(2):
         cp = char_poly(pencil)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert cp.p == 12
 
 
@@ -536,13 +522,8 @@ def test_rational_roots_of_a_quadratic_with_a_large_smooth_content_end_within_2s
     remainder carries P again."""
     big = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
     coeffs = [Fraction(-59 * big), Fraction(0), Fraction(61 * big)]
-    previous = signal.signal(signal.SIGALRM, _over_time)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
+    with time_limit(2):
         roots, remainder = _rational_roots(coeffs)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert (roots, remainder) == ([], coeffs)
 
 
@@ -554,11 +535,5 @@ def test_finite_eigenvalues_of_a_two_prime_quadratic_ends_within_2s():
     root; exact mode must say so with UnresolvableSpectrum, not hang."""
     p1, p2 = 10**12 + 39, 10**12 + 61
     cp = CharPoly((Fraction(-p1 * p2), Fraction(0), Fraction(1)), n=2)
-    previous = signal.signal(signal.SIGALRM, _over_time)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
-        with pytest.raises(UnresolvableSpectrum):
-            finite_eigenvalues(cp)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    with time_limit(2), pytest.raises(UnresolvableSpectrum):
+        finite_eigenvalues(cp)

@@ -39,12 +39,12 @@ from dkit.causality import build_report
 from dkit.scalars import Mode
 
 from helpers import (
+    ReferenceMatrix,
     consistent_y0,
     planted_pencil,
     random_descriptor,
     random_signal,
     reference_closed_form,
-    reference_matmul,
     reference_solve_from_zp,
 )
 
@@ -476,14 +476,12 @@ def test_each_pencil_walks_the_wong_sequence_of_F_G_once():
 
 def _reference_step_residual(sysm, sig, states):
     """max_k |F Y_{k+1} - G Y_k - B V_k| from separate Fraction products."""
+    F, G, B = map(ReferenceMatrix.of, (sysm.F, sysm.G, sysm.B))
+    y = [ReferenceMatrix.of(state) for state in states]
     worst = Fraction(0)
-    for idx in range(len(states) - 1):
-        v = sig.sample(sig.k0 + idx)
-        f_y, g_y, b_v = (reference_matmul(sysm.F, states[idx + 1]),
-                         reference_matmul(sysm.G, states[idx]),
-                         reference_matmul(sysm.B, v))
-        worst = max([worst] + [abs(f_y[i, 0] - g_y[i, 0] - b_v[i, 0])
-                               for i in range(sysm.n)])
+    for idx in range(len(y) - 1):
+        v = ReferenceMatrix.of(sig.sample(sig.k0 + idx))
+        worst = max(worst, (F @ y[idx + 1] - G @ y[idx] - B @ v).max_abs())
     return worst
 
 
